@@ -209,6 +209,145 @@ let test_calendar_deadlock_detected () =
        false
      with Vm.Error _ -> true)
 
+(* Golden engine observables: exact cycle totals, per-VP step counts,
+   engine events and scavenge pauses for a fixed set of runs covering
+   every engine path — the idle poll, timers firing mid-run, stealing,
+   major slices, a policy answering tie queries, an injected crash, and
+   the calendar engine's parking.  Any change to how the engine selects,
+   batches or accounts shows up here as a different number. *)
+let engine_signature ?(extra = "") vm =
+  let m = vm.Vm.machine in
+  let steps =
+    List.init (Machine.processors m) (fun i ->
+        string_of_int (Machine.vp m i).Machine.steps)
+  in
+  Printf.sprintf "cycles=%d steps=%s events=%d pauses=%s%s" (Vm.cycles vm)
+    (String.concat "," steps) vm.Vm.engine_events
+    (String.concat "," (List.rev_map string_of_int vm.Vm.scavenge_pause_costs))
+    extra
+
+let golden_alloc_source =
+  "| s a | s := 0. 1 to: 600 do: [:i | a := Array new: 16. a at: 1 put: i. \
+   s := s + (a at: 1) printString size]. s"
+
+let golden_eval ?(busy = 0) config source =
+  let vm = Vm.create config in
+  ignore (Workloads.spawn_busy vm busy);
+  ignore (Vm.eval vm source);
+  vm
+
+let golden_bs () = golden_eval (Config.testing ()) golden_alloc_source
+
+let golden_ms_busy () =
+  golden_eval ~busy:4 (Config.testing ~processors:5 ()) golden_alloc_source
+
+let golden_ms_delay () =
+  golden_eval ~busy:1 (Config.testing ~processors:3 ())
+    {st|
+| sem holder s |
+sem := Semaphore new.
+holder := Array with: 0.
+1 to: 3 do: [:k |
+    [ (Delay forMilliseconds: k * 7) wait.
+      holder at: 1 put: (holder at: 1) + k.
+      sem signal ] fork].
+s := 0. 1 to: 200 do: [:i | s := s + i printString size].
+1 to: 3 do: [:k | sem wait].
+(holder at: 1) + s
+|st}
+
+let golden_stealing () =
+  golden_eval ~busy:2 (Testkit.stealing_config ~processors:3 ())
+    golden_alloc_source
+
+let golden_major () =
+  let config =
+    { (Config.testing ~processors:2 ()) with
+      Config.major_enabled = true;
+      eden_words = 2048;
+      survivor_words = 1024;
+      tenure_age = 1;
+      old_words = 96 * 1024;
+      major_budget = 2_000 }
+  in
+  let vm =
+    golden_eval ~busy:1 config
+      "| keep s | keep := Array new: 64. s := 0. 1 to: 1500 do: [:i | \
+       keep at: i \\\\ 64 + 1 put: (Array new: 16). s := s + (i \\\\ 1000)]. s"
+  in
+  let mj = Option.get vm.Vm.major in
+  engine_signature vm
+    ~extra:(Printf.sprintf " slices=%d cycles=%d" (Major.slices mj)
+              (Major.cycles_completed mj))
+
+let golden_explorer () =
+  let setup = Explorer.ms_setup ~quick:true () in
+  let d = Explore.seeded ~seed:3 () in
+  let vm = Vm.create setup.Explorer.config in
+  Machine.set_policy vm.Vm.machine (Some (Explore.policy d));
+  ignore (Workloads.spawn_busy vm setup.Explorer.busy);
+  ignore (Vm.eval vm setup.Explorer.source);
+  engine_signature vm ~extra:(Printf.sprintf " queries=%d" (Explore.queries d))
+
+let golden_crash () =
+  (* index 68 is the first injection query of this run that lands on a
+     scheduling check, so exactly one processor crashes *)
+  let inj = Fault.replay (Testkit.crash_plan 68) in
+  let vm = Testkit.fault_vm (Some inj) in
+  ignore (Workloads.spawn_busy vm 4);
+  ignore (Vm.eval vm Testkit.busy_eval_source);
+  engine_signature vm
+    ~extra:(Printf.sprintf " crashes=%d" vm.Vm.crashes_delivered)
+
+let golden_serve () =
+  let config =
+    { (Config.testing ~processors:4 ()) with
+      Config.engine = Config.Engine_calendar }
+  in
+  let p =
+    { Server.default_params with
+      Server.sessions = 3; workers = 2; requests = 2; think_ms = 10 }
+  in
+  let vm, _ = Server.run config p in
+  engine_signature vm ~extra:(Printf.sprintf " parks=%d" vm.Vm.parks)
+
+let golden_fixtures =
+  [ ("BS baseline", (fun () -> engine_signature (golden_bs ())),
+     "cycles=589654 steps=115589 events=115593 pauses=189");
+    ("MS, 5 VPs, busy", (fun () -> engine_signature (golden_ms_busy ())),
+     ("cycles=599475 steps=115589,218180,218114,218061,218026 events=988100 "
+      ^ "pauses=1220,1025,1111,1212,497,524,451,572,568,724,537,508,428,568,"
+      ^ "690,568,621,492,497,566,493,458,541,459,494,455,530,592,679,595,466,"
+      ^ "494,576,689,764,585,539,458,620,736,590,566,563,563,642,451,532,415,"
+      ^ "564,371,529,459,424,449,424,459,564,328,459,498,599,603"));
+    ("MS, Delay timers", (fun () -> engine_signature (golden_ms_delay ())),
+     "cycles=158191 steps=32540,63540,171 events=99304 pauses=453,422,453,453");
+    ("stealing", (fun () -> engine_signature (golden_stealing ())),
+     ("cycles=550038 steps=115589,215821,215754 events=547228 "
+      ^ "pauses=734,709,685,658,343,343,347,278,278,248,287,314,388,423,471,"
+      ^ "391,327,317,431,462,362,326,312,351,312,212,356,387,426,388"));
+    ("major collector", golden_major,
+     ("cycles=206670 steps=48026,46716 events=94828 "
+      ^ "pauses=1162,1098,1081,1063,1081,1063,1081,1063,1081,1098,1100,1098,"
+      ^ "1081,1084,993,1098,1098,1100,1063,1081,1063,1081,1081,1081,1098,1100,"
+      ^ "1098,1081,1063 slices=25 cycles=0"));
+    ("explorer seed", golden_explorer,
+     ("cycles=187127 steps=4231,4220,4226,4547,4188 events=21420 "
+      ^ "pauses=29660 queries=2678"));
+    ("injected VP crash", golden_crash,
+     ("cycles=97784 steps=18149,500,36913,36854 events=92431 "
+      ^ "pauses=1093,1019,1089,1015,294 crashes=1"));
+    ("calendar serve", golden_serve,
+     ("cycles=125797 steps=30303,30882,61,0 events=61279 pauses=1355 "
+      ^ "parks=16")) ]
+
+let golden_tests =
+  List.map
+    (fun (name, run, expected) ->
+      Alcotest.test_case name `Quick (fun () ->
+          Alcotest.(check string) name expected (run ())))
+    golden_fixtures
+
 let test_sorting () =
   check_eval "sort integers" "'Array (1 2 5 9 )'"
     "#(5 2 9 1) asSortedArray printString";
@@ -351,6 +490,7 @@ let () =
            test_calendar_all_parked_timer;
          Alcotest.test_case "real deadlock still detected" `Quick
            test_calendar_deadlock_detected ]);
+      ("engine golden", golden_tests);
       ("sorting",
        [ Alcotest.test_case "sorts" `Quick test_sorting;
          Alcotest.test_case "aggregates" `Quick test_aggregates ]);
