@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is what CI runs.
 
-.PHONY: all build test check smoke-parallel-scavenge explore-smoke fault-smoke steal-smoke server-smoke dpor-smoke gc-smoke cluster-smoke bench clean
+.PHONY: all build test check smoke-parallel-scavenge explore-smoke fault-smoke steal-smoke server-smoke dpor-smoke gc-smoke cluster-smoke bench bench-quick clean
 
 all: build
 
@@ -118,6 +118,8 @@ check:
 	$(MAKE) dpor-smoke
 	$(MAKE) gc-smoke
 	$(MAKE) cluster-smoke
+	dune exec bench/main.exe -- no-such-section 2>/dev/null; \
+	  test $$? -eq 2 || { echo "FAIL: an unknown bench section must exit 2"; exit 1; }
 
 # The full reproduction harness (slow); `make bench-quick` for a pass
 # with reduced repetitions.

@@ -526,33 +526,58 @@ let all_sections ~quick =
     ("parallel-scavenge", fun () -> run_parallel_scavenge ~quick ());
     ("micro", fun () -> run_micro ()) ]
 
+(* A malformed command line is a usage error: say why and exit 2 before
+   running anything, so a typo never passes for a full-size run. *)
+let usage_error fmt_str =
+  Format.kasprintf
+    (fun msg ->
+      Format.eprintf "bench: %s@." msg;
+      exit 2)
+    fmt_str
+
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let quick = List.mem "--quick" args in
+  let quick = ref false in
+  let wanted = ref [] in
   List.iter
     (fun a ->
-      match String.index_opt a '=' with
-      | Some i when String.sub a 0 i = "--sanitize" ->
-          let v = String.sub a (i + 1) (String.length a - i - 1) in
+      let flag, value =
+        match String.index_opt a '=' with
+        | Some i ->
+            (String.sub a 0 i,
+             Some (String.sub a (i + 1) (String.length a - i - 1)))
+        | None -> (a, None)
+      in
+      match (flag, value) with
+      | "--quick", None -> quick := true
+      | "--sanitize", Some v ->
           sanitize_mode :=
             (match v with
              | "off" -> Sanitizer.Off
              | "report" -> Sanitizer.Report
              | "strict" -> Sanitizer.Strict
              | _ ->
-                 Format.fprintf fmt
-                   "unknown sanitize mode %s (off, report or strict)@." v;
-                 exit 2)
-      | Some i when String.sub a 0 i = "--trace-dump" ->
+                 usage_error "unknown sanitize mode %s (off, report or strict)"
+                   v)
+      | "--trace-dump", Some v ->
           trace_dump :=
-            int_of_string (String.sub a (i + 1) (String.length a - i - 1))
-      | _ -> ())
+            (match int_of_string_opt v with
+             | Some n when n >= 0 -> n
+             | _ ->
+                 usage_error "--trace-dump takes a count of events, not %S" v)
+      | _ when String.length a >= 2 && String.sub a 0 2 = "--" ->
+          usage_error
+            "unknown option %s (--quick, --sanitize=MODE, --trace-dump=N)" a
+      | _ -> wanted := a :: !wanted)
     args;
-  let wanted =
-    List.filter (fun a -> not (String.length a >= 2 && String.sub a 0 2 = "--"))
-      args
-  in
-  let sections = all_sections ~quick in
+  let sections = all_sections ~quick:!quick in
+  let wanted = List.rev !wanted in
+  List.iter
+    (fun name ->
+      if not (List.mem_assoc name sections) then
+        usage_error "unknown section %s; available: %s" name
+          (String.concat ", " (List.map fst sections)))
+    wanted;
   Format.fprintf fmt
     "Multiprocessor Smalltalk (Pallas & Ungar, PLDI 1988) - reproduction harness@.";
   Format.fprintf fmt
@@ -560,12 +585,4 @@ let () =
   match wanted with
   | [] ->
       List.iter (fun (name, f) -> if name <> "figure2" then f ()) sections
-  | names ->
-      List.iter
-        (fun name ->
-          match List.assoc_opt name sections with
-          | Some f -> f ()
-          | None ->
-              Format.fprintf fmt "unknown section %s; available: %s@." name
-                (String.concat ", " (List.map fst sections)))
-        names
+  | names -> List.iter (fun name -> (List.assoc name sections) ()) names

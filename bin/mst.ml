@@ -49,16 +49,16 @@ let trace_dump =
   let doc = "After the run, print the last $(docv) sanitizer trace events." in
   Arg.(value & opt int 0 & info [ "trace-dump" ] ~docv:"N" ~doc)
 
-let engine =
+let engine default =
   let doc =
-    "Simulation engine: $(b,scan) (rescan every processor per event) or \
-     $(b,calendar) (event calendar: pending-heap, parked idle processors, \
-     timer heap, E17)."
+    "Simulation engine: $(b,scan) (idle processors poll the ready queue \
+     every few quanta) or $(b,calendar) (idle processors park until a \
+     wakeup: ready work, input or a timer, E17)."
   in
   let engines =
     [ ("scan", Config.Engine_scan); ("calendar", Config.Engine_calendar) ]
   in
-  Arg.(value & opt (enum engines) Config.Engine_scan & info [ "engine" ] ~doc)
+  Arg.(value & opt (enum engines) default & info [ "engine" ] ~doc)
 
 let major =
   let doc =
@@ -76,22 +76,32 @@ let major_budget =
   Arg.(value & opt (some int) None & info [ "major-budget" ] ~docv:"CYCLES"
        ~doc)
 
-let make_vm ?(sanitize = Sanitizer.Off) ?(scheduler = Config.Sched_locked)
-    ?(engine = Config.Engine_scan) ?(major = false) ?major_budget processors
-    state =
-  let config =
-    if processors <= 1 && state = "none" && scheduler = Config.Sched_locked
-    then Config.baseline_bs ()
-    else Config.ms ~processors:(max processors 1) ()
+(* The VM flags eval, run and serve share, assembled into a configuration:
+   baseline BS for one processor on the locked scheduler with no
+   background Processes, the published MS otherwise.  The result still
+   takes [~background], whether the run adds competing Processes; serve
+   passes its own engine default and processor floor. *)
+let vm_config ?(default_engine = Config.Engine_scan) ?(min_processors = 1) () =
+  let make processors sanitize scheduler engine major major_budget
+      ~background =
+    let processors = max processors min_processors in
+    let base =
+      if processors <= 1 && (not background)
+         && scheduler = Config.Sched_locked
+      then Config.baseline_bs ()
+      else Config.ms ~processors ()
+    in
+    { base with
+      Config.sanitize; scheduler; engine; major_enabled = major;
+      major_budget =
+        Option.value major_budget ~default:base.Config.major_budget }
   in
-  let config = { config with Config.sanitize; Config.scheduler;
-                 Config.engine; Config.major_enabled = major } in
-  let config =
-    match major_budget with
-    | Some b -> { config with Config.major_budget = b }
-    | None -> config
-  in
-  let vm = Vm.create config in
+  Term.(
+    const make $ processors $ sanitize $ scheduler $ engine default_engine
+    $ major $ major_budget)
+
+let make_vm config state =
+  let vm = Vm.create (config ~background:(state <> "none")) in
   (match state with
    | "idle" -> ignore (Workloads.spawn_idle vm 4)
    | "busy" -> ignore (Workloads.spawn_busy vm 4)
@@ -131,12 +141,8 @@ let catching_faults vm ~trace_dump f =
 
 let eval_cmd =
   let expr = Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPR") in
-  let run processors state sanitize scheduler engine major major_budget
-      trace_dump expr =
-    let vm =
-      make_vm ~sanitize ~scheduler ~engine ~major ?major_budget processors
-        state
-    in
+  let run config state trace_dump expr =
+    let vm = make_vm config state in
     catching_faults vm ~trace_dump (fun () ->
         try print_endline (Vm.eval_to_string vm expr) with
         | State.Vm_error msg -> Printf.eprintf "error: %s\n" msg
@@ -152,19 +158,14 @@ let eval_cmd =
     report_sanitizer vm ~trace_dump
   in
   Cmd.v (Cmd.info "eval" ~doc:"Evaluate a Smalltalk expression")
-    Term.(const run $ processors $ state $ sanitize $ scheduler $ engine
-          $ major $ major_budget $ trace_dump $ expr)
+    Term.(const run $ vm_config () $ state $ trace_dump $ expr)
 
 (* --- run --- *)
 
 let run_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
-  let run processors state sanitize scheduler engine major major_budget
-      trace_dump file =
-    let vm =
-      make_vm ~sanitize ~scheduler ~engine ~major ?major_budget processors
-        state
-    in
+  let run config state trace_dump file =
+    let vm = make_vm config state in
     let source = In_channel.with_open_text file In_channel.input_all in
     Vm.load_classes vm source;
     (match Universe.find_class vm.Vm.u "Main" with
@@ -184,8 +185,7 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run"
        ~doc:"Load a class file (image-definition format) and run Main new main")
-    Term.(const run $ processors $ state $ sanitize $ scheduler $ engine
-          $ major $ major_budget $ trace_dump $ file)
+    Term.(const run $ vm_config () $ state $ trace_dump $ file)
 
 (* --- explore --- *)
 
@@ -733,34 +733,12 @@ let serve_cmd =
                unlimited); arrivals over the cap are rejected." in
     Arg.(value & opt int 0 & info [ "admit" ] ~doc)
   in
-  let engine =
-    let doc =
-      "Simulation engine: $(b,scan) (rescan every processor per event) or \
-       $(b,calendar) (event calendar with parked idle processors, E17)."
-    in
-    Arg.(value
-         & opt (enum [ ("scan", Config.Engine_scan);
-                       ("calendar", Config.Engine_calendar) ])
-             Config.Engine_calendar
-         & info [ "engine" ] ~doc)
-  in
   let differential =
     let doc =
       "Run the same workload on both engines and fail unless they agree \
        on completions, rejections and per-session counts."
     in
     Arg.(value & flag & info [ "differential" ] ~doc)
-  in
-  let serve_config ~processors ~sanitize ~scheduler ~engine ~major
-      ~major_budget =
-    let c =
-      { (Config.ms ~processors ()) with
-        Config.sanitize; Config.scheduler; Config.engine;
-        Config.major_enabled = major }
-    in
-    match major_budget with
-    | Some b -> { c with Config.major_budget = b }
-    | None -> c
   in
   let run_one ~label config p =
     let t0 = Unix.gettimeofday () in
@@ -782,28 +760,21 @@ let serve_cmd =
     if Sanitizer.violation_count san > 0 then exit 1;
     stats
   in
-  let run processors sanitize scheduler major major_budget sessions workers
-      loop requests think_ms interval_ms admit engine differential =
+  let run config sessions workers loop requests think_ms interval_ms admit
+      differential =
     let p =
       { Server.sessions; workers; loop; requests; think_ms; interval_ms;
         admit }
     in
-    let processors = max processors 2 in
-    let config =
-      serve_config ~processors ~sanitize ~scheduler ~engine ~major
-        ~major_budget
-    in
+    let config = config ~background:false in
     let stats = run_one ~label:"serve" config p in
     if differential then begin
       let other =
-        match engine with
+        match config.Config.engine with
         | Config.Engine_scan -> Config.Engine_calendar
         | Config.Engine_calendar -> Config.Engine_scan
       in
-      let config' =
-        serve_config ~processors ~sanitize ~scheduler ~engine:other ~major
-          ~major_budget
-      in
+      let config' = { config with Config.engine = other } in
       let stats' = run_one ~label:"serve (reference engine)" config' p in
       let agree =
         stats.Server.offered = stats'.Server.offered
@@ -828,9 +799,10 @@ let serve_cmd =
           Smalltalk worker Processes, with per-request latency \
           percentiles")
     Term.(
-      const run $ processors $ sanitize $ scheduler $ major $ major_budget
+      const run
+      $ vm_config ~default_engine:Config.Engine_calendar ~min_processors:2 ()
       $ sessions $ workers $ loop $ requests $ think_ms $ interval_ms
-      $ admit $ engine $ differential)
+      $ admit $ differential)
 
 (* --- cluster --- *)
 
@@ -997,7 +969,7 @@ let method_cmd name doc render =
   let cls = Arg.(required & pos 0 (some string) None & info [] ~docv:"CLASS") in
   let sel = Arg.(required & pos 1 (some string) None & info [] ~docv:"SELECTOR") in
   let run cls_name sel_name =
-    let vm = make_vm 1 "none" in
+    let vm = Vm.create (Config.baseline_bs ()) in
     match find_method vm cls_name sel_name with
     | Ok m -> print_string (render vm m)
     | Error e -> Printf.eprintf "error: %s\n" e
@@ -1015,7 +987,7 @@ let decompile_cmd =
 let browse_cmd =
   let cls = Arg.(required & pos 0 (some string) None & info [] ~docv:"CLASS") in
   let run cls_name =
-    let vm = make_vm 1 "none" in
+    let vm = Vm.create (Config.baseline_bs ()) in
     match Universe.find_class vm.Vm.u cls_name with
     | None -> Printf.eprintf "error: unknown class %s\n" cls_name
     | Some _ ->

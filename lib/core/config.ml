@@ -24,12 +24,12 @@ type alloc_strategy = Alloc_serialized | Alloc_replicated_eden
    stealing. *)
 type scheduler_strategy = Sched_locked | Sched_stealing
 
-(* E17: how the engine finds the next processor to step.  [Engine_scan]
-   rescans every VP per event and re-steps idle processors every few
-   quanta (the original design, kept as the differential-oracle
-   reference).  [Engine_calendar] keeps runnable VPs in a pending-heap
-   keyed by clock, parks idle VPs until a wakeup event (ready work,
-   input, timer) and batches uncontended bytecodes per engine event. *)
+(* E17: what an idle processor with nothing ready does in the one engine
+   loop ([Vm.run_engine]).  [Engine_scan] polls: the processor is
+   re-stepped every 10 Delay quanta, as the paper's idle interpreters
+   poll the ready queue.  [Engine_calendar] parks it off the pending-heap until a wakeup event
+   (ready work, input, timer).  Selection, timers and batching are
+   shared. *)
 type engine_strategy = Engine_scan | Engine_calendar
 
 type t = {
@@ -39,7 +39,7 @@ type t = {
   free_contexts : context_strategy;
   allocation : alloc_strategy;
   scheduler : scheduler_strategy;  (* E16: locked queue vs work stealing *)
-  engine : engine_strategy;        (* E17: scan loop vs event calendar *)
+  engine : engine_strategy;        (* E17: idle processors poll or park *)
   keep_running_in_queue : bool;  (* the MS reorganization *)
   old_words : int;
   eden_words : int;              (* the paper's s: 80 KB by default *)

@@ -29,13 +29,11 @@ type scheduler_strategy =
 
 type engine_strategy =
   | Engine_scan
-      (** rescan every VP per engine event, re-step idle processors every
-          few quanta — the original engine, kept as the
-          differential-oracle reference *)
+      (** an idle processor polls: it is re-stepped every 10 Delay
+          quanta *)
   | Engine_calendar
-      (** event calendar (E17): runnable VPs in a pending-heap keyed by
-          clock, idle VPs parked until a wakeup event (ready work, input,
-          timer), batched uncontended bytecodes per engine event *)
+      (** an idle processor parks off the pending-heap until a wakeup
+          event (ready work, input, timer) — E17 *)
 
 type t = {
   processors : int;
@@ -47,7 +45,8 @@ type t = {
       (** E16: the serialized ready queue, or per-processor deques with
           work stealing *)
   engine : engine_strategy;
-      (** E17: the scan-everything loop, or the event-calendar engine *)
+      (** E17: what idle processors do in the one engine loop — poll or
+          park; selection, timers and batching are shared *)
   keep_running_in_queue : bool;
       (** the MS reorganization: running Processes stay in the ready
           queue; [false] restores BS semantics *)

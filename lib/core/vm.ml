@@ -47,6 +47,13 @@ let sanitizer vm = vm.shared.State.sanitizer
 
 exception Stuck of string
 
+(* Run [f] with the sanitizer disarmed: the collectors mutate the heap
+   without locks by design, and the sanitizer must not flag them. *)
+let disarmed san f =
+  let was_armed = Sanitizer.armed san in
+  Sanitizer.set_armed san false;
+  Fun.protect ~finally:(fun () -> Sanitizer.set_armed san was_armed) f
+
 (* E18, the emergency path: run the major collector to completion until
    [need] words are available — twice if necessary.  Completing an
    in-flight cycle only reclaims garbage that predates it (everything
@@ -297,13 +304,7 @@ let create (config : Config.t) =
          Some
            (fun need ->
              let t0 = Machine.max_clock machine in
-             let was_armed = Sanitizer.armed san in
-             Sanitizer.set_armed san false;
-             let cost =
-               Fun.protect
-                 ~finally:(fun () -> Sanitizer.set_armed san was_armed)
-                 (fun () -> force_major_room vm mj ~need)
-             in
+             let cost = disarmed san (fun () -> force_major_room vm mj ~need) in
              Machine.synchronize_clocks machine (t0 + cost);
              vm.major_forced_allocs <- vm.major_forced_allocs + 1;
              Sanitizer.major_event san ~now:(t0 + cost)
@@ -404,36 +405,19 @@ let do_scavenge vm =
      scavenged, so the major collector cannot be forced then.  When old
      space lacks room for a worst-case survivor set, run a cycle (or
      finish the in-flight one) here, before the copy starts. *)
+  let san = vm.shared.State.sanitizer in
+  let need =
+    Heap.eden_used vm.heap + Heap.survivor_used vm.heap + Layout.header_words
+  in
   (match vm.major with
-   | Some mj
-     when (let need =
-             Heap.eden_used vm.heap + Heap.survivor_used vm.heap
-             + Layout.header_words
-           in
-           Heap.old_avail vm.heap < need) ->
-       let need =
-         Heap.eden_used vm.heap + Heap.survivor_used vm.heap
-         + Layout.header_words
-       in
-       let san = vm.shared.State.sanitizer in
-       let was_armed = Sanitizer.armed san in
-       Sanitizer.set_armed san false;
-       let cost =
-         Fun.protect ~finally:(fun () -> Sanitizer.set_armed san was_armed)
-           (fun () -> force_major_room vm mj ~need)
-       in
+   | Some mj when Heap.old_avail vm.heap < need ->
+       let cost = disarmed san (fun () -> force_major_room vm mj ~need) in
        Machine.synchronize_clocks m (t0 + cost);
        Sanitizer.major_event san ~now:(t0 + cost)
          "cycle completed ahead of a scavenge short on promotion room"
    | _ -> ());
   let t0 = Machine.max_clock m in
-  (* the stop-the-world scavenger mutates everything without locks by
-     design; the sanitizer must not flag it *)
-  let san = vm.shared.State.sanitizer in
-  let was_armed = Sanitizer.armed san in
-  Sanitizer.set_armed san false;
-  Fun.protect ~finally:(fun () -> Sanitizer.set_armed san was_armed)
-  @@ fun () ->
+  disarmed san @@ fun () ->
   let workers =
     min vm.config.Config.scavenge_workers vm.config.Config.processors
   in
@@ -510,12 +494,7 @@ let do_major_slice vm mj =
   let m = vm.machine in
   let t0 = Machine.max_clock m in
   let san = vm.shared.State.sanitizer in
-  let was_armed = Sanitizer.armed san in
-  Sanitizer.set_armed san false;
-  let r =
-    Fun.protect ~finally:(fun () -> Sanitizer.set_armed san was_armed)
-      (fun () -> Major.slice mj vm.shared.State.cm ~now:t0)
-  in
+  let r = disarmed san (fun () -> Major.slice mj vm.shared.State.cm ~now:t0) in
   let now = t0 + r.Major.cost in
   Machine.synchronize_clocks m now;
   Sanitizer.major_slice san ~now ~cost:r.Major.cost ~budget:(Major.budget mj);
@@ -541,8 +520,12 @@ let do_major_slice vm mj =
   if r.Major.cycle_completed && Sanitizer.active san then
     List.iter (report "heap check") (Verify.check vm.heap)
 
-let major_due vm ~now =
-  match vm.major with Some mj -> Major.due mj ~now | None -> false
+(* A major slice is due once the rendezvous clock — every processor
+   parks at a step boundary, so the largest clock — reaches its time. *)
+let major_due vm =
+  match vm.major with
+  | Some mj -> Major.due mj ~now:(Machine.max_clock vm.machine)
+  | None -> false
 
 (* Signal a timer's semaphore at its deadline: wake the first waiter or
    bank an excess signal, exactly as the signal primitive would. *)
@@ -564,27 +547,6 @@ let fire_timer vm ~now = function
       Heap.remove_root vm.heap cell;
       signal_timer_sem vm ~now sem
   | State.Run_hook f -> f ~now
-
-(* Fire every timer that is due at or before the frontier of virtual
-   time (the smallest runnable clock, or unconditionally when nothing is
-   runnable).  A [Run_hook] may add further timers; the heap keeps the
-   drain in deadline order regardless. *)
-let fire_due_timers vm =
-  let due t =
-    match Machine.min_runnable vm.machine with
-    | Some vp -> t <= vp.Machine.clock
-    | None -> true
-  in
-  let rec go () =
-    match Calendar.peek vm.shared.State.timers with
-    | Some (t, _) when due t ->
-        (match Calendar.pop vm.shared.State.timers with
-         | Some (t, action) -> fire_timer vm ~now:t action
-         | None -> ());
-        go ()
-    | _ -> ()
-  in
-  go ()
 
 (* True when no Process can make progress anywhere: every interpreter is
    empty-handed, nothing is ready, no input event is still in flight, and
@@ -640,98 +602,45 @@ type run_outcome =
   | Deadlock               (* nothing left to run *)
   | Cycle_limit
 
-(* The original engine: every event rescans the machine for the smallest
-   runnable clock, and idle processors are re-stepped every few quanta.
-   Kept verbatim as the differential-oracle reference for the calendar
-   engine. *)
-let run_scan vm ~max_cycles ~finished ~result outcome =
-  while !outcome = None do
-    vm.engine_events <- vm.engine_events + 1;
-    if !finished then
-      outcome := Some (Finished (Option.get !result))
-    else if vm.gc_requested || vm.shared.State.gc_wanted then do_scavenge vm
-    else if major_due vm ~now:(Machine.max_clock vm.machine) then
-      do_major_slice vm (Option.get vm.major)
-    else begin
-      if not (Calendar.is_empty vm.shared.State.timers) then
-        fire_due_timers vm;
-      match Machine.min_runnable vm.machine with
-      | None -> outcome := Some Deadlock
-      | Some vp when vp.Machine.clock > max_cycles -> outcome := Some Cycle_limit
-      | Some vp ->
-          let st = vm.states.(vp.Machine.id) in
-          (match Interp.step vm.interps.(vp.Machine.id) with
-           | exception e ->
-               (* a VM-level error killed the running Process; take it off
-                  the machine so later evaluations start clean, then let
-                  the error propagate.  The cleanup itself takes the
-                  scheduler lock, so under fault injection it can hit the
-                  same wedged lock that raised [e] — swallow the secondary
-                  failure rather than mask the original report *)
-               (try
-                  if not (Oop.equal !(st.State.active_process) Oop.sentinel)
-                  then Primitives.finish_process st ~result:vm.u.Universe.nil
-                with _ -> ());
-               raise e
-           | Interp.Ran ->
-               if vp.Machine.state <> Machine.Running then
-                 Machine.set_state vm.machine vp Machine.Running;
-               Machine.charge_mem vm.machine vp st.State.cost
-           | Interp.Idle ->
-               (* an idle interpreter keeps watching the input queue *)
-               st.State.cost <- 0;
-               Interp.idle_poll vm.interps.(vp.Machine.id);
-               Machine.charge vm.machine vp st.State.cost;
-               if nothing_runnable vm then outcome := Some Deadlock
-               else begin
-                 if vp.Machine.state <> Machine.Idle then
-                   Machine.set_state vm.machine vp Machine.Idle;
-                 (* an idle processor re-polls the ready queue only every
-                    few Delay quanta, or the scheduler lock saturates *)
-                 Machine.charge vm.machine vp
-                   (10 * vm.shared.State.cm.Cost_model.delay_quantum)
-               end
-           | Interp.Need_gc -> vm.gc_requested <- true);
-          (* crashes flagged during the step are delivered here, at the
-             step boundary: the victim's shared-state work has completed,
-             so what a crash leaves behind is exactly what a dead
-             processor leaves — an unreleased lock, a Process with no
-             executor — not a half-mutated structure *)
-          if Machine.injector vm.machine <> None then deliver_crashes vm
-    end
-  done
+(* The engine: every event steps the runnable processor with the smallest
+   clock, ties going to the lowest id (or to an installed policy).
 
-(* The event-calendar engine (E17).
+   - Runnable processors live in a pending-heap keyed by (clock, id) —
+     encoded as [clock * processors + id], so ties still go to the lowest
+     id — instead of being rescanned per event.  Entries go stale only by
+     their clock moving forward (charges only add), so a popped entry
+     whose key is behind the processor's clock is simply reinserted at the
+     fresh key, and the first current entry to surface is the true
+     minimum.
 
-   Three structural changes over [run_scan], with identical observables:
+   - [Config.engine] decides one thing: what a processor that goes idle
+     with nothing ready does.  On [Engine_scan] it polls — it is charged
+     the idle cadence of 10 Delay quanta and goes back on the heap, to be
+     re-stepped like any other processor.  On [Engine_calendar] it is
+     *parked*: removed from the heap until a wakeup event — ready work
+     (the scheduler's on_ready hook fires on every wake and failover), an
+     input event becoming visible, or a timer deadline — with its clock
+     advanced to the wake, which models the idle loop it would have been
+     spinning in.  Parked processors neither poll the input queue nor
+     retry scheduler picks, so lock timelines and exact cycle counts
+     differ between the two; results, transcripts and census are compared
+     by the cross-engine differential oracle.
 
-   - runnable processors live in a pending-heap keyed by
-     (clock, id) — encoded as [clock * processors + id] so ties still go
-     to the lowest id — instead of being rescanned per event.  Entries
-     go stale only by their clock moving forward (charges only add), so
-     a popped entry whose key is behind the processor's clock is simply
-     reinserted at the fresh key;
-
-   - a processor that goes idle with nothing ready is *parked*: removed
-     from the heap entirely rather than re-stepped every 10 quanta.  It
-     returns on a wakeup event — ready work (the scheduler's on_ready
-     hook fires on every wake and failover), an input event becoming
-     visible, or a timer deadline — with its clock advanced to the wake,
-     which models the idle loop it would have been spinning in;
-
-   - after stepping the minimal processor, the engine keeps stepping it
-     while it remains minimal and no timer is due (the batched fast
+   - After stepping the minimal processor, the engine keeps stepping it
+     while the main loop would pick it again anyway (the batched fast
      path), instead of going back through selection for every bytecode.
 
-   Idle processors parked away neither poll the input queue nor retry
-   scheduler picks, so the lock timelines — and therefore exact cycle
-   counts — differ from the scan engine; results, transcripts and census
-   are compared by the cross-engine differential oracle instead. *)
-let run_calendar vm ~max_cycles ~finished ~result outcome =
+   Timers due at or before the selected clock fire first, then selection
+   repeats, since a wake may unpark a processor with a smaller clock.  A
+   polling engine counts the firing and the step as one event, a parking
+   one gives the firing an event of its own: the accounting under which
+   each engine's published [engine_events] were recorded. *)
+let run_engine vm ~max_cycles ~finished ~result outcome =
   let m = vm.machine in
   let procs = vm.config.Config.processors in
   let sched = vm.shared.State.sched in
   let timers = vm.shared.State.timers in
+  let polling = vm.config.Config.engine = Config.Engine_scan in
   let pending = Calendar.create () in
   let parked = Array.make procs false in
   let parked_count = ref 0 in
@@ -764,39 +673,41 @@ let run_calendar vm ~max_cycles ~finished ~result outcome =
   done;
   (* Pop heap entries until a live, current minimum surfaces.  Stale
      entries (processor charged past the key) reinsert at the fresh key;
-     entries for halted, GC-parked or idle-parked processors drop — the
-     parked ones were removed deliberately and re-push on unpark. *)
+     entries for halted or parked processors drop — the parked ones were
+     removed deliberately and re-push on unpark. *)
   let rec pop_min () =
     match Calendar.pop pending with
     | None -> None
-    | Some (k, id) -> (
+    | Some (k, id) ->
         let vp = Machine.vp m id in
-        match vp.Machine.state with
-        | Machine.Halted | Machine.Parked_for_gc -> pop_min ()
-        | Machine.Running | Machine.Idle ->
-            if parked.(id) then pop_min ()
-            else if pkey vp > k then begin
-              push_vp vp;
-              pop_min ()
-            end
-            else Some vp)
+        if vp.Machine.state = Machine.Halted || parked.(id) then pop_min ()
+        else if pkey vp > k then begin
+          push_vp vp;
+          pop_min ()
+        end
+        else Some vp
   in
   (* With a policy installed (the explorer), ties between minimal clocks
-     go through choose_tie exactly as the scan engine's min_runnable:
-     collect every current candidate in ascending id order, let the
-     policy pick, and reinsert the rest. *)
+     go through choose_tie: collect every current candidate in ascending
+     id order, let the policy pick, and reinsert the rest.  Stale keys only
+     under-estimate, so a heap minimum past the tied clock rules a tie out
+     without popping. *)
   let pop_min_policy p =
     match pop_min () with
     | None -> None
     | Some first ->
+        let past_tie = (first.Machine.clock + 1) * procs in
         let rec collect acc =
-          match pop_min () with
-          | Some vp when vp.Machine.clock = first.Machine.clock ->
-              collect (vp :: acc)
-          | Some vp ->
-              push_vp vp;
-              List.rev acc
-          | None -> List.rev acc
+          match Calendar.min_key pending with
+          | Some k when k < past_tie -> (
+              match pop_min () with
+              | Some vp when vp.Machine.clock = first.Machine.clock ->
+                  collect (vp :: acc)
+              | Some vp ->
+                  push_vp vp;
+                  List.rev acc
+              | None -> List.rev acc)
+          | _ -> List.rev acc
         in
         (match collect [] with
          | [] -> Some first
@@ -806,40 +717,61 @@ let run_calendar vm ~max_cycles ~finished ~result outcome =
              Array.iter (fun vp -> if vp != chosen then push_vp vp) ties;
              Some chosen)
   in
-  let fire_timers_until ~frontier =
-    let rec go () =
-      match Calendar.peek timers with
-      | Some (t, _) when t <= frontier ->
-          (match Calendar.pop timers with
-           | Some (t, action) -> fire_timer vm ~now:t action
-           | None -> ());
-          go ()
-      | _ -> ()
+  let fire_next_timer () =
+    Option.iter
+      (fun (t, action) -> fire_timer vm ~now:t action)
+      (Calendar.pop timers)
+  in
+  let rec fire_timers_until ~frontier =
+    match Calendar.min_key timers with
+    | Some t when t <= frontier ->
+        fire_next_timer ();
+        fire_timers_until ~frontier
+    | _ -> ()
+  in
+  (* The next processor to step, or [`Fired] when a parking engine spent
+     this event firing timers. *)
+  let rec select () =
+    let next =
+      match Machine.policy m with
+      | Some p -> pop_min_policy p
+      | None -> pop_min ()
     in
-    go ()
+    match next with
+    | Some vp
+      when (match Calendar.min_key timers with
+           | Some t -> t <= vp.Machine.clock
+           | None -> false) ->
+        push_vp vp;
+        fire_timers_until ~frontier:vp.Machine.clock;
+        if polling then select () else `Fired
+    | Some vp -> `Vp vp
+    | None -> `Nothing
   in
   (* Step the selected processor; keep stepping it (the batched fast
-     path) while it stays minimal, no timer is due, and nothing engine-
-     visible happened.  Batching is disabled under a policy or injector:
-     both want the engine back between single steps. *)
+     path) while the main loop's next event would select it again: no
+     outcome, collection or slice pending, still minimal, no timer due.
+     Batching is disabled under a policy or injector: both want the
+     engine back between single steps. *)
   let step_vp vp =
     let id = vp.Machine.id in
     let st = vm.states.(id) in
     let interp = vm.interps.(id) in
     let can_batch = Machine.policy m = None && Machine.injector m = None in
     let rec loop () =
-      let r =
-        match Interp.step interp with
-        | exception e ->
-            (* same cleanup discipline as the scan engine *)
-            (try
-               if not (Oop.equal !(st.State.active_process) Oop.sentinel)
-               then Primitives.finish_process st ~result:vm.u.Universe.nil
-             with _ -> ());
-            raise e
-        | r -> r
-      in
-      match r with
+      match Interp.step interp with
+      | exception e ->
+          (* a VM-level error killed the running Process; take it off the
+             machine so later evaluations start clean, then let the error
+             propagate.  The cleanup itself takes the scheduler lock, so
+             under fault injection it can hit the same wedged lock that
+             raised [e] — swallow the secondary failure rather than mask
+             the original report *)
+          (try
+             if not (Oop.equal !(st.State.active_process) Oop.sentinel)
+             then Primitives.finish_process st ~result:vm.u.Universe.nil
+           with _ -> ());
+          raise e
       | Interp.Ran ->
           if vp.Machine.state <> Machine.Running then
             Machine.set_state m vp Machine.Running;
@@ -848,7 +780,7 @@ let run_calendar vm ~max_cycles ~finished ~result outcome =
             can_batch && (not !finished)
             && (not vm.gc_requested)
             && (not vm.shared.State.gc_wanted)
-            && (not (major_due vm ~now:vp.Machine.clock))
+            && (not (major_due vm))
             && vp.Machine.clock <= max_cycles
             && (match Calendar.min_key pending with
                | Some k -> pkey vp <= k
@@ -862,6 +794,7 @@ let run_calendar vm ~max_cycles ~finished ~result outcome =
           end
           else push_vp vp
       | Interp.Idle ->
+          (* an idle interpreter keeps watching the input queue *)
           st.State.cost <- 0;
           Interp.idle_poll interp;
           Machine.charge m vp st.State.cost;
@@ -869,10 +802,11 @@ let run_calendar vm ~max_cycles ~finished ~result outcome =
           else begin
             if vp.Machine.state <> Machine.Idle then
               Machine.set_state m vp Machine.Idle;
-            if Scheduler.better_ready sched ~than:0 then begin
-              (* ready work is visible but this pick missed it (it may
-                 sit in another processor's deque): retry on the scan
-                 engine's idle cadence rather than parking past it *)
+            (* a polling processor re-polls the ready queue only every few
+               Delay quanta, or the scheduler lock saturates; a parking
+               one does the same when ready work is visible but its pick
+               missed it (it may sit in another processor's deque) *)
+            if polling || Scheduler.better_ready sched ~than:0 then begin
               Machine.charge m vp
                 (10 * vm.shared.State.cm.Cost_model.delay_quantum);
               push_vp vp
@@ -893,48 +827,37 @@ let run_calendar vm ~max_cycles ~finished ~result outcome =
     vm.engine_events <- vm.engine_events + 1;
     if !finished then outcome := Some (Finished (Option.get !result))
     else if vm.gc_requested || vm.shared.State.gc_wanted then do_scavenge vm
-    else if major_due vm ~now:(Machine.max_clock m) then
-      do_major_slice vm (Option.get vm.major)
+    else if major_due vm then do_major_slice vm (Option.get vm.major)
     else begin
-      (match
-         match Machine.policy m with
-         | Some p -> pop_min_policy p
-         | None -> pop_min ()
-       with
-      | Some vp
-        when (match Calendar.min_key timers with
-             | Some t -> t <= vp.Machine.clock
-             | None -> false) ->
-          (* timers due at or before the frontier fire first; a wake may
-             unpark a processor with a smaller clock, so reselect *)
-          push_vp vp;
-          fire_timers_until ~frontier:vp.Machine.clock
-      | Some vp when vp.Machine.clock > max_cycles ->
-          outcome := Some Cycle_limit
-      | Some vp -> step_vp vp
-      | None ->
-          (* no unparked runnable processor: virtual time advances to the
-             next event — a timer deadline or an input arrival — and the
-             firing or the poll after unparking brings work back *)
-          (match Calendar.peek timers with
-          | Some (_, _) -> (
-              match Calendar.pop timers with
-              | Some (t, action) -> fire_timer vm ~now:t action
-              | None -> ())
-          | None -> (
-              match Devices.next_input_time vm.shared.State.input with
-              | Some t when !parked_count > 0 -> unpark_all ~now:(max t (Machine.max_clock m))
-              | _ ->
-                  if !parked_count = 0 then
-                    (* every processor is dead or GC-parked: the scan
-                       engine's min_runnable-None deadlock *)
-                    outcome := Some Deadlock
-                  else if nothing_runnable vm then outcome := Some Deadlock
-                  else
-                    (* ready work with every processor parked and no wake
-                       recorded — conservatively unreachable; unpark
-                       everyone rather than misreport a deadlock *)
-                    unpark_all ~now:(Machine.max_clock m))));
+      (match select () with
+       | `Fired -> ()
+       | `Vp vp when vp.Machine.clock > max_cycles ->
+           outcome := Some Cycle_limit
+       | `Vp vp -> step_vp vp
+       | `Nothing ->
+           (* no unparked runnable processor: virtual time advances to the
+              next event — a timer deadline or an input arrival — and the
+              firing or the poll after unparking brings work back *)
+           if not (Calendar.is_empty timers) then fire_next_timer ()
+           else begin
+             match Devices.next_input_time vm.shared.State.input with
+             | Some t when !parked_count > 0 ->
+                 unpark_all ~now:(max t (Machine.max_clock m))
+             | _ ->
+                 if !parked_count = 0 || nothing_runnable vm then
+                   (* every processor is dead, or nothing is left *)
+                   outcome := Some Deadlock
+                 else
+                   (* ready work with every processor parked and no wake
+                      recorded — conservatively unreachable; unpark
+                      everyone rather than misreport a deadlock *)
+                   unpark_all ~now:(Machine.max_clock m)
+           end);
+      (* crashes flagged during the event are delivered here, at the step
+         boundary: the victim's shared-state work has completed, so what
+         a crash leaves behind is exactly what a dead processor leaves —
+         an unreleased lock, a Process with no executor — not a
+         half-mutated structure *)
       if Machine.injector m <> None then deliver_crashes vm
     end
   done
@@ -965,10 +888,7 @@ let run ?(max_cycles = 100_000_000_000) ?watch vm =
       Sanitizer.set_armed san false;
       if watch <> None then Heap.remove_root vm.heap watch_cell)
   @@ fun () ->
-  (match vm.config.Config.engine with
-   | Config.Engine_scan -> run_scan vm ~max_cycles ~finished ~result outcome
-   | Config.Engine_calendar ->
-       run_calendar vm ~max_cycles ~finished ~result outcome);
+  run_engine vm ~max_cycles ~finished ~result outcome;
   Option.get !outcome
 
 (* --- convenience API --- *)

@@ -187,27 +187,6 @@ let cost (cm : Cost_model.t) (stats : scavenge_stats) =
   + (cm.scavenge_per_word * (stats.survivor_words + stats.tenured_words))
   + (cm.scavenge_per_remembered * stats.remembered_scanned)
 
-(* The analytic approximation of parallel scavenging (the paper's section
-   3.1 suggestion), kept as a cross-check against the simulated algorithm
-   below: copying work divides across [workers] (rounded up — flooring
-   undercharged by up to [workers - 1] words of work), root and
-   entry-table scanning stays serial, and the coordination term (work
-   distribution and termination detection) applies only when there is
-   copying to distribute — a scavenge that copies nothing never starts a
-   worker. *)
-let cost_parallel (cm : Cost_model.t) (stats : scavenge_stats) ~workers =
-  if workers <= 1 then cost cm stats
-  else begin
-    let copied = stats.survivor_words + stats.tenured_words in
-    let copy_work = cm.scavenge_per_word * copied in
-    let serial =
-      cm.scavenge_base
-      + (cm.scavenge_per_remembered * stats.remembered_scanned)
-    in
-    let coordination = if copied = 0 then 0 else workers * 400 in
-    serial + ((copy_work + workers - 1) / workers) + coordination
-  end
-
 (* ==================== parallel scavenging (E10) ====================
 
    A simulated multi-worker Cheney scavenge.  The roots and the

@@ -24,13 +24,6 @@ val scavenge : Heap.t -> Heap.scavenge_stats
     to every parked processor (the collection is stop-the-world). *)
 val cost : Cost_model.t -> Heap.scavenge_stats -> int
 
-(** The paper's section-3.1 suggestion as a closed-form approximation,
-    kept as a cross-check against {!scavenge_parallel}: the copying work
-    divides across [workers] (ceiling division); root and entry-table
-    scanning stays serial; the coordination term applies only when the
-    scavenge actually copied something. *)
-val cost_parallel : Cost_model.t -> Heap.scavenge_stats -> workers:int -> int
-
 (** {2 Simulated parallel scavenging (E10)} *)
 
 (** Per-worker outcome of a simulated parallel scavenge.  Cycle fields are

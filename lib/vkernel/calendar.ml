@@ -27,10 +27,6 @@ let create () = { a = [||]; len = 0; next_seq = 0 }
 let length t = t.len
 let is_empty t = t.len = 0
 
-let clear t =
-  t.a <- [||];
-  t.len <- 0
-
 (* (key, seq) lexicographic order: the heap invariant compares both. *)
 let before x y = x.key < y.key || (x.key = y.key && x.seq < y.seq)
 
@@ -100,8 +96,3 @@ let to_sorted_list t =
     (List.sort
        (fun x y -> if before x y then -1 else if before y x then 1 else 0)
        !xs)
-
-let iter t f =
-  for i = 0 to t.len - 1 do
-    f t.a.(i).key t.a.(i).v
-  done

@@ -11,7 +11,6 @@ type 'a t
 val create : unit -> 'a t
 val length : 'a t -> int
 val is_empty : 'a t -> bool
-val clear : 'a t -> unit
 
 (** Insert with the given key; O(log n). *)
 val add : 'a t -> key:int -> 'a -> unit
@@ -28,6 +27,3 @@ val pop : 'a t -> (int * 'a) option
 (** Sorted (key, value) view without disturbing the heap — debug
     assertions and tests. *)
 val to_sorted_list : 'a t -> (int * 'a) list
-
-(** Visit every entry in unspecified order. *)
-val iter : 'a t -> (int -> 'a -> unit) -> unit

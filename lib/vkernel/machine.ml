@@ -13,7 +13,6 @@
 type vp_state =
   | Running          (* executing an interpreter *)
   | Idle             (* no Smalltalk Process to run; polling the ready queue *)
-  | Parked_for_gc    (* reached the scavenge rendezvous *)
   | Halted           (* shut down *)
 
 type vp = {
@@ -58,13 +57,13 @@ type t = {
 
 let active_count m =
   Array.fold_left
-    (fun n vp -> match vp.state with Running | Idle -> n + 1 | Parked_for_gc | Halted -> n)
+    (fun n vp -> match vp.state with Running | Idle -> n + 1 | Halted -> n)
     0 m.vps
 
 (* Processors actually executing bytecodes; idle ones stay off the bus. *)
 let running_count m =
   Array.fold_left
-    (fun n vp -> match vp.state with Running -> n + 1 | Idle | Parked_for_gc | Halted -> n)
+    (fun n vp -> match vp.state with Running -> n + 1 | Idle | Halted -> n)
     0 m.vps
 
 (* Recompute the bus multiplier; called when a processor changes state. *)
@@ -167,7 +166,7 @@ let min_runnable m =
           (match !best with
            | Some b when b.clock <= vp.clock -> ()
            | _ -> best := Some vp)
-      | Parked_for_gc | Halted -> ())
+      | Halted -> ())
     m.vps;
   match m.policy, !best with
   | None, b | _, (None as b) -> b
@@ -180,7 +179,7 @@ let min_runnable m =
         (fun vp ->
           match vp.state with
           | (Running | Idle) when vp.clock = b.clock -> incr n
-          | Running | Idle | Parked_for_gc | Halted -> ())
+          | Running | Idle | Halted -> ())
         m.vps;
       if !n < 2 then Some b
       else begin
@@ -192,18 +191,13 @@ let min_runnable m =
             | (Running | Idle) when vp.clock = b.clock ->
                 ties.(!i) <- vp;
                 incr i
-            | Running | Idle | Parked_for_gc | Halted -> ())
+            | Running | Idle | Halted -> ())
           m.vps;
         Some (p.choose_tie ties)
       end
 
 let max_clock m =
   Array.fold_left (fun t vp -> max t vp.clock) 0 m.vps
-
-let all_parked_or_halted m =
-  Array.for_all
-    (fun vp -> match vp.state with Parked_for_gc | Halted -> true | Running | Idle -> false)
-    m.vps
 
 (* Advance every live processor's clock to at least [t]; used after a
    stop-the-world pause so nobody resumes in the past. *)
@@ -212,7 +206,7 @@ let synchronize_clocks m t =
     (fun vp ->
       match vp.state with
       | Halted -> ()
-      | Running | Idle | Parked_for_gc ->
+      | Running | Idle ->
           if vp.clock < t then begin
             vp.gc_wait_cycles <- vp.gc_wait_cycles + (t - vp.clock);
             vp.clock <- t

@@ -10,7 +10,6 @@
 type vp_state =
   | Running  (** executing an interpreter *)
   | Idle  (** no Smalltalk Process; polling the ready queue *)
-  | Parked_for_gc
   | Halted
 
 type vp = {
@@ -100,8 +99,6 @@ val charge_mem : t -> vp -> int -> unit
 val min_runnable : t -> vp option
 
 val max_clock : t -> int
-
-val all_parked_or_halted : t -> bool
 
 (** Advance every live clock to at least the given time (end of a
     stop-the-world pause); the advance is recorded as GC wait. *)

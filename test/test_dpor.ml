@@ -184,9 +184,9 @@ let test_guided_deterministic () =
   let _, l2 = Explorer.run_guided quick_setup [] in
   check_bool "identical query logs" true (l1 = l2)
 
-(* choose_tie must be exercised (and logged) under both engines: the
-   scan engine materializes min-clock ties directly, the calendar engine
-   through its pending-heap pop. *)
+(* choose_tie must be exercised (and logged) under both engines: polling
+   idle processors and parking them leave different min-clock ties for
+   the pending-heap pop to materialize. *)
 let engine_logs_ties name setup =
   let o, xlog = Explorer.run_guided setup [] in
   check_bool (name ^ ": run completed") true (o.Explorer.obs <> None);

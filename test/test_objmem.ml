@@ -222,31 +222,6 @@ let test_scavenge_cost_model () =
                         + (10 * cm.Cost_model.scavenge_per_remembered))
     (Scavenger.cost cm stats)
 
-let test_parallel_cost_model () =
-  let cm = Cost_model.firefly in
-  let stats = Heap.empty_stats () in
-  stats.Heap.survivor_words <- 101;
-  stats.Heap.remembered_scanned <- 10;
-  (* one worker is exactly the serial formula *)
-  check "one worker degenerates to the serial cost"
-    (Scavenger.cost cm stats)
-    (Scavenger.cost_parallel cm stats ~workers:1);
-  (* the copy work divides with a ceiling, not a floor *)
-  let copy_work = 101 * cm.Cost_model.scavenge_per_word in
-  check "ceiling division charges the straggler's partial share"
-    (cm.Cost_model.scavenge_base
-     + (10 * cm.Cost_model.scavenge_per_remembered)
-     + ((copy_work + 1) / 2)
-     + (2 * 400))
-    (Scavenger.cost_parallel cm stats ~workers:2);
-  (* a scavenge that copies nothing never pays the coordination term *)
-  let empty = Heap.empty_stats () in
-  empty.Heap.remembered_scanned <- 10;
-  check "zero copies means zero coordination"
-    (cm.Cost_model.scavenge_base
-     + (10 * cm.Cost_model.scavenge_per_remembered))
-    (Scavenger.cost_parallel cm empty ~workers:4)
-
 let test_on_scavenge_hooks () =
   let h, _, _ = make_heap () in
   let fired = ref 0 in
@@ -331,6 +306,5 @@ let () =
          Alcotest.test_case "survivor overflow" `Quick test_scavenge_survivor_overflow;
          Alcotest.test_case "raw not scanned" `Quick test_scavenge_raw_not_scanned;
          Alcotest.test_case "cost model" `Quick test_scavenge_cost_model;
-         Alcotest.test_case "parallel cost model" `Quick test_parallel_cost_model;
          Alcotest.test_case "hooks" `Quick test_on_scavenge_hooks ]);
       ("properties", qtests) ]

@@ -401,9 +401,9 @@ let test_machine_bus_factor () =
   let vp = Machine.vp m 0 in
   Machine.charge_mem m vp 1000;
   let five_way = vp.Machine.clock in
-  (* park everyone else: memory ops get cheaper *)
+  (* idle everyone else: memory ops get cheaper *)
   for i = 1 to 4 do
-    Machine.set_state m (Machine.vp m i) Machine.Parked_for_gc
+    Machine.set_state m (Machine.vp m i) Machine.Idle
   done;
   vp.Machine.clock <- 0;
   Machine.charge_mem m vp 1000;
