@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is what CI runs.
 
-.PHONY: all build test check smoke-parallel-scavenge explore-smoke fault-smoke steal-smoke server-smoke dpor-smoke gc-smoke cluster-smoke bench bench-quick clean
+.PHONY: all build test check smoke-parallel-scavenge explore-smoke fault-smoke steal-smoke server-smoke dpor-smoke gc-smoke cluster-smoke sim-identical bench bench-quick clean
 
 all: build
 
@@ -120,6 +120,13 @@ check:
 	$(MAKE) cluster-smoke
 	dune exec bench/main.exe -- no-such-section 2>/dev/null; \
 	  test $$? -eq 2 || { echo "FAIL: an unknown bench section must exit 2"; exit 1; }
+
+# Prove the working tree simulation-identical to PARENT (any git
+# revision): all five perf workloads at seeds 0-4 on both trees must give
+# the same sim_digest and no CHANGED sim row.  A few minutes.
+PARENT ?= HEAD
+sim-identical:
+	sh bench/sim_identical.sh $(PARENT)
 
 # The full reproduction harness (slow); `make bench-quick` for a pass
 # with reduced repetitions.

@@ -107,23 +107,39 @@ let digit_value c =
   else if c >= 'A' && c <= 'Z' then Char.code c - Char.code 'A' + 10
   else -1
 
-let lex_number lx =
+(* Integer literals must fit a SmallInteger: a wider one would wrap
+   silently when the compiler tags it. *)
+let small_int lx text =
+  match int_of_string_opt text with
+  | Some n when n <= Oop.max_small -> n
+  | Some _ | None -> error lx ("integer literal out of range: " ^ text)
+
+let lex_digits lx =
   let start = lx.pos in
   while (match peek_char lx with Some c -> is_digit c | None -> false) do
     advance lx
   done;
-  let int_part = int_of_string (String.sub lx.src start (lx.pos - start)) in
+  String.sub lx.src start (lx.pos - start)
+
+let lex_number lx =
+  let int_text = lex_digits lx in
   match peek_char lx with
   | Some 'r' ->
       (* radix integer, e.g. 16rFF *)
       advance lx;
-      let radix = int_part in
-      if radix < 2 || radix > 36 then error lx "radix out of range";
+      let radix =
+        match int_of_string_opt int_text with
+        | Some r when r >= 2 && r <= 36 -> r
+        | Some _ | None -> error lx "radix out of range"
+      in
       let v = ref 0 and seen = ref false in
       let rec go () =
         match peek_char lx with
         | Some c when digit_value c >= 0 && digit_value c < radix ->
-            v := (!v * radix) + digit_value c;
+            let d = digit_value c in
+            if !v > (Oop.max_small - d) / radix then
+              error lx "radix integer literal out of range";
+            v := (!v * radix) + d;
             seen := true;
             advance lx;
             go ()
@@ -134,36 +150,22 @@ let lex_number lx =
       Int !v
   | Some '.' when (match peek_char2 lx with Some c -> is_digit c | None -> false) ->
       advance lx; (* '.' *)
-      let frac_start = lx.pos in
-      while (match peek_char lx with Some c -> is_digit c | None -> false) do
-        advance lx
-      done;
-      let exp =
+      let frac_text = lex_digits lx in
+      let exp_text =
         match peek_char lx with
         | Some 'e' ->
             advance lx;
             let neg =
               if peek_char lx = Some '-' then (advance lx; true) else false
             in
-            let e_start = lx.pos in
-            while (match peek_char lx with Some c -> is_digit c | None -> false) do
-              advance lx
-            done;
-            if lx.pos = e_start then error lx "missing exponent digits";
-            let e = int_of_string (String.sub lx.src e_start (lx.pos - e_start)) in
-            if neg then -e else e
-        | Some _ | None -> 0
+            let digits = lex_digits lx in
+            if digits = "" then error lx "missing exponent digits";
+            (if neg then "-" else "") ^ digits
+        | Some _ | None -> "0"
       in
-      let text =
-        Printf.sprintf "%d.%se%d" int_part
-          (String.sub lx.src frac_start (lx.pos - frac_start) |> fun s ->
-           match String.index_opt s 'e' with
-           | Some i -> String.sub s 0 i
-           | None -> s)
-          exp
-      in
-      Float (float_of_string text)
-  | Some _ | None -> Int int_part
+      (* the integer part stays text: it may exceed the host's ints *)
+      Float (float_of_string (int_text ^ "." ^ frac_text ^ "e" ^ exp_text))
+  | Some _ | None -> Int (small_int lx int_text)
 
 let lex_string lx =
   advance lx; (* opening quote *)

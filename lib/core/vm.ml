@@ -671,21 +671,27 @@ let run_engine vm ~max_cycles ~finished ~result outcome =
     let vp = Machine.vp m id in
     if vp.Machine.state <> Machine.Halted then push_vp vp
   done;
-  (* Pop heap entries until a live, current minimum surfaces.  Stale
-     entries (processor charged past the key) reinsert at the fresh key;
-     entries for halted or parked processors drop — the parked ones were
-     removed deliberately and re-push on unpark. *)
+  (* Selection answers a VP id, or one of these: no unparked processor
+     is runnable, or a parking engine spent the event firing timers. *)
+  let nothing = -1 and fired = -2 in
+  (* Pop heap entries until a live, current minimum surfaces, and answer
+     its id, or [nothing] when the heap runs dry.  Stale entries (processor
+     charged past the key) reinsert at the fresh key; entries for halted
+     or parked processors drop — the parked ones were removed
+     deliberately and re-push on unpark. *)
   let rec pop_min () =
-    match Calendar.pop pending with
-    | None -> None
-    | Some (k, id) ->
-        let vp = Machine.vp m id in
-        if vp.Machine.state = Machine.Halted || parked.(id) then pop_min ()
-        else if pkey vp > k then begin
-          push_vp vp;
-          pop_min ()
-        end
-        else Some vp
+    if Calendar.is_empty pending then nothing
+    else begin
+      let k = Calendar.top_key pending in
+      let id = Calendar.take pending in
+      let vp = Machine.vp m id in
+      if vp.Machine.state = Machine.Halted || parked.(id) then pop_min ()
+      else if pkey vp > k then begin
+        push_vp vp;
+        pop_min ()
+      end
+      else id
+    end
   in
   (* With a policy installed (the explorer), ties between minimal clocks
      go through choose_tie: collect every current candidate in ascending
@@ -693,172 +699,171 @@ let run_engine vm ~max_cycles ~finished ~result outcome =
      under-estimate, so a heap minimum past the tied clock rules a tie out
      without popping. *)
   let pop_min_policy p =
-    match pop_min () with
-    | None -> None
-    | Some first ->
-        let past_tie = (first.Machine.clock + 1) * procs in
-        let rec collect acc =
-          match Calendar.min_key pending with
-          | Some k when k < past_tie -> (
-              match pop_min () with
-              | Some vp when vp.Machine.clock = first.Machine.clock ->
-                  collect (vp :: acc)
-              | Some vp ->
-                  push_vp vp;
-                  List.rev acc
-              | None -> List.rev acc)
-          | _ -> List.rev acc
+    let first_id = pop_min () in
+    if first_id = nothing then nothing
+    else begin
+      let first = Machine.vp m first_id in
+      let past_tie = (first.Machine.clock + 1) * procs in
+      let rec collect acc =
+        let id =
+          if Calendar.top_key pending < past_tie then pop_min () else nothing
         in
-        (match collect [] with
-         | [] -> Some first
-         | rest ->
-             let ties = Array.of_list (first :: rest) in
-             let chosen = p.Machine.choose_tie ties in
-             Array.iter (fun vp -> if vp != chosen then push_vp vp) ties;
-             Some chosen)
+        if id = nothing then List.rev acc
+        else begin
+          let vp = Machine.vp m id in
+          if vp.Machine.clock = first.Machine.clock then collect (vp :: acc)
+          else begin
+            push_vp vp;
+            List.rev acc
+          end
+        end
+      in
+      match collect [] with
+      | [] -> first_id
+      | rest ->
+          let ties = Array.of_list (first :: rest) in
+          let chosen = p.Machine.choose_tie ties in
+          Array.iter (fun vp -> if vp != chosen then push_vp vp) ties;
+          chosen.Machine.id
+    end
   in
   let fire_next_timer () =
-    Option.iter
-      (fun (t, action) -> fire_timer vm ~now:t action)
-      (Calendar.pop timers)
+    let t = Calendar.top_key timers in
+    fire_timer vm ~now:t (Calendar.take timers)
   in
-  let rec fire_timers_until ~frontier =
-    match Calendar.min_key timers with
-    | Some t when t <= frontier ->
-        fire_next_timer ();
-        fire_timers_until ~frontier
-    | _ -> ()
+  let fire_timers_until ~frontier =
+    while Calendar.top_key timers <= frontier do
+      fire_next_timer ()
+    done
   in
-  (* The next processor to step, or [`Fired] when a parking engine spent
-     this event firing timers. *)
+  (* The id of the next processor to step, [fired] or [nothing]. *)
   let rec select () =
-    let next =
+    let id =
       match Machine.policy m with
       | Some p -> pop_min_policy p
       | None -> pop_min ()
     in
-    match next with
-    | Some vp
-      when (match Calendar.min_key timers with
-           | Some t -> t <= vp.Machine.clock
-           | None -> false) ->
+    if id = nothing then nothing
+    else begin
+      let vp = Machine.vp m id in
+      if Calendar.top_key timers <= vp.Machine.clock then begin
         push_vp vp;
         fire_timers_until ~frontier:vp.Machine.clock;
-        if polling then select () else `Fired
-    | Some vp -> `Vp vp
-    | None -> `Nothing
+        if polling then select () else fired
+      end
+      else id
+    end
   in
   (* Step the selected processor; keep stepping it (the batched fast
      path) while the main loop's next event would select it again: no
      outcome, collection or slice pending, still minimal, no timer due.
      Batching is disabled under a policy or injector: both want the
-     engine back between single steps. *)
-  let step_vp vp =
-    let id = vp.Machine.id in
-    let st = vm.states.(id) in
-    let interp = vm.interps.(id) in
-    let can_batch = Machine.policy m = None && Machine.injector m = None in
-    let rec loop () =
-      match Interp.step interp with
-      | exception e ->
-          (* a VM-level error killed the running Process; take it off the
-             machine so later evaluations start clean, then let the error
-             propagate.  The cleanup itself takes the scheduler lock, so
-             under fault injection it can hit the same wedged lock that
-             raised [e] — swallow the secondary failure rather than mask
-             the original report *)
-          (try
-             if not (Oop.equal !(st.State.active_process) Oop.sentinel)
-             then Primitives.finish_process st ~result:vm.u.Universe.nil
-           with _ -> ());
-          raise e
-      | Interp.Ran ->
-          if vp.Machine.state <> Machine.Running then
-            Machine.set_state m vp Machine.Running;
-          Machine.charge_mem m vp st.State.cost;
-          if
-            can_batch && (not !finished)
-            && (not vm.gc_requested)
-            && (not vm.shared.State.gc_wanted)
-            && (not (major_due vm))
-            && vp.Machine.clock <= max_cycles
-            && (match Calendar.min_key pending with
-               | Some k -> pkey vp <= k
-               | None -> true)
-            && (match Calendar.min_key timers with
-               | Some t -> vp.Machine.clock < t
-               | None -> true)
-          then begin
-            vm.engine_events <- vm.engine_events + 1;
-            loop ()
+     engine back between single steps.  One closure for the whole run:
+     the per-event path allocates nothing. *)
+  let rec step_vp vp st interp ~can_batch =
+    match Interp.step interp with
+    | exception e ->
+        (* a VM-level error killed the running Process; take it off the
+           machine so later evaluations start clean, then let the error
+           propagate.  The cleanup itself takes the scheduler lock, so
+           under fault injection it can hit the same wedged lock that
+           raised [e] — swallow the secondary failure rather than mask
+           the original report *)
+        (try
+           if not (Oop.equal !(st.State.active_process) Oop.sentinel)
+           then Primitives.finish_process st ~result:vm.u.Universe.nil
+         with _ -> ());
+        raise e
+    | Interp.Ran ->
+        if vp.Machine.state <> Machine.Running then
+          Machine.set_state m vp Machine.Running;
+        Machine.charge_mem m vp st.State.cost;
+        if
+          can_batch && (not !finished)
+          && (not vm.gc_requested)
+          && (not vm.shared.State.gc_wanted)
+          && (not (major_due vm))
+          && vp.Machine.clock <= max_cycles
+          && pkey vp <= Calendar.top_key pending
+          && vp.Machine.clock < Calendar.top_key timers
+        then begin
+          vm.engine_events <- vm.engine_events + 1;
+          step_vp vp st interp ~can_batch
+        end
+        else push_vp vp
+    | Interp.Idle ->
+        (* an idle interpreter keeps watching the input queue *)
+        st.State.cost <- 0;
+        Interp.idle_poll interp;
+        Machine.charge m vp st.State.cost;
+        if nothing_runnable vm then outcome := Some Deadlock
+        else begin
+          if vp.Machine.state <> Machine.Idle then
+            Machine.set_state m vp Machine.Idle;
+          (* a polling processor re-polls the ready queue only every few
+             Delay quanta, or the scheduler lock saturates; a parking
+             one does the same when ready work is visible but its pick
+             missed it (it may sit in another processor's deque) *)
+          if polling || Scheduler.better_ready sched ~than:0 then begin
+            Machine.charge m vp
+              (10 * vm.shared.State.cm.Cost_model.delay_quantum);
+            push_vp vp
           end
-          else push_vp vp
-      | Interp.Idle ->
-          (* an idle interpreter keeps watching the input queue *)
-          st.State.cost <- 0;
-          Interp.idle_poll interp;
-          Machine.charge m vp st.State.cost;
-          if nothing_runnable vm then outcome := Some Deadlock
           else begin
-            if vp.Machine.state <> Machine.Idle then
-              Machine.set_state m vp Machine.Idle;
-            (* a polling processor re-polls the ready queue only every few
-               Delay quanta, or the scheduler lock saturates; a parking
-               one does the same when ready work is visible but its pick
-               missed it (it may sit in another processor's deque) *)
-            if polling || Scheduler.better_ready sched ~than:0 then begin
-              Machine.charge m vp
-                (10 * vm.shared.State.cm.Cost_model.delay_quantum);
-              push_vp vp
-            end
-            else begin
-              parked.(id) <- true;
-              incr parked_count;
-              vm.parks <- vm.parks + 1
-            end
+            parked.(vp.Machine.id) <- true;
+            incr parked_count;
+            vm.parks <- vm.parks + 1
           end
-      | Interp.Need_gc ->
-          vm.gc_requested <- true;
-          push_vp vp
-    in
-    loop ()
+        end
+    | Interp.Need_gc ->
+        vm.gc_requested <- true;
+        push_vp vp
   in
-  while !outcome = None do
+  while Option.is_none !outcome do
     vm.engine_events <- vm.engine_events + 1;
     if !finished then outcome := Some (Finished (Option.get !result))
     else if vm.gc_requested || vm.shared.State.gc_wanted then do_scavenge vm
     else if major_due vm then do_major_slice vm (Option.get vm.major)
     else begin
-      (match select () with
-       | `Fired -> ()
-       | `Vp vp when vp.Machine.clock > max_cycles ->
-           outcome := Some Cycle_limit
-       | `Vp vp -> step_vp vp
-       | `Nothing ->
-           (* no unparked runnable processor: virtual time advances to the
-              next event — a timer deadline or an input arrival — and the
-              firing or the poll after unparking brings work back *)
-           if not (Calendar.is_empty timers) then fire_next_timer ()
-           else begin
-             match Devices.next_input_time vm.shared.State.input with
-             | Some t when !parked_count > 0 ->
-                 unpark_all ~now:(max t (Machine.max_clock m))
-             | _ ->
-                 if !parked_count = 0 || nothing_runnable vm then
-                   (* every processor is dead, or nothing is left *)
-                   outcome := Some Deadlock
-                 else
-                   (* ready work with every processor parked and no wake
-                      recorded — conservatively unreachable; unpark
-                      everyone rather than misreport a deadlock *)
-                   unpark_all ~now:(Machine.max_clock m)
-           end);
+      let id = select () in
+      if id >= 0 then begin
+        let vp = Machine.vp m id in
+        if vp.Machine.clock > max_cycles then outcome := Some Cycle_limit
+        else
+          step_vp vp vm.states.(id) vm.interps.(id)
+            ~can_batch:
+              (match Machine.policy m, Machine.injector m with
+               | None, None -> true
+               | _ -> false)
+      end
+      else if id = nothing then begin
+        (* no unparked runnable processor: virtual time advances to the
+           next event — a timer deadline or an input arrival — and the
+           firing or the poll after unparking brings work back *)
+        if not (Calendar.is_empty timers) then fire_next_timer ()
+        else begin
+          match Devices.next_input_time vm.shared.State.input with
+          | Some t when !parked_count > 0 ->
+              unpark_all ~now:(max t (Machine.max_clock m))
+          | _ ->
+              if !parked_count = 0 || nothing_runnable vm then
+                (* every processor is dead, or nothing is left *)
+                outcome := Some Deadlock
+              else
+                (* ready work with every processor parked and no wake
+                   recorded — conservatively unreachable; unpark
+                   everyone rather than misreport a deadlock *)
+                unpark_all ~now:(Machine.max_clock m)
+        end
+      end;
       (* crashes flagged during the event are delivered here, at the step
          boundary: the victim's shared-state work has completed, so what
          a crash leaves behind is exactly what a dead processor leaves —
          an unreleased lock, a Process with no executor — not a
          half-mutated structure *)
-      if Machine.injector m <> None then deliver_crashes vm
+      match Machine.injector m with
+      | Some _ -> deliver_crashes vm
+      | None -> ()
     end
   done
 

@@ -64,8 +64,8 @@ let flush t =
 type size_class = Small | Large
 
 let check_owner t ~vp ~now =
-  match t.sanitizer with
-  | Some san when t.mode = Replicated ->
+  match t.sanitizer, t.mode with
+  | Some san, Replicated ->
       Sanitizer.check_owner san ~resource:"free contexts" ~owner:t.owner ~vp
         ~now
   | _ -> ()

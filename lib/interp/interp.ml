@@ -476,13 +476,20 @@ let execute_bytecode t =
               add_cost st cm.Cost_model.prim_arith;
               let u = st.sh.u in
               let boolv x = if x then u.Universe.true_ else u.Universe.false_ in
+              (* out of SmallInteger range: the full send's primitive
+                 fails over to the Smalltalk fallback *)
+              let small r =
+                if r >= Oop.min_small && r <= Oop.max_small then
+                  Some (Oop.of_small r)
+                else None
+              in
               let result =
                 match special with
-                | Add -> Some (Oop.of_small (a + b))
-                | Sub -> Some (Oop.of_small (a - b))
+                | Add -> small (a + b)
+                | Sub -> small (a - b)
                 | Mul ->
                     let r = a * b in
-                    if b <> 0 && r / b <> a then None else Some (Oop.of_small r)
+                    if b <> 0 && r / b <> a then None else small r
                 | Lt -> Some (boolv (a < b))
                 | Gt -> Some (boolv (a > b))
                 | Le -> Some (boolv (a <= b))

@@ -54,8 +54,8 @@ let create_shared ?sanitizer ~lock ~table () =
    scavenger and method installation flush every cache cross-processor by
    design (stop-the-world, or the install broadcast). *)
 let check_owner t ~vp ~now =
-  match t.sanitizer with
-  | Some san when t.mode = Replicated ->
+  match t.sanitizer, t.mode with
+  | Some san, Replicated ->
       Sanitizer.check_owner san ~resource:"method cache" ~owner:t.owner ~vp
         ~now
   | _ -> ()

@@ -12,87 +12,115 @@
    The VP pending-heap uses the heap lazily: clocks only ever increase,
    so a stale entry (key older than the VP's current clock) is detected
    at pop time and reinserted with the fresh key instead of being
-   updated in place.  [add] is O(log n), [pop] amortised O(log n). *)
+   updated in place.  [add] is O(log n), [pop] amortised O(log n).
 
-type 'a entry = { key : int; seq : int; v : 'a }
+   The engine adds and takes an entry on nearly every event, so the
+   heap is three parallel arrays — keys, sequence numbers, values —
+   rather than an array of entry records: [add] allocates nothing once
+   the arrays have grown, and [top_key] and [take] answer the engine
+   without building options or tuples.  Both sifts move a hole instead
+   of swapping, one write per level per array. *)
 
 type 'a t = {
-  mutable a : 'a entry array;   (* heap storage; a.(0) is the minimum *)
+  mutable keys : int array;   (* heap order on (keys.(i), seqs.(i)) *)
+  mutable seqs : int array;
+  mutable vals : 'a array;
   mutable len : int;
   mutable next_seq : int;
 }
 
-let create () = { a = [||]; len = 0; next_seq = 0 }
+let create () = { keys = [||]; seqs = [||]; vals = [||]; len = 0; next_seq = 0 }
 
 let length t = t.len
 let is_empty t = t.len = 0
 
-(* (key, seq) lexicographic order: the heap invariant compares both. *)
-let before x y = x.key < y.key || (x.key = y.key && x.seq < y.seq)
+(* Double the arrays; [v] fills the new value slots, which are never read
+   before being written. *)
+let grow t v =
+  let cap = max 8 (2 * t.len) in
+  let keys = Array.make cap 0 and seqs = Array.make cap 0 in
+  let vals = Array.make cap v in
+  Array.blit t.keys 0 keys 0 t.len;
+  Array.blit t.seqs 0 seqs 0 t.len;
+  Array.blit t.vals 0 vals 0 t.len;
+  t.keys <- keys;
+  t.seqs <- seqs;
+  t.vals <- vals
 
-let swap t i j =
-  let tmp = t.a.(i) in
-  t.a.(i) <- t.a.(j);
-  t.a.(j) <- tmp
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if before t.a.(i) t.a.(parent) then begin
-      swap t i parent;
-      sift_up t parent
-    end
+(* Move the hole at [i] up past every parent that sorts after the new
+   entry, then fill it.  A new entry has the largest sequence number, so
+   it only passes parents with a strictly larger key. *)
+let rec sift_up t i key seq v =
+  let parent = (i - 1) / 2 in
+  if i > 0 && key < t.keys.(parent) then begin
+    t.keys.(i) <- t.keys.(parent);
+    t.seqs.(i) <- t.seqs.(parent);
+    t.vals.(i) <- t.vals.(parent);
+    sift_up t parent key seq v
+  end
+  else begin
+    t.keys.(i) <- key;
+    t.seqs.(i) <- seq;
+    t.vals.(i) <- v
   end
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.len && before t.a.(l) t.a.(!smallest) then smallest := l;
-  if r < t.len && before t.a.(r) t.a.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
+(* Move the hole at [i] down past every smaller child, then fill it with
+   the entry [(key, seq, v)]. *)
+let rec sift_down t i key seq v =
+  let l = (2 * i) + 1 in
+  let c =
+    if l + 1 < t.len
+       && (t.keys.(l + 1) < t.keys.(l)
+           || (t.keys.(l + 1) = t.keys.(l) && t.seqs.(l + 1) < t.seqs.(l)))
+    then l + 1
+    else l
+  in
+  if c < t.len
+     && (t.keys.(c) < key || (t.keys.(c) = key && t.seqs.(c) < seq))
+  then begin
+    t.keys.(i) <- t.keys.(c);
+    t.seqs.(i) <- t.seqs.(c);
+    t.vals.(i) <- t.vals.(c);
+    sift_down t c key seq v
   end
-
-let grow t =
-  let cap = max 8 (2 * Array.length t.a) in
-  let a = Array.make cap t.a.(0) in
-  Array.blit t.a 0 a 0 t.len;
-  t.a <- a
+  else begin
+    t.keys.(i) <- key;
+    t.seqs.(i) <- seq;
+    t.vals.(i) <- v
+  end
 
 let add t ~key v =
-  let e = { key; seq = t.next_seq; v } in
-  t.next_seq <- t.next_seq + 1;
-  if t.len >= Array.length t.a then
-    if t.len = 0 then t.a <- Array.make 8 e else grow t;
-  t.a.(t.len) <- e;
-  t.len <- t.len + 1;
-  sift_up t (t.len - 1)
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  if t.len = Array.length t.keys then grow t v;
+  let i = t.len in
+  t.len <- i + 1;
+  sift_up t i key seq v
 
-let min_key t = if t.len = 0 then None else Some t.a.(0).key
+let top_key t = if t.len = 0 then max_int else t.keys.(0)
 
-let peek t = if t.len = 0 then None else Some (t.a.(0).key, t.a.(0).v)
+let take t =
+  if t.len = 0 then invalid_arg "Calendar.take: empty calendar";
+  let v = t.vals.(0) in
+  let last = t.len - 1 in
+  t.len <- last;
+  if last > 0 then sift_down t 0 t.keys.(last) t.seqs.(last) t.vals.(last);
+  v
+
+let min_key t = if t.len = 0 then None else Some t.keys.(0)
+
+let peek t = if t.len = 0 then None else Some (t.keys.(0), t.vals.(0))
 
 let pop t =
   if t.len = 0 then None
   else begin
-    let e = t.a.(0) in
-    t.len <- t.len - 1;
-    if t.len > 0 then begin
-      t.a.(0) <- t.a.(t.len);
-      sift_down t 0
-    end;
-    Some (e.key, e.v)
+    let key = t.keys.(0) in
+    Some (key, take t)
   end
 
 (* Nondestructive sorted view — debug assertions and tests only. *)
 let to_sorted_list t =
-  let xs = ref [] in
-  for i = 0 to t.len - 1 do
-    xs := t.a.(i) :: !xs
-  done;
-  List.map
-    (fun e -> (e.key, e.v))
-    (List.sort
-       (fun x y -> if before x y then -1 else if before y x then 1 else 0)
-       !xs)
+  List.init t.len (fun i -> (t.keys.(i), t.seqs.(i), t.vals.(i)))
+  |> List.sort (fun (k1, s1, _) (k2, s2, _) ->
+         if k1 <> k2 then Int.compare k1 k2 else Int.compare s1 s2)
+  |> List.map (fun (k, _, v) -> (k, v))

@@ -15,6 +15,14 @@ val is_empty : 'a t -> bool
 (** Insert with the given key; O(log n). *)
 val add : 'a t -> key:int -> 'a -> unit
 
+(** Smallest key currently queued, or [max_int] when empty.  Allocates
+    nothing: the engine's per-event form of [min_key]. *)
+val top_key : 'a t -> int
+
+(** Remove the minimum entry and return its value; allocates nothing.
+    Raises [Invalid_argument] when empty. *)
+val take : 'a t -> 'a
+
 (** Smallest key currently queued, if any. *)
 val min_key : 'a t -> int option
 

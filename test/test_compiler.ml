@@ -44,6 +44,33 @@ let test_lexer_errors () =
   check_bool "bang is reserved" true
     (try ignore (Lexer.tokenize "a ! b"); false with Lexer.Error _ -> true)
 
+(* Integer literals past SmallInteger range are syntax errors, never a
+   silent wrap or an escaping [Failure]; a float's integer part may be as
+   long as it likes. *)
+let test_lexer_integer_range () =
+  let rejects name src =
+    check_bool name true
+      (try ignore (Lexer.tokenize src); false with Lexer.Error _ -> true)
+  in
+  (match toks "2305843009213693951" with
+   | [ Lexer.Int n; Lexer.Eof ] -> check "max_small lexes" Oop.max_small n
+   | _ -> Alcotest.fail "max_small literal");
+  rejects "max_small + 1" "2305843009213693952";
+  rejects "past max_int" "123456789012345678901";
+  rejects "radix overflow" "16r7FFFFFFFFFFFFFFF";
+  rejects "huge radix" "99999999999999999999r1";
+  (match toks "16r1FFFFFFFFFFFFFFF" with
+   | [ Lexer.Int n; Lexer.Eof ] -> check "radix max_small" Oop.max_small n
+   | _ -> Alcotest.fail "radix max_small literal");
+  (match toks "123456789012345678901.5 1.5e-2" with
+   | [ Lexer.Float f; Lexer.Float g; Lexer.Eof ] ->
+       Alcotest.(check (float 1e6)) "long integer part" 123456789012345678901.5 f;
+       Alcotest.(check (float 1e-12)) "negative exponent" 0.015 g
+   | _ -> Alcotest.fail "long float literal");
+  check_bool "compiling an oversized literal is a syntax error" true
+    (try ignore (Parser.parse_do_it "^ 99999999999999999999 + 1"); false
+     with Lexer.Error _ | Parser.Error _ -> true)
+
 (* --- parser --- *)
 
 let parse_expr src =
@@ -293,7 +320,8 @@ let () =
          Alcotest.test_case "literals" `Quick test_lexer_literals;
          Alcotest.test_case "comments" `Quick test_lexer_comments;
          Alcotest.test_case "binary selectors" `Quick test_lexer_binary_selectors;
-         Alcotest.test_case "errors" `Quick test_lexer_errors ]);
+         Alcotest.test_case "errors" `Quick test_lexer_errors;
+         Alcotest.test_case "integer range" `Quick test_lexer_integer_range ]);
       ("parser",
        [ Alcotest.test_case "precedence" `Quick test_parser_precedence;
          Alcotest.test_case "multi keyword" `Quick test_parser_multi_keyword;

@@ -35,6 +35,18 @@ let test_arithmetic () =
   check_eval "factorial" "479001600" "12 factorial";
   check_eval "even odd" "true" "4 even and: [3 odd]"
 
+(* The special-selector fast path must apply the same SmallInteger range
+   as primitives 1, 2 and 9: a result past it falls over to Float. *)
+let test_small_overflow () =
+  check_eval "multiply past max_small" "true"
+    "| x | x := 1073741824 * 1073741824 * 2. x class == Float and: [x > 0]";
+  check_eval "add past max_small" "true"
+    "| x | x := 2305843009213693951 + 1. x class == Float and: [x > 0]";
+  check_eval "subtract past min_small" "true"
+    "| x | x := 0 - 2305843009213693951 - 2. x class == Float and: [x < 0]";
+  check_eval "max_small itself stays small" "2305843009213693951"
+    "1152921504606846975 * 2 + 1"
+
 let test_floats () =
   check_eval "float add" "3.5" "1.25 + 2.25";
   check_eval "mixed add" "3.5" "1 + 2.5";
@@ -297,6 +309,7 @@ let () =
   Alcotest.run "interp"
     [ ("numbers",
        [ Alcotest.test_case "arithmetic" `Quick test_arithmetic;
+         Alcotest.test_case "smallinteger overflow" `Quick test_small_overflow;
          Alcotest.test_case "floats" `Quick test_floats;
          Alcotest.test_case "printing" `Quick test_integer_printing ]);
       ("objects",

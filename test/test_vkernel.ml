@@ -396,6 +396,95 @@ let prop_calendar_sorted_stable =
       in
       drained = expected)
 
+(* Model-based: random interleavings of the engine's allocation-free
+   calls ([add], [top_key], [take]) and the option-returning wrappers,
+   checked op by op against a list kept in (key, insertion) order.  Keys
+   come from a small range, so equal keys are common; [Drain] empties the
+   heap, and the operations after it refill it. *)
+type cal_op = Add of int | Take | Top_key | Pop | Min_key | Peek | Drain
+
+let print_cal_op = function
+  | Add k -> Printf.sprintf "add %d" k
+  | Take -> "take"
+  | Top_key -> "top_key"
+  | Pop -> "pop"
+  | Min_key -> "min_key"
+  | Peek -> "peek"
+  | Drain -> "drain"
+
+let cal_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (6, map (fun k -> Add k) (int_range 0 12));
+        (2, return Take);
+        (1, return Top_key);
+        (2, return Pop);
+        (1, return Min_key);
+        (1, return Peek);
+        (1, return Drain) ])
+
+let prop_calendar_model =
+  QCheck.Test.make ~count:500 ~name:"calendar matches a sorted-list model"
+    (QCheck.make
+       ~print:(QCheck.Print.list print_cal_op)
+       QCheck.Gen.(list_size (int_range 0 80) cal_op_gen))
+    (fun ops ->
+      let c = Calendar.create () in
+      (* (key, value) in drain order; values number the insertions *)
+      let model = ref [] and next = ref 0 in
+      let insert k v =
+        let rec go = function
+          | ((k', _) as e) :: rest when k' <= k -> e :: go rest
+          | rest -> (k, v) :: rest
+        in
+        model := go !model
+      in
+      let take_model () =
+        match !model with
+        | [] -> None
+        | e :: rest ->
+            model := rest;
+            Some e
+      in
+      let rec drain acc =
+        if Calendar.is_empty c then List.rev acc
+        else begin
+          let k = Calendar.top_key c in
+          drain ((k, Calendar.take c) :: acc)
+        end
+      in
+      List.for_all
+        (fun op ->
+          let ok =
+            match op with
+            | Add k ->
+                let v = !next in
+                incr next;
+                Calendar.add c ~key:k v;
+                insert k v;
+                true
+            | Take -> (
+                match take_model () with
+                | Some (_, v) -> Calendar.take c = v
+                | None -> (
+                    try ignore (Calendar.take c); false
+                    with Invalid_argument _ -> true))
+            | Top_key ->
+                Calendar.top_key c
+                = (match !model with [] -> max_int | (k, _) :: _ -> k)
+            | Pop -> Calendar.pop c = take_model ()
+            | Min_key -> Calendar.min_key c = Option.map fst (List.nth_opt !model 0)
+            | Peek -> Calendar.peek c = List.nth_opt !model 0
+            | Drain ->
+                let expected = !model in
+                model := [];
+                drain [] = expected
+          in
+          ok
+          && Calendar.length c = List.length !model
+          && Calendar.to_sorted_list c = !model)
+        ops)
+
 let test_machine_bus_factor () =
   let m = Machine.make ~processors:5 cm in
   let vp = Machine.vp m 0 in
@@ -459,4 +548,5 @@ let () =
        [ Alcotest.test_case "basic order" `Quick test_calendar_basic;
          Alcotest.test_case "fifo on equal keys" `Quick
            test_calendar_fifo_on_equal_keys;
-         QCheck_alcotest.to_alcotest prop_calendar_sorted_stable ]) ]
+         QCheck_alcotest.to_alcotest prop_calendar_sorted_stable;
+         QCheck_alcotest.to_alcotest prop_calendar_model ]) ]
