@@ -30,7 +30,8 @@ explore-smoke:
 # Seeded fault campaigns with the strict sanitizer: every crash must be
 # survived by failover, every degraded collection must verify, the
 # deadlock hunt must detect a crashed lock holder via the watchdog and
-# shrink its fault plan to a file that replays to the identical report.
+# shrink its fault plan to a file that replays to the identical report;
+# a zero-seed campaign and an unreadable plan path must exit 2.
 fault-smoke:
 	dune exec bin/mst.exe -- faults --campaign=crash --seeds=4 --quick
 	dune exec bin/mst.exe -- faults --campaign=gc --seeds=4 --quick
@@ -38,6 +39,10 @@ fault-smoke:
 	  --dump /tmp/mst-deadlock.plan
 	dune exec bin/mst.exe -- faults --replay=/tmp/mst-deadlock.plan \
 	  --expect-deadlock --quick
+	dune exec bin/mst.exe -- faults --quick --seeds=0 2>/dev/null; \
+	  test $$? -eq 2 || { echo "FAIL: faults --seeds 0 must exit 2"; exit 1; }
+	dune exec bin/mst.exe -- faults --quick --replay=bin 2>/dev/null; \
+	  test $$? -eq 2 || { echo "FAIL: faults --replay=DIR must exit 2"; exit 1; }
 
 # E16 work stealing: a strict-sanitized stealing run on a busy workload,
 # a 50-seed differential exploration against the locked scheduler's
@@ -64,7 +69,8 @@ server-smoke:
 # published configuration must stay clean under a DPOR budget with
 # pruning stats, both deliberately broken configurations must be caught
 # with no seed involved, and zero-execution invocations (--seeds 0,
-# --budget 0) must exit 2 instead of reporting vacuous success.
+# --budget 0, -p 0) must exit 2 instead of reporting vacuous success, as
+# must unreadable input paths (a directory as trace or class file).
 dpor-smoke:
 	dune exec bin/mst.exe -- explore --config=ms --dpor --stats --quick \
 	  --budget=12
@@ -76,6 +82,12 @@ dpor-smoke:
 	  test $$? -eq 2 || { echo "FAIL: --seeds 0 must exit 2"; exit 1; }
 	dune exec bin/mst.exe -- explore --quick --dpor --budget=0 2>/dev/null; \
 	  test $$? -eq 2 || { echo "FAIL: --dpor --budget 0 must exit 2"; exit 1; }
+	dune exec bin/mst.exe -- explore --quick -p 0 2>/dev/null; \
+	  test $$? -eq 2 || { echo "FAIL: explore -p 0 must exit 2"; exit 1; }
+	dune exec bin/mst.exe -- explore --quick --replay=bin 2>/dev/null; \
+	  test $$? -eq 2 || { echo "FAIL: explore --replay=DIR must exit 2"; exit 1; }
+	dune exec bin/mst.exe -- run bin 2>/dev/null; \
+	  test $$? -eq 2 || { echo "FAIL: run DIR must exit 2"; exit 1; }
 
 # E18 incremental old-space collection: a strict-sanitized garbage-heavy
 # run with the collector on (every cycle completion re-verifies the whole

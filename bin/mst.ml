@@ -4,13 +4,19 @@
      mst eval -p 5 --state busy EXPR      with background competition
      mst run FILE.st                      load classes, then evaluate Main
      mst explore --seeds=50               fuzz the schedule, shrink failures
+     mst explore --dpor --budget=64       systematic exploration (E20)
+     mst explore --replay=F               replay a saved decision trace
      mst faults --campaign=crash          seeded fault campaign over benchmarks
      mst faults --deadlock --dump=F       hunt + shrink a watchdog deadlock
      mst faults --replay=F                replay a saved fault plan
+     mst serve -p 8 --sessions 4          image-server workload (E17)
+     mst cluster --crash-seed=5           replicated image cluster (E19)
      mst disasm CLASS SELECTOR            disassemble a kernel method
      mst decompile CLASS SELECTOR         decompile a kernel method
      mst browse CLASS                     definition, hierarchy, selectors
-     mst bench SECTION...                 same sections as bench/main.exe *)
+
+   Exit status: 1 when a run or an oracle fails, 2 for a refused argument
+   or an unreadable input file. *)
 
 open Cmdliner
 
@@ -20,7 +26,8 @@ let processors =
 
 let state =
   let doc = "Background competition: none, idle or busy (four Processes)." in
-  Arg.(value & opt string "none" & info [ "state" ] ~doc)
+  let states = [ ("none", `None); ("idle", `Idle); ("busy", `Busy) ] in
+  Arg.(value & opt (enum states) `None & info [ "state" ] ~doc)
 
 let sanitize =
   let doc =
@@ -101,12 +108,63 @@ let vm_config ?(default_engine = Config.Engine_scan) ?(min_processors = 1) () =
     $ major $ major_budget)
 
 let make_vm config state =
-  let vm = Vm.create (config ~background:(state <> "none")) in
+  let vm = Vm.create (config ~background:(state <> `None)) in
   (match state with
-   | "idle" -> ignore (Workloads.spawn_idle vm 4)
-   | "busy" -> ignore (Workloads.spawn_busy vm 4)
-   | _ -> ());
+   | `Idle -> ignore (Workloads.spawn_idle vm 4)
+   | `Busy -> ignore (Workloads.spawn_busy vm 4)
+   | `None -> ());
   vm
+
+(* The flags explore and faults share.  Each command keeps its own
+   default and help text where they differ. *)
+let seeds ~default ~doc = Arg.(value & opt int default & info [ "seeds" ] ~doc)
+
+let first_seed =
+  let doc = "First seed (seeds run from $(docv) upward)." in
+  Arg.(value & opt int 0 & info [ "first-seed" ] ~docv:"N" ~doc)
+
+let quick =
+  let doc = "Shorter workload (for smoke tests)." in
+  Arg.(value & flag & info [ "quick" ] ~doc)
+
+let shrink_budget ~doc =
+  Arg.(value & opt int 120 & info [ "shrink-budget" ] ~doc)
+
+let replay ~doc =
+  Arg.(value & opt (some file) None & info [ "replay" ] ~docv:"FILE" ~doc)
+
+(* A count of zero runs nothing (or, for processors, cannot build a
+   machine), and a run that did nothing must not report success: refuse
+   it as a usage error. *)
+let require_positive flag n =
+  if n <= 0 then begin
+    Printf.eprintf "error: %s must be positive, got %d\n" flag n;
+    exit 2
+  end
+
+(* Read a file named on the command line.  A malformed one, or one that
+   cannot be read (Cmdliner's [file] accepts a directory), is a usage
+   error: exit 2 with a message, never an uncaught exception. *)
+let read_input load path =
+  let refuse msg =
+    Printf.eprintf "error: %s\n" msg;
+    exit 2
+  in
+  try load path with
+  | Failure msg -> refuse msg
+  | Sys_error msg when String.starts_with ~prefix:path msg -> refuse msg
+  | Sys_error msg -> refuse (path ^ ": " ^ msg)
+
+(* Save a shrunk plan, then prove the file a faithful reproducer for
+   --replay: reload it, re-run it through [fails] and report.  Returns
+   whether the reloaded plan still fails. *)
+let save_and_confirm ~save ~load ~noun ~fails file plan =
+  save file plan;
+  let reproduces = fails (load file) in
+  Printf.printf "  shrunk to %d %s(s) -> %s (replay from file %s)\n"
+    (List.length plan) noun file
+    (if reproduces then "reproduces" else "DOES NOT reproduce");
+  reproduces
 
 let report_time vm =
   Printf.printf "(simulated: %.3f s, scavenges: %d)\n" (Vm.seconds vm)
@@ -166,7 +224,11 @@ let run_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let run config state trace_dump file =
     let vm = make_vm config state in
-    let source = In_channel.with_open_text file In_channel.input_all in
+    let source =
+      read_input
+        (fun f -> In_channel.with_open_text f In_channel.input_all)
+        file
+    in
     Vm.load_classes vm source;
     (match Universe.find_class vm.Vm.u "Main" with
      | Some _ ->
@@ -190,14 +252,6 @@ let run_cmd =
 (* --- explore --- *)
 
 let explore_cmd =
-  let seeds =
-    let doc = "Number of exploration seeds to run." in
-    Arg.(value & opt int 20 & info [ "seeds" ] ~doc)
-  in
-  let first_seed =
-    let doc = "First seed (seeds run from $(docv) upward)." in
-    Arg.(value & opt int 0 & info [ "first-seed" ] ~docv:"N" ~doc)
-  in
   let e_processors =
     let doc = "Number of simulated processors." in
     Arg.(value & opt int 5 & info [ "p"; "processors" ] ~doc)
@@ -225,24 +279,12 @@ let explore_cmd =
     in
     Arg.(value & opt (enum configs) `Ms & info [ "config" ] ~doc)
   in
-  let replay =
-    let doc = "Replay a saved decision trace instead of exploring." in
-    Arg.(value & opt (some file) None & info [ "replay" ] ~docv:"FILE" ~doc)
-  in
   let expect_violation =
     let doc =
       "Succeed only when the exploration (or replay) surfaces a failure — \
        for the broken configurations."
     in
     Arg.(value & flag & info [ "expect-violation" ] ~doc)
-  in
-  let quick =
-    let doc = "Shorter workload (for smoke tests)." in
-    Arg.(value & flag & info [ "quick" ] ~doc)
-  in
-  let shrink_budget =
-    let doc = "Replays allowed for shrinking each counterexample." in
-    Arg.(value & opt int 120 & info [ "shrink-budget" ] ~doc)
   in
   let dump_prefix =
     let doc = "Write shrunk counterexample traces to $(docv)-seedN.trace." in
@@ -292,6 +334,7 @@ let explore_cmd =
   let run processors config_name seeds first_seed quick replay
       expect_violation shrink_budget dump_prefix dpor brute max_preemptions
       max_branch budget stats =
+    require_positive "-p" processors;
     (* [reference_setup] makes the stealing oracle differential: the
        reference observables come from an unperturbed run on the locked
        scheduler, so any steal-protocol divergence fails even on seeds
@@ -325,6 +368,23 @@ let explore_cmd =
           (Explorer.broken_major_setup ~processors ?quick (),
            "major-nobarrier", None)
     in
+    let reference =
+      lazy (Explorer.reference (Option.value reference_setup ~default:setup))
+    in
+    let replay_check sched =
+      Explorer.check ~reference:(Lazy.force reference)
+        (Explorer.run_schedule setup sched)
+    in
+    (* Save a counterexample's shrunk trace and prove the file replays to
+       a failure, so `--replay=FILE` is a faithful reproducer. *)
+    let confirm file (c : Explorer.counterexample) =
+      let from_file =
+        save_and_confirm ~save:Explore.save ~load:Explore.load
+          ~noun:"decision" ~fails:(fun s -> replay_check s <> None) file
+          c.Explorer.shrunk
+      in
+      c.Explorer.reproduces && from_file
+    in
     let finish_with ~failed =
       if expect_violation && not failed then begin
         Printf.printf "FAIL: expected a violation, found none\n";
@@ -335,19 +395,10 @@ let explore_cmd =
     in
     match replay with
     | Some file ->
-        let sched =
-          try Explore.load_replay file
-          with Failure msg ->
-            Printf.eprintf "error: %s\n" msg;
-            exit 2
-        in
+        let sched = read_input Explore.load_replay file in
         Printf.printf "replaying %d decision(s) from %s on %s\n"
           (List.length sched) file config_label;
-        let reference =
-          Explorer.reference (Option.value reference_setup ~default:setup)
-        in
-        let o = Explorer.run_schedule setup sched in
-        (match Explorer.check ~reference o with
+        (match replay_check sched with
          | Some what ->
              Printf.printf "replay fails the oracle: %s\n" what;
              finish_with ~failed:true
@@ -358,12 +409,7 @@ let explore_cmd =
         let mode =
           if brute then Explore.Dpor.Brute else Explore.Dpor.Dpor
         in
-        if budget <= 0 then begin
-          Printf.eprintf
-            "error: --budget must be positive: a zero-execution exploration \
-             would report vacuous success\n";
-          exit 2
-        end;
+        require_positive "--budget" budget;
         Printf.printf
           "systematic exploration (%s) of %s: budget %d, at most %d forced \
            decision(s) per schedule, strict sanitizer, %d busy background \
@@ -401,45 +447,19 @@ let explore_cmd =
         (match r.Explorer.dpor_counterexample with
          | None -> finish_with ~failed:false
          | Some c ->
-             Printf.printf "first failure: %s\n" c.Explorer.dpor_what;
-             if c.Explorer.dpor_shrunk = [] then begin
+             Printf.printf "first failure: %s\n" c.Explorer.what;
+             if c.Explorer.shrunk = [] then
                Printf.printf
                  "  fails on the default schedule (empty trace; nothing to \
-                  replay)\n";
-               finish_with ~failed:true
-             end
-             else begin
-               let file = Printf.sprintf "%s-dpor.trace" dump_prefix in
-               Explore.save file c.Explorer.dpor_shrunk;
-               let reference =
-                 Explorer.reference
-                   (Option.value reference_setup ~default:setup)
-               in
-               let from_file =
-                 Explorer.run_schedule setup (Explore.load file)
-               in
-               let file_fails = Explorer.check ~reference from_file <> None in
+                  replay)\n"
+             else if not (confirm (dump_prefix ^ "-dpor.trace") c) then begin
                Printf.printf
-                 "  shrunk to %d decision(s) -> %s (replay from file %s)\n"
-                 (List.length c.Explorer.dpor_shrunk)
-                 file
-                 (if file_fails then "reproduces" else "DOES NOT reproduce");
-               if not (c.Explorer.dpor_reproduces && file_fails) then begin
-                 Printf.printf
-                   "FAIL: the shrunk counterexample did not reproduce\n";
-                 exit 1
-               end;
-               finish_with ~failed:true
-             end)
+                 "FAIL: the shrunk counterexample did not reproduce\n";
+               exit 1
+             end;
+             finish_with ~failed:true)
     | None ->
-        (* a zero-seed exploration runs nothing and would exit 0 below —
-           vacuous success; refuse it instead (same for negative) *)
-        if seeds <= 0 then begin
-          Printf.eprintf
-            "error: --seeds must be positive: a zero-seed exploration would \
-             report vacuous success (use --dpor for systematic coverage)\n";
-          exit 2
-        end;
+        require_positive "--seeds" seeds;
         Printf.printf
           "exploring %s: %d seed(s) from %d, strict sanitizer, %d busy \
            background Process(es)\n%!"
@@ -454,33 +474,17 @@ let explore_cmd =
           report.Explorer.seeds_run report.Explorer.distinct
           report.Explorer.queries report.Explorer.perturbations
           (List.length report.Explorer.counterexamples);
-        (* Save each shrunk trace and prove the file replays to the same
-           failure, so `--replay=FILE` is a faithful reproducer. *)
-        let all_reproduce = ref true in
-        List.iter
-          (fun (c : Explorer.counterexample) ->
-            let file = Printf.sprintf "%s-seed%d.trace" dump_prefix c.Explorer.seed in
-            Explore.save file c.Explorer.shrunk;
-            let from_file =
-              Explorer.run_schedule setup (Explore.load file)
-            in
-            let reference =
-              Explorer.reference (Option.value reference_setup ~default:setup)
-            in
-            let file_fails =
-              Explorer.check ~reference from_file <> None
-            in
-            if not (c.Explorer.reproduces && file_fails) then
-              all_reproduce := false;
-            Printf.printf
-              "seed %d: %s\n  shrunk to %d decision(s) -> %s (replay from \
-               file %s)\n"
-              c.Explorer.seed c.Explorer.what
-              (List.length c.Explorer.shrunk) file
-              (if file_fails then "reproduces" else "DOES NOT reproduce"))
-          report.Explorer.counterexamples;
+        let all_reproduce =
+          List.fold_left
+            (fun ok (c : Explorer.counterexample) ->
+              let seed = Option.get c.Explorer.seed in
+              Printf.printf "seed %d: %s\n" seed c.Explorer.what;
+              confirm (Printf.sprintf "%s-seed%d.trace" dump_prefix seed) c
+              && ok)
+            true report.Explorer.counterexamples
+        in
         let failed = report.Explorer.counterexamples <> [] in
-        if failed && not !all_reproduce then begin
+        if failed && not all_reproduce then begin
           Printf.printf "FAIL: a shrunk counterexample did not reproduce\n";
           exit 1
         end;
@@ -492,9 +496,14 @@ let explore_cmd =
          "Explore perturbed schedules with the strict sanitizer and a \
           differential oracle; shrink and save any counterexample")
     Term.(
-      const run $ e_processors $ config_name $ seeds $ first_seed $ quick
-      $ replay $ expect_violation $ shrink_budget $ dump_prefix $ dpor
-      $ brute $ max_preemptions $ max_branch $ budget $ stats)
+      const run $ e_processors $ config_name
+      $ seeds ~default:20 ~doc:"Number of exploration seeds to run."
+      $ first_seed $ quick
+      $ replay ~doc:"Replay a saved decision trace instead of exploring."
+      $ expect_violation
+      $ shrink_budget ~doc:"Replays allowed for shrinking each counterexample."
+      $ dump_prefix $ dpor $ brute $ max_preemptions $ max_branch $ budget
+      $ stats)
 
 (* --- faults --- *)
 
@@ -515,18 +524,6 @@ let faults_cmd =
        $(b,mixed) for campaigns and $(b,lock) for $(b,--deadlock) hunts."
     in
     Arg.(value & opt (some campaign_conv) None & info [ "campaign" ] ~doc)
-  in
-  let seeds =
-    let doc = "Number of seeded runs." in
-    Arg.(value & opt int 8 & info [ "seeds" ] ~doc)
-  in
-  let first_seed =
-    let doc = "First seed (seeds run from $(docv) upward)." in
-    Arg.(value & opt int 0 & info [ "first-seed" ] ~docv:"N" ~doc)
-  in
-  let quick =
-    let doc = "Shorter workload (for smoke tests)." in
-    Arg.(value & flag & info [ "quick" ] ~doc)
   in
   let watchdog =
     let doc =
@@ -555,19 +552,11 @@ let faults_cmd =
     let doc = "With $(b,--deadlock): save the shrunk fault plan to $(docv)." in
     Arg.(value & opt (some string) None & info [ "dump" ] ~docv:"FILE" ~doc)
   in
-  let replay =
-    let doc = "Replay a saved fault plan instead of sampling." in
-    Arg.(value & opt (some file) None & info [ "replay" ] ~docv:"FILE" ~doc)
-  in
   let expect_deadlock =
     let doc =
       "Succeed only when the replayed plan still trips the watchdog."
     in
     Arg.(value & flag & info [ "expect-deadlock" ] ~doc)
-  in
-  let shrink_budget =
-    let doc = "Replays allowed for shrinking a deadlock's fault plan." in
-    Arg.(value & opt int 120 & info [ "shrink-budget" ] ~doc)
   in
   let setup_for ~quick ~watchdog ~backoff =
     let quick = if quick then Some true else None in
@@ -575,12 +564,7 @@ let faults_cmd =
       ~backoff_quanta:backoff ()
   in
   let run_replay ~file ~quick ~watchdog ~backoff ~expect_deadlock =
-    let plan =
-      try Fault.load_replay file
-      with Failure msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 2
-    in
+    let plan = read_input Fault.load_replay file in
     Printf.printf "replaying %d fault(s) from %s\n%!" (List.length plan) file;
     let setup = setup_for ~quick ~watchdog ~backoff in
     let o = Explorer.run_faults setup (Fault.replay plan) in
@@ -633,21 +617,15 @@ let faults_cmd =
         (match dump with
          | None -> ()
          | Some file ->
-             Fault.save file h.Explorer.shrunk_plan;
-             (* Prove the file is a faithful reproducer, as explore does
-                for its decision traces. *)
-             let o = Explorer.run_faults setup (Fault.replay (Fault.load file)) in
-             (match o.Explorer.deadlock with
-              | Some r' when r' = r ->
-                  Printf.printf "saved %s (replays to the same report)\n" file
-              | Some r' ->
-                  Printf.printf "saved %s, but the replay differs: %s\n" file
-                    (Fault.describe_deadlock r');
-                  exit 1
-              | None ->
-                  Printf.printf "saved %s, but the replay DOES NOT reproduce\n"
-                    file;
-                  exit 1));
+             let same_report plan =
+               (Explorer.run_faults setup (Fault.replay plan)).Explorer.deadlock
+               = Some r
+             in
+             if not
+                  (save_and_confirm ~save:Fault.save ~load:Fault.load
+                     ~noun:"fault" ~fails:same_report file
+                     h.Explorer.shrunk_plan)
+             then exit 1);
         exit (if h.Explorer.replay_matches then 0 else 1)
   in
   let run_campaign ~campaign ~seeds ~first_seed ~quick ~watchdog ~backoff =
@@ -676,6 +654,7 @@ let faults_cmd =
     match replay with
     | Some file -> run_replay ~file ~quick ~watchdog ~backoff ~expect_deadlock
     | None ->
+        require_positive "--seeds" seeds;
         if deadlock then
           run_hunt ~campaign ~seeds ~first_seed ~quick ~watchdog ~backoff
             ~shrink_budget ~dump
@@ -689,8 +668,12 @@ let faults_cmd =
           failures, device timeouts, scavenge-worker deaths) over the macro \
           benchmarks, with watchdog-deadlock hunting and fault-plan replay")
     Term.(
-      const run $ campaign $ seeds $ first_seed $ quick $ watchdog $ backoff
-      $ deadlock $ dump $ replay $ expect_deadlock $ shrink_budget)
+      const run $ campaign $ seeds ~default:8 ~doc:"Number of seeded runs."
+      $ first_seed $ quick $ watchdog $ backoff $ deadlock $ dump
+      $ replay ~doc:"Replay a saved fault plan instead of sampling."
+      $ expect_deadlock
+      $ shrink_budget
+          ~doc:"Replays allowed for shrinking a deadlock's fault plan.")
 
 (* --- serve --- *)
 

@@ -53,7 +53,6 @@ type t = {
   (* serialization checking: Off for production runs; Report accumulates
      violations into the instrumentation report; Strict raises *)
   sanitize : Sanitizer.mode;
-  trace_capacity : int;          (* event-trace ring size *)
   (* fault injection for the schedule explorer's self-check: a shared
      free-context list whose take/give skip the lock bracket — the
      guarded-mutation bug the sanitizer must catch *)
@@ -101,7 +100,6 @@ let baseline_bs ?(cost = Cost_model.firefly) () = {
   scavenge_workers = 1;
   cost;
   sanitize = Sanitizer.Off;
-  trace_capacity = 4096;
   debug_skip_ctx_lock = false;
   debug_unlocked_steal = false;
   watchdog_quanta = 0;
@@ -130,7 +128,6 @@ let ms ?(processors = 5) ?(cost = Cost_model.firefly) () = {
   scavenge_workers = 1;
   cost;
   sanitize = Sanitizer.Off;
-  trace_capacity = 4096;
   debug_skip_ctx_lock = false;
   debug_unlocked_steal = false;
   watchdog_quanta = 0;

@@ -62,7 +62,6 @@ type t = {
       (** serialization checking: [Off] for production runs, [Report]
           accumulates into the instrumentation report, [Strict] raises on
           the first violation *)
-  trace_capacity : int;  (** event-trace ring size *)
   debug_skip_ctx_lock : bool;
       (** fault injection for the schedule explorer's self-check: shared
           free-context take/give skip their lock bracket, so the

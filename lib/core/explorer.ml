@@ -330,13 +330,29 @@ let check ~reference o =
       end
 
 type counterexample = {
-  seed : int;
+  seed : int option;
   what : string;
   original : Explore.schedule;
   shrunk : Explore.schedule;
   probes : int;
   reproduces : bool;
 }
+
+(* Shrink a failing schedule within [budget] replays, then replay the
+   minimal one to confirm it.  The confirming replay also refreshes the
+   failure description, which may have changed while shrinking. *)
+let shrink_and_confirm ~budget ~reference ~log ?seed setup what original =
+  let fails s = check ~reference (run_schedule setup s) <> None in
+  let shrunk, probes = Explore.shrink ~run:fails ~budget original in
+  let what, reproduces =
+    match check ~reference (run_schedule setup shrunk) with
+    | Some w -> (w, true)
+    | None -> (what, false)
+  in
+  log
+    (Printf.sprintf "  shrunk to %d decision(s) in %d replay(s): %s"
+       (List.length shrunk) probes what);
+  { seed; what; original; shrunk; probes; reproduces }
 
 type report = {
   seeds_run : int;
@@ -370,25 +386,9 @@ let explore ?params ?(shrink_budget = 120) ?(first_seed = 0)
           (Printf.sprintf
              "seed %d fails after %d queries (%d perturbed): %s" seed
              o.queries (List.length o.schedule) what);
-        let fails sched =
-          check ~reference:ref_outcome (run_schedule setup sched) <> None
-        in
-        let shrunk, probes =
-          Explore.shrink ~run:fails ~budget:shrink_budget o.schedule
-        in
-        (* the confirming replay also refreshes the failure description,
-           which may have changed while shrinking *)
-        let replayed = run_schedule setup shrunk in
-        let what, reproduces =
-          match check ~reference:ref_outcome replayed with
-          | Some w -> (w, true)
-          | None -> (what, false)
-        in
-        log
-          (Printf.sprintf "  shrunk to %d decision(s) in %d replay(s): %s"
-             (List.length shrunk) probes what);
         counterexamples :=
-          { seed; what; original = o.schedule; shrunk; probes; reproduces }
+          shrink_and_confirm ~budget:shrink_budget ~reference:ref_outcome
+            ~log ~seed setup what o.schedule
           :: !counterexamples
   done;
   { seeds_run = seeds;
@@ -415,26 +415,19 @@ let obs_string o =
       Format.asprintf "%s|%s|%a" x.result x.transcript Verify.pp_census
         x.census
 
-type dpor_counterexample = {
-  dpor_what : string;
-  dpor_original : Explore.schedule;
-  dpor_shrunk : Explore.schedule;
-  dpor_probes : int;
-  dpor_reproduces : bool;
-}
-
 type dpor_report = {
   dpor_result : Explore.Dpor.result;
-  dpor_counterexample : dpor_counterexample option;
+  dpor_counterexample : counterexample option;
       (* first failing schedule, shrunk and replay-confirmed *)
 }
 
 (* Systematically explore [setup]'s schedule space.  As with [explore],
    the oracle can be differential across configurations via
    [reference_setup].  The first failing schedule is shrunk and
-   confirmed exactly like a seeded counterexample; the full failure list
-   stays available in [dpor_result] (a broken config typically fails on
-   the default schedule and on every reachable alternative). *)
+   confirmed like a seeded counterexample (with no seed); the full
+   failure list stays available in [dpor_result] (a broken config
+   typically fails on the default schedule and on every reachable
+   alternative). *)
 let dpor ?mode ?max_branch ?max_flips ?budget ?defers ?preempts
     ?stop_on_failure ?(shrink_budget = 120) ?(log = fun _ -> ())
     ?reference_setup setup () =
@@ -455,28 +448,12 @@ let dpor ?mode ?max_branch ?max_flips ?budget ?defers ?preempts
     match result.Explore.Dpor.failures with
     | [] -> None
     | (sched, what) :: _ ->
-        let fails s =
-          check ~reference:ref_outcome (run_schedule setup s) <> None
-        in
-        let shrunk, probes =
-          Explore.shrink ~run:fails ~budget:shrink_budget sched
-        in
-        let replayed = run_schedule setup shrunk in
-        let what, reproduces =
-          match check ~reference:ref_outcome replayed with
-          | Some w -> (w, true)
-          | None -> (what, false)
-        in
         log
-          (Printf.sprintf "first failure shrunk to %d decision(s) in %d \
-                           replay(s): %s"
-             (List.length shrunk) probes what);
+          (Printf.sprintf "first failure (%d decision(s)): %s"
+             (List.length sched) what);
         Some
-          { dpor_what = what;
-            dpor_original = sched;
-            dpor_shrunk = shrunk;
-            dpor_probes = probes;
-            dpor_reproduces = reproduces }
+          (shrink_and_confirm ~budget:shrink_budget ~reference:ref_outcome
+             ~log setup what sched)
   in
   { dpor_result = result; dpor_counterexample = counterexample }
 

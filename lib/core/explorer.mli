@@ -123,8 +123,9 @@ val run_schedule : setup -> Explore.schedule -> outcome
     differing from the reference run's. *)
 val check : reference:outcome -> outcome -> string option
 
+(** A failing schedule, shrunk and replay-confirmed. *)
 type counterexample = {
-  seed : int;
+  seed : int option;  (** the failing seed; [None] for a systematic run *)
   what : string;  (** the oracle's description of the failure *)
   original : Explore.schedule;
   shrunk : Explore.schedule;
@@ -159,17 +160,9 @@ val explore :
     (what the systematic explorer branches on). *)
 val run_guided : setup -> Explore.schedule -> outcome * Explore.qinfo array
 
-type dpor_counterexample = {
-  dpor_what : string;
-  dpor_original : Explore.schedule;
-  dpor_shrunk : Explore.schedule;
-  dpor_probes : int;
-  dpor_reproduces : bool;
-}
-
 type dpor_report = {
   dpor_result : Explore.Dpor.result;
-  dpor_counterexample : dpor_counterexample option;
+  dpor_counterexample : counterexample option;
       (** the first failing schedule, shrunk and replay-confirmed *)
 }
 

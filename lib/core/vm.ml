@@ -124,10 +124,7 @@ let create (config : Config.t) =
       ()
   in
   Scheduler.set_machine sched machine;
-  let san =
-    Sanitizer.create ~trace_capacity:config.Config.trace_capacity
-      config.Config.sanitize
-  in
+  let san = Sanitizer.create config.Config.sanitize in
   (* transcript capture is per-VM in spirit; reset the (module-level)
      buffer so successive VMs in one process don't interleave *)
   Buffer.clear Primitives.transcript;

@@ -1,22 +1,18 @@
 (* Seeded schedule exploration: perturb the engine's scheduling decisions
    at the preemption points exposed by {!Machine.scheduling_policy},
    record the perturbations as a sparse decision trace, replay such a
-   trace bit for bit, and shrink a failing trace to a minimal one.
-
-   A decision trace is sparse on purpose: a run answers thousands of
-   policy queries but perturbs only a sampled few, and shrinking works by
-   *dropping* perturbations, which keeps the indices of the survivors
-   meaningful (index n names the n-th query of whatever run the schedule
-   is replayed into — queries before the first change are unaffected). *)
+   trace bit for bit, and shrink a failing trace to a minimal one.  The
+   trace machinery (replay cursor, shrinking, files) is {!Plan}'s; this
+   module supplies the decisions and how to sample them. *)
 
 type decision =
   | Tie_pick of int
   | Lock_jitter of int
   | Force_preempt
 
-type step = { index : int; decision : decision }
+type step = decision Plan.step
 
-type schedule = step list
+type schedule = decision Plan.t
 
 type params = {
   tie_permil : int;
@@ -31,24 +27,13 @@ let default_params =
   { tie_permil = 300; jitter_permil = 100; preempt_permil = 40;
     jitter_bound = 64 }
 
-(* --- the PRNG ---
-
-   The splitmix64-style generator lives in {!Fault.Rng} so fault
-   injection and schedule exploration sample from the same stable
-   stream implementation; these aliases keep this module's historical
-   names. *)
-
-type rng = Fault.Rng.t
-
-let rng_make = Fault.Rng.make
-let rng_below = Fault.Rng.below
-let chance = Fault.Rng.chance
-
 (* --- drivers --- *)
 
+(* Seeded drivers sample from {!Fault.Rng}, the stable generator fault
+   injection shares. *)
 type mode =
-  | Seeded of rng * params
-  | Replay of step array * int ref  (* cursor into the sorted steps *)
+  | Seeded of Fault.Rng.t * params
+  | Replay of decision Plan.cursor
 
 (* The query log a guided driver keeps for the systematic explorer: one
    entry per preemption-point query, whatever was decided there.  [Qtie]
@@ -72,22 +57,14 @@ type driver = {
   mutable rev_log : qinfo list;
 }
 
-let seeded ?(params = default_params) ?trace ~seed () =
-  { mode = Seeded (rng_make seed, params);
-    trace;
-    queries = 0;
-    last_index = -1;
-    rev_recorded = [];
-    log_all = false;
-    rev_log = [] }
+let driver ?trace mode =
+  { mode; trace; queries = 0; last_index = -1; rev_recorded = [];
+    log_all = false; rev_log = [] }
 
-let replay ?trace sched =
-  let steps =
-    Array.of_list
-      (List.sort (fun a b -> compare a.index b.index) sched)
-  in
-  { mode = Replay (steps, ref 0); trace; queries = 0; last_index = -1;
-    rev_recorded = []; log_all = false; rev_log = [] }
+let seeded ?(params = default_params) ?trace ~seed () =
+  driver ?trace (Seeded (Fault.Rng.make seed, params))
+
+let replay ?trace sched = driver ?trace (Replay (Plan.cursor sched))
 
 (* A replaying driver that additionally records every query it answers —
    the raw material for the systematic (DPOR) explorer, which needs to
@@ -111,7 +88,7 @@ let describe = function
    pre-increment number. *)
 let applied d ~vp ~now ~resource decision =
   let index = d.last_index in
-  d.rev_recorded <- { index; decision } :: d.rev_recorded;
+  d.rev_recorded <- { Plan.index; action = decision } :: d.rev_recorded;
   match d.trace with
   | None -> ()
   | Some t ->
@@ -121,24 +98,14 @@ let applied d ~vp ~now ~resource decision =
 
 (* Answer one preemption-point query.  [gen] samples a decision from the
    seed (None = leave the default); replay applies the recorded decision
-   if one names this query index.  A replayed decision of the wrong
-   variant for the query is ignored — a schedule from another context
-   degrades to the default rather than derailing the run. *)
+   if one names this query index and [accept] takes its variant. *)
 let decide d ~accept ~gen =
   let q = d.queries in
   d.queries <- q + 1;
   d.last_index <- q;
   match d.mode with
   | Seeded (rng, params) -> gen rng params
-  | Replay (steps, cursor) ->
-      let n = Array.length steps in
-      while !cursor < n && steps.(!cursor).index < q do incr cursor done;
-      if !cursor < n && steps.(!cursor).index = q then begin
-        let s = steps.(!cursor) in
-        incr cursor;
-        if accept s.decision then Some s.decision else None
-      end
-      else None
+  | Replay c -> Plan.next c q ~accept
 
 let policy d =
   (* Log the query about to be answered (guided drivers only).  Must run
@@ -157,8 +124,8 @@ let policy d =
       decide d
         ~accept:(function Tie_pick _ -> true | _ -> false)
         ~gen:(fun rng params ->
-          if chance rng params.tie_permil then
-            let k = rng_below rng n in
+          if Fault.Rng.chance rng params.tie_permil then
+            let k = Fault.Rng.below rng n in
             if k = 0 then None else Some (Tie_pick k)
           else None)
     in
@@ -178,8 +145,9 @@ let policy d =
       decide d
         ~accept:(function Lock_jitter _ -> true | _ -> false)
         ~gen:(fun rng params ->
-          if params.jitter_bound > 0 && chance rng params.jitter_permil
-          then Some (Lock_jitter (1 + rng_below rng params.jitter_bound))
+          if params.jitter_bound > 0
+             && Fault.Rng.chance rng params.jitter_permil
+          then Some (Lock_jitter (1 + Fault.Rng.below rng params.jitter_bound))
           else None)
     in
     match picked with
@@ -194,7 +162,7 @@ let policy d =
       decide d
         ~accept:(function Force_preempt -> true | _ -> false)
         ~gen:(fun rng params ->
-          if chance rng params.preempt_permil then Some Force_preempt
+          if Fault.Rng.chance rng params.preempt_permil then Some Force_preempt
           else None)
     in
     match picked with
@@ -205,172 +173,43 @@ let policy d =
   in
   { Machine.choose_tie; lock_jitter; preempt_after }
 
-(* --- schedule utilities --- *)
+(* --- schedule utilities: what {!Plan} needs to know about decisions --- *)
 
-let fingerprint sched =
-  List.fold_left
-    (fun h { index; decision } ->
-      let d =
-        match decision with
-        | Tie_pick k -> (k lsl 2) lor 1
-        | Lock_jitter j -> (j lsl 2) lor 2
-        | Force_preempt -> 3
-      in
-      let h = (h * 0x01000193) lxor index in
-      ((h * 0x01000193) lxor d) land max_int)
-    0x811C9DC5 sched
+let fingerprint =
+  Plan.fingerprint ~code:(function
+    | Tie_pick k -> (k lsl 2) lor 1
+    | Lock_jitter j -> (j lsl 2) lor 2
+    | Force_preempt -> 3)
 
-(* --- shrinking ---
+(* Value shrinking halves jitters and pulls tie picks toward the default
+   candidate. *)
+let shrink ~run ?budget sched =
+  Plan.shrink ~run ?budget sched ~smaller:(function
+    | Tie_pick k when k > 1 -> Some (Tie_pick (k / 2))
+    | Lock_jitter j when j > 1 -> Some (Lock_jitter (j / 2))
+    | _ -> None)
 
-   Classic delta debugging over the decision list: try dropping chunks,
-   halving the chunk size until single decisions, restarting whenever a
-   drop still fails; then shrink the surviving values (halve jitters,
-   pull tie picks toward the default candidate).  [run] rebuilds the
-   world and replays, so every probe costs a full run — the budget caps
-   the total. *)
+let format =
+  { Plan.header = "mst decision trace v1";
+    noun = "decision";
+    index_is = "preemption-point number";
+    encode =
+      (function
+      | Tie_pick k -> ("tie", [ k ])
+      | Lock_jitter j -> ("jitter", [ j ])
+      | Force_preempt -> ("preempt", []));
+    decode =
+      (fun token args ->
+        match (token, args) with
+        | "tie", [ k ] -> Some (Tie_pick k)
+        | "jitter", [ j ] -> Some (Lock_jitter j)
+        | "preempt", [] -> Some Force_preempt
+        | _ -> None) }
 
-let shrink ~run ?(budget = 200) sched =
-  let spent = ref 0 in
-  let try_run s =
-    if !spent >= budget then false
-    else begin
-      incr spent;
-      run s
-    end
-  in
-  let drop_chunks current =
-    let current = ref current in
-    let chunk = ref (max 1 (List.length !current / 2)) in
-    let progress = ref true in
-    while !chunk >= 1 && !spent < budget do
-      progress := false;
-      let arr = Array.of_list !current in
-      let n = Array.length arr in
-      let pos = ref 0 in
-      while !pos < n && !spent < budget do
-        let keep = ref [] in
-        Array.iteri
-          (fun i s ->
-            if i < !pos || i >= !pos + !chunk then keep := s :: !keep)
-          arr;
-        let candidate = List.rev !keep in
-        if List.length candidate < n && try_run candidate then begin
-          current := candidate;
-          progress := true;
-          pos := n (* restart scanning on the smaller schedule *)
-        end
-        else pos := !pos + !chunk
-      done;
-      if !progress then chunk := max 1 (min !chunk (List.length !current))
-      else if !chunk = 1 then chunk := 0
-      else chunk := !chunk / 2
-    done;
-    !current
-  in
-  let shrink_values current =
-    let smaller = function
-      | Tie_pick k when k > 1 -> Some (Tie_pick (k / 2))
-      | Lock_jitter j when j > 1 -> Some (Lock_jitter (j / 2))
-      | _ -> None
-    in
-    let current = ref current in
-    let again = ref true in
-    while !again && !spent < budget do
-      again := false;
-      List.iteri
-        (fun i s ->
-          match smaller s.decision with
-          | None -> ()
-          | Some d ->
-              let candidate =
-                List.mapi
-                  (fun j s' -> if j = i then { s' with decision = d } else s')
-                  !current
-              in
-              if try_run candidate then begin
-                current := candidate;
-                again := true
-              end)
-        !current
-    done;
-    !current
-  in
-  let result = shrink_values (drop_chunks sched) in
-  (result, !spent)
-
-(* --- decision-trace files --- *)
-
-let pp fmt sched =
-  List.iter
-    (fun { index; decision } ->
-      match decision with
-      | Tie_pick k -> Format.fprintf fmt "tie %d %d@." index k
-      | Lock_jitter j -> Format.fprintf fmt "jitter %d %d@." index j
-      | Force_preempt -> Format.fprintf fmt "preempt %d@." index)
-    sched
-
-let save path sched =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc "# mst decision trace v1\n";
-      output_string oc
-        (Printf.sprintf "# %d decision(s); index = preemption-point number\n"
-           (List.length sched));
-      let fmt = Format.formatter_of_out_channel oc in
-      pp fmt sched;
-      Format.pp_print_flush fmt ())
-
-let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let steps = ref [] in
-      let lineno = ref 0 in
-      (try
-         while true do
-           let line = String.trim (input_line ic) in
-           incr lineno;
-           if line <> "" && line.[0] <> '#' then begin
-             let bad () =
-               failwith
-                 (Printf.sprintf "%s:%d: malformed decision %S" path !lineno
-                    line)
-             in
-             match String.split_on_char ' ' line with
-             | [ "tie"; i; k ] ->
-                 (match (int_of_string_opt i, int_of_string_opt k) with
-                  | Some i, Some k when i >= 0 && k >= 0 ->
-                      steps := { index = i; decision = Tie_pick k } :: !steps
-                  | _ -> bad ())
-             | [ "jitter"; i; j ] ->
-                 (match (int_of_string_opt i, int_of_string_opt j) with
-                  | Some i, Some j when i >= 0 && j >= 0 ->
-                      steps := { index = i; decision = Lock_jitter j } :: !steps
-                  | _ -> bad ())
-             | [ "preempt"; i ] ->
-                 (match int_of_string_opt i with
-                  | Some i when i >= 0 ->
-                      steps := { index = i; decision = Force_preempt } :: !steps
-                  | _ -> bad ())
-             | _ -> bad ()
-           end
-         done
-       with End_of_file -> ());
-      List.sort (fun a b -> compare a.index b.index) !steps)
-
-(* [load] for a --replay invocation: an empty (or comment-only) trace
-   would silently replay the unperturbed reference schedule and report
-   success for a file that reproduces nothing — reject it instead. *)
-let load_replay path =
-  match load path with
-  | [] ->
-      failwith
-        (Printf.sprintf
-           "%s: no decisions to replay (empty or comment-only trace)" path)
-  | sched -> sched
+let pp = Plan.pp format
+let save = Plan.save format
+let load = Plan.load format
+let load_replay = Plan.load_replay format
 
 (* --- systematic exploration: dynamic partial-order reduction (E20) ---
 
@@ -517,7 +356,7 @@ module Dpor = struct
       List.fold_left
         (fun acc n ->
           match n.cur with
-          | Some a -> { index = n.nq; decision = a.dec } :: acc
+          | Some a -> { Plan.index = n.nq; action = a.dec } :: acc
           | None -> acc)
         [] stack
       (* stack is deepest-first, so the fold emits index-ascending *)

@@ -21,11 +21,11 @@ type decision =
   | Lock_jitter of int  (** stall this many cycles before an acquire *)
   | Force_preempt  (** reschedule after this critical section *)
 
-type step = { index : int; decision : decision }
+type step = decision Plan.step
 
 (** A sparse decision trace, strictly ascending by [index].  The empty
     schedule is the default deterministic run. *)
-type schedule = step list
+type schedule = decision Plan.t
 
 type params = {
   tie_permil : int;  (** chance (‰) a min-clock tie is permuted *)
@@ -82,11 +82,8 @@ val queries : driver -> int
 (** A content hash of a schedule, for distinct-schedule statistics. *)
 val fingerprint : schedule -> int
 
-(** [shrink ~run sched] minimizes a failing schedule: [run s] must
-    rebuild the world, replay [s], and return [true] when the failure
-    still reproduces.  [sched] itself is assumed to fail.  Returns the
-    shrunk schedule and the number of replays spent.  [budget] caps the
-    replays (default 200). *)
+(** {!Plan.shrink} for decision traces: value shrinking halves jitters
+    and pulls tie picks toward the default candidate. *)
 val shrink :
   run:(schedule -> bool) -> ?budget:int -> schedule -> schedule * int
 
@@ -98,7 +95,7 @@ val shrink :
 
 val save : string -> schedule -> unit
 
-(** Raises [Failure] on a malformed file. *)
+(** Raises [Failure] on a malformed line or a repeated index. *)
 val load : string -> schedule
 
 (** {!load} for replay: additionally raises [Failure] when the file holds

@@ -6,11 +6,12 @@
    injection queries — one per instrumentation point reached — and a
    seeded injector samples a fault at a few of them.  The faults actually
    applied are recorded as a sparse *fault plan* [(query index, fault)],
-   which can be replayed bit for bit and shrunk with the same delta
-   debugging the decision traces use.  Because fault queries are counted
-   separately from scheduling-policy queries, a fault plan composes with
-   an {!Explore} schedule: the two drivers perturb the same run without
-   renumbering each other's indices.
+   a {!Plan} like the decision traces: replayed by the same cursor,
+   shrunk by the same delta debugging, saved in the same line format.
+   Because fault queries are counted separately from scheduling-policy
+   queries, a fault plan composes with an {!Explore} schedule: the two
+   drivers perturb the same run without renumbering each other's
+   indices.
 
    A recorded plan only contains faults that were *honoured*: an applier
    may decline a sampled fault (the last live processor refuses to crash,
@@ -20,9 +21,9 @@
 
 (* --- the shared PRNG ---
 
-   The same splitmix64-style generator {!Explore} uses (it now aliases
-   this one): Stdlib.Random's stream is not guaranteed stable across
-   compiler releases, and seeded runs must reproduce forever. *)
+   The splitmix64-style generator {!Explore} samples from too:
+   Stdlib.Random's stream is not guaranteed stable across compiler
+   releases, and seeded runs must reproduce forever. *)
 module Rng = struct
   type t = { mutable state : int }
 
@@ -55,13 +56,13 @@ type fault =
   | Replica_crash of int      (* replica K dies at a log-entry boundary
                                  (E19; resolved modulo live replicas) *)
 
-type step = { index : int; fault : fault }
+type step = fault Plan.step
 
-type plan = step list
+type plan = fault Plan.t
 
 (* Which instrumentation point is asking.  Each fault kind belongs to one
    point; a replayed fault of the wrong kind for its query is dropped
-   rather than derailing the run, exactly like {!Explore.decide}.
+   rather than derailing the run ({!Plan.next}).
    [Log_entry] is queried by the E19 cluster manager once per replica at
    every wave boundary of the shared command log — the only place a
    whole simulated machine is allowed to die, so what a crash leaves
@@ -69,15 +70,15 @@ type plan = step list
    command. *)
 type point = Sched_check | Lock_acquire | Device_op | Gc_barrier | Log_entry
 
-let matches_point point fault =
-  match (point, fault) with
-  | Sched_check, (Vp_crash | Vp_stall _) -> true
-  | Lock_acquire, (Holder_stall _ | Holder_crash) -> true
-  | Device_op, Device_timeout _ -> true
-  | Gc_barrier, Worker_crash _ -> true
-  | Log_entry, Replica_crash _ -> true
-  | (Sched_check | Lock_acquire | Device_op | Gc_barrier | Log_entry), _ ->
-      false
+(* One closed function per point, so a replayed query passes its filter
+   to {!Plan.next} without allocating a closure. *)
+let matches_point = function
+  | Sched_check -> (function Vp_crash | Vp_stall _ -> true | _ -> false)
+  | Lock_acquire ->
+      (function Holder_stall _ | Holder_crash -> true | _ -> false)
+  | Device_op -> (function Device_timeout _ -> true | _ -> false)
+  | Gc_barrier -> (function Worker_crash _ -> true | _ -> false)
+  | Log_entry -> (function Replica_crash _ -> true | _ -> false)
 
 type params = {
   crash_permil : int;
@@ -150,7 +151,7 @@ let default_params = params_of_campaign Mixed
 
 type mode =
   | Seeded of Rng.t * params
-  | Replay of step array * int ref  (* cursor into the sorted steps *)
+  | Replay of fault Plan.cursor
 
 type t = {
   mode : mode;
@@ -159,41 +160,18 @@ type t = {
   mutable last_index : int;     (* pre-increment index of the last query *)
   mutable injected_count : int;
   mutable rev_injected : step list;
-  (* per-kind counts of honoured faults, for campaign reports *)
-  mutable crashes : int;
-  mutable stalls : int;
-  mutable holder_stalls : int;
-  mutable holder_crashes : int;
-  mutable device_timeouts : int;
-  mutable worker_crashes : int;
-  mutable replica_crashes : int;
 }
 
 let injector mode trace =
   { mode; trace; queries = 0; last_index = -1; injected_count = 0;
-    rev_injected = []; crashes = 0; stalls = 0; holder_stalls = 0;
-    holder_crashes = 0; device_timeouts = 0; worker_crashes = 0;
-    replica_crashes = 0 }
+    rev_injected = [] }
 
 let seeded ?(params = default_params) ?trace ~seed () =
   injector (Seeded (Rng.make seed, params)) trace
 
-let replay ?trace plan =
-  let steps =
-    Array.of_list (List.sort (fun a b -> compare a.index b.index) plan)
-  in
-  injector (Replay (steps, ref 0)) trace
+let replay ?trace plan = injector (Replay (Plan.cursor plan)) trace
 
 let injected t = List.rev t.rev_injected
-let injected_count t = t.injected_count
-let queries t = t.queries
-let crashes t = t.crashes
-let stalls t = t.stalls
-let holder_stalls t = t.holder_stalls
-let holder_crashes t = t.holder_crashes
-let device_timeouts t = t.device_timeouts
-let worker_crashes t = t.worker_crashes
-let replica_crashes t = t.replica_crashes
 
 let describe = function
   | Vp_crash -> "vp crash"
@@ -242,29 +220,14 @@ let at t point =
   match t.mode with
   | Seeded (rng, p) ->
       if t.injected_count >= p.max_faults then None else gen_at point rng p
-  | Replay (steps, cursor) ->
-      let n = Array.length steps in
-      while !cursor < n && steps.(!cursor).index < q do incr cursor done;
-      if !cursor < n && steps.(!cursor).index = q then begin
-        let s = steps.(!cursor) in
-        incr cursor;
-        if matches_point point s.fault then Some s.fault else None
-      end
-      else None
+  | Replay c -> Plan.next c q ~accept:(matches_point point)
 
 (* Record a fault the caller actually honoured, at the query index of the
    query that produced it. *)
 let applied t ~vp ~now ~resource fault =
-  t.rev_injected <- { index = t.last_index; fault } :: t.rev_injected;
+  t.rev_injected <-
+    { Plan.index = t.last_index; action = fault } :: t.rev_injected;
   t.injected_count <- t.injected_count + 1;
-  (match fault with
-   | Vp_crash -> t.crashes <- t.crashes + 1
-   | Vp_stall _ -> t.stalls <- t.stalls + 1
-   | Holder_stall _ -> t.holder_stalls <- t.holder_stalls + 1
-   | Holder_crash -> t.holder_crashes <- t.holder_crashes + 1
-   | Device_timeout _ -> t.device_timeouts <- t.device_timeouts + 1
-   | Worker_crash _ -> t.worker_crashes <- t.worker_crashes + 1
-   | Replica_crash _ -> t.replica_crashes <- t.replica_crashes + 1);
   match t.trace with
   | None -> ()
   | Some tr ->
@@ -323,168 +286,52 @@ let () =
     | Fatal i -> Some (describe_fatal i)
     | _ -> None)
 
-(* --- plan utilities --- *)
+(* --- plan utilities: what {!Plan} needs to know about faults --- *)
 
-let fingerprint plan =
-  List.fold_left
-    (fun h { index; fault } ->
-      let d =
-        match fault with
-        | Vp_crash -> 1
-        | Vp_stall n -> (n lsl 3) lor 2
-        | Holder_stall n -> (n lsl 3) lor 3
-        | Holder_crash -> 4
-        | Device_timeout n -> (n lsl 3) lor 5
-        | Worker_crash k -> (k lsl 3) lor 6
-        | Replica_crash k -> (k lsl 3) lor 7
-      in
-      let h = (h * 0x01000193) lxor index in
-      ((h * 0x01000193) lxor d) land max_int)
-    0x811C9DC5 plan
+let fingerprint =
+  Plan.fingerprint ~code:(function
+    | Vp_crash -> 1
+    | Vp_stall n -> (n lsl 3) lor 2
+    | Holder_stall n -> (n lsl 3) lor 3
+    | Holder_crash -> 4
+    | Device_timeout n -> (n lsl 3) lor 5
+    | Worker_crash k -> (k lsl 3) lor 6
+    | Replica_crash k -> (k lsl 3) lor 7)
 
-(* Delta-debug a failing plan to a minimal one, exactly as
-   {!Explore.shrink} does for decision traces: drop chunks, halving the
-   chunk size, then halve the surviving durations.  [run] replays a
-   candidate plan and reports whether it still fails. *)
-let shrink ~run ?(budget = 200) plan =
-  let spent = ref 0 in
-  let try_run s =
-    if !spent >= budget then false
-    else begin
-      incr spent;
-      run s
-    end
-  in
-  let drop_chunks current =
-    let current = ref current in
-    let chunk = ref (max 1 (List.length !current / 2)) in
-    let progress = ref true in
-    while !chunk >= 1 && !spent < budget do
-      progress := false;
-      let arr = Array.of_list !current in
-      let n = Array.length arr in
-      let pos = ref 0 in
-      while !pos < n && !spent < budget do
-        let keep = ref [] in
-        Array.iteri
-          (fun i s -> if i < !pos || i >= !pos + !chunk then keep := s :: !keep)
-          arr;
-        let candidate = List.rev !keep in
-        if List.length candidate < n && try_run candidate then begin
-          current := candidate;
-          progress := true;
-          pos := n
-        end
-        else pos := !pos + !chunk
-      done;
-      if !progress then chunk := max 1 (min !chunk (List.length !current))
-      else if !chunk = 1 then chunk := 0
-      else chunk := !chunk / 2
-    done;
-    !current
-  in
-  let shrink_values current =
-    let smaller = function
-      | Vp_stall n when n > 1 -> Some (Vp_stall (n / 2))
-      | Holder_stall n when n > 1 -> Some (Holder_stall (n / 2))
-      | Device_timeout n when n > 1 -> Some (Device_timeout (n / 2))
-      | _ -> None
-    in
-    let current = ref current in
-    let again = ref true in
-    while !again && !spent < budget do
-      again := false;
-      List.iteri
-        (fun i s ->
-          match smaller s.fault with
-          | None -> ()
-          | Some f ->
-              let candidate =
-                List.mapi
-                  (fun j s' -> if j = i then { s' with fault = f } else s')
-                  !current
-              in
-              if try_run candidate then begin
-                current := candidate;
-                again := true
-              end)
-        !current
-    done;
-    !current
-  in
-  let result = shrink_values (drop_chunks plan) in
-  (result, !spent)
+(* Value shrinking halves the surviving durations. *)
+let shrink ~run ?budget plan =
+  Plan.shrink ~run ?budget plan ~smaller:(function
+    | Vp_stall n when n > 1 -> Some (Vp_stall (n / 2))
+    | Holder_stall n when n > 1 -> Some (Holder_stall (n / 2))
+    | Device_timeout n when n > 1 -> Some (Device_timeout (n / 2))
+    | _ -> None)
 
-(* --- fault-plan files --- *)
+let format =
+  { Plan.header = "mst fault plan v1";
+    noun = "fault";
+    index_is = "injection-point number";
+    encode =
+      (function
+      | Vp_crash -> ("crash", [])
+      | Vp_stall n -> ("stall", [ n ])
+      | Holder_stall n -> ("holdstall", [ n ])
+      | Holder_crash -> ("holdcrash", [])
+      | Device_timeout n -> ("timeout", [ n ])
+      | Worker_crash k -> ("workercrash", [ k ])
+      | Replica_crash k -> ("replicacrash", [ k ]));
+    decode =
+      (fun token args ->
+        match (token, args) with
+        | "crash", [] -> Some Vp_crash
+        | "stall", [ n ] -> Some (Vp_stall n)
+        | "holdstall", [ n ] -> Some (Holder_stall n)
+        | "holdcrash", [] -> Some Holder_crash
+        | "timeout", [ n ] -> Some (Device_timeout n)
+        | "workercrash", [ k ] -> Some (Worker_crash k)
+        | "replicacrash", [ k ] -> Some (Replica_crash k)
+        | _ -> None) }
 
-let pp fmt plan =
-  List.iter
-    (fun { index; fault } ->
-      match fault with
-      | Vp_crash -> Format.fprintf fmt "crash %d@." index
-      | Vp_stall n -> Format.fprintf fmt "stall %d %d@." index n
-      | Holder_stall n -> Format.fprintf fmt "holdstall %d %d@." index n
-      | Holder_crash -> Format.fprintf fmt "holdcrash %d@." index
-      | Device_timeout n -> Format.fprintf fmt "timeout %d %d@." index n
-      | Worker_crash k -> Format.fprintf fmt "workercrash %d %d@." index k
-      | Replica_crash k -> Format.fprintf fmt "replicacrash %d %d@." index k)
-    plan
-
-let save path plan =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc "# mst fault plan v1\n";
-      output_string oc
-        (Printf.sprintf "# %d fault(s); index = injection-point number\n"
-           (List.length plan));
-      let fmt = Format.formatter_of_out_channel oc in
-      pp fmt plan;
-      Format.pp_print_flush fmt ())
-
-let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let steps = ref [] in
-      let lineno = ref 0 in
-      (try
-         while true do
-           let line = String.trim (input_line ic) in
-           incr lineno;
-           if line <> "" && line.[0] <> '#' then begin
-             let bad () =
-               failwith
-                 (Printf.sprintf "%s:%d: malformed fault %S" path !lineno line)
-             in
-             let nat s = match int_of_string_opt s with
-               | Some n when n >= 0 -> n
-               | _ -> bad ()
-             in
-             let add index fault = steps := { index; fault } :: !steps in
-             match String.split_on_char ' ' line with
-             | [ "crash"; i ] -> add (nat i) Vp_crash
-             | [ "stall"; i; n ] -> add (nat i) (Vp_stall (nat n))
-             | [ "holdstall"; i; n ] -> add (nat i) (Holder_stall (nat n))
-             | [ "holdcrash"; i ] -> add (nat i) Holder_crash
-             | [ "timeout"; i; n ] -> add (nat i) (Device_timeout (nat n))
-             | [ "workercrash"; i; k ] -> add (nat i) (Worker_crash (nat k))
-             | [ "replicacrash"; i; k ] -> add (nat i) (Replica_crash (nat k))
-             | _ -> bad ()
-           end
-         done
-       with End_of_file -> ());
-      List.sort (fun a b -> compare a.index b.index) !steps)
-
-(* [load] for a --replay invocation: an empty (or comment-only) plan
-   would silently run an unperturbed schedule and report success for a
-   file that injects nothing — reject it instead. *)
-let load_replay path =
-  match load path with
-  | [] ->
-      failwith
-        (Printf.sprintf
-           "%s: no faults to replay (empty or comment-only plan)" path)
-  | plan -> plan
+let pp = Plan.pp format
+let save = Plan.save format
+let load = Plan.load format
+let load_replay = Plan.load_replay format

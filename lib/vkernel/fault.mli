@@ -3,14 +3,14 @@
     Faults — processor crashes, stalls, lock-holder failures, device
     timeouts, scavenge-worker deaths — are sampled at the same
     instrumentation points the schedule explorer drives, recorded as a
-    sparse replayable plan, and shrunk with the same delta debugging
+    sparse replayable {!Plan}, and shrunk with the same delta debugging
     {!Explore} uses for decision traces.  Fault queries are counted
     independently of policy queries, so a fault plan composes with an
     {!Explore} schedule without renumbering. *)
 
-(** The splitmix64-style PRNG shared with {!Explore} (which aliases this
-    module): seeded runs must reproduce forever, so the stream must not
-    depend on [Stdlib.Random]. *)
+(** The splitmix64-style PRNG shared with {!Explore}: seeded runs must
+    reproduce forever, so the stream must not depend on
+    [Stdlib.Random]. *)
 module Rng : sig
   type t
 
@@ -39,9 +39,9 @@ type fault =
       (** whole replica dies at a log-entry boundary (E19); the index is
           resolved modulo the live replicas by the applier *)
 
-type step = { index : int; fault : fault }
+type step = fault Plan.step
 
-type plan = step list
+type plan = fault Plan.t
 
 (** Which instrumentation point is asking; each fault kind belongs to
     exactly one point.  [Log_entry] is queried once per replica at every
@@ -89,21 +89,11 @@ val replay : ?trace:Trace.t -> plan -> t
 val at : t -> point -> fault option
 
 (** Record a fault the caller actually honoured (at the index of the
-    query that produced it), bump its counters, and trace it. *)
+    query that produced it) and trace it. *)
 val applied : t -> vp:int -> now:int -> resource:string -> fault -> unit
 
 (** The honoured faults, in query order. *)
 val injected : t -> plan
-
-val injected_count : t -> int
-val queries : t -> int
-val crashes : t -> int
-val stalls : t -> int
-val holder_stalls : t -> int
-val holder_crashes : t -> int
-val device_timeouts : t -> int
-val worker_crashes : t -> int
-val replica_crashes : t -> int
 
 val describe : fault -> string
 
@@ -140,14 +130,13 @@ val describe_fatal : fatal_info -> string
 
 val fingerprint : plan -> int
 
-(** Delta-debug a failing plan to a minimal one; [run] replays a
-    candidate and reports whether it still fails.  Returns the shrunk
-    plan and the number of replays spent. *)
+(** {!Plan.shrink} for fault plans: value shrinking halves durations. *)
 val shrink : run:(plan -> bool) -> ?budget:int -> plan -> plan * int
 
 val pp : Format.formatter -> plan -> unit
 
-(** Write/read a fault plan file ("# mst fault plan v1"). *)
+(** Write/read a fault plan file ("# mst fault plan v1").  [load] raises
+    [Failure] on a malformed line or a repeated index. *)
 val save : string -> plan -> unit
 
 val load : string -> plan

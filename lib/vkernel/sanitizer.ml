@@ -39,10 +39,13 @@ type t = {
 
 let max_messages = 64
 
-let create ?(trace_capacity = 4096) mode =
+(* Events kept in the trace ring for post-mortem dumps. *)
+let trace_capacity = 4096
+
+let create mode =
   {
     mode;
-    trace = Trace.create ~capacity:(max 1 trace_capacity) ();
+    trace = Trace.create ~capacity:trace_capacity ();
     locks = Hashtbl.create 16;
     lock_order = [];
     guards = Hashtbl.create 16;

@@ -31,7 +31,7 @@ exception Violation of string
 
 type t
 
-val create : ?trace_capacity:int -> mode -> t
+val create : mode -> t
 
 val mode : t -> mode
 

@@ -240,10 +240,10 @@ let dpor_finds name setup =
    | None -> Alcotest.fail (name ^ ": expected a shrunk counterexample")
    | Some c ->
        check_bool (name ^ ": the shrunk schedule reproduces") true
-         c.Explorer.dpor_reproduces;
+         c.Explorer.reproduces;
        check_bool (name ^ ": shrunk no larger than the original") true
-         (List.length c.Explorer.dpor_shrunk
-          <= List.length c.Explorer.dpor_original));
+         (List.length c.Explorer.shrunk
+          <= List.length c.Explorer.original));
   r1
 
 let test_dpor_finds_broken_ctx () =

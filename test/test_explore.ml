@@ -101,7 +101,7 @@ let test_seeded_indices_ascend () =
   check_bool "some perturbations happened" true (s <> []);
   let rec ascending = function
     | a :: (b :: _ as rest) ->
-        a.Explore.index < b.Explore.index && ascending rest
+        a.Plan.index < b.Plan.index && ascending rest
     | _ -> true
   in
   check_bool "indices strictly ascend" true (ascending s)
@@ -119,7 +119,7 @@ let arb_schedule =
   let gen =
     Gen.map
       (fun ds ->
-        List.mapi (fun i d -> { Explore.index = i * 3; decision = d }) ds)
+        List.mapi (fun i d -> { Plan.index = i * 3; action = d }) ds)
       (Gen.list_size (Gen.int_range 0 40) decision)
   in
   make ~print:(Format.asprintf "%a" Explore.pp) gen
@@ -147,6 +147,22 @@ let test_load_rejects_garbage () =
       | _ -> Alcotest.fail "expected Failure on a malformed line"
       | exception Failure _ -> ())
 
+(* Two decisions at one index would load, and the replay cursor would
+   silently skip the second: the loader must refuse the file. *)
+let test_load_rejects_duplicate_index () =
+  let file = Filename.temp_file "mst-trace" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      let oc = open_out file in
+      output_string oc "# mst decision trace v1\ntie 3 1\ntie 3 2\n";
+      close_out oc;
+      match Explore.load file with
+      | _ -> Alcotest.fail "expected Failure on a duplicate index"
+      | exception Failure msg ->
+          Alcotest.(check string) "names the file, line and index"
+            (file ^ ":3: duplicate index 3") msg)
+
 (* An empty (or comment-only) trace is a legal file, but replaying it
    would silently run the unperturbed schedule — load_replay must refuse
    it and pass real traces through untouched. *)
@@ -163,7 +179,7 @@ let test_load_replay_rejects_empty () =
       (match Explore.load_replay file with
        | _ -> Alcotest.fail "expected Failure on an empty replay trace"
        | exception Failure _ -> ());
-      let sched = [ { Explore.index = 4; decision = Explore.Tie_pick 1 } ] in
+      let sched = [ { Plan.index = 4; action = Explore.Tie_pick 1 } ] in
       Explore.save file sched;
       check_bool "a real trace passes through load_replay" true
         (Explore.load_replay file = sched))
@@ -177,18 +193,18 @@ let test_load_replay_rejects_empty () =
 let test_shrink_synthetic () =
   let fails sched =
     List.exists
-      (fun s -> s.Explore.index = 30 && s.Explore.decision = Explore.Force_preempt)
+      (fun s -> s.Plan.index = 30 && s.Plan.action = Explore.Force_preempt)
       sched
     && List.exists
          (fun s ->
-           match s.Explore.decision with
+           match s.Plan.action with
            | Explore.Lock_jitter j -> j >= 10
            | _ -> false)
          sched
   in
   let original =
     List.mapi
-      (fun i d -> { Explore.index = i * 10; decision = d })
+      (fun i d -> { Plan.index = i * 10; action = d })
       [ Explore.Tie_pick 2; Explore.Lock_jitter 400; Explore.Tie_pick 1;
         Explore.Force_preempt; Explore.Lock_jitter 3; Explore.Tie_pick 0 ]
   in
@@ -200,7 +216,7 @@ let test_shrink_synthetic () =
   (* value shrinking halves the surviving jitter toward the threshold *)
   List.iter
     (fun s ->
-      match s.Explore.decision with
+      match s.Plan.action with
       | Explore.Lock_jitter j ->
           check_bool "jitter shrunk below twice the threshold" true (j < 20)
       | _ -> ())
@@ -209,7 +225,7 @@ let test_shrink_synthetic () =
 let test_shrink_budget_respected () =
   let fails _ = true in
   let original =
-    List.init 64 (fun i -> { Explore.index = i; decision = Explore.Force_preempt })
+    List.init 64 (fun i -> { Plan.index = i; action = Explore.Force_preempt })
   in
   let shrunk, probes = Explore.shrink ~run:fails ~budget:10 original in
   check_bool "budget caps the replays" true (probes <= 10);
@@ -257,7 +273,7 @@ let expect_counterexample name setup =
     (fun c ->
       check_bool
         (Printf.sprintf "%s: seed %d's shrunk schedule reproduces" name
-           c.Explorer.seed)
+           (Option.get c.Explorer.seed))
         true c.Explorer.reproduces;
       check_bool
         (Printf.sprintf "%s: shrunk no larger than the original" name)
@@ -366,7 +382,7 @@ let test_broken_steal_found_every_seed () =
     (fun c ->
       check_bool
         (Printf.sprintf "steal-unlocked: seed %d's shrunk schedule reproduces"
-           c.Explorer.seed)
+           (Option.get c.Explorer.seed))
         true c.Explorer.reproduces)
     r.Explorer.counterexamples
 
@@ -450,6 +466,8 @@ let () =
          Alcotest.test_case "indices ascend" `Quick test_seeded_indices_ascend ]);
       ("files",
        Alcotest.test_case "malformed rejected" `Quick test_load_rejects_garbage
+       :: Alcotest.test_case "duplicate index rejected" `Quick
+            test_load_rejects_duplicate_index
        :: Alcotest.test_case "empty replay rejected" `Quick
             test_load_replay_rejects_empty
        :: qtests);

@@ -20,7 +20,7 @@ let cm = Cost_model.uniform
 let test_watchdog_detects_dead_holder () =
   let m = Machine.make ~processors:2 cm in
   Machine.set_injector m
-    (Some (Fault.replay [ { Fault.index = 0; fault = Fault.Holder_crash } ]));
+    (Some (Fault.replay [ { Plan.index = 0; action = Fault.Holder_crash } ]));
   let l = Spinlock.make ~enabled:true ~cost:cm "t" in
   Spinlock.attach_machine l m;
   Spinlock.set_watchdog l ~bound:200 ~backoff_after:2;
@@ -44,7 +44,8 @@ let test_watchdog_detects_dead_holder () =
 let test_stall_survives_and_stats_separate () =
   let m = Machine.make ~processors:2 cm in
   Machine.set_injector m
-    (Some (Fault.replay [ { Fault.index = 0; fault = Fault.Holder_stall 100 } ]));
+    (Some
+       (Fault.replay [ { Plan.index = 0; action = Fault.Holder_stall 100 } ]));
   let l = Spinlock.make ~enabled:true ~cost:cm "t" in
   Spinlock.attach_machine l m;
   Spinlock.set_watchdog l ~bound:8000 ~backoff_after:0;
@@ -298,7 +299,7 @@ let collect_with_worker_crash ~workers plan =
 let test_degraded_scavenge_verifies () =
   let pr, preserved, problems =
     collect_with_worker_crash ~workers:3
-      [ { Fault.index = 0; fault = Fault.Worker_crash 1 } ]
+      [ { Plan.index = 0; action = Fault.Worker_crash 1 } ]
   in
   check_bool "the collection is flagged degraded" true pr.Scavenger.degraded;
   check "one worker failed" 1 (List.length pr.Scavenger.failed_workers);
@@ -309,7 +310,7 @@ let test_degraded_scavenge_verifies () =
    worker crashes still leaves one survivor to finish the collection. *)
 let test_degraded_never_kills_last_worker () =
   let plan =
-    List.init 8 (fun i -> { Fault.index = i; fault = Fault.Worker_crash i })
+    List.init 8 (fun i -> { Plan.index = i; action = Fault.Worker_crash i })
   in
   let pr, preserved, problems = collect_with_worker_crash ~workers:2 plan in
   check_bool "at most one of two workers died" true
@@ -342,6 +343,22 @@ let test_load_rejects_garbage () =
       | _ -> Alcotest.fail "expected Failure on a malformed line"
       | exception Failure _ -> ())
 
+(* Two faults at one index would load, and the replay cursor would
+   silently skip the second: the loader must refuse the file. *)
+let test_load_rejects_duplicate_index () =
+  let file = Filename.temp_file "mst-fault" ".plan" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      let oc = open_out file in
+      output_string oc "# mst fault plan v1\ncrash 5\ncrash 5\n";
+      close_out oc;
+      match Fault.load file with
+      | _ -> Alcotest.fail "expected Failure on a duplicate index"
+      | exception Failure msg ->
+          Alcotest.(check string) "names the file, line and index"
+            (file ^ ":3: duplicate index 5") msg)
+
 (* An empty (or comment-only) plan is a legal file, but replaying it
    would silently run unperturbed — load_replay must refuse it and pass
    real plans through untouched. *)
@@ -367,15 +384,15 @@ let test_load_replay_rejects_empty () =
    find a two-step plan that still fails. *)
 let test_shrink_minimal () =
   let fails plan =
-    List.exists (fun s -> s.Fault.fault = Fault.Holder_crash) plan
+    List.exists (fun s -> s.Plan.action = Fault.Holder_crash) plan
     && List.exists
          (fun s ->
-           match s.Fault.fault with Fault.Vp_stall n -> n >= 1000 | _ -> false)
+           match s.Plan.action with Fault.Vp_stall n -> n >= 1000 | _ -> false)
          plan
   in
   let original =
     List.mapi
-      (fun i f -> { Fault.index = i * 7; fault = f })
+      (fun i f -> { Plan.index = i * 7; action = f })
       [ Fault.Vp_crash; Fault.Vp_stall 2000; Fault.Device_timeout 50;
         Fault.Holder_crash; Fault.Worker_crash 1; Fault.Holder_stall 30 ]
   in
@@ -421,6 +438,8 @@ let () =
        [ q plan_roundtrip_prop;
          Alcotest.test_case "malformed rejected" `Quick
            test_load_rejects_garbage;
+         Alcotest.test_case "duplicate index rejected" `Quick
+           test_load_rejects_duplicate_index;
          Alcotest.test_case "empty replay rejected" `Quick
            test_load_replay_rejects_empty;
          Alcotest.test_case "shrink minimal" `Quick test_shrink_minimal ]) ]

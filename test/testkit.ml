@@ -123,11 +123,11 @@ let busy_eval_source =
    fault suites.  The index is the injection-point query number: small
    indices fire early in any busy run, and an index past the run's query
    count injects nothing at all (a legal, empty-effect plan). *)
-let crash_plan index = [ { Fault.index; fault = Fault.Vp_crash } ]
-let holder_crash_plan index = [ { Fault.index; fault = Fault.Holder_crash } ]
+let crash_plan index = [ { Plan.index; action = Fault.Vp_crash } ]
+let holder_crash_plan index = [ { Plan.index; action = Fault.Holder_crash } ]
 
 let holder_stall_plan index cycles =
-  [ { Fault.index; fault = Fault.Holder_stall cycles } ]
+  [ { Plan.index; action = Fault.Holder_stall cycles } ]
 
 (* Generator of well-formed plans — strictly ascending indices, every
    fault kind — for the round-trip and shrinking properties. *)
@@ -151,7 +151,7 @@ let fault_plan_arb =
              (List.fold_left
                 (fun (ix, acc) (gap, fault) ->
                   let ix = ix + gap in
-                  (ix, { Fault.index = ix; fault } :: acc))
+                  (ix, { Plan.index = ix; action = fault } :: acc))
                 (0, []) gaps)))
       (Gen.list_size (Gen.int_range 0 10) (Gen.pair (Gen.int_range 1 50) fault))
   in
