@@ -211,7 +211,8 @@ let test_calendar_deadlock_detected () =
 
 (* Golden engine observables: exact cycle totals, per-VP step counts,
    engine events and scavenge pauses for a fixed set of runs covering
-   every engine path — the idle poll, timers firing mid-run, stealing,
+   every engine path — the idle poll, Table 2's idle and busy states
+   (nearly all of its bytecodes), timers firing mid-run, stealing,
    major slices, a policy answering tie queries, an injected crash, and
    the calendar engine's parking.  Any change to how the engine selects,
    batches or accounts shows up here as a different number. *)
@@ -230,9 +231,10 @@ let golden_alloc_source =
   "| s a | s := 0. 1 to: 600 do: [:i | a := Array new: 16. a at: 1 put: i. \
    s := s + (a at: 1) printString size]. s"
 
-let golden_eval ?(busy = 0) config source =
+let golden_eval ?(busy = 0) ?(idle = 0) config source =
   let vm = Vm.create config in
   ignore (Workloads.spawn_busy vm busy);
+  ignore (Workloads.spawn_idle vm idle);
   ignore (Vm.eval vm source);
   vm
 
@@ -240,6 +242,9 @@ let golden_bs () = golden_eval (Config.testing ()) golden_alloc_source
 
 let golden_ms_busy () =
   golden_eval ~busy:4 (Config.testing ~processors:5 ()) golden_alloc_source
+
+let golden_ms_idle () =
+  golden_eval ~idle:4 (Config.testing ~processors:5 ()) golden_alloc_source
 
 let golden_ms_delay () =
   golden_eval ~busy:1 (Config.testing ~processors:3 ())
@@ -320,6 +325,9 @@ let golden_fixtures =
       ^ "690,568,621,492,497,566,493,458,541,459,494,455,530,592,679,595,466,"
       ^ "494,576,689,764,585,539,458,620,736,590,566,563,563,642,451,532,415,"
       ^ "564,371,529,459,424,449,424,459,564,328,459,498,599,603"));
+    ("MS, 5 VPs, idle", (fun () -> engine_signature (golden_ms_idle ())),
+     ("cycles=509879 steps=115589,251564,251558,251540,251534 "
+      ^ "events=1121793 pauses=654"));
     ("MS, Delay timers", (fun () -> engine_signature (golden_ms_delay ())),
      "cycles=158191 steps=32540,63540,171 events=99304 pauses=453,422,453,453");
     ("stealing", (fun () -> engine_signature (golden_stealing ())),
