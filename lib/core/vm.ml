@@ -603,12 +603,20 @@ type run_outcome =
    clock, ties going to the lowest id (or to an installed policy).
 
    - Runnable processors live in a pending-heap keyed by (clock, id) —
-     encoded as [clock * processors + id], so ties still go to the lowest
+     packed by {!Pending.key} into one int, so ties still go to the lowest
      id — instead of being rescanned per event.  Entries go stale only by
      their clock moving forward (charges only add), so a popped entry
      whose key is behind the processor's clock is simply reinserted at the
      fresh key, and the first current entry to surface is the true
      minimum.
+
+   - A processor leaving the batched path after a bytecode is not added
+     to the heap but held in a one-slot carry, which the next pop
+     consumes with {!Pending.push_pop}: one sift-down at most instead of
+     an add and a take.  Every live, unparked processor is in the heap or
+     the carry, and the heap top is read only after a pop has emptied
+     the carry, so tie collection and the batch test see every
+     candidate.
 
    - [Config.engine] decides one thing: what a processor that goes idle
      with nothing ready does.  On [Engine_scan] it polls — it is charged
@@ -638,11 +646,14 @@ let run_engine vm ~max_cycles ~finished ~result outcome =
   let sched = vm.shared.State.sched in
   let timers = vm.shared.State.timers in
   let polling = vm.config.Config.engine = Config.Engine_scan in
-  let pending = Calendar.create () in
+  let pending = Pending.create ~processors:procs in
+  (* the carried key, or [no_key]: keys are never negative *)
+  let no_key = -1 in
+  let carry = ref no_key in
   let parked = Array.make procs false in
   let parked_count = ref 0 in
-  let pkey vp = (vp.Machine.clock * procs) + vp.Machine.id in
-  let push_vp vp = Calendar.add pending ~key:(pkey vp) vp.Machine.id in
+  let pkey vp = Pending.key pending ~clock:vp.Machine.clock ~id:vp.Machine.id in
+  let push_vp vp = Pending.add pending (pkey vp) in
   let unpark ~now id =
     if parked.(id) then begin
       parked.(id) <- false;
@@ -671,20 +682,29 @@ let run_engine vm ~max_cycles ~finished ~result outcome =
   (* Selection answers a VP id, or one of these: no unparked processor
      is runnable, or a parking engine spent the event firing timers. *)
   let nothing = -1 and fired = -2 in
-  (* Pop heap entries until a live, current minimum surfaces, and answer
-     its id, or [nothing] when the heap runs dry.  Stale entries (processor
-     charged past the key) reinsert at the fresh key; entries for halted
-     or parked processors drop — the parked ones were removed
-     deliberately and re-push on unpark. *)
+  (* Pop entries, the carry first, until a live, current minimum
+     surfaces, and answer its id, or [nothing] when heap and carry run
+     dry.  Stale entries (processor charged past the key) go back into
+     the carry at the fresh key; entries for halted or parked processors
+     drop — the parked ones were removed deliberately and re-push on
+     unpark. *)
   let rec pop_min () =
-    if Calendar.is_empty pending then nothing
+    let k =
+      if !carry <> no_key then begin
+        let c = !carry in
+        carry := no_key;
+        Pending.push_pop pending c
+      end
+      else if Pending.is_empty pending then no_key
+      else Pending.take pending
+    in
+    if k = no_key then nothing
     else begin
-      let k = Calendar.top_key pending in
-      let id = Calendar.take pending in
+      let id = Pending.id_of pending k in
       let vp = Machine.vp m id in
       if vp.Machine.state = Machine.Halted || parked.(id) then pop_min ()
       else if pkey vp > k then begin
-        push_vp vp;
+        carry := pkey vp;
         pop_min ()
       end
       else id
@@ -700,10 +720,12 @@ let run_engine vm ~max_cycles ~finished ~result outcome =
     if first_id = nothing then nothing
     else begin
       let first = Machine.vp m first_id in
-      let past_tie = (first.Machine.clock + 1) * procs in
+      let past_tie =
+        Pending.key pending ~clock:(first.Machine.clock + 1) ~id:0
+      in
       let rec collect acc =
         let id =
-          if Calendar.top_key pending < past_tie then pop_min () else nothing
+          if Pending.top pending < past_tie then pop_min () else nothing
         in
         if id = nothing then List.rev acc
         else begin
@@ -781,13 +803,13 @@ let run_engine vm ~max_cycles ~finished ~result outcome =
           && (not vm.shared.State.gc_wanted)
           && (not (major_due vm))
           && vp.Machine.clock <= max_cycles
-          && pkey vp <= Calendar.top_key pending
+          && pkey vp <= Pending.top pending
           && vp.Machine.clock < Calendar.top_key timers
         then begin
           vm.engine_events <- vm.engine_events + 1;
           step_vp vp st interp ~can_batch
         end
-        else push_vp vp
+        else carry := pkey vp
     | Interp.Idle ->
         (* an idle interpreter keeps watching the input queue *)
         st.State.cost <- 0;

@@ -475,35 +475,34 @@ let execute_bytecode t =
               let a = Oop.small_val recv and b = Oop.small_val arg in
               add_cost st cm.Cost_model.prim_arith;
               let u = st.sh.u in
-              let boolv x = if x then u.Universe.true_ else u.Universe.false_ in
-              (* out of SmallInteger range: the full send's primitive
-                 fails over to the Smalltalk fallback *)
+              let t_ = u.Universe.true_ and f_ = u.Universe.false_ in
+              (* [Oop.sentinel], never a SmallInteger or a heap oop, means
+                 no fast result: out of SmallInteger range, the full
+                 send's primitive fails over to the Smalltalk fallback *)
               let small r =
-                if r >= Oop.min_small && r <= Oop.max_small then
-                  Some (Oop.of_small r)
-                else None
+                if r >= Oop.min_small && r <= Oop.max_small then Oop.of_small r
+                else Oop.sentinel
               in
-              let result =
+              let r =
                 match special with
                 | Add -> small (a + b)
                 | Sub -> small (a - b)
                 | Mul ->
                     let r = a * b in
-                    if b <> 0 && r / b <> a then None else small r
-                | Lt -> Some (boolv (a < b))
-                | Gt -> Some (boolv (a > b))
-                | Le -> Some (boolv (a <= b))
-                | Ge -> Some (boolv (a >= b))
-                | Eq -> Some (boolv (a = b))
-                | Ne -> Some (boolv (a <> b))
-                | Identical -> Some (boolv (a = b))
+                    if b <> 0 && r / b <> a then Oop.sentinel else small r
+                | Lt -> if a < b then t_ else f_
+                | Gt -> if a > b then t_ else f_
+                | Le -> if a <= b then t_ else f_
+                | Ge -> if a >= b then t_ else f_
+                | Eq | Identical -> if a = b then t_ else f_
+                | Ne -> if a <> b then t_ else f_
               in
-              (match result with
-               | Some r ->
-                   popn st 2;
-                   push st r;
-                   true
-               | None -> false)
+              if Oop.equal r Oop.sentinel then false
+              else begin
+                popn st 2;
+                push st r;
+                true
+              end
             end
             else if (match special with Identical -> true | _ -> false)
             then begin

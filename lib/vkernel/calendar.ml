@@ -1,7 +1,7 @@
-(* A stable binary min-heap keyed by an integer deadline, shared by the
-   event-calendar engine: the timer list (fire cycle -> semaphore/hook)
-   and the pending-heap of runnable VPs (clock -> vp id) both live in
-   one of these.
+(* A stable binary min-heap keyed by an integer deadline: the engine's
+   timer queue (fire cycle -> semaphore/hook).  Runnable VPs live in the
+   int-only [Pending] heap instead, whose unique packed keys need no
+   values, sequence numbers or stability.
 
    Stability matters for the timers: the old representation was a
    merge-sorted list, so two timers with the same deadline fired in
@@ -9,17 +9,12 @@
    entry therefore carries a monotonically increasing sequence number
    and ties on [key] break toward the older entry.
 
-   The VP pending-heap uses the heap lazily: clocks only ever increase,
-   so a stale entry (key older than the VP's current clock) is detected
-   at pop time and reinserted with the fresh key instead of being
-   updated in place.  [add] is O(log n), [pop] amortised O(log n).
-
-   The engine adds and takes an entry on nearly every event, so the
-   heap is three parallel arrays — keys, sequence numbers, values —
-   rather than an array of entry records: [add] allocates nothing once
-   the arrays have grown, and [top_key] and [take] answer the engine
-   without building options or tuples.  Both sifts move a hole instead
-   of swapping, one write per level per array. *)
+   The engine reads the top on every event, so the heap is three
+   parallel arrays — keys, sequence numbers, values — rather than an
+   array of entry records: [add] allocates nothing once the arrays have
+   grown, and [top_key] and [take] answer the engine without building
+   options or tuples.  Both sifts move a hole instead of swapping, one
+   write per level per array.  [add] and [take] are O(log n). *)
 
 type 'a t = {
   mutable keys : int array;   (* heap order on (keys.(i), seqs.(i)) *)

@@ -1,10 +1,9 @@
 (** A stable binary min-heap keyed by an integer deadline.
 
-    Backs the event-calendar engine: both the timer queue (fire cycle ->
-    semaphore cell or engine hook) and the pending-heap of runnable VPs
-    (clock -> vp id).  Entries with equal keys come out in insertion
-    order, preserving the FIFO firing the old merge-sorted timer list
-    gave semaphore wait-queues. *)
+    Backs the engine's timer queue (fire cycle -> semaphore cell or
+    engine hook); runnable VPs live in {!Pending}.  Entries with equal
+    keys come out in insertion order, preserving the FIFO firing the old
+    merge-sorted timer list gave semaphore wait-queues. *)
 
 type 'a t
 

@@ -380,8 +380,7 @@ let test_calendar_fifo_on_equal_keys () =
     [ 0; 1; 2; 3; 4 ] order
 
 (* The heap must drain any insertion sequence in stable (key, insertion)
-   order — the property the timer queue and the pending-VP queue both
-   lean on. *)
+   order — the property the timer queue leans on. *)
 let prop_calendar_sorted_stable =
   QCheck.Test.make ~count:300 ~name:"calendar drains in stable key order"
     QCheck.(list (int_range 0 50))
@@ -485,6 +484,134 @@ let prop_calendar_model =
           && Calendar.to_sorted_list c = !model)
         ops)
 
+(* --- the engine's pending heap --- *)
+
+(* Model-based: random interleavings of every [Pending] operation,
+   checked op by op against a sorted list.  Keys come from a small range
+   so duplicates are common, [push_pop] runs on an empty heap too, and a
+   full heap must refuse an [add]. *)
+type pend_op = P_add of int | P_take | P_top | P_push_pop of int | P_drain
+
+let print_pend_op = function
+  | P_add k -> Printf.sprintf "add %d" k
+  | P_take -> "take"
+  | P_top -> "top"
+  | P_push_pop k -> Printf.sprintf "push_pop %d" k
+  | P_drain -> "drain"
+
+let pend_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (6, map (fun k -> P_add k) (int_range 0 20));
+        (2, return P_take);
+        (1, return P_top);
+        (3, map (fun k -> P_push_pop k) (int_range 0 20));
+        (1, return P_drain) ])
+
+let prop_pending_model =
+  QCheck.Test.make ~count:500 ~name:"pending heap matches a sorted-list model"
+    (QCheck.make
+       ~print:QCheck.Print.(pair int (list print_pend_op))
+       QCheck.Gen.(
+         pair (int_range 1 12) (list_size (int_range 0 80) pend_op_gen)))
+    (fun (capacity, ops) ->
+      let p = Pending.create ~processors:capacity in
+      let model = ref [] in
+      let insert k = model := List.merge compare [ k ] !model in
+      let take_model () =
+        match !model with
+        | [] -> None
+        | k :: rest ->
+            model := rest;
+            Some k
+      in
+      List.for_all
+        (fun op ->
+          let ok =
+            match op with
+            | P_add k ->
+                if List.length !model = capacity then (
+                  try Pending.add p k; false with Invalid_argument _ -> true)
+                else begin
+                  Pending.add p k;
+                  insert k;
+                  true
+                end
+            | P_take -> (
+                match take_model () with
+                | Some k -> Pending.take p = k
+                | None -> (
+                    try ignore (Pending.take p); false
+                    with Invalid_argument _ -> true))
+            | P_top ->
+                Pending.top p = (match !model with [] -> max_int | k :: _ -> k)
+            | P_push_pop k ->
+                insert k;
+                Pending.push_pop p k = Option.get (take_model ())
+            | P_drain ->
+                let expected = !model in
+                model := [];
+                List.for_all (fun k -> Pending.take p = k) expected
+          in
+          ok && Pending.length p = List.length !model
+          && Pending.is_empty p = (!model = []))
+        ops)
+
+(* The engine's selection order is the scan order: driving a heap the
+   way the engine does — take or push_pop the minimum, then halt that
+   processor or advance its clock and carry its key — must pick, at every
+   step, the processor [Machine.min_runnable] names, equal clocks
+   included.  65 processors need one more key bit than 64. *)
+let prop_pending_matches_min_runnable =
+  let gen =
+    QCheck.Gen.(
+      oneofl [ 1; 3; 5; 64; 65 ] >>= fun n ->
+      pair (list_repeat n (int_range 0 5))
+        (list_size (int_range 0 (3 * n)) (opt (int_range 0 3)))
+      >|= fun (clocks, moves) -> (n, clocks, moves))
+  in
+  QCheck.Test.make ~count:300
+    ~name:"pending heap pops in Machine.min_runnable order"
+    (QCheck.make
+       ~print:QCheck.Print.(
+         triple int (list int) (list (option int)))
+       gen)
+    (fun (n, clocks, moves) ->
+      let m = Machine.make ~processors:n cm in
+      let p = Pending.create ~processors:n in
+      let key vp = Pending.key p ~clock:vp.Machine.clock ~id:vp.Machine.id in
+      List.iteri
+        (fun i c ->
+          let vp = Machine.vp m i in
+          vp.Machine.clock <- c;
+          Pending.add p (key vp))
+        clocks;
+      let carry = ref None in
+      let pop () =
+        match !carry with
+        | Some k ->
+            carry := None;
+            Some (Pending.push_pop p k)
+        | None -> if Pending.is_empty p then None else Some (Pending.take p)
+      in
+      (* a move advances the picked processor's clock or halts it;
+         running out of moves halts the rest one by one *)
+      let rec go moves =
+        match pop (), Machine.min_runnable m with
+        | None, None -> true
+        | Some k, Some vp when Pending.id_of p k = vp.Machine.id -> (
+            match moves with
+            | Some d :: rest ->
+                Machine.charge m vp d;
+                carry := Some (key vp);
+                go rest
+            | None :: rest | ([] as rest) ->
+                Machine.set_state m vp Machine.Halted;
+                go rest)
+        | _ -> false
+      in
+      go moves)
+
 let test_machine_bus_factor () =
   let m = Machine.make ~processors:5 cm in
   let vp = Machine.vp m 0 in
@@ -549,4 +676,7 @@ let () =
          Alcotest.test_case "fifo on equal keys" `Quick
            test_calendar_fifo_on_equal_keys;
          QCheck_alcotest.to_alcotest prop_calendar_sorted_stable;
-         QCheck_alcotest.to_alcotest prop_calendar_model ]) ]
+         QCheck_alcotest.to_alcotest prop_calendar_model ]);
+      ("pending",
+       [ QCheck_alcotest.to_alcotest prop_pending_model;
+         QCheck_alcotest.to_alcotest prop_pending_matches_min_runnable ]) ]
