@@ -261,6 +261,89 @@ let test_free_contexts_disabled_counts_fresh () =
   ignore (Free_contexts.take t h ~now:43 Free_contexts.Large);
   check "every take counts" 2 (Free_contexts.fresh_allocations t)
 
+(* --- golden trace ---
+
+   The rendered ring pinned byte for byte: a change to how events are
+   stored may not change one character of what a dump prints.  The
+   digests were recorded before the ring became struct-of-arrays. *)
+
+let dump_of vm =
+  Format.asprintf "%a"
+    (fun fmt t -> Trace.dump fmt t ~n:4096)
+    (Sanitizer.trace (Vm.sanitizer vm))
+
+let hex s = Digest.to_hex (Digest.string s)
+
+let kinds_in vm =
+  List.sort_uniq compare
+    (List.map
+       (fun e -> Trace.kind_name e.Trace.kind)
+       (Trace.last (Sanitizer.trace (Vm.sanitizer vm)) 4096))
+
+(* Strict MS, four processors, four busy Processes, the stealing
+   scheduler: every hot event kind reaches the ring, and the Delay lets
+   idle processors steal.  The run wraps the 4096-slot ring many times. *)
+let golden_stealing_source =
+  "| s | s := 0. 1 to: 40 do: [:i | s := s + i printString size. \
+   (Delay forMilliseconds: 1) wait]. s"
+
+let test_golden_trace_stealing () =
+  let vm =
+    Vm.create
+      { (Config.ms ~processors:4 ()) with
+        Config.sanitize = Sanitizer.Strict;
+        scheduler = Config.Sched_stealing }
+  in
+  ignore (Workloads.spawn_busy vm 4);
+  ignore (Vm.eval vm golden_stealing_source);
+  Alcotest.(check (list string)) "event kinds"
+    [ "acquire"; "contend"; "enter"; "exit"; "mutate"; "steal"; "touch" ]
+    (kinds_in vm);
+  check "recorded" 81973 (Trace.recorded (Sanitizer.trace (Vm.sanitizer vm)));
+  Alcotest.(check string) "dump digest" "b2cab285ce678d8c5ad1daf92af12eac"
+    (hex (dump_of vm));
+  Alcotest.(check (list string)) "no violations" []
+    (Sanitizer.violations (Vm.sanitizer vm))
+
+(* A deliberately broken configuration in report mode: violations
+   accumulate in the ring and in the message list.  The unguarded steal
+   protocol's messages carry the mutated slot ("addr[index]"). *)
+let golden_report setup ~recorded ~digest ~count ~first ~list_digest () =
+  let vm =
+    Vm.create
+      { setup.Explorer.config with Config.sanitize = Sanitizer.Report }
+  in
+  ignore (Workloads.spawn_busy vm setup.Explorer.busy);
+  ignore (Vm.eval vm setup.Explorer.source);
+  let san = Vm.sanitizer vm in
+  check_bool "VIOLATION in the ring" true
+    (List.mem "VIOLATION" (kinds_in vm));
+  check "recorded" recorded (Trace.recorded (Sanitizer.trace san));
+  Alcotest.(check string) "dump digest" digest (hex (dump_of vm));
+  check "violation count" count (Sanitizer.violation_count san);
+  Alcotest.(check string) "first violation" first
+    (List.hd (Sanitizer.violations san));
+  Alcotest.(check string) "violation list digest" list_digest
+    (hex (String.concat "\n" (Sanitizer.violations san)))
+
+let test_golden_trace_unlocked =
+  golden_report
+    (Explorer.broken_unlocked_setup ~quick:true ())
+    ~recorded:8458 ~digest:"96bb9c8b91d765f0aa8f65b99c38d2be" ~count:491
+    ~first:
+      "scheduler: timeline moved backwards: section [0,25] starts before \
+       previous finish 25"
+    ~list_digest:"a63003af3a01a76dbab6afd5871a06f6"
+
+let test_golden_trace_steal_unlocked =
+  golden_report
+    (Explorer.broken_steal_setup ~quick:true ())
+    ~recorded:10092 ~digest:"d714998ba93d2f914d039d5b7ee6dd66" ~count:26
+    ~first:
+      "ready deque 4: mutated outside 'ready deque 4' critical section \
+       (55413[0])"
+    ~list_digest:"d219c0380620aede6886f7dffeca3aa7"
+
 let test_instrumentation_covers_all_locks () =
   let vm = Vm.create (Config.testing ~processors:2 ()) in
   let r = Instrumentation.gather vm in
@@ -275,6 +358,13 @@ let test_instrumentation_covers_all_locks () =
 let () =
   Alcotest.run "sanitizer"
     [ ("trace", [ Alcotest.test_case "ring buffer" `Quick test_trace_ring ]);
+      ("golden_trace",
+       [ Alcotest.test_case "strict stealing busy" `Quick
+           test_golden_trace_stealing;
+         Alcotest.test_case "report bs-unlocked" `Quick
+           test_golden_trace_unlocked;
+         Alcotest.test_case "report steal-unlocked" `Quick
+           test_golden_trace_steal_unlocked ]);
       ("timeline",
        [ Alcotest.test_case "report mode" `Quick test_timeline_report;
          Alcotest.test_case "strict raises" `Quick test_timeline_strict_raises;
