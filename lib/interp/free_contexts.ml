@@ -29,6 +29,8 @@ type t = {
   remember_cost : int;
   skip_bracket : bool;       (* fault injection: mutate without the lock *)
   mutable sanitizer : Sanitizer.t option;
+  san_id : Sanitizer.id;     (* the checked resource: the list when
+                                shared, the owner's pair when replicated *)
   mutable reuses : int;
   mutable fresh : int;
   mutable returns : int;     (* contexts handed back *)
@@ -37,10 +39,14 @@ type t = {
 
 let empty_lists () = { small = Oop.sentinel; large = Oop.sentinel }
 
+let san_id sanitizer name =
+  match sanitizer with Some san -> Sanitizer.id san name | None -> -1
+
 let create_replicated ?(owner = -1) ?entry_lock ?(remember_cost = 0)
     ?sanitizer () =
   { mode = Replicated; lists = empty_lists (); owner; entry_lock;
     remember_cost; skip_bracket = false; sanitizer;
+    san_id = san_id sanitizer "free contexts";
     reuses = 0; fresh = 0; returns = 0; abandons = 0 }
 
 (* [skip_bracket] injects the bug the lock exists to prevent: take/give
@@ -50,11 +56,12 @@ let create_replicated ?(owner = -1) ?entry_lock ?(remember_cost = 0)
 let create_shared ?entry_lock ?(remember_cost = 0) ?sanitizer
     ?(skip_bracket = false) ~lock ~lists () =
   { mode = Shared_locked lock; lists; owner = -1; entry_lock; remember_cost;
-    skip_bracket; sanitizer; reuses = 0; fresh = 0; returns = 0; abandons = 0 }
+    skip_bracket; sanitizer; san_id = san_id sanitizer "free context list";
+    reuses = 0; fresh = 0; returns = 0; abandons = 0 }
 
 let create_disabled () =
   { mode = Disabled; lists = empty_lists (); owner = -1; entry_lock = None;
-    remember_cost = 0; skip_bracket = false; sanitizer = None;
+    remember_cost = 0; skip_bracket = false; sanitizer = None; san_id = -1;
     reuses = 0; fresh = 0; returns = 0; abandons = 0 }
 
 let flush t =
@@ -66,15 +73,13 @@ type size_class = Small | Large
 let check_owner t ~vp ~now =
   match t.sanitizer, t.mode with
   | Some san, Replicated ->
-      Sanitizer.check_owner san ~resource:"free contexts" ~owner:t.owner ~vp
-        ~now
+      Sanitizer.check_owner san ~resource:t.san_id ~owner:t.owner ~vp ~now
   | _ -> ()
 
 let check_shared_mutation t ~vp ~now =
   match t.sanitizer with
   | Some san ->
-      Sanitizer.check_guarded san ~resource:"free context list" ~vp ~now
-        ~detail:""
+      Sanitizer.check_guarded san ~resource:t.san_id ~vp ~now Trace.Empty 0 0
   | None -> ()
 
 (* Pop a recycled context, charging lock time for the shared variant.

@@ -30,6 +30,7 @@ type t = {
   table : table;             (* per-interpreter, or the shared one *)
   owner : int;               (* owning vp when replicated; -1 = shared *)
   mutable sanitizer : Sanitizer.t option;
+  san_id : Sanitizer.id;     (* "method cache" in [sanitizer] *)
   mutable hits : int;
   mutable misses : int;
 }
@@ -40,15 +41,19 @@ let make_table () = {
   meths = Array.make cache_size Oop.sentinel;
 }
 
+let san_id = function
+  | Some san -> Sanitizer.id san "method cache"
+  | None -> -1
+
 let create_replicated ?(owner = -1) ?sanitizer () =
   { mode = Replicated; table = make_table (); owner; sanitizer;
-    hits = 0; misses = 0 }
+    san_id = san_id sanitizer; hits = 0; misses = 0 }
 
 (* All interpreters share [table] and [lock]; per-interpreter [t] values
    keep their own statistics. *)
 let create_shared ?sanitizer ~lock ~table () =
   { mode = Shared_locked lock; table; owner = -1; sanitizer;
-    hits = 0; misses = 0 }
+    san_id = san_id sanitizer; hits = 0; misses = 0 }
 
 (* A replicated cache belongs to one interpreter.  [flush] is exempt: the
    scavenger and method installation flush every cache cross-processor by
@@ -56,8 +61,7 @@ let create_shared ?sanitizer ~lock ~table () =
 let check_owner t ~vp ~now =
   match t.sanitizer, t.mode with
   | Some san, Replicated ->
-      Sanitizer.check_owner san ~resource:"method cache" ~owner:t.owner ~vp
-        ~now
+      Sanitizer.check_owner san ~resource:t.san_id ~owner:t.owner ~vp ~now
   | _ -> ()
 
 let slot sel cls = (sel lxor (cls * 0x9e3779b1)) land (cache_size - 1)

@@ -18,6 +18,7 @@ type t = {
   table : table;
   owner : int;  (** owning vp when replicated; -1 = shared *)
   mutable sanitizer : Sanitizer.t option;
+  san_id : Sanitizer.id;  (** the cache's resource id in [sanitizer] *)
   mutable hits : int;
   mutable misses : int;
 }

@@ -53,6 +53,8 @@ type t = {
   running : Oop.t array;          (* per processor: process or sentinel *)
   preempt : bool array;           (* per processor: reschedule requested *)
   mutable sanitizer : Sanitizer.t option;
+  mutable san_queue : Sanitizer.id;   (* "ready queue" in [sanitizer] *)
+  san_deques : Sanitizer.id array;    (* "ready deque N", per processor *)
   mutable machine : Machine.t option;  (* for live-processor wake routing *)
   (* the calendar engine's unpark signal: called after every wake and
      failover (the two events that create ready work), so idle processors
@@ -97,6 +99,8 @@ let create ?(strategy = Locked) ?(deque_locks = [||]) ?(unlocked_steal = false)
     running = Array.make processors Oop.sentinel;
     preempt = Array.make processors false;
     sanitizer = None;
+    san_queue = -1;
+    san_deques = Array.make processors (-1);
     machine = None;
     on_ready = None;
     next_home = 0;
@@ -105,7 +109,14 @@ let create ?(strategy = Locked) ?(deque_locks = [||]) ?(unlocked_steal = false)
     local_picks = 0; steals = 0; failed_steals = 0; migrations = 0;
     stolen_from = Array.make processors 0 }
 
-let set_sanitizer t san = t.sanitizer <- Some san
+let set_sanitizer t san =
+  t.sanitizer <- Some san;
+  t.san_queue <- Sanitizer.id san "ready queue";
+  for owner = 0 to t.processors - 1 do
+    t.san_deques.(owner) <-
+      Sanitizer.id san (Printf.sprintf "ready deque %d" owner)
+  done
+
 let set_machine t m = t.machine <- Some m
 
 (* Install (or clear) the calendar engine's ready-work hook. *)
@@ -117,19 +128,17 @@ let notify_ready t ~now =
 let heap t = Universe.heap t.u
 let nil t = t.u.Universe.nil
 
-let deque_resource owner = "ready deque " ^ string_of_int owner
-
 (* A pointer store into scheduler-guarded heap state.  Reports the mutation
-   to the sanitizer under [resource] — "ready queue" for the serialized
-   queue and Semaphore lists, "ready deque N" for processor N's deques —
-   and defers any entry-table insert (we are inside a queue lock; the
-   entry-table lock is taken by [flush_remembers]). *)
+   to the sanitizer under the resource id [resource] — "ready queue" for
+   the serialized queue and Semaphore lists, "ready deque N" for processor
+   N's deques — and defers any entry-table insert (we are inside a queue
+   lock; the entry-table lock is taken by [flush_remembers]). *)
 let store t ~vp ~resource obj i v =
   let h = heap t in
   (match t.sanitizer with
    | Some san when Sanitizer.checking san ->
-       Sanitizer.check_guarded san ~resource ~vp ~now:(-1)
-         ~detail:(Printf.sprintf "%d[%d]" (Oop.addr obj) i)
+       Sanitizer.check_guarded san ~resource ~vp ~now:(-1) Trace.Slot
+         (Oop.addr obj) i
    | _ -> ());
   if Heap.store_would_remember h obj v then
     t.pending_remembers <- Oop.addr obj :: t.pending_remembers;
@@ -233,21 +242,21 @@ let remove_unlocked t ~vp ~resource list proc =
 let ll_append ?(vp = -1) t ~now list proc =
   let now, () =
     Spinlock.critical ~vp t.lock ~now ~op_cycles:t.op_cycles (fun () ->
-        append_unlocked t ~vp ~resource:"ready queue" list proc)
+        append_unlocked t ~vp ~resource:t.san_queue list proc)
   in
   flush_remembers t ~now ~vp
 
 let ll_pop_first ?(vp = -1) t ~now list =
   let now, popped =
     Spinlock.critical ~vp t.lock ~now ~op_cycles:t.op_cycles (fun () ->
-        pop_first_unlocked t ~vp ~resource:"ready queue" list)
+        pop_first_unlocked t ~vp ~resource:t.san_queue list)
   in
   (flush_remembers t ~now ~vp, popped)
 
 let ll_remove ?(vp = -1) t ~now list proc =
   let now, () =
     Spinlock.critical ~vp t.lock ~now ~op_cycles:t.op_cycles (fun () ->
-        remove_unlocked t ~vp ~resource:"ready queue" list proc)
+        remove_unlocked t ~vp ~resource:t.san_queue list proc)
   in
   flush_remembers t ~now ~vp
 
@@ -273,7 +282,7 @@ let set_running_on_u t ~vp ~resource proc vp_opt =
   store t ~vp ~resource proc Layout.Process.running_on v
 
 let set_running_on t proc vp_opt =
-  set_running_on_u t ~vp:(-1) ~resource:"ready queue" proc vp_opt
+  set_running_on_u t ~vp:(-1) ~resource:t.san_queue proc vp_opt
 
 let running_on t proc =
   let v = Heap.get (heap t) proc Layout.Process.running_on in
@@ -304,7 +313,7 @@ let deque_priority_of_index i = (i mod Layout.Scheduler.priorities) + 1
    broken unlocked-steal configuration is active, in which case the
    mutation runs in the open and the sanitizer's guard check fires. *)
 let deque_critical t ~vp ~owner ~now f =
-  let resource = deque_resource owner in
+  let resource = t.san_deques.(owner) in
   if t.unlocked_steal then (now, f resource)
   else
     Spinlock.critical ~vp t.deque_locks.(owner) ~now ~op_cycles:t.op_cycles
@@ -386,89 +395,98 @@ let is_in_ready_queue t proc =
    [my_list] (and sit in a deque of its own priority), and under the MS
    reorganization a running Process stays in the queue. *)
 
+(* Messages are built only on a violation: the checks run after every
+   scheduler operation under an armed sanitizer. *)
+let invariant_broken san ~vp ~now msg =
+  Sanitizer.report_violation san ~vp ~now ~resource:"scheduler" msg
+
+(* A walked list: ready list [-index] (index < 0) or deque [index]. *)
+let describe_list index =
+  if index < 0 then Printf.sprintf "ready list %d" (-index)
+  else
+    Printf.sprintf "deque %d/%d" (deque_owner_of_index index)
+      (deque_priority_of_index index)
+
+(* Walk [list] from [cur]: every chained Process must point back at it
+   through [my_list], sit in a deque of its own priority, and agree with
+   the running table on [running_on].  Returns the budget left; the
+   budget guards against a corrupted cyclic chain. *)
+let rec check_chain t san ~vp ~now list index cur budget =
+  if Oop.equal cur (nil t) || budget <= 0 then budget
+  else begin
+    let h = heap t in
+    if not (Oop.equal (Heap.get h cur Layout.Process.my_list) list) then
+      invariant_broken san ~vp ~now
+        (Printf.sprintf "process %d chained into %s but my_list disagrees"
+           (Oop.addr cur) (describe_list index));
+    if index >= 0 then begin
+      let priority = deque_priority_of_index index in
+      if priority_of t cur <> priority then
+        invariant_broken san ~vp ~now
+          (Printf.sprintf
+             "process %d sits in a priority-%d deque but has priority %d"
+             (Oop.addr cur) priority (priority_of t cur))
+    end;
+    let r = Heap.get h cur Layout.Process.running_on in
+    if Oop.is_small r then begin
+      let v = Oop.small_val r in
+      if v < 0 || v >= t.processors || not (Oop.equal t.running.(v) cur)
+      then
+        invariant_broken san ~vp ~now
+          (Printf.sprintf
+             "ready process %d claims running_on=%d but the running table \
+              disagrees"
+             (Oop.addr cur) v)
+    end;
+    check_chain t san ~vp ~now list index
+      (Heap.get h cur Layout.Process.next_link)
+      (budget - 1)
+  end
+
 let check_invariants t ~now ~vp =
   match t.sanitizer with
   | Some san when Sanitizer.checking san ->
-      let report msg =
-        Sanitizer.report_violation san ~vp ~now ~resource:"scheduler" msg
-      in
       let h = heap t in
-      let n = nil t in
-      Array.iteri
-        (fun i proc ->
-          if not (Oop.equal proc Oop.sentinel) then begin
-            (match running_on t proc with
-             | Some v when v = i -> ()
-             | Some v ->
-                 report
-                   (Printf.sprintf
-                      "running.(%d) holds a process with running_on=%d" i v)
-             | None ->
-                 report
-                   (Printf.sprintf
-                      "running.(%d) holds a process with running_on=nil" i));
-            for j = 0 to i - 1 do
-              if Oop.equal t.running.(j) proc then
-                report
-                  (Printf.sprintf "process running on both vp %d and vp %d" j
-                     i)
-            done;
-            if t.keep_running_in_queue && not (is_in_ready_queue t proc) then
-              report
-                (Printf.sprintf
-                   "running.(%d) process missing from the ready queue" i)
-          end)
-        t.running;
-      (* Bounded walk of every ready list and deque: back-pointers and
-         running_on agreement.  The budget guards against a corrupted
-         cyclic chain. *)
-      let budget = ref 10_000 in
-      let walk list describe check_extra =
-        let rec scan cur =
-          if Oop.equal cur n || !budget <= 0 then ()
-          else begin
-            decr budget;
-            let ml = Heap.get h cur Layout.Process.my_list in
-            if not (Oop.equal ml list) then
-              report
-                (Printf.sprintf
-                   "process %d chained into %s but my_list disagrees"
-                   (Oop.addr cur) describe);
-            check_extra cur;
-            (match running_on t cur with
-             | Some v ->
-                 if v < 0 || v >= t.processors
-                    || not (Oop.equal t.running.(v) cur)
-                 then
-                   report
-                     (Printf.sprintf
-                        "ready process %d claims running_on=%d but the \
-                         running table disagrees"
-                        (Oop.addr cur) v)
-             | None -> ());
-            scan (Heap.get h cur Layout.Process.next_link)
-          end
-        in
-        scan (Heap.get h list Layout.Linked_list.first)
-      in
-      for priority = 1 to Layout.Scheduler.priorities do
-        walk (ready_list t priority)
-          (Printf.sprintf "ready list %d" priority)
-          (fun _ -> ())
+      for i = 0 to Array.length t.running - 1 do
+        let proc = t.running.(i) in
+        if not (Oop.equal proc Oop.sentinel) then begin
+          let r = Heap.get h proc Layout.Process.running_on in
+          if not (Oop.is_small r) then
+            invariant_broken san ~vp ~now
+              (Printf.sprintf
+                 "running.(%d) holds a process with running_on=nil" i)
+          else if Oop.small_val r <> i then
+            invariant_broken san ~vp ~now
+              (Printf.sprintf
+                 "running.(%d) holds a process with running_on=%d" i
+                 (Oop.small_val r));
+          for j = 0 to i - 1 do
+            if Oop.equal t.running.(j) proc then
+              invariant_broken san ~vp ~now
+                (Printf.sprintf "process running on both vp %d and vp %d" j
+                   i)
+          done;
+          if t.keep_running_in_queue && not (is_in_ready_queue t proc) then
+            invariant_broken san ~vp ~now
+              (Printf.sprintf
+                 "running.(%d) process missing from the ready queue" i)
+        end
       done;
-      Array.iteri
-        (fun i list ->
-          let priority = deque_priority_of_index i in
-          walk list
-            (Printf.sprintf "deque %d/%d" (deque_owner_of_index i) priority)
-            (fun cur ->
-              if priority_of t cur <> priority then
-                report
-                  (Printf.sprintf
-                     "process %d sits in a priority-%d deque but has \
-                      priority %d"
-                     (Oop.addr cur) priority (priority_of t cur))))
-        t.deques
+      let budget = ref 10_000 in
+      for priority = 1 to Layout.Scheduler.priorities do
+        let list = ready_list t priority in
+        budget :=
+          check_chain t san ~vp ~now list (-priority)
+            (Heap.get h list Layout.Linked_list.first)
+            !budget
+      done;
+      for i = 0 to Array.length t.deques - 1 do
+        let list = t.deques.(i) in
+        budget :=
+          check_chain t san ~vp ~now list i
+            (Heap.get h list Layout.Linked_list.first)
+            !budget
+      done
   | _ -> ()
 
 (* Request a reschedule of the processor running the lowest-priority
@@ -501,7 +519,7 @@ let wake ?(vp = -1) t ~now proc =
           Spinlock.critical ~vp t.lock ~now ~op_cycles:t.op_cycles (fun () ->
               t.wakes <- t.wakes + 1;
               if not (is_in_ready_queue t proc) then
-                append_unlocked t ~vp ~resource:"ready queue"
+                append_unlocked t ~vp ~resource:t.san_queue
                   (ready_list t (priority_of t proc))
                   proc;
               request_preemption t ~priority:(priority_of t proc))
@@ -565,10 +583,10 @@ let pick t ~now ~vp =
             else begin
               let proc = !found in
               if not t.keep_running_in_queue then
-                remove_unlocked t ~vp ~resource:"ready queue"
+                remove_unlocked t ~vp ~resource:t.san_queue
                   (ready_list t (priority_of t proc))
                   proc;
-              set_running_on_u t ~vp ~resource:"ready queue" proc (Some vp);
+              set_running_on_u t ~vp ~resource:t.san_queue proc (Some vp);
               t.running.(vp) <- proc;
               Some proc
             end)
@@ -638,15 +656,13 @@ let pick t ~now ~vp =
                   t.steals <- t.steals + 1;
                   t.stolen_from.(owner) <- t.stolen_from.(owner) + 1;
                   (match t.sanitizer with
-                   | Some san ->
+                   | Some san when Sanitizer.active san ->
                        Sanitizer.steal_event san ~vp ~now
-                         ~resource:(deque_resource owner)
-                         ~detail:
-                           (Printf.sprintf
-                              "vp %d stole process %d from vp %d (priority \
-                               %d)"
-                              vp (Oop.addr proc) owner priority)
-                   | None -> ());
+                         ~resource:t.san_deques.(owner)
+                         (Printf.sprintf
+                            "vp %d stole process %d from vp %d (priority %d)"
+                            vp (Oop.addr proc) owner priority)
+                   | Some _ | None -> ());
                   (* re-home under the thief's own lock *)
                   let now, () =
                     deque_critical t ~vp ~owner:vp ~now (fun resource ->
@@ -674,16 +690,16 @@ let relinquish t ~now ~vp ~requeue proc =
     | Locked ->
         let now, () =
           Spinlock.critical ~vp t.lock ~now ~op_cycles:t.op_cycles (fun () ->
-              set_running_on_u t ~vp ~resource:"ready queue" proc None;
+              set_running_on_u t ~vp ~resource:t.san_queue proc None;
               t.running.(vp) <- Oop.sentinel;
               if requeue then begin
                 if not (is_in_ready_queue t proc) then
-                  append_unlocked t ~vp ~resource:"ready queue"
+                  append_unlocked t ~vp ~resource:t.san_queue
                     (ready_list t (priority_of t proc))
                     proc
               end
               else if is_in_ready_queue t proc then
-                remove_unlocked t ~vp ~resource:"ready queue"
+                remove_unlocked t ~vp ~resource:t.san_queue
                   (ready_list t (priority_of t proc))
                   proc)
         in
@@ -737,12 +753,12 @@ let failover t ~now ~dead proc ctx =
           Spinlock.critical ~vp:(-1) t.lock ~now ~op_cycles:t.op_cycles
             (fun () ->
               t.failovers <- t.failovers + 1;
-              store t ~vp:(-1) ~resource:"ready queue" proc
+              store t ~vp:(-1) ~resource:t.san_queue proc
                 Layout.Process.suspended_context ctx;
-              set_running_on_u t ~vp:(-1) ~resource:"ready queue" proc None;
+              set_running_on_u t ~vp:(-1) ~resource:t.san_queue proc None;
               t.running.(dead) <- Oop.sentinel;
               if not (is_in_ready_queue t proc) then
-                append_unlocked t ~vp:(-1) ~resource:"ready queue"
+                append_unlocked t ~vp:(-1) ~resource:t.san_queue
                   (ready_list t (priority_of t proc))
                   proc;
               (* as [wake] does: without this, a recovered Process of higher
@@ -798,9 +814,9 @@ let yield t ~now ~vp proc =
           Spinlock.critical ~vp t.lock ~now ~op_cycles:t.op_cycles (fun () ->
               let list = ready_list t (priority_of t proc) in
               if is_in_ready_queue t proc then
-                remove_unlocked t ~vp ~resource:"ready queue" list proc;
-              append_unlocked t ~vp ~resource:"ready queue" list proc;
-              set_running_on_u t ~vp ~resource:"ready queue" proc None;
+                remove_unlocked t ~vp ~resource:t.san_queue list proc;
+              append_unlocked t ~vp ~resource:t.san_queue list proc;
+              set_running_on_u t ~vp ~resource:t.san_queue proc None;
               t.running.(vp) <- Oop.sentinel)
         in
         now

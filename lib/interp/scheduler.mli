@@ -48,6 +48,10 @@ type t = {
   running : Oop.t array;  (** per processor: process or sentinel *)
   preempt : bool array;  (** per processor: reschedule requested *)
   mutable sanitizer : Sanitizer.t option;
+  mutable san_queue : Sanitizer.id;
+      (** the ready queue's resource id in [sanitizer] *)
+  san_deques : Sanitizer.id array;
+      (** each processor's deque resource id in [sanitizer] *)
   mutable machine : Machine.t option;
       (** for live-processor wake routing *)
   mutable on_ready : (now:int -> unit) option;

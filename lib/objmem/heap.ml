@@ -62,6 +62,8 @@ type t = {
   mutable block_ctx_class : Oop.t;
   (* serialization checking (attached by the VM layer) *)
   mutable sanitizer : Sanitizer.t option;
+  mutable san_entry_table : Sanitizer.id;  (* resource ids in [sanitizer] *)
+  mutable san_allocation : Sanitizer.id;
   (* incremental old-space collection (E18): swept holes are threaded on
      size-segregated free lists (buckets 0..15 hold exact sizes 2..17,
      bucket 16 is first-fit overflow for >= 18 words); the hooks are
@@ -130,6 +132,8 @@ let create ?(policy = Unlocked) ?(processors = 1) ?(tenure_age = 4)
     method_ctx_class = Oop.sentinel;
     block_ctx_class = Oop.sentinel;
     sanitizer = None;
+    san_entry_table = -1;
+    san_allocation = -1;
     free_lists = Array.make 17 [];
     free_words = 0;
     free_list_hits = 0;
@@ -146,7 +150,10 @@ let create ?(policy = Unlocked) ?(processors = 1) ?(tenure_age = 4)
     last_scavenge = empty_stats () }
 
 let set_nil h nil = h.nil <- nil
-let set_sanitizer h san = h.sanitizer <- Some san
+let set_sanitizer h san =
+  h.sanitizer <- Some san;
+  h.san_entry_table <- Sanitizer.id san "entry table";
+  h.san_allocation <- Sanitizer.id san "allocation"
 let add_root h cell = h.roots <- cell :: h.roots
 let remove_root h cell =
   h.roots <- List.filter (fun c -> not (c == cell)) h.roots
@@ -186,8 +193,8 @@ let set_raw h (o : Oop.t) i v =
 let remember h a =
   (match h.sanitizer with
    | Some san when Sanitizer.checking san ->
-       Sanitizer.check_guarded san ~resource:"entry table" ~vp:(-1) ~now:(-1)
-         ~detail:(string_of_int a)
+       Sanitizer.check_guarded san ~resource:h.san_entry_table ~vp:(-1)
+         ~now:(-1) Trace.Address a 0
    | _ -> ());
   if h.rset_len = Array.length h.rset then begin
     let bigger = Array.make (2 * Array.length h.rset) 0 in
@@ -273,8 +280,8 @@ let alloc_new h ~vp ~slots ~raw ?(bytes = false) ~cls () =
   if region_avail r < total then raise Scavenge_needed;
   (match h.sanitizer with
    | Some san when Sanitizer.checking san ->
-       Sanitizer.check_guarded san ~resource:"allocation" ~vp ~now:(-1)
-         ~detail:(Printf.sprintf "%d words" total)
+       Sanitizer.check_guarded san ~resource:h.san_allocation ~vp ~now:(-1)
+         Trace.Words total 0
    | _ -> ());
   let a = r.ptr in
   r.ptr <- r.ptr + total;

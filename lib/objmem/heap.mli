@@ -58,6 +58,10 @@ type t = {
   mutable method_ctx_class : Oop.t;  (** so the scavenger can bound frames *)
   mutable block_ctx_class : Oop.t;
   mutable sanitizer : Sanitizer.t option;  (** attached by the VM layer *)
+  mutable san_entry_table : Sanitizer.id;
+      (** the entry table's resource id in [sanitizer] *)
+  mutable san_allocation : Sanitizer.id;
+      (** the allocation pointer's resource id in [sanitizer] *)
   free_lists : int list array;
       (** old-space holes by size: buckets 0..15 hold exact sizes 2..17
           words, bucket 16 is first-fit overflow (E18) *)

@@ -8,7 +8,10 @@
    The display controller drains its queue at a fixed service rate.  When
    the queue is full, an enqueueing interpreter must wait for space — this
    is how the paper's "busy" Processes, which contend for the display,
-   interfere with the benchmark Process. *)
+   interfere with the benchmark Process.
+
+   Each queue is the guarded resource of its lock and carries the lock's
+   name, so the sanitizer id of the lock is also the queue's. *)
 
 type display = {
   lock : Spinlock.t;
@@ -77,8 +80,8 @@ let display_enqueue ?(vp = -1) d ~now =
     Spinlock.critical ~vp d.lock ~now:start ~op_cycles:10 (fun () ->
         (match Spinlock.sanitizer d.lock with
          | Some san ->
-             Sanitizer.check_guarded san ~resource:"display output queue" ~vp
-               ~now:start ~detail:"enqueue"
+             Sanitizer.check_guarded san ~resource:(Spinlock.sanitizer_id d.lock)
+               ~vp ~now:start (Trace.Text "enqueue") 0 0
          | None -> ());
         d.commands <- d.commands + 1)
   in
@@ -142,8 +145,9 @@ let poll ?(vp = -1) q ~now ~op_cycles =
       | e :: rest when e.time <= now ->
           (match Spinlock.sanitizer q.ilock with
            | Some san ->
-               Sanitizer.check_guarded san ~resource:"input event queue" ~vp
-                 ~now ~detail:"pop"
+               Sanitizer.check_guarded san
+                 ~resource:(Spinlock.sanitizer_id q.ilock) ~vp ~now
+                 (Trace.Text "pop") 0 0
            | None -> ());
           q.pending <- rest;
           q.pending_count <- q.pending_count - 1;

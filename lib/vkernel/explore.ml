@@ -92,9 +92,8 @@ let applied d ~vp ~now ~resource decision =
   match d.trace with
   | None -> ()
   | Some t ->
-      Trace.record t ~vp ~time:now ~kind:Trace.Sched_decision
-        ~resource
-        ~detail:(Printf.sprintf "#%d %s" index (describe decision))
+      Trace.note t ~vp ~time:now ~kind:Trace.Sched_decision ~resource
+        (Printf.sprintf "#%d %s" index (describe decision))
 
 (* Answer one preemption-point query.  [gen] samples a decision from the
    seed (None = leave the default); replay applies the recorded decision

@@ -231,8 +231,8 @@ let applied t ~vp ~now ~resource fault =
   match t.trace with
   | None -> ()
   | Some tr ->
-      Trace.record tr ~vp ~time:now ~kind:Trace.Fault_event ~resource
-        ~detail:(Printf.sprintf "#%d %s" t.last_index (describe fault))
+      Trace.note tr ~vp ~time:now ~kind:Trace.Fault_event ~resource
+        (Printf.sprintf "#%d %s" t.last_index (describe fault))
 
 (* --- structured failure reports --- *)
 

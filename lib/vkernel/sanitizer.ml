@@ -2,13 +2,12 @@ type mode = Off | Report | Strict
 
 exception Violation of string
 
-(* Per-lock serialization state.  [last_start]/[last_finish] describe the
-   most recent completed (or open) critical section on the lock's virtual
-   timeline; [depth]/[section_vp] track the currently open bracket.  The
-   host is single-threaded, so a bracket being open means host-order
-   nesting, which is exactly the discipline the checker verifies. *)
+(* Per-lock serialization state.  [last_finish] is the latest finish on
+   the lock's virtual timeline; [depth]/[section_vp] track the currently
+   open bracket.  The host is single-threaded, so a bracket being open
+   means host-order nesting, which is exactly the discipline the checker
+   verifies. *)
 type lock_state = {
-  mutable last_start : int;
   mutable last_finish : int;
   mutable depth : int;
   mutable section_vp : int;
@@ -25,12 +24,15 @@ type scav_state = {
   mutable chunks : (int * int * int) list;  (* worker, base, limit *)
 }
 
+type id = int
+
+(* Locks and guarded resources are named by their trace-ring ids, so one
+   id indexes both the per-name state below and the ring's name table. *)
 type t = {
   mode : mode;
   trace : Trace.t;
-  locks : (string, lock_state) Hashtbl.t;
-  mutable lock_order : string list;  (* reverse registration order *)
-  guards : (string, string) Hashtbl.t;  (* resource -> lock name *)
+  mutable locks : lock_state array;  (* by id; unused for pure resources *)
+  mutable guards : id array;  (* resource id -> guarding lock id, or -1 *)
   mutable armed : bool;
   mutable scav : scav_state option;  (* open parallel-scavenge phase *)
   mutable violation_count : int;
@@ -39,16 +41,12 @@ type t = {
 
 let max_messages = 64
 
-(* Events kept in the trace ring for post-mortem dumps. *)
-let trace_capacity = 4096
-
 let create mode =
   {
     mode;
-    trace = Trace.create ~capacity:trace_capacity ();
-    locks = Hashtbl.create 16;
-    lock_order = [];
-    guards = Hashtbl.create 16;
+    trace = Trace.create ();
+    locks = [||];
+    guards = [||];
     armed = false;
     scav = None;
     violation_count = 0;
@@ -64,105 +62,103 @@ let trace t = t.trace
 let violation_count t = t.violation_count
 let violations t = List.rev t.messages
 
-let register_lock t name =
-  if not (Hashtbl.mem t.locks name) then begin
-    Hashtbl.replace t.locks name
-      { last_start = 0; last_finish = 0; depth = 0; section_vp = -1 };
-    t.lock_order <- name :: t.lock_order
-  end
-
-let lock_names t = List.rev t.lock_order
+let id t name =
+  let id = Trace.intern t.trace name in
+  let n = Array.length t.locks in
+  if id >= n then begin
+    let n' = max (id + 1) (max 16 (2 * n)) in
+    t.locks <-
+      Array.init n' (fun i ->
+          if i < n then t.locks.(i)
+          else { last_finish = 0; depth = 0; section_vp = -1 });
+    t.guards <- Array.init n' (fun i -> if i < n then t.guards.(i) else -1)
+  end;
+  id
 
 let register_guard t ~resource ~lock =
-  register_lock t lock;
-  Hashtbl.replace t.guards resource lock
+  let lock = id t lock in
+  t.guards.(id t resource) <- lock
 
 let report_violation t ~vp ~now ~resource msg =
   t.violation_count <- t.violation_count + 1;
   if List.length t.messages < max_messages then
     t.messages <- Printf.sprintf "%s: %s" resource msg :: t.messages;
-  Trace.record t.trace ~vp ~time:now ~kind:Trace.Violation ~resource
-    ~detail:msg;
+  Trace.note t.trace ~vp ~time:now ~kind:Trace.Violation ~resource msg;
   if t.mode = Strict then
     raise (Violation (Printf.sprintf "sanitizer: %s: %s" resource msg))
 
-let lock_state t name =
-  match Hashtbl.find_opt t.locks name with
-  | Some st -> st
-  | None ->
-      register_lock t name;
-      Hashtbl.find t.locks name
+let report_on t ~vp ~now id msg =
+  report_violation t ~vp ~now ~resource:(Trace.name t.trace id) msg
 
 let on_lock_op t ~lock ~vp ~now ~start ~finish ~contended =
   if active t then begin
-    let st = lock_state t lock in
+    let st = t.locks.(lock) in
     if t.armed && start < st.last_finish then
-      report_violation t ~vp ~now ~resource:lock
+      report_on t ~vp ~now lock
         (Printf.sprintf
            "timeline moved backwards: section [%d,%d] starts before \
             previous finish %d"
            start finish st.last_finish);
     if t.armed && finish < start then
-      report_violation t ~vp ~now ~resource:lock
+      report_on t ~vp ~now lock
         (Printf.sprintf "section finish %d before start %d" finish start);
-    st.last_start <- start;
     st.last_finish <- max st.last_finish finish;
     Trace.record t.trace ~vp ~time:start
       ~kind:(if contended then Trace.Lock_contend else Trace.Lock_acquire)
-      ~resource:lock
-      ~detail:(Printf.sprintf "finish=%d" finish)
+      ~resource:lock Trace.Finish finish 0
   end
 
 let section_enter t ~lock ~vp ~now ~start ~finish ~contended =
   if active t then begin
     on_lock_op t ~lock ~vp ~now ~start ~finish ~contended;
-    let st = lock_state t lock in
+    let st = t.locks.(lock) in
     st.depth <- st.depth + 1;
     st.section_vp <- vp;
     Trace.record t.trace ~vp ~time:start ~kind:Trace.Section_enter
-      ~resource:lock ~detail:""
+      ~resource:lock Trace.Empty 0 0
   end
 
 let section_exit t ~lock ~vp ~now =
   if active t then begin
-    let st = lock_state t lock in
+    let st = t.locks.(lock) in
     if t.armed && st.depth <= 0 then
-      report_violation t ~vp ~now ~resource:lock
-        "section exit without matching enter"
+      report_on t ~vp ~now lock "section exit without matching enter"
     else st.depth <- max 0 (st.depth - 1);
     if st.depth = 0 then st.section_vp <- -1;
     Trace.record t.trace ~vp ~time:now ~kind:Trace.Section_exit
-      ~resource:lock ~detail:""
+      ~resource:lock Trace.Empty 0 0
   end
 
-let check_guarded t ~resource ~vp ~now ~detail =
-  if checking t then
-    match Hashtbl.find_opt t.guards resource with
-    | None -> ()
-    | Some lock ->
-        let st = lock_state t lock in
-        if st.depth <= 0 then
-          report_violation t ~vp ~now ~resource
-            (Printf.sprintf "mutated outside '%s' critical section (%s)"
-               lock detail)
-        else if vp >= 0 && st.section_vp >= 0 && vp <> st.section_vp then
-          report_violation t ~vp ~now ~resource
-            (Printf.sprintf
-               "mutated by vp %d inside '%s' section held by vp %d (%s)" vp
-               lock st.section_vp detail)
-        else
-          Trace.record t.trace ~vp ~time:now ~kind:Trace.Mutation ~resource
-            ~detail
+let check_guarded t ~resource ~vp ~now detail a b =
+  if checking t then begin
+    let lock = t.guards.(resource) in
+    if lock >= 0 then begin
+      let st = t.locks.(lock) in
+      if st.depth <= 0 then
+        report_on t ~vp ~now resource
+          (Printf.sprintf "mutated outside '%s' critical section (%s)"
+             (Trace.name t.trace lock) (Trace.render detail a b))
+      else if vp >= 0 && st.section_vp >= 0 && vp <> st.section_vp then
+        report_on t ~vp ~now resource
+          (Printf.sprintf
+             "mutated by vp %d inside '%s' section held by vp %d (%s)" vp
+             (Trace.name t.trace lock) st.section_vp
+             (Trace.render detail a b))
+      else
+        Trace.record t.trace ~vp ~time:now ~kind:Trace.Mutation ~resource
+          detail a b
+    end
+  end
 
 let check_owner t ~resource ~owner ~vp ~now =
   if checking t && owner >= 0 then
     if vp >= 0 && vp <> owner then
-      report_violation t ~vp ~now ~resource
+      report_on t ~vp ~now resource
         (Printf.sprintf "replicated resource owned by vp %d touched by vp %d"
            owner vp)
     else
       Trace.record t.trace ~vp ~time:now ~kind:Trace.Owner_touch ~resource
-        ~detail:(Printf.sprintf "owner=%d" owner)
+        Trace.Owner owner 0
 
 (* Record an injected fault or a recovery action in the trace ring.
    Faults are simulation events, not invariant violations — they are
@@ -170,15 +166,15 @@ let check_owner t ~resource ~owner ~vp ~now =
    shows the fault that preceded the failure it caused. *)
 let fault_event t ~vp ~now ~resource detail =
   if active t then
-    Trace.record t.trace ~vp ~time:now ~kind:Trace.Fault_event ~resource
-      ~detail
+    Trace.note t.trace ~vp ~time:now ~kind:Trace.Fault_event ~resource detail
 
 (* Record a successful work steal.  Like faults, steals are simulation
    events, not violations: when something goes wrong under the stealing
    scheduler, the dump should show which migrations led up to it. *)
-let steal_event t ~vp ~now ~resource ~detail =
+let steal_event t ~vp ~now ~resource detail =
   if active t then
-    Trace.record t.trace ~vp ~time:now ~kind:Trace.Steal ~resource ~detail
+    Trace.record t.trace ~vp ~time:now ~kind:Trace.Steal ~resource
+      (Trace.Text detail) 0 0
 
 (* --- the parallel-scavenge phase --- *)
 
@@ -190,9 +186,9 @@ let scav_resource = "parallel scavenge"
 let scavenge_begin t ~workers =
   if active t then begin
     t.scav <- Some { claims = Hashtbl.create 1024; chunks = [] };
-    Trace.record t.trace ~vp:(-1) ~time:(-1) ~kind:Trace.Mutation
+    Trace.note t.trace ~vp:(-1) ~time:(-1) ~kind:Trace.Mutation
       ~resource:scav_resource
-      ~detail:(Printf.sprintf "begin (%d workers)" workers)
+      (Printf.sprintf "begin (%d workers)" workers)
   end
 
 let scavenge_claim t ~worker ~addr =
@@ -226,9 +222,9 @@ let scavenge_chunk t ~worker ~base ~limit =
                    worker base limit w b l))
           s.chunks;
         s.chunks <- (worker, base, limit) :: s.chunks;
-        Trace.record t.trace ~vp:worker ~time:(-1) ~kind:Trace.Mutation
+        Trace.note t.trace ~vp:worker ~time:(-1) ~kind:Trace.Mutation
           ~resource:scav_resource
-          ~detail:(Printf.sprintf "chunk [%d,%d)" base limit)
+          (Printf.sprintf "chunk [%d,%d)" base limit)
       end
 
 let scavenge_copy t ~worker ~addr ~words =
@@ -257,8 +253,8 @@ let major_resource = "major collection"
    post-mortem dump shows where the collector was. *)
 let major_event t ~now detail =
   if active t then
-    Trace.record t.trace ~vp:(-1) ~time:now ~kind:Trace.Major
-      ~resource:major_resource ~detail
+    Trace.note t.trace ~vp:(-1) ~time:now ~kind:Trace.Major
+      ~resource:major_resource detail
 
 (* Record one bounded slice.  A slice may legitimately overrun the budget
    by the last work unit it started, but a gross overrun (4x) means the
@@ -267,9 +263,9 @@ let major_event t ~now detail =
    phase: the engine disarms the lock checker around the slice. *)
 let major_slice t ~now ~cost ~budget =
   if active t then begin
-    Trace.record t.trace ~vp:(-1) ~time:now ~kind:Trace.Major
+    Trace.note t.trace ~vp:(-1) ~time:now ~kind:Trace.Major
       ~resource:major_resource
-      ~detail:(Printf.sprintf "slice %d cycles (budget %d)" cost budget);
+      (Printf.sprintf "slice %d cycles (budget %d)" cost budget);
     if budget > 0 && cost > 4 * budget then
       report_violation t ~vp:(-1) ~now ~resource:major_resource
         (Printf.sprintf

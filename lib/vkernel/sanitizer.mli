@@ -48,11 +48,15 @@ val checking : t -> bool
 
 val trace : t -> Trace.t
 
-(** Declare a lock so its timeline is tracked. Idempotent. *)
-val register_lock : t -> string -> unit
+(** A lock or resource name, interned: its id in the trace ring.  Locks
+    and guarded resources are passed to the checks below by id, so a
+    check does no string hashing. *)
+type id = int
 
-(** Names of all registered locks, in registration order. *)
-val lock_names : t -> string list
+(** The id of a lock or resource name, registering it on first use:
+    a new lock's timeline starts at 0 with no section open, and a new
+    resource is unguarded until {!register_guard}. *)
+val id : t -> string -> id
 
 (** Declare that mutations of [resource] must happen inside [lock]'s
     critical section. *)
@@ -61,27 +65,28 @@ val register_guard : t -> resource:string -> lock:string -> unit
 (** Record a one-shot lock operation: check [start >= previous finish],
     advance the timeline, trace it. *)
 val on_lock_op :
-  t -> lock:string -> vp:int -> now:int -> start:int -> finish:int ->
+  t -> lock:id -> vp:int -> now:int -> start:int -> finish:int ->
   contended:bool -> unit
 
 (** Like {!on_lock_op} but additionally opens the critical-section
     bracket for [lock] on [vp]. *)
 val section_enter :
-  t -> lock:string -> vp:int -> now:int -> start:int -> finish:int ->
+  t -> lock:id -> vp:int -> now:int -> start:int -> finish:int ->
   contended:bool -> unit
 
-val section_exit : t -> lock:string -> vp:int -> now:int -> unit
+val section_exit : t -> lock:id -> vp:int -> now:int -> unit
 
-(** Check that a mutation of [resource] is bracketed by its guard lock's
-    critical section (no-op for unregistered resources or while not
-    checking). *)
+(** [check_guarded t ~resource ~vp ~now detail a b] checks that a
+    mutation of [resource] is bracketed by its guard lock's critical
+    section (no-op for unguarded resources or while not checking).  The
+    mutation is traced with [detail] over [a] and [b]; the detail is
+    rendered into the message only on a violation. *)
 val check_guarded :
-  t -> resource:string -> vp:int -> now:int -> detail:string -> unit
+  t -> resource:id -> vp:int -> now:int -> Trace.detail -> int -> int -> unit
 
 (** Check that a replicated resource is touched only by its owner
     ([owner < 0] means shared — never flagged). *)
-val check_owner :
-  t -> resource:string -> owner:int -> vp:int -> now:int -> unit
+val check_owner : t -> resource:id -> owner:int -> vp:int -> now:int -> unit
 
 (** Record an injected fault or a recovery action in the trace ring.
     Faults are simulation events, not violations: recorded whenever the
@@ -91,8 +96,7 @@ val fault_event : t -> vp:int -> now:int -> resource:string -> string -> unit
 
 (** Record a successful work steal in the trace ring — a simulation
     event, not a violation, recorded whenever the sanitizer is active. *)
-val steal_event :
-  t -> vp:int -> now:int -> resource:string -> detail:string -> unit
+val steal_event : t -> vp:int -> now:int -> resource:id -> string -> unit
 
 (** {2 The parallel-scavenge phase}
 

@@ -24,6 +24,7 @@ type t = {
   acquire_cost : int;
   mutable free_at : int;
   mutable san : Sanitizer.t option;
+  mutable san_id : Sanitizer.id;  (* this lock's id in [san] *)
   mutable machine : Machine.t option;
   (* Report the op windows of a *disabled* lock to the sanitizer.  Off by
      default: legitimately lock-free configurations (baseline BS on one
@@ -66,6 +67,7 @@ let make ~enabled ~cost name =
     acquire_cost = cost.Cost_model.lock_acquire;
     free_at = 0;
     san = None;
+    san_id = -1;
     machine = None;
     report_unlocked = false;
     holder = -1;
@@ -101,9 +103,10 @@ let injector t =
 
 let attach t san =
   t.san <- Some san;
-  if t.enabled then Sanitizer.register_lock san t.name
+  t.san_id <- Sanitizer.id san t.name
 
 let sanitizer t = t.san
+let sanitizer_id t = t.san_id
 
 let attach_machine t m = t.machine <- Some m
 
@@ -145,7 +148,7 @@ let unlocked_op t ~vp ~now ~op_cycles =
   let now = jittered t ~vp ~now in
   (match t.san with
    | Some san when t.report_unlocked && vp >= 0 ->
-       Sanitizer.on_lock_op san ~lock:t.name ~vp ~now ~start:now
+       Sanitizer.on_lock_op san ~lock:t.san_id ~vp ~now ~start:now
          ~finish:(now + op_cycles) ~contended:false
    | _ -> ());
   now + op_cycles
@@ -290,7 +293,7 @@ let locked_op ?(vp = -1) t ~now ~op_cycles =
     let finish = inject_holder_fault t ~vp ~finish in
     (match t.san with
      | Some san ->
-         Sanitizer.on_lock_op san ~lock:t.name ~vp ~now ~start ~finish
+         Sanitizer.on_lock_op san ~lock:t.san_id ~vp ~now ~start ~finish
            ~contended:was_contended
      | None -> ());
     maybe_preempt t ~vp ~now:finish;
@@ -316,15 +319,15 @@ let critical ?(vp = -1) t ~now ~op_cycles f =
     match t.san with
     | None -> finish_section (f ())
     | Some san ->
-        Sanitizer.section_enter san ~lock:t.name ~vp ~now ~start ~finish
+        Sanitizer.section_enter san ~lock:t.san_id ~vp ~now ~start ~finish
           ~contended:was_contended;
         let result =
           try f ()
           with e ->
-            Sanitizer.section_exit san ~lock:t.name ~vp ~now:finish;
+            Sanitizer.section_exit san ~lock:t.san_id ~vp ~now:finish;
             raise e
         in
-        Sanitizer.section_exit san ~lock:t.name ~vp ~now:finish;
+        Sanitizer.section_exit san ~lock:t.san_id ~vp ~now:finish;
         finish_section result
   end
 

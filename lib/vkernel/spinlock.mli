@@ -22,11 +22,14 @@ val name : t -> string
 val enabled : t -> bool
 
 (** Attach a sanitizer: lock operations report their timeline to it and
-    [critical] brackets open/close sanitizer sections.  Registers the lock
-    with the sanitizer when enabled. *)
+    [critical] brackets open/close sanitizer sections.  Registers the
+    lock's name with the sanitizer. *)
 val attach : t -> Sanitizer.t -> unit
 
 val sanitizer : t -> Sanitizer.t option
+
+(** The lock's id in the attached sanitizer ([-1] before {!attach}). *)
+val sanitizer_id : t -> Sanitizer.id
 
 (** Attach the machine: lock operations consult its scheduling policy (if
     one is installed) at the two lock-side preemption points — jitter

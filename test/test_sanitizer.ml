@@ -12,8 +12,8 @@ let cm = Cost_model.uniform
 let test_trace_ring () =
   let t = Trace.create ~capacity:4 () in
   for i = 0 to 9 do
-    Trace.record t ~vp:0 ~time:i ~kind:Trace.Mutation ~resource:"r"
-      ~detail:(string_of_int i)
+    Trace.note t ~vp:0 ~time:i ~kind:Trace.Mutation ~resource:"r"
+      (string_of_int i)
   done;
   check "total recorded counts overwritten events" 10 (Trace.recorded t);
   let times = List.map (fun e -> e.Trace.time) (Trace.last t 4) in
@@ -24,32 +24,92 @@ let test_trace_ring () =
   Trace.clear t;
   check "cleared" 0 (Trace.recorded t)
 
+(* Recording stores ints: once the ring exists, no event of a numeric
+   detail allocates.  The ring itself is allocated by the first record,
+   so a ring that is never recorded into costs next to nothing. *)
+let allocated_words () =
+  let s = Gc.quick_stat () in
+  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+
+let test_trace_allocation () =
+  let before = allocated_words () in
+  let t = Trace.create () in
+  let created = allocated_words () -. before in
+  check_bool "an unrecorded ring allocates no slots" true (created < 1000.);
+  let r = Trace.intern t "allocation" in
+  Trace.record t ~vp:0 ~time:0 ~kind:Trace.Mutation ~resource:r Trace.Empty 0
+    0;
+  let before = allocated_words () in
+  for i = 1 to 10_000 do
+    Trace.record t ~vp:(i land 3) ~time:i ~kind:Trace.Lock_acquire
+      ~resource:r Trace.Finish (i + 7) 0;
+    Trace.record t ~vp:(i land 3) ~time:i ~kind:Trace.Mutation ~resource:r
+      Trace.Slot i 3
+  done;
+  let recorded = allocated_words () -. before in
+  check_bool "20,000 records allocate nothing" true (recorded < 100.);
+  check "recorded" 20_001 (Trace.recorded t)
+
+(* An Off sanitizer never records, so it never allocates a ring, and a
+   dump of it reads as empty.  An armed one checks and traces the hot
+   events — lock ops, sections, guarded mutations, owner touches — with
+   int stores only. *)
+let test_sanitizer_allocation () =
+  let before = allocated_words () in
+  let off = Sanitizer.create Sanitizer.Off in
+  check_bool "Off allocates no ring" true (allocated_words () -. before < 1000.);
+  Alcotest.(check string) "an Off dump is empty" "(trace empty)\n"
+    (Format.asprintf "%a"
+       (fun fmt t -> Trace.dump fmt t ~n:10)
+       (Sanitizer.trace off));
+  let san = Sanitizer.create Sanitizer.Strict in
+  let l = Sanitizer.id san "l" and r = Sanitizer.id san "r" in
+  let c = Sanitizer.id san "c" in
+  Sanitizer.register_guard san ~resource:"r" ~lock:"l";
+  Sanitizer.set_armed san true;
+  Sanitizer.check_owner san ~resource:c ~owner:1 ~vp:1 ~now:0;
+  let before = allocated_words () in
+  for i = 1 to 2_000 do
+    let start = i * 10 in
+    Sanitizer.section_enter san ~lock:l ~vp:0 ~now:start ~start
+      ~finish:(start + 5) ~contended:false;
+    Sanitizer.check_guarded san ~resource:r ~vp:0 ~now:start Trace.Slot i 2;
+    Sanitizer.section_exit san ~lock:l ~vp:0 ~now:(start + 5);
+    Sanitizer.on_lock_op san ~lock:l ~vp:1 ~now:(start + 5)
+      ~start:(start + 5) ~finish:(start + 9) ~contended:true;
+    Sanitizer.check_owner san ~resource:c ~owner:1 ~vp:1 ~now:start
+  done;
+  check_bool "armed checks allocate nothing" true
+    (allocated_words () -. before < 100.);
+  check "no violations" 0 (Sanitizer.violation_count san);
+  check "every event traced" 12_001 (Trace.recorded (Sanitizer.trace san))
+
 (* --- timeline checks --- *)
 
 (* Drive a lock's timeline by hand: a start before the previous finish is
    the free_at-rewind bug the sanitizer exists to catch. *)
 let test_timeline_report () =
   let san = Sanitizer.create Sanitizer.Report in
-  Sanitizer.register_lock san "l";
+  let l = Sanitizer.id san "l" in
   Sanitizer.set_armed san true;
-  Sanitizer.on_lock_op san ~lock:"l" ~vp:0 ~now:0 ~start:0 ~finish:100
+  Sanitizer.on_lock_op san ~lock:l ~vp:0 ~now:0 ~start:0 ~finish:100
     ~contended:false;
-  Sanitizer.on_lock_op san ~lock:"l" ~vp:1 ~now:50 ~start:50 ~finish:150
+  Sanitizer.on_lock_op san ~lock:l ~vp:1 ~now:50 ~start:50 ~finish:150
     ~contended:false;
   check "overlapping sections reported" 1 (Sanitizer.violation_count san);
-  Sanitizer.on_lock_op san ~lock:"l" ~vp:0 ~now:150 ~start:150 ~finish:200
+  Sanitizer.on_lock_op san ~lock:l ~vp:0 ~now:150 ~start:150 ~finish:200
     ~contended:false;
   check "a correctly serialized op adds nothing" 1
     (Sanitizer.violation_count san)
 
 let test_timeline_strict_raises () =
   let san = Sanitizer.create Sanitizer.Strict in
-  Sanitizer.register_lock san "l";
+  let l = Sanitizer.id san "l" in
   Sanitizer.set_armed san true;
-  Sanitizer.on_lock_op san ~lock:"l" ~vp:0 ~now:0 ~start:0 ~finish:100
+  Sanitizer.on_lock_op san ~lock:l ~vp:0 ~now:0 ~start:0 ~finish:100
     ~contended:false;
   match
-    Sanitizer.on_lock_op san ~lock:"l" ~vp:1 ~now:50 ~start:50 ~finish:150
+    Sanitizer.on_lock_op san ~lock:l ~vp:1 ~now:50 ~start:50 ~finish:150
       ~contended:false
   with
   | () -> Alcotest.fail "expected Violation"
@@ -57,11 +117,11 @@ let test_timeline_strict_raises () =
 
 let test_disarmed_is_silent () =
   let san = Sanitizer.create Sanitizer.Strict in
-  Sanitizer.register_lock san "l";
+  let l = Sanitizer.id san "l" in
   (* not armed: bootstrap-style mutation must pass *)
-  Sanitizer.on_lock_op san ~lock:"l" ~vp:0 ~now:0 ~start:0 ~finish:100
+  Sanitizer.on_lock_op san ~lock:l ~vp:0 ~now:0 ~start:0 ~finish:100
     ~contended:false;
-  Sanitizer.on_lock_op san ~lock:"l" ~vp:1 ~now:50 ~start:50 ~finish:150
+  Sanitizer.on_lock_op san ~lock:l ~vp:1 ~now:50 ~start:50 ~finish:150
     ~contended:false;
   check "nothing recorded while disarmed" 0 (Sanitizer.violation_count san)
 
@@ -72,35 +132,40 @@ let test_guarded_mutation () =
   let l = Spinlock.make ~enabled:true ~cost:cm "guard lock" in
   Spinlock.attach l san;
   Sanitizer.register_guard san ~resource:"table" ~lock:"guard lock";
+  let table = Sanitizer.id san "table" in
   Sanitizer.set_armed san true;
   (* outside any critical section *)
-  Sanitizer.check_guarded san ~resource:"table" ~vp:0 ~now:0 ~detail:"x";
+  Sanitizer.check_guarded san ~resource:table ~vp:0 ~now:0 (Trace.Text "x") 0
+    0;
   check "unbracketed mutation flagged" 1 (Sanitizer.violation_count san);
   (* inside the bracket: clean *)
   let _, () =
     Spinlock.critical ~vp:1 l ~now:10 ~op_cycles:5 (fun () ->
-        Sanitizer.check_guarded san ~resource:"table" ~vp:1 ~now:10 ~detail:"y")
+        Sanitizer.check_guarded san ~resource:table ~vp:1 ~now:10
+          (Trace.Text "y") 0 0)
   in
   check "bracketed mutation passes" 1 (Sanitizer.violation_count san);
   (* a different vp mutating inside someone else's section *)
   let _, () =
     Spinlock.critical ~vp:1 l ~now:100 ~op_cycles:5 (fun () ->
-        Sanitizer.check_guarded san ~resource:"table" ~vp:2 ~now:100
-          ~detail:"z")
+        Sanitizer.check_guarded san ~resource:table ~vp:2 ~now:100
+          (Trace.Text "z") 0 0)
   in
   check "cross-vp mutation flagged" 2 (Sanitizer.violation_count san);
   (* unregistered resources are never checked *)
-  Sanitizer.check_guarded san ~resource:"unknown" ~vp:0 ~now:0 ~detail:"w";
+  Sanitizer.check_guarded san ~resource:(Sanitizer.id san "unknown") ~vp:0
+    ~now:0 (Trace.Text "w") 0 0;
   check "unregistered resource ignored" 2 (Sanitizer.violation_count san)
 
 let test_owner_check () =
   let san = Sanitizer.create Sanitizer.Report in
   Sanitizer.set_armed san true;
-  Sanitizer.check_owner san ~resource:"cache" ~owner:2 ~vp:2 ~now:0;
+  let cache = Sanitizer.id san "cache" in
+  Sanitizer.check_owner san ~resource:cache ~owner:2 ~vp:2 ~now:0;
   check "owner may touch" 0 (Sanitizer.violation_count san);
-  Sanitizer.check_owner san ~resource:"cache" ~owner:2 ~vp:0 ~now:0;
+  Sanitizer.check_owner san ~resource:cache ~owner:2 ~vp:0 ~now:0;
   check "foreign vp flagged" 1 (Sanitizer.violation_count san);
-  Sanitizer.check_owner san ~resource:"cache" ~owner:(-1) ~vp:0 ~now:0;
+  Sanitizer.check_owner san ~resource:cache ~owner:(-1) ~vp:0 ~now:0;
   check "shared (-1) never flagged" 1 (Sanitizer.violation_count san)
 
 (* --- the parallel-scavenge phase --- *)
@@ -357,7 +422,11 @@ let test_instrumentation_covers_all_locks () =
 
 let () =
   Alcotest.run "sanitizer"
-    [ ("trace", [ Alcotest.test_case "ring buffer" `Quick test_trace_ring ]);
+    [ ("trace",
+       [ Alcotest.test_case "ring buffer" `Quick test_trace_ring;
+         Alcotest.test_case "allocation" `Quick test_trace_allocation;
+         Alcotest.test_case "sanitizer allocation" `Quick
+           test_sanitizer_allocation ]);
       ("golden_trace",
        [ Alcotest.test_case "strict stealing busy" `Quick
            test_golden_trace_stealing;

@@ -194,27 +194,94 @@ let test_input_order () =
 
 (* --- the trace ring --- *)
 
-(* For any capacity and event count: [recorded] counts every event ever
-   recorded (monotone through wraparound), and [last] returns exactly the
-   newest [capacity] events, oldest first, even when asked for more. *)
+(* The typed ring against a list model.  Random events (every kind, a
+   few resource names, every detail code over arbitrary arguments) and
+   random clears on rings of 1-16 slots: after each step [recorded]
+   counts the events since the last clear, and [last] returns exactly the
+   newest [capacity] of them, oldest first, even when asked for more.
+   The model renders each detail with the Printf formats the ring stored
+   as strings before it became typed, so every code must render them
+   byte for byte. *)
+
+type ring_op =
+  | Clear
+  | Record of int * int * Trace.kind * string * Trace.detail * int * int
+
+let model_detail (d : Trace.detail) a b =
+  match d with
+  | Empty -> ""
+  | Finish -> Printf.sprintf "finish=%d" a
+  | Owner -> Printf.sprintf "owner=%d" a
+  | Words -> Printf.sprintf "%d words" a
+  | Slot -> Printf.sprintf "%d[%d]" a b
+  | Address -> string_of_int a
+  | Text s -> s
+
+let ring_kinds =
+  Trace.
+    [| Lock_acquire; Lock_contend; Section_enter; Section_exit; Mutation;
+       Owner_touch; Violation; Sched_decision; Fault_event; Steal; Major |]
+
+let ring_resources = [| "allocation"; "ready deque 3"; "r"; "" |]
+
+let ring_details =
+  Trace.
+    [| Empty; Finish; Owner; Words; Slot; Address; Text "#3 holder stall 40";
+       Text "" |]
+
+let ring_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (1, return Clear);
+        ( 15,
+          map
+            (fun (vp, time, (k, r, d), (a, b)) ->
+              Record
+                ( vp, time, ring_kinds.(k), ring_resources.(r),
+                  ring_details.(d), a, b ))
+            (quad (int_range (-1) 70) (int_range (-1) 1_000_000)
+               (triple (int_bound 10) (int_bound 3) (int_bound 7))
+               (pair int int)) ) ])
+
+let print_ring_op = function
+  | Clear -> "clear"
+  | Record (vp, time, kind, resource, detail, a, b) ->
+      Printf.sprintf "%d@%d %s %S %S" vp time (Trace.kind_name kind) resource
+        (model_detail detail a b)
+
 let prop_trace_ring =
-  QCheck.Test.make ~count:200
+  QCheck.Test.make ~count:300
     ~name:"trace ring keeps the newest events through wraparound"
-    QCheck.(pair (int_range 1 16) (int_range 0 100))
-    (fun (capacity, total) ->
+    QCheck.(
+      make
+        ~print:(fun (capacity, ops) ->
+          Printf.sprintf "capacity %d: %s" capacity
+            (String.concat "; " (List.map print_ring_op ops)))
+        Gen.(pair (int_range 1 16) (list_size (int_range 0 80) ring_op_gen)))
+    (fun (capacity, ops) ->
       let t = Trace.create ~capacity () in
-      for i = 0 to total - 1 do
-        Trace.record t ~vp:(i mod 3) ~time:i ~kind:Trace.Mutation ~resource:"r"
-          ~detail:""
-      done;
-      let expect n =
-        List.init (min n total) (fun i -> total - min n total + i)
-      in
-      Trace.recorded t = total
-      && List.map (fun e -> e.Trace.time) (Trace.last t capacity)
-         = expect capacity
-      && List.map (fun e -> e.Trace.time) (Trace.last t (capacity + 50))
-         = expect capacity)
+      let model = ref [] (* newest first *) and count = ref 0 in
+      let newest n = List.rev (List.filteri (fun i _ -> i < n) !model) in
+      List.for_all
+        (fun op ->
+          (match op with
+           | Clear ->
+               Trace.clear t;
+               model := [];
+               count := 0
+           | Record (vp, time, kind, resource, detail, a, b) ->
+               Trace.record t ~vp ~time ~kind
+                 ~resource:(Trace.intern t resource) detail a b;
+               model :=
+                 { Trace.vp; time; kind; resource;
+                   detail = model_detail detail a b }
+                 :: !model;
+               incr count);
+          Trace.recorded t = !count
+          && Trace.last t capacity = newest capacity
+          && Trace.last t (capacity + 50) = newest capacity
+          && Trace.last t 1 = newest 1)
+        ops)
 
 (* --- multi-vp queue ordering --- *)
 
