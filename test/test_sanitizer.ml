@@ -24,13 +24,13 @@ let test_trace_ring () =
   Trace.clear t;
   check "cleared" 0 (Trace.recorded t)
 
-(* Recording stores ints: once the ring exists, no event of a numeric
-   detail allocates.  The ring itself is allocated by the first record,
-   so a ring that is never recorded into costs next to nothing. *)
 let allocated_words () =
   let s = Gc.quick_stat () in
   s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
 
+(* Recording stores ints: once the ring exists, no event of a numeric
+   detail allocates.  The ring itself is allocated by the first record,
+   so a ring that is never recorded into costs next to nothing. *)
 let test_trace_allocation () =
   let before = allocated_words () in
   let t = Trace.create () in
@@ -57,7 +57,8 @@ let test_trace_allocation () =
 let test_sanitizer_allocation () =
   let before = allocated_words () in
   let off = Sanitizer.create Sanitizer.Off in
-  check_bool "Off allocates no ring" true (allocated_words () -. before < 1000.);
+  check_bool "Off allocates no ring" true
+    (allocated_words () -. before < 1000.);
   Alcotest.(check string) "an Off dump is empty" "(trace empty)\n"
     (Format.asprintf "%a"
        (fun fmt t -> Trace.dump fmt t ~n:10)
