@@ -5,6 +5,7 @@
      dune exec bench/main.exe              -- everything
      dune exec bench/main.exe -- table2    -- one section
      dune exec bench/main.exe -- --quick   -- reduced repetitions
+                                              (writes no BENCH_*.json)
 
    Absolute numbers are simulated seconds on the simulated Firefly
    (1 MIPS); the workloads are sized so the baseline column lands near the
@@ -98,30 +99,45 @@ let run_ablation_sched ~quick () =
   let reps = if quick then 4 else 12 in
   Ablations.print_result fmt (Ablations.scheduler_reorganization ~reps ())
 
+(* --- the BENCH_*.json files --- *)
+
+(* A JSON value whose numbers carry their printf format, so a committed
+   file's digits stay fixed: [Float (d, x)] prints [x] with [d]
+   decimals. *)
+type json =
+  | Int of int
+  | Float of int * float
+  | Str of string
+  | Bool of bool
+  | Obj of (string * json) list
+  | Rows of json list  (* a top-level array, one element per line *)
+
+let rec json_string = function
+  | Int n -> string_of_int n
+  | Float (decimals, x) -> Printf.sprintf "%.*f" decimals x
+  | Str s -> Printf.sprintf "%S" s
+  | Bool b -> string_of_bool b
+  | Obj fields ->
+      let field (k, v) = Printf.sprintf "%S: %s" k (json_string v) in
+      "{" ^ String.concat ", " (List.map field fields) ^ "}"
+  | Rows rows ->
+      let row r = "    " ^ json_string r in
+      "[\n" ^ String.concat ",\n" (List.map row rows) ^ "\n  ]"
+
+(* Write a section's results to [file], one top-level field per line.  A
+   --quick run's numbers are not the published ones: it writes nothing,
+   so it cannot overwrite the committed file. *)
+let write_json ~quick file fields =
+  if quick then Format.fprintf fmt "@.(quick run: %s not written)@." file
+  else begin
+    let field (k, v) = Printf.sprintf "  %S: %s" k (json_string v) in
+    Out_channel.with_open_text file (fun oc ->
+        Printf.fprintf oc "{\n%s\n}\n"
+          (String.concat ",\n" (List.map field fields)));
+    Format.fprintf fmt "@.(rows written to %s)@." file
+  end
+
 (* --- E16: work stealing --- *)
-
-let steal_json_file = "BENCH_e16_steal.json"
-
-let write_steal_json ~workers rows =
-  let oc = open_out steal_json_file in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"e16_work_stealing\",\n  \"workers\": %d,\n\
-     \  \"rows\": [\n"
-    workers;
-  List.iteri
-    (fun i (r : Ablations.steal_row) ->
-      Printf.fprintf oc
-        "    {\"vps\": %d, \"locked_seconds\": %.6f, \"locked_sched_spin\": \
-         %d, \"stealing_seconds\": %.6f, \"deque_spin\": %d, \"steals\": %d, \
-         \"migrations\": %d, \"speedup\": %.3f}%s\n"
-        r.Ablations.vps r.Ablations.locked_seconds
-        r.Ablations.locked_sched_spin r.Ablations.stealing_seconds
-        r.Ablations.deque_spin r.Ablations.steals r.Ablations.migrations
-        (r.Ablations.locked_seconds /. r.Ablations.stealing_seconds)
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc
 
 let run_e16_steal ~quick () =
   section "E16: work-stealing scheduler, processor sweep";
@@ -129,12 +145,21 @@ let run_e16_steal ~quick () =
   let vps = if quick then [ 5; 8; 16 ] else [ 5; 8; 16; 32; 64 ] in
   let rows = Ablations.work_stealing_sweep ~workers ~vps () in
   Ablations.print_steal_rows fmt ~workers rows;
-  write_steal_json ~workers rows;
-  Format.fprintf fmt "@.(rows written to %s)@." steal_json_file
+  let row (r : Ablations.steal_row) =
+    Obj
+      [ ("vps", Int r.vps); ("locked_seconds", Float (6, r.locked_seconds));
+        ("locked_sched_spin", Int r.locked_sched_spin);
+        ("stealing_seconds", Float (6, r.stealing_seconds));
+        ("deque_spin", Int r.deque_spin); ("steals", Int r.steals);
+        ("migrations", Int r.migrations);
+        ("speedup", Float (3, r.locked_seconds /. r.stealing_seconds)) ]
+  in
+  write_json ~quick "BENCH_e16_steal.json"
+    [ ("experiment", Str "e16_work_stealing");
+      ("workers", Int workers);
+      ("rows", Rows (List.map row rows)) ]
 
 (* --- E17: the image server on the event-calendar engine --- *)
-
-let server_json_file = "BENCH_e17_server.json"
 
 type server_row = {
   srv_sessions : int;
@@ -150,46 +175,30 @@ let run_server_once config p =
     failwith "e17-server: run did not quiesce";
   (stats, wall)
 
-let write_server_json ~vps ~workers ~requests ~think_ms rows =
-  let oc = open_out server_json_file in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"e17_image_server\",\n  \"vps\": %d,\n\
-     \  \"workers\": %d,\n  \"requests_per_session\": %d,\n\
-     \  \"think_ms\": %d,\n  \"rows\": [\n"
-    vps workers requests think_ms;
-  let emit i row =
-    let (sc, sc_wall) = row.scan and (ca, ca_wall) = row.calendar in
-    let host_events s wall = float_of_int s.Server.engine_events /. wall in
-    let req_per_sim s =
-      if s.Server.sim_seconds > 0. then
-        float_of_int s.Server.completed /. s.Server.sim_seconds
-      else 0.
-    in
-    Printf.fprintf oc
-      "    {\"sessions\": %d, \"completed\": %d,\n\
-       \     \"scan\": {\"wall_seconds\": %.4f, \"engine_events\": %d, \
-       \"host_events_per_sec\": %.0f, \"sim_requests_per_sec\": %.3f, \
-       \"latency_p50_cycles\": %d, \"latency_p99_cycles\": %d},\n\
-       \     \"calendar\": {\"wall_seconds\": %.4f, \"engine_events\": %d, \
-       \"host_events_per_sec\": %.0f, \"sim_requests_per_sec\": %.3f, \
-       \"latency_p50_cycles\": %d, \"latency_p99_cycles\": %d, \
-       \"parks\": %d},\n\
-       \     \"wall_speedup\": %.2f, \"host_cycles_per_sec_speedup\": %.2f}%s\n"
-      row.srv_sessions sc.Server.completed
-      sc_wall sc.Server.engine_events (host_events sc sc_wall)
-      (req_per_sim sc) sc.Server.latency.Server.p50
-      sc.Server.latency.Server.p99
-      ca_wall ca.Server.engine_events (host_events ca ca_wall)
-      (req_per_sim ca) ca.Server.latency.Server.p50
-      ca.Server.latency.Server.p99 ca.Server.parks
-      (sc_wall /. ca_wall)
-      (float_of_int ca.Server.run_cycles /. ca_wall
-       /. (float_of_int sc.Server.run_cycles /. sc_wall))
-      (if i = List.length rows - 1 then "" else ",")
+let server_json_row row =
+  let engine ((s : Server.stats), wall) extra =
+    let per_sec n t = if t > 0. then float_of_int n /. t else 0. in
+    Obj
+      ([ ("wall_seconds", Float (4, wall));
+         ("engine_events", Int s.engine_events);
+         ("host_events_per_sec", Float (0, per_sec s.engine_events wall));
+         ("sim_requests_per_sec",
+          Float (3, per_sec s.completed s.sim_seconds));
+         ("latency_p50_cycles", Int s.latency.p50);
+         ("latency_p99_cycles", Int s.latency.p99) ]
+       @ extra)
   in
-  List.iteri emit rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc
+  let (sc, sc_wall) = row.scan and (ca, ca_wall) = row.calendar in
+  let cycles_per_sec (s : Server.stats) wall =
+    float_of_int s.run_cycles /. wall
+  in
+  Obj
+    [ ("sessions", Int row.srv_sessions); ("completed", Int sc.completed);
+      ("scan", engine row.scan []);
+      ("calendar", engine row.calendar [ ("parks", Int ca.parks) ]);
+      ("wall_speedup", Float (2, sc_wall /. ca_wall));
+      ("host_cycles_per_sec_speedup",
+       Float (2, cycles_per_sec ca ca_wall /. cycles_per_sec sc sc_wall)) ]
 
 let run_e17_server ~quick () =
   section
@@ -233,44 +242,15 @@ let run_e17_server ~quick () =
         { srv_sessions = sessions; scan; calendar })
       session_counts
   in
-  write_server_json ~vps ~workers ~requests ~think_ms rows;
-  Format.fprintf fmt "@.(rows written to %s)@." server_json_file
+  write_json ~quick "BENCH_e17_server.json"
+    [ ("experiment", Str "e17_image_server");
+      ("vps", Int vps);
+      ("workers", Int workers);
+      ("requests_per_session", Int requests);
+      ("think_ms", Int think_ms);
+      ("rows", Rows (List.map server_json_row rows)) ]
 
 (* --- E18: incremental old-space collection --- *)
-
-let gc_json_file = "BENCH_e18_gc.json"
-
-let write_gc_json ~iterations rows (s : Gc_study.major_summary) =
-  let oc = open_out gc_json_file in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"e18_incremental_major\",\n\
-     \  \"iterations\": %d,\n\
-     \  \"pauses\": [\n"
-    iterations;
-  List.iteri
-    (fun i (r : Gc_study.pause_row) ->
-      Printf.fprintf oc
-        "    {\"population\": %S, \"count\": %d, \"p50_ms\": %.6f, \
-         \"p95_ms\": %.6f, \"max_ms\": %.6f, \"budget_ms\": %.6f, \
-         \"budget_overruns\": %d}%s\n"
-        r.Gc_study.pause_label r.Gc_study.pauses r.Gc_study.p50_ms
-        r.Gc_study.p95_ms r.Gc_study.max_ms r.Gc_study.budget_ms
-        r.Gc_study.budget_overruns
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc
-    "  ],\n\
-     \  \"collector\": {\"cycles\": %d, \"slices\": %d, \
-     \"budget_cycles\": %d, \"overruns\": %d, \"forced_completions\": %d,\n\
-     \    \"reclaimed_objects\": %d, \"reclaimed_words\": %d, \
-     \"free_list_hits\": %d, \"free_reused_words\": %d, \
-     \"barrier_greys\": %d}\n}\n"
-    s.Gc_study.maj_cycles s.Gc_study.maj_slices s.Gc_study.maj_budget
-    s.Gc_study.maj_overruns s.Gc_study.maj_forced
-    s.Gc_study.maj_reclaimed_objects s.Gc_study.maj_reclaimed_words
-    s.Gc_study.maj_free_list_hits s.Gc_study.maj_free_reused_words
-    s.Gc_study.maj_barrier_greys;
-  close_out oc
 
 let run_e18_gc ~quick () =
   section
@@ -302,35 +282,29 @@ let run_e18_gc ~quick () =
          slice_row.Gc_study.p95_ms slice_row.Gc_study.budget_ms;
        exit 1
    | _ -> ());
-  write_gc_json ~iterations rows s;
-  Format.fprintf fmt "@.(rows written to %s)@." gc_json_file
+  let pause (r : Gc_study.pause_row) =
+    Obj
+      [ ("population", Str r.pause_label); ("count", Int r.pauses);
+        ("p50_ms", Float (6, r.p50_ms)); ("p95_ms", Float (6, r.p95_ms));
+        ("max_ms", Float (6, r.max_ms)); ("budget_ms", Float (6, r.budget_ms));
+        ("budget_overruns", Int r.budget_overruns) ]
+  in
+  write_json ~quick "BENCH_e18_gc.json"
+    [ ("experiment", Str "e18_incremental_major");
+      ("iterations", Int iterations); ("pauses", Rows (List.map pause rows));
+      ("collector",
+       Obj
+         [ ("cycles", Int s.maj_cycles); ("slices", Int s.maj_slices);
+           ("budget_cycles", Int s.maj_budget);
+           ("overruns", Int s.maj_overruns);
+           ("forced_completions", Int s.maj_forced);
+           ("reclaimed_objects", Int s.maj_reclaimed_objects);
+           ("reclaimed_words", Int s.maj_reclaimed_words);
+           ("free_list_hits", Int s.maj_free_list_hits);
+           ("free_reused_words", Int s.maj_free_reused_words);
+           ("barrier_greys", Int s.maj_barrier_greys) ]) ]
 
 (* --- E19: replicated image cluster --- *)
-
-let cluster_json_file = "BENCH_e19_cluster.json"
-
-let write_cluster_json ~requests rows =
-  let oc = open_out cluster_json_file in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"e19_replicated_cluster\",\n\
-     \  \"replicas\": %d,\n  \"requests\": %d,\n  \"rows\": [\n"
-    Replica.default_params.Replica.replicas requests;
-  List.iteri
-    (fun i (label, (o : Replica.outcome)) ->
-      Printf.fprintf oc
-        "    {\"run\": %S, \"entries\": %d, \"waves\": %d, \"crashes\": %d, \
-         \"rejoins\": %d, \"fallbacks\": %d, \"availability_permil\": %d, \
-         \"missed_entries\": %d, \"max_rejoin_lag\": %d, \
-         \"divergences\": %d, \"converged\": %b}%s\n"
-        label o.Replica.entries o.Replica.waves o.Replica.crashes
-        o.Replica.rejoins o.Replica.fallbacks o.Replica.availability_permil
-        o.Replica.missed o.Replica.max_rejoin_lag
-        (List.length o.Replica.divergences)
-        o.Replica.converged
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc
 
 let run_e19_cluster ~quick () =
   section
@@ -381,8 +355,21 @@ let run_e19_cluster ~quick () =
        Format.fprintf fmt "@.FAIL: the single-crash run never rejoined@.";
        exit 1
    | _ -> ());
-  write_cluster_json ~requests rows;
-  Format.fprintf fmt "@.(rows written to %s)@." cluster_json_file
+  let row (label, (o : Replica.outcome)) =
+    Obj
+      [ ("run", Str label); ("entries", Int o.entries); ("waves", Int o.waves);
+        ("crashes", Int o.crashes); ("rejoins", Int o.rejoins);
+        ("fallbacks", Int o.fallbacks);
+        ("availability_permil", Int o.availability_permil);
+        ("missed_entries", Int o.missed);
+        ("max_rejoin_lag", Int o.max_rejoin_lag);
+        ("divergences", Int (List.length o.divergences));
+        ("converged", Bool o.converged) ]
+  in
+  write_json ~quick "BENCH_e19_cluster.json"
+    [ ("experiment", Str "e19_replicated_cluster");
+      ("replicas", Int Replica.default_params.Replica.replicas);
+      ("requests", Int requests); ("rows", Rows (List.map row rows)) ]
 
 (* --- E8/E10: scavenge economics --- *)
 
@@ -552,13 +539,11 @@ let () =
       | "--quick", None -> quick := true
       | "--sanitize", Some v ->
           sanitize_mode :=
-            (match v with
-             | "off" -> Sanitizer.Off
-             | "report" -> Sanitizer.Report
-             | "strict" -> Sanitizer.Strict
-             | _ ->
-                 usage_error "unknown sanitize mode %s (off, report or strict)"
-                   v)
+            (match List.assoc_opt v Sanitizer.modes with
+             | Some m -> m
+             | None ->
+                 usage_error "unknown sanitize mode %s (%s)" v
+                   (String.concat ", " (List.map fst Sanitizer.modes)))
       | "--trace-dump", Some v ->
           trace_dump :=
             (match int_of_string_opt v with

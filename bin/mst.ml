@@ -34,11 +34,8 @@ let sanitize =
     "Serialization sanitizer: $(b,off), $(b,report) (accumulate violations \
      into the report) or $(b,strict) (fail on the first violation)."
   in
-  let modes =
-    [ ("off", Sanitizer.Off); ("report", Sanitizer.Report);
-      ("strict", Sanitizer.Strict) ]
-  in
-  Arg.(value & opt (enum modes) Sanitizer.Off & info [ "sanitize" ] ~doc)
+  Arg.(value & opt (enum Sanitizer.modes) Sanitizer.Off
+       & info [ "sanitize" ] ~doc)
 
 let scheduler =
   let doc =
@@ -83,6 +80,20 @@ let major_budget =
   Arg.(value & opt (some int) None & info [ "major-budget" ] ~docv:"CYCLES"
        ~doc)
 
+(* Refuse the invocation as a usage error: one [error:] line, exit 2. *)
+let refuse fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "error: %s\n" msg;
+      exit 2)
+    fmt
+
+(* A count of zero runs nothing (or, for processors, cannot build a
+   machine), and a run that did nothing must not report success: refuse
+   it as a usage error. *)
+let require_positive flag n =
+  if n <= 0 then refuse "%s must be positive, got %d" flag n
+
 (* The VM flags eval, run and serve share, assembled into a configuration:
    baseline BS for one processor on the locked scheduler with no
    background Processes, the published MS otherwise.  The result still
@@ -91,6 +102,7 @@ let major_budget =
 let vm_config ?(default_engine = Config.Engine_scan) ?(min_processors = 1) () =
   let make processors sanitize scheduler engine major major_budget
       ~background =
+    require_positive "-p" processors;
     let processors = max processors min_processors in
     let base =
       if processors <= 1 && (not background)
@@ -133,27 +145,14 @@ let shrink_budget ~doc =
 let replay ~doc =
   Arg.(value & opt (some file) None & info [ "replay" ] ~docv:"FILE" ~doc)
 
-(* A count of zero runs nothing (or, for processors, cannot build a
-   machine), and a run that did nothing must not report success: refuse
-   it as a usage error. *)
-let require_positive flag n =
-  if n <= 0 then begin
-    Printf.eprintf "error: %s must be positive, got %d\n" flag n;
-    exit 2
-  end
-
 (* Read a file named on the command line.  A malformed one, or one that
    cannot be read (Cmdliner's [file] accepts a directory), is a usage
    error: exit 2 with a message, never an uncaught exception. *)
 let read_input load path =
-  let refuse msg =
-    Printf.eprintf "error: %s\n" msg;
-    exit 2
-  in
   try load path with
-  | Failure msg -> refuse msg
-  | Sys_error msg when String.starts_with ~prefix:path msg -> refuse msg
-  | Sys_error msg -> refuse (path ^ ": " ^ msg)
+  | Failure msg -> refuse "%s" msg
+  | Sys_error msg when String.starts_with ~prefix:path msg -> refuse "%s" msg
+  | Sys_error msg -> refuse "%s: %s" path msg
 
 (* Save a shrunk plan, then prove the file a faithful reproducer for
    --replay: reload it, re-run it through [fails] and report.  Returns
@@ -180,20 +179,51 @@ let report_sanitizer vm ~trace_dump =
     Trace.dump Format.std_formatter (Sanitizer.trace san) ~n:trace_dump;
   if Sanitizer.violation_count san > 0 then exit 1
 
-(* Structured engine failures: print the processor and clock, dump the
-   trace-ring tail when asked, and fail the invocation.  (The ring only
-   records while the sanitizer is active, so pair `--trace-dump` with
-   `--sanitize=report` or `strict`.) *)
-let catching_faults vm ~trace_dump f =
+(* The one place a raised failure becomes an exit status.  A run that
+   fails (a fatal fault, a suspected deadlock, a sanitizer violation, a
+   VM error, an unanswered message) exits 1 after printing what happened
+   and, when [vm] is given, its sanitizer report and trace-ring tail.
+   (The ring only records while the sanitizer is active, so pair
+   `--trace-dump` with `--sanitize=report` or `strict`.)  Input the
+   tools refuse (unparsable source, a malformed class file, cluster
+   parameters out of range, a corrupt command log or checkpoint) exits 2
+   through [refuse]. *)
+let catching_faults ?vm ?(trace_dump = 0) f =
+  let failed fmt =
+    Printf.ksprintf
+      (fun msg ->
+        prerr_endline msg;
+        Option.iter (fun vm -> report_sanitizer vm ~trace_dump) vm;
+        exit 1)
+      fmt
+  in
   try f () with
-  | Fault.Fatal info ->
-      Printf.eprintf "fatal: %s\n" (Fault.describe_fatal info);
-      report_sanitizer vm ~trace_dump;
-      exit 1
+  | Fault.Fatal info -> failed "fatal: %s" (Fault.describe_fatal info)
   | Fault.Deadlock_suspected r ->
-      Printf.eprintf "deadlock: %s\n" (Fault.describe_deadlock r);
-      report_sanitizer vm ~trace_dump;
-      exit 1
+      failed "deadlock: %s" (Fault.describe_deadlock r)
+  | Sanitizer.Violation msg -> failed "sanitizer: %s" msg
+  | State.Vm_error msg | Vm.Error msg -> failed "error: %s" msg
+  | Interp.Does_not_understand msg -> failed "doesNotUnderstand: %s" msg
+  | Lexer.Error msg | Parser.Error msg | Codegen.Error msg
+  | Class_file.Error msg | Class_builder.Error msg
+  | Replica.Cluster_error msg ->
+      refuse "%s" msg
+  | Cmdlog.Corrupt { path; what } ->
+      refuse "corrupt command log %s: %s" path what
+  | Snapshot.Corrupt { path; what } ->
+      refuse "corrupt checkpoint %s: %s" path what
+
+(* Cmd.info with the exit statuses above, so every --help lists them. *)
+let cmd_info ?version name ~doc =
+  let exits =
+    [ Cmd.Exit.info 0 ~doc:"on success.";
+      Cmd.Exit.info 1 ~doc:"when a run or an oracle fails.";
+      Cmd.Exit.info 2
+        ~doc:"for a refused argument or an unreadable input file.";
+      Cmd.Exit.info Cmd.Exit.internal_error
+        ~doc:"on unexpected internal errors (bugs)." ]
+  in
+  Cmd.info ?version name ~doc ~exits
 
 (* --- eval --- *)
 
@@ -201,21 +231,14 @@ let eval_cmd =
   let expr = Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPR") in
   let run config state trace_dump expr =
     let vm = make_vm config state in
-    catching_faults vm ~trace_dump (fun () ->
-        try print_endline (Vm.eval_to_string vm expr) with
-        | State.Vm_error msg -> Printf.eprintf "error: %s\n" msg
-        | Interp.Does_not_understand msg ->
-            Printf.eprintf "doesNotUnderstand: %s\n" msg
-        | Sanitizer.Violation msg ->
-            Printf.eprintf "sanitizer: %s\n" msg;
-            report_sanitizer vm ~trace_dump;
-            exit 1);
+    catching_faults ~vm ~trace_dump (fun () ->
+        print_endline (Vm.eval_to_string vm expr));
     let tr = Vm.transcript vm in
     if tr <> "" then Printf.printf "--- transcript ---\n%s\n" tr;
     report_time vm;
     report_sanitizer vm ~trace_dump
   in
-  Cmd.v (Cmd.info "eval" ~doc:"Evaluate a Smalltalk expression")
+  Cmd.v (cmd_info "eval" ~doc:"Evaluate a Smalltalk expression")
     Term.(const run $ vm_config () $ state $ trace_dump $ expr)
 
 (* --- run --- *)
@@ -229,23 +252,18 @@ let run_cmd =
         (fun f -> In_channel.with_open_text f In_channel.input_all)
         file
     in
-    Vm.load_classes vm source;
-    (match Universe.find_class vm.Vm.u "Main" with
-     | Some _ ->
-         catching_faults vm ~trace_dump (fun () ->
-             try print_endline (Vm.eval_to_string vm "Main new main")
-             with Sanitizer.Violation msg ->
-               Printf.eprintf "sanitizer: %s\n" msg;
-               report_sanitizer vm ~trace_dump;
-               exit 1)
-     | None -> print_endline "(no Main class; classes loaded)");
+    catching_faults ~vm ~trace_dump (fun () ->
+        Vm.load_classes vm source;
+        match Universe.find_class vm.Vm.u "Main" with
+        | Some _ -> print_endline (Vm.eval_to_string vm "Main new main")
+        | None -> print_endline "(no Main class; classes loaded)");
     let tr = Vm.transcript vm in
     if tr <> "" then print_string tr;
     report_time vm;
     report_sanitizer vm ~trace_dump
   in
   Cmd.v
-    (Cmd.info "run"
+    (cmd_info "run"
        ~doc:"Load a class file (image-definition format) and run Main new main")
     Term.(const run $ vm_config () $ state $ trace_dump $ file)
 
@@ -271,13 +289,8 @@ let explore_cmd =
        lock brackets skipped — broken on purpose) or $(b,major-nobarrier) \
        (the collector's write barrier disabled — broken on purpose)."
     in
-    let configs =
-      [ ("ms", `Ms); ("stealing", `Stealing); ("calendar", `Calendar);
-        ("major", `Major); ("bs-unlocked", `Unlocked);
-        ("ctx-unbracketed", `Ctx); ("steal-unlocked", `StealUnlocked);
-        ("major-nobarrier", `MajorNoBarrier) ]
-    in
-    Arg.(value & opt (enum configs) `Ms & info [ "config" ] ~doc)
+    let names = List.map (fun (name, _) -> (name, name)) Explorer.setups in
+    Arg.(value & opt (enum names) "ms" & info [ "config" ] ~doc)
   in
   let expect_violation =
     let doc =
@@ -335,42 +348,10 @@ let explore_cmd =
       expect_violation shrink_budget dump_prefix dpor brute max_preemptions
       max_branch budget stats =
     require_positive "-p" processors;
-    (* [reference_setup] makes the stealing oracle differential: the
-       reference observables come from an unperturbed run on the locked
-       scheduler, so any steal-protocol divergence fails even on seeds
-       the sanitizer alone would pass. *)
-    let setup, config_label, reference_setup =
-      let quick = if quick then Some true else None in
-      match config_name with
-      | `Ms -> (Explorer.ms_setup ~processors ?quick (), "ms", None)
-      | `Stealing ->
-          ( Explorer.stealing_setup ~processors ?quick (),
-            "stealing (vs locked reference)",
-            Some (Explorer.ms_setup ~processors ?quick ()) )
-      | `Calendar ->
-          ( Explorer.calendar_setup ~processors ?quick (),
-            "calendar engine (vs scan reference)",
-            Some (Explorer.ms_setup ~processors ?quick ()) )
-      | `Major ->
-          ( Explorer.major_setup ~processors ?quick (),
-            "major collector (vs collector-free reference)",
-            Some (Explorer.major_reference_setup ~processors ?quick ()) )
-      | `Unlocked ->
-          (Explorer.broken_unlocked_setup ~processors ?quick (), "bs-unlocked",
-           None)
-      | `Ctx ->
-          (Explorer.broken_ctx_setup ~processors ?quick (), "ctx-unbracketed",
-           None)
-      | `StealUnlocked ->
-          (Explorer.broken_steal_setup ~processors ?quick (), "steal-unlocked",
-           None)
-      | `MajorNoBarrier ->
-          (Explorer.broken_major_setup ~processors ?quick (),
-           "major-nobarrier", None)
+    let setup =
+      (List.assoc config_name Explorer.setups) ~processors ~quick ()
     in
-    let reference =
-      lazy (Explorer.reference (Option.value reference_setup ~default:setup))
-    in
+    let reference = lazy (Explorer.reference setup) in
     let replay_check sched =
       Explorer.check ~reference:(Lazy.force reference)
         (Explorer.run_schedule setup sched)
@@ -397,7 +378,7 @@ let explore_cmd =
     | Some file ->
         let sched = read_input Explore.load_replay file in
         Printf.printf "replaying %d decision(s) from %s on %s\n"
-          (List.length sched) file config_label;
+          (List.length sched) file setup.Explorer.label;
         (match replay_check sched with
          | Some what ->
              Printf.printf "replay fails the oracle: %s\n" what;
@@ -415,21 +396,19 @@ let explore_cmd =
            decision(s) per schedule, strict sanitizer, %d busy background \
            Process(es)\n%!"
           (if brute then "brute force" else "dpor")
-          config_label budget max_preemptions setup.Explorer.busy;
+          setup.Explorer.label budget max_preemptions setup.Explorer.busy;
         let r =
           Explorer.dpor ~mode ~max_branch ~max_flips:max_preemptions ~budget
-            ~shrink_budget ?reference_setup setup
+            ~shrink_budget setup
             ~log:(fun line -> Printf.printf "%s\n%!" line)
             ()
         in
         let s = r.Explorer.dpor_result.Explore.Dpor.stats in
         (* a systematic run that never executed anything proves nothing *)
-        if s.Explore.Dpor.executions = 0 then begin
-          Printf.eprintf
-            "error: no executions ran (empty decision space or exhausted \
-             budget) — refusing to report vacuous success\n";
-          exit 2
-        end;
+        if s.Explore.Dpor.executions = 0 then
+          refuse
+            "no executions ran (empty decision space or exhausted budget) — \
+             refusing to report vacuous success";
         Printf.printf
           "%d execution(s), %d distinct trace(s), %d observable(s), %d \
            race(s), %d failing schedule(s)%s\n"
@@ -463,10 +442,10 @@ let explore_cmd =
         Printf.printf
           "exploring %s: %d seed(s) from %d, strict sanitizer, %d busy \
            background Process(es)\n%!"
-          config_label seeds first_seed setup.Explorer.busy;
+          setup.Explorer.label seeds first_seed setup.Explorer.busy;
         let report =
-          Explorer.explore ~shrink_budget ~first_seed ?reference_setup setup
-            ~seeds ~log:(fun line -> Printf.printf "%s\n%!" line)
+          Explorer.explore ~shrink_budget ~first_seed setup ~seeds
+            ~log:(fun line -> Printf.printf "%s\n%!" line)
         in
         Printf.printf
           "%d seed(s), %d distinct schedule(s), %d preemption-point \
@@ -491,7 +470,7 @@ let explore_cmd =
         finish_with ~failed
   in
   Cmd.v
-    (Cmd.info "explore"
+    (cmd_info "explore"
        ~doc:
          "Explore perturbed schedules with the strict sanitizer and a \
           differential oracle; shrink and save any counterexample")
@@ -587,10 +566,8 @@ let faults_cmd =
   in
   let run_hunt ~campaign ~seeds ~first_seed ~quick ~watchdog ~backoff
       ~shrink_budget ~dump =
-    if watchdog <= 0 then begin
-      Printf.eprintf "error: --deadlock needs the watchdog (--watchdog > 0)\n";
-      exit 2
-    end;
+    if watchdog <= 0 then
+      refuse "--deadlock needs the watchdog (--watchdog > 0)";
     let campaign = Option.value campaign ~default:Fault.Lock in
     Printf.printf
       "hunting a deadlock: campaign %s, %d seed(s) from %d, watchdog %d \
@@ -662,7 +639,7 @@ let faults_cmd =
           run_campaign ~campaign ~seeds ~first_seed ~quick ~watchdog ~backoff
   in
   Cmd.v
-    (Cmd.info "faults"
+    (cmd_info "faults"
        ~doc:
          "Seeded fault-injection campaigns (processor crashes, lock-holder \
           failures, device timeouts, scavenge-worker deaths) over the macro \
@@ -725,7 +702,7 @@ let serve_cmd =
   in
   let run_one ~label config p =
     let t0 = Unix.gettimeofday () in
-    let vm, stats = Server.run config p in
+    let vm, stats = catching_faults (fun () -> Server.run config p) in
     let wall = Unix.gettimeofday () -. t0 in
     Printf.printf "--- %s: %d sessions (%s loop), %d workers, %d \
                    processors ---\n"
@@ -738,13 +715,14 @@ let serve_cmd =
       wall
       (float_of_int stats.Server.engine_events /. wall)
       (float_of_int stats.Server.steps /. wall);
-    let san = Vm.sanitizer vm in
-    if Sanitizer.active san then Sanitizer.print_report san;
-    if Sanitizer.violation_count san > 0 then exit 1;
+    report_sanitizer vm ~trace_dump:0;
     stats
   in
   let run config sessions workers loop requests think_ms interval_ms admit
       differential =
+    require_positive "--sessions" sessions;
+    require_positive "--workers" workers;
+    require_positive "--requests" requests;
     let p =
       { Server.sessions; workers; loop; requests; think_ms; interval_ms;
         admit }
@@ -775,7 +753,7 @@ let serve_cmd =
     else if not stats.Server.quiesced then exit 1
   in
   Cmd.v
-    (Cmd.info "serve"
+    (cmd_info "serve"
        ~doc:
          "Run the image-server workload (E17): simulated user sessions \
           issue browse/inspect/compile requests against a pool of \
@@ -885,16 +863,8 @@ let cluster_cmd =
         log_seed; crash_seed; scenario; skip_lsn; dir }
     in
     let o =
-      try Replica.run ~log:(fun line -> Printf.printf "%s\n%!" line) p with
-      | Replica.Cluster_error msg ->
-          Printf.eprintf "error: %s\n" msg;
-          exit 2
-      | Cmdlog.Corrupt { path; what } ->
-          Printf.eprintf "error: corrupt command log %s: %s\n" path what;
-          exit 2
-      | Snapshot.Corrupt { path; what } ->
-          Printf.eprintf "error: corrupt checkpoint %s: %s\n" path what;
-          exit 2
+      catching_faults (fun () ->
+          Replica.run ~log:(fun line -> Printf.printf "%s\n%!" line) p)
     in
     Format.printf "%a" Replica.pp o;
     if o.Replica.fault_plan <> [] then begin
@@ -924,7 +894,7 @@ let cluster_cmd =
     exit (if !failed then 1 else 0)
   in
   Cmd.v
-    (Cmd.info "cluster"
+    (cmd_info "cluster"
        ~doc:
          "Run the replicated image cluster (E19): R simulated machines \
           execute a durable command log in dependency-aware waves, with \
@@ -955,9 +925,9 @@ let method_cmd name doc render =
     let vm = Vm.create (Config.baseline_bs ()) in
     match find_method vm cls_name sel_name with
     | Ok m -> print_string (render vm m)
-    | Error e -> Printf.eprintf "error: %s\n" e
+    | Error e -> refuse "%s" e
   in
-  Cmd.v (Cmd.info name ~doc) Term.(const run $ cls $ sel)
+  Cmd.v (cmd_info name ~doc) Term.(const run $ cls $ sel)
 
 let disasm_cmd =
   method_cmd "disasm" "Disassemble a method"
@@ -972,7 +942,7 @@ let browse_cmd =
   let run cls_name =
     let vm = Vm.create (Config.baseline_bs ()) in
     match Universe.find_class vm.Vm.u cls_name with
-    | None -> Printf.eprintf "error: unknown class %s\n" cls_name
+    | None -> refuse "unknown class %s" cls_name
     | Some _ ->
         let s expr = Heap.string_value vm.Vm.heap (Vm.eval vm expr) in
         print_endline (s (cls_name ^ " definitionString"));
@@ -983,7 +953,7 @@ let browse_cmd =
         print_endline "selectors:";
         print_endline (s ("(" ^ cls_name ^ " selectors collect: [:e | e asString]) printString"))
   in
-  Cmd.v (Cmd.info "browse" ~doc:"Show a class definition and its protocol")
+  Cmd.v (cmd_info "browse" ~doc:"Show a class definition and its protocol")
     Term.(const run $ cls)
 
 (* --- main --- *)
@@ -991,9 +961,16 @@ let browse_cmd =
 let main_cmd =
   let default = Term.(ret (const (`Help (`Pager, None)))) in
   Cmd.group ~default
-    (Cmd.info "mst" ~version:"1.0"
+    (cmd_info "mst" ~version:"1.0"
        ~doc:"Multiprocessor Smalltalk on a simulated Firefly")
     [ eval_cmd; run_cmd; explore_cmd; faults_cmd; disasm_cmd; decompile_cmd;
       browse_cmd; serve_cmd; cluster_cmd ]
 
-let () = exit (Cmd.eval main_cmd)
+(* A command line Cmdliner cannot parse is refused like any other
+   argument: exit 2, not Cmdliner's 124. *)
+let () =
+  exit
+    (match Cmd.eval_value main_cmd with
+     | Ok (`Ok () | `Help | `Version) -> 0
+     | Error (`Parse | `Term) -> 2
+     | Error `Exn -> Cmd.Exit.internal_error)

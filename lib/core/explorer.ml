@@ -18,6 +18,8 @@ type setup = {
   config : Config.t;
   busy : int;
   source : string;
+  reference_setup : setup option;
+  label : string;
 }
 
 (* A deterministic workload: allocates Points and Arrays (the allocation
@@ -36,33 +38,36 @@ let workload_source ~iterations =
      s"
     iterations
 
-let make_setup ?(processors = 5) ?(quick = false) tweak =
+let make_setup ?(processors = 5) ?(quick = false) ?reference_setup label tweak =
   let config =
     tweak { (Config.ms ~processors ()) with Config.sanitize = Sanitizer.Strict }
   in
   { config;
     busy = max 1 (processors - 1);
-    source = workload_source ~iterations:(if quick then 24 else 60) }
+    source = workload_source ~iterations:(if quick then 24 else 60);
+    reference_setup;
+    label }
 
-let ms_setup ?processors ?quick () = make_setup ?processors ?quick Fun.id
+let ms_setup ?processors ?quick () = make_setup ?processors ?quick "ms" Fun.id
 
 let broken_unlocked_setup ?processors ?quick () =
-  make_setup ?processors ?quick (fun c ->
+  make_setup ?processors ?quick "bs-unlocked" (fun c ->
       { c with Config.locks_enabled = false })
 
 let broken_ctx_setup ?processors ?quick () =
-  make_setup ?processors ?quick (fun c ->
+  make_setup ?processors ?quick "ctx-unbracketed" (fun c ->
       { c with
         Config.free_contexts = Config.Ctx_shared_locked;
         Config.debug_skip_ctx_lock = true })
 
-(* MS on the work-stealing scheduler (E16).  Explored against a locked
-   reference, the oracle is differential: any stealing run that computes
-   a different result, transcript or census than the serialized queue is
-   a steal-protocol bug. *)
+(* MS on the work-stealing scheduler (E16), checked against the locked
+   scheduler's unperturbed run: the oracle is differential, so any
+   stealing run that computes a different result, transcript or census
+   than the serialized queue is a steal-protocol bug. *)
 let stealing_setup ?processors ?quick () =
-  make_setup ?processors ?quick (fun c ->
-      { c with Config.scheduler = Config.Sched_stealing })
+  make_setup ?processors ?quick "stealing (vs locked reference)"
+    ~reference_setup:(ms_setup ?processors ?quick ())
+    (fun c -> { c with Config.scheduler = Config.Sched_stealing })
 
 (* MS on the event-calendar engine (E17).  Like [stealing_setup], the
    oracle is differential against a scan-engine reference: parking idle
@@ -70,14 +75,15 @@ let stealing_setup ?processors ?quick () =
    calendar run computing a different result, transcript or census than
    the scan engine is an engine bug. *)
 let calendar_setup ?processors ?quick () =
-  make_setup ?processors ?quick (fun c ->
-      { c with Config.engine = Config.Engine_calendar })
+  make_setup ?processors ?quick "calendar engine (vs scan reference)"
+    ~reference_setup:(ms_setup ?processors ?quick ())
+    (fun c -> { c with Config.engine = Config.Engine_calendar })
 
 (* The stealing scheduler with its deque-lock brackets removed: every
    deque mutation is unguarded, which the strict sanitizer must catch on
    the very first pick of any seed. *)
 let broken_steal_setup ?processors ?quick () =
-  make_setup ?processors ?quick (fun c ->
+  make_setup ?processors ?quick "steal-unlocked" (fun c ->
       { c with
         Config.scheduler = Config.Sched_stealing;
         Config.debug_unlocked_steal = true })
@@ -98,23 +104,27 @@ let gc_workload_source ~iterations =
      s"
     iterations
 
-let make_gc_setup ?(processors = 5) ?(quick = false) tweak =
-  let config =
-    tweak
-      { (Config.ms ~processors ()) with
-        Config.sanitize = Sanitizer.Strict;
-        eden_words = 2048;
-        survivor_words = 1024;
-        tenure_age = 1;
-        (* roomy enough that the collector-free reference side of the
-           differential also finishes the workload *)
-        old_words = (if quick then 128 else 192) * 1024 }
+let make_gc_setup ?processors ?(quick = false) ?reference_setup label tweak =
+  let setup =
+    make_setup ?processors ~quick ?reference_setup label (fun c ->
+        tweak
+          { c with
+            Config.eden_words = 2048;
+            survivor_words = 1024;
+            tenure_age = 1;
+            (* roomy enough that the collector-free reference side of the
+               differential also finishes the workload *)
+            old_words = (if quick then 128 else 192) * 1024 })
   in
-  { config;
-    busy = max 1 (processors - 1);
+  { setup with
     source = gc_workload_source ~iterations:(if quick then 1000 else 2000) }
 
-(* Explored against [major_reference_setup], the oracle is differential:
+(* The collector-free run of the identical configuration: same GC
+   pressure, no collector — both sides of the differential oracle. *)
+let major_reference_setup ?processors ?quick () =
+  make_gc_setup ?processors ?quick "major reference" Fun.id
+
+(* Checked against [major_reference_setup], the oracle is differential:
    collector slices perturb lock timelines and clock totals, but
    mark-sweep never moves or frees a reachable object, so a collector
    run computing a different result, transcript or census than the
@@ -128,22 +138,29 @@ let make_gc_setup ?(processors = 5) ?(quick = false) tweak =
    workload is long enough for a whole cycle to complete under the
    slice pacing. *)
 let major_setup ?processors ?quick () =
-  make_gc_setup ?processors ?quick (fun c ->
-      { c with Config.major_enabled = true })
-
-(* The collector-free run of the identical configuration: same GC
-   pressure, no collector — both sides of the differential oracle. *)
-let major_reference_setup ?processors ?quick () =
-  make_gc_setup ?processors ?quick Fun.id
+  make_gc_setup ?processors ?quick
+    "major collector (vs collector-free reference)"
+    ~reference_setup:(major_reference_setup ?processors ?quick ())
+    (fun c -> { c with Config.major_enabled = true })
 
 (* The collector with its write barrier replaced by the reporting probe
    ([Config.debug_skip_major_barrier]): the strict sanitizer must catch
    the first old-pointer store made while marking is in flight. *)
 let broken_major_setup ?processors ?quick () =
-  make_gc_setup ?processors ?quick (fun c ->
+  make_gc_setup ?processors ?quick "major-nobarrier" (fun c ->
       { c with
         Config.major_enabled = true;
         debug_skip_major_barrier = true })
+
+let setups =
+  [ ("ms", ms_setup);
+    ("stealing", stealing_setup);
+    ("calendar", calendar_setup);
+    ("major", major_setup);
+    ("bs-unlocked", broken_unlocked_setup);
+    ("ctx-unbracketed", broken_ctx_setup);
+    ("steal-unlocked", broken_steal_setup);
+    ("major-nobarrier", broken_major_setup) ]
 
 (* MS with the spin watchdog armed, for fault campaigns.  The default
    bound (64 Delay quanta = 9600 firefly cycles) sits far above any
@@ -151,7 +168,7 @@ let broken_major_setup ?processors ?quick () =
    bounds, so only a lock held by a dead processor trips it. *)
 let fault_setup ?processors ?quick ?(watchdog_quanta = 64)
     ?(backoff_quanta = 4) () =
-  make_setup ?processors ?quick (fun c ->
+  make_setup ?processors ?quick "faults" (fun c ->
       { c with Config.watchdog_quanta; Config.backoff_quanta })
 
 type observables = {
@@ -295,7 +312,8 @@ let run_driver ?faults setup driver =
         None
   | exception Fault.Fatal info -> finish (Some (Fault.describe_fatal info)) None
 
-let reference setup = run_driver setup None
+let reference setup =
+  run_driver (Option.value setup.reference_setup ~default:setup) None
 
 let run_seed ?params setup ~seed =
   run_driver setup (Some (Explore.seeded ?params ~seed ()))
@@ -363,14 +381,8 @@ type report = {
 }
 
 let explore ?params ?(shrink_budget = 120) ?(first_seed = 0)
-    ?(log = fun _ -> ()) ?reference_setup setup ~seeds =
-  (* the observables are compared against [reference_setup] when given —
-     e.g. stealing seeds checked against the locked scheduler's run — so
-     the oracle can be differential across configurations, not just
-     across schedules *)
-  let ref_outcome =
-    reference (Option.value reference_setup ~default:setup)
-  in
+    ?(log = fun _ -> ()) setup ~seeds =
+  let ref_outcome = reference setup in
   let fingerprints = Hashtbl.create 64 in
   let queries = ref 0 and perturbations = ref 0 in
   let counterexamples = ref [] in
@@ -421,19 +433,15 @@ type dpor_report = {
       (* first failing schedule, shrunk and replay-confirmed *)
 }
 
-(* Systematically explore [setup]'s schedule space.  As with [explore],
-   the oracle can be differential across configurations via
-   [reference_setup].  The first failing schedule is shrunk and
+(* Systematically explore [setup]'s schedule space against the same
+   reference as [explore].  The first failing schedule is shrunk and
    confirmed like a seeded counterexample (with no seed); the full
    failure list stays available in [dpor_result] (a broken config
    typically fails on the default schedule and on every reachable
    alternative). *)
 let dpor ?mode ?max_branch ?max_flips ?budget ?defers ?preempts
-    ?stop_on_failure ?(shrink_budget = 120) ?(log = fun _ -> ())
-    ?reference_setup setup () =
-  let ref_outcome =
-    reference (Option.value reference_setup ~default:setup)
-  in
+    ?stop_on_failure ?(shrink_budget = 120) ?(log = fun _ -> ()) setup () =
+  let ref_outcome = reference setup in
   let run sched =
     let o, xlog = run_guided setup sched in
     { Explore.Dpor.xlog;

@@ -16,6 +16,12 @@ type setup = {
   config : Config.t;
   busy : int;  (** busy background Processes competing for the locks *)
   source : string;  (** the watched workload expression *)
+  reference_setup : setup option;
+      (** the setup whose unperturbed run gives the reference observables,
+          when not this one: the oracle is then differential across
+          configurations (stealing against the locked scheduler, say),
+          not just across schedules *)
+  label : string;  (** the name mst's progress lines give it *)
 }
 
 (** The published MS configuration (strict sanitizer): exploration must
@@ -32,16 +38,14 @@ val broken_unlocked_setup : ?processors:int -> ?quick:bool -> unit -> setup
     surface a guarded-mutation violation. *)
 val broken_ctx_setup : ?processors:int -> ?quick:bool -> unit -> setup
 
-(** MS on the work-stealing scheduler (E16).  Explored with a locked
-    {!ms_setup} as [reference_setup], the oracle is differential: any
-    stealing run computing different observables than the serialized
-    queue is a steal-protocol bug. *)
+(** MS on the work-stealing scheduler (E16), referenced to a locked
+    {!ms_setup}: any stealing run computing different observables than
+    the serialized queue is a steal-protocol bug. *)
 val stealing_setup : ?processors:int -> ?quick:bool -> unit -> setup
 
-(** MS on the event-calendar engine (E17).  Explored with a scan-engine
-    {!ms_setup} as [reference_setup], the oracle is differential: any
-    calendar run computing different observables than the scan engine is
-    an engine bug. *)
+(** MS on the event-calendar engine (E17), referenced to a scan-engine
+    {!ms_setup}: any calendar run computing different observables than
+    the scan engine is an engine bug. *)
 val calendar_setup : ?processors:int -> ?quick:bool -> unit -> setup
 
 (** Deliberately broken: the stealing scheduler with its deque-lock
@@ -52,21 +56,23 @@ val broken_steal_setup : ?processors:int -> ?quick:bool -> unit -> setup
 
 (** MS under aggressive GC pressure (one-scavenge tenure age, tiny eden,
     a churn workload that tenures most of its garbage) with the
-    incremental old-space collector running (E18).  Explored with
-    {!major_reference_setup} as [reference_setup], the oracle is
-    differential: a collector run computing different observables than
-    the collector-free reference is a collector bug. *)
+    incremental old-space collector running (E18), referenced to the
+    identical configuration and workload with the collector disabled: a
+    collector run computing different observables than the
+    collector-free reference is a collector bug. *)
 val major_setup : ?processors:int -> ?quick:bool -> unit -> setup
-
-(** The collector-free side of {!major_setup}'s differential oracle:
-    identical configuration and workload, collector disabled. *)
-val major_reference_setup : ?processors:int -> ?quick:bool -> unit -> setup
 
 (** Deliberately broken: the collector's write barrier replaced by the
     reporting probe ([Config.debug_skip_major_barrier]).  The strict
     sanitizer must catch the first old-pointer store made while marking
     is in flight. *)
 val broken_major_setup : ?processors:int -> ?quick:bool -> unit -> setup
+
+(** Every setup above by its [mst explore --config] name: [ms],
+    [stealing], [calendar], [major], [bs-unlocked], [ctx-unbracketed],
+    [steal-unlocked] and [major-nobarrier]. *)
+val setups :
+  (string * (?processors:int -> ?quick:bool -> unit -> setup)) list
 
 (** MS with the spin watchdog armed (default 64 Delay quanta, backoff
     after 4 retries), for fault campaigns: far above any legitimate
@@ -109,7 +115,8 @@ type outcome = {
   fault_plan : Fault.plan;  (** faults honoured (empty without an injector) *)
 }
 
-(** Run the unperturbed schedule (no policy installed). *)
+(** Run the unperturbed schedule (no policy installed) of the setup's
+    [reference_setup], or of the setup itself when it has none. *)
 val reference : setup -> outcome
 
 (** Run one seeded exploration. *)
@@ -144,14 +151,10 @@ type report = {
 (** Explore [seeds] seeds starting at [first_seed] (default 0).  Each
     failing seed is shrunk (bounded by [shrink_budget] replays, default
     120) and confirmed.  [log] receives one progress line per failure.
-    When [reference_setup] is given, the reference observables come from
-    an unperturbed run of {e that} setup instead of [setup] — a
-    differential oracle across configurations (e.g. stealing vs
-    locked). *)
+    The oracle compares each run against [reference setup]. *)
 val explore :
   ?params:Explore.params -> ?shrink_budget:int -> ?first_seed:int ->
-  ?log:(string -> unit) -> ?reference_setup:setup -> setup -> seeds:int ->
-  report
+  ?log:(string -> unit) -> setup -> seeds:int -> report
 
 (** {2 Systematic exploration (E20)} *)
 
@@ -169,15 +172,15 @@ type dpor_report = {
 (** Systematically explore [setup]'s schedule space with
     {!Explore.Dpor.systematic}, the differential oracle supplying each
     execution's observable string and failure verdict.  Parameters pass
-    through to [systematic]; [reference_setup] works as in {!explore}.
+    through to [systematic]; the reference is as in {!explore}.
     The first failing schedule (if any) is shrunk within [shrink_budget]
     replays and confirmed; the full failure list remains available in
     [dpor_result]. *)
 val dpor :
   ?mode:Explore.Dpor.mode -> ?max_branch:int -> ?max_flips:int ->
   ?budget:int -> ?defers:bool -> ?preempts:bool -> ?stop_on_failure:bool ->
-  ?shrink_budget:int -> ?log:(string -> unit) -> ?reference_setup:setup ->
-  setup -> unit -> dpor_report
+  ?shrink_budget:int -> ?log:(string -> unit) -> setup -> unit ->
+  dpor_report
 
 (** Run the default schedule under a fault injector (no scheduling
     policy). *)

@@ -274,10 +274,11 @@ let major_slice t ~now ~cost ~budget =
            cost budget)
   end
 
+let modes = [ ("off", Off); ("report", Report); ("strict", Strict) ]
+
 let print_report t =
-  Printf.printf "sanitizer: mode=%s violations=%d\n"
-    (match t.mode with Off -> "off" | Report -> "report" | Strict -> "strict")
-    t.violation_count;
+  let name = fst (List.find (fun (_, m) -> m = t.mode) modes) in
+  Printf.printf "sanitizer: mode=%s violations=%d\n" name t.violation_count;
   let msgs = violations t in
   List.iteri (fun i m -> Printf.printf "  %2d. %s\n" (i + 1) m) msgs;
   if t.violation_count > List.length msgs then

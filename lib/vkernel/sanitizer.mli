@@ -153,3 +153,6 @@ val violation_count : t -> int
 val violations : t -> string list
 
 val print_report : t -> unit
+
+(** Each mode by its command-line name: [off], [report], [strict]. *)
+val modes : (string * mode) list

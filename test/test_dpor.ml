@@ -293,16 +293,13 @@ let dpor_vs_sampling_prop =
       ("calendar", Explorer.calendar_setup ~quick:true ());
       ("stealing", Explorer.stealing_setup ~quick:true ()) ]
   in
-  let reference_setup = Explorer.ms_setup ~quick:true () in
   QCheck.Test.make ~count:6
     ~name:"dpor and seeded sampling agree on observables for clean configs"
     QCheck.(pair (int_range 0 2) (int_range 0 1_000_000))
     (fun (which, seed) ->
       let _, setup = List.nth setups which in
-      let d = Explorer.dpor ~budget:3 ~reference_setup setup () in
-      let sampled =
-        Explorer.explore ~reference_setup setup ~first_seed:seed ~seeds:1
-      in
+      let d = Explorer.dpor ~budget:3 setup () in
+      let sampled = Explorer.explore setup ~first_seed:seed ~seeds:1 in
       d.Explorer.dpor_result.Explore.Dpor.failures = []
       && d.Explorer.dpor_result.Explore.Dpor.stats.Explore.Dpor.distinct_obs
          = 1

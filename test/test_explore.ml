@@ -291,45 +291,42 @@ let test_broken_ctx_found () =
 
 (* --- the work-stealing scheduler (E16) --- *)
 
-(* Exploring the stealing scheduler against a *locked* reference makes
-   the oracle differential across representations: a steal that loses,
+(* The stealing setup carries a *locked* reference, which makes the
+   oracle differential across representations: a steal that loses,
    duplicates or reorders an answer-reaching Process diverges from the
    serialized queue's observables even when no lock discipline was
    violated. *)
 let test_stealing_explores_clean_vs_locked () =
-  let r =
-    Explorer.explore
-      ~reference_setup:(Explorer.ms_setup ~quick:true ())
-      (Explorer.stealing_setup ~quick:true ())
-      ~seeds:3
-  in
+  let r = Explorer.explore (Explorer.stealing_setup ~quick:true ()) ~seeds:3 in
   check "stealing explores clean against the locked reference" 0
     (List.length r.Explorer.counterexamples);
   check_bool "the seeds actually perturbed the schedule" true
     (r.Explorer.perturbations > 0)
 
+(* A property over 2 and 3 processors: every perturbed run of the named
+   setup must match its reference's unperturbed observables, run once
+   per processor count. *)
+let matches_reference_prop ~count ~name config =
+  let setup processors =
+    (List.assoc config Explorer.setups) ~processors ~quick:true ()
+  in
+  let references =
+    lazy (List.map (fun p -> (p, Explorer.reference (setup p))) [ 2; 3 ])
+  in
+  QCheck.Test.make ~count ~name
+    QCheck.(pair (int_range 2 3) (int_range 0 1_000_000))
+    (fun (processors, seed) ->
+      let reference = List.assoc processors (Lazy.force references) in
+      Explorer.check ~reference (Explorer.run_seed (setup processors) ~seed)
+      = None)
+
 (* The same claim as a 50-seed property on 2 and 3 processors: every
    perturbed stealing run must match the locked scheduler's unperturbed
    observables (result, transcript and stable-root census). *)
 let steal_vs_locked_prop =
-  let references =
-    lazy
-      (List.map
-         (fun p ->
-           (p, Explorer.reference (Explorer.ms_setup ~processors:p ~quick:true ())))
-         [ 2; 3 ])
-  in
-  QCheck.Test.make ~count:50
+  matches_reference_prop ~count:50
     ~name:"stealing matches the locked scheduler on every seed (2-3 vps)"
-    QCheck.(pair (int_range 2 3) (int_range 0 1_000_000))
-    (fun (processors, seed) ->
-      let reference = List.assoc processors (Lazy.force references) in
-      let o =
-        Explorer.run_seed
-          (Explorer.stealing_setup ~processors ~quick:true ())
-          ~seed
-      in
-      Explorer.check ~reference o = None)
+    "stealing"
 
 (* --- the event-calendar engine (E17) --- *)
 
@@ -338,36 +335,16 @@ let steal_vs_locked_prop =
    batching uncontended steps may shift cycle counts, but never the
    result, the transcript or the stable-root census. *)
 let test_calendar_explores_clean_vs_scan () =
-  let r =
-    Explorer.explore
-      ~reference_setup:(Explorer.ms_setup ~quick:true ())
-      (Explorer.calendar_setup ~quick:true ())
-      ~seeds:3
-  in
+  let r = Explorer.explore (Explorer.calendar_setup ~quick:true ()) ~seeds:3 in
   check "calendar explores clean against the scan reference" 0
     (List.length r.Explorer.counterexamples);
   check_bool "the seeds actually perturbed the schedule" true
     (r.Explorer.perturbations > 0)
 
 let calendar_vs_scan_prop =
-  let references =
-    lazy
-      (List.map
-         (fun p ->
-           (p, Explorer.reference (Explorer.ms_setup ~processors:p ~quick:true ())))
-         [ 2; 3 ])
-  in
-  QCheck.Test.make ~count:25
+  matches_reference_prop ~count:25
     ~name:"calendar engine matches the scan engine on every seed (2-3 vps)"
-    QCheck.(pair (int_range 2 3) (int_range 0 1_000_000))
-    (fun (processors, seed) ->
-      let reference = List.assoc processors (Lazy.force references) in
-      let o =
-        Explorer.run_seed
-          (Explorer.calendar_setup ~processors ~quick:true ())
-          ~seed
-      in
-      Explorer.check ~reference o = None)
+    "calendar"
 
 (* The deliberately broken steal protocol (no deque-lock brackets) must
    be caught by the strict sanitizer on *every* seed — the unguarded
@@ -404,30 +381,58 @@ let test_major_explores_clean_vs_off () =
        check_bool "the workload completes collector cycles" true
          (Major.cycles_completed mj >= 1)
    | None -> Alcotest.fail "collector not configured");
-  let r =
-    Explorer.explore
-      ~reference_setup:(Explorer.major_reference_setup ~quick:true ())
-      setup ~seeds:3
-  in
+  let r = Explorer.explore setup ~seeds:3 in
   check "collector explores clean against the collector-free reference" 0
     (List.length r.Explorer.counterexamples);
   check_bool "the seeds actually perturbed the schedule" true
     (r.Explorer.perturbations > 0)
 
 let major_vs_off_prop =
-  let reference =
-    lazy (Explorer.reference (Explorer.major_reference_setup ~quick:true ()))
-  in
+  let setup = Explorer.major_setup ~quick:true () in
+  let reference = lazy (Explorer.reference setup) in
   QCheck.Test.make ~count:15
     ~name:"collector runs match the collector-free observables on every seed"
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
-      let o = Explorer.run_seed (Explorer.major_setup ~quick:true ()) ~seed in
+      let o = Explorer.run_seed setup ~seed in
       Explorer.check ~reference:(Lazy.force reference) o = None)
 
 let test_broken_major_found () =
   expect_counterexample "major-nobarrier"
     (Explorer.broken_major_setup ~quick:true ())
+
+(* --- the setup table behind --config --- *)
+
+(* Every name builds a setup, and exactly the three differential
+   configurations carry a reference: the same machine and workload with
+   only the feature under test turned off, so a caller cannot pair them
+   wrongly. *)
+let test_setup_table () =
+  let feature_off name (c : Config.t) =
+    match name with
+    | "stealing" -> { c with Config.scheduler = Config.Sched_locked }
+    | "calendar" -> { c with Config.engine = Config.Engine_scan }
+    | "major" -> { c with Config.major_enabled = false }
+    | _ -> Alcotest.failf "%s carries a reference" name
+  in
+  let carrying =
+    List.filter_map
+      (fun (name, make) ->
+        let s = make ?processors:(Some 3) ?quick:(Some true) () in
+        check (name ^ ": busy Processes") 2 s.Explorer.busy;
+        Option.map
+          (fun (r : Explorer.setup) ->
+            check_bool (name ^ ": reference is the feature turned off") true
+              (r.Explorer.config = feature_off name s.Explorer.config
+               && r.Explorer.source = s.Explorer.source
+               && r.Explorer.busy = s.Explorer.busy
+               && r.Explorer.reference_setup = None);
+            name)
+          s.Explorer.reference_setup)
+      Explorer.setups
+  in
+  Alcotest.(check (list string)) "setups carrying a reference"
+    [ "stealing"; "calendar"; "major" ] carrying
 
 (* --- fault plumbing --- *)
 
@@ -483,6 +488,8 @@ let () =
            test_broken_unlocked_found;
          Alcotest.test_case "unbracketed ctx caught" `Quick
            test_broken_ctx_found;
+         Alcotest.test_case "setup table and references" `Quick
+           test_setup_table;
          Alcotest.test_case "fault setup without faults is the reference"
            `Quick test_fault_setup_no_faults_is_reference ]);
       ("stealing",
