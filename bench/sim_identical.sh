@@ -13,7 +13,9 @@
 # Also fails when the sanitizer's rendered trace ring differs: two
 # `mst eval --trace-dump` runs (strict on the stealing scheduler, and
 # report mode with the major collector) must print the same bytes on
-# both trees.
+# both trees.  The same byte check covers the only runs of the parallel
+# scavenger with more than one worker, which no perf workload makes:
+# the quick strict E10 table and a four-seed gc fault campaign.
 set -eu
 parent=${1:?usage: sh bench/sim_identical.sh PARENT-REVISION}
 cd "$(dirname "$0")/.."
@@ -51,6 +53,22 @@ echo "sim-identical: trace dumps" >&2
 (cd "$tmp/parent" && trace_dumps) >"$tmp/a.trace"
 trace_dumps >"$tmp/b.trace"
 
+# Print the k>1 scavenger runs, each run's exit status after its output.
+parallel_runs() {
+  DUNE_CACHE=disabled dune build --root . -j 2 --display quiet \
+    ./bin/mst.exe ./bench/main.exe 1>&2
+  rc=0
+  ./_build/default/bench/main.exe parallel-scavenge --quick \
+    --sanitize=strict || rc=$?
+  echo "exit $rc"
+  rc=0
+  ./_build/default/bin/mst.exe faults --campaign=gc --seeds=4 --quick || rc=$?
+  echo "exit $rc"
+}
+echo "sim-identical: parallel scavenges" >&2
+(cd "$tmp/parent" && parallel_runs) >"$tmp/a.parallel"
+parallel_runs >"$tmp/b.parallel"
+
 # one "workload seed digest" line per run, in run order
 digests() {
   sed -n 's/^{"workload": "\([^"]*\)", "seed": \([0-9]*\),.*"sim_digest": "\([0-9a-f]*\)".*/\1 \2 \3/p' "$1"
@@ -75,6 +93,11 @@ if ! cmp -s "$tmp/a.trace" "$tmp/b.trace"; then
   diff "$tmp/a.trace" "$tmp/b.trace" | head -20 >&2 || true
   status=1
 fi
+if ! cmp -s "$tmp/a.parallel" "$tmp/b.parallel"; then
+  echo "FAIL: k>1 scavenger output differs against $parent:" >&2
+  diff "$tmp/a.parallel" "$tmp/b.parallel" | head -20 >&2 || true
+  status=1
+fi
 [ "$status" -eq 0 ] &&
-  echo "sim-identical: 25 runs and 2 trace dumps identical to $parent"
+  echo "sim-identical: 25 runs, 2 trace dumps and 2 k>1 scavenger runs identical to $parent"
 exit "$status"
