@@ -72,7 +72,6 @@ type t = {
   mutable free_words : int;              (* words threaded on the lists *)
   mutable free_list_hits : int;
   mutable free_reused_words : int;
-  mutable scavenge_holes : int list;     (* free-list promotions, per scavenge *)
   mutable major_dirty : (Oop.t -> unit) option;   (* the write barrier *)
   mutable on_old_alloc : (int -> unit) option;    (* allocate-black *)
   mutable on_old_exhausted : (int -> bool) option; (* forced completion *)
@@ -138,7 +137,6 @@ let create ?(policy = Unlocked) ?(processors = 1) ?(tenure_age = 4)
     free_words = 0;
     free_list_hits = 0;
     free_reused_words = 0;
-    scavenge_holes = [];
     major_dirty = None;
     on_old_alloc = None;
     on_old_exhausted = None;
@@ -375,23 +373,6 @@ let free_take h total =
 let alloc_old_addr h total =
   match free_take h total with
   | Some a -> Some a
-  | None ->
-      if region_avail h.old >= total then begin
-        let a = h.old.ptr in
-        h.old.ptr <- h.old.ptr + total;
-        Some a
-      end
-      else None
-
-(* Allocation for scavenge-time promotion.  A promotion satisfied from a
-   swept hole lands outside the Cheney cursor's promote window, so its
-   address is queued on [scavenge_holes] for the scavenger to scan as an
-   explicit grey object. *)
-let promote_alloc h total =
-  match free_take h total with
-  | Some a ->
-      h.scavenge_holes <- a :: h.scavenge_holes;
-      Some a
   | None ->
       if region_avail h.old >= total then begin
         let a = h.old.ptr in

@@ -68,9 +68,6 @@ type t = {
   mutable free_words : int;  (** words threaded on the free lists *)
   mutable free_list_hits : int;
   mutable free_reused_words : int;
-  mutable scavenge_holes : int list;
-      (** promotions satisfied from holes in the current scavenge; the
-          scavenger drains these as explicit grey objects *)
   mutable major_dirty : (Oop.t -> unit) option;
       (** the incremental collector's write barrier, when a cycle runs *)
   mutable on_old_alloc : (int -> unit) option;
@@ -220,10 +217,6 @@ val free_take : t -> int -> int option
 (** Raw old-space allocation of [total] words: free lists, then bump
     pointer; [None] when neither can satisfy it. *)
 val alloc_old_addr : t -> int -> int option
-
-(** Like {!alloc_old_addr}, but queues free-list hits on
-    [scavenge_holes] so the scavenger scans them as explicit greys. *)
-val promote_alloc : t -> int -> int option
 
 (** Run the allocate-black hook on a freshly allocated old address. *)
 val mark_old_alloc : t -> int -> unit

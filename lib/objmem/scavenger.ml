@@ -2,16 +2,23 @@
    stop-and-copy collection of new space only.  Live new objects are copied
    from eden and the past survivor space into the future survivor space
    (Cheney's algorithm); objects that have survived [tenure_age] scavenges,
-   or that overflow the survivor space, are promoted into old space.  Old
-   space is never collected; the entry table (remembered set) supplies the
-   old-to-new roots.
+   or that overflow the survivor space, are promoted into old space.  The
+   entry table (remembered set) supplies the old-to-new roots.  Old space
+   itself is reclaimed only by the incremental mark-sweep ([Major], E18),
+   whose swept holes a promotion may land in.
 
    Because contexts keep their evaluation stack inside the object, only the
    live portion — [stackp] frame slots — is scanned; the slots above the
    stack pointer hold stale oops from popped values.
 
+   Two collectors share one set of mechanics — pass start, object move,
+   [forward], [update_fields] and flip — and differ only in where a copy
+   goes and in what order grey objects are scanned: the serial Cheney
+   [scavenge] below, and the simulated multi-worker [scavenge_parallel]
+   (E10) after it.
+
    The caller (the engine) is responsible for the multiprocessor rendezvous:
-   every interpreter must be parked before [scavenge] runs, and the
+   every interpreter must be parked before a collection runs, and the
    [on_scavenge] hooks flush the method caches and free-context lists whose
    entries would otherwise dangle across the copy. *)
 
@@ -32,99 +39,144 @@ let scan_limit h a =
     end else n
   end
 
-type space_choice = To_space | Promoted
+(* One collection in progress: its statistics, the future survivor space
+   it copies into, and the past survivor space that is from-space with
+   eden. *)
+type pass = { stats : scavenge_stats; to_region : region; past : region }
 
-(* Copy the object at [from_addr]; returns its new oop. *)
-let copy_object h stats to_region from_addr =
-  let total = size_words h from_addr in
-  let next_age = min (age h from_addr + 1) Layout.age_mask in
-  let choice =
-    if next_age >= h.tenure_age || region_avail to_region < total
-    then Promoted else To_space
+(* Run the [on_scavenge] hooks, choose the survivor spaces and empty the
+   future one. *)
+let start_pass h =
+  List.iter (fun hook -> hook ()) h.on_scavenge;
+  let to_region, past =
+    if h.past_is_a then (h.surv_b, h.surv_a) else (h.surv_a, h.surv_b)
   in
-  let dest =
-    match choice with
-    | To_space ->
-        let a = to_region.ptr in
-        to_region.ptr <- to_region.ptr + total;
-        stats.survivor_objects <- stats.survivor_objects + 1;
-        stats.survivor_words <- stats.survivor_words + total;
-        a
-    | Promoted -> (
-        match promote_alloc h total with
-        | None -> raise (Image_full "old space exhausted during scavenge")
-        | Some a ->
-            stats.tenured_objects <- stats.tenured_objects + 1;
-            stats.tenured_words <- stats.tenured_words + total;
-            a)
-  in
+  to_region.ptr <- to_region.base;
+  { stats = empty_stats (); to_region; past }
+
+let in_from h p a =
+  (a >= h.eden.base && a < h.eden.limit)
+  || (a >= p.past.base && a < p.past.limit)
+
+(* The age the object at [a] has once it survives this collection. *)
+let next_age h a = min (age h a + 1) Layout.age_mask
+
+(* Move the [total]-word object at [from_addr] to [dest], which the
+   caller's destination policy chose: copy it, refresh its age (clearing
+   the remembered flag, which the scan re-establishes for promoted
+   objects), count it, allocate it black if it was promoted and leave a
+   forwarding pointer behind.  Returns the new oop. *)
+let move h p from_addr ~total ~next_age dest =
   Array.blit h.mem from_addr h.mem dest total;
-  (* refresh age; clear the remembered flag on the copy (re-established by
-     the post-scan check for promoted objects) *)
-  let flags =
-    h.mem.(dest) land (Layout.flag_raw lor Layout.flag_bytes)
-  in
+  let flags = h.mem.(dest) land (Layout.flag_raw lor Layout.flag_bytes) in
   h.mem.(dest) <-
     (total lsl Layout.size_shift) lor (next_age lsl Layout.age_shift) lor flags;
-  (* allocate-black: a mid-cycle promotion must not be swept (E18) *)
-  if choice = Promoted then mark_old_alloc h dest;
-  (* install forwarding *)
+  let stats = p.stats in
+  if dest < h.new_base then begin
+    stats.tenured_objects <- stats.tenured_objects + 1;
+    stats.tenured_words <- stats.tenured_words + total;
+    (* allocate-black: a mid-cycle promotion must not be swept (E18) *)
+    mark_old_alloc h dest
+  end
+  else begin
+    stats.survivor_objects <- stats.survivor_objects + 1;
+    stats.survivor_words <- stats.survivor_words + total
+  end;
   let new_oop = Oop.of_addr dest in
   h.mem.(from_addr) <- Layout.forwarded_marker;
   h.mem.(from_addr + 1) <- new_oop;
   new_oop
 
 (* Only objects in from-space — eden and the past survivor space — are
-   copied; pointers into the future survivor space (already copied this
-   scavenge) or old space pass through unchanged. *)
-let forward h stats ~in_from to_region (o : Oop.t) =
+   copied, by the collector's [copy]; pointers into the future survivor
+   space (already copied this scavenge) or old space pass through
+   unchanged. *)
+let forward h p copy (o : Oop.t) =
   if not (Oop.is_ptr o) then o
   else begin
     let a = Oop.addr o in
-    if not (in_from a) then o
+    if not (in_from h p a) then o
     else if h.mem.(a) = Layout.forwarded_marker then h.mem.(a + 1)
-    else copy_object h stats to_region a
+    else copy a
   end
 
 (* Update every scannable field of the object at [a]; returns true if any
    field still refers to new space after forwarding. *)
-let update_fields h stats ~in_from to_region a =
+let update_fields h p copy a =
   let limit = scan_limit h a in
   let base = a + Layout.header_words in
   let has_new = ref false in
   for i = 0 to limit - 1 do
     let v = h.mem.(base + i) in
     if is_new h v then begin
-      let v' = forward h stats ~in_from to_region v in
+      let v' = forward h p copy v in
       h.mem.(base + i) <- v';
       if is_new h v' then has_new := true
     end
   done;
   !has_new
 
-let scavenge h =
-  List.iter (fun hook -> hook ()) h.on_scavenge;
-  let stats = empty_stats () in
-  let to_region = if h.past_is_a then h.surv_b else h.surv_a in
-  let past = if h.past_is_a then h.surv_a else h.surv_b in
-  let in_from a =
-    (a >= h.eden.base && a < h.eden.limit)
-    || (a >= past.base && a < past.limit)
+(* Clear an entry-table entry's flag ([remember] re-sets it if needed),
+   update its fields and keep it if it still refers to new space. *)
+let rescan_entry h p copy a =
+  h.mem.(a) <- h.mem.(a) land lnot Layout.flag_remembered;
+  if update_fields h p copy a then remember h a
+
+(* Finish a collection: the survivor spaces swap roles, eden empties and
+   the heap's running totals take this pass's statistics. *)
+let flip h p =
+  let stats = p.stats in
+  h.past_is_a <- not h.past_is_a;
+  h.eden.ptr <- h.eden.base;
+  Array.iter (fun r -> r.ptr <- r.base) h.eden_regions;
+  h.scavenge_count <- h.scavenge_count + 1;
+  h.words_copied_total <- h.words_copied_total + stats.survivor_words;
+  h.tenured_words_total <- h.tenured_words_total + stats.tenured_words;
+  h.last_scavenge <- stats
+
+(* The serial destination policy: the future survivor space while the
+   object is young enough and fits, else old space through
+   [alloc_old_addr] (free lists first, then the bump pointer).  A
+   promotion into a swept hole lands below [promote_start], outside the
+   Cheney cursor's window, so it is queued on [holes] as an explicit grey
+   object, newest first. *)
+let serial_copy h p ~promote_start holes from_addr =
+  let total = size_words h from_addr in
+  let next_age = next_age h from_addr in
+  let to_region = p.to_region in
+  let dest =
+    if next_age < h.tenure_age && region_avail to_region >= total then begin
+      let a = to_region.ptr in
+      to_region.ptr <- a + total;
+      a
+    end
+    else
+      match alloc_old_addr h total with
+      | None -> raise (Image_full "old space exhausted during scavenge")
+      | Some a ->
+          if a < promote_start then holes := a :: !holes;
+          a
   in
-  to_region.ptr <- to_region.base;
+  move h p from_addr ~total ~next_age dest
+
+let scavenge h =
+  let p = start_pass h in
+  let to_region = p.to_region in
   let promote_start = h.old.ptr in
-  h.scavenge_holes <- [];
+  let holes = ref [] in
+  let copy = serial_copy h p ~promote_start holes in
+  let stats = p.stats in
   (* 1. roots *)
   List.iter
     (fun cell ->
       stats.roots_scanned <- stats.roots_scanned + 1;
-      cell := forward h stats ~in_from to_region !cell)
+      cell := forward h p copy !cell)
     h.roots;
   List.iter
     (fun arr ->
       for i = 0 to Array.length arr - 1 do
         stats.roots_scanned <- stats.roots_scanned + 1;
-        arr.(i) <- forward h stats ~in_from to_region arr.(i)
+        arr.(i) <- forward h p copy arr.(i)
       done)
     h.array_roots;
   (* 2. the entry table: update old objects' fields, keeping only entries
@@ -134,11 +186,8 @@ let scavenge h =
   let old_rset_len = h.rset_len in
   h.rset_len <- 0;
   for i = 0 to old_rset_len - 1 do
-    let a = old_rset.(i) in
     stats.remembered_scanned <- stats.remembered_scanned + 1;
-    (* clear the flag; [remember] below re-sets it if needed *)
-    h.mem.(a) <- h.mem.(a) land lnot Layout.flag_remembered;
-    if update_fields h stats ~in_from to_region a then remember h a
+    rescan_entry h p copy old_rset.(i)
   done;
   (* 3. Cheney scan of the two gray regions: fresh survivors and objects
      promoted during this scavenge *)
@@ -150,34 +199,23 @@ let scavenge h =
     while !to_scan < to_region.ptr do
       progress := true;
       let a = !to_scan in
-      ignore (update_fields h stats ~in_from to_region a);
+      ignore (update_fields h p copy a);
       to_scan := a + size_words h a
     done;
     while !old_scan < h.old.ptr do
       progress := true;
       let a = !old_scan in
-      if update_fields h stats ~in_from to_region a then remember h a;
+      if update_fields h p copy a then remember h a;
       old_scan := a + size_words h a
     done;
-    (* promotions satisfied from swept holes land below [promote_start],
-       outside the cursor's window, so they are queued as explicit greys *)
-    while h.scavenge_holes <> [] do
+    while !holes <> [] do
       progress := true;
-      let batch = h.scavenge_holes in
-      h.scavenge_holes <- [];
-      List.iter
-        (fun a -> if update_fields h stats ~in_from to_region a then remember h a)
-        batch
+      let batch = !holes in
+      holes := [];
+      List.iter (fun a -> if update_fields h p copy a then remember h a) batch
     done
   done;
-  (* 4. flip *)
-  h.past_is_a <- not h.past_is_a;
-  h.eden.ptr <- h.eden.base;
-  Array.iter (fun r -> r.ptr <- r.base) h.eden_regions;
-  h.scavenge_count <- h.scavenge_count + 1;
-  h.words_copied_total <- h.words_copied_total + stats.survivor_words;
-  h.tenured_words_total <- h.tenured_words_total + stats.tenured_words;
-  h.last_scavenge <- stats;
+  flip h p;
   stats
 
 (* Cycle cost of a scavenge under the cost model; charged to every parked
@@ -269,10 +307,19 @@ let seal h b =
   if rem > 0 then write_filler h b.bptr rem;
   b.bptr <- b.blimit
 
+(* Charge worker [w] for claiming the chunk [base, limit) and register it
+   with the sanitizer's copy check. *)
+let claim_chunk san cm w ~base ~limit =
+  w.st.chunks_claimed <- w.st.chunks_claimed + 1;
+  w.st.coord_cycles <- w.st.coord_cycles + chunk_claim_cost cm;
+  match san with
+  | Some s -> Sanitizer.scavenge_chunk s ~worker:w.st.worker ~base ~limit
+  | None -> ()
+
 (* Allocate [total] words for worker [w] out of [buf], chunk-claiming from
    the shared [region] when the buffer runs dry; [None] when the region
    itself cannot supply the object (the caller promotes or fails). *)
-let alloc_in h san (cm : Cost_model.t) w buf region total =
+let alloc_in h san cm w buf region total =
   if buf.blimit - buf.bptr >= total then begin
     let a = buf.bptr in
     buf.bptr <- a + total;
@@ -285,102 +332,50 @@ let alloc_in h san (cm : Cost_model.t) w buf region total =
     region.ptr <- base + size;
     buf.bptr <- base + total;
     buf.blimit <- base + size;
-    w.st.chunks_claimed <- w.st.chunks_claimed + 1;
-    w.st.coord_cycles <- w.st.coord_cycles + chunk_claim_cost cm;
-    (match san with
-     | Some s ->
-         Sanitizer.scavenge_chunk s ~worker:w.st.worker ~base
-           ~limit:(base + size)
-     | None -> ());
+    claim_chunk san cm w ~base ~limit:(base + size);
     Some base
   end
   else None
 
-(* Claim and copy the object at [from_addr] into [w]'s buffers; the
-   caller has already checked the forwarding slot, so in the simulated
-   interleaving this worker wins the claim. *)
-let copy_object_par h san cm stats to_region w from_addr =
+(* The parallel destination policy: claim and copy the object at
+   [from_addr] into [w]'s buffers.  Promotion goes through the worker's
+   old-space buffer first and the swept holes only once bump headroom is
+   gone.  The caller has already checked the forwarding slot, so in the
+   simulated interleaving this worker wins the claim. *)
+let parallel_copy h san cm p w from_addr =
   let total = size_words h from_addr in
-  let next_age = min (age h from_addr + 1) Layout.age_mask in
+  let next_age = next_age h from_addr in
   let promote () =
-    let dest =
-      match alloc_in h san cm w w.old_buf h.old total with
-      | Some a -> Some a
-      | None -> (
-          (* bump headroom is gone: try the swept holes.  A hole is a
-             one-object chunk — register it so the copy check passes. *)
-          match free_take h total with
-          | Some a ->
-              w.st.chunks_claimed <- w.st.chunks_claimed + 1;
-              w.st.coord_cycles <- w.st.coord_cycles + chunk_claim_cost cm;
-              (match san with
-               | Some s ->
-                   Sanitizer.scavenge_chunk s ~worker:w.st.worker ~base:a
-                     ~limit:(a + total)
-               | None -> ());
-              Some a
-          | None -> None)
-    in
-    match dest with
-    | Some a ->
-        stats.tenured_objects <- stats.tenured_objects + 1;
-        stats.tenured_words <- stats.tenured_words + total;
-        a
-    | None -> raise (Image_full "old space exhausted during scavenge")
+    match alloc_in h san cm w w.old_buf h.old total with
+    | Some a -> a
+    | None -> (
+        (* A hole is a one-object chunk — register it so the copy check
+           passes. *)
+        match free_take h total with
+        | Some a ->
+            claim_chunk san cm w ~base:a ~limit:(a + total);
+            a
+        | None -> raise (Image_full "old space exhausted during scavenge"))
   in
   let dest =
     if next_age >= h.tenure_age then promote ()
     else
-      match alloc_in h san cm w w.to_buf to_region total with
-      | Some a ->
-          stats.survivor_objects <- stats.survivor_objects + 1;
-          stats.survivor_words <- stats.survivor_words + total;
-          a
+      match alloc_in h san cm w w.to_buf p.to_region total with
+      | Some a -> a
       | None -> promote ()
   in
-  Array.blit h.mem from_addr h.mem dest total;
-  let flags = h.mem.(dest) land (Layout.flag_raw lor Layout.flag_bytes) in
-  h.mem.(dest) <-
-    (total lsl Layout.size_shift) lor (next_age lsl Layout.age_shift) lor flags;
-  (* allocate-black: a mid-cycle promotion must not be swept (E18) *)
-  if dest < h.new_base then mark_old_alloc h dest;
-  let new_oop = Oop.of_addr dest in
+  let new_oop = move h p from_addr ~total ~next_age dest in
   (match san with
    | Some s ->
        Sanitizer.scavenge_claim s ~worker:w.st.worker ~addr:from_addr;
        Sanitizer.scavenge_copy s ~worker:w.st.worker ~addr:dest ~words:total
    | None -> ());
-  h.mem.(from_addr) <- Layout.forwarded_marker;
-  h.mem.(from_addr + 1) <- new_oop;
   w.st.copied_objects <- w.st.copied_objects + 1;
   w.st.copied_words <- w.st.copied_words + total;
   w.st.copy_cycles <- w.st.copy_cycles + (cm.Cost_model.scavenge_per_word * total);
   w.st.coord_cycles <- w.st.coord_cycles + claim_cost cm;
   w.grey <- dest :: w.grey;
   new_oop
-
-let forward_par h san cm stats ~in_from to_region w (o : Oop.t) =
-  if not (Oop.is_ptr o) then o
-  else begin
-    let a = Oop.addr o in
-    if not (in_from a) then o
-    else if h.mem.(a) = Layout.forwarded_marker then h.mem.(a + 1)
-    else copy_object_par h san cm stats to_region w a
-  end
-
-let update_fields_par h san cm stats ~in_from to_region w a =
-  let limit = scan_limit h a in
-  let base = a + Layout.header_words in
-  let has_new = ref false in
-  for i = 0 to limit - 1 do
-    let v = h.mem.(base + i) in
-    if is_new h v then begin
-      let v' = forward_par h san cm stats ~in_from to_region w v in
-      h.mem.(base + i) <- v';
-      if is_new h v' then has_new := true
-    end
-  done;
-  !has_new
 
 (* Split the first [n] elements off a list. *)
 let rec split_at n l =
@@ -394,16 +389,9 @@ let rec split_at n l =
 
 let scavenge_parallel h (cm : Cost_model.t) ?injector ~workers () =
   let workers = max 1 workers in
-  List.iter (fun hook -> hook ()) h.on_scavenge;
+  let p = start_pass h in
+  let stats = p.stats in
   let san = h.sanitizer in
-  let stats = empty_stats () in
-  let to_region = if h.past_is_a then h.surv_b else h.surv_a in
-  let past = if h.past_is_a then h.surv_a else h.surv_b in
-  let in_from a =
-    (a >= h.eden.base && a < h.eden.limit)
-    || (a >= past.base && a < past.limit)
-  in
-  to_region.ptr <- to_region.base;
   (match san with
    | Some s -> Sanitizer.scavenge_begin s ~workers
    | None -> ());
@@ -467,53 +455,49 @@ let scavenge_parallel h (cm : Cost_model.t) ?injector ~workers () =
   in
   (* Round 0: deterministic sharding.  Root item [i] and entry-table
      entry [i] both go to worker [i mod workers]; each worker processes
-     its whole shard (so the claim interleaving is fixed by worker id). *)
-  let root_items =
-    let items = ref [] in
-    List.iter (fun cell -> items := `Cell cell :: !items) h.roots;
-    List.iter
-      (fun arr ->
-        for i = Array.length arr - 1 downto 0 do
-          items := `Slot (arr, i) :: !items
-        done)
-      h.array_roots;
-    Array.of_list !items
+     its whole shard (so the claim interleaving is fixed by worker id).
+     Root items are numbered in the order they were registered: every
+     array root's slots, then every root cell. *)
+  let rec iter_oldest_first f = function
+    | [] -> ()
+    | x :: rest -> iter_oldest_first f rest; f x
   in
   (* A real copy, not the serial scavenge's aliasing snapshot: sharded
      workers read entries out of order, so a re-[remember] from one worker
      (which appends at the low indices of [h.rset]) must not clobber
      entries another worker has yet to scan. *)
   let old_rset = Array.sub h.rset 0 h.rset_len in
-  let old_rset_len = h.rset_len in
   h.rset_len <- 0;
   Array.iter
     (fun w ->
       let wid = w.st.worker in
+      let copy = parallel_copy h san cm p w in
+      let item = ref (-1) in
+      let mine () =
+        incr item;
+        let m = !item mod workers = wid in
+        if m then stats.roots_scanned <- stats.roots_scanned + 1;
+        m
+      in
+      iter_oldest_first
+        (fun arr ->
+          for j = 0 to Array.length arr - 1 do
+            if mine () then arr.(j) <- forward h p copy arr.(j)
+          done)
+        h.array_roots;
+      iter_oldest_first
+        (fun cell -> if mine () then cell := forward h p copy !cell)
+        h.roots;
       Array.iteri
-        (fun i item ->
+        (fun i a ->
           if i mod workers = wid then begin
-            stats.roots_scanned <- stats.roots_scanned + 1;
-            match item with
-            | `Cell cell ->
-                cell := forward_par h san cm stats ~in_from to_region w !cell
-            | `Slot (arr, j) ->
-                arr.(j) <-
-                  forward_par h san cm stats ~in_from to_region w arr.(j)
+            stats.remembered_scanned <- stats.remembered_scanned + 1;
+            w.st.entries_scanned <- w.st.entries_scanned + 1;
+            w.st.scan_cycles <-
+              w.st.scan_cycles + cm.Cost_model.scavenge_per_remembered;
+            rescan_entry h p copy a
           end)
-        root_items;
-      for i = 0 to old_rset_len - 1 do
-        if i mod workers = wid then begin
-          let a = old_rset.(i) in
-          stats.remembered_scanned <- stats.remembered_scanned + 1;
-          w.st.entries_scanned <- w.st.entries_scanned + 1;
-          w.st.scan_cycles <-
-            w.st.scan_cycles + cm.Cost_model.scavenge_per_remembered;
-          (* clear the flag; [remember] below re-sets it if needed *)
-          h.mem.(a) <- h.mem.(a) land lnot Layout.flag_remembered;
-          if update_fields_par h san cm stats ~in_from to_region w a then
-            remember h a
-        end
-      done)
+        old_rset)
     ws;
   (* Grey rounds: every worker scans what it copied; newly copied objects
      join the copier's next-round backlog.  At each round boundary the
@@ -555,16 +539,12 @@ let scavenge_parallel h (cm : Cost_model.t) ?injector ~workers () =
         (* a dead worker's backlog was funnelled to a survivor on death *)
         let batch = if dead.(w.st.worker) then [] else List.rev w.grey in
         w.grey <- [];
+        let copy = parallel_copy h san cm p w in
         List.iter
           (fun a ->
-            if a < h.new_base then begin
-              (* promoted during this scavenge: old objects that still
-                 refer to new space re-enter the entry table *)
-              if update_fields_par h san cm stats ~in_from to_region w a then
-                remember h a
-            end
-            else
-              ignore (update_fields_par h san cm stats ~in_from to_region w a))
+            (* promoted during this scavenge: old objects that still refer
+               to new space re-enter the entry table *)
+            if update_fields h p copy a && a < h.new_base then remember h a)
           batch)
       ws;
     live :=
@@ -577,14 +557,7 @@ let scavenge_parallel h (cm : Cost_model.t) ?injector ~workers () =
       seal h w.old_buf)
     ws;
   (match san with Some s -> Sanitizer.scavenge_end s | None -> ());
-  (* flip, exactly as the serial scavenge *)
-  h.past_is_a <- not h.past_is_a;
-  h.eden.ptr <- h.eden.base;
-  Array.iter (fun r -> r.ptr <- r.base) h.eden_regions;
-  h.scavenge_count <- h.scavenge_count + 1;
-  h.words_copied_total <- h.words_copied_total + stats.survivor_words;
-  h.tenured_words_total <- h.tenured_words_total + stats.tenured_words;
-  h.last_scavenge <- stats;
+  flip h p;
   (* the pause is the slowest worker's timeline plus the barriers *)
   Array.iter
     (fun w ->

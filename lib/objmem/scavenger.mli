@@ -4,12 +4,16 @@
     copied from eden and the past survivor space into the future survivor
     space (Cheney's algorithm); objects that have survived [tenure_age]
     scavenges, or that overflow the survivor space, are promoted into old
-    space.  Old space is never collected; the entry table supplies the
-    old-to-new roots.  Context frames are scanned only up to their stack
-    pointers.
+    space, possibly into a hole the incremental mark-sweep ({!Major})
+    swept.  The entry table supplies the old-to-new roots.  Context frames
+    are scanned only up to their stack pointers.
+
+    {!scavenge} and {!scavenge_parallel} share one pass start, object
+    move, forwarding, field update and flip; they differ only in where a
+    copy goes and in the order grey objects are scanned.
 
     The caller is responsible for the multiprocessor rendezvous: every
-    interpreter must be parked before [scavenge] runs, and the
+    interpreter must be parked before a collection runs, and the
     [on_scavenge] hooks flush the method caches and free-context lists. *)
 
 (** Fields of the object at the given address that must be scanned
