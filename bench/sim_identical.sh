@@ -15,7 +15,11 @@
 # report mode with the major collector) must print the same bytes on
 # both trees.  The same byte check covers the only runs of the parallel
 # scavenger with more than one worker, which no perf workload makes:
-# the quick strict E10 table and a four-seed gc fault campaign.
+# the quick strict E10 table and a four-seed gc fault campaign.  And it
+# covers explorer executions on recycled heap memory beyond the perf
+# workload's seeded runs: a quick DPOR exploration with its statistics
+# (every re-execution replays a prefix), and a four-seed exploration of
+# a broken configuration, whose counterexamples are shrunk by replay.
 set -eu
 parent=${1:?usage: sh bench/sim_identical.sh PARENT-REVISION}
 cd "$(dirname "$0")/.."
@@ -69,6 +73,24 @@ echo "sim-identical: parallel scavenges" >&2
 (cd "$tmp/parent" && parallel_runs) >"$tmp/a.parallel"
 parallel_runs >"$tmp/b.parallel"
 
+# Print the explorer runs, each run's exit status after its output.  The
+# counterexample dumps go to the same path for both trees, since stdout
+# names them.
+explore_runs() {
+  DUNE_CACHE=disabled dune build --root . -j 2 --display quiet ./bin/mst.exe 1>&2
+  rc=0
+  ./_build/default/bin/mst.exe explore --config=ms --dpor --stats --quick \
+    --budget=12 || rc=$?
+  echo "exit $rc"
+  rc=0
+  ./_build/default/bin/mst.exe explore --config=ctx-unbracketed --seeds=4 \
+    --quick --expect-violation --dump="$tmp/ctr" || rc=$?
+  echo "exit $rc"
+}
+echo "sim-identical: explorer runs" >&2
+(cd "$tmp/parent" && explore_runs) >"$tmp/a.explore"
+explore_runs >"$tmp/b.explore"
+
 # one "workload seed digest" line per run, in run order
 digests() {
   sed -n 's/^{"workload": "\([^"]*\)", "seed": \([0-9]*\),.*"sim_digest": "\([0-9a-f]*\)".*/\1 \2 \3/p' "$1"
@@ -98,6 +120,11 @@ if ! cmp -s "$tmp/a.parallel" "$tmp/b.parallel"; then
   diff "$tmp/a.parallel" "$tmp/b.parallel" | head -20 >&2 || true
   status=1
 fi
+if ! cmp -s "$tmp/a.explore" "$tmp/b.explore"; then
+  echo "FAIL: explorer output differs against $parent:" >&2
+  diff "$tmp/a.explore" "$tmp/b.explore" | head -20 >&2 || true
+  status=1
+fi
 [ "$status" -eq 0 ] &&
-  echo "sim-identical: 25 runs, 2 trace dumps and 2 k>1 scavenger runs identical to $parent"
+  echo "sim-identical: 25 runs, 2 trace dumps, 2 k>1 scavenger runs and 2 explorer runs identical to $parent"
 exit "$status"

@@ -4,7 +4,8 @@
    shrinking); this module supplies the world to run them in: build a
    VM, install the policy, evaluate a deterministic workload against
    busy background Processes, and extract the observables a correct
-   schedule may not change.
+   schedule may not change.  Each execution bootstraps a fresh VM whose
+   heap reuses the previous execution's zeroed word array.
 
    The observables are chosen for schedule invariance.  The result and
    the transcript are what the program computes; the census counts the
@@ -243,12 +244,9 @@ let stable_class_key vm =
     | Some k -> k
     | None -> if Oop.is_ptr cls then Oop.addr cls else -1
 
-(* Evaluate the workload under [driver]'s policy (or the default when
-   [None]) and collect the outcome.  Every run gets a fresh VM: the
-   simulation has no other state, so identical inputs give identical
-   runs. *)
-let run_driver ?faults setup driver =
-  let vm = Vm.create setup.config in
+(* Evaluate the workload on [vm] under [driver]'s policy (or the default
+   when [None]) and collect the outcome. *)
+let run_on vm ?faults setup driver =
   let san = Vm.sanitizer vm in
   (match driver with
    | Some d -> Machine.set_policy vm.Vm.machine (Some (Explore.policy d))
@@ -311,6 +309,18 @@ let run_driver ?faults setup driver =
         (Some ("deadlock suspected: " ^ Fault.describe_deadlock r))
         None
   | exception Fault.Fatal info -> finish (Some (Fault.describe_fatal info)) None
+
+(* Every run gets a fresh VM on recycled memory: the heap array goes back
+   to [Heap]'s spare on the way out, normal or exceptional, zeroed to
+   exactly what a fresh allocation holds.  The simulation has no other
+   state, so identical inputs give identical runs; the outcome holds no
+   reference to the VM (the census is plain ints), so nothing reads the
+   memory after its release. *)
+let run_driver ?faults setup driver =
+  let vm = Vm.create setup.config in
+  Fun.protect
+    ~finally:(fun () -> Heap.release vm.Vm.heap)
+    (fun () -> run_on vm ?faults setup driver)
 
 let reference setup =
   run_driver (Option.value setup.reference_setup ~default:setup) None

@@ -1,8 +1,9 @@
 (** Driving the schedule explorer ({!Explore}) against whole VMs.
 
     One {!setup} names a configuration, a background load and a
-    deterministic workload expression.  A run builds a fresh VM with the
-    strict sanitizer armed, optionally installs an exploring or replaying
+    deterministic workload expression.  A run builds a fresh VM (on the
+    previous run's released, zeroed heap memory) with the strict
+    sanitizer armed, optionally installs an exploring or replaying
     scheduling policy, evaluates the workload, and collects the
     observables a correct schedule may not change: the result, the
     transcript, the census of the heap reachable from stable roots, a

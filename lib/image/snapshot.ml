@@ -119,8 +119,19 @@ let restore_region what (h : Heap.t) (r : Heap.region) img =
   if r.Heap.base <> img.r_base || r.Heap.limit <> img.r_limit then
     mismatch "%s geometry differs: image [%d,%d), target [%d,%d)" what
       img.r_base img.r_limit r.Heap.base r.Heap.limit;
-  Array.blit img.r_words 0 h.Heap.mem img.r_base (Array.length img.r_words);
-  (* the free tail need not be zeroed: walkers stop at the bump pointer *)
+  let n = Array.length img.r_words in
+  if img.r_ptr <> img.r_base + n then
+    mismatch "%s bump pointer %d disagrees with its %d words from %d" what
+      img.r_ptr n img.r_base;
+  if img.r_ptr > img.r_limit then
+    mismatch "%s bump pointer %d is past its limit %d" what img.r_ptr
+      img.r_limit;
+  Array.blit img.r_words 0 h.Heap.mem img.r_base n;
+  (* Walkers stop at the bump pointer, but [Heap.release] relies on every
+     old-space word at or above [old.ptr] being zero: clear what a lower
+     pointer abandons (new space is zeroed whole on release) *)
+  if r == h.Heap.old && img.r_ptr < r.Heap.ptr then
+    Array.fill h.Heap.mem img.r_ptr (r.Heap.ptr - img.r_ptr) 0;
   r.Heap.ptr <- img.r_ptr
 
 let restore t (h : Heap.t) =

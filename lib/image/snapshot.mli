@@ -23,10 +23,37 @@
 exception Corrupt of { path : string; what : string }
 
 (** A restore target that cannot receive the image: different heap
-    geometry or slice count — a configuration bug, not a damaged file. *)
+    geometry or slice count, or a region whose bump pointer disagrees
+    with its words or lies past its limit — a configuration or writer
+    bug, not a damaged file. *)
 exception Mismatch of string
 
-type heap_image
+(** One heap region's image. *)
+type region_image = {
+  r_base : int;
+  r_limit : int;
+  r_ptr : int;
+  r_words : int array;  (** the used prefix [[r_base, r_ptr)] *)
+}
+
+type heap_image = {
+  i_old : region_image;
+  i_eden : region_image;
+  i_eden_regions : region_image array;
+  i_surv_a : region_image;
+  i_surv_b : region_image;
+  i_past_is_a : bool;
+  i_rset : int array;
+  i_free_lists : int list array;
+  i_free_words : int;
+  i_allocations : int;
+  i_words_allocated : int;
+  i_scavenge_count : int;
+  i_words_copied_total : int;
+  i_tenured_words_total : int;
+  i_free_list_hits : int;
+  i_free_reused_words : int;
+}
 
 type registers = (string * int array) list
 
@@ -41,7 +68,10 @@ val capture :
   Heap.t -> fingerprint:int -> entries:int -> registers:registers -> t
 
 (** Overwrite the target heap with the image and return the registers.
-    @raise Mismatch when the geometry differs. *)
+    Old-space words a lower bump pointer abandons are zeroed, as
+    {!Heap.release} requires.
+    @raise Mismatch when the geometry differs, or when a region's bump
+    pointer is not [r_base] plus its word count or lies past [r_limit]. *)
 val restore : t -> Heap.t -> registers
 
 val save : string -> t -> unit

@@ -88,6 +88,28 @@ let region base words = { ptr = base; base; limit = base + words }
 let region_used r = r.ptr - r.base
 let region_avail r = r.limit - r.ptr
 
+(* One released word array, already zeroed, kept for the next [create] of
+   the same length.  A fresh [Array.make] of a 2 M-word heap lands in the
+   OCaml major heap and paces a major collection; executions that build
+   and drop a VM each time (the explorer) would pay that every run. *)
+let spare : int array option ref = ref None
+
+let take_mem total =
+  match !spare with
+  | Some mem when Array.length mem = total ->
+      spare := None;
+      mem
+  | _ -> Array.make total 0
+
+(* Only [0, old.ptr) and new space can hold written words: old space
+   grows by bump pointer alone, and a restore that lowers [old.ptr]
+   zeroes what it abandons.  Clearing those ranges leaves the array
+   word-for-word equal to a fresh one. *)
+let release h =
+  Array.fill h.mem 0 h.old.ptr 0;
+  Array.fill h.mem h.new_base (Array.length h.mem - h.new_base) 0;
+  spare := Some h.mem
+
 let create ?(policy = Unlocked) ?(processors = 1) ?(tenure_age = 4)
     ~old_words ~eden_words ~survivor_words () =
   if processors < 1 then invalid_arg "Heap.create: processors";
@@ -112,7 +134,7 @@ let create ?(policy = Unlocked) ?(processors = 1) ?(tenure_age = 4)
             region base words)
     | Unlocked | Shared_locked -> [| eden |]
   in
-  { mem = Array.make total 0;
+  { mem = take_mem total;
     old = region old_base old_words;
     eden;
     eden_regions;

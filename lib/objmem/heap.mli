@@ -97,6 +97,18 @@ val create :
   unit ->
   t
 
+(** Give [h]'s word array back for reuse by a later {!create}.  Only the
+    words a heap can have written are zeroed: [[0, old.ptr)] and the whole
+    new space.  That is enough because old space grows by bump pointer
+    alone, so every old-space word at or above [old.ptr] is still zero
+    (a {!Snapshot} restore that lowers [old.ptr] zeroes what it abandons).
+    The zeroed array goes into a one-slot spare, replacing any array
+    already there; the next [create] whose total length matches takes it
+    instead of allocating, so it starts word-for-word like a fresh heap.
+    No use after release: [h], and anything still reading its memory
+    (its VM, its universe), must be dropped. *)
+val release : t -> unit
+
 val set_nil : t -> Oop.t -> unit
 
 (** Attach a serialization checker: entry-table inserts must then happen

@@ -259,6 +259,24 @@ let test_same_seed_same_run () =
           && a.Explorer.census = b.Explorer.census)
    | _ -> Alcotest.fail "both runs must complete")
 
+(* Executions share recycled heap memory, so no execution may leak into
+   the next: seed 11 must give the same outcome before and after a run
+   that dies mid-evaluation on a sanitizer violation and a few other
+   seeds. *)
+let test_executions_independent () =
+  let first = Explorer.run_seed quick_setup ~seed:11 in
+  let died =
+    Explorer.run_seed (Explorer.broken_ctx_setup ~quick:true ()) ~seed:0
+  in
+  check_bool "the broken run died mid-evaluation" true
+    (died.Explorer.obs = None && died.Explorer.violations > 0);
+  List.iter
+    (fun seed -> ignore (Explorer.run_seed quick_setup ~seed))
+    [ 3; 4; 5 ];
+  let again = Explorer.run_seed quick_setup ~seed:11 in
+  check_bool "the seed ran to completion" true (first.Explorer.obs <> None);
+  check_bool "identical outcomes" true (first = again)
+
 let test_replay_empty_is_reference () =
   let r = Explorer.reference quick_setup in
   let o = Explorer.run_schedule quick_setup [] in
@@ -482,6 +500,8 @@ let () =
       ("oracle",
        [ Alcotest.test_case "ms explores clean" `Quick test_ms_explores_clean;
          Alcotest.test_case "same seed same run" `Quick test_same_seed_same_run;
+         Alcotest.test_case "executions independent" `Quick
+           test_executions_independent;
          Alcotest.test_case "empty replay is the reference" `Quick
            test_replay_empty_is_reference;
          Alcotest.test_case "unlocked config caught" `Quick

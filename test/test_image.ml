@@ -1,6 +1,7 @@
 (* Tests for the bootstrap image: the kernel class hierarchy, reflection,
    the programming-environment tools (browse, search, compile, decompile,
-   inspect), and the I/O service objects. *)
+   inspect), the I/O service objects, and the recycling of a released
+   heap's memory. *)
 
 let vm = lazy (Vm.create (Config.testing ()))
 let ev src = Vm.eval_to_string (Lazy.force vm) src
@@ -148,6 +149,56 @@ let test_character_table () =
   check_eval "isVowel" "true" "$e isVowel";
   check_eval "isDigit" "false" "$e isDigit"
 
+(* --- recycled heap memory --- *)
+
+(* [Heap.release] zeroes only [0, old.ptr) and new space, so every way a
+   heap writes memory must leave old space above [old.ptr] zero:
+   scavenges, tenuring, a major cycle whose holes are reused, and a
+   restore that lowers [old.ptr] over tenured churn.  After all of that
+   the next create of the same geometry gets the very same array, every
+   word zero. *)
+let test_release_recycles_zeroed_memory () =
+  let config =
+    { (Config.testing ()) with
+      Config.eden_words = 2048;
+      survivor_words = 1024;
+      tenure_age = 1;
+      major_enabled = true }
+  in
+  let vm = Vm.create config in
+  let h = vm.Vm.heap in
+  let boot = Snapshot.capture h ~fingerprint:0 ~entries:0 ~registers:[] in
+  let churn =
+    "| keep | keep := Array new: 200.\n\
+     1 to: 6000 do: [:i | keep at: i \\\\ 200 + 1 put: (Array new: 8)].\n\
+     0"
+  in
+  ignore (Vm.eval vm churn);
+  (match vm.Vm.major with
+   | Some mj -> ignore (Major.finish_cycle mj vm.Vm.shared.State.cm)
+   | None -> Alcotest.fail "collector not configured");
+  ignore (Vm.eval vm churn);
+  check_bool "scavenged" true (Heap.scavenge_count h > 0);
+  check_bool "tenured" true (Heap.tenured_words_total h > 0);
+  check_bool "reused swept holes" true (Heap.free_list_hits h > 0);
+  let high = h.Heap.old.Heap.ptr in
+  ignore (Snapshot.restore boot h);
+  check_bool "restore lowered old.ptr" true (h.Heap.old.Heap.ptr < high);
+  let mem = h.Heap.mem in
+  Heap.release h;
+  let create ?(old_words = config.Config.old_words) () =
+    Heap.create ~old_words ~eden_words:config.Config.eden_words
+      ~survivor_words:config.Config.survivor_words ()
+  in
+  let again = create () in
+  check_bool "same geometry reuses the array" true (again.Heap.mem == mem);
+  check_bool "every word zero" true (Array.for_all (fun w -> w = 0) mem);
+  Heap.release again;
+  let other = create ~old_words:(config.Config.old_words + 1024) () in
+  check_bool "another geometry allocates afresh" false (other.Heap.mem == mem);
+  check_bool "the spare waits for its own geometry" true
+    ((create ()).Heap.mem == mem)
+
 let () =
   Alcotest.run "image"
     [ ("kernel",
@@ -168,4 +219,7 @@ let () =
          Alcotest.test_case "inspector" `Quick test_inspector ]);
       ("io",
        [ Alcotest.test_case "transcript" `Quick test_transcript;
-         Alcotest.test_case "display" `Quick test_display ]) ]
+         Alcotest.test_case "display" `Quick test_display ]);
+      ("memory",
+       [ Alcotest.test_case "release recycles zeroed memory" `Quick
+           test_release_recycles_zeroed_memory ]) ]

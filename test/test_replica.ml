@@ -289,14 +289,20 @@ let test_rejects_bad_params () =
     (expect_error
        { Replica.default_params with Replica.checkpoint_every = 0 })
 
-let test_restore_rejects_wrong_geometry () =
+(* A two-slot node and a checkpoint of its freshly built heap. *)
+let captured_node () =
   let node = Replica.build_node ~slots:2 ~shards:2 in
+  let h = node.Replica.vm.Vm.heap in
   let snap =
-    Snapshot.capture node.Replica.vm.Vm.heap
+    Snapshot.capture h
       ~fingerprint:(Replica.fingerprint_of node.Replica.vm)
       ~entries:0
       ~registers:(Replica.capture_registers node.Replica.vm)
   in
+  (h, snap)
+
+let test_restore_rejects_wrong_geometry () =
+  let _, snap = captured_node () in
   (* a target with different region sizes: restore must refuse, not
      scribble over a heap laid out differently *)
   let small =
@@ -320,6 +326,40 @@ let test_restore_rejects_wrong_geometry () =
        "restored"
      with Replica.Cluster_error _ -> "refused")
 
+(* Restore [snap] with [old_image] as its old space, a region whose bump
+   pointer is bad: restore must refuse it rather than set a pointer that
+   disagrees with the memory it copied in, and must leave the target's
+   pointer alone. *)
+let restore_refused what snap (h : Heap.t) old_image =
+  let bad =
+    { snap with
+      Snapshot.heap = { snap.Snapshot.heap with Snapshot.i_old = old_image } }
+  in
+  let ptr = h.Heap.old.Heap.ptr in
+  check_string what "mismatch"
+    (try
+       ignore (Snapshot.restore bad h);
+       "restored"
+     with Snapshot.Mismatch _ -> "mismatch");
+  check (what ^ ": target pointer untouched") ptr h.Heap.old.Heap.ptr
+
+let test_restore_rejects_bad_bump_pointer () =
+  let h, snap = captured_node () in
+  let img = snap.Snapshot.heap.Snapshot.i_old in
+  restore_refused "pointer past the copied words" snap h
+    { img with Snapshot.r_ptr = img.Snapshot.r_ptr + 1 }
+
+let test_restore_rejects_pointer_past_limit () =
+  let h, snap = captured_node () in
+  (* consistent words and pointer, but one word more than the region
+     holds *)
+  let img = snap.Snapshot.heap.Snapshot.i_old in
+  let n = img.Snapshot.r_limit - img.Snapshot.r_base + 1 in
+  restore_refused "pointer past the region limit" snap h
+    { img with
+      Snapshot.r_ptr = img.Snapshot.r_base + n;
+      r_words = Array.make n 0 }
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "replica"
@@ -331,7 +371,11 @@ let () =
          Alcotest.test_case "loader rejects empty/truncated/unparseable"
            `Quick test_snapshot_loader_rejects;
          Alcotest.test_case "restore rejects wrong geometry" `Quick
-           test_restore_rejects_wrong_geometry ]);
+           test_restore_rejects_wrong_geometry;
+         Alcotest.test_case "restore rejects a bump pointer off its words"
+           `Quick test_restore_rejects_bad_bump_pointer;
+         Alcotest.test_case "restore rejects a bump pointer past its limit"
+           `Quick test_restore_rejects_pointer_past_limit ]);
       ("cmdlog",
        [ Alcotest.test_case "loader rejects empty/truncated/unparseable"
            `Quick test_cmdlog_loader_rejects ]);
