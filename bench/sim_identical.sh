@@ -20,6 +20,9 @@
 # workload's seeded runs: a quick DPOR exploration with its statistics
 # (every re-execution replays a prefix), and a four-seed exploration of
 # a broken configuration, whose counterexamples are shrunk by replay.
+# Finally it covers two cluster runs whose replica fingerprints the
+# converged perf workload never prints: a deliberately divergent replica
+# and a crash that tears the victim's newest checkpoint.
 set -eu
 parent=${1:?usage: sh bench/sim_identical.sh PARENT-REVISION}
 cd "$(dirname "$0")/.."
@@ -91,6 +94,22 @@ echo "sim-identical: explorer runs" >&2
 (cd "$tmp/parent" && explore_runs) >"$tmp/a.explore"
 explore_runs >"$tmp/b.explore"
 
+# Print the cluster runs, each run's exit status after its output.
+cluster_runs() {
+  DUNE_CACHE=disabled dune build --root . -j 2 --display quiet ./bin/mst.exe 1>&2
+  rc=0
+  ./_build/default/bin/mst.exe cluster --requests=12 --skip-lsn=3 \
+    --expect-divergence || rc=$?
+  echo "exit $rc"
+  rc=0
+  ./_build/default/bin/mst.exe cluster --requests=24 --crash-seed=5 \
+    --scenario=torn-checkpoint --expect-rejoin || rc=$?
+  echo "exit $rc"
+}
+echo "sim-identical: cluster runs" >&2
+(cd "$tmp/parent" && cluster_runs) >"$tmp/a.cluster"
+cluster_runs >"$tmp/b.cluster"
+
 # one "workload seed digest" line per run, in run order
 digests() {
   sed -n 's/^{"workload": "\([^"]*\)", "seed": \([0-9]*\),.*"sim_digest": "\([0-9a-f]*\)".*/\1 \2 \3/p' "$1"
@@ -125,6 +144,11 @@ if ! cmp -s "$tmp/a.explore" "$tmp/b.explore"; then
   diff "$tmp/a.explore" "$tmp/b.explore" | head -20 >&2 || true
   status=1
 fi
+if ! cmp -s "$tmp/a.cluster" "$tmp/b.cluster"; then
+  echo "FAIL: cluster output differs against $parent:" >&2
+  diff "$tmp/a.cluster" "$tmp/b.cluster" | head -20 >&2 || true
+  status=1
+fi
 [ "$status" -eq 0 ] &&
-  echo "sim-identical: 25 runs, 2 trace dumps, 2 k>1 scavenger runs and 2 explorer runs identical to $parent"
+  echo "sim-identical: 25 runs, 2 trace dumps, 2 k>1 scavenger runs, 2 explorer runs and 2 cluster runs identical to $parent"
 exit "$status"

@@ -204,15 +204,20 @@ let stable_roots vm =
    completed all legitimately differ between interleavings.  The census
    stops at those classes and compares only program-level data. *)
 let schedule_dependent vm =
-  let u = vm.Vm.u in
-  let c = u.Universe.classes in
+  let c = vm.Vm.u.Universe.classes in
   let h = vm.Vm.heap in
-  let cut =
-    [ c.Universe.process; c.Universe.method_context; c.Universe.block_context;
-      c.Universe.processor_scheduler; c.Universe.linked_list;
-      c.Universe.semaphore ]
-  in
-  fun o -> List.exists (Oop.equal (Heap.class_at h (Oop.addr o))) cut
+  let process = c.Universe.process
+  and method_context = c.Universe.method_context
+  and block_context = c.Universe.block_context
+  and processor_scheduler = c.Universe.processor_scheduler
+  and linked_list = c.Universe.linked_list
+  and semaphore = c.Universe.semaphore in
+  fun o ->
+    let cls = Heap.class_at h (Oop.addr o) in
+    Oop.equal cls process || Oop.equal cls method_context
+    || Oop.equal cls block_context
+    || Oop.equal cls processor_scheduler
+    || Oop.equal cls linked_list || Oop.equal cls semaphore
 
 (* Class identity that survives snapshot/restore and holds across
    independently-bootstrapped images: the FNV-1a hash of the class's
@@ -292,15 +297,20 @@ let run_on vm ?faults setup driver =
         with Sanitizer.Violation msg ->
           Some msg
       in
-      let census =
-        Verify.census vm.Vm.heap ~stop:(schedule_dependent vm)
-          ~roots:(result :: stable_roots vm)
-      in
-      finish post_error
-        (Some
-           { result = Vm.describe vm result;
-             transcript = Vm.transcript vm;
-             census })
+      (match
+         Verify.census vm.Vm.heap ~stop:(schedule_dependent vm)
+           ~roots:(result :: stable_roots vm)
+       with
+       | census ->
+           finish post_error
+             (Some
+                { result = Vm.describe vm result;
+                  transcript = Vm.transcript vm;
+                  census })
+       | exception Invalid_argument msg ->
+           (* an oop outside allocated space: only a heap the check
+              above rejected can hold one *)
+           finish (Some (Option.value post_error ~default:msg)) None)
   | exception Sanitizer.Violation msg -> finish (Some msg) None
   | exception Vm.Error msg -> finish (Some ("vm: " ^ msg)) None
   | exception State.Vm_error msg -> finish (Some ("vm: " ^ msg)) None

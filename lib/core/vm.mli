@@ -104,7 +104,8 @@ val describe : t -> Oop.t -> string
 
 val eval_to_string : ?priority:int -> t -> string -> string
 
-(** Everything written to the Transcript since [create]. *)
+(** Everything written to this VM's Transcript since [create]; each VM
+    has its own, so creating another VM leaves it alone. *)
 val transcript : t -> string
 
 (** Virtual time: the maximum processor clock, in cycles / in simulated

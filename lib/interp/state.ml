@@ -29,6 +29,7 @@ type shared = {
   entry_lock : Spinlock.t;
   display : Devices.display;
   input : Devices.input_queue;
+  transcript : Buffer.t;                  (* everything Transcript show: wrote *)
   (* specials resolved once at bootstrap *)
   mutable sym_does_not_understand : Oop.t;
   input_semaphore : Oop.t ref;            (* signalled on input events *)

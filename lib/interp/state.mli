@@ -28,6 +28,7 @@ type shared = {
   entry_lock : Spinlock.t;  (** entry-table maintenance *)
   display : Devices.display;
   input : Devices.input_queue;
+  transcript : Buffer.t;  (** everything [Transcript show:] wrote on this VM *)
   mutable sym_does_not_understand : Oop.t;
   input_semaphore : Oop.t ref;  (** signalled on input events (rooted) *)
   mutable on_terminate : Oop.t -> Oop.t -> unit;  (** process, result *)

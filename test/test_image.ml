@@ -121,10 +121,24 @@ let test_inspector () =
 
 let test_transcript () =
   let vm' = Lazy.force vm in
-  Buffer.clear Primitives.transcript;
+  Buffer.clear vm'.Vm.shared.State.transcript;
   ignore (Vm.eval vm' "Transcript show: 'hello'; show: ' world'");
   Alcotest.(check string) "transcript captured" "hello world"
     (Vm.transcript vm')
+
+(* Each VM keeps its own transcript: building another VM (a cluster
+   node, an explorer execution) must not wipe a live one's. *)
+let test_transcript_per_vm () =
+  let a = Vm.create (Config.testing ()) in
+  ignore (Vm.eval a "Transcript show: 'from A'");
+  let b = Vm.create (Config.testing ()) in
+  Alcotest.(check string) "A intact after B is created" "from A"
+    (Vm.transcript a);
+  ignore (Vm.eval b "Transcript show: 'from B'");
+  Alcotest.(check string) "B sees only its own output" "from B"
+    (Vm.transcript b);
+  Alcotest.(check string) "A untouched by B's output" "from A"
+    (Vm.transcript a)
 
 let test_display () =
   let vm' = Lazy.force vm in
@@ -219,6 +233,7 @@ let () =
          Alcotest.test_case "inspector" `Quick test_inspector ]);
       ("io",
        [ Alcotest.test_case "transcript" `Quick test_transcript;
+         Alcotest.test_case "transcript per VM" `Quick test_transcript_per_vm;
          Alcotest.test_case "display" `Quick test_display ]);
       ("memory",
        [ Alcotest.test_case "release recycles zeroed memory" `Quick
