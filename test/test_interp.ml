@@ -56,6 +56,18 @@ let test_floats () =
   check_eval "rounded" "4" "3.9 rounded";
   check_eval "asFloat" "1" "2 asFloat printString size"
 
+(* Primitive 45 fails on a zero divisor of either sign, and on 0.0 / 0.0,
+   so Float>>/ reports the division instead of answering an infinity or
+   a NaN. *)
+let test_float_division () =
+  check_eval "float divide" "0.25" "1.0 / 4";
+  check_eval "negative float divide" "-3" "1.5 / -0.5";
+  List.iter
+    (fun src ->
+      Alcotest.(check string) src "Smalltalk error: float division by zero"
+        (try ignore (ev src); "no error" with State.Vm_error msg -> msg))
+    [ "1.0 / 0.0"; "1.0 / -0.0"; "0.0 / 0.0" ]
+
 let test_integer_printing () =
   check_eval "zero" "'0'" "0 printString";
   check_eval "positive" "'12345'" "12345 printString";
@@ -311,6 +323,7 @@ let () =
        [ Alcotest.test_case "arithmetic" `Quick test_arithmetic;
          Alcotest.test_case "smallinteger overflow" `Quick test_small_overflow;
          Alcotest.test_case "floats" `Quick test_floats;
+         Alcotest.test_case "float division" `Quick test_float_division;
          Alcotest.test_case "printing" `Quick test_integer_printing ]);
       ("objects",
        [ Alcotest.test_case "identity" `Quick test_identity;
