@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is what CI runs.
 
-.PHONY: all build test check smoke-parallel-scavenge explore-smoke fault-smoke steal-smoke server-smoke dpor-smoke gc-smoke cluster-smoke sim-identical bench bench-quick clean
+.PHONY: all build test check int-compare-audit smoke-parallel-scavenge explore-smoke fault-smoke steal-smoke server-smoke dpor-smoke gc-smoke cluster-smoke sim-identical bench bench-quick clean
 
 all: build
 
@@ -9,6 +9,13 @@ build:
 
 test:
 	dune runtest
+
+# No polymorphic comparison on the engine's per-event path: disassemble
+# the native objects of its modules and fail on any call to compare_val's
+# entry points or to Stdlib.max/min/compare (see the script's header).
+int-compare-audit:
+	dune build
+	sh bench/int_compare_audit.sh
 
 # A quick E10 run with the strict sanitizer: every parallel collection is
 # claim/chunk-checked and followed by a full heap verification, so a
@@ -121,6 +128,7 @@ cluster-smoke:
 
 check:
 	dune build
+	$(MAKE) int-compare-audit
 	dune runtest
 	$(MAKE) smoke-parallel-scavenge
 	$(MAKE) explore-smoke

@@ -20,9 +20,12 @@
 # workload's seeded runs: a quick DPOR exploration with its statistics
 # (every re-execution replays a prefix), and a four-seed exploration of
 # a broken configuration, whose counterexamples are shrunk by replay.
-# Finally it covers two cluster runs whose replica fingerprints the
-# converged perf workload never prints: a deliberately divergent replica
-# and a crash that tears the victim's newest checkpoint.
+# It covers two cluster runs whose replica fingerprints the converged
+# perf workload never prints: a deliberately divergent replica and a
+# crash that tears the victim's newest checkpoint.  Finally it covers
+# E18's own table (`bench e18-gc --quick`): its pause distribution and
+# its collector line — cycles, slices, forced completions, reclaimed
+# words and free-list reuse — which the perf workload only digests.
 set -eu
 parent=${1:?usage: sh bench/sim_identical.sh PARENT-REVISION}
 cd "$(dirname "$0")/.."
@@ -110,6 +113,18 @@ echo "sim-identical: cluster runs" >&2
 (cd "$tmp/parent" && cluster_runs) >"$tmp/a.cluster"
 cluster_runs >"$tmp/b.cluster"
 
+# Print E18's quick table, then its exit status.  A quick run writes no
+# BENCH_e18_gc.json.
+e18_run() {
+  DUNE_CACHE=disabled dune build --root . -j 2 --display quiet ./bench/main.exe 1>&2
+  rc=0
+  ./_build/default/bench/main.exe e18-gc --quick || rc=$?
+  echo "exit $rc"
+}
+echo "sim-identical: E18 table" >&2
+(cd "$tmp/parent" && e18_run) >"$tmp/a.e18"
+e18_run >"$tmp/b.e18"
+
 # one "workload seed digest" line per run, in run order
 digests() {
   sed -n 's/^{"workload": "\([^"]*\)", "seed": \([0-9]*\),.*"sim_digest": "\([0-9a-f]*\)".*/\1 \2 \3/p' "$1"
@@ -149,6 +164,11 @@ if ! cmp -s "$tmp/a.cluster" "$tmp/b.cluster"; then
   diff "$tmp/a.cluster" "$tmp/b.cluster" | head -20 >&2 || true
   status=1
 fi
+if ! cmp -s "$tmp/a.e18" "$tmp/b.e18"; then
+  echo "FAIL: E18 table differs against $parent:" >&2
+  diff "$tmp/a.e18" "$tmp/b.e18" | head -20 >&2 || true
+  status=1
+fi
 [ "$status" -eq 0 ] &&
-  echo "sim-identical: 25 runs, 2 trace dumps, 2 k>1 scavenger runs, 2 explorer runs and 2 cluster runs identical to $parent"
+  echo "sim-identical: 25 runs, 2 trace dumps, 2 k>1 scavenger runs, 2 explorer runs, 2 cluster runs and the E18 table identical to $parent"
 exit "$status"

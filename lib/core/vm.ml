@@ -414,7 +414,7 @@ let do_scavenge vm =
   let t0 = Machine.max_clock m in
   disarmed san @@ fun () ->
   let workers =
-    min vm.config.Config.scavenge_workers vm.config.Config.processors
+    Int.min vm.config.Config.scavenge_workers vm.config.Config.processors
   in
   let cost =
     if workers <= 1 then begin
@@ -633,6 +633,25 @@ type run_outcome =
      while the main loop would pick it again anyway (the batched fast
      path), instead of going back through selection for every bytecode.
 
+   - A major slice is due at the rendezvous clock, the largest clock.
+     With a major collector configured, the main loop takes it
+     ([Machine.max_clock]) once per selection, just before the step,
+     and the batch test asks [Major.due] at [Int.max rdv vp.clock];
+     without one, selection computes nothing.  [rdv] stays exact over a
+     batch because only these move clocks during one: the stepping
+     processor's own charges and [Spinlock.locked_op_on], which the
+     [Int.max] covers; [unpark], which raises [rdv] to the clock it
+     gives the woken processor; and [on_old_exhausted], whose forced
+     completion synchronizes every clock mid-step, the stepping
+     processor's included.  Fault stalls and crashes need an injector,
+     which turns batching off, and [Replica]'s clock restore runs
+     outside the engine.
+
+   - The per-event path compares ints with [Int.max]/[Int.min] and at
+     known types, never through [Stdlib.max] or polymorphic compare:
+     on OCaml 5.1 those are C calls into compare_val.
+     [bench/int_compare_audit.sh] checks the compiled objects.
+
    Timers due at or before the selected clock fire first, then selection
    repeats, since a wake may unpark a processor with a smaller clock.  A
    polling engine counts the firing and the step as one event, a parking
@@ -650,6 +669,9 @@ let run_engine vm ~max_cycles ~finished ~result outcome =
   let carry = ref no_key in
   let parked = Array.make procs false in
   let parked_count = ref 0 in
+  (* the rendezvous clock, kept only while a major collector is
+     configured: taken before each selected step, raised by unpark *)
+  let rdv = ref 0 in
   let pkey vp = Pending.key pending ~clock:vp.Machine.clock ~id:vp.Machine.id in
   let push_vp vp = Pending.add pending (pkey vp) in
   let unpark ~now id =
@@ -660,6 +682,7 @@ let run_engine vm ~max_cycles ~finished ~result outcome =
       if vp.Machine.state <> Machine.Halted then begin
         (* the processor sat in its idle loop until the wake arrived *)
         if vp.Machine.clock < now then Machine.charge m vp (now - vp.Machine.clock);
+        rdv := Int.max !rdv vp.Machine.clock;
         push_vp vp
       end
     end
@@ -799,7 +822,10 @@ let run_engine vm ~max_cycles ~finished ~result outcome =
           can_batch && (not !finished)
           && (not vm.gc_requested)
           && (not vm.shared.State.gc_wanted)
-          && (not (major_due vm))
+          && (match vm.major with
+              | None -> true
+              | Some mj ->
+                  not (Major.due mj ~now:(Int.max !rdv vp.Machine.clock)))
           && vp.Machine.clock <= max_cycles
           && pkey vp <= Pending.top pending
           && vp.Machine.clock < Calendar.top_key timers
@@ -846,12 +872,16 @@ let run_engine vm ~max_cycles ~finished ~result outcome =
       if id >= 0 then begin
         let vp = Machine.vp m id in
         if vp.Machine.clock > max_cycles then outcome := Some Cycle_limit
-        else
+        else begin
+          (match vm.major with
+           | Some _ -> rdv := Machine.max_clock m
+           | None -> ());
           step_vp vp vm.states.(id) vm.interps.(id)
             ~can_batch:
               (match Machine.policy m, Machine.injector m with
                | None, None -> true
                | _ -> false)
+        end
       end
       else if id = nothing then begin
         (* no unparked runnable processor: virtual time advances to the
@@ -861,7 +891,7 @@ let run_engine vm ~max_cycles ~finished ~result outcome =
         else begin
           match Devices.next_input_time vm.shared.State.input with
           | Some t when !parked_count > 0 ->
-              unpark_all ~now:(max t (Machine.max_clock m))
+              unpark_all ~now:(Int.max t (Machine.max_clock m))
           | _ ->
               if !parked_count = 0 || nothing_runnable vm then
                 (* every processor is dead, or nothing is left *)

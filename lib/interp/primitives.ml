@@ -625,7 +625,7 @@ let prim_transcript_show st ~nargs =
 (* Cycles per millisecond, floored at 1 so sub-ms-resolution cost models
    (cycles_per_second < 1000) neither divide by zero in the clock nor
    collapse every timer deadline to cycle 0. *)
-let cycles_per_ms cm = max 1 (cm.Cost_model.cycles_per_second / 1000)
+let cycles_per_ms cm = Int.max 1 (cm.Cost_model.cycles_per_second / 1000)
 
 let prim_clock st ~nargs =
   if nargs <> 0 then Failed
@@ -792,7 +792,7 @@ let prim_compile st ~nargs =
                String.length source * st.sh.cm.Cost_model.prim_compile_per_char
              in
              add_cost st (total / 2);
-             let ops = max 1 (total / 2 / 60) in
+             let ops = Int.max 1 (total / 2 / 60) in
              for _ = 1 to ops do
                let finish =
                  Spinlock.locked_op ~vp:st.id st.sh.alloc_lock ~now:(now st) ~op_cycles:60
@@ -828,7 +828,7 @@ let prim_decompile st ~nargs =
                 String.length src * (st.sh.cm.Cost_model.prim_compile_per_char / 2)
               in
               add_cost st (total / 2);
-              let ops = max 1 (total / 2 / 60) in
+              let ops = Int.max 1 (total / 2 / 60) in
               for _ = 1 to ops do
                 let finish =
                   Spinlock.locked_op ~vp:st.id st.sh.alloc_lock ~now:(now st) ~op_cycles:60
@@ -1047,8 +1047,11 @@ let run st ~prim ~nargs =
   | 43 -> float_cmp st ~nargs ( < )
   | 44 -> float_arith st ~nargs ( *. )
   | 45 ->
-      if nargs = 1 && float_of st (peek st ~depth:0) = Some 0.0 then Failed
-      else float_arith st ~nargs ( /. )
+      if nargs <> 1 then Failed
+      else
+        (match float_of st (peek st ~depth:0) with
+         | Some f when f = 0.0 -> Failed
+         | _ -> float_arith st ~nargs ( /. ))
   | 46 -> float_cmp st ~nargs ( = )
   | 47 ->
       (* truncated *)

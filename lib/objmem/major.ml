@@ -70,7 +70,7 @@ type t = {
 let create ~heap ~budget ~iter_roots =
   {
     heap;
-    budget = max 1 budget;
+    budget = Int.max 1 budget;
     iter_roots;
     marks = Bytes.make ((heap.new_base + 7) / 8) '\000';
     phase = Idle;
@@ -154,7 +154,7 @@ let want_start t =
   t.phase = Idle
   && (old_used t.heap * 1000 >= 600 * old_words t
       || t.heap.tenured_words_total - t.last_cycle_tenured
-         >= max 2048 (old_words t / 64))
+         >= Int.max 2048 (old_words t / 64))
 
 let near_exhaustion t = old_used t.heap * 1000 >= 900 * old_words t
 

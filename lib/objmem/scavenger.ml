@@ -35,7 +35,7 @@ let scan_limit h a =
     if is_context h (class_at h a) then begin
       let sp = h.mem.(a + Layout.header_words + Layout.Ctx.stackp) in
       let live = Layout.Ctx.fixed_slots + (if Oop.is_small sp then Oop.small_val sp else 0) in
-      min n live
+      Int.min n live
     end else n
   end
 
@@ -59,7 +59,7 @@ let in_from h p a =
   || (a >= p.past.base && a < p.past.limit)
 
 (* The age the object at [a] has once it survives this collection. *)
-let next_age h a = min (age h a + 1) Layout.age_mask
+let next_age h a = Int.min (age h a + 1) Layout.age_mask
 
 (* Move the [total]-word object at [from_addr] to [dest], which the
    caller's destination policy chose: copy it, refresh its age (clearing
@@ -327,7 +327,7 @@ let alloc_in h san cm w buf region total =
   end
   else if region_avail region >= total then begin
     seal h buf;
-    let size = min (max chunk_words total) (region_avail region) in
+    let size = Int.min (Int.max chunk_words total) (region_avail region) in
     let base = region.ptr in
     region.ptr <- base + size;
     buf.bptr <- base + total;
@@ -388,7 +388,7 @@ let rec split_at n l =
         (x :: taken, left)
 
 let scavenge_parallel h (cm : Cost_model.t) ?injector ~workers () =
-  let workers = max 1 workers in
+  let workers = Int.max 1 workers in
   let p = start_pass h in
   let stats = p.stats in
   let san = h.sanitizer in
@@ -564,7 +564,7 @@ let scavenge_parallel h (cm : Cost_model.t) ?injector ~workers () =
       w.st.busy_cycles <-
         w.st.copy_cycles + w.st.scan_cycles + w.st.coord_cycles)
     ws;
-  let max_busy = Array.fold_left (fun m w -> max m w.st.busy_cycles) 0 ws in
+  let max_busy = Array.fold_left (fun m w -> Int.max m w.st.busy_cycles) 0 ws in
   Array.iter (fun w -> w.st.idle_cycles <- max_busy - w.st.busy_cycles) ws;
   let barrier_cycles = !barrier_cycles + !recovery_barrier_cycles in
   let coordination_cycles =

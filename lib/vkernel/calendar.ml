@@ -32,7 +32,7 @@ let is_empty t = t.len = 0
 (* Double the arrays; [v] fills the new value slots, which are never read
    before being written. *)
 let grow t v =
-  let cap = max 8 (2 * t.len) in
+  let cap = Int.max 8 (2 * t.len) in
   let keys = Array.make cap 0 and seqs = Array.make cap 0 in
   let vals = Array.make cap v in
   Array.blit t.keys 0 keys 0 t.len;

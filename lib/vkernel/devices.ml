@@ -53,7 +53,7 @@ let inject_device_fault d ~vp ~now =
                    ~resource:"display output queue"
                    (Printf.sprintf "device timeout %d" n)
              | None -> ());
-            d.free_at <- max d.free_at now + n;
+            d.free_at <- Int.max d.free_at now + n;
             d.fault_stall_cycles <- d.fault_stall_cycles + n
         | Some _ | None -> ())
 
@@ -85,7 +85,7 @@ let display_enqueue ?(vp = -1) d ~now =
          | None -> ());
         d.commands <- d.commands + 1)
   in
-  d.free_at <- max d.free_at after_lock + d.service_cycles;
+  d.free_at <- Int.max d.free_at after_lock + d.service_cycles;
   after_lock
 
 let display_commands d = d.commands

@@ -188,16 +188,16 @@ let gen_at point rng p =
   | Sched_check ->
       if Rng.chance rng p.crash_permil then Some Vp_crash
       else if Rng.chance rng p.stall_permil then
-        Some (Vp_stall (1 + Rng.below rng (max 1 p.stall_bound)))
+        Some (Vp_stall (1 + Rng.below rng (Int.max 1 p.stall_bound)))
       else None
   | Lock_acquire ->
       if Rng.chance rng p.holder_crash_permil then Some Holder_crash
       else if Rng.chance rng p.holder_stall_permil then
-        Some (Holder_stall (1 + Rng.below rng (max 1 p.holder_stall_bound)))
+        Some (Holder_stall (1 + Rng.below rng (Int.max 1 p.holder_stall_bound)))
       else None
   | Device_op ->
       if Rng.chance rng p.device_permil then
-        Some (Device_timeout (1 + Rng.below rng (max 1 p.device_bound)))
+        Some (Device_timeout (1 + Rng.below rng (Int.max 1 p.device_bound)))
       else None
   | Gc_barrier ->
       if Rng.chance rng p.worker_crash_permil then

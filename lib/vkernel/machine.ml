@@ -68,7 +68,7 @@ let running_count m =
 
 (* Recompute the bus multiplier; called when a processor changes state. *)
 let refresh_bus m =
-  let extra = max 0 (running_count m - 1) in
+  let extra = Int.max 0 (running_count m - 1) in
   let beta = m.cost.Cost_model.bus_beta in
   m.bus_factor_num <- 1024 + int_of_float (beta *. float_of_int extra *. 1024.)
 
@@ -197,7 +197,11 @@ let min_runnable m =
       end
 
 let max_clock m =
-  Array.fold_left (fun t vp -> max t vp.clock) 0 m.vps
+  let t = ref 0 in
+  for i = 0 to Array.length m.vps - 1 do
+    t := Int.max !t m.vps.(i).clock
+  done;
+  !t
 
 (* Advance every live processor's clock to at least [t]; used after a
    stop-the-world pause so nobody resumes in the past. *)

@@ -66,7 +66,7 @@ let id t name =
   let id = Trace.intern t.trace name in
   let n = Array.length t.locks in
   if id >= n then begin
-    let n' = max (id + 1) (max 16 (2 * n)) in
+    let n' = Int.max (id + 1) (Int.max 16 (2 * n)) in
     t.locks <-
       Array.init n' (fun i ->
           if i < n then t.locks.(i)
@@ -102,7 +102,7 @@ let on_lock_op t ~lock ~vp ~now ~start ~finish ~contended =
     if t.armed && finish < start then
       report_on t ~vp ~now lock
         (Printf.sprintf "section finish %d before start %d" finish start);
-    st.last_finish <- max st.last_finish finish;
+    st.last_finish <- Int.max st.last_finish finish;
     Trace.record t.trace ~vp ~time:start
       ~kind:(if contended then Trace.Lock_contend else Trace.Lock_acquire)
       ~resource:lock Trace.Finish finish 0
@@ -123,7 +123,7 @@ let section_exit t ~lock ~vp ~now =
     let st = t.locks.(lock) in
     if t.armed && st.depth <= 0 then
       report_on t ~vp ~now lock "section exit without matching enter"
-    else st.depth <- max 0 (st.depth - 1);
+    else st.depth <- Int.max 0 (st.depth - 1);
     if st.depth = 0 then st.section_vp <- -1;
     Trace.record t.trace ~vp ~time:now ~kind:Trace.Section_exit
       ~resource:lock Trace.Empty 0 0

@@ -95,8 +95,8 @@ let fault_stall_cycles t = t.fault_stall_cycles
 let holder t = t.holder
 
 let set_watchdog t ~bound ~backoff_after =
-  t.watchdog_bound <- max 0 bound;
-  t.backoff_after <- max 0 backoff_after
+  t.watchdog_bound <- Int.max 0 bound;
+  t.backoff_after <- Int.max 0 backoff_after
 
 let injector t =
   match t.machine with None -> None | Some m -> Machine.injector m
@@ -123,7 +123,7 @@ let jittered t ~vp ~now =
   | Some m when vp >= 0 ->
       (match Machine.policy m with
        | Some p ->
-           now + max 0 (p.Machine.lock_jitter ~vp ~lock:t.name ~now)
+           now + Int.max 0 (p.Machine.lock_jitter ~vp ~lock:t.name ~now)
        | None -> now)
   | _ -> now
 
@@ -219,7 +219,7 @@ let acquire t ~vp ~now ~op_cycles =
       in
       let fault_part =
         if t.fault_until >= t.free_at then
-          max 0 (min wait (t.free_at - max now t.fault_base))
+          Int.max 0 (Int.min wait (t.free_at - Int.max now t.fault_base))
         else 0
       in
       t.spin_cycles <- t.spin_cycles + (natural_spun - fault_part);

@@ -66,7 +66,7 @@ let intern t name =
       if id = 1 lsl resource_bits then
         invalid_arg "Trace.intern: too many names";
       if id = Array.length t.names then begin
-        let names = Array.make (max 16 (2 * id)) "" in
+        let names = Array.make (Int.max 16 (2 * id)) "" in
         Array.blit t.names 0 names 0 id;
         t.names <- names
       end;
@@ -160,7 +160,7 @@ let event t i =
 
 let last t n =
   let cap = t.capacity in
-  let n = min n (min t.total cap) in
+  let n = Int.min n (Int.min t.total cap) in
   (* the newest event is at next - 1, so the oldest of n is at next - n *)
   List.init n (fun i -> event t ((t.next - n + i + cap) mod cap))
 
