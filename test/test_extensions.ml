@@ -325,6 +325,36 @@ let golden_crash () =
   engine_signature vm
     ~extra:(Printf.sprintf " crashes=%d" vm.Vm.crashes_delivered)
 
+(* The stealing scheduler's own paths, beyond the plain [golden_stealing]
+   run: six forked Processes that yield in a loop, on four processors
+   with two busy ones, and vp 0 crashing mid-run.  Under the MS queue the
+   crashed Process stays in the dead owner's deque and survivors steal
+   out of it; under the BS queue it is not queued, so failover pushes it
+   into a live processor's deque, and picks and steals remove from the
+   deques with no migrations. *)
+let golden_stealing_crash ~keep_running_in_queue () =
+  let config =
+    { (Testkit.fault_config ~scheduler:Config.Sched_stealing ()) with
+      Config.keep_running_in_queue }
+  in
+  let vm = Vm.create config in
+  (* index 187 lands on a scheduling check of vp 0 in both runs *)
+  Vm.set_fault_injector vm (Some (Fault.replay (Testkit.crash_plan 187)));
+  ignore (Workloads.spawn_busy vm 2);
+  ignore
+    (Vm.eval vm
+       "| sem | sem := Semaphore new. 6 timesRepeat: [[20 timesRepeat: \
+        [30 factorial printString. Processor yield]. sem signal] fork]. \
+        6 timesRepeat: [sem wait]. 42");
+  let s = vm.Vm.shared.State.sched in
+  engine_signature vm
+    ~extra:(Printf.sprintf
+              " crashes=%d failovers=%d local=%d steals=%d failed=%d \
+               migrations=%d"
+              vm.Vm.crashes_delivered (Scheduler.failovers s)
+              (Scheduler.local_picks s) (Scheduler.steals s)
+              (Scheduler.failed_steals s) (Scheduler.migrations s))
+
 let golden_serve () =
   let config =
     { (Config.testing ~processors:4 ()) with
@@ -377,6 +407,14 @@ let golden_fixtures =
     ("injected VP crash", golden_crash,
      ("cycles=97784 steps=18149,500,36913,36854 events=92431 "
       ^ "pauses=1093,1019,1089,1015,294 crashes=1"));
+    ("stealing, injected VP crash",
+     golden_stealing_crash ~keep_running_in_queue:true,
+     ("cycles=54900 steps=500,19032,19051,18948 events=57546 pauses=2636,3328 "
+      ^ "crashes=1 failovers=1 local=128 steals=10 failed=0 migrations=10"));
+    ("stealing, BS queue, injected VP crash",
+     golden_stealing_crash ~keep_running_in_queue:false,
+     ("cycles=52210 steps=500,18904,18934,18684 events=57037 pauses=1547,1593 "
+      ^ "crashes=1 failovers=1 local=126 steals=10 failed=0 migrations=0"));
     ("calendar serve", golden_serve,
      ("cycles=125797 steps=30303,30882,61,0 events=61279 pauses=1355 "
       ^ "parks=16")) ]
