@@ -102,21 +102,16 @@ let create (config : Config.t) =
   let sched_lock = Spinlock.make ~enabled:locks ~cost:cm "scheduler" in
   let display = Devices.make_display ~enabled_locks:locks ~cost:cm in
   let input = Devices.make_input_queue ~enabled_locks:locks ~cost:cm in
-  let sched_strategy =
-    match config.Config.scheduler with
-    | Config.Sched_locked -> Scheduler.Locked
-    | Config.Sched_stealing -> Scheduler.Stealing
-  in
   let deque_locks =
-    match sched_strategy with
-    | Scheduler.Locked -> [||]
-    | Scheduler.Stealing ->
+    match config.Config.scheduler with
+    | Config.Sched_locked -> [||]
+    | Config.Sched_stealing ->
         Array.init processors (fun i ->
             Spinlock.make ~enabled:locks ~cost:cm
               (Printf.sprintf "ready deque %d" i))
   in
   let sched =
-    Scheduler.create ~strategy:sched_strategy ~deque_locks
+    Scheduler.create ~deque_locks
       ~unlocked_steal:config.Config.debug_unlocked_steal ~u ~lock:sched_lock
       ~entry_lock ~op_cycles:cm.Cost_model.sched_op
       ~remember_cost:cm.Cost_model.remember_insert

@@ -28,6 +28,15 @@
      ready Process runs.  The global scheduler lock survives for
      Semaphore list surgery, which stays serialized as in the paper.
 
+   Both are written as "homes": a home is a set of per-priority ready
+   lists under one lock.  [Locked] has one home (owner 0), the
+   ProcessorScheduler's lists under the scheduler lock; [Stealing] has
+   one per processor, its deques under its deque lock.  A home list is
+   named by the raw index [owner * priorities + priority - 1].  Only the
+   home primitives below ([homes], [home_list], [section], [chained],
+   [home], [insert], [sched_check_lock]) and [pick] look at the
+   strategy; every other operation is written once on top of them.
+
    Lock discipline: every list operation runs inside the owning lock's
    critical section.  A store that would insert its receiver into the
    entry table is deferred — the address is queued while the queue lock
@@ -73,15 +82,14 @@ type t = {
   stolen_from : int array;       (* per victim processor *)
 }
 
-let create ?(strategy = Locked) ?(deque_locks = [||]) ?(unlocked_steal = false)
-    ~u ~lock ~entry_lock ~op_cycles ~remember_cost ~keep_running_in_queue
-    ~processors () =
+let create ?(deque_locks = [||]) ?(unlocked_steal = false) ~u ~lock
+    ~entry_lock ~op_cycles ~remember_cost ~keep_running_in_queue ~processors
+    () =
+  let strategy = if Array.length deque_locks = 0 then Locked else Stealing in
   let deques =
     match strategy with
     | Locked -> [||]
     | Stealing ->
-        if Array.length deque_locks <> processors then
-          invalid_arg "Scheduler.create: one deque lock per processor";
         let h = Universe.heap u in
         Array.init
           (processors * Layout.Scheduler.priorities)
@@ -288,103 +296,159 @@ let running_on t proc =
   let v = Heap.get (heap t) proc Layout.Process.running_on in
   if Oop.is_small v then Some (Oop.small_val v) else None
 
-(* --- deques --- *)
+(* --- homes ---------------------------------------------------------------
 
-let deque t ~owner ~priority =
-  t.deques.(owner * Layout.Scheduler.priorities + priority - 1)
+   The only functions (with [pick]) that look at [t.strategy]. *)
 
-(* Which deque (raw index) is this list, if any?  Used to find the lock
-   that guards the list a Process is chained into. *)
-let deque_index t list =
-  if Oop.equal list (nil t) then None
-  else begin
-    let n = Array.length t.deques in
-    let found = ref (-1) in
-    for i = 0 to n - 1 do
-      if !found < 0 && Oop.equal t.deques.(i) list then found := i
-    done;
-    if !found < 0 then None else Some !found
-  end
+let homes t =
+  match t.strategy with
+  | Locked -> 1
+  | Stealing -> t.processors
 
-let deque_owner_of_index i = i / Layout.Scheduler.priorities
-let deque_priority_of_index i = (i mod Layout.Scheduler.priorities) + 1
+let index ~owner ~priority = (owner * Layout.Scheduler.priorities) + priority - 1
+let owner_of_index i = i / Layout.Scheduler.priorities
+let priority_of_index i = (i mod Layout.Scheduler.priorities) + 1
+let deque t ~owner ~priority = t.deques.(index ~owner ~priority)
 
-(* Run [f resource] under [owner]'s deque lock — unless the deliberately
-   broken unlocked-steal configuration is active, in which case the
+let home_list t i =
+  match t.strategy with
+  | Locked -> ready_list t (i + 1)
+  | Stealing -> t.deques.(i)
+
+(* Run [f resource] under [owner]'s home lock, [resource] being the
+   sanitizer id of what it guards — unless the deliberately broken
+   unlocked-steal configuration is active, in which case a deque
    mutation runs in the open and the sanitizer's guard check fires. *)
-let deque_critical t ~vp ~owner ~now f =
-  let resource = t.san_deques.(owner) in
-  if t.unlocked_steal then (now, f resource)
-  else
-    Spinlock.critical ~vp t.deque_locks.(owner) ~now ~op_cycles:t.op_cycles
-      (fun () -> f resource)
+let section t ~vp ~owner ~now f =
+  match t.strategy with
+  | Locked ->
+      Spinlock.critical ~vp t.lock ~now ~op_cycles:t.op_cycles (fun () ->
+          f t.san_queue)
+  | Stealing ->
+      let resource = t.san_deques.(owner) in
+      if t.unlocked_steal then (now, f resource)
+      else
+        Spinlock.critical ~vp t.deque_locks.(owner) ~now
+          ~op_cycles:t.op_cycles (fun () -> f resource)
 
-(* First runnable, not-running Process from the front (the LIFO end). *)
+(* The home list [proc] is chained into, or -1.  Locked only recognises
+   the ready list of the Process's own priority; a deque of any priority
+   counts, so [is_in_ready_queue] checks the band itself. *)
+let chained t proc =
+  let list = Heap.get (heap t) proc Layout.Process.my_list in
+  if Oop.equal list (nil t) then -1
+  else
+    match t.strategy with
+    | Locked ->
+        let priority = priority_of t proc in
+        if Oop.equal list (ready_list t priority) then priority - 1 else -1
+    | Stealing ->
+        let rec find i =
+          if i >= Array.length t.deques then -1
+          else if Oop.equal t.deques.(i) list then i
+          else find (i + 1)
+        in
+        find 0
+
+(* The home a Process is queued on when it is not chained anywhere.
+   Locked: the one home.  Stealing: the acting processor's own, or — for
+   engine-side wakes (timers, spawns, failover) — round-robin over the
+   processors that are still alive, so work is not parked on a corpse. *)
+let home ?(exclude = -1) t ~vp =
+  match t.strategy with
+  | Locked -> 0
+  | Stealing ->
+      let live i =
+        i <> exclude
+        &&
+        match t.machine with
+        | None -> true
+        | Some m -> (Machine.vp m i).Machine.state <> Machine.Halted
+      in
+      if vp >= 0 && vp < t.processors && live vp then vp
+      else begin
+        let rec find tries i =
+          if tries >= t.processors then (i + 1) mod t.processors
+          else if live i then i
+          else find (tries + 1) ((i + 1) mod t.processors)
+        in
+        let h = find 0 (t.next_home mod t.processors) in
+        t.next_home <- (h + 1) mod t.processors;
+        h
+      end
+
+(* Queue [proc] at the wake end of [list]: appended for Locked, pushed on
+   the front (the owner's LIFO end) for Stealing.  [~detach:true] also
+   clears its running mark, before the append or after the push: the
+   store order each strategy's failover has always used. *)
+let insert t ~vp ~resource ~detach list proc =
+  match t.strategy with
+  | Locked ->
+      if detach then set_running_on_u t ~vp ~resource proc None;
+      append_unlocked t ~vp ~resource list proc
+  | Stealing ->
+      push_front_unlocked t ~vp ~resource list proc;
+      if detach then set_running_on_u t ~vp ~resource proc None
+
+(* The lock a processor's periodic scheduling check touches: the shared
+   scheduler lock, or — stealing — the processor's own deque lock, so
+   the check does not serialize every running processor. *)
+let sched_check_lock t ~vp =
+  match t.strategy with
+  | Locked -> t.lock
+  | Stealing -> t.deque_locks.(vp)
+
+(* --- on top of the homes --- *)
+
+(* Runnable and not running on any processor: a Process a pick may take. *)
+let eligible t proc =
+  (not (Oop.is_small (Heap.get (heap t) proc Layout.Process.running_on)))
+  && process_state t proc = Layout.Process_state.runnable
+
+(* First eligible Process from the front (the LIFO end). *)
 let first_eligible t list =
   let h = heap t in
   let n = nil t in
   let rec scan cur =
     if Oop.equal cur n then None
-    else if
-      running_on t cur = None
-      && process_state t cur = Layout.Process_state.runnable
-    then Some cur
+    else if eligible t cur then Some cur
     else scan (Heap.get h cur Layout.Process.next_link)
   in
   scan (Heap.get h list Layout.Linked_list.first)
 
-(* Last runnable, not-running Process — the FIFO end a thief takes from:
-   the oldest, least cache-warm work in the victim's deque. *)
+(* Last eligible Process — the FIFO end a thief takes from: the oldest,
+   least cache-warm work in the victim's deque. *)
 let last_eligible t list =
   let h = heap t in
   let n = nil t in
-  let best = ref None in
-  let rec scan cur =
-    if Oop.equal cur n then ()
-    else begin
-      if
-        running_on t cur = None
-        && process_state t cur = Layout.Process_state.runnable
-      then best := Some cur;
-      scan (Heap.get h cur Layout.Process.next_link)
-    end
+  let rec scan best cur =
+    if Oop.equal cur n then best
+    else
+      scan
+        (if eligible t cur then Some cur else best)
+        (Heap.get h cur Layout.Process.next_link)
   in
-  scan (Heap.get h list Layout.Linked_list.first);
-  !best
+  scan None (Heap.get h list Layout.Linked_list.first)
 
-(* The home deque for a wake: the waking processor's own, or — for
-   engine-side wakes (timers, spawns, failover) — round-robin over the
-   processors that are still alive, so work is not parked on a corpse. *)
-let home_for ?(exclude = -1) t ~vp =
-  let live i =
-    i <> exclude
-    &&
-    match t.machine with
-    | None -> true
-    | Some m -> (Machine.vp m i).Machine.state <> Machine.Halted
+(* The first home list holding an eligible Process of priority above
+   [above], walking priorities top-down and, at each, the homes from
+   [from]'s own onwards: its index and that Process. *)
+let find_ready t ~from ~above =
+  let n = homes t in
+  let rec go priority d =
+    if priority <= above then None
+    else if d >= n then go (priority - 1) 0
+    else
+      let i = index ~owner:((from + d) mod n) ~priority in
+      match first_eligible t (home_list t i) with
+      | Some proc -> Some (i, proc)
+      | None -> go priority (d + 1)
   in
-  if vp >= 0 && vp < t.processors && live vp then vp
-  else begin
-    let rec find tries i =
-      if tries >= t.processors then (i + 1) mod t.processors
-      else if live i then i
-      else find (tries + 1) ((i + 1) mod t.processors)
-    in
-    let h = find 0 (t.next_home mod t.processors) in
-    t.next_home <- (h + 1) mod t.processors;
-    h
-  end
+  go Layout.Scheduler.priorities 0
 
 let is_in_ready_queue t proc =
-  let list = Heap.get (heap t) proc Layout.Process.my_list in
-  if Oop.equal list (nil t) then false
-  else
-    match t.strategy with
-    | Locked -> Oop.equal list (ready_list t (priority_of t proc))
-    | Stealing -> (
-        match deque_index t list with
-        | Some i -> deque_priority_of_index i = priority_of t proc
-        | None -> false)
+  let i = chained t proc in
+  i >= 0 && priority_of_index i = priority_of t proc
 
 (* --- invariants ---------------------------------------------------------
 
@@ -404,8 +468,8 @@ let invariant_broken san ~vp ~now msg =
 let describe_list index =
   if index < 0 then Printf.sprintf "ready list %d" (-index)
   else
-    Printf.sprintf "deque %d/%d" (deque_owner_of_index index)
-      (deque_priority_of_index index)
+    Printf.sprintf "deque %d/%d" (owner_of_index index)
+      (priority_of_index index)
 
 (* Walk [list] from [cur]: every chained Process must point back at it
    through [my_list], sit in a deque of its own priority, and agree with
@@ -420,7 +484,7 @@ let rec check_chain t san ~vp ~now list index cur budget =
         (Printf.sprintf "process %d chained into %s but my_list disagrees"
            (Oop.addr cur) (describe_list index));
     if index >= 0 then begin
-      let priority = deque_priority_of_index index in
+      let priority = priority_of_index index in
       if priority_of t cur <> priority then
         invariant_broken san ~vp ~now
           (Printf.sprintf
@@ -510,43 +574,40 @@ let request_preemption t ~priority =
     t.preemptions <- t.preemptions + 1
   end
 
-(* Make [proc] ready.  Idempotent when it is already in the ready queue. *)
-let wake ?(vp = -1) t ~now proc =
-  let now =
-    match t.strategy with
-    | Locked ->
-        let now, () =
-          Spinlock.critical ~vp t.lock ~now ~op_cycles:t.op_cycles (fun () ->
-              t.wakes <- t.wakes + 1;
-              if not (is_in_ready_queue t proc) then
-                append_unlocked t ~vp ~resource:t.san_queue
-                  (ready_list t (priority_of t proc))
-                  proc;
-              request_preemption t ~priority:(priority_of t proc))
-        in
-        now
-    | Stealing ->
-        t.wakes <- t.wakes + 1;
-        let priority = priority_of t proc in
-        let home = home_for t ~vp in
-        let now, () =
-          deque_critical t ~vp ~owner:home ~now (fun resource ->
-              if not (is_in_ready_queue t proc) then
-                push_front_unlocked t ~vp ~resource
-                  (deque t ~owner:home ~priority)
-                  proc)
-        in
-        (* host-side flags only; needs no heap lock *)
-        request_preemption t ~priority;
-        now
-  in
+(* Every mutating operation ends here: the deferred entry-table inserts,
+   then the invariant check. *)
+let finish t ~now ~vp =
   let now = flush_remembers t ~now ~vp in
   check_invariants t ~now ~vp;
+  now
+
+(* Make [proc] ready.  Idempotent when it is already in the ready queue. *)
+let wake ?(vp = -1) t ~now proc =
+  let priority = priority_of t proc in
+  let owner = home t ~vp in
+  let now, () =
+    section t ~vp ~owner ~now (fun resource ->
+        t.wakes <- t.wakes + 1;
+        if not (is_in_ready_queue t proc) then
+          insert t ~vp ~resource ~detach:false
+            (home_list t (index ~owner ~priority))
+            proc;
+        request_preemption t ~priority)
+  in
+  let now = finish t ~now ~vp in
   notify_ready t ~now;
   now
 
+(* [proc] is now running on [vp], taken from [list]; the BS queue
+   removes it. *)
+let claim t ~vp ~resource list proc =
+  if not t.keep_running_in_queue then remove_unlocked t ~vp ~resource list proc;
+  set_running_on_u t ~vp ~resource proc (Some vp);
+  t.running.(vp) <- proc
+
 (* Choose the next Process for processor [vp]: the highest-priority ready
-   Process that no processor is currently executing.
+   Process that no processor is currently executing.  The two strategies
+   keep separate bodies here because they are different protocols.
 
    Locked: one scan of the serialized queue under the scheduler lock.
 
@@ -560,178 +621,103 @@ let pick t ~now ~vp =
   let now, picked =
     match t.strategy with
     | Locked ->
-        Spinlock.critical ~vp t.lock ~now ~op_cycles:t.op_cycles (fun () ->
+        section t ~vp ~owner:0 ~now (fun resource ->
             t.picks <- t.picks + 1;
-            let h = heap t in
-            let n = nil t in
-            let found = ref Oop.sentinel in
-            let priority = ref Layout.Scheduler.priorities in
-            while Oop.equal !found Oop.sentinel && !priority >= 1 do
-              let list = ready_list t !priority in
-              let rec scan cur =
-                if Oop.equal cur n then ()
-                else if
-                  running_on t cur = None
-                  && process_state t cur = Layout.Process_state.runnable
-                then found := cur
-                else scan (Heap.get h cur Layout.Process.next_link)
-              in
-              scan (Heap.get h list Layout.Linked_list.first);
-              decr priority
-            done;
-            if Oop.equal !found Oop.sentinel then None
-            else begin
-              let proc = !found in
-              if not t.keep_running_in_queue then
-                remove_unlocked t ~vp ~resource:t.san_queue
-                  (ready_list t (priority_of t proc))
-                  proc;
-              set_running_on_u t ~vp ~resource:t.san_queue proc (Some vp);
-              t.running.(vp) <- proc;
-              Some proc
-            end)
-    | Stealing ->
+            match find_ready t ~from:0 ~above:0 with
+            | None -> None
+            | Some (i, proc) ->
+                claim t ~vp ~resource (home_list t i) proc;
+                Some proc)
+    | Stealing -> (
         t.picks <- t.picks + 1;
-        (* optimistic peek: priority-major, own deque first at each level *)
-        let candidate = ref None in
-        let priority = ref Layout.Scheduler.priorities in
-        while !candidate = None && !priority >= 1 do
-          let consider owner =
-            if
-              !candidate = None
-              && first_eligible t (deque t ~owner ~priority:!priority) <> None
-            then candidate := Some (owner, !priority)
-          in
-          consider vp;
-          for d = 1 to t.processors - 1 do
-            consider ((vp + d) mod t.processors)
-          done;
-          decr priority
-        done;
-        (match !candidate with
-         | None ->
-             (* nothing anywhere: one look at the own (empty) deque is
-                still charged, so idle polling has a cost — but on the
-                processor's own lock, not a shared one *)
-             let now =
-               if t.unlocked_steal then now
-               else
-                 Spinlock.locked_op ~vp t.deque_locks.(vp) ~now
-                   ~op_cycles:t.op_cycles
-             in
-             (now, None)
-         | Some (owner, priority) when owner = vp ->
-             let now, taken =
-               deque_critical t ~vp ~owner ~now (fun resource ->
-                   let list = deque t ~owner ~priority in
-                   match first_eligible t list with
-                   | None -> None
-                   | Some proc ->
-                       if not t.keep_running_in_queue then
-                         remove_unlocked t ~vp ~resource list proc;
-                       set_running_on_u t ~vp ~resource proc (Some vp);
-                       t.running.(vp) <- proc;
-                       Some proc)
-             in
-             (match taken with
-              | Some _ -> t.local_picks <- t.local_picks + 1
-              | None -> ());
-             (now, taken)
-         | Some (owner, priority) ->
-             (* steal: validate under the victim's lock, take the oldest *)
-             let now, stolen =
-               deque_critical t ~vp ~owner ~now (fun resource ->
-                   let list = deque t ~owner ~priority in
-                   match last_eligible t list with
-                   | None -> None
-                   | Some proc ->
-                       remove_unlocked t ~vp ~resource list proc;
-                       Some proc)
-             in
-             (match stolen with
-              | None ->
-                  t.failed_steals <- t.failed_steals + 1;
-                  (now, None)
-              | Some proc ->
-                  t.steals <- t.steals + 1;
-                  t.stolen_from.(owner) <- t.stolen_from.(owner) + 1;
-                  (match t.sanitizer with
-                   | Some san when Sanitizer.active san ->
-                       Sanitizer.steal_event san ~vp ~now
-                         ~resource:t.san_deques.(owner)
-                         (Printf.sprintf
-                            "vp %d stole process %d from vp %d (priority %d)"
-                            vp (Oop.addr proc) owner priority)
-                   | Some _ | None -> ());
-                  (* re-home under the thief's own lock *)
-                  let now, () =
-                    deque_critical t ~vp ~owner:vp ~now (fun resource ->
-                        if t.keep_running_in_queue then begin
-                          t.migrations <- t.migrations + 1;
-                          push_front_unlocked t ~vp ~resource
-                            (deque t ~owner:vp ~priority)
-                            proc
-                        end;
-                        set_running_on_u t ~vp ~resource proc (Some vp);
-                        t.running.(vp) <- proc)
-                  in
-                  (now, Some proc)))
+        match find_ready t ~from:vp ~above:0 with
+        | None ->
+            (* nothing anywhere: one look at the own (empty) deque is
+               still charged, so idle polling has a cost — but on the
+               processor's own lock, not a shared one *)
+            let now =
+              if t.unlocked_steal then now
+              else
+                Spinlock.locked_op ~vp t.deque_locks.(vp) ~now
+                  ~op_cycles:t.op_cycles
+            in
+            (now, None)
+        | Some (i, _) when owner_of_index i = vp ->
+            let list = home_list t i in
+            let now, taken =
+              section t ~vp ~owner:vp ~now (fun resource ->
+                  match first_eligible t list with
+                  | None -> None
+                  | Some proc ->
+                      claim t ~vp ~resource list proc;
+                      Some proc)
+            in
+            if Option.is_some taken then t.local_picks <- t.local_picks + 1;
+            (now, taken)
+        | Some (i, _) -> (
+            (* steal: validate under the victim's lock, take the oldest *)
+            let owner = owner_of_index i and priority = priority_of_index i in
+            let list = home_list t i in
+            let now, stolen =
+              section t ~vp ~owner ~now (fun resource ->
+                  match last_eligible t list with
+                  | None -> None
+                  | Some proc ->
+                      remove_unlocked t ~vp ~resource list proc;
+                      Some proc)
+            in
+            match stolen with
+            | None ->
+                t.failed_steals <- t.failed_steals + 1;
+                (now, None)
+            | Some proc ->
+                t.steals <- t.steals + 1;
+                t.stolen_from.(owner) <- t.stolen_from.(owner) + 1;
+                (match t.sanitizer with
+                 | Some san when Sanitizer.active san ->
+                     Sanitizer.steal_event san ~vp ~now
+                       ~resource:t.san_deques.(owner)
+                       (Printf.sprintf
+                          "vp %d stole process %d from vp %d (priority %d)"
+                          vp (Oop.addr proc) owner priority)
+                 | Some _ | None -> ());
+                (* re-home under the thief's own lock *)
+                let now, () =
+                  section t ~vp ~owner:vp ~now (fun resource ->
+                      if t.keep_running_in_queue then begin
+                        t.migrations <- t.migrations + 1;
+                        insert t ~vp ~resource ~detach:false
+                          (home_list t (index ~owner:vp ~priority))
+                          proc
+                      end;
+                      set_running_on_u t ~vp ~resource proc (Some vp);
+                      t.running.(vp) <- proc)
+                in
+                (now, Some proc)))
   in
-  let now = flush_remembers t ~now ~vp in
-  check_invariants t ~now ~vp;
-  (now, picked)
+  (finish t ~now ~vp, picked)
 
 (* The current Process of [vp] stops running.  [requeue] keeps it ready
    (yield/preemption); otherwise it leaves the ready queue (wait, suspend,
-   terminate). *)
+   terminate).  Already chained into a home list, it is unmarked under
+   that list's lock and dropped when it is leaving the ready set. *)
 let relinquish t ~now ~vp ~requeue proc =
-  let now =
-    match t.strategy with
-    | Locked ->
-        let now, () =
-          Spinlock.critical ~vp t.lock ~now ~op_cycles:t.op_cycles (fun () ->
-              set_running_on_u t ~vp ~resource:t.san_queue proc None;
-              t.running.(vp) <- Oop.sentinel;
-              if requeue then begin
-                if not (is_in_ready_queue t proc) then
-                  append_unlocked t ~vp ~resource:t.san_queue
-                    (ready_list t (priority_of t proc))
-                    proc
-              end
-              else if is_in_ready_queue t proc then
-                remove_unlocked t ~vp ~resource:t.san_queue
-                  (ready_list t (priority_of t proc))
-                  proc)
-        in
-        now
-    | Stealing ->
+  let i = chained t proc in
+  let owner = if i >= 0 then owner_of_index i else home t ~vp in
+  let now, () =
+    section t ~vp ~owner ~now (fun resource ->
+        set_running_on_u t ~vp ~resource proc None;
         t.running.(vp) <- Oop.sentinel;
-        let ml = Heap.get (heap t) proc Layout.Process.my_list in
-        let now, () =
-          match deque_index t ml with
-          | Some i ->
-              (* already chained into some processor's deque: clear the
-                 running mark under that deque's lock; drop it from the
-                 queue when it is leaving the ready set *)
-              deque_critical t ~vp ~owner:(deque_owner_of_index i) ~now
-                (fun resource ->
-                  set_running_on_u t ~vp ~resource proc None;
-                  if not requeue then
-                    remove_unlocked t ~vp ~resource t.deques.(i) proc)
-          | None ->
-              let owner = home_for t ~vp in
-              deque_critical t ~vp ~owner ~now (fun resource ->
-                  set_running_on_u t ~vp ~resource proc None;
-                  if requeue then
-                    append_unlocked t ~vp ~resource
-                      (deque t ~owner ~priority:(priority_of t proc))
-                      proc)
-        in
-        now
+        if i >= 0 then begin
+          if not requeue then
+            remove_unlocked t ~vp ~resource (home_list t i) proc
+        end
+        else if requeue then
+          append_unlocked t ~vp ~resource
+            (home_list t (index ~owner ~priority:(priority_of t proc)))
+            proc)
   in
-  let now = flush_remembers t ~now ~vp in
-  check_invariants t ~now ~vp;
-  now
+  finish t ~now ~vp
 
 (* Recover the Process that was running on a crashed processor.  The
    engine (not any vp) takes the queue lock, stores the Process's
@@ -746,157 +732,78 @@ let relinquish t ~now ~vp ~requeue proc =
    crashed while *holding* the queue lock, this acquire is exactly what
    the spin watchdog catches. *)
 let failover t ~now ~dead proc ctx =
-  let now =
-    match t.strategy with
-    | Locked ->
-        let now, () =
-          Spinlock.critical ~vp:(-1) t.lock ~now ~op_cycles:t.op_cycles
-            (fun () ->
-              t.failovers <- t.failovers + 1;
-              store t ~vp:(-1) ~resource:t.san_queue proc
-                Layout.Process.suspended_context ctx;
-              set_running_on_u t ~vp:(-1) ~resource:t.san_queue proc None;
-              t.running.(dead) <- Oop.sentinel;
-              if not (is_in_ready_queue t proc) then
-                append_unlocked t ~vp:(-1) ~resource:t.san_queue
-                  (ready_list t (priority_of t proc))
-                  proc;
-              (* as [wake] does: without this, a recovered Process of higher
-                 priority would sit in the queue forever while the survivors
-                 run background work that never yields *)
-              request_preemption t ~priority:(priority_of t proc))
-        in
-        now
-    | Stealing ->
-        t.failovers <- t.failovers + 1;
-        t.running.(dead) <- Oop.sentinel;
-        let ml = Heap.get (heap t) proc Layout.Process.my_list in
-        let now, () =
-          match deque_index t ml with
-          | Some i ->
-              (* already queued (MS keeps running Processes in their
-                 deque): leave it in place — survivors steal it from the
-                 dead owner's deque *)
-              deque_critical t ~vp:(-1) ~owner:(deque_owner_of_index i) ~now
-                (fun resource ->
-                  store t ~vp:(-1) ~resource proc
-                    Layout.Process.suspended_context ctx;
-                  set_running_on_u t ~vp:(-1) ~resource proc None)
-          | None ->
-              let owner = home_for ~exclude:dead t ~vp:(-1) in
-              deque_critical t ~vp:(-1) ~owner ~now (fun resource ->
-                  store t ~vp:(-1) ~resource proc
-                    Layout.Process.suspended_context ctx;
-                  push_front_unlocked t ~vp:(-1) ~resource
-                    (deque t ~owner ~priority:(priority_of t proc))
-                    proc;
-                  set_running_on_u t ~vp:(-1) ~resource proc None)
-        in
-        request_preemption t ~priority:(priority_of t proc);
-        now
+  let priority = priority_of t proc in
+  let i = chained t proc in
+  let owner =
+    if i >= 0 then owner_of_index i else home ~exclude:dead t ~vp:(-1)
   in
-  let now = flush_remembers t ~now ~vp:(-1) in
-  check_invariants t ~now ~vp:(-1);
+  let now, () =
+    section t ~vp:(-1) ~owner ~now (fun resource ->
+        t.failovers <- t.failovers + 1;
+        store t ~vp:(-1) ~resource proc Layout.Process.suspended_context ctx;
+        t.running.(dead) <- Oop.sentinel;
+        if i >= 0 then set_running_on_u t ~vp:(-1) ~resource proc None
+        else
+          insert t ~vp:(-1) ~resource ~detach:true
+            (home_list t (index ~owner ~priority))
+            proc;
+        (* as [wake] does: without this, a recovered Process of higher
+           priority would sit in the queue forever while the survivors
+           run background work that never yields *)
+        request_preemption t ~priority)
+  in
+  let now = finish t ~now ~vp:(-1) in
   notify_ready t ~now;
   now
 
 let failovers t = t.failovers
 
-(* Move the current Process to the back of its priority list: equal-
-   priority peers run first, and in stealing mode the back is also the
-   steal-preferred FIFO end, so a yielded Process is the first work a
-   hungry processor takes. *)
+(* Move the current Process to the back of its priority list at home:
+   equal-priority peers run first, and in stealing mode the back is also
+   the steal-preferred FIFO end, so a yielded Process is the first work a
+   hungry processor takes.  Chained into another home, it is unlinked
+   under that home's lock first. *)
 let yield t ~now ~vp proc =
+  let i = chained t proc in
+  let owner = home t ~vp in
+  let elsewhere = i >= 0 && owner_of_index i <> owner in
   let now =
-    match t.strategy with
-    | Locked ->
-        let now, () =
-          Spinlock.critical ~vp t.lock ~now ~op_cycles:t.op_cycles (fun () ->
-              let list = ready_list t (priority_of t proc) in
-              if is_in_ready_queue t proc then
-                remove_unlocked t ~vp ~resource:t.san_queue list proc;
-              append_unlocked t ~vp ~resource:t.san_queue list proc;
-              set_running_on_u t ~vp ~resource:t.san_queue proc None;
-              t.running.(vp) <- Oop.sentinel)
-        in
-        now
-    | Stealing ->
-        t.running.(vp) <- Oop.sentinel;
-        let priority = priority_of t proc in
-        let ml = Heap.get (heap t) proc Layout.Process.my_list in
-        let now =
-          match deque_index t ml with
-          | Some i when deque_owner_of_index i = vp ->
-              let now, () =
-                deque_critical t ~vp ~owner:vp ~now (fun resource ->
-                    remove_unlocked t ~vp ~resource t.deques.(i) proc;
-                    append_unlocked t ~vp ~resource
-                      (deque t ~owner:vp ~priority)
-                      proc;
-                    set_running_on_u t ~vp ~resource proc None)
-              in
-              now
-          | Some i ->
-              (* chained into another processor's deque: unlink under
-                 that lock, then re-queue at home under our own *)
-              let now, () =
-                deque_critical t ~vp ~owner:(deque_owner_of_index i) ~now
-                  (fun resource ->
-                    remove_unlocked t ~vp ~resource t.deques.(i) proc)
-              in
-              let now, () =
-                deque_critical t ~vp ~owner:vp ~now (fun resource ->
-                    append_unlocked t ~vp ~resource
-                      (deque t ~owner:vp ~priority)
-                      proc;
-                    set_running_on_u t ~vp ~resource proc None)
-              in
-              now
-          | None ->
-              let now, () =
-                deque_critical t ~vp ~owner:vp ~now (fun resource ->
-                    append_unlocked t ~vp ~resource
-                      (deque t ~owner:vp ~priority)
-                      proc;
-                    set_running_on_u t ~vp ~resource proc None)
-              in
-              now
-        in
-        now
+    if elsewhere then
+      fst
+        (section t ~vp ~owner:(owner_of_index i) ~now (fun resource ->
+             remove_unlocked t ~vp ~resource (home_list t i) proc))
+    else now
   in
-  let now = flush_remembers t ~now ~vp in
-  check_invariants t ~now ~vp;
-  now
+  let now, () =
+    section t ~vp ~owner ~now (fun resource ->
+        if i >= 0 && not elsewhere then
+          remove_unlocked t ~vp ~resource (home_list t i) proc;
+        append_unlocked t ~vp ~resource
+          (home_list t (index ~owner ~priority:(priority_of t proc)))
+          proc;
+        set_running_on_u t ~vp ~resource proc None;
+        t.running.(vp) <- Oop.sentinel)
+  in
+  finish t ~now ~vp
 
 (* Remove a Process from whatever ready structure holds it: the
    serialized queue, or — stealing — the deque its [my_list] names,
    under that deque's lock.  Suspend, terminate and priority changes go
    through this, because another processor's wake may have homed the
-   Process on any deque. *)
+   Process on any deque.  The paper's queue takes its lock even when the
+   Process is not queued, and checks no invariants. *)
 let remove_from_ready ?(vp = -1) t ~now proc =
   match t.strategy with
   | Locked -> ll_remove ~vp t ~now (ready_list t (priority_of t proc)) proc
-  | Stealing -> (
-      let ml = Heap.get (heap t) proc Layout.Process.my_list in
-      match deque_index t ml with
-      | None -> now
-      | Some i ->
-          let now, () =
-            deque_critical t ~vp ~owner:(deque_owner_of_index i) ~now
-              (fun resource ->
-                remove_unlocked t ~vp ~resource t.deques.(i) proc)
-          in
-          let now = flush_remembers t ~now ~vp in
-          check_invariants t ~now ~vp;
-          now)
-
-(* The lock a processor's periodic scheduling check touches: the shared
-   scheduler lock, or — stealing — the processor's own deque lock, so
-   the check does not serialize every running processor. *)
-let sched_check_lock t ~vp =
-  match t.strategy with
-  | Locked -> t.lock
-  | Stealing -> t.deque_locks.(vp)
+  | Stealing ->
+      let i = chained t proc in
+      if i < 0 then now
+      else
+        let now, () =
+          section t ~vp ~owner:(owner_of_index i) ~now (fun resource ->
+              remove_unlocked t ~vp ~resource (home_list t i) proc)
+        in
+        finish t ~now ~vp
 
 (* A preemption demanded from outside the priority machinery — the
    schedule explorer's forced-preemption decision.  The flag is honoured
@@ -917,37 +824,7 @@ let take_preempt_flag t vp =
 
 (* Is there a ready, not-running Process with priority strictly above
    [p]?  A tie is not better: preemption is strictly-lower only. *)
-let better_ready t ~than:p =
-  let h = heap t in
-  let n = nil t in
-  let eligible_in list =
-    let rec scan cur =
-      if Oop.equal cur n then false
-      else if
-        running_on t cur = None
-        && process_state t cur = Layout.Process_state.runnable
-      then true
-      else scan (Heap.get h cur Layout.Process.next_link)
-    in
-    scan (Heap.get h list Layout.Linked_list.first)
-  in
-  let rec check priority =
-    if priority <= p then false
-    else
-      let found =
-        match t.strategy with
-        | Locked -> eligible_in (ready_list t priority)
-        | Stealing ->
-            let any = ref false in
-            for owner = 0 to t.processors - 1 do
-              if (not !any) && eligible_in (deque t ~owner ~priority) then
-                any := true
-            done;
-            !any
-      in
-      if found then true else check (priority - 1)
-  in
-  check Layout.Scheduler.priorities
+let better_ready t ~than:p = Option.is_some (find_ready t ~from:0 ~above:p)
 
 (* The stealing deques live in old space but are referenced only from the
    host-side array, and the running table can hold the sole reference to

@@ -20,6 +20,12 @@
     still runs.  Semaphore wait lists stay serialized on the scheduler
     lock in both modes.
 
+    Both are sets of "homes", each a list per priority under one lock:
+    one home (the ProcessorScheduler under the scheduler lock) for
+    [Locked], one per processor (its deques under its deque lock) for
+    [Stealing].  The operations are written once over the homes; only
+    {!pick} keeps a body per strategy.
+
     Every list operation runs inside the owning lock's critical section;
     stores that must insert their receiver into the entry table defer the
     insert and perform it under the entry-table lock right after the
@@ -37,7 +43,7 @@ type t = {
   remember_cost : int;  (** entry-table insert, under its lock *)
   keep_running_in_queue : bool;
   processors : int;
-  strategy : strategy;
+  strategy : strategy;  (** [Stealing] exactly when there are deque locks *)
   deque_locks : Spinlock.t array;
       (** per processor; empty when [Locked] *)
   deques : Oop.t array;
@@ -72,13 +78,12 @@ type t = {
   stolen_from : int array;  (** per victim processor *)
 }
 
-(** [create] builds a scheduler.  With [~strategy:Stealing], exactly one
-    deque lock per processor must be supplied and the per-processor
-    deques are allocated in old space; [~unlocked_steal:true] makes the
-    deque operations run outside their lock brackets — a deliberately
-    broken protocol for the sanitizer to catch. *)
+(** [create] builds a scheduler.  Given [deque_locks], one per
+    processor, it is [Stealing] and allocates the per-processor deques
+    in old space; without, it is [Locked].  [~unlocked_steal:true] makes
+    the deque operations run outside their lock brackets — a
+    deliberately broken protocol for the sanitizer to catch. *)
 val create :
-  ?strategy:strategy ->
   ?deque_locks:Spinlock.t array ->
   ?unlocked_steal:bool ->
   u:Universe.t ->
