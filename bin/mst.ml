@@ -858,8 +858,7 @@ let cluster_cmd =
   let run replicas requests sessions shards slots checkpoint_every log_seed
       crash_seed scenario skip_lsn dir expect_rejoin expect_divergence =
     let p =
-      { Replica.default_params with
-        Replica.replicas; requests; sessions; shards; slots; checkpoint_every;
+      { Replica.replicas; requests; sessions; shards; slots; checkpoint_every;
         log_seed; crash_seed; scenario; skip_lsn; dir }
     in
     let o =

@@ -52,12 +52,13 @@ let () =
 
 (* --- the replica workload ---
 
-   Core-local application classes (no Transcript, no Display: those
-   devices buffer into process-global state shared across VMs, which a
-   multi-VM cluster must not touch).  Each shard keeps an order-
-   sensitive integer accumulator and a chain of Points threaded through
-   [y]; both are reachable from the ClusterShards global, so the census
-   and the digest see exactly the applied-request history. *)
+   Core-local application classes (no Transcript, no Display: each VM
+   has its own, but their output lives in host-side buffers outside the
+   heap, which a checkpoint does not carry and a fingerprint does not
+   see).  Each shard keeps an order-sensitive integer accumulator and a
+   chain of Points threaded through [y]; both are reachable from the
+   ClusterShards global, so the census and the digest see exactly the
+   applied-request history. *)
 
 let cluster_classes =
   {st|
@@ -286,20 +287,6 @@ let restore_registers vm regs =
 
 (* --- checkpoints --- *)
 
-let dir_counter = ref 0
-
-let fresh_dir ?(base = Filename.get_temp_dir_name ()) () =
-  let rec go () =
-    incr dir_counter;
-    let d =
-      Filename.concat base (Printf.sprintf "mst-cluster-%d" !dir_counter)
-    in
-    if Sys.file_exists d then go () else d
-  in
-  let d = go () in
-  Sys.mkdir d 0o755;
-  d
-
 let ensure_dir d =
   if not (Sys.file_exists d) then begin
     let parent = Filename.dirname d in
@@ -340,16 +327,18 @@ type params = {
   checkpoint_every : int;  (* log entries between checkpoints *)
   log_seed : int;
   crash_seed : int option;  (* arms the Replica_crash injector *)
-  outage_waves : int;  (* boundaries a crashed replica stays down *)
   skip_lsn : int option;
       (* deliberately-divergent config: replica 0 drops this entry *)
   scenario : scenario option;
   dir : string option;  (* checkpoint/log directory; temp when absent *)
 }
 
+(* Wave boundaries a crashed replica stays down before it rejoins. *)
+let outage_waves = 2
+
 let default_params =
   { replicas = 3; requests = 24; sessions = 4; shards = 4; slots = 3;
-    checkpoint_every = 8; log_seed = 1; crash_seed = None; outage_waves = 2;
+    checkpoint_every = 8; log_seed = 1; crash_seed = None;
     skip_lsn = None; scenario = None; dir = None }
 
 type replica = {
@@ -390,8 +379,7 @@ let validate (p : params) =
   if p.shards < 1 || p.shards > 16 then
     cluster_error "shards must be in 1..16 (4-bit request encoding)";
   if p.slots < 1 then cluster_error "need at least one worker slot";
-  if p.checkpoint_every < 1 then cluster_error "checkpoint-every must be >= 1";
-  if p.outage_waves < 1 then cluster_error "outage-waves must be >= 1"
+  if p.checkpoint_every < 1 then cluster_error "checkpoint-every must be >= 1"
 
 let checkpoint ?(tag = "") dir r =
   let vm = r.node.vm in
@@ -415,7 +403,8 @@ let run ?(log = fun _ -> ()) (p : params) =
   validate p;
   let dir = match p.dir with
     | Some d -> ensure_dir d; d
-    | None -> fresh_dir ()
+    (* created atomically, so concurrent runs never race for a name *)
+    | None -> Filename.temp_dir "mst-cluster-" ""
   in
   (* the durable log: generate, save, and execute what was *re-read*, so
      every cluster run exercises the full durability round trip *)
@@ -719,7 +708,7 @@ let run ?(log = fun _ -> ()) (p : params) =
         (fun r ->
           if
             (not r.alive)
-            && (w - r.down_since >= p.outage_waves || w = nwaves - 1)
+            && (w - r.down_since >= outage_waves || w = nwaves - 1)
           then rejoin r ~target_wave:(w + 1))
         rs)
     waves;

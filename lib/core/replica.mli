@@ -72,7 +72,6 @@ type params = {
   checkpoint_every : int;  (** log entries between checkpoints *)
   log_seed : int;
   crash_seed : int option;  (** arms the Replica_crash injector *)
-  outage_waves : int;  (** boundaries a crashed replica stays down *)
   skip_lsn : int option;
       (** deliberately-divergent config: replica 0 drops this entry *)
   scenario : scenario option;

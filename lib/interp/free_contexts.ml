@@ -82,6 +82,20 @@ let check_shared_mutation t ~vp ~now =
       Sanitizer.check_guarded san ~resource:t.san_id ~vp ~now Trace.Empty 0 0
   | None -> ()
 
+(* Run the list mutation [f]: under the shared list's lock (checked by
+   the sanitizer inside the section), in the open when the fault
+   injection skips the bracket, or directly on a private list. *)
+let bracket t ~vp ~now f =
+  match t.mode with
+  | Shared_locked _ when t.skip_bracket ->
+      check_shared_mutation t ~vp ~now;
+      (now, f ())
+  | Shared_locked lock ->
+      Spinlock.critical ~vp lock ~now ~op_cycles:6 (fun () ->
+          check_shared_mutation t ~vp ~now;
+          f ())
+  | Replicated | Disabled -> (now, f ())
+
 (* Pop a recycled context, charging lock time for the shared variant.
    Returns (now, ctx) where ctx is [Oop.sentinel] when the list is empty. *)
 let take ?(vp = -1) t heap ~now size =
@@ -93,33 +107,22 @@ let take ?(vp = -1) t heap ~now size =
       (now, Oop.sentinel)
   | Replicated | Shared_locked _ ->
       check_owner t ~vp ~now;
-      let pop () =
-        let head =
-          match size with Small -> t.lists.small | Large -> t.lists.large
-        in
-        if Oop.equal head Oop.sentinel then begin
-          t.fresh <- t.fresh + 1;
-          Oop.sentinel
-        end
-        else begin
-          let next = Heap.get heap head Layout.Ctx.sender in
-          (match size with
-           | Small -> t.lists.small <- next
-           | Large -> t.lists.large <- next);
-          t.reuses <- t.reuses + 1;
-          head
-        end
-      in
-      (match t.mode with
-       | Shared_locked _ when t.skip_bracket ->
-           (* fault injection: no lock, mutation in the open *)
-           check_shared_mutation t ~vp ~now;
-           (now, pop ())
-       | Shared_locked lock ->
-           Spinlock.critical ~vp lock ~now ~op_cycles:6 (fun () ->
-               check_shared_mutation t ~vp ~now;
-               pop ())
-       | Replicated | Disabled -> (now, pop ()))
+      bracket t ~vp ~now (fun () ->
+          let head =
+            match size with Small -> t.lists.small | Large -> t.lists.large
+          in
+          if Oop.equal head Oop.sentinel then begin
+            t.fresh <- t.fresh + 1;
+            Oop.sentinel
+          end
+          else begin
+            let next = Heap.get heap head Layout.Ctx.sender in
+            (match size with
+             | Small -> t.lists.small <- next
+             | Large -> t.lists.large <- next);
+            t.reuses <- t.reuses + 1;
+            head
+          end)
 
 (* Hand a dead context back for reuse. *)
 let give ?(vp = -1) t heap ~now size ctx =
@@ -134,36 +137,20 @@ let give ?(vp = -1) t heap ~now size ctx =
          deferred out of the free-list section and performed under the
          entry-table lock afterwards (as the scheduler does). *)
       let pending = ref (-1) in
-      let link () =
-        let head =
-          match size with Small -> t.lists.small | Large -> t.lists.large
-        in
-        if Heap.store_would_remember heap ctx head then
-          pending := Oop.addr ctx;
-        (* bypasses [Heap.store_ptr]: run the incremental collector's
-           write barrier by hand (E18) *)
-        Heap.major_note heap head;
-        Heap.set_raw heap ctx Layout.Ctx.sender head;
-        match size with
-        | Small -> t.lists.small <- ctx
-        | Large -> t.lists.large <- ctx
-      in
-      let now =
-        match t.mode with
-        | Shared_locked _ when t.skip_bracket ->
-            check_shared_mutation t ~vp ~now;
-            link ();
-            now
-        | Shared_locked lock ->
-            let now, () =
-              Spinlock.critical ~vp lock ~now ~op_cycles:6 (fun () ->
-                  check_shared_mutation t ~vp ~now;
-                  link ())
+      let now, () =
+        bracket t ~vp ~now (fun () ->
+            let head =
+              match size with Small -> t.lists.small | Large -> t.lists.large
             in
-            now
-        | Replicated | Disabled ->
-            link ();
-            now
+            if Heap.store_would_remember heap ctx head then
+              pending := Oop.addr ctx;
+            (* bypasses [Heap.store_ptr]: run the incremental collector's
+               write barrier by hand (E18) *)
+            Heap.major_note heap head;
+            Heap.set_raw heap ctx Layout.Ctx.sender head;
+            match size with
+            | Small -> t.lists.small <- ctx
+            | Large -> t.lists.large <- ctx)
       in
       if !pending >= 0 && not (Heap.is_remembered heap !pending) then
         match t.entry_lock with

@@ -289,6 +289,19 @@ let test_rejects_bad_params () =
     (expect_error
        { Replica.default_params with Replica.checkpoint_every = 0 })
 
+(* Without [dir], each run gets a directory of its own, created
+   atomically: two runs never share one, and both exist afterwards. *)
+let test_runs_get_distinct_dirs () =
+  let p = { Replica.default_params with Replica.requests = 4 } in
+  let a = (Replica.run p).Replica.dir and b = (Replica.run p).Replica.dir in
+  check_bool "distinct directories" true (a <> b);
+  List.iter
+    (fun d ->
+      check_bool (d ^ " exists") true (Sys.is_directory d);
+      Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
+      Sys.rmdir d)
+    [ a; b ]
+
 (* A two-slot node and a checkpoint of its freshly built heap. *)
 let captured_node () =
   let node = Replica.build_node ~slots:2 ~shards:2 in
@@ -391,4 +404,6 @@ let () =
          Alcotest.test_case "availability accounting" `Quick
            test_availability_accounting;
          Alcotest.test_case "bad params rejected" `Quick
-           test_rejects_bad_params ]) ]
+           test_rejects_bad_params;
+         Alcotest.test_case "runs without a dir get distinct ones" `Quick
+           test_runs_get_distinct_dirs ]) ]
