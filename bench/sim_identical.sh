@@ -22,10 +22,14 @@
 # a broken configuration, whose counterexamples are shrunk by replay.
 # It covers two cluster runs whose replica fingerprints the converged
 # perf workload never prints: a deliberately divergent replica and a
-# crash that tears the victim's newest checkpoint.  Finally it covers
-# E18's own table (`bench e18-gc --quick`): its pause distribution and
-# its collector line — cycles, slices, forced completions, reclaimed
-# words and free-list reuse — which the perf workload only digests.
+# crash that tears the victim's newest checkpoint.  It covers E18's own
+# table (`bench e18-gc --quick`): its pause distribution and its
+# collector line — cycles, slices, forced completions, reclaimed words
+# and free-list reuse — which the perf workload only digests.  Finally
+# it covers the work-stealing scheduler, which no perf workload runs:
+# E16's quick table (`bench e16-steal --quick`), a twenty-seed stealing
+# exploration, and four seeds of the broken unlocked-steal configuration
+# with their shrunk counterexamples.
 set -eu
 parent=${1:?usage: sh bench/sim_identical.sh PARENT-REVISION}
 cd "$(dirname "$0")/.."
@@ -125,6 +129,27 @@ echo "sim-identical: E18 table" >&2
 (cd "$tmp/parent" && e18_run) >"$tmp/a.e18"
 e18_run >"$tmp/b.e18"
 
+# Print the stealing-scheduler runs, each run's exit status after its
+# output.  The counterexample dumps go to the same path for both trees.
+steal_runs() {
+  DUNE_CACHE=disabled dune build --root . -j 2 --display quiet \
+    ./bin/mst.exe ./bench/main.exe 1>&2
+  rc=0
+  ./_build/default/bench/main.exe e16-steal --quick || rc=$?
+  echo "exit $rc"
+  rc=0
+  ./_build/default/bin/mst.exe explore --config=stealing --seeds=20 \
+    --quick || rc=$?
+  echo "exit $rc"
+  rc=0
+  ./_build/default/bin/mst.exe explore --config=steal-unlocked --seeds=4 \
+    --quick --expect-violation --dump="$tmp/steal" || rc=$?
+  echo "exit $rc"
+}
+echo "sim-identical: stealing runs" >&2
+(cd "$tmp/parent" && steal_runs) >"$tmp/a.steal"
+steal_runs >"$tmp/b.steal"
+
 # one "workload seed digest" line per run, in run order
 digests() {
   sed -n 's/^{"workload": "\([^"]*\)", "seed": \([0-9]*\),.*"sim_digest": "\([0-9a-f]*\)".*/\1 \2 \3/p' "$1"
@@ -169,6 +194,11 @@ if ! cmp -s "$tmp/a.e18" "$tmp/b.e18"; then
   diff "$tmp/a.e18" "$tmp/b.e18" | head -20 >&2 || true
   status=1
 fi
+if ! cmp -s "$tmp/a.steal" "$tmp/b.steal"; then
+  echo "FAIL: stealing-scheduler output differs against $parent:" >&2
+  diff "$tmp/a.steal" "$tmp/b.steal" | head -20 >&2 || true
+  status=1
+fi
 [ "$status" -eq 0 ] &&
-  echo "sim-identical: 25 runs, 2 trace dumps, 2 k>1 scavenger runs, 2 explorer runs, 2 cluster runs and the E18 table identical to $parent"
+  echo "sim-identical: 25 runs, 2 trace dumps, 2 k>1 scavenger runs, 2 explorer runs, 2 cluster runs, the E18 table and 3 stealing runs identical to $parent"
 exit "$status"
