@@ -265,12 +265,12 @@ let run_e18_gc ~quick () =
     rows;
   Format.fprintf fmt
     "@.  collector: %d cycle(s) in %d slice(s), %d forced completion(s)@."
-    s.Gc_study.maj_cycles s.Gc_study.maj_slices s.Gc_study.maj_forced;
+    s.Instrumentation.major_cycles s.major_slices s.major_forced_completions;
   Format.fprintf fmt
     "  reclaimed %d object(s) / %d words; free lists served %d \
      allocation(s) (%d words reused)@."
-    s.Gc_study.maj_reclaimed_objects s.Gc_study.maj_reclaimed_words
-    s.Gc_study.maj_free_list_hits s.Gc_study.maj_free_reused_words;
+    s.major_reclaimed_objects s.major_reclaimed_words s.major_free_list_hits
+    s.major_free_reused_words;
   (* the collector's whole claim is the bounded tail — fail the harness
      if a slice's p95 escapes the budget *)
   (match rows with
@@ -294,15 +294,15 @@ let run_e18_gc ~quick () =
       ("iterations", Int iterations); ("pauses", Rows (List.map pause rows));
       ("collector",
        Obj
-         [ ("cycles", Int s.maj_cycles); ("slices", Int s.maj_slices);
-           ("budget_cycles", Int s.maj_budget);
-           ("overruns", Int s.maj_overruns);
-           ("forced_completions", Int s.maj_forced);
-           ("reclaimed_objects", Int s.maj_reclaimed_objects);
-           ("reclaimed_words", Int s.maj_reclaimed_words);
-           ("free_list_hits", Int s.maj_free_list_hits);
-           ("free_reused_words", Int s.maj_free_reused_words);
-           ("barrier_greys", Int s.maj_barrier_greys) ]) ]
+         [ ("cycles", Int s.major_cycles); ("slices", Int s.major_slices);
+           ("budget_cycles", Int s.major_budget);
+           ("overruns", Int s.major_overruns);
+           ("forced_completions", Int s.major_forced_completions);
+           ("reclaimed_objects", Int s.major_reclaimed_objects);
+           ("reclaimed_words", Int s.major_reclaimed_words);
+           ("free_list_hits", Int s.major_free_list_hits);
+           ("free_reused_words", Int s.major_free_reused_words);
+           ("barrier_greys", Int s.major_barrier_greys) ]) ]
 
 (* --- E19: replicated image cluster --- *)
 

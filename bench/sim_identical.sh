@@ -15,7 +15,11 @@
 # report mode with the major collector) must print the same bytes on
 # both trees.  The same byte check covers the only runs of the parallel
 # scavenger with more than one worker, which no perf workload makes:
-# the quick strict E10 table and a four-seed gc fault campaign.  And it
+# the quick strict E10 table and a four-seed gc fault campaign.  It
+# covers the fault campaigns' verdicts on explorer executions: quick
+# eight-seed crash, lock and mixed campaigns, whose rows exercise
+# failover, the spin watchdog's deadlock reports and the recovery
+# overheads, each with its exit status.  And it
 # covers explorer executions on recycled heap memory beyond the perf
 # workload's seeded runs: a quick DPOR exploration with its statistics
 # (every re-execution replays a prefix), and a four-seed exploration of
@@ -82,6 +86,20 @@ parallel_runs() {
 echo "sim-identical: parallel scavenges" >&2
 (cd "$tmp/parent" && parallel_runs) >"$tmp/a.parallel"
 parallel_runs >"$tmp/b.parallel"
+
+# Print the failover and watchdog campaigns, each run's exit status after
+# its output.
+fault_runs() {
+  DUNE_CACHE=disabled dune build --root . -j 2 --display quiet ./bin/mst.exe 1>&2
+  for c in crash lock mixed; do
+    rc=0
+    ./_build/default/bin/mst.exe faults --campaign=$c --seeds=8 --quick || rc=$?
+    echo "exit $rc"
+  done
+}
+echo "sim-identical: fault campaigns" >&2
+(cd "$tmp/parent" && fault_runs) >"$tmp/a.faults"
+fault_runs >"$tmp/b.faults"
 
 # Print the explorer runs, each run's exit status after its output.  The
 # counterexample dumps go to the same path for both trees, since stdout
@@ -179,6 +197,11 @@ if ! cmp -s "$tmp/a.parallel" "$tmp/b.parallel"; then
   diff "$tmp/a.parallel" "$tmp/b.parallel" | head -20 >&2 || true
   status=1
 fi
+if ! cmp -s "$tmp/a.faults" "$tmp/b.faults"; then
+  echo "FAIL: fault campaign output differs against $parent:" >&2
+  diff "$tmp/a.faults" "$tmp/b.faults" | head -20 >&2 || true
+  status=1
+fi
 if ! cmp -s "$tmp/a.explore" "$tmp/b.explore"; then
   echo "FAIL: explorer output differs against $parent:" >&2
   diff "$tmp/a.explore" "$tmp/b.explore" | head -20 >&2 || true
@@ -200,5 +223,5 @@ if ! cmp -s "$tmp/a.steal" "$tmp/b.steal"; then
   status=1
 fi
 [ "$status" -eq 0 ] &&
-  echo "sim-identical: 25 runs, 2 trace dumps, 2 k>1 scavenger runs, 2 explorer runs, 2 cluster runs, the E18 table and 3 stealing runs identical to $parent"
+  echo "sim-identical: 25 runs, 2 trace dumps, 2 k>1 scavenger runs, 3 fault campaigns, 2 explorer runs, 2 cluster runs, the E18 table and 3 stealing runs identical to $parent"
 exit "$status"

@@ -181,8 +181,9 @@ let report_sanitizer vm ~trace_dump =
 
 (* The one place a raised failure becomes an exit status.  A run that
    fails (a fatal fault, a suspected deadlock, a sanitizer violation, a
-   VM error, an unanswered message) exits 1 after printing what happened
-   and, when [vm] is given, its sanitizer report and trace-ring tail.
+   VM error, an unanswered message, a conditional on a non-Boolean, old
+   space exhausted) exits 1 after printing what happened and, when [vm]
+   is given, its sanitizer report and trace-ring tail.
    (The ring only records while the sanitizer is active, so pair
    `--trace-dump` with `--sanitize=report` or `strict`.)  Input the
    tools refuse (unparsable source, a malformed class file, cluster
@@ -204,6 +205,9 @@ let catching_faults ?vm ?(trace_dump = 0) f =
   | Sanitizer.Violation msg -> failed "sanitizer: %s" msg
   | State.Vm_error msg | Vm.Error msg -> failed "error: %s" msg
   | Interp.Does_not_understand msg -> failed "doesNotUnderstand: %s" msg
+  | Interp.Must_be_boolean ->
+      failed "mustBeBoolean: a conditional on a non-Boolean"
+  | Heap.Image_full msg -> failed "heap: %s" msg
   | Lexer.Error msg | Parser.Error msg | Codegen.Error msg
   | Class_file.Error msg | Class_builder.Error msg
   | Replica.Cluster_error msg ->
@@ -508,7 +512,7 @@ let faults_cmd =
     let doc =
       "Spin-watchdog bound in Delay quanta (0 disables the watchdog)."
     in
-    Arg.(value & opt int Fault_study.default_watchdog
+    Arg.(value & opt int Explorer.default_watchdog
          & info [ "watchdog" ] ~docv:"QUANTA" ~doc)
   in
   let backoff =
@@ -516,7 +520,7 @@ let faults_cmd =
       "Retries before a contended spin starts exponential backoff \
        (0 disables backoff)."
     in
-    Arg.(value & opt int Fault_study.default_backoff
+    Arg.(value & opt int Explorer.default_backoff
          & info [ "backoff" ] ~docv:"RETRIES" ~doc)
   in
   let deadlock =

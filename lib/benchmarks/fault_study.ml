@@ -2,15 +2,19 @@
    study).  One row = one seeded run of a reduced macro benchmark in the
    busy system state — five processors, four busy background Processes —
    with the strict sanitizer armed, the spin watchdog on and a seeded
-   fault injector installed.  The verdict compares the benchmark's
-   result against a fault-free reference on the identical configuration:
+   fault injector installed.  Each run is an explorer execution
+   ([Explorer.run_faults]), judged by the explorer's oracle against a
+   fault-free reference on the identical configuration:
 
-     Survived   correct result; the overhead column is the extra virtual
-                time recovery cost, in permil of the reference run
+     Survived   the result, transcript and stable-root census match and
+                the post-run heap and scheduler checks pass; the overhead
+                column is the extra virtual time recovery cost, in
+                permil of the reference run
      Deadlock   the spin watchdog detected an unrecoverable wait (a
                 crashed lock holder) and raised a structured report
-     Failed     wrong result, a sanitizer violation or a fatal error —
-                a recovery bug, never acceptable
+     Failed     anything else the oracle rejects: a divergence, a
+                sanitizer violation or a fatal error — a recovery bug,
+                never acceptable
 
    The reference is computed once per benchmark from an injector-free
    run: with no faults the simulation is bit-identical to the seed, so
@@ -40,9 +44,6 @@ type summary = {
   mean_overhead_permil : int;  (* across survived rows *)
 }
 
-let default_watchdog = 64
-let default_backoff = 4
-
 (* The campaign configuration: MS busy with strict checking.  GC and
    mixed campaigns run the parallel scavenger, or the Gc_barrier
    injection point would never be queried. *)
@@ -67,35 +68,28 @@ let campaign_config ~campaign ~watchdog_quanta ~backoff_quanta =
        original sizing instead *)
     Config.major_enabled = true }
 
-let reduced_bench ~quick key =
-  let b = List.find (fun b -> b.Macro.key = key) Macro.benchmarks in
-  { b with Macro.reps = (if quick then 3 else 8) }
-
-(* Accumulate the per-iteration results so the final value checks every
+(* One setup per benchmark: the campaign configuration, four busy
+   Processes and a reduced-repetition benchmark whose source accumulates
+   the per-iteration results, so the final value checks every
    repetition, not just that the loop terminated. *)
-let source (b : Macro.benchmark) =
-  Printf.sprintf
-    "| bench t |\n\
-     bench := MacroBenchmarks new.\n\
-     bench setUp.\n\
-     t := 0.\n\
-     %d timesRepeat: [t := t + (%s)].\n\
-     t"
-    b.Macro.reps b.Macro.body
-
-let prepare ~campaign ~watchdog_quanta ~backoff_quanta =
-  let vm =
-    Vm.create (campaign_config ~campaign ~watchdog_quanta ~backoff_quanta)
+let bench_setup ~config ~quick key =
+  let b = List.find (fun b -> b.Macro.key = key) Macro.benchmarks in
+  let source =
+    Printf.sprintf
+      "| bench t |\n\
+       bench := MacroBenchmarks new.\n\
+       bench setUp.\n\
+       t := 0.\n\
+       %d timesRepeat: [t := t + (%s)].\n\
+       t"
+      (if quick then 3 else 8) b.Macro.body
   in
-  Vm.load_classes vm Macro.benchmark_classes;
-  ignore (Workloads.spawn_busy vm 4);
-  vm
-
-(* Evaluate and describe immediately (the oop dies at the next run). *)
-let run_one vm src =
-  let before = Vm.cycles vm in
-  let v = Vm.eval vm src in
-  (Vm.describe vm v, Vm.cycles vm - before)
+  { Explorer.config;
+    busy = 4;
+    source;
+    classes = Macro.benchmark_classes;
+    reference_setup = None;
+    label = key }
 
 let describe_verdict = function
   | Survived o -> Printf.sprintf "survived (%+d permil)" o
@@ -105,47 +99,38 @@ let describe_verdict = function
 
 let run_campaign ?(campaign = Fault.Mixed) ?(seeds = 8) ?(first_seed = 0)
     ?(quick = false) ?(bench_keys = [ "definition"; "inspector" ])
-    ?(watchdog_quanta = default_watchdog)
-    ?(backoff_quanta = default_backoff) ?(log = fun _ -> ()) () =
+    ?(watchdog_quanta = Explorer.default_watchdog)
+    ?(backoff_quanta = Explorer.default_backoff) ?(log = fun _ -> ()) () =
   let params = Fault.params_of_campaign campaign in
-  let benches = List.map (reduced_bench ~quick) bench_keys in
-  let refs = Hashtbl.create 4 in
-  let reference (b : Macro.benchmark) =
-    match Hashtbl.find_opt refs b.Macro.key with
-    | Some r -> r
-    | None ->
-        let vm = prepare ~campaign ~watchdog_quanta ~backoff_quanta in
-        let r = run_one vm (source b) in
-        Hashtbl.replace refs b.Macro.key r;
-        r
+  let config = campaign_config ~campaign ~watchdog_quanta ~backoff_quanta in
+  let benches =
+    Array.of_list
+      (List.map
+         (fun key ->
+           let setup = bench_setup ~config ~quick key in
+           (setup, lazy (Explorer.reference setup)))
+         bench_keys)
   in
   let rows =
     List.init seeds (fun i ->
         let seed = first_seed + i in
-        let b = List.nth benches (i mod List.length benches) in
-        let ref_result, ref_cycles = reference b in
-        let vm = prepare ~campaign ~watchdog_quanta ~backoff_quanta in
-        let inj = Fault.seeded ~params ~seed () in
-        Vm.set_fault_injector vm (Some inj);
+        let setup, reference = benches.(i mod Array.length benches) in
+        let reference = Lazy.force reference in
+        let o = Explorer.run_faults setup (Fault.seeded ~params ~seed ()) in
         let verdict =
-          match run_one vm (source b) with
-          | result, cycles ->
-              if result = ref_result then
-                Survived ((cycles - ref_cycles) * 1000 / ref_cycles)
-              else
-                Failed
-                  (Printf.sprintf "result %s, reference %s" result ref_result)
-          | exception Fault.Deadlock_suspected r -> Deadlock_detected r
-          | exception Fault.Fatal info -> Failed (Fault.describe_fatal info)
-          | exception Sanitizer.Violation msg -> Failed msg
-          | exception Vm.Error msg -> Failed ("vm: " ^ msg)
-          | exception Heap.Image_full msg -> Failed ("heap: " ^ msg)
+          match (o.Explorer.deadlock, Explorer.check ~reference o) with
+          | Some r, _ -> Deadlock_detected r
+          | None, Some what -> Failed what
+          | None, None ->
+              let ref_cycles = reference.Explorer.cycles in
+              Survived ((o.Explorer.cycles - ref_cycles) * 1000 / ref_cycles)
         in
-        let plan = Fault.injected inj in
+        let plan = o.Explorer.fault_plan in
         log
-          (Printf.sprintf "seed %d on %s: %d fault(s), %s" seed b.Macro.key
-             (List.length plan) (describe_verdict verdict));
-        { seed; bench_key = b.Macro.key; plan; verdict })
+          (Printf.sprintf "seed %d on %s: %d fault(s), %s" seed
+             setup.Explorer.label (List.length plan)
+             (describe_verdict verdict));
+        { seed; bench_key = setup.Explorer.label; plan; verdict })
   in
   let survived =
     List.length (List.filter (fun r -> match r.verdict with Survived _ -> true | _ -> false) rows)

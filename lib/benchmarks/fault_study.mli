@@ -3,10 +3,11 @@
     Each seeded run drives one reduced macro benchmark in the busy
     system state (five processors, four busy background Processes) with
     the strict sanitizer armed, the spin watchdog on and a seeded fault
-    injector installed, then compares the result against a fault-free
-    reference on the identical configuration.  Survival means the
-    benchmark still computed the right answer; the overhead column is
-    what the recovery cost in virtual time. *)
+    injector installed.  Each run is an {!Explorer.run_faults} execution
+    judged by {!Explorer.check} against a fault-free reference on the
+    identical configuration.  Survival means the benchmark still
+    computed the right answer, transcript and stable-root census; the
+    overhead column is what the recovery cost in virtual time. *)
 
 type verdict =
   | Survived of int
@@ -14,8 +15,8 @@ type verdict =
   | Deadlock_detected of Fault.deadlock_report
       (** the spin watchdog ended the run with a structured report *)
   | Failed of string
-      (** wrong result, sanitizer violation or fatal error — a recovery
-          bug, never acceptable *)
+      (** the oracle's description: a divergence, sanitizer violation or
+          fatal error — a recovery bug, never acceptable *)
 
 type row = {
   seed : int;
@@ -35,14 +36,13 @@ type summary = {
   mean_overhead_permil : int;  (** across survived rows *)
 }
 
-val default_watchdog : int
-val default_backoff : int
-
 val describe_verdict : verdict -> string
 
 (** Run one campaign: [seeds] seeded runs starting at [first_seed],
     cycling through [bench_keys] (reduced-repetition benchmarks; [quick]
-    reduces further for smoke tests).  [log] receives one line per row. *)
+    reduces further for smoke tests).  The watchdog and backoff default
+    to {!Explorer.default_watchdog} and {!Explorer.default_backoff}.
+    [log] receives one line per row. *)
 val run_campaign :
   ?campaign:Fault.campaign ->
   ?seeds:int ->

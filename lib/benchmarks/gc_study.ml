@@ -155,35 +155,17 @@ type pause_row = {
   budget_overruns : int;  (** slices that ran past the budget *)
 }
 
-let percentile sorted p =
-  match Array.length sorted with
-  | 0 -> 0
-  | n -> sorted.(min (n - 1) (p * n / 100))
-
 let distribution cm ~label ~budget ~overruns costs =
   let arr = Array.of_list costs in
   Array.sort compare arr;
   let ms c = 1000.0 *. Cost_model.seconds cm c in
   { pause_label = label;
     pauses = Array.length arr;
-    p50_ms = ms (percentile arr 50);
-    p95_ms = ms (percentile arr 95);
+    p50_ms = ms (Report.percentile arr 50);
+    p95_ms = ms (Report.percentile arr 95);
     max_ms = ms (if Array.length arr = 0 then 0 else arr.(Array.length arr - 1));
     budget_ms = ms budget;
     budget_overruns = overruns }
-
-type major_summary = {
-  maj_cycles : int;
-  maj_slices : int;
-  maj_budget : int;
-  maj_overruns : int;
-  maj_forced : int;
-  maj_reclaimed_objects : int;
-  maj_reclaimed_words : int;
-  maj_free_list_hits : int;
-  maj_free_reused_words : int;
-  maj_barrier_greys : int;
-}
 
 (* E18: scavenge pauses and major slices from one aggressive-GC churn run
    (one-scavenge tenure age, tiny eden, the collector on), so most of the
@@ -216,19 +198,7 @@ let pause_study ?(iterations = 30_000) () =
       distribution cm ~label:"major slice" ~budget:(Major.budget mj)
         ~overruns:(Major.overruns mj) (Major.slice_costs mj) ]
   in
-  let summary =
-    { maj_cycles = Major.cycles_completed mj;
-      maj_slices = Major.slices mj;
-      maj_budget = Major.budget mj;
-      maj_overruns = Major.overruns mj;
-      maj_forced = Major.forced_completions mj;
-      maj_reclaimed_objects = Major.reclaimed_objects mj;
-      maj_reclaimed_words = Major.reclaimed_words mj;
-      maj_free_list_hits = Heap.free_list_hits vm.Vm.heap;
-      maj_free_reused_words = Heap.free_reused_words vm.Vm.heap;
-      maj_barrier_greys = Major.barrier_greys mj }
-  in
-  (rows, summary)
+  (rows, Instrumentation.gather_major vm mj)
 
 let print_pause_rows fmt ~label rows =
   Format.fprintf fmt "%s@." label;

@@ -58,26 +58,14 @@ type pause_row = {
   budget_overruns : int;  (** slices that ran past the budget *)
 }
 
-(** What the collector did over the run, for the benchmark record. *)
-type major_summary = {
-  maj_cycles : int;
-  maj_slices : int;
-  maj_budget : int;
-  maj_overruns : int;
-  maj_forced : int;  (** cycles force-completed at the exhaustion wall *)
-  maj_reclaimed_objects : int;
-  maj_reclaimed_words : int;
-  maj_free_list_hits : int;  (** old allocations served from a hole *)
-  maj_free_reused_words : int;
-  maj_barrier_greys : int;  (** objects the write barrier shaded *)
-}
-
 (** E18: the pause distribution of an aggressive-GC churn run with the
     incremental collector on — every scavenge pause and every major
     slice.  The collector's claim is about the tail: old-space
     reclamation arrives as bounded slices, so p95 and max are the
-    measure, not the mean. *)
-val pause_study : ?iterations:int -> unit -> pause_row list * major_summary
+    measure, not the mean.  The second component is what the collector
+    did over the run, for the benchmark record. *)
+val pause_study :
+  ?iterations:int -> unit -> pause_row list * Instrumentation.major_stats
 
 val print_pause_rows :
   Format.formatter -> label:string -> pause_row list -> unit

@@ -79,6 +79,10 @@ type overhead_summary = {
   busy_mean : float;
 }
 
+let percentile sorted p =
+  let n = Array.length sorted in
+  if n = 0 then 0 else sorted.(min (n - 1) (p * n / 100))
+
 let mean l = List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
 let worst l = List.fold_left max 0.0 l
 

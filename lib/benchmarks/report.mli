@@ -32,6 +32,11 @@ val summarize :
 val print_summary :
   Format.formatter -> (Macro.state * (Macro.benchmark * Macro.cell) list) list -> unit
 
+(** [percentile sorted p]: the element at rank [p * n / 100] of an
+    ascending array of [n] samples (the last one past the end), 0 when
+    empty.  Shared by the E17 latency and E18 pause summaries. *)
+val percentile : int array -> int -> int
+
 (** {2 Static content} *)
 
 val table1 : string

@@ -87,11 +87,6 @@ serveLoop
 !
 |st}
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0
-  else sorted.(min (n - 1) (p * n / 100))
-
 (* Run the server workload on a fresh VM built from [config].  The
    macro-benchmark classes and the server classes are loaded, the worker
    pool is spawned, the generators are installed as calendar timers, and
@@ -217,9 +212,9 @@ let run ?(max_cycles = 200_000_000_000) config p =
       completed = !completed;
       rejected = !rejected;
       latency =
-        { p50 = percentile latencies 50;
-          p90 = percentile latencies 90;
-          p99 = percentile latencies 99;
+        { p50 = Report.percentile latencies 50;
+          p90 = Report.percentile latencies 90;
+          p99 = Report.percentile latencies 99;
           pmax = (if Array.length latencies = 0 then 0
                   else latencies.(Array.length latencies - 1)) };
       per_session;

@@ -13,12 +13,19 @@
    unlike whole-heap statistics, which legitimately vary with scavenge
    timing, per-processor recycling and process migration.  On top of the
    oracle, the strict sanitizer is armed throughout and the scheduler's
-   invariants are re-checked after the run. *)
+   invariants are re-checked after the run.
+
+   [run_on] is the one place a judged whole-VM execution is built, run
+   and classified: explore seeds, DPOR, replays, deadlock hunts and the
+   fault campaigns over the macro benchmarks ([Fault_study]) all go
+   through it, so every structured failure a run can raise is caught
+   here and reported as an outcome error. *)
 
 type setup = {
   config : Config.t;
   busy : int;
   source : string;
+  classes : string;
   reference_setup : setup option;
   label : string;
 }
@@ -46,6 +53,7 @@ let make_setup ?(processors = 5) ?(quick = false) ?reference_setup label tweak =
   { config;
     busy = max 1 (processors - 1);
     source = workload_source ~iterations:(if quick then 24 else 60);
+    classes = "";
     reference_setup;
     label }
 
@@ -163,12 +171,16 @@ let setups =
     ("steal-unlocked", broken_steal_setup);
     ("major-nobarrier", broken_major_setup) ]
 
-(* MS with the spin watchdog armed, for fault campaigns.  The default
-   bound (64 Delay quanta = 9600 firefly cycles) sits far above any
-   legitimate contention wait and above the injected transient-stall
-   bounds, so only a lock held by a dead processor trips it. *)
-let fault_setup ?processors ?quick ?(watchdog_quanta = 64)
-    ?(backoff_quanta = 4) () =
+(* The spin watchdog's defaults for fault runs.  The bound (64 Delay
+   quanta = 9600 firefly cycles) sits far above any legitimate
+   contention wait and above the injected transient-stall bounds, so
+   only a lock held by a dead processor trips it. *)
+let default_watchdog = 64
+let default_backoff = 4
+
+(* MS with the spin watchdog armed, for deadlock hunts and replays. *)
+let fault_setup ?processors ?quick ?(watchdog_quanta = default_watchdog)
+    ?(backoff_quanta = default_backoff) () =
   make_setup ?processors ?quick "faults" (fun c ->
       { c with Config.watchdog_quanta; Config.backoff_quanta })
 
@@ -182,6 +194,7 @@ type outcome = {
   obs : observables option;
   error : string option;
   violations : int;
+  cycles : int;
   schedule : Explore.schedule;
   queries : int;
   deadlock : Fault.deadlock_report option;
@@ -253,6 +266,7 @@ let stable_class_key vm =
    when [None]) and collect the outcome. *)
 let run_on vm ?faults setup driver =
   let san = Vm.sanitizer vm in
+  if setup.classes <> "" then Vm.load_classes vm setup.classes;
   (match driver with
    | Some d -> Machine.set_policy vm.Vm.machine (Some (Explore.policy d))
    | None -> ());
@@ -260,12 +274,13 @@ let run_on vm ?faults setup driver =
    | Some inj -> Vm.set_fault_injector vm (Some inj)
    | None -> ());
   ignore (Workloads.spawn_busy vm setup.busy);
-  let finish ?deadlock error obs =
+  let finish ?deadlock ~cycles error obs =
     (* the run may have died mid-violation; disarm before post-mortem *)
     Sanitizer.set_armed san false;
     { obs;
       error;
       violations = Sanitizer.violation_count san;
+      cycles;
       schedule =
         (match driver with Some d -> Explore.recorded d | None -> []);
       queries = (match driver with Some d -> Explore.queries d | None -> 0);
@@ -273,8 +288,10 @@ let run_on vm ?faults setup driver =
       fault_plan =
         (match faults with Some inj -> Fault.injected inj | None -> []) }
   in
+  let died ?deadlock error = finish ?deadlock ~cycles:0 (Some error) None in
   match Vm.eval vm setup.source with
   | result ->
+      let cycles = Vm.cycles vm in
       (* a cycle still in flight leaves mid-sweep state the whole-heap
          check would misread — dead objects not yet swept still parse as
          allocated, and their fields point into already-swept holes.
@@ -302,7 +319,7 @@ let run_on vm ?faults setup driver =
            ~roots:(result :: stable_roots vm)
        with
        | census ->
-           finish post_error
+           finish ~cycles post_error
              (Some
                 { result = Vm.describe vm result;
                   transcript = Vm.transcript vm;
@@ -310,15 +327,17 @@ let run_on vm ?faults setup driver =
        | exception Invalid_argument msg ->
            (* an oop outside allocated space: only a heap the check
               above rejected can hold one *)
-           finish (Some (Option.value post_error ~default:msg)) None)
-  | exception Sanitizer.Violation msg -> finish (Some msg) None
-  | exception Vm.Error msg -> finish (Some ("vm: " ^ msg)) None
-  | exception State.Vm_error msg -> finish (Some ("vm: " ^ msg)) None
+           finish ~cycles (Some (Option.value post_error ~default:msg)) None)
+  | exception Sanitizer.Violation msg -> died msg
+  | exception (Vm.Error msg | State.Vm_error msg) -> died ("vm: " ^ msg)
+  | exception Heap.Image_full msg -> died ("heap: " ^ msg)
+  | exception Interp.Does_not_understand msg ->
+      died ("doesNotUnderstand: " ^ msg)
+  | exception Interp.Must_be_boolean ->
+      died "mustBeBoolean: a conditional on a non-Boolean"
   | exception Fault.Deadlock_suspected r ->
-      finish ~deadlock:r
-        (Some ("deadlock suspected: " ^ Fault.describe_deadlock r))
-        None
-  | exception Fault.Fatal info -> finish (Some (Fault.describe_fatal info)) None
+      died ~deadlock:r ("deadlock suspected: " ^ Fault.describe_deadlock r)
+  | exception Fault.Fatal info -> died (Fault.describe_fatal info)
 
 (* Every run gets a fresh VM on recycled memory: the heap array goes back
    to [Heap]'s spare on the way out, normal or exceptional, zeroed to
@@ -459,8 +478,8 @@ type dpor_report = {
    failure list stays available in [dpor_result] (a broken config
    typically fails on the default schedule and on every reachable
    alternative). *)
-let dpor ?mode ?max_branch ?max_flips ?budget ?defers ?preempts
-    ?stop_on_failure ?(shrink_budget = 120) ?(log = fun _ -> ()) setup () =
+let dpor ?mode ?max_branch ?max_flips ?budget ?(shrink_budget = 120)
+    ?(log = fun _ -> ()) setup () =
   let ref_outcome = reference setup in
   let run sched =
     let o, xlog = run_guided setup sched in
@@ -469,8 +488,7 @@ let dpor ?mode ?max_branch ?max_flips ?budget ?defers ?preempts
       failure = check ~reference:ref_outcome o }
   in
   let result =
-    Explore.Dpor.systematic ?mode ?max_branch ?max_flips ?budget ?defers
-      ?preempts ?stop_on_failure ~log ~run ()
+    Explore.Dpor.systematic ?mode ?max_branch ?max_flips ?budget ~log ~run ()
   in
   let counterexample =
     match result.Explore.Dpor.failures with

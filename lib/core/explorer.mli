@@ -11,12 +11,20 @@
 
     {!explore} runs N seeds against the unperturbed reference run's
     observables; any divergence or sanitizer violation is shrunk to a
-    minimal decision trace and re-replayed to confirm it reproduces. *)
+    minimal decision trace and re-replayed to confirm it reproduces.
+
+    Every judged whole-VM execution — explore seeds, DPOR, replays,
+    deadlock hunts and the macro-benchmark fault campaigns
+    ([Fault_study]) — is built, run and classified here: every
+    structured failure the run raises becomes the outcome's [error]. *)
 
 type setup = {
   config : Config.t;
   busy : int;  (** busy background Processes competing for the locks *)
   source : string;  (** the watched workload expression *)
+  classes : string;
+      (** class definitions (image-definition format) loaded before the
+          busy Processes spawn; [""] for none *)
   reference_setup : setup option;
       (** the setup whose unperturbed run gives the reference observables,
           when not this one: the oracle is then differential across
@@ -75,9 +83,16 @@ val broken_major_setup : ?processors:int -> ?quick:bool -> unit -> setup
 val setups :
   (string * (?processors:int -> ?quick:bool -> unit -> setup)) list
 
-(** MS with the spin watchdog armed (default 64 Delay quanta, backoff
-    after 4 retries), for fault campaigns: far above any legitimate
-    contention wait, so only a lock held by a dead processor trips it. *)
+(** The spin watchdog's default bound for fault runs, in Delay quanta
+    (64): far above any legitimate contention wait, so only a lock held
+    by a dead processor trips it. *)
+val default_watchdog : int
+
+(** Fixed-interval retries before a contended spin backs off (4). *)
+val default_backoff : int
+
+(** MS with the spin watchdog armed ({!default_watchdog},
+    {!default_backoff}), for deadlock hunts and fault-plan replays. *)
 val fault_setup :
   ?processors:int -> ?quick:bool -> ?watchdog_quanta:int ->
   ?backoff_quanta:int -> unit -> setup
@@ -107,8 +122,14 @@ type observables = {
 
 type outcome = {
   obs : observables option;  (** [None] when the run died early *)
-  error : string option;  (** sanitizer violation, deadlock, VM error *)
+  error : string option;
+      (** sanitizer violation, deadlock, fatal fault, VM error,
+          unanswered message, non-Boolean conditional, old space
+          exhausted (["heap: ..."]) or a failed post-run check *)
   violations : int;
+  cycles : int;
+      (** [Vm.cycles] when the workload returned, before the post-run
+          checks; 0 when the run died *)
   schedule : Explore.schedule;  (** perturbations applied (empty on replay) *)
   queries : int;  (** preemption-point queries answered *)
   deadlock : Fault.deadlock_report option;
@@ -172,15 +193,15 @@ type dpor_report = {
 
 (** Systematically explore [setup]'s schedule space with
     {!Explore.Dpor.systematic}, the differential oracle supplying each
-    execution's observable string and failure verdict.  Parameters pass
-    through to [systematic]; the reference is as in {!explore}.
+    execution's observable string and failure verdict.  [mode],
+    [max_branch], [max_flips] and [budget] pass through to
+    [systematic]; the reference is as in {!explore}.
     The first failing schedule (if any) is shrunk within [shrink_budget]
     replays and confirmed; the full failure list remains available in
     [dpor_result]. *)
 val dpor :
   ?mode:Explore.Dpor.mode -> ?max_branch:int -> ?max_flips:int ->
-  ?budget:int -> ?defers:bool -> ?preempts:bool -> ?stop_on_failure:bool ->
-  ?shrink_budget:int -> ?log:(string -> unit) -> setup -> unit ->
+  ?budget:int -> ?shrink_budget:int -> ?log:(string -> unit) -> setup -> unit ->
   dpor_report
 
 (** Run the default schedule under a fault injector (no scheduling

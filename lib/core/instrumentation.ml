@@ -111,6 +111,23 @@ let lock_row l = {
   spin_cycles = Spinlock.spin_cycles l;
 }
 
+let gather_major (vm : Vm.t) mj =
+  { major_cycles = Major.cycles_completed mj;
+    major_slices = Major.slices mj;
+    major_slice_cycles = Major.slice_cycles_total mj;
+    major_max_slice = Major.max_slice mj;
+    major_budget = Major.budget mj;
+    major_overruns = Major.overruns mj;
+    major_reclaimed_objects = Major.reclaimed_objects mj;
+    major_reclaimed_words = Major.reclaimed_words mj;
+    major_forced_completions = Major.forced_completions mj;
+    major_forced_allocs = vm.Vm.major_forced_allocs;
+    major_barrier_greys = Major.barrier_greys mj;
+    major_alloc_marks = Major.alloc_marks mj;
+    major_free_list_hits = Heap.free_list_hits vm.Vm.heap;
+    major_free_reused_words = Heap.free_reused_words vm.Vm.heap;
+    major_near_exhaustion = Major.near_exhaustion mj }
+
 let gather (vm : Vm.t) =
   let sh = vm.Vm.shared in
   (* every kernel lock the VM assembled, in assembly order — including the
@@ -164,26 +181,7 @@ let gather (vm : Vm.t) =
     display_wait = Devices.display_producer_wait sh.State.display;
     input_polls = Devices.input_polls sh.State.input;
     total_cycles = Vm.cycles vm;
-    major =
-      (match vm.Vm.major with
-       | None -> None
-       | Some mj ->
-           Some
-             { major_cycles = Major.cycles_completed mj;
-               major_slices = Major.slices mj;
-               major_slice_cycles = Major.slice_cycles_total mj;
-               major_max_slice = Major.max_slice mj;
-               major_budget = Major.budget mj;
-               major_overruns = Major.overruns mj;
-               major_reclaimed_objects = Major.reclaimed_objects mj;
-               major_reclaimed_words = Major.reclaimed_words mj;
-               major_forced_completions = Major.forced_completions mj;
-               major_forced_allocs = vm.Vm.major_forced_allocs;
-               major_barrier_greys = Major.barrier_greys mj;
-               major_alloc_marks = Major.alloc_marks mj;
-               major_free_list_hits = Heap.free_list_hits vm.Vm.heap;
-               major_free_reused_words = Heap.free_reused_words vm.Vm.heap;
-               major_near_exhaustion = Major.near_exhaustion mj });
+    major = Option.map (gather_major vm) vm.Vm.major;
     steal =
       (let sched = sh.State.sched in
        { stealing = sched.Scheduler.strategy = Scheduler.Stealing;

@@ -107,6 +107,9 @@ type report = {
   device_fault_stall : int;  (** injected device-timeout time *)
 }
 
+(** The collector's totals for [vm], whose collector is [mj]. *)
+val gather_major : Vm.t -> Major.t -> major_stats
+
 val gather : Vm.t -> report
 
 val print : Format.formatter -> report -> unit

@@ -45,8 +45,6 @@ type t = {
 
 let sanitizer vm = vm.shared.State.sanitizer
 
-exception Stuck of string
-
 (* Run [f] with the sanitizer disarmed: the collectors mutate the heap
    without locks by design, and the sanitizer must not flag them. *)
 let disarmed san f =
@@ -496,14 +494,7 @@ let do_major_slice vm mj =
     (* marks are final and nothing has been swept yet: every object
        reachable from the collector's roots must be marked *)
     let roots = ref [] in
-    let add o = roots := o :: !roots in
-    List.iter (fun c -> add !c) vm.heap.Heap.roots;
-    List.iter (Array.iter add) vm.heap.Heap.array_roots;
-    Universe.iter_roots vm.u add;
-    Scheduler.iter_roots vm.shared.State.sched add;
-    Array.iter
-      (fun st -> Free_contexts.iter_roots st.State.free_ctxs add)
-      vm.states;
+    Major.iter_roots mj (fun o -> roots := o :: !roots);
     List.iter (report "mark check")
       (Verify.check_marked vm.heap ~marked:(Major.marked mj) ~roots:!roots)
   end;

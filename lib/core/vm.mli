@@ -56,8 +56,6 @@ type t = {
           pause-distribution percentiles) *)
 }
 
-exception Stuck of string
-
 exception Error of string
 
 (** The VM's serialization sanitizer (armed only while {!run} executes). *)

@@ -1012,7 +1012,6 @@ let prim_char_as_integer st ~nargs =
 (* --- dispatch --- *)
 
 let run st ~prim ~nargs =
-  st.prim_calls <- st.prim_calls + 1;
   match prim with
   | 1 -> int_arith st ~nargs (fun a b -> Some (a + b))
   | 2 -> int_arith st ~nargs (fun a b -> Some (a - b))

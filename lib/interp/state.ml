@@ -79,7 +79,6 @@ type t = {
   (* statistics *)
   mutable steps : int;
   mutable sends : int;
-  mutable prim_calls : int;
   mutable ctx_switches : int;
 }
 
@@ -105,7 +104,6 @@ let make ~id ~sh ~mcache ~free_ctxs =
     until_sched = sh.cm.Cost_model.sched_check_interval;
     steps = 0;
     sends = 0;
-    prim_calls = 0;
     ctx_switches = 0;
   } in
   Heap.add_root sh.heap st.active_ctx;
@@ -131,7 +129,6 @@ let invalidate_cache st = st.cached_ctx <- Oop.sentinel
    function whenever [active_ctx] differs from [cached_ctx]. *)
 let refresh_cache st =
   let h = st.sh.heap in
-  let u = st.sh.u in
   let ctx = !(st.active_ctx) in
   let n = nil st in
   let meth = Heap.get h ctx Layout.Ctx.meth in
@@ -148,8 +145,7 @@ let refresh_cache st =
     Oop.addr home_ctx + Layout.header_words + Layout.Ctx.fixed_slots;
   st.c_recv <- recv;
   st.c_ivar_base <-
-    (if Oop.is_small recv then 0 else Oop.addr recv + Layout.header_words);
-  ignore u
+    (if Oop.is_small recv then 0 else Oop.addr recv + Layout.header_words)
 
 (* --- context stack operations (on the active context) --- *)
 

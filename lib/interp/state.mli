@@ -73,7 +73,6 @@ type t = {
   mutable until_sched : int;
   mutable steps : int;
   mutable sends : int;
-  mutable prim_calls : int;
   mutable ctx_switches : int;
 }
 

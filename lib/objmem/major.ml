@@ -178,23 +178,14 @@ let start_cycle t =
      cycle unscanned; the scavenge flush hooks drop them all *)
   run_flush_hooks t
 
+let iter_roots t f =
+  List.iter (fun cell -> f !cell) t.heap.roots;
+  List.iter (Array.iter f) t.heap.array_roots;
+  t.iter_roots f
+
 let scan_roots t =
-  let h = t.heap in
   let n = ref 0 in
-  List.iter
-    (fun cell ->
-      incr n;
-      shade_oop t !cell)
-    h.roots;
-  List.iter
-    (fun arr ->
-      Array.iter
-        (fun v ->
-          incr n;
-          shade_oop t v)
-        arr)
-    h.array_roots;
-  t.iter_roots (fun v ->
+  iter_roots t (fun v ->
       incr n;
       shade_oop t v);
   !n

@@ -23,6 +23,11 @@ val create :
 
 val phase : t -> phase
 
+(** Call [f] on every root the collector marks from: the heap's
+    registered root cells and root arrays, then [create]'s
+    [iter_roots]. *)
+val iter_roots : t -> (Oop.t -> unit) -> unit
+
 (** A cycle is in flight. *)
 val active : t -> bool
 

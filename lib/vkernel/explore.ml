@@ -339,10 +339,11 @@ module Dpor = struct
     | _ -> n.nvp
 
   let defer_cap = 4  (* distinct race-specific jitters per acquire node *)
+  let defer_slack = 1  (* cycles a computed jitter is padded by *)
 
   let systematic ?(mode = Dpor) ?(max_branch = max_int) ?(max_flips = 2)
-      ?(budget = 256) ?(defers = true) ?(preempts = true) ?(defer_slack = 1)
-      ?(stop_on_failure = false) ?(log = fun _ -> ()) ~run () =
+      ?(budget = 256) ?(defers = true) ?(preempts = true) ?(log = fun _ -> ())
+      ~run () =
     (* stack of choice points, deepest first *)
     let stack = ref [] in
     let executions = ref 0 and races = ref 0 in
@@ -527,8 +528,8 @@ module Dpor = struct
           | Qtie _ | Qexit _ -> ())
         xlog
     in
-    let exhausted = ref false and stop = ref false in
-    while (not !stop) && !executions < budget do
+    let exhausted = ref false in
+    while (not !exhausted) && !executions < budget do
       let sched = prefix_of !stack in
       let x = run sched in
       incr executions;
@@ -544,35 +545,30 @@ module Dpor = struct
       (match x.failure with
        | Some what -> failures := (sched, what) :: !failures
        | None -> ());
-      if stop_on_failure && x.failure <> None then stop := true
-      else begin
-        extend x.xlog;
-        if mode = Dpor then analyse x.xlog;
-        (* backtrack: pop fully-explored choice points, take the deepest
-           pending alternative *)
-        let rec backtrack () =
-          match !stack with
-          | [] ->
-              exhausted := true;
-              stop := true
-          | n :: rest -> (
-              match n.todo with
-              | [] ->
-                  pruned :=
-                    !pruned + max 0 (n.eligible_n - n.explored_eligible);
-                  stack := rest;
-                  backtrack ()
-              | a :: todo ->
-                  n.todo <- todo;
-                  (match n.cur with
-                   | Some c -> n.done_ <- c :: n.done_
-                   | None -> ());
-                  n.cur <- Some a;
-                  if a.eligible then
-                    n.explored_eligible <- n.explored_eligible + 1)
-        in
-        backtrack ()
-      end
+      extend x.xlog;
+      if mode = Dpor then analyse x.xlog;
+      (* backtrack: pop fully-explored choice points, take the deepest
+         pending alternative *)
+      let rec backtrack () =
+        match !stack with
+        | [] -> exhausted := true
+        | n :: rest -> (
+            match n.todo with
+            | [] ->
+                pruned :=
+                  !pruned + max 0 (n.eligible_n - n.explored_eligible);
+                stack := rest;
+                backtrack ()
+            | a :: todo ->
+                n.todo <- todo;
+                (match n.cur with
+                 | Some c -> n.done_ <- c :: n.done_
+                 | None -> ());
+                n.cur <- Some a;
+                if a.eligible then
+                  n.explored_eligible <- n.explored_eligible + 1)
+      in
+      backtrack ()
     done;
     (* anything still pending when the budget ran out is unexplored *)
     if not !exhausted then

@@ -162,9 +162,8 @@ module Dpor : sig
       256).  [defers] enables the lock-jitter lever and [preempts] the
       forced-preemption lever (both default true; the exhaustiveness
       oracle disables them for a tie-only space where brute force is
-      genuinely exhaustive).  [defer_slack] pads computed jitters.
-      [stop_on_failure] stops at the first failing execution.  [log]
-      receives occasional progress lines. *)
+      genuinely exhaustive).  [log] receives occasional progress
+      lines. *)
   val systematic :
     ?mode:mode ->
     ?max_branch:int ->
@@ -172,8 +171,6 @@ module Dpor : sig
     ?budget:int ->
     ?defers:bool ->
     ?preempts:bool ->
-    ?defer_slack:int ->
-    ?stop_on_failure:bool ->
     ?log:(string -> unit) ->
     run:(schedule -> exec) ->
     unit ->

@@ -37,6 +37,9 @@ expect 0 browse Object
 # a run that fails: doesNotUnderstand under eval and under run
 expect 1 eval "3 foo"
 expect 1 run dnu.st
+# a conditional on a non-Boolean, and an allocation old space cannot hold
+expect 1 eval "3 ifTrue: [1] ifFalse: [2]"
+expect 1 eval "Array new: 3000000"
 
 # source the compiler refuses
 refused eval "3 +"

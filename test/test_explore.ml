@@ -277,6 +277,44 @@ let test_executions_independent () =
   check_bool "the seed ran to completion" true (first.Explorer.obs <> None);
   check_bool "identical outcomes" true (first = again)
 
+(* Whatever a run raises becomes the outcome's error: a workload that
+   exhausts old space (a small old space, no collector, every array kept
+   live), branches on a non-Boolean or performs a non-Symbol (the
+   interpreter's own doesNotUnderstand) dies with an error and no
+   observables, and the next execution on the recycled memory still
+   runs clean. *)
+let test_run_failures_are_outcomes () =
+  let died ~prefix setup =
+    let o = Explorer.reference setup in
+    let error = Option.value o.Explorer.error ~default:"(none)" in
+    check_bool
+      (Printf.sprintf "error %S starts with %S" error prefix)
+      true
+      (String.starts_with ~prefix error);
+    check_bool "no observables" true (o.Explorer.obs = None)
+  in
+  died ~prefix:"heap:"
+    { quick_setup with
+      Explorer.config =
+        { quick_setup.Explorer.config with
+          Config.old_words = 80 * 1024;
+          eden_words = 2048;
+          survivor_words = 1024;
+          tenure_age = 1;
+          major_enabled = false };
+      source =
+        "| keep | keep := OrderedCollection new.\n\
+         1 to: 100000 do: [:i | keep add: (Array new: 16)].\n\
+         keep size" };
+  died ~prefix:"mustBeBoolean:"
+    { quick_setup with Explorer.source = "3 ifTrue: [1] ifFalse: [2]" };
+  died ~prefix:"doesNotUnderstand:"
+    { quick_setup with Explorer.source = "3 perform: 4" };
+  Alcotest.(check (option string)) "a later run passes the oracle" None
+    (Explorer.check
+       ~reference:(Explorer.reference quick_setup)
+       (Explorer.run_seed quick_setup ~seed:11))
+
 let test_replay_empty_is_reference () =
   let r = Explorer.reference quick_setup in
   let o = Explorer.run_schedule quick_setup [] in
@@ -502,6 +540,8 @@ let () =
          Alcotest.test_case "same seed same run" `Quick test_same_seed_same_run;
          Alcotest.test_case "executions independent" `Quick
            test_executions_independent;
+         Alcotest.test_case "run failures are outcomes" `Quick
+           test_run_failures_are_outcomes;
          Alcotest.test_case "empty replay is the reference" `Quick
            test_replay_empty_is_reference;
          Alcotest.test_case "unlocked config caught" `Quick
