@@ -306,6 +306,44 @@ let golden_major_forced ~processors ~busy ~old_words () =
               vm.Vm.major_forced_allocs (Major.slices mj)
               (Major.cycles_completed mj))
 
+(* E18's configuration (4 VPs, a 2048-word eden, tenure age 1, the
+   incremental collector on) on a short churn.  A cycle's first slice
+   scans the universe's roots in the order of its symbol and global
+   tables' buckets, so a VM whose tables iterate in another order greys
+   objects in another order, and a budgeted slice that ends inside the
+   reordered stretch costs different cycles: the digest of every slice
+   cost pins that order.  With a 320-object window a slice boundary
+   falls among global Associations that share a bucket, so even a table
+   with the same buckets but each chain reversed changes the digest. *)
+let golden_e18_slices () =
+  let config =
+    { (Config.ms ~processors:4 ()) with
+      Config.eden_words = 2048;
+      survivor_words = 1024;
+      tenure_age = 1;
+      old_words = 256 * 1024;
+      major_enabled = true }
+  in
+  let vm = Vm.create config in
+  Vm.load_classes vm
+    "CLASS GcChurn SUPER Object\n\
+     METHODS GcChurn\n\
+     churn: n\n\
+    \    | keep p |\n\
+    \    keep := Array new: 320.\n\
+    \    1 to: n do: [:i |\n\
+    \        p := Point x: i y: i.\n\
+    \        (Array new: 16) at: 1 put: p.\n\
+    \        keep at: i \\\\ 320 + 1 put: (Array with: p with: i)].\n\
+    \    ^n\n\
+     !\n";
+  ignore (Vm.eval vm "GcChurn new churn: 3000");
+  let costs = Major.slice_costs (Option.get vm.Vm.major) in
+  Printf.sprintf "cycles=%d slices=%d costs=%s" (Vm.cycles vm)
+    (List.length costs)
+    (Digest.to_hex
+       (Digest.string (String.concat "," (List.map string_of_int costs))))
+
 let golden_explorer () =
   let setup = Explorer.ms_setup ~quick:true () in
   let d = Explore.seeded ~seed:3 () in
@@ -401,6 +439,8 @@ let golden_fixtures =
      ("cycles=1430103 steps=60146 events=60221 "
       ^ "pauses=1389,1174,1174,1174,1174,1174,1174,1174,1174,1174,1174,1174,"
       ^ "1174,1174 forced_allocs=13 slices=45 cycles=14"));
+    ("E18 churn, major-slice costs", golden_e18_slices,
+     "cycles=10414571 slices=52 costs=4704bda52d6f9ecf235e9985b0eb1d3a");
     ("explorer seed", golden_explorer,
      ("cycles=187127 steps=4231,4220,4226,4547,4188 events=21420 "
       ^ "pauses=29660 queries=2678"));
