@@ -21,9 +21,11 @@
 # failover, the spin watchdog's deadlock reports and the recovery
 # overheads, each with its exit status.  And it
 # covers explorer executions on recycled heap memory beyond the perf
-# workload's seeded runs: a quick DPOR exploration with its statistics
-# (every re-execution replays a prefix), and a four-seed exploration of
-# a broken configuration, whose counterexamples are shrunk by replay.
+# workload's seeded runs: a hundred seeds of the published configuration
+# (every execution boots its VM from the cached kernel image), a quick
+# DPOR exploration with its statistics (every re-execution replays a
+# prefix), and a four-seed exploration of a broken configuration, whose
+# counterexamples are shrunk by replay.
 # It covers two cluster runs whose replica fingerprints the converged
 # perf workload never prints: a deliberately divergent replica and a
 # crash that tears the victim's newest checkpoint.  It covers E18's own
@@ -106,6 +108,9 @@ fault_runs >"$tmp/b.faults"
 # names them.
 explore_runs() {
   DUNE_CACHE=disabled dune build --root . -j 2 --display quiet ./bin/mst.exe 1>&2
+  rc=0
+  ./_build/default/bin/mst.exe explore --config=ms --seeds=100 || rc=$?
+  echo "exit $rc"
   rc=0
   ./_build/default/bin/mst.exe explore --config=ms --dpor --stats --quick \
     --budget=12 || rc=$?
@@ -223,5 +228,5 @@ if ! cmp -s "$tmp/a.steal" "$tmp/b.steal"; then
   status=1
 fi
 [ "$status" -eq 0 ] &&
-  echo "sim-identical: 25 runs, 2 trace dumps, 2 k>1 scavenger runs, 3 fault campaigns, 2 explorer runs, 2 cluster runs, the E18 table and 3 stealing runs identical to $parent"
+  echo "sim-identical: 25 runs, 2 trace dumps, 2 k>1 scavenger runs, 3 fault campaigns, 3 explorer runs, 2 cluster runs, the E18 table and 3 stealing runs identical to $parent"
 exit "$status"

@@ -32,11 +32,11 @@
 
    A replica killed by the fault injector ({!Fault.Replica_crash},
    sampled at {!Fault.Log_entry} boundary queries) rejoins by restoring
-   the newest usable checkpoint ({!Snapshot}) into a freshly-bootstrapped
-   skeleton VM and replaying the log suffix; corrupt or truncated
-   checkpoints are rejected by the loader and the rejoin falls back to
-   the previous one, ultimately the entries=0 checkpoint every replica
-   writes at start.  Restore must reproduce the checkpoint's own header
+   the newest usable checkpoint ({!Snapshot}) into a skeleton VM freshly
+   booted from the kernel image and replaying the log suffix; corrupt or
+   truncated checkpoints are rejected by the loader and the rejoin falls
+   back to the previous one, ultimately the entries=0 checkpoint every
+   replica writes at start.  Restore must reproduce the checkpoint's own header
    fingerprint and replay must walk through the replica's recorded
    pre-crash fingerprints — both are checked, not trusted. *)
 

@@ -12,8 +12,8 @@
     entries.
 
     A crashed replica rejoins by restoring the newest usable checkpoint
-    ({!Snapshot}) into a freshly-bootstrapped skeleton VM and replaying
-    the log suffix; corrupt checkpoints are rejected by the loader and
+    ({!Snapshot}) into a skeleton VM freshly booted from the kernel image
+    and replaying the log suffix; corrupt checkpoints are rejected by the loader and
     the rejoin falls back to the previous one.  The divergence detector
     compares every replica's per-boundary fingerprint — a census of the
     application state under stable roots, mixed with an order-sensitive

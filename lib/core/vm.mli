@@ -1,9 +1,9 @@
 (** Assembling and driving Multiprocessor Smalltalk on the simulated
     Firefly.
 
-    [create] bootstraps a complete virtual machine — object memory,
-    universe, kernel image, interpreters, caches, devices — wired
-    according to the strategy configuration.  [run] is the simulation
+    [create] builds a complete virtual machine — object memory booted
+    from the kernel image, universe, interpreters, caches, devices —
+    wired according to the strategy configuration.  [run] is the simulation
     engine: it always steps the runnable virtual processor with the
     smallest clock, fires due Delay timers, and performs the stop-the-world
     scavenge rendezvous in which every parked processor pays the pause.
@@ -61,8 +61,9 @@ exception Error of string
 (** The VM's serialization sanitizer (armed only while {!run} executes). *)
 val sanitizer : t -> Sanitizer.t
 
-(** Bootstrap a VM.  Expensive (compiles the kernel image); reuse the VM
-    for several evaluations where possible. *)
+(** Build a VM whose heap is booted from the process's kernel image
+    ({!Bootstrap.install}): the first VM of a process compiles the kernel,
+    every later one copies it. *)
 val create : Config.t -> t
 
 (** Install additional classes (image-definition format) after bootstrap:

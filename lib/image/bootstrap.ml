@@ -12,7 +12,7 @@ let proto_class h =
   Heap.alloc_old h ~slots:Layout.Class.fixed_slots ~raw:false
     ~cls:Oop.sentinel ()
 
-let install heap =
+let compile heap =
   let u = Universe.create heap in
   let c = u.Universe.classes in
   (* 1. bare class objects for the VM-known classes *)
@@ -105,3 +105,76 @@ let install heap =
   Universe.set_global u "Transcript" (instance_of "TranscriptStream");
   Universe.set_global u "Display" (instance_of "DisplayScreen");
   u
+
+(* The kernel image: everything [compile] writes.  That is old space
+   [old.base, old.ptr), the heap's two allocation counters, and the
+   universe's well-known oops and tables; [Heap.set_nil], the context
+   classes and the character-table root follow from the universe.  None
+   of it depends on eden or survivor sizes, the allocation policy or the
+   processor count, and old space always starts at the same address, so
+   one image serves every heap geometry.  It is read-only once built:
+   each boot copies what it hands out. *)
+type image = {
+  words : int array;  (* old space from [old.base], up to the bump pointer *)
+  allocations : int;
+  words_allocated : int;
+  universe : Universe.t;  (* on an empty placeholder heap *)
+}
+
+(* A copy of [u] on [heap] that shares nothing mutable with [u].
+   [Hashtbl.copy] keeps the bucket layout, so the copy iterates its
+   tables in exactly [u]'s order: [Universe.iter_roots] feeds the major
+   collector's marking in that order. *)
+let copy_universe (u : Universe.t) heap =
+  let c = u.Universe.classes in
+  { u with
+    Universe.heap;
+    classes = { c with Universe.object_c = c.Universe.object_c };
+    symtab = Hashtbl.copy u.Universe.symtab;
+    globals = Hashtbl.copy u.Universe.globals;
+    char_table = Array.copy u.Universe.char_table }
+
+let capture (u : Universe.t) =
+  let h = u.Universe.heap in
+  { words = Array.sub h.Heap.mem h.Heap.old.Heap.base
+        (Heap.region_used h.Heap.old);
+    allocations = h.Heap.allocations;
+    words_allocated = h.Heap.words_allocated;
+    universe =
+      copy_universe u
+        (Heap.create ~old_words:0 ~eden_words:0 ~survivor_words:0 ()) }
+
+let boot img heap =
+  let old = heap.Heap.old and n = Array.length img.words in
+  if Heap.region_avail old < n then
+    raise (Heap.Image_full "old space exhausted");
+  Array.blit img.words 0 heap.Heap.mem old.Heap.base n;
+  old.Heap.ptr <- old.Heap.base + n;
+  heap.Heap.allocations <- img.allocations;
+  heap.Heap.words_allocated <- img.words_allocated;
+  let u = copy_universe img.universe heap in
+  Heap.set_nil heap u.Universe.nil;
+  Heap.add_array_root heap u.Universe.char_table;
+  Universe.register_context_classes u;
+  u
+
+(* The process's one image, built by the first [install] from that
+   call's heap.  The lock makes the first build happen once even when
+   several domains boot at the same time. *)
+let image : image option ref = ref None
+let image_lock = Mutex.create ()
+
+let install heap =
+  let old = heap.Heap.old in
+  if old.Heap.ptr <> old.Heap.base || heap.Heap.allocations <> 0 then
+    invalid_arg "Bootstrap.install: heap is not fresh";
+  let built =
+    Mutex.protect image_lock (fun () ->
+        match !image with
+        | Some img -> Either.Left img
+        | None ->
+            let u = compile heap in
+            image := Some (capture u);
+            Either.Right u)
+  in
+  match built with Either.Left img -> boot img heap | Either.Right u -> u

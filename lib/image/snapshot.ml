@@ -11,11 +11,11 @@
    of schedulers or calendars.
 
    Restore does not rebuild a VM from nothing: it overwrites the memory
-   of an *identically-bootstrapped* skeleton.  The simulation is
-   deterministic, so the skeleton's bootstrap places every kernel object
-   at the same address the checkpointed image had, and the host-side
-   tables that map names to addresses (globals, symbols) remain valid
-   for the restored content.  Host-side caches that point into the old
+   of a skeleton VM *booted from the same image*.  Every VM of a process
+   boots from one kernel image ({!Bootstrap.install}), so the skeleton
+   has every kernel object at the same address the checkpointed heap had,
+   and the host-side tables that map names to addresses (globals,
+   symbols) remain valid for the restored content.  Host-side caches that point into the old
    memory (method caches, free-context lists, decoded contexts) are the
    caller's to flush, exactly as after an injected processor crash.
 

@@ -4,9 +4,9 @@
     eden and its slices, both survivor semispaces), the entry table, the
     old-space free lists and the allocation counters, plus caller-labeled
     "register" arrays for host-side scalars the heap does not own.
-    Restore overwrites the memory of an {e identically-bootstrapped}
-    skeleton VM — the deterministic bootstrap puts every kernel object at
-    the same address, so host-side name tables remain valid; host-side
+    Restore overwrites the memory of a skeleton VM {e booted from the same
+    image} — the image puts every kernel object at the same address, so
+    host-side name tables remain valid; host-side
     caches pointing into the old memory (method caches, free-context
     lists, decoded contexts) are the caller's to flush, exactly as after
     an injected processor crash.

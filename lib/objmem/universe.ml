@@ -73,7 +73,8 @@ let heap u = u.heap
 
 (* The universe's well-known objects are host-side references the heap
    cannot see; the incremental old-space collector treats them as image
-   roots (E18). *)
+   roots (E18).  The tables are walked in bucket order, which is the
+   collector's marking order: copies of a universe use [Hashtbl.copy]. *)
 let iter_roots u f =
   f u.nil; f u.true_; f u.false_; f u.scheduler;
   let c = u.classes in

@@ -52,7 +52,13 @@ val heap : t -> Heap.t
 (** Apply [f] to every well-known object the universe holds host-side:
     nil/true/false, the scheduler, the kernel classes, interned symbols,
     global Associations and the character table.  The incremental
-    old-space collector treats these as image roots (E18). *)
+    old-space collector treats these as image roots (E18).
+
+    Symbols and globals come in their tables' bucket order, and that order
+    is the order the major collector greys them, so it shows in the cost
+    of every mark slice.  A copy of a universe must therefore copy the
+    tables with [Hashtbl.copy], which keeps the bucket layout; rebuilding
+    them by insertion changes the simulated numbers. *)
 val iter_roots : t -> (Oop.t -> unit) -> unit
 
 (** {2 Symbols} *)

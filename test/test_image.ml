@@ -1,7 +1,7 @@
 (* Tests for the bootstrap image: the kernel class hierarchy, reflection,
    the programming-environment tools (browse, search, compile, decompile,
-   inspect), the I/O service objects, and the recycling of a released
-   heap's memory. *)
+   inspect), the I/O service objects, the recycling of a released heap's
+   memory, and booting from the cached kernel image. *)
 
 let vm = lazy (Vm.create (Config.testing ()))
 let ev src = Vm.eval_to_string (Lazy.force vm) src
@@ -213,6 +213,154 @@ let test_release_recycles_zeroed_memory () =
   check_bool "the spare waits for its own geometry" true
     ((create ()).Heap.mem == mem)
 
+(* --- booting from the cached kernel image --- *)
+
+(* A fresh heap of [config]'s geometry, as [Vm.create] builds it. *)
+let fresh_heap (c : Config.t) =
+  let policy =
+    if not c.Config.locks_enabled then Heap.Unlocked
+    else
+      match c.Config.allocation with
+      | Config.Alloc_serialized -> Heap.Shared_locked
+      | Config.Alloc_replicated_eden -> Heap.Replicated_eden
+  in
+  Heap.create ~policy ~processors:c.Config.processors
+    ~tenure_age:c.Config.tenure_age ~old_words:c.Config.old_words
+    ~eden_words:c.Config.eden_words ~survivor_words:c.Config.survivor_words ()
+
+let boot_geometries =
+  let small_major =
+    { (Config.testing ()) with
+      Config.major_enabled = true;
+      eden_words = 2048;
+      survivor_words = 1024;
+      tenure_age = 1;
+      old_words = 72_000;
+      major_budget = 2_000 }
+  in
+  [ ("BS, 1 VP", Config.baseline_bs ());
+    ("MS, 5 VPs, replicated eden",
+     { (Config.ms ()) with
+       Config.allocation = Config.Alloc_replicated_eden });
+    ("MS, 64 VPs", Config.ms ~processors:64 ());
+    ("stealing", { (Config.ms ()) with Config.scheduler = Config.Sched_stealing });
+    ("small-heap major", small_major) ]
+
+(* A table's entries in its iteration order: the order
+   [Universe.iter_roots] hands them to the major collector. *)
+let table_order t = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t []
+
+let first_difference a b =
+  let n = Int.min (Array.length a) (Array.length b) in
+  let rec go i =
+    if i = n then if Array.length a = Array.length b then None else Some n
+    else if a.(i) <> b.(i) then Some i
+    else go (i + 1)
+  in
+  go 0
+
+(* [booted] must equal [compiled] in everything the bootstrap writes, and
+   in every other counter a fresh heap starts with. *)
+let check_same_boot name (booted : Universe.t) (compiled : Universe.t) =
+  let hb = booted.Universe.heap and hc = compiled.Universe.heap in
+  let ints what f = Alcotest.(check int) (name ^ ": " ^ what) (f hc) (f hb) in
+  Alcotest.(check (option int)) (name ^ ": first differing word") None
+    (first_difference hc.Heap.mem hb.Heap.mem);
+  List.iter
+    (fun (what, f) -> ints what f)
+    [ ("old.ptr", fun h -> h.Heap.old.Heap.ptr);
+      ("eden.ptr", fun h -> h.Heap.eden.Heap.ptr);
+      ("survivor used", Heap.survivor_used);
+      ("allocations", Heap.allocations);
+      ("words allocated", Heap.words_allocated);
+      ("nil", fun h -> h.Heap.nil);
+      ("MethodContext class", fun h -> h.Heap.method_ctx_class);
+      ("BlockContext class", fun h -> h.Heap.block_ctx_class);
+      ("entry table", Heap.remembered_count);
+      ("free words", Heap.free_words);
+      ("free-list hits", Heap.free_list_hits);
+      ("free reused words", Heap.free_reused_words);
+      ("scavenges", Heap.scavenge_count);
+      ("words copied", Heap.words_copied_total);
+      ("words tenured", Heap.tenured_words_total) ];
+  check_bool (name ^ ": the character table is the only root") true
+    (match hb.Heap.array_roots, hb.Heap.roots with
+     | [ t ], [] -> t == booted.Universe.char_table
+     | _ -> false);
+  Alcotest.(check (list int)) (name ^ ": eden slices")
+    (Array.to_list (Array.map (fun r -> r.Heap.ptr) hc.Heap.eden_regions))
+    (Array.to_list (Array.map (fun r -> r.Heap.ptr) hb.Heap.eden_regions));
+  let oops u =
+    Universe.[ u.nil; u.true_; u.false_; u.scheduler ]
+  in
+  Alcotest.(check (list int)) (name ^ ": well-known oops") (oops compiled)
+    (oops booted);
+  check_bool (name ^ ": classes record") true
+    (booted.Universe.classes = compiled.Universe.classes);
+  check_bool (name ^ ": character table") true
+    (booted.Universe.char_table = compiled.Universe.char_table);
+  let entries = Alcotest.(list (pair string int)) in
+  Alcotest.check entries (name ^ ": symbol table order")
+    (table_order compiled.Universe.symtab) (table_order booted.Universe.symtab);
+  Alcotest.check entries (name ^ ": global table order")
+    (table_order compiled.Universe.globals)
+    (table_order booted.Universe.globals)
+
+(* A heap booted from the image, in every geometry, is word for word the
+   heap a from-source compile builds.  (It is compared before [Vm.create]
+   wires the rest of a VM, which writes into the heap on some
+   configurations.)  Both heaps go back to the spare afterwards, so later
+   geometries also boot into recycled memory. *)
+let test_boot_matches_compile () =
+  ignore (Lazy.force vm);
+  List.iter
+    (fun (name, config) ->
+      let booted = Bootstrap.install (fresh_heap config) in
+      let compiled = Bootstrap.compile (fresh_heap config) in
+      check_same_boot name booted compiled;
+      Heap.release compiled.Universe.heap;
+      Heap.release booted.Universe.heap)
+    boot_geometries
+
+(* What one booted VM adds to its universe — a symbol, a global, a class
+   — stays its own: the next boot still equals a fresh compile. *)
+let test_boot_isolation () =
+  ignore (Lazy.force vm);
+  let config = Config.testing () in
+  let first = Vm.create config in
+  let u = first.Vm.u in
+  ignore (Universe.intern u "bootIsolationSymbol");
+  Universe.set_global u "BootIsolationGlobal" (Universe.new_string u "x");
+  Vm.load_classes first "CLASS BootIsolationClass SUPER Object\n";
+  check_bool "the first VM defined its class" true
+    (Universe.find_class u "BootIsolationClass" <> None);
+  let booted = Bootstrap.install (fresh_heap config) in
+  let compiled = Bootstrap.compile (fresh_heap config) in
+  check_same_boot "second boot" booted compiled;
+  check_bool "no symbol leaked" false
+    (Universe.is_interned booted "bootIsolationSymbol");
+  check_bool "no global leaked" true
+    (Universe.get_global booted "BootIsolationGlobal" = None);
+  check_bool "no class leaked" true
+    (Universe.find_class booted "BootIsolationClass" = None)
+
+let test_boot_refusals () =
+  let config = Config.testing () in
+  let h = fresh_heap config in
+  ignore (Bootstrap.install h);
+  check_bool "a heap that has allocated is refused" true
+    (try ignore (Bootstrap.install h); false
+     with Invalid_argument _ -> true);
+  let tiny = { config with Config.old_words = 4096 } in
+  let exhausted f =
+    try ignore (f (fresh_heap tiny)); false
+    with Heap.Image_full "old space exhausted" -> true
+  in
+  check_bool "compiling into a too-small old space fails" true
+    (exhausted Bootstrap.compile);
+  check_bool "booting into a too-small old space fails alike" true
+    (exhausted Bootstrap.install)
+
 let () =
   Alcotest.run "image"
     [ ("kernel",
@@ -237,4 +385,10 @@ let () =
          Alcotest.test_case "display" `Quick test_display ]);
       ("memory",
        [ Alcotest.test_case "release recycles zeroed memory" `Quick
-           test_release_recycles_zeroed_memory ]) ]
+           test_release_recycles_zeroed_memory ]);
+      ("boot",
+       [ Alcotest.test_case "matches a compile in every geometry" `Quick
+           test_boot_matches_compile;
+         Alcotest.test_case "booted VMs share nothing" `Quick
+           test_boot_isolation;
+         Alcotest.test_case "refusals" `Quick test_boot_refusals ]) ]
