@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is what CI runs.
 
-.PHONY: all build test check int-compare-audit smoke-parallel-scavenge explore-smoke fault-smoke steal-smoke server-smoke dpor-smoke gc-smoke cluster-smoke sim-identical bench bench-quick clean
+.PHONY: all build test check int-compare-audit export-audit smoke-parallel-scavenge explore-smoke fault-smoke steal-smoke server-smoke dpor-smoke gc-smoke cluster-smoke sim-identical bench bench-quick clean
 
 all: build
 
@@ -16,6 +16,12 @@ test:
 int-compare-audit:
 	dune build
 	sh bench/int_compare_audit.sh
+
+# The exported surface of lib/: count the top-level vals of its .mli
+# files and list each export no other module uses (see the script's
+# header).  Reports only; it never fails the build.
+export-audit:
+	sh bench/export_audit.sh
 
 # A quick E10 run with the strict sanitizer: every parallel collection is
 # claim/chunk-checked and followed by a full heap verification, so a

@@ -36,8 +36,6 @@ type summary = {
   mean_overhead_permil : int;  (** across survived rows *)
 }
 
-val describe_verdict : verdict -> string
-
 (** Run one campaign: [seeds] seeded runs starting at [first_seed],
     cycling through [bench_keys] (reduced-repetition benchmarks; [quick]
     reduces further for smoke tests).  The watchdog and backoff default

@@ -42,6 +42,9 @@ spawnChurn: n done: sem
 !
 |st}
 
+(* [sanitize] overrides the configuration's sanitizer mode; under [Strict]
+   any parallel-scavenge invariant violation or heap-verification failure
+   aborts the run. *)
 let run_one ?sanitize ~eden_kb ~allocators ~scavenge_workers ~iterations () =
   let processors = max 1 allocators in
   let config =

@@ -22,18 +22,6 @@ type row = {
           collections; 1.0 for serial scavenging *)
 }
 
-(** [sanitize] overrides the configuration's sanitizer mode; under [Strict]
-    any parallel-scavenge invariant violation or heap-verification failure
-    aborts the run. *)
-val run_one :
-  ?sanitize:Sanitizer.mode ->
-  eden_kb:int ->
-  allocators:int ->
-  scavenge_workers:int ->
-  iterations:int ->
-  unit ->
-  row
-
 (** E8: eden size sweep with one allocator. *)
 val eden_sweep : ?iterations:int -> unit -> row list
 

@@ -29,8 +29,6 @@ let create () = {
   pendings = [];
 }
 
-let here t = t.len
-
 let emit t op =
   if t.len = Array.length t.code then begin
     let bigger = Array.make (2 * t.len) 0 in

@@ -10,9 +10,6 @@ type label
 
 val create : unit -> t
 
-(** Current instruction index. *)
-val here : t -> int
-
 val emit : t -> Opcode.t -> unit
 
 val new_label : t -> label

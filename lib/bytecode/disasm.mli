@@ -2,8 +2,4 @@
     a listing.  [literal] supplies a printable form for literal-table
     entries (selectors, constants, globals). *)
 
-val decode_all : int array -> (int * Opcode.t) list
-
-val pp_listing : ?literal:(int -> string) -> Format.formatter -> int array -> unit
-
 val to_string : ?literal:(int -> string) -> int array -> string

@@ -161,8 +161,6 @@ and pp_body fmt body =
   in
   go body
 
-let expr_to_string e = Format.asprintf "%a" (pp_expr ~prec:0) e
-
 (* Render a method's header pattern: "at: index put: value". *)
 let pattern_of ~selector ~params =
   if is_keyword_selector selector then

@@ -55,6 +55,8 @@ let dict_install_at u d i ~selector ~meth =
   ignore (Heap.store_ptr h meths i meth);
   ignore (Heap.store_ptr h d Layout.Mdict.size (Oop.of_small (i + 1)))
 
+(* Install (or replace) a method, growing the arrays when full.  Callers
+   must flush the method caches afterwards. *)
 let dict_install u d ~selector ~meth =
   let h = Universe.heap u in
   let sels, meths = dict_arrays u d in

@@ -9,26 +9,12 @@ exception Error of string
 
 (** {2 Method dictionaries} *)
 
-val new_method_dict : Universe.t -> int -> Oop.t
-
-val dict_size : Universe.t -> Oop.t -> int
-
 (** Linear search for [selector]; [None] when absent. *)
 val dict_find : Universe.t -> Oop.t -> Oop.t -> Oop.t option
-
-(** Install (or replace) a method, growing the arrays when full.  Callers
-    must flush the method caches afterwards. *)
-val dict_install : Universe.t -> Oop.t -> selector:Oop.t -> meth:Oop.t -> unit
 
 val dict_selectors : Universe.t -> Oop.t -> Oop.t list
 
 (** {2 Classes} *)
-
-val class_ivar_names : Universe.t -> Oop.t -> string list
-
-(** Create (or redefine, keeping identity) a class from a declaration and
-    bind it as a global.  The superclass must already exist. *)
-val define_class : Universe.t -> Class_file.class_decl -> Oop.t
 
 (** Compile [source] and install it on the given side of [cls]. *)
 val add_method : Universe.t -> cls:Oop.t -> class_side:bool -> string -> Oop.t

@@ -12,15 +12,6 @@
 
 exception Error of string
 
-val max_frame_slots : int
-
-(** Compile a parsed method for [cls] ([Oop.sentinel] for receiverless
-    doIts), resolving instance variables against [ivars]. *)
-val compile_ast : Universe.t -> cls:Oop.t -> ivars:string array -> Ast.meth -> Oop.t
-
-(** Instance-variable names of [cls], inherited first. *)
-val class_ivars : Universe.t -> Oop.t -> string array
-
 (** Parse and compile method source for [cls]. *)
 val compile_method : Universe.t -> cls:Oop.t -> string -> Oop.t
 

@@ -310,8 +310,6 @@ let create (config : Config.t) =
    it at their injection points. *)
 let set_fault_injector vm inj = Machine.set_injector vm.machine inj
 
-let fault_injector vm = Machine.injector vm.machine
-
 (* --- spawning Smalltalk Processes from OCaml --- *)
 
 let do_scavenge_fwd : (t -> unit) ref =
@@ -383,6 +381,7 @@ let spawn vm ?(priority = 5) ?(name = "doIt") source =
 
 (* --- the engine --- *)
 
+(* Run one scavenge now; every processor is between steps. *)
 let do_scavenge vm =
   let m = vm.machine in
   (* rendezvous: the collection starts once the laggard reaches its
@@ -625,11 +624,11 @@ type run_outcome =
      and the batch test asks [Major.due] at [Int.max rdv vp.clock];
      without one, selection computes nothing.  [rdv] stays exact over a
      batch because only these move clocks during one: the stepping
-     processor's own charges and [Spinlock.locked_op_on], which the
-     [Int.max] covers; [unpark], which raises [rdv] to the clock it
-     gives the woken processor; and [on_old_exhausted], whose forced
-     completion synchronizes every clock mid-step, the stepping
-     processor's included.  Fault stalls and crashes need an injector,
+     processor's own charges and lock spin, which the [Int.max]
+     covers; [unpark], which raises [rdv] to the clock it gives the
+     woken processor; and [on_old_exhausted], whose forced completion
+     synchronizes every clock mid-step, the stepping processor's
+     included.  Fault stalls and crashes need an injector,
      which turns batching off, and [Replica]'s clock restore runs
      outside the engine.
 

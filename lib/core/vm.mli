@@ -76,9 +76,6 @@ val load_classes : t -> string -> unit
     starts running at the next {!run}. *)
 val spawn : t -> ?priority:int -> ?name:string -> string -> Oop.t
 
-(** Like {!spawn} for an already-compiled method. *)
-val spawn_method : t -> priority:int -> name:string -> Oop.t -> Oop.t
-
 type run_outcome =
   | Finished of Oop.t  (** the watched Process returned this value *)
   | Deadlock  (** no Process, event or timer can make progress *)
@@ -113,16 +110,6 @@ val cycles : t -> int
 
 val seconds : t -> float
 
-(** Run one scavenge immediately (all processors are between steps). *)
-val do_scavenge : t -> unit
-
-(** Run one bounded slice of the incremental old-space collector at the
-    current rendezvous clock (E18).  {!run} calls this itself whenever a
-    slice comes due; exposed for tests. *)
-val do_major_slice : t -> Major.t -> unit
-
-val nothing_runnable : t -> bool
-
 (** {2 Fault injection}
 
     With an injector installed, {!run} becomes a fault campaign: the
@@ -136,10 +123,3 @@ val nothing_runnable : t -> bool
 
 (** Install (or clear) the fault injector on this VM's machine. *)
 val set_fault_injector : t -> Fault.t option -> unit
-
-val fault_injector : t -> Fault.t option
-
-(** Deliver an injected crash to a processor: halt it permanently, fail
-    its Process over to the ready queue and abandon its replicated
-    state.  Exposed for tests; {!run} delivers flagged crashes itself. *)
-val crash_vp : t -> int -> unit

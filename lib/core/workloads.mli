@@ -6,13 +6,6 @@
     hand" background Process: message sends, object allocation, and
     contention for the display. *)
 
-val idle_source : string
-
-val busy_source : string
-
-(** Priority 2: below the benchmark's user scheduling priority. *)
-val background_priority : int
-
 (** Fork [count] idle/busy Processes; they run forever at background
     priority on whatever processors are free. *)
 val spawn_idle : Vm.t -> int -> Oop.t list

@@ -4,17 +4,7 @@
 
 val bytecode_array : Universe.t -> Oop.t -> Opcode.t array
 
-val selector_name : Universe.t -> Oop.t -> string
-
 val literal_count : Universe.t -> Oop.t -> int
-
-val literal_oop : Universe.t -> Oop.t -> int -> Oop.t
-
-(** Render a literal oop as an AST literal. *)
-val literal_ast : Universe.t -> Oop.t -> Ast.literal
-
-(** Printable name of a literal used as a selector or global binding. *)
-val literal_name : Universe.t -> Oop.t -> string
 
 (** Decompile a CompiledMethod back to source text.
     @raise Decompiler.Unsupported on bytecode the generator never emits. *)

@@ -6,13 +6,6 @@
     context's frame is evaluation stack only, its temporaries (including
     block parameters) living in the home context, Smalltalk-80 style. *)
 
-val frame_need : ntemps:int -> maxstack:int -> int
-
-(** @raise State.Vm_error when the frame exceeds the large size. *)
-val size_class_of : int -> Free_contexts.size_class
-
-val frame_slots : Free_contexts.size_class -> int
-
 (** Allocate a context, recycling from the free list when possible;
     charges the cost model (and the allocation lock on a fresh
     allocation).  May raise [Heap.Scavenge_needed]; callers must not have
@@ -27,8 +20,6 @@ val alloc_object :
 (** The method's packed info word. *)
 val minfo : State.t -> Oop.t -> int
 
-val switch_to : State.t -> Oop.t -> unit
-
 (** Activate a method for a send: the caller's stack holds the receiver
     and [nargs] arguments; they are copied into the new context's
     temporaries and popped. *)
@@ -40,9 +31,6 @@ val create_block_ctx : State.t -> startpc:int -> nargs:int -> argstart:int -> Oo
 (** Activate a block for the value/value:... primitive; [None] when the
     argument count does not match. *)
 val activate_block : State.t -> block:Oop.t -> nargs:int -> unit option
-
-(** Only method contexts of block-free methods are safely recyclable. *)
-val recyclable : State.t -> Oop.t -> bool
 
 val size_class_of_ctx : State.t -> Oop.t -> Free_contexts.size_class
 

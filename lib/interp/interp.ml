@@ -74,6 +74,9 @@ let behavior_key ~class_receiver ~recv ~recv_class =
 
 exception Does_not_understand of string
 
+(* A full message send: special-selector fast path aside, probe the
+   method cache, walk the dictionaries on a miss, run the primitive, fall
+   back to activation, or dispatch doesNotUnderstand:. *)
 let rec full_send st ~sel ~nargs ~super =
   st.sends <- st.sends + 1;
   let cm = st.sh.cm in

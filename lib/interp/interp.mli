@@ -13,9 +13,6 @@ type step_result =
   | Idle  (** no Process to run *)
   | Need_gc  (** eden low or allocation failed; park and scavenge *)
 
-(** Eden head-room required before any step may run. *)
-val low_water_mark : int
-
 (** A conditional jump consumed a non-Boolean. *)
 exception Must_be_boolean
 
@@ -26,11 +23,6 @@ exception Does_not_understand of string
 type t
 
 val create : State.t -> t
-
-(** Perform a full message send: special-selector fast path aside, probe
-    the method cache, walk the dictionaries on a miss, run the primitive,
-    fall back to activation, or dispatch [doesNotUnderstand:]. *)
-val full_send : State.t -> sel:Oop.t -> nargs:int -> super:bool -> unit
 
 (** An idle interpreter still watches for input events; the engine calls
     this between ready-queue polls. *)

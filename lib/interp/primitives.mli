@@ -22,11 +22,6 @@ type outcome =
 
 (** {2 Process machinery shared with the interpreter and engine} *)
 
-(** Save the running context into the active Process. *)
-val save_active_context : State.t -> unit
-
-val load_process : State.t -> Oop.t -> unit
-
 (** Pick the next Process from the ready queue; leaves the interpreter
     idle when there is none. *)
 val pick_next : State.t -> unit
@@ -42,10 +37,6 @@ val finish_process : State.t -> result:Oop.t -> unit
 val signal_semaphore : State.t -> Oop.t -> unit
 
 (** {2 Allocation helpers used by the interpreter} *)
-
-val new_string_obj : State.t -> string -> Oop.t
-
-val new_array_obj : State.t -> Oop.t list -> Oop.t
 
 (** Run primitive [prim] for a send with [nargs] arguments on the stack. *)
 val run : State.t -> prim:int -> nargs:int -> outcome

@@ -178,9 +178,6 @@ let flush_remembers t ~now ~vp =
 
 (* --- linked lists of Processes (LinkedList and Semaphore share layout) --- *)
 
-let ll_is_empty t list =
-  Oop.equal (Heap.get (heap t) list Layout.Linked_list.first) (nil t)
-
 (* The unlocked bodies: callers hold the lock that guards [resource]. *)
 
 let append_unlocked t ~vp ~resource list proc =
@@ -804,16 +801,6 @@ let remove_from_ready ?(vp = -1) t ~now proc =
               remove_unlocked t ~vp ~resource (home_list t i) proc)
         in
         finish t ~now ~vp
-
-(* A preemption demanded from outside the priority machinery — the
-   schedule explorer's forced-preemption decision.  The flag is honoured
-   (and cleared) at the processor's next scheduling check like any
-   priority-driven request. *)
-let force_preempt t ~vp =
-  if vp >= 0 && vp < t.processors && not t.preempt.(vp) then begin
-    t.preempt.(vp) <- true;
-    t.preemptions <- t.preemptions + 1
-  end
 
 let take_preempt_flag t vp =
   if t.preempt.(vp) then begin

@@ -113,13 +113,9 @@ val set_on_ready : t -> (now:int -> unit) option -> unit
     from [now] and return the completion time; [vp] is the acting
     processor (default [-1], the engine). *)
 
-val ll_is_empty : t -> Oop.t -> bool
-
 val ll_append : ?vp:int -> t -> now:int -> Oop.t -> Oop.t -> int
 
 val ll_pop_first : ?vp:int -> t -> now:int -> Oop.t -> int * Oop.t option
-
-val ll_remove : ?vp:int -> t -> now:int -> Oop.t -> Oop.t -> int
 
 (** {2 The ready queue} *)
 
@@ -189,10 +185,6 @@ val failovers : t -> int
     shared scheduler lock, or (stealing) the processor's own deque
     lock. *)
 val sched_check_lock : t -> vp:int -> Spinlock.t
-
-(** Flag one specific processor for rescheduling regardless of
-    priorities — the schedule explorer's forced-preemption decision. *)
-val force_preempt : t -> vp:int -> unit
 
 (** Read and clear the processor's preemption flag. *)
 val take_preempt_flag : t -> int -> bool

@@ -102,8 +102,6 @@ val set_pc : t -> int -> unit
 
 val get_sp : t -> int
 
-val set_sp : t -> int -> unit
-
 (** Pointer store with the store check; an entry-table insertion passes
     through the entry-table lock. *)
 val store_with_check : t -> Oop.t -> int -> Oop.t -> unit

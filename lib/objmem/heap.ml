@@ -81,7 +81,6 @@ type t = {
   mutable scavenge_count : int;
   mutable words_copied_total : int;
   mutable tenured_words_total : int;
-  mutable last_scavenge : scavenge_stats;
 }
 
 let region base words = { ptr = base; base; limit = base + words }
@@ -166,8 +165,7 @@ let create ?(policy = Unlocked) ?(processors = 1) ?(tenure_age = 4)
     words_allocated = 0;
     scavenge_count = 0;
     words_copied_total = 0;
-    tenured_words_total = 0;
-    last_scavenge = empty_stats () }
+    tenured_words_total = 0 }
 
 let set_nil h nil = h.nil <- nil
 let set_sanitizer h san =
@@ -186,7 +184,6 @@ let is_old h (o : Oop.t) =
 
 (* --- header access --- *)
 
-let hdr0 h a = h.mem.(a)
 let size_words h a = h.mem.(a) asr Layout.size_shift
 let slots h a = size_words h a - Layout.header_words
 let class_at h a = h.mem.(a + 1)
@@ -196,9 +193,6 @@ let is_raw h a = h.mem.(a) land Layout.flag_raw <> 0
 let is_bytes h a = h.mem.(a) land Layout.flag_bytes <> 0
 let is_remembered h a = h.mem.(a) land Layout.flag_remembered <> 0
 let is_filler h a = h.mem.(a) land Layout.flag_filler <> 0
-
-let class_of h (o : Oop.t) ~small_int_class =
-  if Oop.is_small o then small_int_class else class_at h (Oop.addr o)
 
 (* --- field access --- *)
 
@@ -443,12 +437,6 @@ let alloc_string_old h ~cls s =
   String.iteri (fun i c -> set_raw h o i (Char.code c)) s;
   o
 
-let alloc_string_new h ~vp ~cls s =
-  let n = String.length s in
-  let o = alloc_new h ~vp ~slots:n ~raw:true ~bytes:true ~cls () in
-  String.iteri (fun i c -> set_raw h o i (Char.code c)) s;
-  o
-
 let string_value h (o : Oop.t) =
   let n = slots h (Oop.addr o) in
   String.init n (fun i -> Char.chr (get h o i land 0xff))
@@ -468,4 +456,3 @@ let allocations h = h.allocations
 let words_allocated h = h.words_allocated
 let words_copied_total h = h.words_copied_total
 let tenured_words_total h = h.tenured_words_total
-let last_scavenge h = h.last_scavenge

@@ -80,7 +80,6 @@ type t = {
   mutable scavenge_count : int;
   mutable words_copied_total : int;
   mutable tenured_words_total : int;
-  mutable last_scavenge : scavenge_stats;
 }
 
 val region_used : region -> int
@@ -132,8 +131,6 @@ val is_old : t -> Oop.t -> bool
 
 (** {2 Headers} *)
 
-val hdr0 : t -> int -> int
-
 val size_words : t -> int -> int
 
 (** Field count, excluding the two header words. *)
@@ -155,8 +152,6 @@ val is_remembered : t -> int -> bool
     partially filled worker buffer; fillers may be a single word, so
     region walkers must test this before reading a class slot. *)
 val is_filler : t -> int -> bool
-
-val class_of : t -> Oop.t -> small_int_class:Oop.t -> Oop.t
 
 (** {2 Fields} *)
 
@@ -190,8 +185,6 @@ val rset_remove : t -> int -> unit
 val remembered_count : t -> int
 
 (** {2 Allocation} *)
-
-val eden_region : t -> int -> region
 
 val eden_avail : t -> vp:int -> int
 
@@ -235,8 +228,6 @@ val mark_old_alloc : t -> int -> unit
 
 val alloc_string_old : t -> cls:Oop.t -> string -> Oop.t
 
-val alloc_string_new : t -> vp:int -> cls:Oop.t -> string -> Oop.t
-
 val string_value : t -> Oop.t -> string
 
 (** {2 Statistics} *)
@@ -265,5 +256,3 @@ val words_allocated : t -> int
 val words_copied_total : t -> int
 
 val tenured_words_total : t -> int
-
-val last_scavenge : t -> scavenge_stats

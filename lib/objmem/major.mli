@@ -28,9 +28,6 @@ val phase : t -> phase
     [iter_roots]. *)
 val iter_roots : t -> (Oop.t -> unit) -> unit
 
-(** A cycle is in flight. *)
-val active : t -> bool
-
 val budget : t -> int
 
 (** The word at old-space address [a] starts a marked object. *)
@@ -41,10 +38,6 @@ val dirty : t -> Oop.t -> unit
 
 (** Allocate-black hook for objects entering old space mid-cycle. *)
 val alloc_black : t -> int -> unit
-
-(** The trigger: idle, and occupancy or tenured growth warrants a
-    cycle. *)
-val want_start : t -> bool
 
 (** Old space is over 90% occupied. *)
 val near_exhaustion : t -> bool

@@ -28,7 +28,3 @@ let max_small = max_int asr 1
 let min_small = min_int asr 1
 
 let equal (a : t) (b : t) = a = b
-
-let pp fmt (o : t) =
-  if is_small o then Format.fprintf fmt "i%d" (small_val o)
-  else Format.fprintf fmt "@@%d" (addr o)

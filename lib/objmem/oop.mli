@@ -35,5 +35,3 @@ val max_small : int
 val min_small : int
 
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

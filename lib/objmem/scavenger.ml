@@ -131,8 +131,7 @@ let flip h p =
   Array.iter (fun r -> r.ptr <- r.base) h.eden_regions;
   h.scavenge_count <- h.scavenge_count + 1;
   h.words_copied_total <- h.words_copied_total + stats.survivor_words;
-  h.tenured_words_total <- h.tenured_words_total + stats.tenured_words;
-  h.last_scavenge <- stats
+  h.tenured_words_total <- h.tenured_words_total + stats.tenured_words
 
 (* The serial destination policy: the future survivor space while the
    object is young enough and fits, else old space through

@@ -65,8 +65,8 @@ let create heap =
     false_ = Oop.sentinel;
     scheduler = Oop.sentinel;
     classes = no_class ();
-    symtab = Hashtbl.create 512;
-    globals = Hashtbl.create 128;
+    symtab = Hashtbl.create ~random:false 512;
+    globals = Hashtbl.create ~random:false 128;
     char_table = [||] }
 
 let heap u = u.heap
@@ -74,7 +74,8 @@ let heap u = u.heap
 (* The universe's well-known objects are host-side references the heap
    cannot see; the incremental old-space collector treats them as image
    roots (E18).  The tables are walked in bucket order, which is the
-   collector's marking order: copies of a universe use [Hashtbl.copy]. *)
+   collector's marking order: [create] makes them unrandomized whatever
+   OCAMLRUNPARAM says, and copies of a universe use [Hashtbl.copy]. *)
 let iter_roots u f =
   f u.nil; f u.true_; f u.false_; f u.scheduler;
   let c = u.classes in
@@ -160,14 +161,6 @@ let class_of u (o : Oop.t) =
   if Oop.is_small o then u.classes.small_integer
   else Heap.class_at u.heap (Oop.addr o)
 
-let is_kind_of u (o : Oop.t) cls =
-  let rec walk c =
-    if Oop.equal c cls then true
-    else if Oop.equal c u.nil || Oop.equal c Oop.sentinel then false
-    else walk (Heap.get u.heap c Layout.Class.superclass)
-  in
-  walk (class_of u o)
-
 let class_name u cls =
   let name = Heap.get u.heap cls Layout.Class.name in
   if Oop.equal name u.nil then "?" else Heap.string_value u.heap name
@@ -186,13 +179,6 @@ let write_float u o f =
 
 let new_float_old u f =
   let o = Heap.alloc_old u.heap ~slots:2 ~raw:true ~cls:u.classes.float_c () in
-  write_float u o f;
-  o
-
-let new_float_new u ~vp f =
-  let o =
-    Heap.alloc_new u.heap ~vp ~slots:2 ~raw:true ~cls:u.classes.float_c ()
-  in
   write_float u o f;
   o
 

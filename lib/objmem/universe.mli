@@ -78,8 +78,6 @@ val new_array : t -> Oop.t list -> Oop.t
 
 val new_array_sized : t -> int -> Oop.t
 
-val new_association : t -> key:Oop.t -> value:Oop.t -> Oop.t
-
 (** {2 Globals} *)
 
 (** The Association for a global, created (with a nil value) on first
@@ -100,15 +98,11 @@ val find_class : t -> string -> Oop.t option
 
 val class_of : t -> Oop.t -> Oop.t
 
-val is_kind_of : t -> Oop.t -> Oop.t -> bool
-
 val class_name : t -> Oop.t -> string
 
 (** {2 Floats (boxed as two raw words holding the IEEE bits)} *)
 
 val new_float_old : t -> float -> Oop.t
-
-val new_float_new : t -> vp:int -> float -> Oop.t
 
 (** Write a float's IEEE bits into an already-allocated 2-slot raw box —
     for callers that must allocate the box under the allocation lock. *)

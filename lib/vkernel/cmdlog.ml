@@ -42,8 +42,6 @@ exception Corrupt of { path : string; what : string }
 let corrupt path fmt =
   Printf.ksprintf (fun what -> raise (Corrupt { path; what })) fmt
 
-let describe_corrupt (path, what) = Printf.sprintf "%s: %s" path what
-
 let () =
   Printexc.register_printer (function
     | Corrupt { path; what } ->
@@ -51,12 +49,6 @@ let () =
     | _ -> None)
 
 let create () = { entries = [||]; len = 0 }
-
-let length t = t.len
-
-let get t i =
-  if i < 0 || i >= t.len then invalid_arg "Cmdlog.get";
-  t.entries.(i)
 
 let append t ~session ~shard ~kind =
   if session < 0 || shard < 0 || kind < 0 then
@@ -73,15 +65,6 @@ let append t ~session ~shard ~kind =
   e
 
 let to_list t = Array.to_list (Array.sub t.entries 0 t.len)
-
-let of_list entries =
-  let t = create () in
-  List.iteri
-    (fun i e ->
-      if e.lsn <> i then invalid_arg "Cmdlog.of_list: lsns must be dense";
-      ignore (append t ~session:e.session ~shard:e.shard ~kind:e.kind))
-    entries;
-  t
 
 let iter t f =
   for i = 0 to t.len - 1 do

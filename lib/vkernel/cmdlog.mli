@@ -22,23 +22,9 @@ type t
     unparseable.  The CLI reports it and exits 2. *)
 exception Corrupt of { path : string; what : string }
 
-val describe_corrupt : string * string -> string
-
 val create : unit -> t
 
-val length : t -> int
-
-val get : t -> int -> entry
-
-(** Append one entry; the lsn is assigned densely. *)
-val append : t -> session:int -> shard:int -> kind:int -> entry
-
 val to_list : t -> entry list
-
-(** Rebuild a log from entries whose lsns are already dense from 0. *)
-val of_list : entry list -> t
-
-val iter : t -> (entry -> unit) -> unit
 
 (** Same session or same shard. *)
 val conflicts : entry -> entry -> bool

@@ -34,8 +34,6 @@ type params = {
   jitter_bound : int;  (** maximum injected stall, in cycles *)
 }
 
-val default_params : params
-
 (** A driver counts preemption-point queries and either generates
     decisions from a seed or replays a fixed schedule. *)
 type driver

@@ -261,9 +261,6 @@ let describe_deadlock r =
      (holder vp %d, held since %d)"
     r.lock r.waiter waited r.clock r.holder r.held_since
 
-let pp_deadlock fmt r =
-  Format.pp_print_string fmt (describe_deadlock r)
-
 (* A structured fatal error: what went wrong and where the simulation
    was.  Replaces bare [failwith]/[assert false] exits in the engine so a
    dying run can name the processor and clock, and the CLI can dump the
@@ -287,16 +284,6 @@ let () =
     | _ -> None)
 
 (* --- plan utilities: what {!Plan} needs to know about faults --- *)
-
-let fingerprint =
-  Plan.fingerprint ~code:(function
-    | Vp_crash -> 1
-    | Vp_stall n -> (n lsl 3) lor 2
-    | Holder_stall n -> (n lsl 3) lor 3
-    | Holder_crash -> 4
-    | Device_timeout n -> (n lsl 3) lor 5
-    | Worker_crash k -> (k lsl 3) lor 6
-    | Replica_crash k -> (k lsl 3) lor 7)
 
 (* Value shrinking halves the surviving durations. *)
 let shrink ~run ?budget plan =

@@ -48,8 +48,6 @@ type plan = fault Plan.t
     wave boundary of the E19 command log. *)
 type point = Sched_check | Lock_acquire | Device_op | Gc_barrier | Log_entry
 
-val matches_point : point -> fault -> bool
-
 type params = {
   crash_permil : int;
   stall_permil : int;
@@ -73,7 +71,6 @@ type campaign = Crash | Stall | Lock | Device | Gc | Mixed | Replica
 val campaign_name : campaign -> string
 val campaign_of_name : string -> campaign option
 val params_of_campaign : campaign -> params
-val default_params : params
 
 (** A fault injector: either sampling from a seed or replaying a plan. *)
 type t
@@ -95,8 +92,6 @@ val applied : t -> vp:int -> now:int -> resource:string -> fault -> unit
 (** The honoured faults, in query order. *)
 val injected : t -> plan
 
-val describe : fault -> string
-
 (** {1 Structured failure reports} *)
 
 (** The spin watchdog's verdict: who held the lock, who gave up waiting,
@@ -113,7 +108,6 @@ type deadlock_report = {
 exception Deadlock_suspected of deadlock_report
 
 val describe_deadlock : deadlock_report -> string
-val pp_deadlock : Format.formatter -> deadlock_report -> unit
 
 (** A structured fatal error carrying the processor and clock, replacing
     bare [failwith]/[assert false] exits in the engine. *)
@@ -127,8 +121,6 @@ val fatal : vp:int -> clock:int -> ('a, unit, string, 'b) format4 -> 'a
 val describe_fatal : fatal_info -> string
 
 (** {1 Plan utilities} *)
-
-val fingerprint : plan -> int
 
 (** {!Plan.shrink} for fault plans: value shrinking halves durations. *)
 val shrink : run:(plan -> bool) -> ?budget:int -> plan -> plan * int

@@ -80,9 +80,6 @@ val vp : t -> int -> vp
 (** Live processors (running or idle). *)
 val active_count : t -> int
 
-(** Processors actually executing bytecodes; idle ones stay off the bus. *)
-val running_count : t -> int
-
 (** Change a processor's state, refreshing the bus multiplier.  A halted
     processor cannot be resumed: raises {!Fault.Fatal} on a transition
     out of [Halted] (failover abandons the dead vp's replicated state,

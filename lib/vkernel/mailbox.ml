@@ -20,7 +20,6 @@ type 'a receive_result =
 
 let make name = { name; queue = Queue.create (); sends = 0 }
 
-let name t = t.name
 let length t = Queue.length t.queue
 let sends t = t.sends
 

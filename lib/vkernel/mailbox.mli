@@ -13,8 +13,6 @@ type 'a receive_result =
 
 val make : string -> 'a t
 
-val name : 'a t -> string
-
 val length : 'a t -> int
 
 val sends : 'a t -> int

@@ -49,8 +49,6 @@ type t = {
      spin can be attributed to the fault rather than to contention *)
   mutable fault_base : int;
   mutable fault_until : int;
-  mutable last_fault_delay : int; (* holder's own injected delay, for
-                                     [locked_op_on]'s spin attribution *)
   (* statistics *)
   mutable acquisitions : int;
   mutable contended : int;
@@ -76,7 +74,6 @@ let make ~enabled ~cost name =
     backoff_after = 0;
     fault_base = 0;
     fault_until = -1;
-    last_fault_delay = 0;
     acquisitions = 0;
     contended = 0;
     spin_cycles = 0;
@@ -92,7 +89,6 @@ let spin_cycles t = t.spin_cycles
 let fault_spin_cycles t = t.fault_spin_cycles
 let backoff_cycles t = t.backoff_cycles
 let fault_stall_cycles t = t.fault_stall_cycles
-let holder t = t.holder
 
 let set_watchdog t ~bound ~backoff_after =
   t.watchdog_bound <- Int.max 0 bound;
@@ -263,7 +259,6 @@ let inject_holder_fault t ~vp ~finish =
               t.free_at <- t.free_at + n;
               t.fault_until <- t.free_at;
               t.fault_stall_cycles <- t.fault_stall_cycles + n;
-              t.last_fault_delay <- n;
               let mvp = Machine.vp m vp in
               mvp.Machine.fault_cycles <- mvp.Machine.fault_cycles + n;
               finish + n
@@ -330,19 +325,3 @@ let critical ?(vp = -1) t ~now ~op_cycles f =
         Sanitizer.section_exit san ~lock:t.san_id ~vp ~now:finish;
         finish_section result
   end
-
-(* Convenience: run the critical section on a processor, updating its clock
-   and spin statistics. *)
-let locked_op_on t (vp : Machine.vp) ~op_cycles =
-  let now = vp.Machine.clock in
-  t.last_fault_delay <- 0;
-  let finish = locked_op ~vp:vp.Machine.id t ~now ~op_cycles in
-  (* an injected holder stall inside this op is fault loss, not spin *)
-  let fault = t.last_fault_delay in
-  t.last_fault_delay <- 0;
-  let spin =
-    finish - now - fault - op_cycles
-    - (if t.enabled then t.acquire_cost else 0)
-  in
-  if spin > 0 then vp.Machine.spin_cycles <- vp.Machine.spin_cycles + spin;
-  vp.Machine.clock <- finish

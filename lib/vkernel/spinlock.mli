@@ -57,9 +57,6 @@ val set_report_unlocked : t -> bool -> unit
     probe, and the extra delay is accounted as {!backoff_cycles}. *)
 val set_watchdog : t -> bound:int -> backoff_after:int -> unit
 
-(** The vp of the most recent acquirer ([-1] before any acquire). *)
-val holder : t -> int
-
 (** The attached machine's fault injector, if any. *)
 val injector : t -> Fault.t option
 
@@ -77,10 +74,6 @@ val locked_op : ?vp:int -> t -> now:int -> op_cycles:int -> int
     advanced). *)
 val critical :
   ?vp:int -> t -> now:int -> op_cycles:int -> (unit -> 'a) -> int * 'a
-
-(** [locked_op_on t vp ~op_cycles] is [locked_op] against a virtual
-    processor's clock, updating the clock and its spin statistics. *)
-val locked_op_on : t -> Machine.vp -> op_cycles:int -> unit
 
 (** {2 Statistics} *)
 

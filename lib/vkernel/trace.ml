@@ -55,7 +55,6 @@ let create ?(capacity = 4096) () =
    the engine's -1, takes the bits above them. *)
 let resource_bits = 20
 
-let capacity t = t.capacity
 let recorded t = t.total
 
 let intern t name =

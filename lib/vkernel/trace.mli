@@ -53,8 +53,6 @@ type t
 (** A ring of [capacity] events (default 4096). *)
 val create : ?capacity:int -> unit -> t
 
-val capacity : t -> int
-
 (** Total events ever recorded, including overwritten ones. *)
 val recorded : t -> int
 
@@ -86,8 +84,6 @@ val last : t -> int -> event list
 val clear : t -> unit
 
 val kind_name : kind -> string
-
-val pp_event : Format.formatter -> event -> unit
 
 (** Print the most recent [n] events, one per line. *)
 val dump : Format.formatter -> t -> n:int -> unit

@@ -361,6 +361,32 @@ let test_boot_refusals () =
   check_bool "booting into a too-small old space fails alike" true
     (exhausted Bootstrap.install)
 
+(* [Hashtbl.randomize] makes every later [Hashtbl.create] pick a random
+   hash seed, as OCAMLRUNPARAM=R does from the start.  The universe's
+   tables must not follow it: the major collector marks their entries,
+   and the explorer lists its stable roots, in table order.  So a booted
+   VM's tables, and its stable roots, must come out in the order of a
+   from-source compile made after the switch.  Run last: the switch
+   cannot be undone. *)
+let test_boot_ignores_hash_randomization () =
+  ignore (Lazy.force vm);
+  Hashtbl.randomize ();
+  let config = Config.testing () in
+  let booted = Vm.create config in
+  let compiled = Bootstrap.compile (fresh_heap config) in
+  let entries = Alcotest.(list (pair string int)) in
+  Alcotest.check entries "symbol table order"
+    (table_order compiled.Universe.symtab)
+    (table_order booted.Vm.u.Universe.symtab);
+  Alcotest.check entries "global table order"
+    (table_order compiled.Universe.globals)
+    (table_order booted.Vm.u.Universe.globals);
+  let specials u = Universe.[ u.nil; u.true_; u.false_; u.scheduler ] in
+  Alcotest.(check (list int)) "explorer stable roots"
+    (specials compiled
+     @ Hashtbl.fold (fun _ a acc -> a :: acc) compiled.Universe.globals [])
+    (Explorer.stable_roots booted)
+
 let () =
   Alcotest.run "image"
     [ ("kernel",
@@ -391,4 +417,6 @@ let () =
            test_boot_matches_compile;
          Alcotest.test_case "booted VMs share nothing" `Quick
            test_boot_isolation;
-         Alcotest.test_case "refusals" `Quick test_boot_refusals ]) ]
+         Alcotest.test_case "refusals" `Quick test_boot_refusals;
+         Alcotest.test_case "ignores hash randomization" `Quick
+           test_boot_ignores_hash_randomization ]) ]
