@@ -26,9 +26,11 @@
 # DPOR exploration with its statistics (every re-execution replays a
 # prefix), and a four-seed exploration of a broken configuration, whose
 # counterexamples are shrunk by replay.
-# It covers two cluster runs whose replica fingerprints the converged
-# perf workload never prints: a deliberately divergent replica and a
-# crash that tears the victim's newest checkpoint.  It covers E18's own
+# It covers four cluster runs whose replica fingerprints the converged
+# perf workload never prints: a deliberately divergent replica, a crash
+# that tears the victim's newest checkpoint, and two that restore from
+# checkpoints, a crash in the middle of a replay and a second crash of
+# the same replica.  It covers E18's own
 # table (`bench e18-gc --quick`): its pause distribution and its
 # collector line — cycles, slices, forced completions, reclaimed words
 # and free-list reuse — which the perf workload only digests.  Finally
@@ -135,6 +137,14 @@ cluster_runs() {
   ./_build/default/bin/mst.exe cluster --requests=24 --crash-seed=5 \
     --scenario=torn-checkpoint --expect-rejoin || rc=$?
   echo "exit $rc"
+  rc=0
+  ./_build/default/bin/mst.exe cluster --requests=24 --crash-seed=5 \
+    --scenario=crash-mid-replay --expect-rejoin || rc=$?
+  echo "exit $rc"
+  rc=0
+  ./_build/default/bin/mst.exe cluster --requests=24 --crash-seed=5 \
+    --scenario=double-crash --expect-rejoin || rc=$?
+  echo "exit $rc"
 }
 echo "sim-identical: cluster runs" >&2
 (cd "$tmp/parent" && cluster_runs) >"$tmp/a.cluster"
@@ -228,5 +238,5 @@ if ! cmp -s "$tmp/a.steal" "$tmp/b.steal"; then
   status=1
 fi
 [ "$status" -eq 0 ] &&
-  echo "sim-identical: 25 runs, 2 trace dumps, 2 k>1 scavenger runs, 3 fault campaigns, 3 explorer runs, 2 cluster runs, the E18 table and 3 stealing runs identical to $parent"
+  echo "sim-identical: 25 runs, 2 trace dumps, 2 k>1 scavenger runs, 3 fault campaigns, 3 explorer runs, 4 cluster runs, the E18 table and 3 stealing runs identical to $parent"
 exit "$status"

@@ -117,7 +117,7 @@ let run ?(max_cycles = 200_000_000_000) config p =
   let cpms = max 1 (cm.Cost_model.cycles_per_second / 1000) in
   let think_cycles = p.think_ms * cpms in
   let interval_cycles = max 1 (p.interval_ms * cpms) in
-  let mbox = Mailbox.make "requests" in
+  let mbox = Mailbox.make () in
   sh.State.request_mailbox <- Some mbox;
   let total = p.sessions * p.requests in
   let arrival = Array.make total (-1) in

@@ -26,9 +26,12 @@
    (each shard accumulates [(total * 31 + rid) \\ 1000003], so two
    conflicting entries applied out of order are a visible value change).
    A non-replicated reference run applies the log one entry at a time
-   and records the fingerprint after every entry; the divergence
-   detector compares every replica against the reference — and replicas
-   against each other — at every boundary.
+   and records the fingerprint at every wave boundary, the only entry
+   counts a replica is ever compared at; the divergence detector
+   compares every replica against the reference — and replicas against
+   each other — at every boundary.  Each replica state is fingerprinted
+   once: a checkpoint, and the final convergence check, reuse the
+   fingerprint the boundary check took at the same entry count.
 
    A replica killed by the fault injector ({!Fault.Replica_crash},
    sampled at {!Fault.Log_entry} boundary queries) rejoins by restoring
@@ -36,9 +39,11 @@
    booted from the kernel image and replaying the log suffix; corrupt or
    truncated checkpoints are rejected by the loader and the rejoin falls
    back to the previous one, ultimately the entries=0 checkpoint every
-   replica writes at start.  Restore must reproduce the checkpoint's own header
-   fingerprint and replay must walk through the replica's recorded
-   pre-crash fingerprints — both are checked, not trusted. *)
+   replica writes at start.  A checkpoint stores only the words that
+   differ from the kernel image.  Restore must reproduce the
+   checkpoint's own header fingerprint and replay must walk through the
+   replica's recorded pre-crash fingerprints — both are checked, not
+   trusted. *)
 
 exception Cluster_error of string
 
@@ -127,7 +132,7 @@ let build_node ~slots ~shards =
          "ClusterApp new serveLoop")
   done;
   let sh = vm.Vm.shared in
-  sh.State.request_mailbox <- Some (Mailbox.make "cluster");
+  sh.State.request_mailbox <- Some (Mailbox.make ());
   let node = { vm; pool = ref Oop.sentinel; completed = 0 } in
   sh.State.on_request_done <-
     (fun ~rid:_ ~now:_ -> node.completed <- node.completed + 1);
@@ -348,7 +353,9 @@ type replica = {
   mutable alive : bool;
   mutable down_since : int;  (* wave index of the crash *)
   mutable rejoins : int;
-  mutable fps : (int * int) list;  (* (applied, fingerprint), newest first *)
+  mutable fps : (int * int) list;
+      (* (applied, fingerprint), newest first; the head is the current
+         state's whenever its count is [applied] *)
   mutable ckpts : (int * string) list;  (* (entries, path), newest first *)
 }
 
@@ -381,6 +388,13 @@ let validate (p : params) =
   if p.slots < 1 then cluster_error "need at least one worker slot";
   if p.checkpoint_every < 1 then cluster_error "checkpoint-every must be >= 1"
 
+(* The replica's current fingerprint: the one its last boundary check
+   took, when that check was at the current entry count. *)
+let current_fingerprint r =
+  match r.fps with
+  | (applied, fp) :: _ when applied = r.applied -> fp
+  | _ -> fingerprint_of r.node.vm
+
 let checkpoint ?(tag = "") dir r =
   let vm = r.node.vm in
   if not (Calendar.is_empty vm.Vm.shared.State.timers) then
@@ -388,7 +402,7 @@ let checkpoint ?(tag = "") dir r =
       "replica %d: checkpoint with pending timers (engine hooks are not \
        serializable)"
       r.idx;
-  let fp = fingerprint_of vm in
+  let fp = current_fingerprint r in
   let snap =
     Snapshot.capture vm.Vm.heap ~fingerprint:fp ~entries:r.applied
       ~registers:(capture_registers vm)
@@ -443,17 +457,33 @@ let run ?(log = fun _ -> ()) (p : params) =
         done)
       arr
   in
+  (* the wave whose boundary lies after [entries] applied entries *)
+  let boundary_at entries =
+    let rec find i =
+      if i > nwaves then None
+      else if cums.(i) = entries then Some i
+      else find (i + 1)
+    in
+    find 0
+  in
   (* the non-replicated reference: the same dispatch order, one entry at
-     a time on a single machine, fingerprinted after every entry *)
-  let ref_fps = Array.make (total + 1) 0 in
+     a time on a single machine, fingerprinted at every wave boundary *)
+  let ref_fps = Array.make (nwaves + 1) 0 in
   let () =
     let node = build_node ~slots:p.slots ~shards:p.shards in
     ref_fps.(0) <- fingerprint_of node.vm;
     List.iteri
-      (fun i e ->
-        apply_wave node [ e ];
+      (fun i wave ->
+        List.iter (fun e -> apply_wave node [ e ]) wave;
         ref_fps.(i + 1) <- fingerprint_of node.vm)
-      flat
+      waves
+  in
+  let ref_fp entries =
+    match boundary_at entries with
+    | Some i -> ref_fps.(i)
+    | None ->
+        cluster_error "no reference fingerprint at entry %d (not a boundary)"
+          entries
   in
   let rs =
     Array.init p.replicas (fun idx ->
@@ -503,10 +533,10 @@ let run ?(log = fun _ -> ()) (p : params) =
   let boundary_check r =
     let fp = fingerprint_of r.node.vm in
     r.fps <- (r.applied, fp) :: r.fps;
-    if fp <> ref_fps.(r.applied) then
+    let reference = ref_fp r.applied in
+    if fp <> reference then
       diverged "replica %d at entry %d: fingerprint %d, reference %d" r.idx
-        r.applied fp
-        ref_fps.(r.applied);
+        r.applied fp reference;
     fp
   in
   (* restore the newest usable checkpoint into a fresh skeleton and
@@ -547,30 +577,31 @@ let run ?(log = fun _ -> ()) (p : params) =
               end
               else begin
                 (* find the wave boundary the checkpoint sits on *)
-                let start_wave = ref 0 in
-                for i = 0 to nwaves do
-                  if cums.(i) = entries_at then start_wave := i
-                done;
-                if cums.(!start_wave) <> entries_at then
-                  cluster_error
-                    "replica %d: checkpoint at entry %d is not on a wave \
-                     boundary"
-                    r.idx entries_at;
+                let start_wave =
+                  match boundary_at entries_at with
+                  | Some i -> i
+                  | None ->
+                      cluster_error
+                        "replica %d: checkpoint at entry %d is not on a \
+                         wave boundary"
+                        r.idx entries_at
+                in
                 r.node <- node;
                 r.applied <- entries_at;
+                r.fps <- (entries_at, fp) :: r.fps;
                 let replayed = ref false in
                 (try
                    List.iteri
                      (fun i wave ->
-                       if i >= !start_wave && i < target_wave then begin
+                       if i >= start_wave && i < target_wave then begin
                          (* the crash-mid-replay scenario: the rejoining
                             replica dies again halfway through its
                             suffix and must restart the whole rejoin *)
                          if
                            p.scenario = Some Crash_mid_replay
                            && not !interrupted
-                           && i - !start_wave
-                              >= max 1 ((target_wave - !start_wave) / 2)
+                           && i - start_wave
+                              >= max 1 ((target_wave - start_wave) / 2)
                          then begin
                            interrupted := true;
                            raise Exit
@@ -578,9 +609,11 @@ let run ?(log = fun _ -> ()) (p : params) =
                          apply_wave ~skip:(skip_for r) r.node wave;
                          r.applied <- cums.(i + 1);
                          (* replay must walk back through the replica's
-                            own pre-crash fingerprints *)
+                            own pre-crash fingerprints: look the old one
+                            up before the boundary check records anew *)
+                         let earlier = List.assoc_opt r.applied r.fps in
                          let fp = boundary_check r in
-                         (match List.assoc_opt r.applied r.fps with
+                         (match earlier with
                           | Some pre when pre <> fp ->
                               diverged
                                 "replica %d: replay at entry %d gives \
@@ -712,11 +745,10 @@ let run ?(log = fun _ -> ()) (p : params) =
           then rejoin r ~target_wave:(w + 1))
         rs)
     waves;
-  let final_ref = ref_fps.(total) in
+  let final_ref = ref_fps.(nwaves) in
   let converged =
     Array.for_all
-      (fun r ->
-        r.applied = total && fingerprint_of r.node.vm = final_ref)
+      (fun r -> r.applied = total && current_fingerprint r = final_ref)
       rs
   in
   { entries = total;

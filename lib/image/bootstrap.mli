@@ -27,3 +27,13 @@ val compile : Heap.t -> Universe.t
     @raise Invalid_argument when [heap] has already allocated.
     @raise Heap.Image_full when old space is smaller than the image. *)
 val install : Heap.t -> Universe.t
+
+(** The image's old-space words, from the old-space base up to the
+    image's bump pointer: every VM's old space starts with them.  Builds
+    the image on first use, on a heap of its own when no {!install} has
+    run yet.  The array is the image itself and must not be written.  Safe to call from several domains. *)
+val image_words : unit -> int array
+
+(** The FNV-1a digest of {!image_words}, computed once when the image is
+    built: a checkpoint names the image it is a delta against by it. *)
+val image_digest : unit -> int

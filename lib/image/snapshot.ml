@@ -10,28 +10,40 @@
    the interpreter on purpose, so the image library needs no knowledge
    of schedulers or calendars.
 
+   Every VM of a process boots by copying one kernel image
+   ({!Bootstrap.install}) into the start of its old space, and most of
+   those words never change: of a cluster node's ~57 k old-space words,
+   ~55 k are the unchanged image.  So a used prefix is stored as a delta
+   against the image: the maximal runs of words that differ from the
+   image word at the same address, where an address outside the image
+   (all of new space, old space past the image's end) always differs.
+
    Restore does not rebuild a VM from nothing: it overwrites the memory
-   of a skeleton VM *booted from the same image*.  Every VM of a process
-   boots from one kernel image ({!Bootstrap.install}), so the skeleton
-   has every kernel object at the same address the checkpointed heap had,
-   and the host-side tables that map names to addresses (globals,
-   symbols) remain valid for the restored content.  Host-side caches that point into the old
-   memory (method caches, free-context lists, decoded contexts) are the
-   caller's to flush, exactly as after an injected processor crash.
+   of a target VM booted from the same image, with the same heap
+   geometry.  It first checks every region (geometry, bump pointer, the
+   runs' shape and that they cover every word the image cannot supply),
+   then writes each used prefix as the image's words overwritten by the
+   runs, so whatever the target ran before does not matter.  The image
+   has every kernel object at the same address in every VM, so the
+   host-side tables that map names to addresses (globals, symbols)
+   remain valid for the restored content.  Host-side caches that point
+   into the old memory (method caches, free-context lists, decoded
+   contexts) are the caller's to flush, exactly as after an injected
+   processor crash.
 
    The durable format is one self-describing header line
 
-     MST-SNAP v1 fp=<census fingerprint> entries=<log entries> \
-       len=<payload bytes> sum=<payload checksum>
+     MST-SNAP v2 fp=<census fingerprint> entries=<log entries> \
+       len=<payload bytes> sum=<payload checksum> image=<image digest>
 
    followed by a marshalled payload.  The header carries enough to pick
    the newest usable checkpoint without unmarshalling; the length and
    FNV-1a checksum make truncation and bit-rot detectable before
-   [Marshal] ever runs; and the payload repeats the fingerprint/entry
-   pair so a swapped payload cannot hide behind a valid header.  Every
-   rejection raises the structured {!Corrupt} — a checkpoint that cannot
-   be proven whole is never restored (the caller falls back to the
-   previous one). *)
+   [Marshal] ever runs; and the image digest ({!Bootstrap.image_digest})
+   refuses a delta against some other kernel image.  The fingerprint is
+   the caller's to check after restore.  Every rejection raises the
+   structured {!Corrupt} — a checkpoint that cannot be proven whole is
+   never restored (the caller falls back to the previous one). *)
 
 exception Corrupt of { path : string; what : string }
 
@@ -55,7 +67,9 @@ type region_image = {
   r_base : int;
   r_limit : int;
   r_ptr : int;
-  r_words : int array;  (* the used prefix [r_base, r_ptr) *)
+  r_runs : (int * int array) list;
+      (* the maximal runs of [r_base, r_ptr) that differ from the image,
+         as (first address, words), ascending *)
 }
 
 type heap_image = {
@@ -87,21 +101,51 @@ type t = {
   registers : registers;
 }
 
-let region_of (h : Heap.t) (r : Heap.region) =
+(* The image occupies old space from its base in every heap booted from
+   it; an address outside that range never holds an image word. *)
+let image_base (h : Heap.t) = h.Heap.old.Heap.base
+
+(* The maximal runs of [lo, hi) whose words differ from the image word at
+   the same address, with their words.  Only [ilo, ihi) has image words
+   to compare with; every other address differs. *)
+let runs_of (h : Heap.t) ~image lo hi =
+  let mem = h.Heap.mem and base = image_base h in
+  let ilo = Int.max lo base
+  and ihi = Int.min hi (base + Array.length image) in
+  let same a = a >= ilo && a < ihi && mem.(a) = image.(a - base) in
+  let runs = ref [] and a = ref lo in
+  while !a < hi do
+    while !a < hi && same !a do incr a done;
+    if !a < hi then begin
+      let start = !a in
+      while !a < hi && not (same !a) do incr a done;
+      runs := (start, Array.sub mem start (!a - start)) :: !runs
+    end
+  done;
+  List.rev !runs
+
+let region_of (h : Heap.t) ~image (r : Heap.region) =
   { r_base = r.Heap.base;
     r_limit = r.Heap.limit;
     r_ptr = r.Heap.ptr;
-    r_words = Array.sub h.Heap.mem r.Heap.base (r.Heap.ptr - r.Heap.base) }
+    r_runs = runs_of h ~image r.Heap.base r.Heap.ptr }
 
 let capture (h : Heap.t) ~fingerprint ~entries ~registers =
+  let image = Bootstrap.image_words () in
+  let eden = region_of h ~image h.Heap.eden in
   { fingerprint;
     entries;
     heap =
-      { i_old = region_of h h.Heap.old;
-        i_eden = region_of h h.Heap.eden;
-        i_eden_regions = Array.map (region_of h) h.Heap.eden_regions;
-        i_surv_a = region_of h h.Heap.surv_a;
-        i_surv_b = region_of h h.Heap.surv_b;
+      { i_old = region_of h ~image h.Heap.old;
+        i_eden = eden;
+        (* without replicated eden the one slice is eden itself: share
+           its image, which [Marshal] then writes once *)
+        i_eden_regions =
+          Array.map
+            (fun r -> if r == h.Heap.eden then eden else region_of h ~image r)
+            h.Heap.eden_regions;
+        i_surv_a = region_of h ~image h.Heap.surv_a;
+        i_surv_b = region_of h ~image h.Heap.surv_b;
         i_past_is_a = h.Heap.past_is_a;
         i_rset = Array.sub h.Heap.rset 0 h.Heap.rset_len;
         i_free_lists = Array.copy h.Heap.free_lists;
@@ -115,18 +159,51 @@ let capture (h : Heap.t) ~fingerprint ~entries ~registers =
         i_free_reused_words = h.Heap.free_reused_words };
     registers }
 
-let restore_region what (h : Heap.t) (r : Heap.region) img =
+(* Everything [write_region] relies on, checked before any region is
+   written: the geometry, a bump pointer inside the region, runs that are
+   non-empty, ascending, disjoint and inside the used prefix, and no gap
+   between them outside the image (a word the image cannot supply). *)
+let check_region what (h : Heap.t) ~image (r : Heap.region) img =
   if r.Heap.base <> img.r_base || r.Heap.limit <> img.r_limit then
     mismatch "%s geometry differs: image [%d,%d), target [%d,%d)" what
       img.r_base img.r_limit r.Heap.base r.Heap.limit;
-  let n = Array.length img.r_words in
-  if img.r_ptr <> img.r_base + n then
-    mismatch "%s bump pointer %d disagrees with its %d words from %d" what
-      img.r_ptr n img.r_base;
-  if img.r_ptr > img.r_limit then
-    mismatch "%s bump pointer %d is past its limit %d" what img.r_ptr
-      img.r_limit;
-  Array.blit img.r_words 0 h.Heap.mem img.r_base n;
+  if img.r_ptr < img.r_base || img.r_ptr > img.r_limit then
+    mismatch "%s bump pointer %d is outside [%d,%d]" what img.r_ptr
+      img.r_base img.r_limit;
+  let base = image_base h in
+  let image_end = base + Array.length image in
+  let check_gap lo hi =
+    if lo < hi && (lo < base || hi > image_end) then
+      mismatch "%s words [%d,%d) are neither in a run nor in the image" what
+        lo hi
+  in
+  let covered =
+    List.fold_left
+      (fun prev (a, words) ->
+        let n = Array.length words in
+        if n = 0 then mismatch "%s has an empty run at %d" what a;
+        if a < prev then
+          mismatch "%s run at %d overlaps or precedes the word %d" what a
+            prev;
+        if a + n > img.r_ptr then
+          mismatch "%s run [%d,%d) passes the bump pointer %d" what a (a + n)
+            img.r_ptr;
+        check_gap prev a;
+        a + n)
+      img.r_base img.r_runs
+  in
+  check_gap covered img.r_ptr
+
+(* The used prefix is the image's words where it has them, overwritten
+   by the runs. *)
+let write_region (h : Heap.t) ~image (r : Heap.region) img =
+  let base = image_base h in
+  let lo = Int.max img.r_base base
+  and hi = Int.min img.r_ptr (base + Array.length image) in
+  if lo < hi then Array.blit image (lo - base) h.Heap.mem lo (hi - lo);
+  List.iter
+    (fun (a, words) -> Array.blit words 0 h.Heap.mem a (Array.length words))
+    img.r_runs;
   (* Walkers stop at the bump pointer, but [Heap.release] relies on every
      old-space word at or above [old.ptr] being zero: clear what a lower
      pointer abandons (new space is zeroed whole on release) *)
@@ -140,20 +217,24 @@ let restore t (h : Heap.t) =
     mismatch "eden slice count differs: image %d, target %d"
       (Array.length i.i_eden_regions)
       (Array.length h.Heap.eden_regions);
-  restore_region "old space" h h.Heap.old i.i_old;
-  restore_region "eden" h h.Heap.eden i.i_eden;
-  Array.iteri
-    (fun k img -> restore_region "eden slice" h h.Heap.eden_regions.(k) img)
-    i.i_eden_regions;
-  restore_region "survivor a" h h.Heap.surv_a i.i_surv_a;
-  restore_region "survivor b" h h.Heap.surv_b i.i_surv_b;
+  if Array.length i.i_free_lists <> Array.length h.Heap.free_lists then
+    mismatch "free-list bucket count differs";
+  let image = Bootstrap.image_words () in
+  let regions =
+    [ ("old space", h.Heap.old, i.i_old); ("eden", h.Heap.eden, i.i_eden) ]
+    @ List.mapi
+        (fun k img -> ("eden slice", h.Heap.eden_regions.(k), img))
+        (Array.to_list i.i_eden_regions)
+    @ [ ("survivor a", h.Heap.surv_a, i.i_surv_a);
+        ("survivor b", h.Heap.surv_b, i.i_surv_b) ]
+  in
+  List.iter (fun (what, r, img) -> check_region what h ~image r img) regions;
+  List.iter (fun (_, r, img) -> write_region h ~image r img) regions;
   h.Heap.past_is_a <- i.i_past_is_a;
   if Array.length i.i_rset > Array.length h.Heap.rset then
     h.Heap.rset <- Array.copy i.i_rset
   else Array.blit i.i_rset 0 h.Heap.rset 0 (Array.length i.i_rset);
   h.Heap.rset_len <- Array.length i.i_rset;
-  if Array.length i.i_free_lists <> Array.length h.Heap.free_lists then
-    mismatch "free-list bucket count differs";
   Array.blit i.i_free_lists 0 h.Heap.free_lists 0
     (Array.length i.i_free_lists);
   h.Heap.free_words <- i.i_free_words;
@@ -175,7 +256,7 @@ let fnv_string s =
     s;
   !h
 
-let magic = "MST-SNAP v1"
+let magic = "MST-SNAP v2"
 
 let save path t =
   let payload = Marshal.to_string (t.heap, t.registers) [] in
@@ -184,9 +265,9 @@ let save path t =
     ~finally:(fun () -> close_out oc)
     (fun () ->
       output_string oc
-        (Printf.sprintf "%s fp=%d entries=%d len=%d sum=%d\n" magic
+        (Printf.sprintf "%s fp=%d entries=%d len=%d sum=%d image=%d\n" magic
            t.fingerprint t.entries (String.length payload)
-           (fnv_string payload));
+           (fnv_string payload) (Bootstrap.image_digest ()));
       output_string oc payload)
 
 (* Header fields without unmarshalling: enough to rank checkpoints by
@@ -212,7 +293,7 @@ let parse_header path line =
   in
   match fields with
   | m1 :: m2 :: _ when m1 ^ " " ^ m2 = magic ->
-      (find "fp", find "entries", find "len", find "sum")
+      (find "fp", find "entries", find "len", find "sum", find "image")
   | _ ->
       corrupt path "missing or unsupported header %S (want %S ...)"
         (String.trim line) magic
@@ -229,7 +310,7 @@ let read_header path =
         try input_line ic
         with End_of_file -> corrupt path "empty file (missing header)"
       in
-      let fp, entries, _, _ = parse_header path line in
+      let fp, entries, _, _, _ = parse_header path line in
       { h_fingerprint = fp; h_entries = entries })
 
 let load path =
@@ -244,7 +325,10 @@ let load path =
         try input_line ic
         with End_of_file -> corrupt path "empty file (missing header)"
       in
-      let fp, entries, len, sum = parse_header path line in
+      let fp, entries, len, sum, image = parse_header path line in
+      if image <> Bootstrap.image_digest () then
+        corrupt path "taken against kernel image %d, not this one (%d)" image
+          (Bootstrap.image_digest ());
       let payload = Bytes.create len in
       (try really_input ic payload 0 len
        with End_of_file ->

@@ -3,29 +3,37 @@
     A checkpoint captures the object memory's used prefixes (old space,
     eden and its slices, both survivor semispaces), the entry table, the
     old-space free lists and the allocation counters, plus caller-labeled
-    "register" arrays for host-side scalars the heap does not own.
-    Restore overwrites the memory of a skeleton VM {e booted from the same
-    image} — the image puts every kernel object at the same address, so
-    host-side name tables remain valid; host-side
+    "register" arrays for host-side scalars the heap does not own.  It is
+    a delta against the kernel image ({!Bootstrap.image_words}): each
+    used prefix is kept as the runs of words that differ from the image
+    word at the same address.
+    Restore overwrites the memory of a target VM {e booted from the same
+    image} with the same heap geometry: whatever the target has run, its
+    used prefixes become the image's words overwritten by the runs.  The
+    image puts every kernel object at the same address, so host-side name
+    tables remain valid; host-side
     caches pointing into the old memory (method caches, free-context
     lists, decoded contexts) are the caller's to flush, exactly as after
     an injected processor crash.
 
     The durable format is a self-describing header line
-    ["MST-SNAP v1 fp=... entries=... len=... sum=..."] followed by a
-    checksummed marshalled payload.  Truncation, bit-rot, version skew
-    and header/payload disagreement all raise the structured {!Corrupt}
+    ["MST-SNAP v2 fp=... entries=... len=... sum=... image=..."] followed
+    by a checksummed marshalled payload; [image] is the digest
+    ({!Bootstrap.image_digest}) of the image the runs are a delta
+    against.  Truncation, bit-rot, version skew, a foreign image and
+    header/payload disagreement all raise the structured {!Corrupt}
     before any state is touched. *)
 
 (** A checkpoint file that cannot be used: empty, truncated, wrong
-    version, damaged or unparseable.  The CLI reports it and exits 2;
+    version, taken against another kernel image, damaged or
+    unparseable.  The CLI reports it and exits 2;
     the replica manager falls back to the previous checkpoint. *)
 exception Corrupt of { path : string; what : string }
 
 (** A restore target that cannot receive the image: different heap
-    geometry or slice count, or a region whose bump pointer disagrees
-    with its words or lies past its limit — a configuration or writer
-    bug, not a damaged file. *)
+    geometry or slice count, or a region whose bump pointer lies outside
+    it or whose runs are malformed or leave a word uncovered — a
+    configuration or writer bug, not a damaged file. *)
 exception Mismatch of string
 
 (** One heap region's image. *)
@@ -33,7 +41,11 @@ type region_image = {
   r_base : int;
   r_limit : int;
   r_ptr : int;
-  r_words : int array;  (** the used prefix [[r_base, r_ptr)] *)
+  r_runs : (int * int array) list;
+      (** the maximal runs of the used prefix [[r_base, r_ptr)] whose
+          words differ from the image word at the same address, as
+          (first address, words), ascending.  An address outside the
+          image always differs. *)
 }
 
 type heap_image = {
@@ -67,11 +79,15 @@ type t = {
 val capture :
   Heap.t -> fingerprint:int -> entries:int -> registers:registers -> t
 
-(** Overwrite the target heap with the image and return the registers.
+(** Overwrite the target heap with the image and return the registers:
+    each used prefix gets the kernel image's words, then the runs.
     Old-space words a lower bump pointer abandons are zeroed, as
-    {!Heap.release} requires.
-    @raise Mismatch when the geometry differs, or when a region's bump
-    pointer is not [r_base] plus its word count or lies past [r_limit]. *)
+    {!Heap.release} requires.  Every region is checked before anything
+    is written.
+    @raise Mismatch when the geometry differs, when a region's bump
+    pointer lies outside [[r_base, r_limit]], or when its runs are empty,
+    out of order, overlapping, outside [[r_base, r_ptr)] or leave a word
+    past the image's end uncovered. *)
 val restore : t -> Heap.t -> registers
 
 val save : string -> t -> unit

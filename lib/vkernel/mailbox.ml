@@ -8,7 +8,6 @@
    or before [now], or reports when the next one will arrive. *)
 
 type 'a t = {
-  name : string;
   queue : (int * 'a) Queue.t;  (* (send_time, payload) *)
   mutable sends : int;
 }
@@ -18,7 +17,7 @@ type 'a receive_result =
   | Empty                 (* nothing in flight *)
   | Arrives_at of int     (* a message exists but was sent in the future *)
 
-let make name = { name; queue = Queue.create (); sends = 0 }
+let make () = { queue = Queue.create (); sends = 0 }
 
 let length t = Queue.length t.queue
 let sends t = t.sends

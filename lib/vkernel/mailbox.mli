@@ -11,7 +11,7 @@ type 'a receive_result =
   | Empty  (** nothing in flight *)
   | Arrives_at of int  (** a message exists but was sent in the future *)
 
-val make : string -> 'a t
+val make : unit -> 'a t
 
 val length : 'a t -> int
 

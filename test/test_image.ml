@@ -387,9 +387,32 @@ let test_boot_ignores_hash_randomization () =
      @ Hashtbl.fold (fun _ a acc -> a :: acc) compiled.Universe.globals [])
     (Explorer.stable_roots booted)
 
+(* The image's words are what a compile writes into old space, and its
+   digest is FNV-1a over them.  Run first, before any VM exists, this
+   also covers building the image on a heap of its own. *)
+let test_image_words () =
+  let words = Bootstrap.image_words () in
+  let compiled = Bootstrap.compile (fresh_heap (Config.testing ())) in
+  let h = compiled.Universe.heap in
+  check_bool "the words a compile writes" true
+    (words
+     = Array.sub h.Heap.mem h.Heap.old.Heap.base (Heap.region_used h.Heap.old));
+  Alcotest.(check int) "digest over the words"
+    (Array.fold_left
+       (fun d w -> ((d lxor w) * 0x01000193) land max_int)
+       0x811C9DC5 words)
+    (Bootstrap.image_digest ());
+  let booted = Vm.create (Config.testing ()) in
+  check_bool "a boot copies them" true
+    (words
+     = Array.sub booted.Vm.heap.Heap.mem booted.Vm.heap.Heap.old.Heap.base
+         (Array.length words))
+
 let () =
   Alcotest.run "image"
-    [ ("kernel",
+    [ ("image words",
+       [ Alcotest.test_case "built on first use" `Quick test_image_words ]);
+      ("kernel",
        [ Alcotest.test_case "classes present" `Quick test_kernel_classes_present;
          Alcotest.test_case "hierarchy" `Quick test_hierarchy_shape;
          Alcotest.test_case "characters" `Quick test_character_table ]);

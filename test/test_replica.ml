@@ -1,9 +1,11 @@
 (* Tests for the E19 replicated image cluster: snapshot/restore census
-   identity, structured rejection of damaged checkpoints and command
-   logs, crash+restore+replay equivalence against the uninterrupted
-   reference (random workloads and crash points), detection of a
-   deliberately-divergent replica on every seed, and the
-   corrupt-checkpoint fallback chain. *)
+   identity, delta checkpoints that restore poked heap words word for
+   word, refusal of malformed regions before anything is written,
+   structured rejection of damaged, old-format or foreign-image
+   checkpoints and of damaged command logs, crash+restore+replay
+   equivalence against the uninterrupted reference (random workloads and
+   crash points), detection of a deliberately-divergent replica on every
+   seed, and the corrupt-checkpoint fallback chain. *)
 
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -149,7 +151,31 @@ let test_snapshot_loader_rejects () =
   let i = String.length content - 8 in
   Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
   write_file flipped (Bytes.to_string b);
-  reject_snapshot "bit-rot" flipped
+  reject_snapshot "bit-rot" flipped;
+  (* the payload intact under a rewritten header: the loader must refuse
+     an old format version and a delta against another kernel image *)
+  let header, payload =
+    let nl = String.index content '\n' in
+    ( String.sub content 0 nl,
+      String.sub content nl (String.length content - nl) )
+  in
+  let rewrite name f =
+    let path = Filename.concat dir name in
+    write_file path
+      (String.concat " " (List.map f (String.split_on_char ' ' header))
+       ^ payload);
+    path
+  in
+  reject_snapshot "version 1 header"
+    (rewrite "v1.snap" (fun field -> if field = "v2" then "v1" else field));
+  let image_field = "image=" ^ string_of_int (Bootstrap.image_digest ()) in
+  check_bool "the header names this process's image" true
+    (List.mem image_field (String.split_on_char ' ' header));
+  reject_snapshot "foreign image digest"
+    (rewrite "foreign.snap" (fun field ->
+         if field = image_field then
+           "image=" ^ string_of_int (Bootstrap.image_digest () + 1)
+         else field))
 
 let reject_log what path =
   match Cmdlog.load path with
@@ -339,39 +365,213 @@ let test_restore_rejects_wrong_geometry () =
        "restored"
      with Replica.Cluster_error _ -> "refused")
 
-(* Restore [snap] with [old_image] as its old space, a region whose bump
-   pointer is bad: restore must refuse it rather than set a pointer that
-   disagrees with the memory it copied in, and must leave the target's
-   pointer alone. *)
-let restore_refused what snap (h : Heap.t) old_image =
-  let bad =
-    { snap with
-      Snapshot.heap = { snap.Snapshot.heap with Snapshot.i_old = old_image } }
-  in
-  let ptr = h.Heap.old.Heap.ptr in
+(* Restore [snap] with [bad] as its heap image, in which some region is
+   malformed: restore must refuse it before writing anything — the
+   target's old-space pointer and a word of old space dirtied beforehand
+   both stay as they were. *)
+let restore_refused what snap (h : Heap.t) bad =
+  let bad = { snap with Snapshot.heap = bad } in
+  let ptr = h.Heap.old.Heap.ptr and a = h.Heap.old.Heap.base in
+  let word = h.Heap.mem.(a) in
+  h.Heap.mem.(a) <- lnot word;
   check_string what "mismatch"
     (try
        ignore (Snapshot.restore bad h);
        "restored"
      with Snapshot.Mismatch _ -> "mismatch");
-  check (what ^ ": target pointer untouched") ptr h.Heap.old.Heap.ptr
+  check (what ^ ": target pointer untouched") ptr h.Heap.old.Heap.ptr;
+  check (what ^ ": old space unwritten") (lnot word) h.Heap.mem.(a);
+  h.Heap.mem.(a) <- word
+
+(* [snap] with [old_image] as its old space. *)
+let with_old snap old_image =
+  { snap.Snapshot.heap with Snapshot.i_old = old_image }
 
 let test_restore_rejects_bad_bump_pointer () =
   let h, snap = captured_node () in
   let img = snap.Snapshot.heap.Snapshot.i_old in
   restore_refused "pointer past the copied words" snap h
-    { img with Snapshot.r_ptr = img.Snapshot.r_ptr + 1 }
+    (with_old snap { img with Snapshot.r_ptr = img.Snapshot.r_ptr + 1 });
+  restore_refused "pointer below the region base" snap h
+    (with_old snap
+       { img with Snapshot.r_ptr = img.Snapshot.r_base - 1; r_runs = [] })
 
 let test_restore_rejects_pointer_past_limit () =
   let h, snap = captured_node () in
-  (* consistent words and pointer, but one word more than the region
+  (* runs that cover the pointer, but one word more than the region
      holds *)
   let img = snap.Snapshot.heap.Snapshot.i_old in
   let n = img.Snapshot.r_limit - img.Snapshot.r_base + 1 in
   restore_refused "pointer past the region limit" snap h
-    { img with
-      Snapshot.r_ptr = img.Snapshot.r_base + n;
-      r_words = Array.make n 0 }
+    (with_old snap
+       { img with
+         Snapshot.r_ptr = img.Snapshot.r_base + n;
+         r_runs = [ (img.Snapshot.r_base, Array.make n 0) ] })
+
+(* A fresh node's old space ends past the image (the cluster classes),
+   so its last run reaches the bump pointer. *)
+let old_runs snap =
+  let img = snap.Snapshot.heap.Snapshot.i_old in
+  let runs = img.Snapshot.r_runs in
+  let image_end =
+    img.Snapshot.r_base + Array.length (Bootstrap.image_words ())
+  in
+  (match List.rev runs with
+   | (a, w) :: _ ->
+       check_bool "the last run ends at the bump pointer" true
+         (a + Array.length w = img.Snapshot.r_ptr
+          && img.Snapshot.r_ptr > image_end)
+   | [] -> Alcotest.fail "a fresh node's old space has no runs");
+  (img, runs)
+
+let test_restore_rejects_runs_outside_prefix () =
+  let h, snap = captured_node () in
+  let img, runs = old_runs snap in
+  let base = img.Snapshot.r_base and ptr = img.Snapshot.r_ptr in
+  restore_refused "run below the region base" snap h
+    (with_old snap
+       { img with Snapshot.r_runs = (base - 1, [| 0 |]) :: runs });
+  restore_refused "run past the bump pointer" snap h
+    (with_old snap
+       { img with Snapshot.r_runs = runs @ [ (ptr, [| 0 |]) ] });
+  restore_refused "empty run" snap h
+    (with_old snap
+       { img with Snapshot.r_runs = (base, [||]) :: runs })
+
+let test_restore_rejects_overlapping_runs () =
+  let h, snap = captured_node () in
+  let img, runs = old_runs snap in
+  (match runs with
+   | first :: _ ->
+       restore_refused "a run repeated" snap h
+         (with_old snap { img with Snapshot.r_runs = first :: runs })
+   | [] -> ());
+  match List.rev runs with
+  | (a, w) :: earlier ->
+      (* the last run split in two halves that share a word *)
+      let n = Array.length w in
+      let k = n / 2 in
+      restore_refused "runs sharing a word" snap h
+        (with_old snap
+           { img with
+             Snapshot.r_runs =
+               List.rev earlier
+               @ [ (a, Array.sub w 0 (k + 1)); (a + k, Array.sub w k (n - k)) ]
+           })
+  | [] -> ()
+
+let test_restore_rejects_uncovered_tail () =
+  let h, snap = captured_node () in
+  let img, runs = old_runs snap in
+  restore_refused "tail past the image not covered" snap h
+    (with_old snap
+       { img with Snapshot.r_runs = List.rev (List.tl (List.rev runs)) });
+  (* the same for a region wholly outside the image: a later region's
+     refusal must come before old space is written *)
+  let surv = snap.Snapshot.heap.Snapshot.i_surv_a in
+  restore_refused "survivor words not covered" snap h
+    { snap.Snapshot.heap with
+      Snapshot.i_surv_a =
+        { surv with
+          Snapshot.r_ptr = surv.Snapshot.r_base + 1;
+          r_runs = [] } }
+
+(* --- delta checkpoints round-trip word for word ---
+
+   Words poked into a node's heap — inside the image's range, past its
+   end in old space, and in eden — must come back exactly after capture,
+   save, load and restore into another node dirtied differently: the
+   restore rebuilds each used prefix from the image and the runs alone,
+   whatever the target held before.  The pokes are SmallIntegers, which
+   no walk follows; one that lands on a header can still send the census
+   off the heap, so the fingerprints are compared as results. *)
+
+let poke (h : Heap.t) pokes =
+  let old = h.Heap.old and eden = h.Heap.eden in
+  let image_end = old.Heap.base + Array.length (Bootstrap.image_words ()) in
+  List.iter
+    (fun (zone, offset, v) ->
+      let lo, hi =
+        match zone with
+        | 0 -> (old.Heap.base, image_end)
+        | 1 -> (image_end, old.Heap.ptr)
+        | _ -> (eden.Heap.base, eden.Heap.ptr)
+      in
+      if hi > lo then
+        h.Heap.mem.(lo + (offset mod (hi - lo))) <- Oop.of_small v)
+    pokes
+
+let dirtied_node ~seed ~waves pokes =
+  let node = Replica.build_node ~slots:3 ~shards:4 in
+  let all = Cmdlog.schedule ~slots:3 (entries_for ~seed ~requests:12) in
+  List.iteri (fun i w -> if i < waves then Replica.apply_wave node w) all;
+  poke node.Replica.vm.Vm.heap pokes;
+  node
+
+let fingerprint_result vm =
+  match Replica.fingerprint_of vm with
+  | fp -> Ok fp
+  | exception e -> Error (Printexc.to_string e)
+
+(* Everything restore promises to reproduce, by name. *)
+let observables vm =
+  let h = vm.Vm.heap in
+  let region name (r : Heap.region) =
+    ( name,
+      `Words
+        (r.Heap.base, r.Heap.ptr,
+         Array.sub h.Heap.mem r.Heap.base (r.Heap.ptr - r.Heap.base)) )
+  in
+  [ region "old space" h.Heap.old;
+    region "eden" h.Heap.eden;
+    region "survivor a" h.Heap.surv_a;
+    region "survivor b" h.Heap.surv_b ]
+  @ Array.to_list (Array.map (region "eden slice") h.Heap.eden_regions)
+  @ [ ( "counters",
+        `Ints
+          [ h.Heap.allocations; h.Heap.words_allocated; h.Heap.scavenge_count;
+            h.Heap.words_copied_total; h.Heap.tenured_words_total;
+            h.Heap.free_list_hits; h.Heap.free_reused_words;
+            h.Heap.free_words; Bool.to_int h.Heap.past_is_a ] );
+      ( "entry table",
+        `Ints (Array.to_list (Array.sub h.Heap.rset 0 h.Heap.rset_len)) );
+      ("free lists", `Lists (Array.to_list h.Heap.free_lists));
+      ("registers", `Registers (Replica.capture_registers vm));
+      ("fingerprint", `Fingerprint (fingerprint_result vm)) ]
+
+let poke_gen =
+  QCheck.(
+    list_of_size (Gen.int_range 1 12)
+      (triple (int_range 0 2) (int_range 0 1_000_000) (int_range (-1000) 1000)))
+
+let delta_round_trip_prop =
+  QCheck.Test.make ~count:20
+    ~name:"a delta checkpoint restores poked words word for word"
+    QCheck.(quad (int_range 0 3) poke_gen (int_range 0 3) poke_gen)
+    (fun (waves, pokes, target_waves, target_pokes) ->
+      let node = dirtied_node ~seed:7 ~waves pokes in
+      let vm = node.Replica.vm in
+      let want = observables vm in
+      let snap =
+        Snapshot.capture vm.Vm.heap ~fingerprint:0 ~entries:waves
+          ~registers:(Replica.capture_registers vm)
+      in
+      let path = Filename.concat (tmp_dir ()) "delta.snap" in
+      Snapshot.save path snap;
+      let loaded = Snapshot.load path in
+      Sys.remove path;
+      let target = dirtied_node ~seed:11 ~waves:target_waves target_pokes in
+      let tvm = target.Replica.vm in
+      Replica.restore_registers tvm (Snapshot.restore loaded tvm.Vm.heap);
+      let differing =
+        List.filter_map
+          (fun ((name, w), (_, g)) -> if w = g then None else Some name)
+          (List.combine want (observables tvm))
+      in
+      if differing <> [] then
+        QCheck.Test.fail_reportf "restored %s differ"
+          (String.concat ", " differing);
+      true)
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
@@ -388,7 +588,14 @@ let () =
          Alcotest.test_case "restore rejects a bump pointer off its words"
            `Quick test_restore_rejects_bad_bump_pointer;
          Alcotest.test_case "restore rejects a bump pointer past its limit"
-           `Quick test_restore_rejects_pointer_past_limit ]);
+           `Quick test_restore_rejects_pointer_past_limit;
+         Alcotest.test_case "restore rejects runs outside the used prefix"
+           `Quick test_restore_rejects_runs_outside_prefix;
+         Alcotest.test_case "restore rejects overlapping runs" `Quick
+           test_restore_rejects_overlapping_runs;
+         Alcotest.test_case "restore rejects an uncovered tail" `Quick
+           test_restore_rejects_uncovered_tail;
+         q delta_round_trip_prop ]);
       ("cmdlog",
        [ Alcotest.test_case "loader rejects empty/truncated/unparseable"
            `Quick test_cmdlog_loader_rejects ]);

@@ -129,7 +129,7 @@ let prop_locked_op_disabled =
 (* --- mailboxes --- *)
 
 let test_mailbox () =
-  let mb = Mailbox.make "gc" in
+  let mb = Mailbox.make () in
   (match Mailbox.receive mb ~now:0 with
    | Mailbox.Empty -> ()
    | _ -> Alcotest.fail "expected empty");
@@ -143,7 +143,7 @@ let test_mailbox () =
   check "fifo drained" 0 (Mailbox.length mb)
 
 let test_mailbox_fifo_order () =
-  let mb = Mailbox.make "q" in
+  let mb = Mailbox.make () in
   Mailbox.send mb ~now:0 1;
   Mailbox.send mb ~now:0 2;
   (match Mailbox.receive mb ~now:0 with
@@ -289,7 +289,7 @@ let prop_trace_ring =
    every message is delivered exactly once, in send order, regardless of
    which vp sent it. *)
 let test_mailbox_multi_vp_order () =
-  let mb = Mailbox.make "ipc" in
+  let mb = Mailbox.make () in
   (* (vp, send time): insertion order is the expected delivery order *)
   let sends = [ (0, 10); (1, 10); (2, 11); (0, 12); (2, 12); (1, 15) ] in
   List.iteri
