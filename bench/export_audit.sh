@@ -9,7 +9,11 @@
 # export every top-level `let`; those are listed too when nothing
 # outside the module names them.  Users are every .ml and .mli under
 # lib/, bin/, bench/, test/ and examples/ other than the module's own
-# pair.
+# pair.  Two more lists follow, of exports that do have outside users:
+# `test-only`, whose every outside user is under test/, and
+# `bare-only`, whose outside uses beyond test/ are all bare words in
+# files that open the module (see below), so that a local variable of
+# the same name may be all that keeps them alive.
 #
 # The scan is textual.  Comments and string literals are blanked first,
 # so neither a doc reference nor Smalltalk source counts as a use.  A
@@ -76,18 +80,20 @@ strip() {
     }' "$1"
 }
 
-# One "user-module reference" line per distinct qualified name a file
-# mentions, plus one line per bare word of a file that opens a module.
+# One "user-module top-dir how reference" line per distinct qualified
+# name a file mentions (how = q), plus one line per bare word of a file
+# that opens a module (how = b).
 for f in $sources; do
   m=$(basename "$f"); m=${m%.*}
+  top=${f%%/*}
   strip "$f" > "$tmp/src"
   grep -oE "[A-Z][A-Za-z0-9_]*\.[a-z_][A-Za-z0-9_']*" "$tmp/src" |
-    sed "s/^/$m /" || true
+    sed "s/^/$m $top q /" || true
   for o in $(grep -oE "(open!? +|let open +)[A-Z][A-Za-z0-9_]*|[A-Z][A-Za-z0-9_]*\.\(" "$tmp/src" |
                sed -E 's/^(open!? +|let open +)//; s/\.\($//' | sort -u); do
     # a word after a dot is a record field, not a value
     grep -oE "(^|[^.A-Za-z0-9_'])[a-z_][A-Za-z0-9_']*" "$tmp/src" |
-      sed -E "s/^[^a-z_]//; s/^/$m $o./"
+      sed -E "s/^[^a-z_]//; s/^/$m $top b $o./"
   done
 done | awk '{ sub(/^./, toupper(substr($1, 1, 1)), $1); print }' |
   LC_ALL=C sort -u > "$tmp/refs"
@@ -117,13 +123,25 @@ done > "$tmp/exports"
 vals=$(grep -c ' val ' "$tmp/exports" || true)
 lets=$(grep -c ' let ' "$tmp/exports" || true)
 
-awk 'NR == FNR { used[$2] = used[$2] " " $1; next }
+# Classify each export by its outside users: none, only under test/, or
+# (beyond test/) only bare words.
+awk 'NR == FNR {
+       own = substr($4, 1, index($4, ".") - 1)
+       if ($1 != own) {
+         outside[$4] = 1
+         if ($2 != "test") { prog[$4] = 1; if ($3 == "q") qual[$4] = 1 }
+       }
+       next
+     }
      {
-       key = $1 "." $2; n = split(used[key], us, " "); outside = 0
-       for (k = 1; k <= n; k++) if (us[k] != $1) outside = 1
-       if (!outside) print
-     }' "$tmp/refs" "$tmp/exports" |
-  while read -r M name kind src; do
+       key = $1 "." $2
+       if (!outside[key]) print "none", $0
+       else if (!prog[key]) print "test", $0
+       else if (!qual[key]) print "bare", $0
+     }' "$tmp/refs" "$tmp/exports" > "$tmp/classes"
+
+grep '^none ' "$tmp/classes" |
+  while read -r _ M name kind src; do
     # the definition itself is one mention; a second is a use
     strip "$src" > "$tmp/src"
     if [ "$(grep -ow -- "$name" "$tmp/src" | grep -cx -- "$name")" -gt 1 ]
@@ -131,8 +149,21 @@ awk 'NR == FNR { used[$2] = used[$2] " " $1; next }
     printf '  %-36s %s  %s\n' "$M.$name" "$kind" "$use"
   done > "$tmp/report"
 
+for c in test bare; do
+  grep "^$c " "$tmp/classes" |
+    while read -r _ M name kind _; do
+      printf '  %-36s %s  %s-only\n' "$M.$name" "$kind" "$c"
+    done > "$tmp/$c" || true
+done
+
 echo "export-audit: $vals exported vals in lib/*/*.mli," \
   "$lets top-level lets in lib/ modules without an .mli"
 echo "export-audit: $(wc -l < "$tmp/report") with no user outside their" \
   "module, $(grep -c ' unused$' "$tmp/report" || true) with no user at all:"
 cat "$tmp/report"
+echo "export-audit: $(wc -l < "$tmp/test") used outside their module" \
+  "only under test/:"
+cat "$tmp/test"
+echo "export-audit: $(wc -l < "$tmp/bare") used outside their module and" \
+  "test/ only as bare words under an open:"
+cat "$tmp/bare"

@@ -31,6 +31,7 @@ lib/vkernel/.vkernel.objs/native/devices.o
 lib/vkernel/.vkernel.objs/native/trace.o
 lib/vkernel/.vkernel.objs/native/calendar.o
 lib/vkernel/.vkernel.objs/native/fault.o
+lib/vkernel/.vkernel.objs/native/plan.o
 lib/interp/.interp.objs/native/scheduler.o
 lib/interp/.interp.objs/native/free_contexts.o
 lib/interp/.interp.objs/native/method_cache.o

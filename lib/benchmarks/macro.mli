@@ -46,7 +46,6 @@ val run_on : Vm.t -> benchmark -> cell
     benchmarks run back to back. *)
 val run_table2 :
   ?config_tweak:(Config.t -> Config.t) ->
-  ?states:state list ->
   ?benchmarks:benchmark list ->
   unit ->
   (state * (benchmark * cell) list) list

@@ -243,18 +243,11 @@ let schedule_dependent vm =
    named classes). *)
 let stable_class_key vm =
   let u = vm.Vm.u in
-  let fnv s =
-    let h = ref 0x811C9DC5 in
-    String.iter
-      (fun c -> h := ((!h lxor Char.code c) * 0x01000193) land max_int)
-      s;
-    !h
-  in
   let tbl = Hashtbl.create 64 in
   List.iter
     (fun name ->
       match Universe.get_global u name with
-      | Some v when Oop.is_ptr v -> Hashtbl.replace tbl v (fnv name)
+      | Some v when Oop.is_ptr v -> Hashtbl.replace tbl v (Fnv.string name)
       | _ -> ())
     (Universe.global_names u);
   fun cls ->

@@ -184,8 +184,6 @@ let apply_wave ?(skip = fun _ -> false) node wave =
 
 (* --- fingerprints --- *)
 
-let mix h d = ((h lxor d) * 0x01000193) land max_int
-
 (* The order-sensitive value digest: fold the shard accumulators in
    shard order.  Read host-side straight out of the heap — no eval, no
    allocation, no perturbation of the state being fingerprinted. *)
@@ -195,12 +193,12 @@ let digest vm =
   | Some arr ->
       let h = vm.Vm.heap in
       let n = Heap.slots h (Oop.addr arr) in
-      let d = ref 0x811C9DC5 in
+      let d = ref Fnv.offset in
       for i = 0 to n - 1 do
         let shard = Heap.get h arr i in
         let total = Heap.get h shard 0 in
         let v = if Oop.is_small total then Oop.small_val total else -1 in
-        d := mix !d v
+        d := Fnv.mix !d v
       done;
       !d
 
@@ -211,7 +209,7 @@ let fingerprint_of vm =
       ~class_key:(Explorer.stable_class_key vm)
       ~roots:(Explorer.stable_roots vm)
   in
-  mix (Verify.fingerprint census) (digest vm)
+  Fnv.mix (Verify.fingerprint census) (digest vm)
 
 (* --- host-side registers for checkpoints ---
 
@@ -674,8 +672,7 @@ let run ?(log = fun _ -> ()) (p : params) =
                              rs.(i)
                          | _ -> List.nth l (k mod n)
                        in
-                       Fault.applied inj ~vp:victim.idx ~now:cums.(w)
-                         ~resource:"cluster" f;
+                       Fault.applied inj f;
                        victim.alive <- false;
                        victim.down_since <- w;
                        last_victim := Some victim.idx;

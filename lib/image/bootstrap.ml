@@ -135,10 +135,7 @@ let copy_universe (u : Universe.t) heap =
     globals = Hashtbl.copy u.Universe.globals;
     char_table = Array.copy u.Universe.char_table }
 
-let digest_words words =
-  Array.fold_left
-    (fun h w -> ((h lxor w) * 0x01000193) land max_int)
-    0x811C9DC5 words
+let digest_words words = Array.fold_left Fnv.mix Fnv.offset words
 
 let capture (u : Universe.t) =
   let h = u.Universe.heap in

@@ -249,13 +249,6 @@ let restore t (h : Heap.t) =
 
 (* --- the durable format --- *)
 
-let fnv_string s =
-  let h = ref 0x811C9DC5 in
-  String.iter
-    (fun c -> h := ((!h lxor Char.code c) * 0x01000193) land max_int)
-    s;
-  !h
-
 let magic = "MST-SNAP v2"
 
 let save path t =
@@ -267,12 +260,8 @@ let save path t =
       output_string oc
         (Printf.sprintf "%s fp=%d entries=%d len=%d sum=%d image=%d\n" magic
            t.fingerprint t.entries (String.length payload)
-           (fnv_string payload) (Bootstrap.image_digest ()));
+           (Fnv.string payload) (Bootstrap.image_digest ()));
       output_string oc payload)
-
-(* Header fields without unmarshalling: enough to rank checkpoints by
-   applied-entry count and to cross-check a restored image. *)
-type header = { h_fingerprint : int; h_entries : int }
 
 let parse_header path line =
   let fields = String.split_on_char ' ' (String.trim line) in
@@ -298,21 +287,6 @@ let parse_header path line =
       corrupt path "missing or unsupported header %S (want %S ...)"
         (String.trim line) magic
 
-let read_header path =
-  let ic =
-    try open_in_bin path
-    with Sys_error msg -> corrupt path "cannot open: %s" msg
-  in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let line =
-        try input_line ic
-        with End_of_file -> corrupt path "empty file (missing header)"
-      in
-      let fp, entries, _, _, _ = parse_header path line in
-      { h_fingerprint = fp; h_entries = entries })
-
 let load path =
   let ic =
     try open_in_bin path
@@ -334,7 +308,7 @@ let load path =
        with End_of_file ->
          corrupt path "truncated payload (want %d bytes)" len);
       let payload = Bytes.unsafe_to_string payload in
-      if fnv_string payload <> sum then
+      if Fnv.string payload <> sum then
         corrupt path "payload checksum mismatch (damaged file)";
       let heap, registers =
         try (Marshal.from_string payload 0 : heap_image * registers)

@@ -92,10 +92,4 @@ val restore : t -> Heap.t -> registers
 
 val save : string -> t -> unit
 
-(** Header fields without unmarshalling the payload: enough to rank
-    checkpoints by applied-entry count. *)
-type header = { h_fingerprint : int; h_entries : int }
-
-val read_header : string -> header
-
 val load : string -> t

@@ -308,14 +308,12 @@ let check_faults st =
       | Some Fault.Vp_crash
         when Machine.active_count m > 1 && not (Machine.crash_pending m st.id)
         ->
-          Fault.applied inj ~vp:st.id ~now:(now st) ~resource:"processor"
-            Fault.Vp_crash;
+          Fault.applied inj Fault.Vp_crash;
           Sanitizer.fault_event st.sh.sanitizer ~vp:st.id ~now:(now st)
             ~resource:"processor" "crash flagged at scheduling check";
           Machine.flag_crash m st.id
       | Some (Fault.Vp_stall n) ->
-          Fault.applied inj ~vp:st.id ~now:(now st) ~resource:"processor"
-            (Fault.Vp_stall n);
+          Fault.applied inj (Fault.Vp_stall n);
           Sanitizer.fault_event st.sh.sanitizer ~vp:st.id ~now:(now st)
             ~resource:"processor"
             (Printf.sprintf "transient stall %d cycles" n);

@@ -422,8 +422,7 @@ let scavenge_parallel h (cm : Cost_model.t) ?injector ~workers () =
             let n = List.length live in
             if n > 1 then begin
               let victim = List.nth live (k mod n) in
-              Fault.applied inj ~vp:victim ~now:(-1)
-                ~resource:"parallel scavenge" f;
+              Fault.applied inj f;
               (match san with
                | Some s ->
                    Sanitizer.fault_event s ~vp:victim ~now:(-1)

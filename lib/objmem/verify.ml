@@ -314,8 +314,7 @@ let pp_census fmt c =
    equal graphs hash equal regardless of where allocation happened to
    place them. *)
 let fingerprint c =
-  let mix h d = ((h lxor d) * 0x01000193) land max_int in
   List.fold_left
-    (fun h (cls, n) -> mix (mix h cls) n)
-    (mix (mix 0x811C9DC5 c.objects) c.words)
+    (fun h (cls, n) -> Fnv.mix (Fnv.mix h cls) n)
+    (Fnv.mix (Fnv.mix Fnv.offset c.objects) c.words)
     c.per_class

@@ -102,10 +102,6 @@ let take t =
   if last > 0 then sift_down t 0 t.keys.(last) t.seqs.(last) t.vals.(last);
   v
 
-let min_key t = if t.len = 0 then None else Some t.keys.(0)
-
-let peek t = if t.len = 0 then None else Some (t.keys.(0), t.vals.(0))
-
 let pop t =
   if t.len = 0 then None
   else begin

@@ -15,18 +15,12 @@ val is_empty : 'a t -> bool
 val add : 'a t -> key:int -> 'a -> unit
 
 (** Smallest key currently queued, or [max_int] when empty.  Allocates
-    nothing: the engine's per-event form of [min_key]. *)
+    nothing: the engine reads it once per event. *)
 val top_key : 'a t -> int
 
 (** Remove the minimum entry and return its value; allocates nothing.
     Raises [Invalid_argument] when empty. *)
 val take : 'a t -> 'a
-
-(** Smallest key currently queued, if any. *)
-val min_key : 'a t -> int option
-
-(** The minimum entry without removing it. *)
-val peek : 'a t -> (int * 'a) option
 
 (** Remove and return the minimum entry. *)
 val pop : 'a t -> (int * 'a) option

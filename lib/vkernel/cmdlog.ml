@@ -126,14 +126,14 @@ let generate ~seed ~requests ~sessions ~shards =
   if requests < 1 then invalid_arg "Cmdlog.generate: requests must be >= 1";
   if sessions < 1 || shards < 1 then
     invalid_arg "Cmdlog.generate: sessions and shards must be >= 1";
-  let rng = Fault.Rng.make seed in
+  let rng = Plan.Rng.make seed in
   let t = create () in
   for _ = 1 to requests do
     ignore
       (append t
-         ~session:(Fault.Rng.below rng sessions)
-         ~shard:(Fault.Rng.below rng shards)
-         ~kind:(Fault.Rng.below rng 4))
+         ~session:(Plan.Rng.below rng sessions)
+         ~shard:(Plan.Rng.below rng shards)
+         ~kind:(Plan.Rng.below rng 4))
   done;
   t
 

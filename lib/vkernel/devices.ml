@@ -45,8 +45,7 @@ let inject_device_fault d ~vp ~now =
     | Some inj -> (
         match Fault.at inj Fault.Device_op with
         | Some (Fault.Device_timeout n) ->
-            Fault.applied inj ~vp ~now ~resource:"display output queue"
-              (Fault.Device_timeout n);
+            Fault.applied inj (Fault.Device_timeout n);
             (match Spinlock.sanitizer d.lock with
              | Some san ->
                  Sanitizer.fault_event san ~vp ~now

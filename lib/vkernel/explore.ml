@@ -2,15 +2,14 @@
    at the preemption points exposed by {!Machine.scheduling_policy},
    record the perturbations as a sparse decision trace, replay such a
    trace bit for bit, and shrink a failing trace to a minimal one.  The
-   trace machinery (replay cursor, shrinking, files) is {!Plan}'s; this
-   module supplies the decisions and how to sample them. *)
+   trace machinery (the seeded-or-replaying query stream, shrinking,
+   files) is {!Plan}'s; this module supplies the decisions, how to
+   sample them, and the query log the systematic explorer reads. *)
 
 type decision =
   | Tie_pick of int
   | Lock_jitter of int
   | Force_preempt
-
-type step = decision Plan.step
 
 type schedule = decision Plan.t
 
@@ -29,12 +28,6 @@ let default_params =
 
 (* --- drivers --- *)
 
-(* Seeded drivers sample from {!Fault.Rng}, the stable generator fault
-   injection shares. *)
-type mode =
-  | Seeded of Fault.Rng.t * params
-  | Replay of decision Plan.cursor
-
 (* The query log a guided driver keeps for the systematic explorer: one
    entry per preemption-point query, whatever was decided there.  [Qtie]
    carries the candidate vp ids in the order they were offered; the
@@ -48,125 +41,87 @@ type qkind =
 type qinfo = { q : int; kind : qkind; qvp : int; qnow : int }
 
 type driver = {
-  mode : mode;
-  trace : Trace.t option;
-  mutable queries : int;
-  mutable last_index : int;  (* pre-increment index of the last query *)
-  mutable rev_recorded : step list;
+  stream : (decision, params) Plan.stream;
   log_all : bool;  (* guided drivers log every query, not just applied ones *)
   mutable rev_log : qinfo list;
 }
 
-let driver ?trace mode =
-  { mode; trace; queries = 0; last_index = -1; rev_recorded = [];
-    log_all = false; rev_log = [] }
+let driver stream = { stream; log_all = false; rev_log = [] }
 
-let seeded ?(params = default_params) ?trace ~seed () =
-  driver ?trace (Seeded (Fault.Rng.make seed, params))
+let seeded ?(params = default_params) ~seed () =
+  driver (Plan.seeded ~seed params)
 
-let replay ?trace sched = driver ?trace (Replay (Plan.cursor sched))
+let replay sched = driver (Plan.replaying sched)
 
 (* A replaying driver that additionally records every query it answers —
    the raw material for the systematic (DPOR) explorer, which needs to
    see the whole decision space of a run, not only the perturbed
    points. *)
-let guided ?trace sched = { (replay ?trace sched) with log_all = true }
+let guided sched = { (replay sched) with log_all = true }
 
-let recorded d = List.rev d.rev_recorded
-let queries d = d.queries
+let recorded d = Plan.recorded d.stream
+let queries d = Plan.queries d.stream
 let query_log d = Array.of_list (List.rev d.rev_log)
 
-let describe = function
-  | Tie_pick k -> Printf.sprintf "tie pick %d" k
-  | Lock_jitter j -> Printf.sprintf "jitter %d" j
-  | Force_preempt -> "force preempt"
-
-(* Record an applied decision at the index of the query that produced
-   it.  [last_index] is the *pre-increment* query number stashed by
-   {!decide} — recording the post-increment count here would shift every
-   decision one query late on replay, where {!decide} matches the
-   pre-increment number. *)
-let applied d ~vp ~now ~resource decision =
-  let index = d.last_index in
-  d.rev_recorded <- { Plan.index; action = decision } :: d.rev_recorded;
-  match d.trace with
-  | None -> ()
-  | Some t ->
-      Trace.note t ~vp ~time:now ~kind:Trace.Sched_decision ~resource
-        (Printf.sprintf "#%d %s" index (describe decision))
-
-(* Answer one preemption-point query.  [gen] samples a decision from the
-   seed (None = leave the default); replay applies the recorded decision
-   if one names this query index and [accept] takes its variant. *)
-let decide d ~accept ~gen =
-  let q = d.queries in
-  d.queries <- q + 1;
-  d.last_index <- q;
-  match d.mode with
-  | Seeded (rng, params) -> gen rng params
-  | Replay c -> Plan.next c q ~accept
-
 let policy d =
-  (* Log the query about to be answered (guided drivers only).  Must run
-     before {!decide} bumps the counter so the logged [q] names the same
-     index a forced decision would be matched against. *)
-  let log_query kind ~vp ~now =
+  (* Log the query (guided drivers only), then answer it.  The log entry
+     takes the index before {!Plan.query} bumps the counter, so the
+     logged [q] names the same index a forced decision is matched
+     against. *)
+  let ask kind ~vp ~now ~accept ~gen =
     if d.log_all then
-      d.rev_log <- { q = d.queries; kind; qvp = vp; qnow = now } :: d.rev_log
+      d.rev_log <-
+        { q = Plan.queries d.stream; kind; qvp = vp; qnow = now } :: d.rev_log;
+    Plan.query d.stream ~accept ~gen
   in
   let choose_tie candidates =
     let n = Array.length candidates in
-    log_query
-      (Qtie (Array.map (fun vp -> vp.Machine.id) candidates))
-      ~vp:candidates.(0).Machine.id ~now:candidates.(0).Machine.clock;
     let picked =
-      decide d
+      ask
+        (Qtie (Array.map (fun vp -> vp.Machine.id) candidates))
+        ~vp:candidates.(0).Machine.id ~now:candidates.(0).Machine.clock
         ~accept:(function Tie_pick _ -> true | _ -> false)
         ~gen:(fun rng params ->
-          if Fault.Rng.chance rng params.tie_permil then
-            let k = Fault.Rng.below rng n in
+          if Plan.Rng.chance rng params.tie_permil then
+            let k = Plan.Rng.below rng n in
             if k = 0 then None else Some (Tie_pick k)
           else None)
     in
     match picked with
     | Some (Tie_pick k) ->
-        let k = min (max k 0) (n - 1) in
+        let k = Int.min (Int.max k 0) (n - 1) in
         let vp = candidates.(k) in
-        if k <> 0 then
-          applied d ~vp:vp.Machine.id ~now:vp.Machine.clock
-            ~resource:"schedule" (Tie_pick k);
+        if k <> 0 then Plan.applied d.stream (Tie_pick k);
         vp
     | _ -> candidates.(0)
   in
   let lock_jitter ~vp ~lock ~now =
-    log_query (Qacquire lock) ~vp ~now;
     let picked =
-      decide d
+      ask (Qacquire lock) ~vp ~now
         ~accept:(function Lock_jitter _ -> true | _ -> false)
         ~gen:(fun rng params ->
           if params.jitter_bound > 0
-             && Fault.Rng.chance rng params.jitter_permil
-          then Some (Lock_jitter (1 + Fault.Rng.below rng params.jitter_bound))
+             && Plan.Rng.chance rng params.jitter_permil
+          then Some (Lock_jitter (1 + Plan.Rng.below rng params.jitter_bound))
           else None)
     in
     match picked with
     | Some (Lock_jitter j) when j > 0 ->
-        applied d ~vp ~now ~resource:lock (Lock_jitter j);
+        Plan.applied d.stream (Lock_jitter j);
         j
     | _ -> 0
   in
   let preempt_after ~vp ~lock ~now =
-    log_query (Qexit lock) ~vp ~now;
     let picked =
-      decide d
+      ask (Qexit lock) ~vp ~now
         ~accept:(function Force_preempt -> true | _ -> false)
         ~gen:(fun rng params ->
-          if Fault.Rng.chance rng params.preempt_permil then Some Force_preempt
+          if Plan.Rng.chance rng params.preempt_permil then Some Force_preempt
           else None)
     in
     match picked with
     | Some Force_preempt ->
-        applied d ~vp ~now ~resource:lock Force_preempt;
+        Plan.applied d.stream Force_preempt;
         true
     | _ -> false
   in

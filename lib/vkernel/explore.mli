@@ -13,15 +13,14 @@
     point (the n-th policy query of the run) it was applied at.  Because
     the simulation is deterministic, replaying a schedule reproduces the
     run bit for bit; shrinking a failing schedule is subset minimization
-    over its decisions plus value shrinking of the survivors. *)
+    over its decisions plus value shrinking of the survivors.  The
+    query stream, the shrinker and the trace files are {!Plan}'s. *)
 
 (** One non-default decision at a preemption point. *)
 type decision =
   | Tie_pick of int  (** take the k-th candidate of a min-clock tie *)
   | Lock_jitter of int  (** stall this many cycles before an acquire *)
   | Force_preempt  (** reschedule after this critical section *)
-
-type step = decision Plan.step
 
 (** A sparse decision trace, strictly ascending by [index].  The empty
     schedule is the default deterministic run. *)
@@ -34,20 +33,20 @@ type params = {
   jitter_bound : int;  (** maximum injected stall, in cycles *)
 }
 
-(** A driver counts preemption-point queries and either generates
-    decisions from a seed or replays a fixed schedule. *)
+(** A driver is a {!Plan.stream} of preemption-point queries, which
+    either generates decisions from a seed or replays a fixed schedule,
+    plus the query log of a {!guided} driver. *)
 type driver
 
 (** [seeded ~seed ()] makes a generating driver.  The same seed always
-    produces the same decision sequence (the PRNG is our own splitmix
-    derivative, independent of [Stdlib.Random]).  [trace] additionally
-    records every perturbation as a {!Trace.Sched_decision} event. *)
-val seeded : ?params:params -> ?trace:Trace.t -> seed:int -> unit -> driver
+    produces the same decision sequence ({!Plan.Rng} is independent of
+    [Stdlib.Random]). *)
+val seeded : ?params:params -> seed:int -> unit -> driver
 
 (** [replay sched] makes a driver that applies exactly the decisions of
     [sched] at their recorded preemption points and defaults everywhere
     else.  Out-of-range tie picks are clamped to the candidate count. *)
-val replay : ?trace:Trace.t -> schedule -> driver
+val replay : schedule -> driver
 
 (** What a preemption-point query was about. *)
 type qkind =
@@ -62,7 +61,7 @@ type qinfo = { q : int; kind : qkind; qvp : int; qnow : int }
 (** [guided sched] is {!replay} plus a full query log: the driver records
     every preemption-point query it answers (not just the perturbed
     ones), which is what the systematic explorer ({!Dpor}) consumes. *)
-val guided : ?trace:Trace.t -> schedule -> driver
+val guided : schedule -> driver
 
 (** The guided driver's query log, index-ascending.  Empty for seeded and
     plain replay drivers. *)

@@ -2,45 +2,22 @@
    failures, device timeouts and scavenge-worker deaths, sampled at the
    same instrumentation points the schedule explorer already drives.
 
-   The design deliberately mirrors {!Explore}.  A run answers a stream of
-   injection queries — one per instrumentation point reached — and a
-   seeded injector samples a fault at a few of them.  The faults actually
+   The design is {!Explore}'s.  A run answers a stream of injection
+   queries — one per instrumentation point reached — and a seeded
+   injector samples a fault at a few of them.  The faults actually
    applied are recorded as a sparse *fault plan* [(query index, fault)],
-   a {!Plan} like the decision traces: replayed by the same cursor,
-   shrunk by the same delta debugging, saved in the same line format.
-   Because fault queries are counted separately from scheduling-policy
-   queries, a fault plan composes with an {!Explore} schedule: the two
-   drivers perturb the same run without renumbering each other's
-   indices.
+   a {!Plan} like the decision traces: an injector is the same
+   {!Plan.stream} an explore driver wraps, plans are shrunk by the same
+   delta debugging and saved in the same line format.  Because fault
+   queries are counted separately from scheduling-policy queries, a
+   fault plan composes with an {!Explore} schedule: the two streams
+   perturb the same run without renumbering each other's indices.
 
    A recorded plan only contains faults that were *honoured*: an applier
    may decline a sampled fault (the last live processor refuses to crash,
    a scavenge with one live worker refuses to lose it), and declined
    samples never enter the plan, so a replay re-applies exactly the
    faults the seeded run committed. *)
-
-(* --- the shared PRNG ---
-
-   The splitmix64-style generator {!Explore} samples from too:
-   Stdlib.Random's stream is not guaranteed stable across compiler
-   releases, and seeded runs must reproduce forever. *)
-module Rng = struct
-  type t = { mutable state : int }
-
-  let make seed = { state = (seed * 0x9E3779B9) + 0x1F123BB5 }
-
-  (* The 64-bit splitmix constants, truncated to OCaml's boxed-free int
-     width; mixing quality is ample for sampling perturbations. *)
-  let next r =
-    r.state <- r.state + 0x1E3779B97F4A7C15;
-    let z = r.state in
-    let z = (z lxor (z lsr 30)) * 0x3F58476D1CE4E5B9 in
-    let z = (z lxor (z lsr 27)) * 0x14D049BB133111EB in
-    (z lxor (z lsr 31)) land max_int
-
-  let below r n = if n <= 1 then 0 else next r mod n
-  let chance r permil = below r 1000 < permil
-end
 
 (* A release time far enough in the future that no simulated clock ever
    reaches it: the timeline encoding of "held by a dead processor". *)
@@ -55,8 +32,6 @@ type fault =
   | Worker_crash of int       (* scavenge worker K dies at a barrier *)
   | Replica_crash of int      (* replica K dies at a log-entry boundary
                                  (E19; resolved modulo live replicas) *)
-
-type step = fault Plan.step
 
 type plan = fault Plan.t
 
@@ -149,38 +124,13 @@ let default_params = params_of_campaign Mixed
 
 (* --- injectors --- *)
 
-type mode =
-  | Seeded of Rng.t * params
-  | Replay of fault Plan.cursor
+type t = (fault, params) Plan.stream
 
-type t = {
-  mode : mode;
-  trace : Trace.t option;
-  mutable queries : int;
-  mutable last_index : int;     (* pre-increment index of the last query *)
-  mutable injected_count : int;
-  mutable rev_injected : step list;
-}
+let seeded ?(params = default_params) ~seed () = Plan.seeded ~seed params
+let replay = Plan.replaying
+let injected = Plan.recorded
 
-let injector mode trace =
-  { mode; trace; queries = 0; last_index = -1; injected_count = 0;
-    rev_injected = [] }
-
-let seeded ?(params = default_params) ?trace ~seed () =
-  injector (Seeded (Rng.make seed, params)) trace
-
-let replay ?trace plan = injector (Replay (Plan.cursor plan)) trace
-
-let injected t = List.rev t.rev_injected
-
-let describe = function
-  | Vp_crash -> "vp crash"
-  | Vp_stall n -> Printf.sprintf "vp stall %d" n
-  | Holder_stall n -> Printf.sprintf "holder stall %d" n
-  | Holder_crash -> "holder crash"
-  | Device_timeout n -> Printf.sprintf "device timeout %d" n
-  | Worker_crash k -> Printf.sprintf "worker %d crash" k
-  | Replica_crash k -> Printf.sprintf "replica %d crash" k
+module Rng = Plan.Rng
 
 (* Sample a fault for one query of [point] from the seed. *)
 let gen_at point rng p =
@@ -212,27 +162,13 @@ let gen_at point rng p =
 
 (* Answer one injection query.  Returns a *candidate* fault: the caller
    applies it only if its local guards allow (and then must call
-   {!applied} so the plan records it). *)
+   {!applied} so the plan records it).  A seeded run stops sampling once
+   [max_faults] faults were honoured. *)
 let at t point =
-  let q = t.queries in
-  t.queries <- q + 1;
-  t.last_index <- q;
-  match t.mode with
-  | Seeded (rng, p) ->
-      if t.injected_count >= p.max_faults then None else gen_at point rng p
-  | Replay c -> Plan.next c q ~accept:(matches_point point)
+  Plan.query t ~accept:(matches_point point) ~gen:(fun rng p ->
+      if Plan.applied_count t >= p.max_faults then None else gen_at point rng p)
 
-(* Record a fault the caller actually honoured, at the query index of the
-   query that produced it. *)
-let applied t ~vp ~now ~resource fault =
-  t.rev_injected <-
-    { Plan.index = t.last_index; action = fault } :: t.rev_injected;
-  t.injected_count <- t.injected_count + 1;
-  match t.trace with
-  | None -> ()
-  | Some tr ->
-      Trace.note tr ~vp ~time:now ~kind:Trace.Fault_event ~resource
-        (Printf.sprintf "#%d %s" t.last_index (describe fault))
+let applied = Plan.applied
 
 (* --- structured failure reports --- *)
 

@@ -2,27 +2,13 @@
 
     Faults — processor crashes, stalls, lock-holder failures, device
     timeouts, scavenge-worker deaths — are sampled at the same
-    instrumentation points the schedule explorer drives, recorded as a
-    sparse replayable {!Plan}, and shrunk with the same delta debugging
-    {!Explore} uses for decision traces.  Fault queries are counted
-    independently of policy queries, so a fault plan composes with an
-    {!Explore} schedule without renumbering. *)
-
-(** The splitmix64-style PRNG shared with {!Explore}: seeded runs must
-    reproduce forever, so the stream must not depend on
-    [Stdlib.Random]. *)
-module Rng : sig
-  type t
-
-  val make : int -> t
-  val next : t -> int
-
-  (** [below r n] is uniform in [\[0, n)]; 0 when [n <= 1]. *)
-  val below : t -> int -> int
-
-  (** [chance r permil] is true with probability [permil]/1000. *)
-  val chance : t -> int -> bool
-end
+    instrumentation points the schedule explorer drives.  An injector is
+    a {!Plan.stream}, as an {!Explore} driver is: it samples from a seed
+    or replays a plan, and records the honoured faults as a sparse
+    replayable {!Plan}, shrunk with the same delta debugging {!Explore}
+    uses for decision traces.  Fault queries are counted independently
+    of policy queries, so a fault plan composes with an {!Explore}
+    schedule without renumbering. *)
 
 (** A release time no simulated clock ever reaches: the timeline
     encoding of "held by a dead processor". *)
@@ -38,8 +24,6 @@ type fault =
   | Replica_crash of int
       (** whole replica dies at a log-entry boundary (E19); the index is
           resolved modulo the live replicas by the applier *)
-
-type step = fault Plan.step
 
 type plan = fault Plan.t
 
@@ -72,12 +56,14 @@ val campaign_name : campaign -> string
 val campaign_of_name : string -> campaign option
 val params_of_campaign : campaign -> params
 
-(** A fault injector: either sampling from a seed or replaying a plan. *)
+(** A fault injector: a {!Plan.stream} of injection queries, either
+    sampling from a seed or replaying a plan.  A seeded injector stops
+    sampling once [max_faults] faults were honoured. *)
 type t
 
-val seeded : ?params:params -> ?trace:Trace.t -> seed:int -> unit -> t
+val seeded : ?params:params -> seed:int -> unit -> t
 
-val replay : ?trace:Trace.t -> plan -> t
+val replay : plan -> t
 
 (** Answer one injection query for an instrumentation point.  Returns a
     {e candidate} fault; the caller applies it only if its local guards
@@ -85,9 +71,10 @@ val replay : ?trace:Trace.t -> plan -> t
     Declined candidates never enter the plan. *)
 val at : t -> point -> fault option
 
-(** Record a fault the caller actually honoured (at the index of the
-    query that produced it) and trace it. *)
-val applied : t -> vp:int -> now:int -> resource:string -> fault -> unit
+(** Record a fault the caller actually honoured, at the index of the
+    query that produced it.  The applier notes the fault in its own
+    trace ({!Sanitizer.fault_event}). *)
+val applied : t -> fault -> unit
 
 (** The honoured faults, in query order. *)
 val injected : t -> plan

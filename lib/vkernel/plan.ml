@@ -1,5 +1,6 @@
-(* Sparse perturbation plans, shared by schedule exploration ({!Explore}:
-   decision traces) and fault injection ({!Fault}: fault plans).
+(* Sparse perturbation plans and the query stream that samples or
+   replays them, shared by schedule exploration ({!Explore}: decision
+   traces) and fault injection ({!Fault}: fault plans).
 
    A plan is sparse on purpose: a run answers thousands of queries but
    perturbs only a sampled few, and shrinking works by *dropping* steps,
@@ -12,6 +13,29 @@ type 'a step = { index : int; action : 'a }
 type 'a t = 'a step list
 
 let sorted plan = List.sort (fun a b -> compare a.index b.index) plan
+
+(* --- the PRNG ---
+
+   A splitmix64-style generator: Stdlib.Random's stream is not
+   guaranteed stable across compiler releases, and seeded runs must
+   reproduce forever. *)
+module Rng = struct
+  type t = { mutable state : int }
+
+  let make seed = { state = (seed * 0x9E3779B9) + 0x1F123BB5 }
+
+  (* The 64-bit splitmix constants, truncated to OCaml's boxed-free int
+     width; mixing quality is ample for sampling perturbations. *)
+  let next r =
+    r.state <- r.state + 0x1E3779B97F4A7C15;
+    let z = r.state in
+    let z = (z lxor (z lsr 30)) * 0x3F58476D1CE4E5B9 in
+    let z = (z lxor (z lsr 27)) * 0x14D049BB133111EB in
+    (z lxor (z lsr 31)) land max_int
+
+  let below r n = if n <= 1 then 0 else next r mod n
+  let chance r permil = below r 1000 < permil
+end
 
 (* --- replay --- *)
 
@@ -28,6 +52,44 @@ let next c q ~accept =
     if accept s.action then Some s.action else None
   end
   else None
+
+(* --- the query stream --- *)
+
+type ('a, 'p) source = Seeded of Rng.t * 'p | Replaying of 'a cursor
+
+type ('a, 'p) stream = {
+  source : ('a, 'p) source;
+  mutable queries : int;
+  mutable count : int;
+  mutable rev_applied : 'a step list;
+}
+
+let stream source = { source; queries = 0; count = 0; rev_applied = [] }
+
+let seeded ~seed params = stream (Seeded (Rng.make seed, params))
+let replaying plan = stream (Replaying (cursor plan))
+
+(* Answer one query.  [gen] samples an action from the seed (None = the
+   default); replay returns the step recorded at this query's index if
+   [accept] takes its variant. *)
+let query s ~accept ~gen =
+  let q = s.queries in
+  s.queries <- q + 1;
+  match s.source with
+  | Seeded (rng, params) -> gen rng params
+  | Replaying c -> next c q ~accept
+
+(* Record an applied action at the index of the query that produced it,
+   the last one: [queries - 1].  Recording [queries] itself would shift
+   every step one query late on replay, where {!query} matches the
+   pre-increment number. *)
+let applied s action =
+  s.rev_applied <- { index = s.queries - 1; action } :: s.rev_applied;
+  s.count <- s.count + 1
+
+let recorded s = List.rev s.rev_applied
+let applied_count s = s.count
+let queries s = s.queries
 
 (* --- utilities --- *)
 
@@ -54,7 +116,7 @@ let shrink ~smaller ~run ?(budget = 200) plan =
   in
   let drop_chunks current =
     let current = ref current in
-    let chunk = ref (max 1 (List.length !current / 2)) in
+    let chunk = ref (Int.max 1 (List.length !current / 2)) in
     let progress = ref true in
     while !chunk >= 1 && !spent < budget do
       progress := false;
@@ -75,7 +137,8 @@ let shrink ~smaller ~run ?(budget = 200) plan =
         end
         else pos := !pos + !chunk
       done;
-      if !progress then chunk := max 1 (min !chunk (List.length !current))
+      if !progress then
+        chunk := Int.max 1 (Int.min !chunk (List.length !current))
       else if !chunk = 1 then chunk := 0
       else chunk := !chunk / 2
     done;

@@ -1,13 +1,16 @@
-(** Sparse perturbation plans: the machinery schedule exploration
-    ({!Explore}) and fault injection ({!Fault}) share.
+(** Sparse perturbation plans and the query stream that produces them:
+    the machinery schedule exploration ({!Explore}) and fault injection
+    ({!Fault}) share.
 
     A plan lists the few queries of a deterministic run that were
     perturbed, each tagged with the index of its query (the n-th query
-    of the run).  Replaying a plan reproduces the run bit for bit;
-    shrinking drops steps and shrinks the values of the survivors, which
-    keeps the indices of the remaining steps meaningful.  Each client
-    supplies only its action type and the few functions below that know
-    its variants. *)
+    of the run).  A {!stream} answers a run's queries, either sampling
+    from a seed or replaying a plan, and records the steps its client
+    applied, so a seeded run yields the plan that replays it bit for
+    bit.  Shrinking drops steps and shrinks the values of the survivors,
+    which keeps the indices of the remaining steps meaningful.  Each
+    client supplies only its action type, its sampling parameters and
+    the few functions below that know its variants. *)
 
 type 'a step = { index : int; action : 'a }
 
@@ -15,20 +18,59 @@ type 'a step = { index : int; action : 'a }
     run. *)
 type 'a t = 'a step list
 
-(** {1 Replay} *)
+(** The splitmix64-style PRNG seeded streams sample from, and the
+    command-log generator too: seeded runs must reproduce forever, so
+    the stream must not depend on [Stdlib.Random]. *)
+module Rng : sig
+  type t
 
-(** A replaying position in a plan, sorted by index. *)
-type 'a cursor
+  val make : int -> t
 
-val cursor : 'a t -> 'a cursor
+  (** [below r n] is uniform in [\[0, n)]; 0 when [n <= 1]. *)
+  val below : t -> int -> int
 
-(** [next c q ~accept] answers query [q] (queries arrive in ascending
-    order): the action recorded at index [q] when [accept] takes it,
-    [None] otherwise.  Steps at indices the run skipped past, and actions
-    of the wrong variant for the query, are dropped, so a plan from
-    another context degrades to the default rather than derailing the
+  (** [chance r permil] is true with probability [permil]/1000. *)
+  val chance : t -> int -> bool
+end
+
+(** {1 Query streams} *)
+
+(** The queries of one run, numbered from 0 in the order they are
+    asked, answered from a seed (with the client's sampling parameters
+    ['p]) or from a plan of actions ['a].  A stream owns all its state,
+    so independent runs never share one. *)
+type ('a, 'p) stream
+
+val seeded : seed:int -> 'p -> ('a, 'p) stream
+
+val replaying : 'a t -> ('a, 'p) stream
+
+(** [query s ~accept ~gen] answers the next query.  A seeded stream
+    returns [gen rng params] ([None] leaves the default).  A replaying
+    stream returns the action its plan records at this query's index
+    when [accept] takes it, and [None] otherwise: steps at indices the
+    run skipped past, and actions of the wrong variant for the query,
+    are dropped, so a plan from another context degrades to the default
+    rather than derailing the run.  Either way the answer is only a
+    candidate; see {!applied}. *)
+val query :
+  ('a, 'p) stream -> accept:('a -> bool) -> gen:(Rng.t -> 'p -> 'a option) ->
+  'a option
+
+(** Record that the caller applied [action] at the last query.  Only
+    applied actions enter the plan, so a replay re-applies exactly what
+    the recorded run committed. *)
+val applied : ('a, 'p) stream -> 'a -> unit
+
+(** The applied steps, index-ascending: the plan that replays this
     run. *)
-val next : 'a cursor -> int -> accept:('a -> bool) -> 'a option
+val recorded : ('a, 'p) stream -> 'a t
+
+(** The number of applied steps. *)
+val applied_count : ('a, 'p) stream -> int
+
+(** The number of queries answered. *)
+val queries : ('a, 'p) stream -> int
 
 (** {1 Utilities} *)
 

@@ -149,17 +149,6 @@ let unlocked_op t ~vp ~now ~op_cycles =
    | _ -> ());
   now + op_cycles
 
-(* A stats reset must not touch [free_at]: the lock's virtual timeline is
-   simulation state, not a statistic, and rewinding it would let a later
-   acquire start before an earlier critical section finished. *)
-let reset_stats t =
-  t.acquisitions <- 0;
-  t.contended <- 0;
-  t.spin_cycles <- 0;
-  t.fault_spin_cycles <- 0;
-  t.backoff_cycles <- 0;
-  t.fault_stall_cycles <- 0
-
 (* Acquire at [now]: returns [(start, contended)] and advances [free_at] to
    [start + acquire_cost + op_cycles].  Shared by [locked_op] and
    [critical].
@@ -248,8 +237,7 @@ let inject_holder_fault t ~vp ~finish =
           match Fault.at inj Fault.Lock_acquire with
           | None -> finish
           | Some (Fault.Holder_stall n) ->
-              Fault.applied inj ~vp ~now:finish ~resource:t.name
-                (Fault.Holder_stall n);
+              Fault.applied inj (Fault.Holder_stall n);
               (match t.san with
                | Some san ->
                    Sanitizer.fault_event san ~vp ~now:finish ~resource:t.name
@@ -263,8 +251,7 @@ let inject_holder_fault t ~vp ~finish =
               mvp.Machine.fault_cycles <- mvp.Machine.fault_cycles + n;
               finish + n
           | Some Fault.Holder_crash ->
-              Fault.applied inj ~vp ~now:finish ~resource:t.name
-                Fault.Holder_crash;
+              Fault.applied inj Fault.Holder_crash;
               (match t.san with
                | Some san ->
                    Sanitizer.fault_event san ~vp ~now:finish ~resource:t.name

@@ -97,6 +97,3 @@ val backoff_cycles : t -> int
 
 (** Injected holder-stall cycles charged on this lock. *)
 val fault_stall_cycles : t -> int
-
-(** Reset the counters.  Does not touch the lock's timeline. *)
-val reset_stats : t -> unit

@@ -18,7 +18,6 @@ type kind =
   | Mutation
   | Owner_touch
   | Violation
-  | Sched_decision
   | Fault_event
   | Steal
   | Major
@@ -77,7 +76,7 @@ let name t id = t.names.(id)
 
 let kinds =
   [| Lock_acquire; Lock_contend; Section_enter; Section_exit; Mutation;
-     Owner_touch; Violation; Sched_decision; Fault_event; Steal; Major |]
+     Owner_touch; Violation; Fault_event; Steal; Major |]
 
 let kind_code = function
   | Lock_acquire -> 0
@@ -87,10 +86,9 @@ let kind_code = function
   | Mutation -> 4
   | Owner_touch -> 5
   | Violation -> 6
-  | Sched_decision -> 7
-  | Fault_event -> 8
-  | Steal -> 9
-  | Major -> 10
+  | Fault_event -> 7
+  | Steal -> 8
+  | Major -> 9
 
 let text_code = 6
 
@@ -175,7 +173,6 @@ let kind_name = function
   | Mutation -> "mutate"
   | Owner_touch -> "touch"
   | Violation -> "VIOLATION"
-  | Sched_decision -> "decide"
   | Fault_event -> "FAULT"
   | Steal -> "steal"
   | Major -> "major"

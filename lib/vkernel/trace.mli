@@ -23,7 +23,6 @@ type kind =
   | Mutation  (** a guarded resource was mutated (checked) *)
   | Owner_touch  (** a replicated resource was touched by a vp *)
   | Violation  (** a sanitizer invariant failed *)
-  | Sched_decision  (** the schedule explorer perturbed a decision *)
   | Fault_event  (** an injected fault or a recovery action *)
   | Steal  (** a work-stealing scheduler took a Process from a victim *)
   | Major  (** an incremental old-space collection event (E18) *)

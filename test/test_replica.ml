@@ -124,9 +124,6 @@ let test_snapshot_loader_rejects () =
   let empty = Filename.concat dir "empty.snap" in
   write_file empty "";
   reject_snapshot "empty" empty;
-  (match Snapshot.read_header empty with
-   | exception Snapshot.Corrupt _ -> ()
-   | _ -> Alcotest.fail "read_header accepted an empty file");
   let garbage = Filename.concat dir "garbage.snap" in
   write_file garbage "not a checkpoint at all\njunk\n";
   reject_snapshot "unparseable" garbage;

@@ -48,24 +48,6 @@ let test_lock_disabled () =
   check "no serialization when disabled" 150 fin2;
   check "no acquisitions recorded" 0 (Spinlock.acquisitions l)
 
-let test_lock_reset () =
-  let l = Spinlock.make ~enabled:true ~cost:cm "t" in
-  ignore (Spinlock.locked_op l ~now:0 ~op_cycles:10);
-  Spinlock.reset_stats l;
-  check "stats cleared" 0 (Spinlock.acquisitions l)
-
-(* Regression: a stats reset must not rewind the lock's timeline.  It used
-   to clear [free_at] too, which let an acquire issued inside the previous
-   critical section start before that section finished. *)
-let test_lock_reset_keeps_timeline () =
-  let l = Spinlock.make ~enabled:true ~cost:cm "t" in
-  let fin1 = Spinlock.locked_op l ~now:0 ~op_cycles:1000 in
-  Spinlock.reset_stats l;
-  let fin2 = Spinlock.locked_op l ~now:10 ~op_cycles:0 in
-  check_bool "second acquire still serialized after the first" true
-    (fin2 - cm.Cost_model.lock_acquire >= fin1);
-  check "the post-reset acquire was contended" 1 (Spinlock.contended l)
-
 (* --- spin-lock timeline properties --- *)
 
 (* Replay a random schedule of acquires against the documented model:
@@ -220,7 +202,7 @@ let model_detail (d : Trace.detail) a b =
 let ring_kinds =
   Trace.
     [| Lock_acquire; Lock_contend; Section_enter; Section_exit; Mutation;
-       Owner_touch; Violation; Sched_decision; Fault_event; Steal; Major |]
+       Owner_touch; Violation; Fault_event; Steal; Major |]
 
 let ring_resources = [| "allocation"; "ready deque 3"; "r"; "" |]
 
@@ -240,7 +222,7 @@ let ring_op_gen =
                 ( vp, time, ring_kinds.(k), ring_resources.(r),
                   ring_details.(d), a, b ))
             (quad (int_range (-1) 70) (int_range (-1) 1_000_000)
-               (triple (int_bound 10) (int_bound 3) (int_bound 7))
+               (triple (int_bound 9) (int_bound 3) (int_bound 7))
                (pair int int)) ) ])
 
 let print_ring_op = function
@@ -418,11 +400,8 @@ let test_calendar_basic () =
   Calendar.add c ~key:30 "c";
   Calendar.add c ~key:10 "a";
   Calendar.add c ~key:20 "b";
-  check "min key" 10 (match Calendar.min_key c with Some k -> k | None -> -1);
-  (match Calendar.peek c with
-   | Some (10, "a") -> ()
-   | _ -> Alcotest.fail "peek should see the minimum without removing it");
-  check "peek leaves length" 3 (Calendar.length c);
+  check "top key" 10 (Calendar.top_key c);
+  check "top_key leaves length" 3 (Calendar.length c);
   (match Calendar.pop c with
    | Some (10, "a") -> ()
    | _ -> Alcotest.fail "pop order");
@@ -463,19 +442,17 @@ let prop_calendar_sorted_stable =
       drained = expected)
 
 (* Model-based: random interleavings of the engine's allocation-free
-   calls ([add], [top_key], [take]) and the option-returning wrappers,
+   calls ([add], [top_key], [take]) and the option-returning [pop],
    checked op by op against a list kept in (key, insertion) order.  Keys
    come from a small range, so equal keys are common; [Drain] empties the
    heap, and the operations after it refill it. *)
-type cal_op = Add of int | Take | Top_key | Pop | Min_key | Peek | Drain
+type cal_op = Add of int | Take | Top_key | Pop | Drain
 
 let print_cal_op = function
   | Add k -> Printf.sprintf "add %d" k
   | Take -> "take"
   | Top_key -> "top_key"
   | Pop -> "pop"
-  | Min_key -> "min_key"
-  | Peek -> "peek"
   | Drain -> "drain"
 
 let cal_op_gen =
@@ -485,8 +462,6 @@ let cal_op_gen =
         (2, return Take);
         (1, return Top_key);
         (2, return Pop);
-        (1, return Min_key);
-        (1, return Peek);
         (1, return Drain) ])
 
 let prop_calendar_model =
@@ -539,8 +514,6 @@ let prop_calendar_model =
                 Calendar.top_key c
                 = (match !model with [] -> max_int | (k, _) :: _ -> k)
             | Pop -> Calendar.pop c = take_model ()
-            | Min_key -> Calendar.min_key c = Option.map fst (List.nth_opt !model 0)
-            | Peek -> Calendar.peek c = List.nth_opt !model 0
             | Drain ->
                 let expected = !model in
                 model := [];
@@ -703,6 +676,111 @@ let test_machine_synchronize () =
   check "gc wait recorded" 400 (Machine.vp m 0).Machine.gc_wait_cycles;
   check "other advanced too" 500 (Machine.vp m 1).Machine.clock
 
+(* --- the shared query stream --- *)
+
+(* Three query kinds, each accepting only its own variant.  A run
+   declines sampled candidates whose value is a multiple of 3, so the
+   plan must hold only the steps the run applied. *)
+type sact = Sa of int | Sb of int | Sc
+
+let stream_accept k a =
+  match (k, a) with 0, Sa _ | 1, Sb _ | 2, Sc -> true | _ -> false
+
+let stream_gen k rng () =
+  if not (Plan.Rng.chance rng 400) then None
+  else
+    match k with
+    | 0 -> Some (Sa (Plan.Rng.below rng 50))
+    | 1 -> Some (Sb (Plan.Rng.below rng 50))
+    | _ -> Some Sc
+
+(* Ask [kinds] of [s] in order; the action applied at each query. *)
+let run_stream s kinds =
+  Array.map
+    (fun k ->
+      match Plan.query s ~accept:(stream_accept k) ~gen:(stream_gen k) with
+      | Some ((Sa n | Sb n) as a) when n mod 3 <> 0 ->
+          Plan.applied s a;
+          Some a
+      | Some Sc ->
+          Plan.applied s Sc;
+          Some Sc
+      | _ -> None)
+    kinds
+
+let prop_stream_replay =
+  QCheck.Test.make ~count:300
+    ~name:"a seeded stream's recorded plan replays the same actions"
+    QCheck.(
+      pair (int_bound 1_000_000)
+        (array_of_size Gen.(int_range 0 120) (int_bound 2)))
+    (fun (seed, kinds) ->
+      let s = Plan.seeded ~seed () in
+      let answers = run_stream s kinds in
+      let plan = Plan.recorded s in
+      let r = Plan.replaying plan in
+      let replayed = run_stream r kinds in
+      let applied_at =
+        List.filter_map Fun.id
+          (List.mapi
+             (fun i a -> Option.map (fun _ -> i) a)
+             (Array.to_list answers))
+      in
+      (* swap the first step for another kind's variant: that query
+         must fall back to the default, every other one replay as
+         before *)
+      let wrong_variant_dropped =
+        match plan with
+        | [] -> true
+        | { Plan.index; action } :: rest ->
+            let other = match action with Sc -> Sa 1 | Sa _ | Sb _ -> Sc in
+            let swapped =
+              run_stream
+                (Plan.replaying ({ Plan.index; action = other } :: rest))
+                kinds
+            in
+            Array.for_all Fun.id
+              (Array.mapi
+                 (fun i a -> if i = index then a = None else a = answers.(i))
+                 swapped)
+      in
+      answers = replayed
+      && Plan.recorded r = plan
+      && List.map (fun st -> st.Plan.index) plan = applied_at
+      && Plan.applied_count s = List.length plan
+      && Plan.queries s = Array.length kinds
+      && Plan.queries r = Array.length kinds
+      && wrong_variant_dropped)
+
+(* --- FNV-1a --- *)
+
+(* The helper keeps 63 bits, but xor and multiply commute with
+   truncation, so its low 32 bits are the standard 32-bit FNV-1a. *)
+let low32 h = h land 0xFFFF_FFFF
+
+let test_fnv_vectors () =
+  List.iter
+    (fun (s, want) ->
+      check (Printf.sprintf "fnv1a-32 %S" s) want (low32 (Fnv.string s)))
+    [ ("", 0x811c9dc5); ("a", 0xe40c292c); ("foobar", 0xbf9cf968) ];
+  check "string folds mix over its bytes"
+    (Fnv.mix (Fnv.mix Fnv.offset (Char.code 'o')) (Char.code 'k'))
+    (Fnv.string "ok")
+
+(* Reference 32-bit FNV-1a, truncating after every step. *)
+let fnv32 s =
+  String.fold_left
+    (fun h c -> low32 ((h lxor Char.code c) * 0x01000193))
+    0x811c9dc5 s
+
+let prop_fnv_low32 =
+  QCheck.Test.make ~count:300
+    ~name:"Fnv.string is non-negative and its low 32 bits are FNV-1a"
+    QCheck.string
+    (fun s ->
+      let h = Fnv.string s in
+      h >= 0 && low32 h = fnv32 s)
+
 let () =
   Alcotest.run "vkernel"
     [ ("cost_model", [ Alcotest.test_case "seconds" `Quick test_seconds ]);
@@ -710,15 +788,16 @@ let () =
        [ Alcotest.test_case "uncontended" `Quick test_lock_uncontended;
          Alcotest.test_case "contended" `Quick test_lock_contended;
          Alcotest.test_case "sequential" `Quick test_lock_sequential_no_contention;
-         Alcotest.test_case "disabled" `Quick test_lock_disabled;
-         Alcotest.test_case "reset" `Quick test_lock_reset;
-         Alcotest.test_case "reset keeps timeline" `Quick
-           test_lock_reset_keeps_timeline ]);
+         Alcotest.test_case "disabled" `Quick test_lock_disabled ]);
       ("spinlock_properties",
        [ QCheck_alcotest.to_alcotest prop_locked_op_model;
          QCheck_alcotest.to_alcotest prop_locked_op_disabled;
          QCheck_alcotest.to_alcotest prop_min_runnable_deterministic ]);
       ("trace", [ QCheck_alcotest.to_alcotest prop_trace_ring ]);
+      ("plan", [ QCheck_alcotest.to_alcotest prop_stream_replay ]);
+      ("fnv",
+       [ Alcotest.test_case "vectors" `Quick test_fnv_vectors;
+         QCheck_alcotest.to_alcotest prop_fnv_low32 ]);
       ("mailbox",
        [ Alcotest.test_case "timing" `Quick test_mailbox;
          Alcotest.test_case "fifo" `Quick test_mailbox_fifo_order;
