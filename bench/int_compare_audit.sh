@@ -8,7 +8,10 @@
 # are not inlined and the polymorphic operators compile to C calls into
 # compare_val, so one `max a b` on ints on the engine's per-event path
 # costs a C call per event.  Int.max, Int.min and comparisons at a known
-# int type compile to plain compares.
+# int type compile to plain compares.  The census (verify.o) and snapshot
+# capture (snapshot.o) are on the list too: a replicated cluster runs
+# both at every wave boundary, once per replica, so they are that
+# workload's per-boundary path.
 #
 # Disassembles the native objects of the modules on that path with
 # `objdump -drl` and fails on any relocation to a polymorphic comparison
@@ -41,6 +44,8 @@ lib/interp/.interp.objs/native/primitives.o
 lib/objmem/.objmem.objs/native/heap.o
 lib/objmem/.objmem.objs/native/major.o
 lib/objmem/.objmem.objs/native/scavenger.o
+lib/objmem/.objmem.objs/native/verify.o
+lib/image/.stimage.objs/native/snapshot.o
 lib/core/.core.objs/native/vm.o
 "
 

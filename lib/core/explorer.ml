@@ -237,22 +237,25 @@ let schedule_dependent vm =
    global name.  Census per-class keys default to class addresses, which
    are stable within one image but an accident of allocation order
    between images — exactly what the E19 replica fingerprints must not
-   see.  Built by walking the sorted global names, so the mapping itself
-   is deterministic; an unnamed class falls back to its address (none
-   exist in the kernel image, and replica workloads only instantiate
-   named classes). *)
+   see.  A class bound under several names takes the greatest by
+   [String.compare], so the mapping does not depend on the globals
+   table's order; only the names of classes the census meets are hashed.
+   An unnamed class falls back to its address (none exist in the kernel
+   image, and replica workloads only instantiate named classes). *)
 let stable_class_key vm =
   let u = vm.Vm.u in
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun name ->
-      match Universe.get_global u name with
-      | Some v when Oop.is_ptr v -> Hashtbl.replace tbl v (Fnv.string name)
-      | _ -> ())
-    (Universe.global_names u);
+  let names = Oop.Tbl.create 64 in
+  Hashtbl.iter
+    (fun name assoc ->
+      let v = Heap.get u.Universe.heap assoc Layout.Association.value in
+      if Oop.is_ptr v then
+        match Oop.Tbl.find_opt names v with
+        | Some kept when String.compare kept name > 0 -> ()
+        | Some _ | None -> Oop.Tbl.replace names v name)
+    u.Universe.globals;
   fun cls ->
-    match Hashtbl.find_opt tbl cls with
-    | Some k -> k
+    match Oop.Tbl.find_opt names cls with
+    | Some name -> Fnv.string name
     | None -> if Oop.is_ptr cls then Oop.addr cls else -1
 
 (* Evaluate the workload on [vm] under [driver]'s policy (or the default
@@ -333,7 +336,7 @@ let run_on vm ?faults setup driver =
   | exception Fault.Fatal info -> died (Fault.describe_fatal info)
 
 (* Every run gets a fresh VM on recycled memory: the heap array goes back
-   to [Heap]'s spare on the way out, normal or exceptional, zeroed to
+   to [Heap]'s pool on the way out, normal or exceptional, zeroed to
    exactly what a fresh allocation holds.  The simulation has no other
    state, so identical inputs give identical runs; the outcome holds no
    reference to the VM (the census is plain ints), so nothing reads the

@@ -108,7 +108,8 @@ val schedule_dependent : Vm.t -> Oop.t -> bool
 
 (** Class identity that survives snapshot/restore and holds across
     independently-bootstrapped images: each named class maps to the
-    FNV-1a hash of its global name (an unnamed class falls back to its
+    FNV-1a hash of its global name, the greatest by [String.compare] when
+    it is bound under several (an unnamed class falls back to its
     address).  Pass as [Verify.census ~class_key] when censuses from
     different images are compared (E19). *)
 val stable_class_key : Vm.t -> Oop.t -> int

@@ -31,7 +31,11 @@
    compares every replica against the reference — and replicas against
    each other — at every boundary.  Each replica state is fingerprinted
    once: a checkpoint, and the final convergence check, reuse the
-   fingerprint the boundary check took at the same entry count.
+   fingerprint the boundary check took at the same entry count.  A run
+   hands every heap it is done with back to {!Heap}'s pool (the
+   reference node's after its last fingerprint, a rejected skeleton's,
+   the node a rejoin replaces, and every replica's at the end), so the
+   next node built reuses zeroed memory instead of a fresh array.
 
    A replica killed by the fault injector ({!Fault.Replica_crash},
    sampled at {!Fault.Log_entry} boundary queries) rejoins by restoring
@@ -474,7 +478,8 @@ let run ?(log = fun _ -> ()) (p : params) =
       (fun i wave ->
         List.iter (fun e -> apply_wave node [ e ]) wave;
         ref_fps.(i + 1) <- fingerprint_of node.vm)
-      waves
+      waves;
+    Heap.release node.vm.Vm.heap
   in
   let ref_fp entries =
     match boundary_at entries with
@@ -565,6 +570,7 @@ let run ?(log = fun _ -> ()) (p : params) =
               let fp = fingerprint_of node.vm in
               if fp <> snap.Snapshot.fingerprint then begin
                 incr fallbacks;
+                Heap.release node.vm.Vm.heap;
                 log
                   (Printf.sprintf
                      "replica %d: checkpoint %s fingerprint %d does not \
@@ -584,6 +590,7 @@ let run ?(log = fun _ -> ()) (p : params) =
                          wave boundary"
                         r.idx entries_at
                 in
+                Heap.release r.node.vm.Vm.heap;
                 r.node <- node;
                 r.applied <- entries_at;
                 r.fps <- (entries_at, fp) :: r.fps;
@@ -748,6 +755,7 @@ let run ?(log = fun _ -> ()) (p : params) =
       (fun r -> r.applied = total && current_fingerprint r = final_ref)
       rs
   in
+  Array.iter (fun r -> Heap.release r.node.vm.Vm.heap) rs;
   { entries = total;
     waves = nwaves;
     replicas = p.replicas;

@@ -106,22 +106,24 @@ type t = {
 let image_base (h : Heap.t) = h.Heap.old.Heap.base
 
 (* The maximal runs of [lo, hi) whose words differ from the image word at
-   the same address, with their words.  Only [ilo, ihi) has image words
-   to compare with; every other address differs. *)
+   the same address, with their words.  Only [ilo, ihi) has image words,
+   so only it is compared, word by word; [lo, ilo) and [ihi, hi) differ
+   without a test.  [start] opens the current run, or is -1. *)
 let runs_of (h : Heap.t) ~image lo hi =
   let mem = h.Heap.mem and base = image_base h in
-  let ilo = Int.max lo base
-  and ihi = Int.min hi (base + Array.length image) in
-  let same a = a >= ilo && a < ihi && mem.(a) = image.(a - base) in
-  let runs = ref [] and a = ref lo in
-  while !a < hi do
-    while !a < hi && same !a do incr a done;
-    if !a < hi then begin
-      let start = !a in
-      while !a < hi && not (same !a) do incr a done;
-      runs := (start, Array.sub mem start (!a - start)) :: !runs
-    end
+  let ilo = Int.min hi (Int.max lo base) in
+  let ihi = Int.max ilo (Int.min hi (base + Array.length image)) in
+  let runs = ref [] and start = ref (if lo < ilo then lo else -1) in
+  let close a =
+    runs := (!start, Array.sub mem !start (a - !start)) :: !runs;
+    start := -1
+  in
+  for a = ilo to ihi - 1 do
+    if mem.(a) <> image.(a - base) then (if !start < 0 then start := a)
+    else if !start >= 0 then close a
   done;
+  if ihi < hi && !start < 0 then start := ihi;
+  if !start >= 0 then close hi;
   List.rev !runs
 
 let region_of (h : Heap.t) ~image (r : Heap.region) =

@@ -81,33 +81,43 @@ type t = {
   mutable scavenge_count : int;
   mutable words_copied_total : int;
   mutable tenured_words_total : int;
+  mutable released : bool;        (* [mem] went back to the pool *)
 }
 
 let region base words = { ptr = base; base; limit = base + words }
 let region_used r = r.ptr - r.base
 let region_avail r = r.limit - r.ptr
 
-(* One released word array, already zeroed, kept for the next [create] of
-   the same length.  A fresh [Array.make] of a 2 M-word heap lands in the
-   OCaml major heap and paces a major collection; executions that build
-   and drop a VM each time (the explorer) would pay that every run. *)
-let spare : int array option ref = ref None
+(* Released word arrays, already zeroed, kept for later [create]s of the
+   same length: one pool per domain, so domains never share one.  A
+   fresh [Array.make] of a 2 M-word heap lands in the OCaml major heap
+   and paces a major collection; executions that build and drop VMs (the
+   explorer, a cluster run) would pay that every time.  Four arrays
+   cover a default cluster: three replica heaps and a rejoin skeleton. *)
+let pool_limit = 4
+
+let pool : int array list Domain.DLS.key = Domain.DLS.new_key (fun () -> [])
 
 let take_mem total =
-  match !spare with
-  | Some mem when Array.length mem = total ->
-      spare := None;
+  let arrays = Domain.DLS.get pool in
+  match List.find_opt (fun mem -> Array.length mem = total) arrays with
+  | Some mem ->
+      Domain.DLS.set pool (List.filter (fun m -> m != mem) arrays);
       mem
-  | _ -> Array.make total 0
+  | None -> Array.make total 0
 
 (* Only [0, old.ptr) and new space can hold written words: old space
    grows by bump pointer alone, and a restore that lowers [old.ptr]
    zeroes what it abandons.  Clearing those ranges leaves the array
-   word-for-word equal to a fresh one. *)
+   word-for-word equal to a fresh one.  A second release of one heap
+   would pool an array a live VM may have been given since. *)
 let release h =
+  if h.released then invalid_arg "Heap.release: heap already released";
+  h.released <- true;
   Array.fill h.mem 0 h.old.ptr 0;
   Array.fill h.mem h.new_base (Array.length h.mem - h.new_base) 0;
-  spare := Some h.mem
+  Domain.DLS.set pool
+    (List.filteri (fun i _ -> i < pool_limit) (h.mem :: Domain.DLS.get pool))
 
 let create ?(policy = Unlocked) ?(processors = 1) ?(tenure_age = 4)
     ~old_words ~eden_words ~survivor_words () =
@@ -165,7 +175,8 @@ let create ?(policy = Unlocked) ?(processors = 1) ?(tenure_age = 4)
     words_allocated = 0;
     scavenge_count = 0;
     words_copied_total = 0;
-    tenured_words_total = 0 }
+    tenured_words_total = 0;
+    released = false }
 
 let set_nil h nil = h.nil <- nil
 let set_sanitizer h san =

@@ -80,6 +80,7 @@ type t = {
   mutable scavenge_count : int;
   mutable words_copied_total : int;
   mutable tenured_words_total : int;
+  mutable released : bool;  (** [mem] was handed back by {!release} *)
 }
 
 val region_used : region -> int
@@ -101,11 +102,14 @@ val create :
     new space.  That is enough because old space grows by bump pointer
     alone, so every old-space word at or above [old.ptr] is still zero
     (a {!Snapshot} restore that lowers [old.ptr] zeroes what it abandons).
-    The zeroed array goes into a one-slot spare, replacing any array
-    already there; the next [create] whose total length matches takes it
-    instead of allocating, so it starts word-for-word like a fresh heap.
-    No use after release: [h], and anything still reading its memory
-    (its VM, its universe), must be dropped. *)
+    The zeroed array joins the calling domain's pool, newest first; the
+    pool keeps at most four arrays and drops the oldest beyond that.  A
+    later [create] on the same domain takes the first pooled array whose
+    length matches instead of allocating, so it starts word-for-word like
+    a fresh heap.  No use after release: [h], and anything still reading
+    its memory (its VM, its universe), must be dropped.  Releasing [h] a
+    second time raises [Invalid_argument] and pools nothing, since its
+    array may already belong to another heap. *)
 val release : t -> unit
 
 val set_nil : t -> Oop.t -> unit

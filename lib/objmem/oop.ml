@@ -28,3 +28,15 @@ let max_small = max_int asr 1
 let min_small = min_int asr 1
 
 let equal (a : t) (b : t) = a = b
+
+(* Tables keyed by oops, word addresses or other ints (the census's
+   class keys).  [Hashtbl.Make (Int)] hashes with [caml_hash], a C call
+   per lookup, where the census looks up the class of every object it
+   visits; a multiplicative hash stays in OCaml.  The product's high
+   bits are its well-mixed ones. *)
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash k = (k * 0x9E3779B97F4A7C1) lsr 32
+end)

@@ -35,3 +35,8 @@ val max_small : int
 val min_small : int
 
 val equal : t -> t -> bool
+
+(** Hash tables keyed by oops, word addresses or other ints, hashed in
+    OCaml (a multiplicative hash) rather than by a [caml_hash] call per
+    lookup. *)
+module Tbl : Hashtbl.S with type key = t

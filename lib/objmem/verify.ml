@@ -61,8 +61,6 @@ let set b i =
     (Char.unsafe_chr
        (Char.code (Bytes.unsafe_get b.bytes j) lor (1 lsl (i land 7))))
 
-module Int_tbl = Hashtbl.Make (Int)
-
 (* Call [f] on every object start in address order: old space, the eden
    slice(s), then the past survivor space.  Fillers tile a region but are
    not objects; a forwarded or implausibly sized header is passed to [f]
@@ -156,15 +154,15 @@ let check h =
   (* The old-space free lists (E18): every threaded hole must be a filler
      inside the allocated part of old space, of a size matching its
      bucket, and no address may be threaded twice. *)
-  let threaded = Int_tbl.create 64 in
+  let threaded = Oop.Tbl.create 64 in
   let free_total = ref 0 in
   Array.iteri
     (fun b holes ->
       List.iter
         (fun a ->
-          if Int_tbl.mem threaded a then
+          if Oop.Tbl.mem threaded a then
             report a "address threaded on the free lists twice"
-          else Int_tbl.replace threaded a ();
+          else Oop.Tbl.replace threaded a ();
           if a < h.old.base || a >= h.old.ptr then
             report a "free-list entry outside allocated old space"
           else if not (is_filler h a) then
@@ -277,30 +275,32 @@ type census = {
    from its name. *)
 let census ?stop ?class_key h ~roots =
   (* counted per class oop, so [class_key] runs once per class *)
-  let by_class = Int_tbl.create 64 in
+  let by_class = Oop.Tbl.create 64 in
   let objects = ref 0 and words = ref 0 in
   reachable ?stop h ~roots (fun a ->
       incr objects;
       words := !words + size_words h a;
       let cls = class_at h a in
-      match Int_tbl.find_opt by_class cls with
+      match Oop.Tbl.find_opt by_class cls with
       | Some n -> incr n
-      | None -> Int_tbl.add by_class cls (ref 1));
+      | None -> Oop.Tbl.add by_class cls (ref 1));
   let key =
     match class_key with
     | Some f -> f
     | None -> fun cls -> if Oop.is_ptr cls then Oop.addr cls else -1
   in
-  let by_key = Int_tbl.create 64 in
-  Int_tbl.iter
+  let by_key = Oop.Tbl.create 64 in
+  Oop.Tbl.iter
     (fun cls n ->
       let k = key cls in
-      match Int_tbl.find_opt by_key k with
+      match Oop.Tbl.find_opt by_key k with
       | Some m -> m := !m + !n
-      | None -> Int_tbl.add by_key k (ref !n))
+      | None -> Oop.Tbl.add by_key k (ref !n))
     by_class;
   let per_class =
-    List.sort compare (Int_tbl.fold (fun k n acc -> (k, !n) :: acc) by_key [])
+    List.sort
+      (fun (k, _) (k', _) -> Int.compare k k')
+      (Oop.Tbl.fold (fun k n acc -> (k, !n) :: acc) by_key [])
   in
   { objects = !objects; words = !words; per_class }
 

@@ -1,7 +1,8 @@
 (* Tests for the bootstrap image: the kernel class hierarchy, reflection,
    the programming-environment tools (browse, search, compile, decompile,
    inspect), the I/O service objects, the recycling of a released heap's
-   memory, and booting from the cached kernel image. *)
+   memory (and the refusal of a second release), and booting from the
+   cached kernel image. *)
 
 let vm = lazy (Vm.create (Config.testing ()))
 let ev src = Vm.eval_to_string (Lazy.force vm) src
@@ -210,8 +211,42 @@ let test_release_recycles_zeroed_memory () =
   Heap.release again;
   let other = create ~old_words:(config.Config.old_words + 1024) () in
   check_bool "another geometry allocates afresh" false (other.Heap.mem == mem);
-  check_bool "the spare waits for its own geometry" true
+  check_bool "the pool keeps it for its own geometry" true
     ((create ()).Heap.mem == mem)
+
+(* A heap released twice would pool its array twice, and two later
+   heaps would share one memory with no error.  Every second release
+   must raise and pool nothing: six releases of one geometry leave the
+   pool's four newest arrays, each handed out once. *)
+let test_release_twice_refused () =
+  let create () =
+    Heap.create ~old_words:4096 ~eden_words:1024 ~survivor_words:512 ()
+  in
+  let released = List.init 6 (fun _ -> create ()) in
+  List.iter Heap.release released;
+  List.iter
+    (fun h ->
+      Alcotest.check_raises "a second release"
+        (Invalid_argument "Heap.release: heap already released") (fun () ->
+          Heap.release h))
+    released;
+  let again = List.init 6 (fun _ -> (create ()).Heap.mem) in
+  let pooled =
+    List.filter
+      (fun m -> List.exists (fun h -> h.Heap.mem == m) released)
+      again
+  in
+  Alcotest.(check int) "the pool kept four arrays" 4 (List.length pooled);
+  check_bool "the newest array comes first" true
+    (List.hd again == (List.nth released 5).Heap.mem);
+  List.iteri
+    (fun i m ->
+      List.iteri
+        (fun j m' ->
+          if i < j && m == m' then
+            Alcotest.failf "creates %d and %d got one array" i j)
+        again)
+    again
 
 (* --- booting from the cached kernel image --- *)
 
@@ -309,7 +344,7 @@ let check_same_boot name (booted : Universe.t) (compiled : Universe.t) =
 (* A heap booted from the image, in every geometry, is word for word the
    heap a from-source compile builds.  (It is compared before [Vm.create]
    wires the rest of a VM, which writes into the heap on some
-   configurations.)  Both heaps go back to the spare afterwards, so later
+   configurations.)  Both heaps go back to the pool afterwards, so later
    geometries also boot into recycled memory. *)
 let test_boot_matches_compile () =
   ignore (Lazy.force vm);
@@ -434,7 +469,9 @@ let () =
          Alcotest.test_case "display" `Quick test_display ]);
       ("memory",
        [ Alcotest.test_case "release recycles zeroed memory" `Quick
-           test_release_recycles_zeroed_memory ]);
+           test_release_recycles_zeroed_memory;
+         Alcotest.test_case "a second release is refused" `Quick
+           test_release_twice_refused ]);
       ("boot",
        [ Alcotest.test_case "matches a compile in every geometry" `Quick
            test_boot_matches_compile;

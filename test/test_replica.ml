@@ -1,6 +1,7 @@
 (* Tests for the E19 replicated image cluster: snapshot/restore census
    identity, delta checkpoints that restore poked heap words word for
-   word, refusal of malformed regions before anything is written,
+   word (also at the image's boundary, with maximal runs), name-keyed
+   class identity, refusal of malformed regions before anything is written,
    structured rejection of damaged, old-format or foreign-image
    checkpoints and of damaged command logs, crash+restore+replay
    equivalence against the uninterrupted reference (random workloads and
@@ -570,6 +571,145 @@ let delta_round_trip_prop =
           (String.concat ", " differing);
       true)
 
+(* --- capture at the image boundary ---
+
+   Capture compares only the words the image has and takes every other
+   word of a used prefix as differing.  Pokes inside the image, on its
+   last word, on the first word past it and in eden must still come back
+   word for word after capture, save, load and restore into a fresh
+   node, and every region's runs must be the maximal ones: non-empty,
+   ascending and never adjacent (adjacent runs would be one). *)
+
+let check_runs what (img : Snapshot.region_image) =
+  ignore
+    (List.fold_left
+       (fun prev (a, words) ->
+         if Array.length words = 0 then
+           QCheck.Test.fail_reportf "%s: empty run at %d" what a;
+         if a <= prev then
+           QCheck.Test.fail_reportf "%s: run at %d touches or precedes %d"
+             what a prev;
+         a + Array.length words)
+       (img.Snapshot.r_base - 1) img.Snapshot.r_runs)
+
+let boundary_round_trip_prop =
+  QCheck.Test.make ~count:20
+    ~name:"capture at the image boundary restores word for word"
+    QCheck.(
+      list_of_size (Gen.int_range 1 12)
+        (triple (int_range 0 3) (int_range 0 1_000_000)
+           (int_range (-1000) 1000)))
+    (fun pokes ->
+      let node = Replica.build_node ~slots:2 ~shards:2 in
+      let vm = node.Replica.vm in
+      let h = vm.Vm.heap in
+      let old = h.Heap.old and eden = h.Heap.eden in
+      let image_end =
+        old.Heap.base + Array.length (Bootstrap.image_words ())
+      in
+      List.iter
+        (fun (zone, offset, v) ->
+          let poke a = h.Heap.mem.(a) <- Oop.of_small v in
+          match zone with
+          | 0 -> poke (old.Heap.base + (offset mod (image_end - old.Heap.base)))
+          | 1 -> poke (image_end - 1)
+          | 2 -> poke image_end
+          | _ ->
+              if eden.Heap.ptr > eden.Heap.base then
+                poke
+                  (eden.Heap.base
+                  + (offset mod (eden.Heap.ptr - eden.Heap.base))))
+        pokes;
+      let want = observables vm in
+      let snap =
+        Snapshot.capture h ~fingerprint:0 ~entries:0
+          ~registers:(Replica.capture_registers vm)
+      in
+      let i = snap.Snapshot.heap in
+      List.iter
+        (fun (what, img) -> check_runs what img)
+        ([ ("old space", i.Snapshot.i_old); ("eden", i.Snapshot.i_eden);
+           ("survivor a", i.Snapshot.i_surv_a);
+           ("survivor b", i.Snapshot.i_surv_b) ]
+        @ Array.to_list
+            (Array.map (fun r -> ("eden slice", r)) i.Snapshot.i_eden_regions));
+      let path = Filename.concat (tmp_dir ()) "boundary.snap" in
+      Snapshot.save path snap;
+      let loaded = Snapshot.load path in
+      Sys.remove path;
+      let fresh = Replica.build_node ~slots:2 ~shards:2 in
+      let fvm = fresh.Replica.vm in
+      Replica.restore_registers fvm (Snapshot.restore loaded fvm.Vm.heap);
+      let differing =
+        List.filter_map
+          (fun ((name, w), (_, g)) -> if w = g then None else Some name)
+          (List.combine want (observables fvm))
+      in
+      if differing <> [] then
+        QCheck.Test.fail_reportf "restored %s differ"
+          (String.concat ", " differing);
+      true)
+
+(* --- name-keyed classes ---
+
+   [Explorer.stable_class_key] must give what walking the sorted global
+   names did, the last binding winning: a class bound under several
+   names takes the greatest name's key, a class bound under none its
+   address. *)
+
+let sorted_walk_key vm =
+  let u = vm.Vm.u in
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun name ->
+      match Universe.get_global u name with
+      | Some v when Oop.is_ptr v -> Hashtbl.replace tbl v (Fnv.string name)
+      | _ -> ())
+    (Universe.global_names u);
+  fun cls ->
+    match Hashtbl.find_opt tbl cls with
+    | Some k -> k
+    | None -> if Oop.is_ptr cls then Oop.addr cls else -1
+
+let test_class_key_greatest_name () =
+  let node = Replica.build_node ~slots:2 ~shards:2 in
+  let vm = node.Replica.vm in
+  let u = vm.Vm.u in
+  let point =
+    match Universe.find_class u "Point" with
+    | Some c -> c
+    | None -> Alcotest.fail "no Point class"
+  in
+  (* enough aliases that neither the first nor the last binding met in
+     the table's order is the greatest *)
+  List.iter
+    (fun name -> Universe.set_global u name point)
+    ("Pointy" :: List.init 40 (Printf.sprintf "P%02d"));
+  let key = Explorer.stable_class_key vm in
+  check "the greatest of 42 names" (Fnv.string "Pointy") (key point);
+  check "as the sorted walk gave" (sorted_walk_key vm point) (key point);
+  List.iter
+    (fun name ->
+      match Universe.get_global u name with
+      | Some v ->
+          check ("global " ^ name) (sorted_walk_key vm v) (key v)
+      | None -> ())
+    (Universe.global_names u)
+
+let test_class_key_unnamed () =
+  let node = Replica.build_node ~slots:2 ~shards:2 in
+  let vm = node.Replica.vm in
+  let h = vm.Vm.heap in
+  let point =
+    match Universe.find_class vm.Vm.u "Point" with
+    | Some c -> c
+    | None -> Alcotest.fail "no Point class"
+  in
+  let unnamed = Heap.alloc_old h ~slots:0 ~raw:false ~cls:point () in
+  let key = Explorer.stable_class_key vm in
+  check "an unnamed class keys by address" (Oop.addr unnamed) (key unnamed);
+  check "as the sorted walk gave" (sorted_walk_key vm unnamed) (key unnamed)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "replica"
@@ -592,7 +732,12 @@ let () =
            test_restore_rejects_overlapping_runs;
          Alcotest.test_case "restore rejects an uncovered tail" `Quick
            test_restore_rejects_uncovered_tail;
-         q delta_round_trip_prop ]);
+         q delta_round_trip_prop;
+         q boundary_round_trip_prop;
+         Alcotest.test_case "a class named often keys by the greatest name"
+           `Quick test_class_key_greatest_name;
+         Alcotest.test_case "an unnamed class keys by its address" `Quick
+           test_class_key_unnamed ]);
       ("cmdlog",
        [ Alcotest.test_case "loader rejects empty/truncated/unparseable"
            `Quick test_cmdlog_loader_rejects ]);

@@ -1,6 +1,7 @@
 (* Tests for the heap verifier itself: golden census totals and
-   fingerprints that pin the reachability walk to exact numbers, and
-   planted corruptions that [Verify.check] must report.  Every other
+   fingerprints that pin the reachability walk to exact numbers, a
+   reference census that random graphs must count alike, and planted
+   corruptions that [Verify.check] must report.  Every other
    suite asserts a clean heap, so without these a [check] that accepted
    everything, or a census that miscounted consistently, would pass. *)
 
@@ -69,6 +70,112 @@ let test_golden_replica () =
   List.iter (Replica.apply_wave node) (Cmdlog.schedule ~slots:2 entries);
   check "after eight entries" 1836404995906834883
     (Replica.fingerprint_of node.Replica.vm)
+
+(* --- the census against a reference ---
+
+   The census as it was before its per-class table hashed in OCaml,
+   kept as the oracle: an address-keyed walk with the same traversal
+   rules, counting per class oop in a [Hashtbl.Make (Int)], then folding
+   the classes into their keys and sorting. *)
+
+module Int_tbl = Hashtbl.Make (Int)
+
+let reference_census ~stop ?class_key h ~roots =
+  let seen = Int_tbl.create 64 in
+  let stack = ref [] in
+  let push o =
+    if Oop.is_ptr o && not (Oop.equal o Oop.sentinel) then
+      let a = Oop.addr o in
+      if (not (Int_tbl.mem seen a)) && not (stop o) then begin
+        Int_tbl.replace seen a ();
+        stack := a :: !stack
+      end
+  in
+  List.iter push roots;
+  let by_class = Int_tbl.create 64 in
+  let objects = ref 0 and words = ref 0 in
+  while !stack <> [] do
+    let a = List.hd !stack in
+    stack := List.tl !stack;
+    incr objects;
+    words := !words + Heap.size_words h a;
+    let cls = Heap.class_at h a in
+    (match Int_tbl.find_opt by_class cls with
+     | Some n -> incr n
+     | None -> Int_tbl.add by_class cls (ref 1));
+    push cls;
+    for i = 0 to Scavenger.scan_limit h a - 1 do
+      push (Heap.get h (Oop.of_addr a) i)
+    done
+  done;
+  let key =
+    match class_key with
+    | Some f -> f
+    | None -> fun cls -> if Oop.is_ptr cls then Oop.addr cls else -1
+  in
+  let by_key = Int_tbl.create 64 in
+  Int_tbl.iter
+    (fun cls n ->
+      let k = key cls in
+      match Int_tbl.find_opt by_key k with
+      | Some m -> m := !m + !n
+      | None -> Int_tbl.add by_key k (ref !n))
+    by_class;
+  let per_class =
+    List.sort compare (Int_tbl.fold (fun k n acc -> (k, !n) :: acc) by_key [])
+  in
+  { Verify.objects = !objects; words = !words; per_class }
+
+(* Random graphs over up to 300 classes, more than the census table's
+   initial 64 buckets hold before it grows; a random set of objects the
+   walk must not enter; default keys, or keys that fold the classes
+   onto 1–4 values, so that distinct classes collide. *)
+let census_matches_reference =
+  QCheck.Test.make ~count:200 ~name:"census equals the reference census"
+    QCheck.(
+      quad (int_range 1 200) (int_range 1 300) (int_range 0 4)
+        Testkit.seed_arb)
+    (fun (n, classes, fold, seed) ->
+      let h, cls, _ =
+        Testkit.make_heap ~eden:8192 ~survivor:4096 ~old:32768 ()
+      in
+      let rng = Random.State.make [| seed |] in
+      let objs = Testkit.build_graph h cls rng ~n ~processors:1 in
+      let class_oops =
+        Array.init classes (fun _ ->
+            Heap.alloc_old h ~slots:0 ~raw:false ~cls ())
+      in
+      Array.iter
+        (fun o ->
+          Heap.set_class h (Oop.addr o)
+            class_oops.(Random.State.int rng classes))
+        objs;
+      let index = Hashtbl.create classes in
+      Array.iteri (fun i c -> Hashtbl.replace index c i) class_oops;
+      let class_key =
+        if fold = 0 then None
+        else
+          Some
+            (fun c ->
+              match Hashtbl.find_opt index c with
+              | Some i -> i mod fold
+              | None -> -1)
+      in
+      let stopped = Hashtbl.create 16 in
+      Array.iter
+        (fun o ->
+          if Random.State.int rng 6 = 0 then Hashtbl.replace stopped o ())
+        objs;
+      let stop o = Hashtbl.mem stopped o in
+      let roots =
+        List.filter (fun _ -> Random.State.bool rng) (Array.to_list objs)
+      in
+      let got = Verify.census ~stop ?class_key h ~roots in
+      let want = reference_census ~stop ?class_key h ~roots in
+      if got <> want then
+        QCheck.Test.fail_reportf "census %a, reference %a" Verify.pp_census
+          got Verify.pp_census want;
+      true)
 
 (* --- planted corruptions ---
 
@@ -210,4 +317,6 @@ let () =
            test_address_order ]);
       ("census refusals",
        [ Alcotest.test_case "oop outside allocated space" `Quick
-           test_census_refuses_unallocated ]) ]
+           test_census_refuses_unallocated ]);
+      ("census reference",
+       [ QCheck_alcotest.to_alcotest census_matches_reference ]) ]
