@@ -491,14 +491,6 @@ let explore_cmd =
 (* --- faults --- *)
 
 let faults_cmd =
-  let campaign_conv =
-    Arg.conv
-      ( (fun s ->
-          match Fault.campaign_of_name s with
-          | Some c -> Ok c
-          | None -> Error (`Msg (Printf.sprintf "unknown campaign %S" s))),
-        fun fmt c -> Format.pp_print_string fmt (Fault.campaign_name c) )
-  in
   let campaign =
     let doc =
       "Fault family to sample: $(b,crash), $(b,stall), $(b,lock), \
@@ -506,7 +498,8 @@ let faults_cmd =
        scenarios over the replicated image cluster, E19).  Defaults to \
        $(b,mixed) for campaigns and $(b,lock) for $(b,--deadlock) hunts."
     in
-    Arg.(value & opt (some campaign_conv) None & info [ "campaign" ] ~doc)
+    Arg.(value & opt (some (enum Fault.campaigns)) None
+         & info [ "campaign" ] ~doc)
   in
   let watchdog =
     let doc =
@@ -576,7 +569,8 @@ let faults_cmd =
     Printf.printf
       "hunting a deadlock: campaign %s, %d seed(s) from %d, watchdog %d \
        quanta\n%!"
-      (Fault.campaign_name campaign) seeds first_seed watchdog;
+      (Fault.campaign_name campaign)
+      seeds first_seed watchdog;
     let setup = setup_for ~quick ~watchdog ~backoff in
     let h =
       Explorer.hunt_deadlock ~params:(Fault.params_of_campaign campaign)
@@ -826,11 +820,7 @@ let cluster_cmd =
        replay) or $(b,double-crash) (the second fault targets the same \
        replica again)."
     in
-    Arg.(value
-         & opt (some (enum
-             [ ("torn-checkpoint", Replica.Torn_checkpoint);
-               ("crash-mid-replay", Replica.Crash_mid_replay);
-               ("double-crash", Replica.Double_crash) ])) None
+    Arg.(value & opt (some (enum Replica.scenarios)) None
          & info [ "scenario" ] ~doc)
   in
   let skip_lsn =

@@ -212,9 +212,6 @@ type replica_summary = {
   r_fallbacks : int;
 }
 
-let replica_scenarios =
-  [ Replica.Torn_checkpoint; Replica.Crash_mid_replay; Replica.Double_crash ]
-
 let run_replica_campaign ?(seeds = 4) ?(first_seed = 0) ?(quick = false)
     ?(log = fun _ -> ()) () =
   let base =
@@ -225,7 +222,7 @@ let run_replica_campaign ?(seeds = 4) ?(first_seed = 0) ?(quick = false)
   in
   let rows =
     List.concat_map
-      (fun scenario ->
+      (fun (name, scenario) ->
         List.init seeds (fun i ->
             let seed = first_seed + i in
             let p =
@@ -240,16 +237,15 @@ let run_replica_campaign ?(seeds = 4) ?(first_seed = 0) ?(quick = false)
               (Printf.sprintf
                  "seed %d %-16s %d crash(es), %d rejoin(s), %d fallback(s), \
                   availability %d permil: %s"
-                 seed
-                 (Replica.scenario_name scenario)
+                 seed name
                  o.Replica.crashes o.Replica.rejoins o.Replica.fallbacks
                  o.Replica.availability_permil
                  (if correct then "converged" else "INCORRECT"));
             { r_seed = seed;
-              r_scenario = Replica.scenario_name scenario;
+              r_scenario = name;
               r_outcome = o;
               r_correct = correct }))
-      replica_scenarios
+      Replica.scenarios
   in
   let count f = List.fold_left (fun n r -> n + f r) 0 rows in
   { r_rows = rows;

@@ -37,49 +37,35 @@ type setup = {
     find nothing.  [quick] shortens the workload for smoke tests. *)
 val ms_setup : ?processors:int -> ?quick:bool -> unit -> setup
 
-(** Deliberately broken: locking disabled on several processors, so
-    nothing serializes the shared resources.  Exploration must surface a
-    sanitizer violation. *)
-val broken_unlocked_setup : ?processors:int -> ?quick:bool -> unit -> setup
-
-(** Deliberately broken: the shared free-context list with its lock
-    bracket skipped ([Config.debug_skip_ctx_lock]).  Exploration must
-    surface a guarded-mutation violation. *)
-val broken_ctx_setup : ?processors:int -> ?quick:bool -> unit -> setup
-
-(** MS on the work-stealing scheduler (E16), referenced to a locked
-    {!ms_setup}: any stealing run computing different observables than
-    the serialized queue is a steal-protocol bug. *)
-val stealing_setup : ?processors:int -> ?quick:bool -> unit -> setup
-
-(** MS on the event-calendar engine (E17), referenced to a scan-engine
-    {!ms_setup}: any calendar run computing different observables than
-    the scan engine is an engine bug. *)
-val calendar_setup : ?processors:int -> ?quick:bool -> unit -> setup
-
-(** Deliberately broken: the stealing scheduler with its deque-lock
-    brackets removed ([Config.debug_unlocked_steal]).  The strict
-    sanitizer must catch the first unguarded deque mutation of any
-    seed. *)
-val broken_steal_setup : ?processors:int -> ?quick:bool -> unit -> setup
-
-(** MS under aggressive GC pressure (one-scavenge tenure age, tiny eden,
-    a churn workload that tenures most of its garbage) with the
-    incremental old-space collector running (E18), referenced to the
-    identical configuration and workload with the collector disabled: a
-    collector run computing different observables than the
-    collector-free reference is a collector bug. *)
-val major_setup : ?processors:int -> ?quick:bool -> unit -> setup
-
-(** Deliberately broken: the collector's write barrier replaced by the
-    reporting probe ([Config.debug_skip_major_barrier]).  The strict
-    sanitizer must catch the first old-pointer store made while marking
-    is in flight. *)
-val broken_major_setup : ?processors:int -> ?quick:bool -> unit -> setup
-
-(** Every setup above by its [mst explore --config] name: [ms],
-    [stealing], [calendar], [major], [bs-unlocked], [ctx-unbracketed],
-    [steal-unlocked] and [major-nobarrier]. *)
+(** Every setup by its [mst explore --config] name, {!ms_setup} first:
+    - [ms]: as above;
+    - [stealing]: MS on the work-stealing scheduler (E16), referenced to
+      a locked [ms]: any stealing run computing different observables
+      than the serialized queue is a steal-protocol bug;
+    - [calendar]: MS on the event-calendar engine (E17), referenced to a
+      scan-engine [ms]: any calendar run computing different observables
+      than the scan engine is an engine bug;
+    - [major]: MS under aggressive GC pressure (one-scavenge tenure age,
+      tiny eden, a churn workload that tenures most of its garbage) with
+      the incremental old-space collector running (E18), referenced to
+      the identical configuration and workload with the collector
+      disabled: a collector run computing different observables than
+      the collector-free reference is a collector bug.
+    The rest are deliberately broken, and exploration must surface a
+    sanitizer violation:
+    - [bs-unlocked]: locking disabled on several processors, so nothing
+      serializes the shared resources;
+    - [ctx-unbracketed]: the shared free-context list with its lock
+      bracket skipped ([Config.debug_skip_ctx_lock]), a guarded-mutation
+      violation;
+    - [steal-unlocked]: the stealing scheduler with its deque-lock
+      brackets removed ([Config.debug_unlocked_steal]); the strict
+      sanitizer must catch the first unguarded deque mutation of any
+      seed;
+    - [major-nobarrier]: the collector's write barrier replaced by the
+      reporting probe ([Config.debug_skip_major_barrier]); the strict
+      sanitizer must catch the first old-pointer store made while
+      marking is in flight. *)
 val setups :
   (string * (?processors:int -> ?quick:bool -> unit -> setup)) list
 

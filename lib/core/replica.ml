@@ -320,10 +320,10 @@ let truncate_file path =
 
 type scenario = Torn_checkpoint | Crash_mid_replay | Double_crash
 
-let scenario_name = function
-  | Torn_checkpoint -> "torn-checkpoint"
-  | Crash_mid_replay -> "crash-mid-replay"
-  | Double_crash -> "double-crash"
+let scenarios =
+  [ ("torn-checkpoint", Torn_checkpoint);
+    ("crash-mid-replay", Crash_mid_replay);
+    ("double-crash", Double_crash) ]
 
 type params = {
   replicas : int;

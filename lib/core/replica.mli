@@ -61,7 +61,8 @@ type scenario =
   | Crash_mid_replay  (** the victim dies again halfway through replay *)
   | Double_crash  (** the second fault targets the same replica again *)
 
-val scenario_name : scenario -> string
+(** Every scenario by its [mst cluster --scenario] name. *)
+val scenarios : (string * scenario) list
 
 type params = {
   replicas : int;

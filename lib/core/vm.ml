@@ -138,9 +138,9 @@ let create (config : Config.t) =
     request_mailbox = None;
     on_request_done = (fun ~rid:_ ~now:_ -> ());
     compile_hook =
-      Some (fun ~cls ~class_side source ->
-          Class_builder.add_method u ~cls ~class_side source);
-    decompile_hook = Some (fun ~meth -> Method_mirror.decompile u meth);
+      (fun ~cls ~class_side source ->
+        Class_builder.add_method u ~cls ~class_side source);
+    decompile_hook = (fun ~meth -> Method_mirror.decompile u meth);
     sanitizer = san;
   } in
   (* method caches *)

@@ -775,69 +775,63 @@ let prim_compile st ~nargs =
   (* compile: sourceString into: aClass classSide: aBoolean *)
   if nargs <> 3 then Failed
   else
-    match st.sh.compile_hook with
+    let class_side_oop = peek st ~depth:0
+    and cls = peek st ~depth:1
+    and src = peek st ~depth:2 in
+    match string_arg st src with
     | None -> Failed
-    | Some hook ->
-        let class_side_oop = peek st ~depth:0
-        and cls = peek st ~depth:1
-        and src = peek st ~depth:2 in
-        (match string_arg st src with
-         | None -> Failed
-         | Some source ->
-             let class_side = Oop.equal class_side_oop (true_oop st) in
-             (* compilation allocates throughout: half its work is a
-                stream of short allocations under the serialized allocator,
-                each exposed to contention *)
-             let total =
-               String.length source * st.sh.cm.Cost_model.prim_compile_per_char
-             in
-             add_cost st (total / 2);
-             let ops = Int.max 1 (total / 2 / 60) in
-             for _ = 1 to ops do
-               let finish =
-                 Spinlock.locked_op ~vp:st.id st.sh.alloc_lock ~now:(now st) ~op_cycles:60
-               in
-               sync_to st finish
-             done;
-             (match hook ~cls ~class_side source with
-              | meth ->
-                  st.sh.on_method_install ();
-                  pop_all_push st ~nargs meth
-              (* a compiler bug is a primitive failure, but exhausted old
-                 space must stay loud: swallowing it here would turn heap
-                 death into a misleading 'compilation failed' *)
-              | exception (Heap.Image_full _ as e) -> raise e
-              | exception _ -> Failed))
+    | Some source ->
+        let class_side = Oop.equal class_side_oop (true_oop st) in
+        (* compilation allocates throughout: half its work is a
+           stream of short allocations under the serialized allocator,
+           each exposed to contention *)
+        let total =
+          String.length source * st.sh.cm.Cost_model.prim_compile_per_char
+        in
+        add_cost st (total / 2);
+        let ops = Int.max 1 (total / 2 / 60) in
+        for _ = 1 to ops do
+          let finish =
+            Spinlock.locked_op ~vp:st.id st.sh.alloc_lock ~now:(now st) ~op_cycles:60
+          in
+          sync_to st finish
+        done;
+        (match st.sh.compile_hook ~cls ~class_side source with
+         | meth ->
+             st.sh.on_method_install ();
+             pop_all_push st ~nargs meth
+         (* a compiler bug is a primitive failure, but exhausted old
+            space must stay loud: swallowing it here would turn heap
+            death into a misleading 'compilation failed' *)
+         | exception (Heap.Image_full _ as e) -> raise e
+         | exception _ -> Failed)
 
 let prim_decompile st ~nargs =
   (* decompile: aCompiledMethod *)
   if nargs <> 1 then Failed
   else
-    match st.sh.decompile_hook with
-    | None -> Failed
-    | Some hook ->
-        let meth = peek st ~depth:0 in
-        if not (is_a st meth (u_ st).Universe.classes.Universe.compiled_method)
-        then Failed
-        else begin
-          match hook ~meth with
-          | src ->
-              (* reconstruction also builds its result as a stream of
-                 short allocations under the allocator *)
-              let total =
-                String.length src * (st.sh.cm.Cost_model.prim_compile_per_char / 2)
-              in
-              add_cost st (total / 2);
-              let ops = Int.max 1 (total / 2 / 60) in
-              for _ = 1 to ops do
-                let finish =
-                  Spinlock.locked_op ~vp:st.id st.sh.alloc_lock ~now:(now st) ~op_cycles:60
-                in
-                sync_to st finish
-              done;
-              pop_all_push st ~nargs (new_string_obj st src)
-          | exception _ -> Failed
-        end
+    let meth = peek st ~depth:0 in
+    if not (is_a st meth (u_ st).Universe.classes.Universe.compiled_method)
+    then Failed
+    else begin
+      match st.sh.decompile_hook ~meth with
+      | src ->
+          (* reconstruction also builds its result as a stream of
+             short allocations under the allocator *)
+          let total =
+            String.length src * (st.sh.cm.Cost_model.prim_compile_per_char / 2)
+          in
+          add_cost st (total / 2);
+          let ops = Int.max 1 (total / 2 / 60) in
+          for _ = 1 to ops do
+            let finish =
+              Spinlock.locked_op ~vp:st.id st.sh.alloc_lock ~now:(now st) ~op_cycles:60
+            in
+            sync_to st finish
+          done;
+          pop_all_push st ~nargs (new_string_obj st src)
+      | exception _ -> Failed
+    end
 
 let prim_all_classes st ~nargs =
   if nargs <> 0 then Failed

@@ -45,8 +45,8 @@ type shared = {
   mutable on_request_done : rid:int -> now:int -> unit;
   (* compiler hooks, installed by the image layer to avoid a dependency
      cycle (the compile/decompile primitives call up into stcompile) *)
-  mutable compile_hook : (cls:Oop.t -> class_side:bool -> string -> Oop.t) option;
-  mutable decompile_hook : (meth:Oop.t -> string) option;
+  compile_hook : cls:Oop.t -> class_side:bool -> string -> Oop.t;
+  decompile_hook : meth:Oop.t -> string;
   (* serialization checking; mode Off unless configured *)
   sanitizer : Sanitizer.t;
 }

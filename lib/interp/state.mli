@@ -42,11 +42,10 @@ type shared = {
   mutable on_request_done : rid:int -> now:int -> unit;
       (** E17 image server: completion callback (latency bookkeeping and
           closed-loop arrival scheduling) *)
-  mutable compile_hook :
-    (cls:Oop.t -> class_side:bool -> string -> Oop.t) option;
+  compile_hook : cls:Oop.t -> class_side:bool -> string -> Oop.t;
       (** installed by the VM assembly to avoid a dependency cycle: the
           compile primitive calls up into stcompile *)
-  mutable decompile_hook : (meth:Oop.t -> string) option;
+  decompile_hook : meth:Oop.t -> string;
   sanitizer : Sanitizer.t;  (** serialization checking; Off by default *)
 }
 

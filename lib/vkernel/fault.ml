@@ -83,24 +83,11 @@ let no_faults =
    wave boundary, a few dozen per run. *)
 type campaign = Crash | Stall | Lock | Device | Gc | Mixed | Replica
 
-let campaign_name = function
-  | Crash -> "crash"
-  | Stall -> "stall"
-  | Lock -> "lock"
-  | Device -> "device"
-  | Gc -> "gc"
-  | Mixed -> "mixed"
-  | Replica -> "replica"
+let campaigns =
+  [ ("crash", Crash); ("stall", Stall); ("lock", Lock); ("device", Device);
+    ("gc", Gc); ("mixed", Mixed); ("replica", Replica) ]
 
-let campaign_of_name = function
-  | "crash" -> Some Crash
-  | "stall" -> Some Stall
-  | "lock" -> Some Lock
-  | "device" -> Some Device
-  | "gc" -> Some Gc
-  | "mixed" -> Some Mixed
-  | "replica" -> Some Replica
-  | _ -> None
+let campaign_name c = fst (List.find (fun (_, c') -> c' = c) campaigns)
 
 let params_of_campaign = function
   | Crash -> { no_faults with crash_permil = 3; max_faults = 1 }

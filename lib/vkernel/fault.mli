@@ -52,8 +52,12 @@ val no_faults : params
 (** Which family of faults a campaign samples. *)
 type campaign = Crash | Stall | Lock | Device | Gc | Mixed | Replica
 
+(** Every campaign by its [mst faults --campaign] name. *)
+val campaigns : (string * campaign) list
+
+(** A campaign's name in {!campaigns}. *)
 val campaign_name : campaign -> string
-val campaign_of_name : string -> campaign option
+
 val params_of_campaign : campaign -> params
 
 (** A fault injector: a {!Plan.stream} of injection queries, either

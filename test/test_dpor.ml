@@ -203,7 +203,7 @@ let engine_logs_ties name setup =
 let test_scan_ties_logged () = engine_logs_ties "scan" quick_setup
 
 let test_calendar_ties_logged () =
-  engine_logs_ties "calendar" (Explorer.calendar_setup ~quick:true ())
+  engine_logs_ties "calendar" (Testkit.quick_setup "calendar")
 
 (* --- whole-VM DPOR: clean and broken configurations --- *)
 
@@ -247,18 +247,18 @@ let dpor_finds name setup =
   r1
 
 let test_dpor_finds_broken_ctx () =
-  ignore (dpor_finds "ctx-unbracketed" (Explorer.broken_ctx_setup ~quick:true ()))
+  ignore (dpor_finds "ctx-unbracketed" (Testkit.quick_setup "ctx-unbracketed"))
 
 let test_dpor_finds_broken_steal () =
   ignore
-    (dpor_finds "steal-unlocked" (Explorer.broken_steal_setup ~quick:true ()))
+    (dpor_finds "steal-unlocked" (Testkit.quick_setup "steal-unlocked"))
 
 (* A non-empty failing schedule round-trips through the trace-file
    format and load_replay (which refuses empty traces — the broken
    configs also fail on the default schedule, so the round-trip needs a
    branched one).  Brute mode guarantees branched schedules exist. *)
 let test_dpor_failure_replays_from_file () =
-  let setup = Explorer.broken_ctx_setup ~quick:true () in
+  let setup = Testkit.quick_setup "ctx-unbracketed" in
   let r =
     Explorer.dpor ~mode:Explore.Dpor.Brute ~budget:3 ~shrink_budget:0 setup ()
   in
@@ -290,8 +290,8 @@ let test_dpor_failure_replays_from_file () =
 let dpor_vs_sampling_prop =
   let setups =
     [ ("ms", Explorer.ms_setup ~quick:true ());
-      ("calendar", Explorer.calendar_setup ~quick:true ());
-      ("stealing", Explorer.stealing_setup ~quick:true ()) ]
+      ("calendar", Testkit.quick_setup "calendar");
+      ("stealing", Testkit.quick_setup "stealing") ]
   in
   QCheck.Test.make ~count:6
     ~name:"dpor and seeded sampling agree on observables for clean configs"

@@ -266,7 +266,7 @@ let test_same_seed_same_run () =
 let test_executions_independent () =
   let first = Explorer.run_seed quick_setup ~seed:11 in
   let died =
-    Explorer.run_seed (Explorer.broken_ctx_setup ~quick:true ()) ~seed:0
+    Explorer.run_seed (Testkit.quick_setup "ctx-unbracketed") ~seed:0
   in
   check_bool "the broken run died mid-evaluation" true
     (died.Explorer.obs = None && died.Explorer.violations > 0);
@@ -339,11 +339,11 @@ let expect_counterexample name setup =
 
 let test_broken_unlocked_found () =
   expect_counterexample "unlocked"
-    (Explorer.broken_unlocked_setup ~quick:true ())
+    (Testkit.quick_setup "bs-unlocked")
 
 let test_broken_ctx_found () =
   expect_counterexample "ctx-unbracketed"
-    (Explorer.broken_ctx_setup ~quick:true ())
+    (Testkit.quick_setup "ctx-unbracketed")
 
 (* --- the work-stealing scheduler (E16) --- *)
 
@@ -353,7 +353,7 @@ let test_broken_ctx_found () =
    serialized queue's observables even when no lock discipline was
    violated. *)
 let test_stealing_explores_clean_vs_locked () =
-  let r = Explorer.explore (Explorer.stealing_setup ~quick:true ()) ~seeds:3 in
+  let r = Explorer.explore (Testkit.quick_setup "stealing") ~seeds:3 in
   check "stealing explores clean against the locked reference" 0
     (List.length r.Explorer.counterexamples);
   check_bool "the seeds actually perturbed the schedule" true
@@ -391,7 +391,7 @@ let steal_vs_locked_prop =
    batching uncontended steps may shift cycle counts, but never the
    result, the transcript or the stable-root census. *)
 let test_calendar_explores_clean_vs_scan () =
-  let r = Explorer.explore (Explorer.calendar_setup ~quick:true ()) ~seeds:3 in
+  let r = Explorer.explore (Testkit.quick_setup "calendar") ~seeds:3 in
   check "calendar explores clean against the scan reference" 0
     (List.length r.Explorer.counterexamples);
   check_bool "the seeds actually perturbed the schedule" true
@@ -407,7 +407,7 @@ let calendar_vs_scan_prop =
    mutation happens on the very first deque operation, perturbed or
    not. *)
 let test_broken_steal_found_every_seed () =
-  let setup = Explorer.broken_steal_setup ~quick:true () in
+  let setup = Testkit.quick_setup "steal-unlocked" in
   let r = Explorer.explore setup ~seeds:4 in
   check "every seed yields a counterexample" 4
     (List.length r.Explorer.counterexamples);
@@ -426,7 +426,7 @@ let test_broken_steal_found_every_seed () =
    frees a reachable object, so every perturbed collector run must
    compute the collector-free reference's observables. *)
 let test_major_explores_clean_vs_off () =
-  let setup = Explorer.major_setup ~quick:true () in
+  let setup = Testkit.quick_setup "major" in
   (* the workload must actually exercise the collector, or the oracle is
      vacuous: check cycles complete on an unperturbed run of the same
      configuration and source *)
@@ -444,7 +444,7 @@ let test_major_explores_clean_vs_off () =
     (r.Explorer.perturbations > 0)
 
 let major_vs_off_prop =
-  let setup = Explorer.major_setup ~quick:true () in
+  let setup = Testkit.quick_setup "major" in
   let reference = lazy (Explorer.reference setup) in
   QCheck.Test.make ~count:15
     ~name:"collector runs match the collector-free observables on every seed"
@@ -455,7 +455,7 @@ let major_vs_off_prop =
 
 let test_broken_major_found () =
   expect_counterexample "major-nobarrier"
-    (Explorer.broken_major_setup ~quick:true ())
+    (Testkit.quick_setup "major-nobarrier")
 
 (* --- the setup table behind --config --- *)
 

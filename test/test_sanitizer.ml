@@ -394,7 +394,7 @@ let golden_report setup ~recorded ~digest ~count ~first ~list_digest () =
 
 let test_golden_trace_unlocked =
   golden_report
-    (Explorer.broken_unlocked_setup ~quick:true ())
+    (Testkit.quick_setup "bs-unlocked")
     ~recorded:8458 ~digest:"96bb9c8b91d765f0aa8f65b99c38d2be" ~count:491
     ~first:
       "scheduler: timeline moved backwards: section [0,25] starts before \
@@ -403,7 +403,7 @@ let test_golden_trace_unlocked =
 
 let test_golden_trace_steal_unlocked =
   golden_report
-    (Explorer.broken_steal_setup ~quick:true ())
+    (Testkit.quick_setup "steal-unlocked")
     ~recorded:10092 ~digest:"d714998ba93d2f914d039d5b7ee6dd66" ~count:26
     ~first:
       "ready deque 4: mutated outside 'ready deque 4' critical section \

@@ -111,6 +111,9 @@ let stealing_config ?(processors = 3) () =
 
 let stealing_vm ?processors () = Vm.create (stealing_config ?processors ())
 
+(* The explorer setup that [mst explore --config=NAME --quick] runs. *)
+let quick_setup name = (List.assoc name Explorer.setups) ~quick:true ()
+
 (* A workload that exercises allocation, message sends and the transcript
    lock — enough traffic for the sanitizer to have something to watch. *)
 let busy_eval_source =
