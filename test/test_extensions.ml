@@ -213,9 +213,10 @@ let test_calendar_deadlock_detected () =
    engine events and scavenge pauses for a fixed set of runs covering
    every engine path — the idle poll, Table 2's idle and busy states
    (nearly all of its bytecodes), timers firing mid-run, stealing,
-   major slices, forced cycle completions mid-step, a policy answering
-   tie queries, an injected crash, and the calendar engine's parking.  Any change to how the engine selects,
-   batches or accounts shows up here as a different number. *)
+   major slices, forced cycle completions mid-step, a cycle limit reached
+   mid-interleaving, a policy answering tie queries, an injected crash,
+   and the calendar engine's parking.  Any change to how the engine
+   selects, batches or accounts shows up here as a different number. *)
 let engine_signature ?(extra = "") vm =
   let m = vm.Vm.machine in
   let steps =
@@ -245,6 +246,29 @@ let golden_ms_busy () =
 
 let golden_ms_idle () =
   golden_eval ~idle:4 (Config.testing ~processors:5 ()) golden_alloc_source
+
+(* Table 2's busy state stopped by [Vm.run ~max_cycles] while the five
+   interpreters are interleaving one bytecode at a time: the limit must
+   stop every processor at the first selection past it, so the per-VP
+   steps and clocks pin where each one stopped. *)
+let golden_cycle_limit () =
+  let vm = Vm.create (Config.testing ~processors:5 ()) in
+  ignore (Workloads.spawn_busy vm 4);
+  let proc = Vm.spawn vm golden_alloc_source in
+  let outcome =
+    match Vm.run ~max_cycles:200_000 ~watch:proc vm with
+    | Vm.Finished _ -> "finished"
+    | Vm.Deadlock -> "deadlock"
+    | Vm.Cycle_limit -> "cycle-limit"
+  in
+  let m = vm.Vm.machine in
+  let clocks =
+    List.init (Machine.processors m) (fun i ->
+        string_of_int (Machine.vp m i).Machine.clock)
+  in
+  engine_signature vm
+    ~extra:(Printf.sprintf " outcome=%s clocks=%s" outcome
+              (String.concat "," clocks))
 
 let golden_ms_delay () =
   golden_eval ~busy:1 (Config.testing ~processors:3 ())
@@ -417,6 +441,11 @@ let golden_fixtures =
     ("MS, 5 VPs, idle", (fun () -> engine_signature (golden_ms_idle ())),
      ("cycles=509879 steps=115589,251564,251558,251540,251534 "
       ^ "events=1121793 pauses=654"));
+    ("MS, 5 VPs, busy, cycle limit", golden_cycle_limit,
+     ("cycles=200005 steps=36898,72410,72392,72336,72343 events=326425 "
+      ^ "pauses=1220,1025,1111,1212,497,524,451,572,568,724,537,508,428,568,"
+      ^ "690,568,621,492,497,566 outcome=cycle-limit "
+      ^ "clocks=200003,200001,200002,200005,200001"));
     ("MS, Delay timers", (fun () -> engine_signature (golden_ms_delay ())),
      "cycles=158191 steps=32540,63540,171 events=99304 pauses=453,422,453,453");
     ("stealing", (fun () -> engine_signature (golden_stealing ())),
