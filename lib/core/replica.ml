@@ -274,7 +274,7 @@ let restore_registers vm regs =
     (fun i st ->
       st.State.until_poll <- untils.(2 * i);
       st.State.until_sched <- untils.((2 * i) + 1);
-      st.State.active_ctx := actives.(2 * i);
+      State.set_active_ctx st actives.(2 * i);
       st.State.active_process := actives.((2 * i) + 1))
     states;
   let sched = vm.Vm.shared.State.sched in
@@ -415,13 +415,7 @@ let checkpoint ?(tag = "") dir r =
   Snapshot.save path snap;
   r.ckpts <- (r.applied, path) :: r.ckpts
 
-let run ?(log = fun _ -> ()) (p : params) =
-  validate p;
-  let dir = match p.dir with
-    | Some d -> ensure_dir d; d
-    (* created atomically, so concurrent runs never race for a name *)
-    | None -> Filename.temp_dir "mst-cluster-" ""
-  in
+let run_in ~log (p : params) dir =
   (* the durable log: generate, save, and execute what was *re-read*, so
      every cluster run exercises the full durability round trip *)
   let log_path = Filename.concat dir "cmdlog" in
@@ -775,6 +769,24 @@ let run ?(log = fun _ -> ()) (p : params) =
       (match injector with Some inj -> Fault.injected inj | None -> []);
     log_path;
     dir }
+
+(* Remove a checkpoint directory [run] created: files first, then the
+   directory (checkpoints and the log are its only entries). *)
+let remove_dir d =
+  Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
+  Sys.rmdir d
+
+let run ?(log = fun _ -> ()) (p : params) =
+  validate p;
+  match p.dir with
+  | Some d ->
+      ensure_dir d;
+      run_in ~log p d
+  | None ->
+      (* created atomically, so concurrent runs never race for a name, and
+         removed however the run ends *)
+      let d = Filename.temp_dir "mst-cluster-" "" in
+      Fun.protect ~finally:(fun () -> remove_dir d) (fun () -> run_in ~log p d)
 
 let pp fmt o =
   Format.fprintf fmt

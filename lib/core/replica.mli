@@ -76,7 +76,9 @@ type params = {
   skip_lsn : int option;
       (** deliberately-divergent config: replica 0 drops this entry *)
   scenario : scenario option;
-  dir : string option;  (** checkpoint/log directory; temp when absent *)
+  dir : string option;
+      (** checkpoint/log directory; when absent, {!run} creates a
+          temporary one and removes it on return or exception *)
 }
 
 val default_params : params
@@ -98,6 +100,8 @@ type outcome = {
   fault_plan : Fault.plan;
   log_path : string;
   dir : string;
+      (** the checkpoint and log directory: the caller's [dir], kept; or
+          a temporary one, already removed when {!run} returns *)
 }
 
 (** Run the cluster over a freshly generated (and durably round-tripped)

@@ -564,9 +564,8 @@ let crash_vp vm id =
   Method_cache.flush st.State.mcache;
   Free_contexts.abandon st.State.free_ctxs;
   st.State.active_process := Oop.sentinel;
-  st.State.active_ctx := Oop.sentinel;
-  st.State.cost <- 0;
-  State.invalidate_cache st
+  State.set_active_ctx st Oop.sentinel;
+  st.State.cost <- 0
 
 (* Drain crashes flagged during the last step (lock-holder crashes flag
    the holder; scheduling-check crashes flag the stepping vp). *)
@@ -718,9 +717,10 @@ let run_engine vm ~max_cycles ~finished ~result outcome =
   in
   (* With a policy installed (the explorer), ties between minimal clocks
      go through choose_tie: collect every current candidate in ascending
-     id order, let the policy pick, and reinsert the rest.  Stale keys only
-     under-estimate, so a heap minimum past the tied clock rules a tie out
-     without popping. *)
+     id order into [ties], let the policy pick, and reinsert the rest.
+     Stale keys only under-estimate, so a heap minimum past the tied
+     clock rules a tie out without popping. *)
+  let ties = Array.make procs (Machine.vp m 0) in
   let pop_min_policy p =
     let first_id = pop_min () in
     if first_id = nothing then nothing
@@ -729,27 +729,33 @@ let run_engine vm ~max_cycles ~finished ~result outcome =
       let past_tie =
         Pending.key pending ~clock:(first.Machine.clock + 1) ~id:0
       in
-      let rec collect acc =
+      ties.(0) <- first;
+      let rec collect n =
         let id =
           if Pending.top pending < past_tie then pop_min () else nothing
         in
-        if id = nothing then List.rev acc
+        if id = nothing then n
         else begin
           let vp = Machine.vp m id in
-          if vp.Machine.clock = first.Machine.clock then collect (vp :: acc)
+          if vp.Machine.clock = first.Machine.clock then begin
+            ties.(n) <- vp;
+            collect (n + 1)
+          end
           else begin
             push_vp vp;
-            List.rev acc
+            n
           end
         end
       in
-      match collect [] with
-      | [] -> first_id
-      | rest ->
-          let ties = Array.of_list (first :: rest) in
-          let chosen = p.Machine.choose_tie ties in
-          Array.iter (fun vp -> if vp != chosen then push_vp vp) ties;
-          chosen.Machine.id
+      let n = collect 1 in
+      if n = 1 then first_id
+      else begin
+        let chosen = p.Machine.choose_tie (Array.sub ties 0 n) in
+        for i = 0 to n - 1 do
+          if ties.(i) != chosen then push_vp ties.(i)
+        done;
+        chosen.Machine.id
+      end
     end
   in
   let fire_next_timer () =
@@ -779,13 +785,19 @@ let run_engine vm ~max_cycles ~finished ~result outcome =
       else id
     end
   in
-  (* Step the selected processor; keep stepping it (the batched fast
-     path) while the main loop's next event would select it again: no
-     outcome, collection or slice pending, still minimal, no timer due.
-     Batching is disabled under a policy or injector: both want the
-     engine back between single steps.  One closure for the whole run:
-     the per-event path allocates nothing. *)
-  let rec step_vp vp st interp ~can_batch =
+  (* Step the selected processor, then make the main loop's next
+     selection here when it is sure to step a processor (the fast path):
+     no outcome, collection or slice pending, and the popped minimum is
+     current, live, unparked, within the cycle limit, not past a due
+     timer and, under a policy, strictly minimal, so every tie still
+     reaches choose_tie through the main loop.  The minimum is the
+     stepping processor itself when [push_pop] hands its key straight
+     back (a batch), or another processor's (a switch).  Anything else
+     leaves the popped key in the carry for [select], which sees the
+     same heap the main loop would.  Only an injector turns the fast
+     path off: it wants [deliver_crashes] between single steps.  One
+     closure for the whole run: the per-event path allocates nothing. *)
+  let rec step_vp vp st interp ~fast =
     match Interp.step interp with
     | exception e ->
         (* a VM-level error killed the running Process; take it off the
@@ -803,21 +815,17 @@ let run_engine vm ~max_cycles ~finished ~result outcome =
         if vp.Machine.state <> Machine.Running then
           Machine.set_state m vp Machine.Running;
         Machine.charge_mem m vp st.State.cost;
+        (match vm.major with
+         | Some _ -> rdv := Int.max !rdv vp.Machine.clock
+         | None -> ());
         if
-          can_batch && (not !finished)
+          fast && (not !finished)
           && (not vm.gc_requested)
           && (not vm.shared.State.gc_wanted)
           && (match vm.major with
               | None -> true
-              | Some mj ->
-                  not (Major.due mj ~now:(Int.max !rdv vp.Machine.clock)))
-          && vp.Machine.clock <= max_cycles
-          && pkey vp <= Pending.top pending
-          && vp.Machine.clock < Calendar.top_key timers
-        then begin
-          vm.engine_events <- vm.engine_events + 1;
-          step_vp vp st interp ~can_batch
-        end
+              | Some mj -> not (Major.due mj ~now:!rdv))
+        then step_next (Pending.push_pop pending (pkey vp))
         else carry := pkey vp
     | Interp.Idle ->
         (* an idle interpreter keeps watching the input queue *)
@@ -846,6 +854,25 @@ let run_engine vm ~max_cycles ~finished ~result outcome =
     | Interp.Need_gc ->
         vm.gc_requested <- true;
         push_vp vp
+  and step_next k =
+    let id = Pending.id_of pending k in
+    let vp = Machine.vp m id in
+    if
+      pkey vp = k
+      && vp.Machine.state <> Machine.Halted
+      && (not parked.(id))
+      && vp.Machine.clock < Calendar.top_key timers
+      && vp.Machine.clock <= max_cycles
+      && (match Machine.policy m with
+          | None -> true
+          | Some _ ->
+              Pending.top pending
+              >= Pending.key pending ~clock:(vp.Machine.clock + 1) ~id:0)
+    then begin
+      vm.engine_events <- vm.engine_events + 1;
+      step_vp vp vm.states.(id) vm.interps.(id) ~fast:true
+    end
+    else carry := k
   in
   while Option.is_none !outcome do
     vm.engine_events <- vm.engine_events + 1;
@@ -862,10 +889,7 @@ let run_engine vm ~max_cycles ~finished ~result outcome =
            | Some _ -> rdv := Machine.max_clock m
            | None -> ());
           step_vp vp vm.states.(id) vm.interps.(id)
-            ~can_batch:
-              (match Machine.policy m, Machine.injector m with
-               | None, None -> true
-               | _ -> false)
+            ~fast:(Option.is_none (Machine.injector m))
         end
       end
       else if id = nothing then begin

@@ -65,11 +65,6 @@ let alloc_object st ~slots ~raw ?(bytes = false) ~cls () =
 let minfo st meth =
   Oop.small_val (Heap.get st.sh.heap meth Layout.Method.info)
 
-(* Switch the interpreter to [ctx]. *)
-let switch_to st ctx =
-  st.active_ctx := ctx;
-  invalidate_cache st
-
 (* Activate [meth] for a send: the caller's stack holds receiver and
    [nargs] arguments on top.  Allocates the new context, copies the
    arguments into its temporaries, pops the caller's stack and switches. *)
@@ -104,7 +99,7 @@ let activate_method st ~meth ~nargs =
   done;
   add_cost st (st.sh.cm.Cost_model.ctx_init_per_word * ntemps);
   popn st (nargs + 1);
-  switch_to st ctx
+  set_active_ctx st ctx
 
 (* Create a BlockContext for a Push_block instruction. *)
 let create_block_ctx st ~startpc ~nargs ~argstart =
@@ -153,7 +148,7 @@ let activate_block st ~block ~nargs =
     Heap.set_raw h block Layout.Ctx.pc
       (Heap.get h block Layout.Ctx.startpc);
     Heap.set_raw h block Layout.Ctx.stackp (Oop.of_small 0);
-    switch_to st block;
+    set_active_ctx st block;
     Some ()
   end
 
@@ -184,7 +179,7 @@ let return_to st ~from_ctx ~target ~value =
        in
        sync_to st n
      end);
-    switch_to st target;
+    set_active_ctx st target;
     push st value;
     true
   end

@@ -358,227 +358,197 @@ let do_sched_check st =
     end
   end
 
+(* The dispatch below matches on the tag's literal values, which a
+   [match] compiles to one jump table; these are the same numbers. *)
+let () =
+  assert (
+    Opcode.tag_push_receiver = 0 && Opcode.tag_push_temp = 1
+    && Opcode.tag_push_ivar = 2 && Opcode.tag_push_literal = 3
+    && Opcode.tag_push_nil = 4 && Opcode.tag_push_true = 5
+    && Opcode.tag_push_false = 6 && Opcode.tag_push_smallint = 7
+    && Opcode.tag_push_global = 8 && Opcode.tag_push_block = 9
+    && Opcode.tag_store_temp = 10 && Opcode.tag_store_ivar = 11
+    && Opcode.tag_store_global = 12 && Opcode.tag_pop = 13
+    && Opcode.tag_dup = 14 && Opcode.tag_send = 15
+    && Opcode.tag_super_send = 16 && Opcode.tag_jump = 17
+    && Opcode.tag_jump_if_true = 18 && Opcode.tag_jump_if_false = 19
+    && Opcode.tag_return_top = 20 && Opcode.tag_return_receiver = 21
+    && Opcode.tag_block_return = 22)
+
+(* The special-selector fast path of a one-argument send: SmallInteger
+   arithmetic and comparison, and [==] on anything, without a lookup.
+   False when the full send must run. *)
+let fast_special t ~sel =
+  let st = t.st in
+  match special_of t.specials sel with
+  | None -> false
+  | Some special ->
+      let cm = st.sh.cm in
+      let arg = peek st ~depth:0 and recv = peek st ~depth:1 in
+      if Oop.is_small recv && Oop.is_small arg then begin
+        let a = Oop.small_val recv and b = Oop.small_val arg in
+        add_cost st cm.Cost_model.prim_arith;
+        let u = st.sh.u in
+        let t_ = u.Universe.true_ and f_ = u.Universe.false_ in
+        (* [Oop.sentinel], never a SmallInteger or a heap oop, means
+           no fast result: out of SmallInteger range, the full
+           send's primitive fails over to the Smalltalk fallback *)
+        let small r =
+          if r >= Oop.min_small && r <= Oop.max_small then Oop.of_small r
+          else Oop.sentinel
+        in
+        let r =
+          match special with
+          | Add -> small (a + b)
+          | Sub -> small (a - b)
+          | Mul ->
+              let r = a * b in
+              if b <> 0 && r / b <> a then Oop.sentinel else small r
+          | Lt -> if a < b then t_ else f_
+          | Gt -> if a > b then t_ else f_
+          | Le -> if a <= b then t_ else f_
+          | Ge -> if a >= b then t_ else f_
+          | Eq | Identical -> if a = b then t_ else f_
+          | Ne -> if a <> b then t_ else f_
+        in
+        if Oop.equal r Oop.sentinel then false
+        else begin
+          popn st 2;
+          push st r;
+          true
+        end
+      end
+      else if (match special with Identical -> true | _ -> false) then begin
+        add_cost st cm.Cost_model.prim_arith;
+        let u = st.sh.u in
+        let r =
+          if Oop.equal arg recv then u.Universe.true_ else u.Universe.false_
+        in
+        popn st 2;
+        push st r;
+        true
+      end
+      else false
+
+(* A full send; a context or primitive allocation may request a
+   scavenge, so the pc is rewound and the send re-executes cleanly
+   afterwards. *)
+let send_rewinding st ~pc ~sel ~nargs ~super =
+  try full_send st ~sel ~nargs ~super with
+  | Heap.Scavenge_needed ->
+      set_pc st pc;
+      raise Heap.Scavenge_needed
+
+(* Push [v] and step past a one-word push instruction. *)
+let push_next st ~pc v =
+  add_cost st st.sh.cm.Cost_model.push;
+  push st v;
+  set_pc st (pc + 1)
+
 let execute_bytecode t =
   let st = t.st in
   let cm = st.sh.cm in
   let h = st.sh.heap in
-  let n = nil st in
-  let pc = get_pc st in
+  let pc = st.r_pc in
   if pc >= st.c_bc_len then
     vm_error "pc %d ran off the end of the method" pc;
   let w = h.Heap.mem.(st.c_bc_addr + pc) in
   add_cost st cm.Cost_model.dispatch;
-  let tag = Opcode.tag w in
-  if tag = Opcode.tag_push_temp then begin
-    add_cost st cm.Cost_model.push;
-    push st h.Heap.mem.(st.c_home_frame + Opcode.a w);
-    set_pc st (pc + 1)
-  end
-  else if tag = Opcode.tag_push_ivar then begin
-    add_cost st cm.Cost_model.push;
-    push st h.Heap.mem.(st.c_ivar_base + Opcode.a w);
-    set_pc st (pc + 1)
-  end
-  else if tag = Opcode.tag_push_literal then begin
-    add_cost st cm.Cost_model.push;
-    push st (literal st (Opcode.a w));
-    set_pc st (pc + 1)
-  end
-  else if tag = Opcode.tag_push_receiver then begin
-    add_cost st cm.Cost_model.push;
-    push st st.c_recv;
-    set_pc st (pc + 1)
-  end
-  else if tag = Opcode.tag_push_nil then begin
-    add_cost st cm.Cost_model.push;
-    push st n;
-    set_pc st (pc + 1)
-  end
-  else if tag = Opcode.tag_push_true then begin
-    add_cost st cm.Cost_model.push;
-    push st st.sh.u.Universe.true_;
-    set_pc st (pc + 1)
-  end
-  else if tag = Opcode.tag_push_false then begin
-    add_cost st cm.Cost_model.push;
-    push st st.sh.u.Universe.false_;
-    set_pc st (pc + 1)
-  end
-  else if tag = Opcode.tag_push_smallint then begin
-    add_cost st cm.Cost_model.push;
-    push st (Oop.of_small (Opcode.signed_a w));
-    set_pc st (pc + 1)
-  end
-  else if tag = Opcode.tag_push_global then begin
-    add_cost st cm.Cost_model.push;
-    let assoc = literal st (Opcode.a w) in
-    push st (Heap.get h assoc Layout.Association.value);
-    set_pc st (pc + 1)
-  end
-  else if tag = Opcode.tag_store_temp then begin
-    add_cost st cm.Cost_model.push;
-    let home_base =
-      st.c_home_frame - Layout.header_words - Layout.Ctx.fixed_slots
-    in
-    store_with_check st (Oop.of_addr home_base)
-      (Layout.Ctx.fixed_slots + Opcode.a w) (peek st ~depth:0);
-    set_pc st (pc + 1)
-  end
-  else if tag = Opcode.tag_store_ivar then begin
-    add_cost st (cm.Cost_model.push + cm.Cost_model.store_check);
-    store_with_check st st.c_recv (Opcode.a w) (peek st ~depth:0);
-    set_pc st (pc + 1)
-  end
-  else if tag = Opcode.tag_store_global then begin
-    add_cost st (cm.Cost_model.push + cm.Cost_model.store_check);
-    let assoc = literal st (Opcode.a w) in
-    store_with_check st assoc Layout.Association.value (peek st ~depth:0);
-    set_pc st (pc + 1)
-  end
-  else if tag = Opcode.tag_pop then begin
-    add_cost st cm.Cost_model.push;
-    ignore (pop st);
-    set_pc st (pc + 1)
-  end
-  else if tag = Opcode.tag_dup then begin
-    add_cost st cm.Cost_model.push;
-    push st (peek st ~depth:0);
-    set_pc st (pc + 1)
-  end
-  else if tag = Opcode.tag_jump then begin
-    add_cost st cm.Cost_model.jump;
-    set_pc st (pc + 1 + Opcode.signed_a w)
-  end
-  else if tag = Opcode.tag_jump_if_true || tag = Opcode.tag_jump_if_false then begin
-    add_cost st cm.Cost_model.jump;
-    let v = pop st in
-    let u = st.sh.u in
-    let truth =
-      if Oop.equal v u.Universe.true_ then true
-      else if Oop.equal v u.Universe.false_ then false
-      else raise Must_be_boolean
-    in
-    let taken = if tag = Opcode.tag_jump_if_true then truth else not truth in
-    if taken then set_pc st (pc + 1 + Opcode.signed_a w)
-    else set_pc st (pc + 1)
-  end
-  else if tag = Opcode.tag_send then begin
-    let sel = literal st (Opcode.a w) in
-    let nargs = Opcode.b w in
-    set_pc st (pc + 1);
-    (* special-selector fast path: SmallInteger arithmetic without lookup *)
-    let fast =
-      if nargs = 1 then begin
-        match special_of t.specials sel with
-        | Some special ->
-            let arg = peek st ~depth:0 and recv = peek st ~depth:1 in
-            if Oop.is_small recv && Oop.is_small arg then begin
-              let a = Oop.small_val recv and b = Oop.small_val arg in
-              add_cost st cm.Cost_model.prim_arith;
-              let u = st.sh.u in
-              let t_ = u.Universe.true_ and f_ = u.Universe.false_ in
-              (* [Oop.sentinel], never a SmallInteger or a heap oop, means
-                 no fast result: out of SmallInteger range, the full
-                 send's primitive fails over to the Smalltalk fallback *)
-              let small r =
-                if r >= Oop.min_small && r <= Oop.max_small then Oop.of_small r
-                else Oop.sentinel
-              in
-              let r =
-                match special with
-                | Add -> small (a + b)
-                | Sub -> small (a - b)
-                | Mul ->
-                    let r = a * b in
-                    if b <> 0 && r / b <> a then Oop.sentinel else small r
-                | Lt -> if a < b then t_ else f_
-                | Gt -> if a > b then t_ else f_
-                | Le -> if a <= b then t_ else f_
-                | Ge -> if a >= b then t_ else f_
-                | Eq | Identical -> if a = b then t_ else f_
-                | Ne -> if a <> b then t_ else f_
-              in
-              if Oop.equal r Oop.sentinel then false
-              else begin
-                popn st 2;
-                push st r;
-                true
-              end
-            end
-            else if (match special with Identical -> true | _ -> false)
-            then begin
-              add_cost st cm.Cost_model.prim_arith;
-              let u = st.sh.u in
-              let r =
-                if Oop.equal arg recv then u.Universe.true_ else u.Universe.false_
-              in
-              popn st 2;
-              push st r;
-              true
-            end
-            else false
-        | None -> false
+  match Opcode.tag w with
+  | 0 (* push_receiver *) -> push_next st ~pc st.c_recv
+  | 1 (* push_temp *) -> push_next st ~pc h.Heap.mem.(st.c_home_frame + Opcode.a w)
+  | 2 (* push_ivar *) -> push_next st ~pc h.Heap.mem.(st.c_ivar_base + Opcode.a w)
+  | 3 (* push_literal *) -> push_next st ~pc (literal st (Opcode.a w))
+  | 4 (* push_nil *) -> push_next st ~pc (nil st)
+  | 5 (* push_true *) -> push_next st ~pc st.sh.u.Universe.true_
+  | 6 (* push_false *) -> push_next st ~pc st.sh.u.Universe.false_
+  | 7 (* push_smallint *) -> push_next st ~pc (Oop.of_small (Opcode.signed_a w))
+  | 8 (* push_global *) ->
+      push_next st ~pc (Heap.get h (literal st (Opcode.a w)) Layout.Association.value)
+  | 9 (* push_block *) ->
+      add_cost st (cm.Cost_model.push + cm.Cost_model.ctx_fresh);
+      let b = Opcode.b w in
+      let nargs = b land 0x1f and argstart = b lsr 5 in
+      let body_len = Opcode.a w in
+      let block =
+        Ctx.create_block_ctx st ~startpc:(pc + 1) ~nargs ~argstart
+      in
+      push st block;
+      set_pc st (pc + 1 + body_len)
+  | 10 (* store_temp *) ->
+      add_cost st cm.Cost_model.push;
+      let home_base =
+        st.c_home_frame - Layout.header_words - Layout.Ctx.fixed_slots
+      in
+      store_with_check st (Oop.of_addr home_base)
+        (Layout.Ctx.fixed_slots + Opcode.a w) (peek st ~depth:0);
+      set_pc st (pc + 1)
+  | 11 (* store_ivar *) ->
+      add_cost st (cm.Cost_model.push + cm.Cost_model.store_check);
+      store_with_check st st.c_recv (Opcode.a w) (peek st ~depth:0);
+      set_pc st (pc + 1)
+  | 12 (* store_global *) ->
+      add_cost st (cm.Cost_model.push + cm.Cost_model.store_check);
+      let assoc = literal st (Opcode.a w) in
+      store_with_check st assoc Layout.Association.value (peek st ~depth:0);
+      set_pc st (pc + 1)
+  | 13 (* pop *) ->
+      add_cost st cm.Cost_model.push;
+      popn st 1;
+      set_pc st (pc + 1)
+  | 14 (* dup *) -> push_next st ~pc (peek st ~depth:0)
+  | 15 (* send *) ->
+      let sel = literal st (Opcode.a w) in
+      let nargs = Opcode.b w in
+      set_pc st (pc + 1);
+      if not (nargs = 1 && fast_special t ~sel) then
+        send_rewinding st ~pc ~sel ~nargs ~super:false
+  | 16 (* super_send *) ->
+      let sel = literal st (Opcode.a w) in
+      let nargs = Opcode.b w in
+      set_pc st (pc + 1);
+      send_rewinding st ~pc ~sel ~nargs ~super:true
+  | 17 (* jump *) ->
+      add_cost st cm.Cost_model.jump;
+      set_pc st (pc + 1 + Opcode.signed_a w)
+  | (18 | 19) as tag (* jump_if_true, jump_if_false *) ->
+      add_cost st cm.Cost_model.jump;
+      let v = pop st in
+      let u = st.sh.u in
+      let truth =
+        if Oop.equal v u.Universe.true_ then true
+        else if Oop.equal v u.Universe.false_ then false
+        else raise Must_be_boolean
+      in
+      if (if tag = 18 then truth else not truth) then set_pc st (pc + 1 + Opcode.signed_a w)
+      else set_pc st (pc + 1)
+  | (20 | 21) as tag (* return_top, return_receiver *) ->
+      add_cost st cm.Cost_model.return_cost;
+      let n = nil st in
+      let ctx = !(st.active_ctx) in
+      let value = if tag = 20 then pop st else st.c_recv in
+      let home = Heap.get h ctx Layout.Ctx.home in
+      if Oop.equal home n then
+        handle_return st ~from_ctx:ctx
+          ~target:(Heap.get h ctx Layout.Ctx.sender) ~value
+      else begin
+        (* ^ inside a block: return from the home context's sender *)
+        let target = Heap.get h home Layout.Ctx.sender in
+        if Oop.equal target n then
+          vm_error "block attempted a non-local return, but home has returned";
+        (* sever the home chain so later ^-returns from the same home fail *)
+        store_with_check st home Layout.Ctx.sender n;
+        handle_return st ~from_ctx:ctx ~target ~value
       end
-      else false
-    in
-    if not fast then
-      (* a context or primitive allocation may request a scavenge; the pc
-         must be rewound so the send re-executes cleanly afterwards *)
-      (try full_send st ~sel ~nargs ~super:false with
-       | Heap.Scavenge_needed ->
-           set_pc st pc;
-           raise Heap.Scavenge_needed)
-  end
-  else if tag = Opcode.tag_super_send then begin
-    let sel = literal st (Opcode.a w) in
-    let nargs = Opcode.b w in
-    set_pc st (pc + 1);
-    (try full_send st ~sel ~nargs ~super:true with
-     | Heap.Scavenge_needed ->
-         set_pc st pc;
-         raise Heap.Scavenge_needed)
-  end
-  else if tag = Opcode.tag_push_block then begin
-    add_cost st (cm.Cost_model.push + cm.Cost_model.ctx_fresh);
-    let b = Opcode.b w in
-    let nargs = b land 0x1f and argstart = b lsr 5 in
-    let body_len = Opcode.a w in
-    let block =
-      Ctx.create_block_ctx st ~startpc:(pc + 1) ~nargs ~argstart
-    in
-    push st block;
-    set_pc st (pc + 1 + body_len)
-  end
-  else if tag = Opcode.tag_return_top || tag = Opcode.tag_return_receiver then begin
-    add_cost st cm.Cost_model.return_cost;
-    let ctx = !(st.active_ctx) in
-    let value =
-      if tag = Opcode.tag_return_top then pop st else st.c_recv
-    in
-    let home = Heap.get h ctx Layout.Ctx.home in
-    if Oop.equal home n then
-      handle_return st ~from_ctx:ctx
-        ~target:(Heap.get h ctx Layout.Ctx.sender) ~value
-    else begin
-      (* ^ inside a block: return from the home context's sender *)
-      let target = Heap.get h home Layout.Ctx.sender in
-      if Oop.equal target n then
-        vm_error "block attempted a non-local return, but home has returned";
-      (* sever the home chain so later ^-returns from the same home fail *)
-      store_with_check st home Layout.Ctx.sender n;
+  | 22 (* block_return *) ->
+      add_cost st cm.Cost_model.return_cost;
+      let ctx = !(st.active_ctx) in
+      let value = pop st in
+      let target = Heap.get h ctx Layout.Ctx.sender in
+      (* leave the block reusable for another value send *)
+      store_with_check st ctx Layout.Ctx.sender (nil st);
       handle_return st ~from_ctx:ctx ~target ~value
-    end
-  end
-  else if tag = Opcode.tag_block_return then begin
-    add_cost st cm.Cost_model.return_cost;
-    let ctx = !(st.active_ctx) in
-    let value = pop st in
-    let target = Heap.get h ctx Layout.Ctx.sender in
-    (* leave the block reusable for another value send *)
-    store_with_check st ctx Layout.Ctx.sender n;
-    handle_return st ~from_ctx:ctx ~target ~value
-  end
-  else vm_error "unknown bytecode tag %d at pc %d" tag pc
+  | tag -> vm_error "unknown bytecode tag %d at pc %d" tag pc
 
 let step t =
   let st = t.st in
@@ -591,7 +561,7 @@ let step t =
   end
   else begin
     (* 2. eden head-room *)
-    if Heap.eden_avail st.sh.heap ~vp:st.id < low_water_mark then Need_gc
+    if Heap.region_avail st.eden < low_water_mark then Need_gc
     else begin
       (* 3. periodic duties *)
       st.until_poll <- st.until_poll - 1;

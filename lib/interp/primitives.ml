@@ -55,9 +55,7 @@ let save_active_context st =
 (* Load [proc] onto this interpreter. *)
 let load_process st proc =
   st.active_process := proc;
-  let ctx = Heap.get (h_ st) proc Layout.Process.suspended_context in
-  st.active_ctx := ctx;
-  invalidate_cache st;
+  set_active_ctx st (Heap.get (h_ st) proc Layout.Process.suspended_context);
   st.ctx_switches <- st.ctx_switches + 1
 
 (* Pick the next Process; leaves the interpreter idle when there is none. *)
@@ -68,8 +66,7 @@ let pick_next st =
   | Some proc -> load_process st proc
   | None ->
       st.active_process := Oop.sentinel;
-      st.active_ctx := Oop.sentinel;
-      invalidate_cache st
+      set_active_ctx st Oop.sentinel
 
 (* The active Process stops running; [requeue] keeps it eligible. *)
 let switch_away st ~requeue =
@@ -1142,6 +1139,9 @@ let run st ~prim ~nargs =
           else begin
             charge_at st;
             store_with_check st recv (i - 1) v;
+            (* the receiver may be the active context itself, its pc or
+               stackp slot included *)
+            if Oop.equal recv !(st.active_ctx) then load_regs st;
             pop_all_push st ~nargs v
           end
         end

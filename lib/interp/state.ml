@@ -57,10 +57,16 @@ type t = {
   vp : Machine.vp;
   mcache : Method_cache.t;
   free_ctxs : Free_contexts.t;
+  eden : Heap.region;            (* the eden region this processor fills *)
   (* the active Smalltalk Process and its context chain; these refs are
      registered as scavenge roots *)
   active_ctx : Oop.t ref;
   active_process : Oop.t ref;
+  (* the active context's pc and stackp, held in registers as Berkeley
+     Smalltalk did: loaded whenever [active_ctx] changes, written through
+     to the context by [set_pc]/[set_sp] *)
+  mutable r_pc : int;
+  mutable r_sp : int;
   (* cycles accumulated while executing the current step *)
   mutable cost : int;
   (* cached decode of the active context; invalidated on context switch
@@ -89,8 +95,11 @@ let make ~id ~sh ~mcache ~free_ctxs =
     vp = Machine.vp sh.machine id;
     mcache;
     free_ctxs;
+    eden = Heap.eden_region sh.heap id;
     active_ctx = ref Oop.sentinel;
     active_process = ref Oop.sentinel;
+    r_pc = 0;
+    r_sp = 0;
     cost = 0;
     cached_ctx = Oop.sentinel;
     c_meth = Oop.sentinel;
@@ -149,13 +158,29 @@ let refresh_cache st =
 
 (* --- context stack operations (on the active context) --- *)
 
-let get_pc st = Oop.small_val (Heap.get st.sh.heap !(st.active_ctx) Layout.Ctx.pc)
+(* Reload the pc/sp registers from the active context. *)
+let load_regs st =
+  let ctx = !(st.active_ctx) in
+  if not (Oop.equal ctx Oop.sentinel) then begin
+    let h = st.sh.heap in
+    st.r_pc <- Oop.small_val (Heap.get h ctx Layout.Ctx.pc);
+    st.r_sp <- Oop.small_val (Heap.get h ctx Layout.Ctx.stackp)
+  end
+
+(* Make [ctx] (or [Oop.sentinel]: none) the active context. *)
+let set_active_ctx st ctx =
+  st.active_ctx := ctx;
+  invalidate_cache st;
+  load_regs st
+
+let get_pc st = st.r_pc
 let set_pc st pc =
+  st.r_pc <- pc;
   Heap.set_raw st.sh.heap !(st.active_ctx) Layout.Ctx.pc (Oop.of_small pc)
 
-let get_sp st =
-  Oop.small_val (Heap.get st.sh.heap !(st.active_ctx) Layout.Ctx.stackp)
+let get_sp st = st.r_sp
 let set_sp st sp =
+  st.r_sp <- sp;
   Heap.set_raw st.sh.heap !(st.active_ctx) Layout.Ctx.stackp (Oop.of_small sp)
 
 (* Pointer store with the generation-scavenging store check; an insertion
@@ -172,21 +197,25 @@ let store_with_check st obj i v =
     in
     sync_to st finish
   end
-  else ignore (Heap.store_ptr h obj i v)
+  else begin
+    (* [Heap.store_ptr] without its entry-table test, just answered *)
+    Heap.set_raw h obj i v;
+    Heap.major_note h v
+  end
 
 let push st v =
-  let sp = get_sp st in
+  let sp = st.r_sp in
   store_with_check st !(st.active_ctx) (Layout.Ctx.fixed_slots + sp) v;
   set_sp st (sp + 1)
 
 let pop st =
-  let sp = get_sp st - 1 in
+  let sp = st.r_sp - 1 in
   let v = Heap.get st.sh.heap !(st.active_ctx) (Layout.Ctx.fixed_slots + sp) in
   set_sp st sp;
   v
 
 let peek st ~depth =
-  let sp = get_sp st in
-  Heap.get st.sh.heap !(st.active_ctx) (Layout.Ctx.fixed_slots + sp - 1 - depth)
+  Heap.get st.sh.heap !(st.active_ctx)
+    (Layout.Ctx.fixed_slots + st.r_sp - 1 - depth)
 
-let popn st n = set_sp st (get_sp st - n)
+let popn st n = set_sp st (st.r_sp - n)

@@ -55,8 +55,14 @@ type t = {
   vp : Machine.vp;
   mcache : Method_cache.t;
   free_ctxs : Free_contexts.t;
+  eden : Heap.region;  (** the eden region this processor allocates in *)
   active_ctx : Oop.t ref;  (** registered as a scavenge root *)
   active_process : Oop.t ref;  (** likewise *)
+  mutable r_pc : int;
+      (** the active context's pc, valid whenever [active_ctx] holds a
+          context: {!set_active_ctx} loads it, {!set_pc} writes it through
+          to the context, so the heap copy is always current *)
+  mutable r_sp : int;  (** likewise its stackp, written by {!set_sp} *)
   mutable cost : int;  (** cycles accumulated during the current step *)
   mutable cached_ctx : Oop.t;
       (** the context the [c_*] fields describe; invalidated on context
@@ -94,6 +100,15 @@ val invalidate_cache : t -> unit
 val refresh_cache : t -> unit
 
 (** {2 Context stack operations (on the active context)} *)
+
+(** Make a context (or [Oop.sentinel]: none) the active one: drops the
+    cached decode and loads the pc/sp registers.  Every change of
+    [active_ctx] goes through here. *)
+val set_active_ctx : t -> Oop.t -> unit
+
+(** Reload the pc/sp registers after a store into the active context's
+    own [pc] or [stackp] slot that bypassed {!set_pc}/{!set_sp}. *)
+val load_regs : t -> unit
 
 val get_pc : t -> int
 

@@ -190,6 +190,10 @@ val remembered_count : t -> int
 
 (** {2 Allocation} *)
 
+(** The eden region processor [vp] allocates in: its own slice under
+    [Replicated_eden], else the whole eden.  Fixed for the heap's life. *)
+val eden_region : t -> int -> region
+
 val eden_avail : t -> vp:int -> int
 
 val eden_used : t -> int

@@ -64,22 +64,23 @@ let queries d = Plan.queries d.stream
 let query_log d = Array.of_list (List.rev d.rev_log)
 
 let policy d =
-  (* Log the query (guided drivers only), then answer it.  The log entry
+  (* Log a query (guided drivers only, before asking it).  The entry
      takes the index before {!Plan.query} bumps the counter, so the
      logged [q] names the same index a forced decision is matched
-     against. *)
-  let ask kind ~vp ~now ~accept ~gen =
-    if d.log_all then
-      d.rev_log <-
-        { q = Plan.queries d.stream; kind; qvp = vp; qnow = now } :: d.rev_log;
-    Plan.query d.stream ~accept ~gen
+     against.  Callers build the entry's kind only when [log_all]: the
+     other drivers never keep it. *)
+  let note kind ~vp ~now =
+    d.rev_log <-
+      { q = Plan.queries d.stream; kind; qvp = vp; qnow = now } :: d.rev_log
   in
   let choose_tie candidates =
     let n = Array.length candidates in
-    let picked =
-      ask
+    if d.log_all then
+      note
         (Qtie (Array.map (fun vp -> vp.Machine.id) candidates))
-        ~vp:candidates.(0).Machine.id ~now:candidates.(0).Machine.clock
+        ~vp:candidates.(0).Machine.id ~now:candidates.(0).Machine.clock;
+    let picked =
+      Plan.query d.stream
         ~accept:(function Tie_pick _ -> true | _ -> false)
         ~gen:(fun rng params ->
           if Plan.Rng.chance rng params.tie_permil then
@@ -96,8 +97,9 @@ let policy d =
     | _ -> candidates.(0)
   in
   let lock_jitter ~vp ~lock ~now =
+    if d.log_all then note (Qacquire lock) ~vp ~now;
     let picked =
-      ask (Qacquire lock) ~vp ~now
+      Plan.query d.stream
         ~accept:(function Lock_jitter _ -> true | _ -> false)
         ~gen:(fun rng params ->
           if params.jitter_bound > 0
@@ -112,8 +114,9 @@ let policy d =
     | _ -> 0
   in
   let preempt_after ~vp ~lock ~now =
+    if d.log_all then note (Qexit lock) ~vp ~now;
     let picked =
-      ask (Qexit lock) ~vp ~now
+      Plan.query d.stream
         ~accept:(function Force_preempt -> true | _ -> false)
         ~gen:(fun rng params ->
           if Plan.Rng.chance rng params.preempt_permil then Some Force_preempt

@@ -12,6 +12,7 @@ let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
+(* A fresh directory, removed with its files when the test run exits. *)
 let tmp_dir =
   let n = ref 0 in
   fun () ->
@@ -21,6 +22,11 @@ let tmp_dir =
         (Printf.sprintf "mst-test-replica-%d-%d" (Unix.getpid ()) !n)
     in
     if not (Sys.file_exists d) then Sys.mkdir d 0o755;
+    at_exit (fun () ->
+        if Sys.file_exists d then begin
+          Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
+          Sys.rmdir d
+        end);
     d
 
 let write_file path s =
@@ -314,17 +320,17 @@ let test_rejects_bad_params () =
        { Replica.default_params with Replica.checkpoint_every = 0 })
 
 (* Without [dir], each run gets a directory of its own, created
-   atomically: two runs never share one, and both exist afterwards. *)
+   atomically so two runs never share one, and removes it on return. *)
 let test_runs_get_distinct_dirs () =
   let p = { Replica.default_params with Replica.requests = 4 } in
   let a = (Replica.run p).Replica.dir and b = (Replica.run p).Replica.dir in
   check_bool "distinct directories" true (a <> b);
   List.iter
-    (fun d ->
-      check_bool (d ^ " exists") true (Sys.is_directory d);
-      Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
-      Sys.rmdir d)
-    [ a; b ]
+    (fun d -> check_bool (d ^ " is gone") false (Sys.file_exists d))
+    [ a; b ];
+  let kept = tmp_dir () in
+  let o = Replica.run { p with Replica.dir = Some kept } in
+  check_bool "a caller's dir keeps its log" true (Sys.file_exists o.Replica.log_path)
 
 (* A two-slot node and a checkpoint of its freshly built heap. *)
 let captured_node () =
