@@ -274,7 +274,7 @@ let restore_registers vm regs =
     (fun i st ->
       st.State.until_poll <- untils.(2 * i);
       st.State.until_sched <- untils.((2 * i) + 1);
-      State.set_active_ctx st actives.(2 * i);
+      State.enter_ctx st actives.(2 * i);
       st.State.active_process := actives.((2 * i) + 1))
     states;
   let sched = vm.Vm.shared.State.sched in

@@ -45,6 +45,11 @@ type t = {
 
 let sanitizer vm = vm.shared.State.sanitizer
 
+(* Write every interpreter's pc/sp registers back to its active context:
+   before anything reads those slots of a running context (see
+   State.flush_regs). *)
+let flush_regs vm = Array.iter State.flush_regs vm.states
+
 (* Run [f] with the sanitizer disarmed: the collectors mutate the heap
    without locks by design, and the sanitizer must not flag them. *)
 let disarmed san f =
@@ -291,6 +296,7 @@ let create (config : Config.t) =
        heap.Heap.on_old_exhausted <-
          Some
            (fun need ->
+             flush_regs vm;
              let t0 = Machine.max_clock machine in
              let cost = disarmed san (fun () -> force_major_room vm mj ~need) in
              Machine.synchronize_clocks machine (t0 + cost);
@@ -383,6 +389,7 @@ let spawn vm ?(priority = 5) ?(name = "doIt") source =
 
 (* Run one scavenge now; every processor is between steps. *)
 let do_scavenge vm =
+  flush_regs vm;
   let m = vm.machine in
   (* rendezvous: the collection starts once the laggard reaches its
      safepoint; in the simulation every runnable processor is at a step
@@ -478,6 +485,7 @@ let () = do_scavenge_fwd := do_scavenge
    implies marked at mark completion, heap consistency (free lists
    included) at cycle completion. *)
 let do_major_slice vm mj =
+  flush_regs vm;
   let m = vm.machine in
   let t0 = Machine.max_clock m in
   let san = vm.shared.State.sanitizer in
@@ -797,7 +805,8 @@ let run_engine vm ~max_cycles ~finished ~result outcome =
      same heap the main loop would.  Only an injector turns the fast
      path off: it wants [deliver_crashes] between single steps.  One
      closure for the whole run: the per-event path allocates nothing. *)
-  let rec step_vp vp st interp ~fast =
+  let rec step_vp vp interp ~fast =
+    let st = interp.Interp.st in
     match Interp.step interp with
     | exception e ->
         (* a VM-level error killed the running Process; take it off the
@@ -870,7 +879,7 @@ let run_engine vm ~max_cycles ~finished ~result outcome =
               >= Pending.key pending ~clock:(vp.Machine.clock + 1) ~id:0)
     then begin
       vm.engine_events <- vm.engine_events + 1;
-      step_vp vp vm.states.(id) vm.interps.(id) ~fast:true
+      step_vp vp vm.interps.(id) ~fast:true
     end
     else carry := k
   in
@@ -888,7 +897,7 @@ let run_engine vm ~max_cycles ~finished ~result outcome =
           (match vm.major with
            | Some _ -> rdv := Machine.max_clock m
            | None -> ());
-          step_vp vp vm.states.(id) vm.interps.(id)
+          step_vp vp vm.interps.(id)
             ~fast:(Option.is_none (Machine.injector m))
         end
       end
@@ -946,6 +955,7 @@ let run ?(max_cycles = 100_000_000_000) ?watch vm =
   Sanitizer.set_armed san true;
   Fun.protect
     ~finally:(fun () ->
+      flush_regs vm;
       Sanitizer.set_armed san false;
       if watch <> None then Heap.remove_root vm.heap watch_cell)
   @@ fun () ->

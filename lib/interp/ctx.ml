@@ -145,10 +145,9 @@ let activate_block st ~block ~nargs =
     done;
     popn st (nargs + 1);
     store_with_check st block Layout.Ctx.sender !(st.active_ctx);
-    Heap.set_raw h block Layout.Ctx.pc
-      (Heap.get h block Layout.Ctx.startpc);
-    Heap.set_raw h block Layout.Ctx.stackp (Oop.of_small 0);
     set_active_ctx st block;
+    set_pc st (Oop.small_val (Heap.get h block Layout.Ctx.startpc));
+    set_sp st 0;
     Some ()
   end
 

@@ -20,7 +20,12 @@ exception Must_be_boolean
     handler (or an internal arity error). *)
 exception Does_not_understand of string
 
-type t
+(** The interned special selectors of the arithmetic fast path. *)
+type specials
+
+(** An interpreter: its processor's state, and the VM's specials.  A
+    record the engine can index arrays of without a float-array test. *)
+type t = private { st : State.t; specials : specials }
 
 val create : State.t -> t
 

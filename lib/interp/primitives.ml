@@ -1119,6 +1119,8 @@ let run st ~prim ~nargs =
           if Heap.is_raw h (Oop.addr recv) || i < 1 || i > limit then Failed
           else begin
             charge_at st;
+            (* the receiver may be the active context itself *)
+            if Oop.equal recv !(st.active_ctx) then flush_regs st;
             pop_all_push st ~nargs (Heap.get h recv (i - 1))
           end
         end
@@ -1138,10 +1140,12 @@ let run st ~prim ~nargs =
           if Heap.is_raw h (Oop.addr recv) || i < 1 || i > limit then Failed
           else begin
             charge_at st;
-            store_with_check st recv (i - 1) v;
             (* the receiver may be the active context itself, its pc or
                stackp slot included *)
-            if Oop.equal recv !(st.active_ctx) then load_regs st;
+            let active = Oop.equal recv !(st.active_ctx) in
+            if active then flush_regs st;
+            store_with_check st recv (i - 1) v;
+            if active then load_regs st;
             pop_all_push st ~nargs v
           end
         end

@@ -63,8 +63,8 @@ type t = {
   active_ctx : Oop.t ref;
   active_process : Oop.t ref;
   (* the active context's pc and stackp, held in registers as Berkeley
-     Smalltalk did: loaded whenever [active_ctx] changes, written through
-     to the context by [set_pc]/[set_sp] *)
+     Smalltalk did: loaded whenever [active_ctx] changes, written back to
+     the context by [flush_regs] (see state.mli for when) *)
   mutable r_pc : int;
   mutable r_sp : int;
   (* cycles accumulated while executing the current step *)
@@ -167,21 +167,31 @@ let load_regs st =
     st.r_sp <- Oop.small_val (Heap.get h ctx Layout.Ctx.stackp)
   end
 
-(* Make [ctx] (or [Oop.sentinel]: none) the active context. *)
-let set_active_ctx st ctx =
+(* Write the pc/sp registers back to the active context. *)
+let flush_regs st =
+  let ctx = !(st.active_ctx) in
+  if not (Oop.equal ctx Oop.sentinel) then begin
+    let h = st.sh.heap in
+    Heap.set_raw h ctx Layout.Ctx.pc (Oop.of_small st.r_pc);
+    Heap.set_raw h ctx Layout.Ctx.stackp (Oop.of_small st.r_sp)
+  end
+
+(* Make [ctx] (or [Oop.sentinel]: none) the active context, dropping the
+   registers of the one before: its heap was just replaced. *)
+let enter_ctx st ctx =
   st.active_ctx := ctx;
   invalidate_cache st;
   load_regs st
 
-let get_pc st = st.r_pc
-let set_pc st pc =
-  st.r_pc <- pc;
-  Heap.set_raw st.sh.heap !(st.active_ctx) Layout.Ctx.pc (Oop.of_small pc)
+(* Make [ctx] (or [Oop.sentinel]: none) the active context. *)
+let set_active_ctx st ctx =
+  flush_regs st;
+  enter_ctx st ctx
 
+let get_pc st = st.r_pc
+let set_pc st pc = st.r_pc <- pc
 let get_sp st = st.r_sp
-let set_sp st sp =
-  st.r_sp <- sp;
-  Heap.set_raw st.sh.heap !(st.active_ctx) Layout.Ctx.stackp (Oop.of_small sp)
+let set_sp st sp = st.r_sp <- sp
 
 (* Pointer store with the generation-scavenging store check; an insertion
    into the entry table passes through the entry-table lock (serialization,

@@ -59,10 +59,9 @@ type t = {
   active_ctx : Oop.t ref;  (** registered as a scavenge root *)
   active_process : Oop.t ref;  (** likewise *)
   mutable r_pc : int;
-      (** the active context's pc, valid whenever [active_ctx] holds a
-          context: {!set_active_ctx} loads it, {!set_pc} writes it through
-          to the context, so the heap copy is always current *)
-  mutable r_sp : int;  (** likewise its stackp, written by {!set_sp} *)
+      (** the active context's pc, whenever [active_ctx] holds a context
+          (see {!set_active_ctx}) *)
+  mutable r_sp : int;  (** likewise its stackp *)
   mutable cost : int;  (** cycles accumulated during the current step *)
   mutable cached_ctx : Oop.t;
       (** the context the [c_*] fields describe; invalidated on context
@@ -101,20 +100,44 @@ val refresh_cache : t -> unit
 
 (** {2 Context stack operations (on the active context)} *)
 
-(** Make a context (or [Oop.sentinel]: none) the active one: drops the
-    cached decode and loads the pc/sp registers.  Every change of
-    [active_ctx] goes through here. *)
+(** The pc/sp registers.  While [active_ctx] holds a context, [r_pc]
+    and [r_sp] are its pc and stackp, and {!get_pc}/{!set_pc},
+    {!get_sp} and the stack operations use only them: the
+    context's own [pc] and [stackp] slots are stale until
+    {!flush_regs} writes the registers back.  Whatever reads those slots
+    of an active context flushes first:
+    - {!set_active_ctx}, at every context and Process switch;
+    - the engine, before every scavenge, major slice and forced major
+      completion, at a crash ([Vm.crash_vp]) and when [Vm.run] returns,
+      so a census, [Verify.check] or [Snapshot.capture] between runs
+      reads current slots;
+    - [instVarAt:] and [instVarAt:put:] on the active context.
+    Only a store into the active context's slots that bypasses the
+    registers needs {!load_regs}; a heap replaced under the interpreter
+    ([Replica]'s restore) needs {!enter_ctx}. *)
+
+(** Write the registers back to the active context (none: no-op). *)
+val flush_regs : t -> unit
+
+(** Reload the registers from the active context. *)
+val load_regs : t -> unit
+
+(** Make a context (or [Oop.sentinel]: none) the active one: flush the
+    registers to the old one, drop the cached decode and load the new
+    one's pc/sp.  Every other change of [active_ctx] goes through here. *)
 val set_active_ctx : t -> Oop.t -> unit
 
-(** Reload the pc/sp registers after a store into the active context's
-    own [pc] or [stackp] slot that bypassed {!set_pc}/{!set_sp}. *)
-val load_regs : t -> unit
+(** {!set_active_ctx} without the flush, for a heap whose contents were
+    replaced since the registers were loaded. *)
+val enter_ctx : t -> Oop.t -> unit
 
 val get_pc : t -> int
 
 val set_pc : t -> int -> unit
 
 val get_sp : t -> int
+
+val set_sp : t -> int -> unit
 
 (** Pointer store with the store check; an entry-table insertion passes
     through the entry-table lock. *)

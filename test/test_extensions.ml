@@ -495,6 +495,39 @@ let golden_tests =
           Alcotest.(check string) name expected (run ())))
     golden_fixtures
 
+(* The interpreters keep the active context's pc and stackp in
+   registers and write them back only at the flush points: a scavenge
+   (whose scan stops at each context's stackp) must start from current
+   slots, and so must everything that reads the heap after a run.  Check
+   every interpreter at each scavenge of a 5-VP busy run, as the
+   collector starts, and again once the run stops at a cycle limit. *)
+let test_register_flushes () =
+  let vm = Vm.create (Config.testing ~processors:5 ()) in
+  ignore (Workloads.spawn_busy vm 4);
+  let proc = Vm.spawn vm golden_alloc_source in
+  let h = vm.Vm.heap in
+  let stale () =
+    Array.fold_left
+      (fun n st ->
+        let ctx = !(st.State.active_ctx) in
+        if Oop.equal ctx Oop.sentinel
+           || (Oop.small_val (Heap.get h ctx Layout.Ctx.pc) = st.State.r_pc
+               && Oop.small_val (Heap.get h ctx Layout.Ctx.stackp)
+                  = st.State.r_sp)
+        then n
+        else n + 1)
+      0 vm.Vm.states
+  in
+  let scavenges = ref 0 and stale_at_scavenge = ref 0 in
+  Heap.on_scavenge h (fun () ->
+      incr scavenges;
+      stale_at_scavenge := !stale_at_scavenge + stale ());
+  let outcome = Vm.run ~max_cycles:200_000 ~watch:proc vm in
+  check_bool "stopped at the cycle limit" true (outcome = Vm.Cycle_limit);
+  check_bool "scavenges ran" true (!scavenges > 0);
+  Alcotest.(check int) "stale interpreters at scavenges" 0 !stale_at_scavenge;
+  Alcotest.(check int) "stale interpreters after the run" 0 (stale ())
+
 let test_sorting () =
   check_eval "sort integers" "'Array (1 2 5 9 )'"
     "#(5 2 9 1) asSortedArray printString";
@@ -638,6 +671,9 @@ let () =
          Alcotest.test_case "real deadlock still detected" `Quick
            test_calendar_deadlock_detected ]);
       ("engine golden", golden_tests);
+      ("registers",
+       [ Alcotest.test_case "flushed at scavenges and at run end" `Quick
+           test_register_flushes ]);
       ("sorting",
        [ Alcotest.test_case "sorts" `Quick test_sorting;
          Alcotest.test_case "aggregates" `Quick test_aggregates ]);
