@@ -236,8 +236,8 @@ let capture_registers vm =
     Array.init
       (2 * Array.length states)
       (fun k ->
-        let st = states.(k / 2) in
-        if k mod 2 = 0 then st.State.until_poll else st.State.until_sched)
+        let poll, sched = State.untils states.(k / 2) in
+        if k mod 2 = 0 then poll else sched)
   in
   let actives =
     Array.init
@@ -272,8 +272,7 @@ let restore_registers vm regs =
   then cluster_error "checkpoint interpreter count differs";
   Array.iteri
     (fun i st ->
-      st.State.until_poll <- untils.(2 * i);
-      st.State.until_sched <- untils.((2 * i) + 1);
+      State.set_untils st ~poll:untils.(2 * i) ~sched:untils.((2 * i) + 1);
       State.enter_ctx st actives.(2 * i);
       st.State.active_process := actives.((2 * i) + 1))
     states;

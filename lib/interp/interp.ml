@@ -445,6 +445,19 @@ let push_next st ~pc v =
   push st v;
   set_pc st (pc + 1)
 
+(* The periodic duties' countdown ran out: the event poll, the
+   scheduling check or both are due.  The countdown is set for the next
+   one before either runs. *)
+let periodic_duties st =
+  let cm = st.sh.cm in
+  let ran = st.duty_span in
+  let poll = st.until_poll - ran and sched = st.until_sched - ran in
+  set_untils st
+    ~poll:(if poll <= 0 then cm.Cost_model.event_poll_interval else poll)
+    ~sched:(if sched <= 0 then cm.Cost_model.sched_check_interval else sched);
+  if poll <= 0 then do_event_poll st;
+  if sched <= 0 then do_sched_check st
+
 let execute_bytecode t =
   let st = t.st in
   let cm = st.sh.cm in
@@ -564,16 +577,8 @@ let step t =
     if Heap.region_avail st.eden < low_water_mark then Need_gc
     else begin
       (* 3. periodic duties *)
-      st.until_poll <- st.until_poll - 1;
-      if st.until_poll <= 0 then begin
-        st.until_poll <- st.sh.cm.Cost_model.event_poll_interval;
-        do_event_poll st
-      end;
-      st.until_sched <- st.until_sched - 1;
-      if st.until_sched <= 0 then begin
-        st.until_sched <- st.sh.cm.Cost_model.sched_check_interval;
-        do_sched_check st
-      end;
+      st.until_duty <- st.until_duty - 1;
+      if st.until_duty <= 0 then periodic_duties st;
       if Oop.equal !(st.active_process) Oop.sentinel then Ran
       else begin
         (* 4. refresh the context cache if the context changed *)

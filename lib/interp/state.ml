@@ -79,9 +79,13 @@ type t = {
   mutable c_home_frame : int;    (* address of home frame slot 0 *)
   mutable c_recv : Oop.t;
   mutable c_ivar_base : int;     (* address of receiver's first field *)
-  (* periodic duties *)
+  (* periodic duties, on one countdown: [until_duty] steps remain to the
+     nearer duty, which with the other was [until_poll]/[until_sched]
+     steps away [duty_span] steps ago (see [untils]) *)
   mutable until_poll : int;
   mutable until_sched : int;
+  mutable until_duty : int;
+  mutable duty_span : int;
   (* statistics *)
   mutable steps : int;
   mutable sends : int;
@@ -111,15 +115,30 @@ let make ~id ~sh ~mcache ~free_ctxs =
     c_ivar_base = 0;
     until_poll = sh.cm.Cost_model.event_poll_interval;
     until_sched = sh.cm.Cost_model.sched_check_interval;
+    until_duty = 0;
+    duty_span = 0;
     steps = 0;
     sends = 0;
     ctx_switches = 0;
   } in
+  st.until_duty <- Int.min st.until_poll st.until_sched;
+  st.duty_span <- st.until_duty;
   Heap.add_root sh.heap st.active_ctx;
   Heap.add_root sh.heap st.active_process;
   st
 
 let nil st = st.sh.u.Universe.nil
+
+(* Steps left until the next event poll and the next scheduling check. *)
+let untils st =
+  let ran = st.duty_span - st.until_duty in
+  (st.until_poll - ran, st.until_sched - ran)
+
+let set_untils st ~poll ~sched =
+  st.until_poll <- poll;
+  st.until_sched <- sched;
+  st.until_duty <- Int.min poll sched;
+  st.duty_span <- st.until_duty
 
 (* Virtual time at the current point inside the running step. *)
 let now st = st.vp.Machine.clock + st.cost

@@ -75,6 +75,12 @@ type t = {
   mutable c_ivar_base : int;
   mutable until_poll : int;
   mutable until_sched : int;
+  mutable until_duty : int;
+      (** the periodic duties' one countdown: steps left to the nearer
+          duty.  [until_poll] and [until_sched] hold the steps each duty
+          was away when it was last set, [duty_span] steps ago; read
+          them with {!untils} *)
+  mutable duty_span : int;
   mutable steps : int;
   mutable sends : int;
   mutable ctx_switches : int;
@@ -84,6 +90,12 @@ val make :
   id:int -> sh:shared -> mcache:Method_cache.t -> free_ctxs:Free_contexts.t -> t
 
 val nil : t -> Oop.t
+
+(** Steps left until the next event poll and the next scheduling check. *)
+val untils : t -> int * int
+
+(** Set both (each at least 1), as {!untils} reports them. *)
+val set_untils : t -> poll:int -> sched:int -> unit
 
 (** Virtual time at the current point inside the running step. *)
 val now : t -> int
