@@ -28,7 +28,7 @@ type scheduler_strategy = Sched_locked | Sched_stealing
    loop ([Vm.run_engine]).  [Engine_scan] polls: the processor is
    re-stepped every 10 Delay quanta, as the paper's idle interpreters
    poll the ready queue.  [Engine_calendar] parks it off the pending-heap until a wakeup event
-   (ready work, input, timer).  Selection, timers and batching are
+   (ready work, input, timer).  Selection, timers and the fast path are
    shared. *)
 type engine_strategy = Engine_scan | Engine_calendar
 

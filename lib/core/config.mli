@@ -46,7 +46,7 @@ type t = {
           work stealing *)
   engine : engine_strategy;
       (** E17: what idle processors do in the one engine loop — poll or
-          park; selection, timers and batching are shared *)
+          park; selection, timers and the fast path are shared *)
   keep_running_in_queue : bool;
       (** the MS reorganization: running Processes stay in the ready
           queue; [false] restores BS semantics *)

@@ -600,12 +600,12 @@ type run_outcome =
      fresh key, and the first current entry to surface is the true
      minimum.
 
-   - A processor leaving the batched path after a bytecode is not added
-     to the heap but held in a one-slot carry, which the next pop
-     consumes with {!Pending.push_pop}: one sift-down at most instead of
-     an add and a take.  Every live, unparked processor is in the heap or
-     the carry, and the heap top is read only after a pop has emptied
-     the carry, so tie collection and the batch test see every
+   - A processor whose step ends off the fast path is not added to the
+     heap but held in a one-slot carry, which the next pop consumes with
+     {!Pending.push_pop}: one sift-down at most instead of an add and a
+     take.  Every live, unparked processor is in the heap, the carry or
+     stepping, and the heap top is read only after a pop has emptied
+     the carry, so tie collection and the fast path see every
      candidate.
 
    - [Config.engine] decides one thing: what a processor that goes idle
@@ -621,23 +621,27 @@ type run_outcome =
      differ between the two; results, transcripts and census are compared
      by the cross-engine differential oracle.
 
-   - After stepping the minimal processor, the engine keeps stepping it
-     while the main loop would pick it again anyway (the batched fast
-     path), instead of going back through selection for every bytecode.
+   - After a step, the engine makes the main loop's next selection
+     itself whenever that selection is sure to step a processor (the
+     fast path, [step_next]): it pushes the stepped processor's key with
+     {!Pending.push_pop} and steps the minimum that comes back, the same
+     processor (a batch) or another one (a switch: Table 2's 5-VP
+     states interleave one bytecode per processor), instead of going
+     back through the main loop for every bytecode.
 
    - A major slice is due at the rendezvous clock, the largest clock.
      With a major collector configured, the main loop takes it
      ([Machine.max_clock]) once per selection, just before the step,
-     and the batch test asks [Major.due] at [Int.max rdv vp.clock];
-     without one, selection computes nothing.  [rdv] stays exact over a
-     batch because only these move clocks during one: the stepping
-     processor's own charges and lock spin, which the [Int.max]
-     covers; [unpark], which raises [rdv] to the clock it gives the
-     woken processor; and [on_old_exhausted], whose forced completion
-     synchronizes every clock mid-step, the stepping processor's
-     included.  Fault stalls and crashes need an injector,
-     which turns batching off, and [Replica]'s clock restore runs
-     outside the engine.
+     each fast-path step raises it to [Int.max rdv vp.clock], and the
+     fast path asks [Major.due] at [rdv]; without one, neither path
+     computes anything.  [rdv] stays exact between main-loop selections
+     because only these move clocks: the stepping processor's own
+     charges and lock spin, which the [Int.max] covers; [unpark], which
+     raises [rdv] to the clock it gives the woken processor; and
+     [on_old_exhausted], whose forced completion synchronizes every
+     clock mid-step, the stepping processor's included.  Fault stalls
+     and crashes need an injector, which turns the fast path off, and
+     [Replica]'s clock restore runs outside the engine.
 
    - The per-event path compares ints with [Int.max]/[Int.min] and at
      known types, never through [Stdlib.max] or polymorphic compare:
