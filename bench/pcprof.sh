@@ -10,23 +10,23 @@
 # SIGALRM) the sampler records the interrupted program counter; at exit
 # it writes the samples that fell in the main executable's code.  The
 # script then prints the share of samples per function (nm -n) and per
-# source line (addr2line).  Child processes are sampled too, each into
-# its own file; the report covers the process with the most samples, so
-# run the program itself, not a script that builds it first.
-#
-# PCPROF_TOP (default 25) sets how many rows each table prints.  It only
-# reports: nothing checks its output.
+# source line (addr2line), 25 rows each.  Child processes are sampled
+# too, each into its own file; the report covers the process with the
+# most samples, so run the program itself, not a script that builds it
+# first.  It only reports: nothing checks its output.
 set -eu
 if [ $# -eq 0 ]; then
   echo "usage: sh bench/pcprof.sh CMD [ARGS...]" >&2
   exit 2
 fi
-top=${PCPROF_TOP:-25}
+top=25
 dir=$(mktemp -d "${TMPDIR:-/tmp}/pcprof.XXXXXX")
 trap 'rm -rf "$dir"' EXIT INT TERM
 
 cat > "$dir/sampler.c" <<'EOF'
 #define _GNU_SOURCE
+#include <dlfcn.h>
+#include <libgen.h>
 #include <link.h>
 #include <signal.h>
 #include <stdio.h>
@@ -72,11 +72,15 @@ __attribute__((constructor)) static void pcprof_start(void) {
   setitimer(ITIMER_REAL, &it, NULL);
 }
 
+/* the samples go next to this library, into the script's directory */
 __attribute__((destructor)) static void pcprof_stop(void) {
   struct itimerval off = {{0, 0}, {0, 0}};
   setitimer(ITIMER_REAL, &off, NULL);
-  char path[4096];
-  snprintf(path, sizeof path, "%s/samples.%d", getenv("PCPROF_DIR"), (int)getpid());
+  Dl_info self;
+  if (!dladdr((void *)pcprof_stop, &self)) return;
+  char lib[4096], path[4096];
+  snprintf(lib, sizeof lib, "%s", self.dli_fname);
+  snprintf(path, sizeof path, "%s/samples.%d", dirname(lib), (int)getpid());
   FILE *f = fopen(path, "w");
   if (!f) return;
   size_t outside = 0;
@@ -92,7 +96,7 @@ cc -O2 -shared -fPIC -o "$dir/sampler.so" "$dir/sampler.c"
 
 exe=$(command -v "$1")
 status=0
-PCPROF_DIR=$dir LD_PRELOAD=$dir/sampler.so "$@" >&2 || status=$?
+LD_PRELOAD=$dir/sampler.so "$@" >&2 || status=$?
 
 best=$(wc -l "$dir"/samples.* 2>/dev/null | grep -v ' total$' | sort -n | tail -1 | awk '{print $2}')
 if [ -z "$best" ]; then

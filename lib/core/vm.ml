@@ -809,7 +809,8 @@ let run_engine vm ~max_cycles ~finished ~result outcome =
      same heap the main loop would.  Only an injector turns the fast
      path off: it wants [deliver_crashes] between single steps.  One
      closure for the whole run: the per-event path allocates nothing. *)
-  let rec step_vp vp interp ~fast =
+  let fast = Option.is_none (Machine.injector m) in
+  let rec step_vp vp interp =
     let st = interp.Interp.st in
     match Interp.step interp with
     | exception e ->
@@ -883,7 +884,7 @@ let run_engine vm ~max_cycles ~finished ~result outcome =
               >= Pending.key pending ~clock:(vp.Machine.clock + 1) ~id:0)
     then begin
       vm.engine_events <- vm.engine_events + 1;
-      step_vp vp vm.interps.(id) ~fast:true
+      step_vp vp vm.interps.(id)
     end
     else carry := k
   in
@@ -902,7 +903,6 @@ let run_engine vm ~max_cycles ~finished ~result outcome =
            | Some _ -> rdv := Machine.max_clock m
            | None -> ());
           step_vp vp vm.interps.(id)
-            ~fast:(Option.is_none (Machine.injector m))
         end
       end
       else if id = nothing then begin

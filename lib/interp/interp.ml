@@ -462,7 +462,7 @@ let execute_bytecode t =
   let st = t.st in
   let cm = st.sh.cm in
   let h = st.sh.heap in
-  let pc = st.r_pc in
+  let pc = get_pc st in
   if pc >= st.c_bc_len then
     vm_error "pc %d ran off the end of the method" pc;
   let w = h.Heap.mem.(st.c_bc_addr + pc) in
