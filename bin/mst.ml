@@ -94,6 +94,11 @@ let refuse fmt =
 let require_positive flag n =
   if n <= 0 then refuse "%s must be positive, got %d" flag n
 
+(* A negative bound, delay or cap has no meaning: refuse it rather than
+   clamp it or let it pass as "off". *)
+let require_non_negative flag n =
+  if n < 0 then refuse "%s must not be negative, got %d" flag n
+
 (* The VM flags eval, run and serve share, assembled into a configuration:
    baseline BS for one processor on the locked scheduler with no
    background Processes, the published MS otherwise.  The result still
@@ -103,6 +108,7 @@ let vm_config ?(default_engine = Config.Engine_scan) ?(min_processors = 1) () =
   let make processors sanitize scheduler engine major major_budget
       ~background =
     require_positive "-p" processors;
+    Option.iter (require_positive "--major-budget") major_budget;
     let processors = max processors min_processors in
     let base =
       if processors <= 1 && (not background)
@@ -626,6 +632,8 @@ let faults_cmd =
   in
   let run campaign seeds first_seed quick watchdog backoff deadlock dump
       replay expect_deadlock shrink_budget =
+    require_non_negative "--watchdog" watchdog;
+    require_non_negative "--backoff" backoff;
     match replay with
     | Some file -> run_replay ~file ~quick ~watchdog ~backoff ~expect_deadlock
     | None ->
@@ -721,6 +729,9 @@ let serve_cmd =
     require_positive "--sessions" sessions;
     require_positive "--workers" workers;
     require_positive "--requests" requests;
+    require_non_negative "--think-ms" think_ms;
+    require_non_negative "--interval-ms" interval_ms;
+    require_non_negative "--admit" admit;
     let p =
       { Server.sessions; workers; loop; requests; think_ms; interval_ms;
         admit }

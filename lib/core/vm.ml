@@ -81,6 +81,7 @@ let create (config : Config.t) =
   in
   let processors = config.Config.processors in
   let machine = Machine.make ~processors cm in
+  let san = Sanitizer.create config.Config.sanitize in
   let policy =
     if not config.Config.locks_enabled then Heap.Unlocked
     else
@@ -90,39 +91,65 @@ let create (config : Config.t) =
   in
   let heap =
     Heap.create ~policy ~processors ~tenure_age:config.Config.tenure_age
-      ~old_words:config.Config.old_words
+      ~sanitizer:san ~old_words:config.Config.old_words
       ~eden_words:config.Config.eden_words
       ~survivor_words:config.Config.survivor_words ()
   in
   let u = Bootstrap.install heap in
   let locks = config.Config.locks_enabled in
-  let alloc_lock =
-    Spinlock.make
-      ~enabled:(locks && config.Config.allocation = Config.Alloc_serialized)
-      ~cost:cm "allocation"
+  (* Every lock reports its timeline to [san] and sees the machine's
+     scheduling policy and fault injector.  Several processors with
+     locking off means no serialization at all: the disabled locks then
+     report their op windows, so the sanitizer can expose the overlapping
+     critical sections this config produces.  The spin watchdog is off by
+     default (bound 0 keeps every lock timeline bit-identical to the
+     seed); fault campaigns turn it on so a crashed lock holder is
+     detected instead of spun on forever.  The locks are built in the
+     order that fixes their sanitizer ids. *)
+  let watching = config.Config.watchdog_quanta > 0 in
+  let make_lock ~enabled name =
+    Spinlock.make ~sanitizer:san ~machine
+      ~report_unlocked:((not locks) && processors > 1)
+      ~watchdog:
+        (if watching then
+           config.Config.watchdog_quanta * cm.Cost_model.delay_quantum
+         else 0)
+      ~backoff_after:(if watching then config.Config.backoff_quanta else 0)
+      ~enabled ~cost:cm name
   in
-  let entry_lock = Spinlock.make ~enabled:locks ~cost:cm "entry table" in
-  let sched_lock = Spinlock.make ~enabled:locks ~cost:cm "scheduler" in
-  let display = Devices.make_display ~enabled_locks:locks ~cost:cm in
-  let input = Devices.make_input_queue ~enabled_locks:locks ~cost:cm in
+  let alloc_lock =
+    make_lock
+      ~enabled:(locks && config.Config.allocation = Config.Alloc_serialized)
+      "allocation"
+  in
+  let entry_lock = make_lock ~enabled:locks "entry table" in
+  let sched_lock = make_lock ~enabled:locks "scheduler" in
+  let display_lock = make_lock ~enabled:locks "display output queue" in
+  let input_lock = make_lock ~enabled:locks "input event queue" in
+  let shared_cache_lock = make_lock ~enabled:locks "method cache" in
+  let shared_ctx_lock = make_lock ~enabled:locks "free contexts" in
   let deque_locks =
     match config.Config.scheduler with
     | Config.Sched_locked -> [||]
     | Config.Sched_stealing ->
         Array.init processors (fun i ->
-            Spinlock.make ~enabled:locks ~cost:cm
-              (Printf.sprintf "ready deque %d" i))
+            make_lock ~enabled:locks (Printf.sprintf "ready deque %d" i))
   in
+  let all_locks =
+    [ alloc_lock; entry_lock; sched_lock; display_lock; input_lock;
+      shared_cache_lock; shared_ctx_lock ]
+    @ Array.to_list deque_locks
+  in
+  let display = Devices.make_display ~lock:display_lock ~cost:cm in
+  let input = Devices.make_input_queue ~lock:input_lock in
   let sched =
     Scheduler.create ~deque_locks
-      ~unlocked_steal:config.Config.debug_unlocked_steal ~u ~lock:sched_lock
-      ~entry_lock ~op_cycles:cm.Cost_model.sched_op
+      ~unlocked_steal:config.Config.debug_unlocked_steal ~sanitizer:san
+      ~machine ~u ~lock:sched_lock ~entry_lock
+      ~op_cycles:cm.Cost_model.sched_op
       ~remember_cost:cm.Cost_model.remember_insert
       ~keep_running_in_queue:config.Config.keep_running_in_queue ~processors
-      ()
   in
-  Scheduler.set_machine sched machine;
-  let san = Sanitizer.create config.Config.sanitize in
   let shared = {
     State.u;
     heap;
@@ -150,49 +177,31 @@ let create (config : Config.t) =
   } in
   (* method caches *)
   let shared_cache_table = Method_cache.make_table () in
-  let shared_cache_lock = Spinlock.make ~enabled:locks ~cost:cm "method cache" in
   let make_cache i =
     match config.Config.method_cache with
     | Config.Cache_replicated ->
-        Method_cache.create_replicated ~owner:i ~sanitizer:san ()
+        Method_cache.create_replicated ~owner:i ~sanitizer:san
     | Config.Cache_shared_locked ->
         Method_cache.create_shared ~sanitizer:san ~lock:shared_cache_lock
-          ~table:shared_cache_table ()
+          ~table:shared_cache_table
   in
   (* free-context lists *)
   let shared_ctx_lists = Free_contexts.empty_lists () in
-  let shared_ctx_lock = Spinlock.make ~enabled:locks ~cost:cm "free contexts" in
   let remember_cost = cm.Cost_model.remember_insert in
   let make_free_ctxs i =
     match config.Config.free_contexts with
     | Config.Ctx_replicated ->
         Free_contexts.create_replicated ~owner:i ~entry_lock ~remember_cost
-          ~sanitizer:san ()
+          ~sanitizer:san
     | Config.Ctx_shared_locked ->
         Free_contexts.create_shared ~entry_lock ~remember_cost ~sanitizer:san
           ~skip_bracket:config.Config.debug_skip_ctx_lock
-          ~lock:shared_ctx_lock ~lists:shared_ctx_lists ()
-    | Config.Ctx_disabled -> Free_contexts.create_disabled ()
+          ~lock:shared_ctx_lock ~lists:shared_ctx_lists
+    | Config.Ctx_disabled -> Free_contexts.create_disabled ~sanitizer:san
   in
-  (* sanitizer wiring: every lock reports its timeline; guarded resources
-     are bound to their designated locks only when that lock is real, so
-     the BS (locks-disabled) configurations are never flagged *)
-  let all_locks =
-    [ alloc_lock; entry_lock; sched_lock; Devices.display_lock display;
-      Devices.input_lock input; shared_cache_lock; shared_ctx_lock ]
-    @ Array.to_list deque_locks
-  in
-  List.iter (fun l -> Spinlock.attach l san) all_locks;
-  (* the machine's scheduling policy (when the explorer installs one)
-     perturbs lock acquisitions; every lock must see it *)
-  List.iter (fun l -> Spinlock.attach_machine l machine) all_locks;
-  (* several processors with locking off means no serialization at all:
-     let the disabled locks report their op windows, so the sanitizer can
-     expose the overlapping critical sections this config produces *)
-  if (not locks) && processors > 1 then
-    List.iter (fun l -> Spinlock.set_report_unlocked l true) all_locks;
-  Heap.set_sanitizer heap san;
-  Scheduler.set_sanitizer sched san;
+  (* guarded resources are bound to their designated locks only when that
+     lock is real, so the BS (locks-disabled) configurations are never
+     flagged *)
   let guard resource lock =
     if Spinlock.enabled lock then
       Sanitizer.register_guard san ~resource ~lock:(Spinlock.name lock)
@@ -203,8 +212,8 @@ let create (config : Config.t) =
   Array.iteri
     (fun i l -> guard (Printf.sprintf "ready deque %d" i) l)
     deque_locks;
-  guard "display output queue" (Devices.display_lock display);
-  guard "input event queue" (Devices.input_lock input);
+  guard "display output queue" display_lock;
+  guard "input event queue" input_lock;
   if config.Config.free_contexts = Config.Ctx_shared_locked then
     guard "free context list" shared_ctx_lock;
   let states =
@@ -227,17 +236,6 @@ let create (config : Config.t) =
   (* installing or replacing a method invalidates cached lookups *)
   shared.State.on_method_install <-
     (fun () -> Array.iter (fun st -> Method_cache.flush st.State.mcache) states);
-  (* the spin watchdog: off by default (bound 0 keeps every lock timeline
-     bit-identical to the seed); fault campaigns turn it on so a crashed
-     lock holder is detected instead of spun on forever *)
-  if config.Config.watchdog_quanta > 0 then begin
-    let bound = config.Config.watchdog_quanta * cm.Cost_model.delay_quantum in
-    List.iter
-      (fun l ->
-        Spinlock.set_watchdog l ~bound
-          ~backoff_after:config.Config.backoff_quanta)
-      all_locks
-  end;
   (* E18: the incremental old-space collector.  Its roots beyond the
      heap's own registered cells are every host-side reference into the
      image: the universe's well-known objects, the scheduler's deques and
@@ -544,7 +542,7 @@ let nothing_runnable vm =
     (fun st -> Oop.equal !(st.State.active_process) Oop.sentinel)
     vm.states
   && not (Scheduler.better_ready vm.shared.State.sched ~than:0)
-  && Devices.input_pending vm.shared.State.input = 0
+  && not (Devices.input_pending vm.shared.State.input)
   && Calendar.is_empty vm.shared.State.timers
 
 (* Deliver an injected processor crash: the victim halts permanently

@@ -28,9 +28,10 @@ type t = {
   entry_lock : Spinlock.t option;  (* for tenured-context link stores *)
   remember_cost : int;
   skip_bracket : bool;       (* fault injection: mutate without the lock *)
-  mutable sanitizer : Sanitizer.t option;
+  sanitizer : Sanitizer.t;
   san_id : Sanitizer.id;     (* the checked resource: the list when
-                                shared, the owner's pair when replicated *)
+                                shared, the owner's pair when replicated;
+                                -1 when disabled *)
   mutable reuses : int;
   mutable fresh : int;
   mutable returns : int;     (* contexts handed back *)
@@ -39,29 +40,26 @@ type t = {
 
 let empty_lists () = { small = Oop.sentinel; large = Oop.sentinel }
 
-let san_id sanitizer name =
-  match sanitizer with Some san -> Sanitizer.id san name | None -> -1
-
-let create_replicated ?(owner = -1) ?entry_lock ?(remember_cost = 0)
-    ?sanitizer () =
-  { mode = Replicated; lists = empty_lists (); owner; entry_lock;
-    remember_cost; skip_bracket = false; sanitizer;
-    san_id = san_id sanitizer "free contexts";
+let create_replicated ~owner ~entry_lock ~remember_cost ~sanitizer =
+  { mode = Replicated; lists = empty_lists (); owner;
+    entry_lock = Some entry_lock; remember_cost; skip_bracket = false;
+    sanitizer; san_id = Sanitizer.id sanitizer "free contexts";
     reuses = 0; fresh = 0; returns = 0; abandons = 0 }
 
 (* [skip_bracket] injects the bug the lock exists to prevent: take/give
    mutate the shared list without entering the critical section, so the
    sanitizer's guarded-mutation check fires.  Only the schedule
    explorer's broken-configuration self-check sets it. *)
-let create_shared ?entry_lock ?(remember_cost = 0) ?sanitizer
-    ?(skip_bracket = false) ~lock ~lists () =
-  { mode = Shared_locked lock; lists; owner = -1; entry_lock; remember_cost;
-    skip_bracket; sanitizer; san_id = san_id sanitizer "free context list";
+let create_shared ~entry_lock ~remember_cost ~sanitizer ~skip_bracket ~lock
+    ~lists =
+  { mode = Shared_locked lock; lists; owner = -1;
+    entry_lock = Some entry_lock; remember_cost; skip_bracket; sanitizer;
+    san_id = Sanitizer.id sanitizer "free context list";
     reuses = 0; fresh = 0; returns = 0; abandons = 0 }
 
-let create_disabled () =
+let create_disabled ~sanitizer =
   { mode = Disabled; lists = empty_lists (); owner = -1; entry_lock = None;
-    remember_cost = 0; skip_bracket = false; sanitizer = None; san_id = -1;
+    remember_cost = 0; skip_bracket = false; sanitizer; san_id = -1;
     reuses = 0; fresh = 0; returns = 0; abandons = 0 }
 
 let flush t =
@@ -71,16 +69,15 @@ let flush t =
 type size_class = Small | Large
 
 let check_owner t ~vp ~now =
-  match t.sanitizer, t.mode with
-  | Some san, Replicated ->
-      Sanitizer.check_owner san ~resource:t.san_id ~owner:t.owner ~vp ~now
-  | _ -> ()
+  match t.mode with
+  | Replicated ->
+      Sanitizer.check_owner t.sanitizer ~resource:t.san_id ~owner:t.owner ~vp
+        ~now
+  | Shared_locked _ | Disabled -> ()
 
 let check_shared_mutation t ~vp ~now =
-  match t.sanitizer with
-  | Some san ->
-      Sanitizer.check_guarded san ~resource:t.san_id ~vp ~now Trace.Empty 0 0
-  | None -> ()
+  Sanitizer.check_guarded t.sanitizer ~resource:t.san_id ~vp ~now Trace.Empty
+    0 0
 
 (* Run the list mutation [f]: under the shared list's lock (checked by
    the sanitizer inside the section), in the open when the fault
@@ -180,6 +177,7 @@ let iter_roots t f =
   f t.lists.small;
   f t.lists.large
 
+let sanitizer t = t.sanitizer
 let reuses t = t.reuses
 let fresh_allocations t = t.fresh
 let abandons t = t.abandons

@@ -20,22 +20,29 @@ type size_class = Small | Large
 
 val empty_lists : unit -> lists
 
-(** [owner] is the vp the replicated list belongs to (the sanitizer flags
-    any other toucher); [entry_lock]/[remember_cost] serialize the
-    entry-table insert when a tenured context links to new space. *)
+(** [owner] is the vp the replicated list belongs to ([sanitizer] flags
+    any other toucher; the "free contexts" name is registered with it
+    now); [entry_lock]/[remember_cost] serialize the entry-table insert
+    when a tenured context links to new space. *)
 val create_replicated :
-  ?owner:int -> ?entry_lock:Spinlock.t -> ?remember_cost:int ->
-  ?sanitizer:Sanitizer.t -> unit -> t
+  owner:int -> entry_lock:Spinlock.t -> remember_cost:int ->
+  sanitizer:Sanitizer.t -> t
 
-(** [skip_bracket] is fault injection for the schedule explorer's
-    self-check: take/give mutate the shared list without entering the
-    lock's critical section, so an armed sanitizer flags every
-    operation.  Never set in a legitimate configuration. *)
+(** The shared list [lists] behind [lock]; [sanitizer] checks each
+    mutation against the lock's sections under the "free context list"
+    name, registered now.  [skip_bracket] is fault injection for the
+    schedule explorer's self-check: take/give mutate the shared list
+    without entering the lock's critical section, so an armed sanitizer
+    flags every operation.  Never set in a legitimate configuration. *)
 val create_shared :
-  ?entry_lock:Spinlock.t -> ?remember_cost:int -> ?sanitizer:Sanitizer.t ->
-  ?skip_bracket:bool -> lock:Spinlock.t -> lists:lists -> unit -> t
+  entry_lock:Spinlock.t -> remember_cost:int -> sanitizer:Sanitizer.t ->
+  skip_bracket:bool -> lock:Spinlock.t -> lists:lists -> t
 
-val create_disabled : unit -> t
+(** No recycling: [sanitizer] is held but never consulted. *)
+val create_disabled : sanitizer:Sanitizer.t -> t
+
+(** The sanitizer given at construction. *)
+val sanitizer : t -> Sanitizer.t
 
 val flush : t -> unit
 

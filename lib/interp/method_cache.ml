@@ -29,7 +29,7 @@ type t = {
   mode : mode;
   table : table;             (* per-interpreter, or the shared one *)
   owner : int;               (* owning vp when replicated; -1 = shared *)
-  mutable sanitizer : Sanitizer.t option;
+  sanitizer : Sanitizer.t;
   san_id : Sanitizer.id;     (* "method cache" in [sanitizer] *)
   mutable hits : int;
   mutable misses : int;
@@ -41,28 +41,25 @@ let make_table () = {
   meths = Array.make cache_size Oop.sentinel;
 }
 
-let san_id = function
-  | Some san -> Sanitizer.id san "method cache"
-  | None -> -1
-
-let create_replicated ?(owner = -1) ?sanitizer () =
+let create_replicated ~owner ~sanitizer =
   { mode = Replicated; table = make_table (); owner; sanitizer;
-    san_id = san_id sanitizer; hits = 0; misses = 0 }
+    san_id = Sanitizer.id sanitizer "method cache"; hits = 0; misses = 0 }
 
 (* All interpreters share [table] and [lock]; per-interpreter [t] values
    keep their own statistics. *)
-let create_shared ?sanitizer ~lock ~table () =
+let create_shared ~sanitizer ~lock ~table =
   { mode = Shared_locked lock; table; owner = -1; sanitizer;
-    san_id = san_id sanitizer; hits = 0; misses = 0 }
+    san_id = Sanitizer.id sanitizer "method cache"; hits = 0; misses = 0 }
 
 (* A replicated cache belongs to one interpreter.  [flush] is exempt: the
    scavenger and method installation flush every cache cross-processor by
    design (stop-the-world, or the install broadcast). *)
 let check_owner t ~vp ~now =
-  match t.sanitizer, t.mode with
-  | Some san, Replicated ->
-      Sanitizer.check_owner san ~resource:t.san_id ~owner:t.owner ~vp ~now
-  | _ -> ()
+  match t.mode with
+  | Replicated ->
+      Sanitizer.check_owner t.sanitizer ~resource:t.san_id ~owner:t.owner ~vp
+        ~now
+  | Shared_locked _ -> ()
 
 let slot sel cls = (sel lxor (cls * 0x9e3779b1)) land (cache_size - 1)
 

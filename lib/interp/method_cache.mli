@@ -17,7 +17,7 @@ type t = {
   mode : mode;
   table : table;
   owner : int;  (** owning vp when replicated; -1 = shared *)
-  mutable sanitizer : Sanitizer.t option;
+  sanitizer : Sanitizer.t;
   san_id : Sanitizer.id;  (** the cache's resource id in [sanitizer] *)
   mutable hits : int;
   mutable misses : int;
@@ -25,14 +25,15 @@ type t = {
 
 val make_table : unit -> table
 
-(** A private per-processor cache; the sanitizer flags any probe or fill
-    from a vp other than [owner]. *)
-val create_replicated : ?owner:int -> ?sanitizer:Sanitizer.t -> unit -> t
+(** A private per-processor cache; [sanitizer] flags any probe or fill
+    from a vp other than [owner].  Its "method cache" name is registered
+    with [sanitizer] now. *)
+val create_replicated : owner:int -> sanitizer:Sanitizer.t -> t
 
 (** A view of the one shared cache: all interpreters pass [table] and
-    [lock]; each keeps its own statistics. *)
-val create_shared :
-  ?sanitizer:Sanitizer.t -> lock:Spinlock.t -> table:table -> unit -> t
+    [lock]; each keeps its own statistics.  [sanitizer] is the VM's, as
+    for {!create_replicated}; the lock checks the sections. *)
+val create_shared : sanitizer:Sanitizer.t -> lock:Spinlock.t -> table:table -> t
 
 (** Flushes are never owner-checked: the scavenger and the method-install
     broadcast flush every cache cross-processor by design. *)

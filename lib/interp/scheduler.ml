@@ -61,10 +61,10 @@ type t = {
   unlocked_steal : bool;    (* debug: deque ops skip the lock bracket *)
   running : Oop.t array;          (* per processor: process or sentinel *)
   preempt : bool array;           (* per processor: reschedule requested *)
-  mutable sanitizer : Sanitizer.t option;
-  mutable san_queue : Sanitizer.id;   (* "ready queue" in [sanitizer] *)
+  sanitizer : Sanitizer.t;
+  san_queue : Sanitizer.id;           (* "ready queue" in [sanitizer] *)
   san_deques : Sanitizer.id array;    (* "ready deque N", per processor *)
-  mutable machine : Machine.t option;  (* for live-processor wake routing *)
+  machine : Machine.t;                (* for live-processor wake routing *)
   (* the calendar engine's unpark signal: called after every wake and
      failover (the two events that create ready work), so idle processors
      parked on "nothing to run" learn that there is something again *)
@@ -82,10 +82,14 @@ type t = {
   stolen_from : int array;       (* per victim processor *)
 }
 
-let create ?(deque_locks = [||]) ?(unlocked_steal = false) ~u ~lock
-    ~entry_lock ~op_cycles ~remember_cost ~keep_running_in_queue ~processors
-    () =
+let create ~deque_locks ~unlocked_steal ~sanitizer ~machine ~u ~lock
+    ~entry_lock ~op_cycles ~remember_cost ~keep_running_in_queue ~processors =
   let strategy = if Array.length deque_locks = 0 then Locked else Stealing in
+  let san_queue = Sanitizer.id sanitizer "ready queue" in
+  let san_deques =
+    Array.init processors (fun owner ->
+        Sanitizer.id sanitizer (Printf.sprintf "ready deque %d" owner))
+  in
   let deques =
     match strategy with
     | Locked -> [||]
@@ -106,26 +110,16 @@ let create ?(deque_locks = [||]) ?(unlocked_steal = false) ~u ~lock
     processors; strategy; deque_locks; deques; unlocked_steal;
     running = Array.make processors Oop.sentinel;
     preempt = Array.make processors false;
-    sanitizer = None;
-    san_queue = -1;
-    san_deques = Array.make processors (-1);
-    machine = None;
+    sanitizer;
+    san_queue;
+    san_deques;
+    machine;
     on_ready = None;
     next_home = 0;
     pending_remembers = [];
     wakes = 0; picks = 0; preemptions = 0; failovers = 0;
     local_picks = 0; steals = 0; failed_steals = 0; migrations = 0;
     stolen_from = Array.make processors 0 }
-
-let set_sanitizer t san =
-  t.sanitizer <- Some san;
-  t.san_queue <- Sanitizer.id san "ready queue";
-  for owner = 0 to t.processors - 1 do
-    t.san_deques.(owner) <-
-      Sanitizer.id san (Printf.sprintf "ready deque %d" owner)
-  done
-
-let set_machine t m = t.machine <- Some m
 
 (* Install (or clear) the calendar engine's ready-work hook. *)
 let set_on_ready t f = t.on_ready <- f
@@ -143,11 +137,9 @@ let nil t = t.u.Universe.nil
    lock; the entry-table lock is taken by [flush_remembers]). *)
 let store t ~vp ~resource obj i v =
   let h = heap t in
-  (match t.sanitizer with
-   | Some san when Sanitizer.checking san ->
-       Sanitizer.check_guarded san ~resource ~vp ~now:(-1) Trace.Slot
-         (Oop.addr obj) i
-   | _ -> ());
+  if Sanitizer.checking t.sanitizer then
+    Sanitizer.check_guarded t.sanitizer ~resource ~vp ~now:(-1) Trace.Slot
+      (Oop.addr obj) i;
   if Heap.store_would_remember h obj v then
     t.pending_remembers <- Oop.addr obj :: t.pending_remembers;
   (* this bypasses [Heap.store_ptr], so the incremental collector's write
@@ -356,11 +348,7 @@ let home ?(exclude = -1) t ~vp =
   | Locked -> 0
   | Stealing ->
       let live i =
-        i <> exclude
-        &&
-        match t.machine with
-        | None -> true
-        | Some m -> (Machine.vp m i).Machine.state <> Machine.Halted
+        i <> exclude && (Machine.vp t.machine i).Machine.state <> Machine.Halted
       in
       if vp >= 0 && vp < t.processors && live vp then vp
       else begin
@@ -505,50 +493,50 @@ let rec check_chain t san ~vp ~now list index cur budget =
   end
 
 let check_invariants t ~now ~vp =
-  match t.sanitizer with
-  | Some san when Sanitizer.checking san ->
-      let h = heap t in
-      for i = 0 to Array.length t.running - 1 do
-        let proc = t.running.(i) in
-        if not (Oop.equal proc Oop.sentinel) then begin
-          let r = Heap.get h proc Layout.Process.running_on in
-          if not (Oop.is_small r) then
+  let san = t.sanitizer in
+  if Sanitizer.checking san then begin
+    let h = heap t in
+    for i = 0 to Array.length t.running - 1 do
+      let proc = t.running.(i) in
+      if not (Oop.equal proc Oop.sentinel) then begin
+        let r = Heap.get h proc Layout.Process.running_on in
+        if not (Oop.is_small r) then
+          invariant_broken san ~vp ~now
+            (Printf.sprintf
+               "running.(%d) holds a process with running_on=nil" i)
+        else if Oop.small_val r <> i then
+          invariant_broken san ~vp ~now
+            (Printf.sprintf
+               "running.(%d) holds a process with running_on=%d" i
+               (Oop.small_val r));
+        for j = 0 to i - 1 do
+          if Oop.equal t.running.(j) proc then
             invariant_broken san ~vp ~now
-              (Printf.sprintf
-                 "running.(%d) holds a process with running_on=nil" i)
-          else if Oop.small_val r <> i then
-            invariant_broken san ~vp ~now
-              (Printf.sprintf
-                 "running.(%d) holds a process with running_on=%d" i
-                 (Oop.small_val r));
-          for j = 0 to i - 1 do
-            if Oop.equal t.running.(j) proc then
-              invariant_broken san ~vp ~now
-                (Printf.sprintf "process running on both vp %d and vp %d" j
-                   i)
-          done;
-          if t.keep_running_in_queue && not (is_in_ready_queue t proc) then
-            invariant_broken san ~vp ~now
-              (Printf.sprintf
-                 "running.(%d) process missing from the ready queue" i)
-        end
-      done;
-      let budget = ref 10_000 in
-      for priority = 1 to Layout.Scheduler.priorities do
-        let list = ready_list t priority in
-        budget :=
-          check_chain t san ~vp ~now list (-priority)
-            (Heap.get h list Layout.Linked_list.first)
-            !budget
-      done;
-      for i = 0 to Array.length t.deques - 1 do
-        let list = t.deques.(i) in
-        budget :=
-          check_chain t san ~vp ~now list i
-            (Heap.get h list Layout.Linked_list.first)
-            !budget
-      done
-  | _ -> ()
+              (Printf.sprintf "process running on both vp %d and vp %d" j
+                 i)
+        done;
+        if t.keep_running_in_queue && not (is_in_ready_queue t proc) then
+          invariant_broken san ~vp ~now
+            (Printf.sprintf
+               "running.(%d) process missing from the ready queue" i)
+      end
+    done;
+    let budget = ref 10_000 in
+    for priority = 1 to Layout.Scheduler.priorities do
+      let list = ready_list t priority in
+      budget :=
+        check_chain t san ~vp ~now list (-priority)
+          (Heap.get h list Layout.Linked_list.first)
+          !budget
+    done;
+    for i = 0 to Array.length t.deques - 1 do
+      let list = t.deques.(i) in
+      budget :=
+        check_chain t san ~vp ~now list i
+          (Heap.get h list Layout.Linked_list.first)
+          !budget
+    done
+  end
 
 (* Request a reschedule of the processor running the lowest-priority
    process strictly below [priority], if any.  Equal priority never
@@ -670,14 +658,11 @@ let pick t ~now ~vp =
             | Some proc ->
                 t.steals <- t.steals + 1;
                 t.stolen_from.(owner) <- t.stolen_from.(owner) + 1;
-                (match t.sanitizer with
-                 | Some san when Sanitizer.active san ->
-                     Sanitizer.steal_event san ~vp ~now
-                       ~resource:t.san_deques.(owner)
-                       (Printf.sprintf
-                          "vp %d stole process %d from vp %d (priority %d)"
-                          vp (Oop.addr proc) owner priority)
-                 | Some _ | None -> ());
+                Sanitizer.steal_event t.sanitizer ~vp ~now
+                  ~resource:t.san_deques.(owner)
+                  (Printf.sprintf
+                     "vp %d stole process %d from vp %d (priority %d)" vp
+                     (Oop.addr proc) owner priority);
                 (* re-home under the thief's own lock *)
                 let now, () =
                   section t ~vp ~owner:vp ~now (fun resource ->

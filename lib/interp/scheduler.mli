@@ -53,12 +53,12 @@ type t = {
           sanitizer to catch *)
   running : Oop.t array;  (** per processor: process or sentinel *)
   preempt : bool array;  (** per processor: reschedule requested *)
-  mutable sanitizer : Sanitizer.t option;
-  mutable san_queue : Sanitizer.id;
+  sanitizer : Sanitizer.t;
+  san_queue : Sanitizer.id;
       (** the ready queue's resource id in [sanitizer] *)
   san_deques : Sanitizer.id array;
       (** each processor's deque resource id in [sanitizer] *)
-  mutable machine : Machine.t option;
+  machine : Machine.t;
       (** for live-processor wake routing *)
   mutable on_ready : (now:int -> unit) option;
       (** calendar-engine hook: ready work appeared (wake/failover) *)
@@ -80,12 +80,18 @@ type t = {
 
 (** [create] builds a scheduler.  Given [deque_locks], one per
     processor, it is [Stealing] and allocates the per-processor deques
-    in old space; without, it is [Locked].  [~unlocked_steal:true] makes
-    the deque operations run outside their lock brackets — a
-    deliberately broken protocol for the sanitizer to catch. *)
+    in old space; given none ([[||]]), it is [Locked].
+    [~unlocked_steal:true] makes the deque operations run outside their
+    lock brackets — a deliberately broken protocol for the sanitizer to
+    catch.  [sanitizer] checks every queue mutation and records steals;
+    the "ready queue" and "ready deque N" names are registered with it
+    now.  [machine] tells engine-side wakes and failover which processors
+    are still alive, so work is not routed to a halted one. *)
 val create :
-  ?deque_locks:Spinlock.t array ->
-  ?unlocked_steal:bool ->
+  deque_locks:Spinlock.t array ->
+  unlocked_steal:bool ->
+  sanitizer:Sanitizer.t ->
+  machine:Machine.t ->
   u:Universe.t ->
   lock:Spinlock.t ->
   entry_lock:Spinlock.t ->
@@ -93,14 +99,7 @@ val create :
   remember_cost:int ->
   keep_running_in_queue:bool ->
   processors:int ->
-  unit ->
   t
-
-val set_sanitizer : t -> Sanitizer.t -> unit
-
-(** Attach the machine so engine-side wakes and failover can route work
-    to processors that are still alive. *)
-val set_machine : t -> Machine.t -> unit
 
 (** Install (or clear) the calendar engine's ready-work hook: called
     after every wake and failover — the two events that create ready
@@ -206,7 +205,7 @@ val failed_steals : t -> int
 val migrations : t -> int
 val stolen_from : t -> int array
 
-(** Check the scheduler invariants against an attached, armed sanitizer:
+(** Check the scheduler invariants when its sanitizer is armed:
     [running] mirrors [running_on], no Process on two processors,
     [my_list] back-pointers agree with chain membership (and with the
     deque's priority band), and (under the MS reorganization) running

@@ -60,10 +60,10 @@ type t = {
   mutable on_scavenge : (unit -> unit) list;
   mutable method_ctx_class : Oop.t;
   mutable block_ctx_class : Oop.t;
-  (* serialization checking (attached by the VM layer) *)
-  mutable sanitizer : Sanitizer.t option;
-  mutable san_entry_table : Sanitizer.id;  (* resource ids in [sanitizer] *)
-  mutable san_allocation : Sanitizer.id;
+  (* serialization checking *)
+  sanitizer : Sanitizer.t;
+  san_entry_table : Sanitizer.id;  (* resource ids in [sanitizer] *)
+  san_allocation : Sanitizer.id;
   (* incremental old-space collection (E18): swept holes are threaded on
      size-segregated free lists (buckets 0..15 hold exact sizes 2..17,
      bucket 16 is first-fit overflow for >= 18 words); the hooks are
@@ -120,8 +120,13 @@ let release h =
     (List.filteri (fun i _ -> i < pool_limit) (h.mem :: Domain.DLS.get pool))
 
 let create ?(policy = Unlocked) ?(processors = 1) ?(tenure_age = 4)
-    ~old_words ~eden_words ~survivor_words () =
+    ?(sanitizer = Sanitizer.create Sanitizer.Off) ~old_words ~eden_words
+    ~survivor_words () =
   if processors < 1 then invalid_arg "Heap.create: processors";
+  (* the VM's allocation lock registers "allocation" before the entry
+     table's lock registers its name: keep that id order *)
+  let san_allocation = Sanitizer.id sanitizer "allocation" in
+  let san_entry_table = Sanitizer.id sanitizer "entry table" in
   let reserved = 2 in
   let old_base = reserved in
   let eden_base = old_base + old_words in
@@ -161,9 +166,9 @@ let create ?(policy = Unlocked) ?(processors = 1) ?(tenure_age = 4)
     on_scavenge = [];
     method_ctx_class = Oop.sentinel;
     block_ctx_class = Oop.sentinel;
-    sanitizer = None;
-    san_entry_table = -1;
-    san_allocation = -1;
+    sanitizer;
+    san_entry_table;
+    san_allocation;
     free_lists = Array.make 17 [];
     free_words = 0;
     free_list_hits = 0;
@@ -179,10 +184,6 @@ let create ?(policy = Unlocked) ?(processors = 1) ?(tenure_age = 4)
     released = false }
 
 let set_nil h nil = h.nil <- nil
-let set_sanitizer h san =
-  h.sanitizer <- Some san;
-  h.san_entry_table <- Sanitizer.id san "entry table";
-  h.san_allocation <- Sanitizer.id san "allocation"
 let add_root h cell = h.roots <- cell :: h.roots
 let remove_root h cell =
   h.roots <- List.filter (fun c -> not (c == cell)) h.roots
@@ -216,11 +217,9 @@ let set_raw h (o : Oop.t) i v =
 (* --- the entry table --- *)
 
 let remember h a =
-  (match h.sanitizer with
-   | Some san when Sanitizer.checking san ->
-       Sanitizer.check_guarded san ~resource:h.san_entry_table ~vp:(-1)
-         ~now:(-1) Trace.Address a 0
-   | _ -> ());
+  if Sanitizer.checking h.sanitizer then
+    Sanitizer.check_guarded h.sanitizer ~resource:h.san_entry_table ~vp:(-1)
+      ~now:(-1) Trace.Address a 0;
   if h.rset_len = Array.length h.rset then begin
     let bigger = Array.make (2 * Array.length h.rset) 0 in
     Array.blit h.rset 0 bigger 0 h.rset_len;
@@ -303,11 +302,9 @@ let alloc_new h ~vp ~slots ~raw ?(bytes = false) ~cls () =
   let total = slots + Layout.header_words in
   let r = eden_region h vp in
   if region_avail r < total then raise Scavenge_needed;
-  (match h.sanitizer with
-   | Some san when Sanitizer.checking san ->
-       Sanitizer.check_guarded san ~resource:h.san_allocation ~vp ~now:(-1)
-         Trace.Words total 0
-   | _ -> ());
+  if Sanitizer.checking h.sanitizer then
+    Sanitizer.check_guarded h.sanitizer ~resource:h.san_allocation ~vp
+      ~now:(-1) Trace.Words total 0;
   let a = r.ptr in
   r.ptr <- r.ptr + total;
   write_header h a ~total ~flags:(flags_of_format ~raw ~bytes) ~age:0 ~cls;

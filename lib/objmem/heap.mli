@@ -57,10 +57,10 @@ type t = {
   mutable on_scavenge : (unit -> unit) list;
   mutable method_ctx_class : Oop.t;  (** so the scavenger can bound frames *)
   mutable block_ctx_class : Oop.t;
-  mutable sanitizer : Sanitizer.t option;  (** attached by the VM layer *)
-  mutable san_entry_table : Sanitizer.id;
+  sanitizer : Sanitizer.t;  (** the serialization checker *)
+  san_entry_table : Sanitizer.id;
       (** the entry table's resource id in [sanitizer] *)
-  mutable san_allocation : Sanitizer.id;
+  san_allocation : Sanitizer.id;
       (** the allocation pointer's resource id in [sanitizer] *)
   free_lists : int list array;
       (** old-space holes by size: buckets 0..15 hold exact sizes 2..17
@@ -87,10 +87,19 @@ val region_used : region -> int
 
 val region_avail : region -> int
 
+(** [create ~old_words ~eden_words ~survivor_words ()] lays out a heap
+    of the three spaces.  [sanitizer] is its serialization checker:
+    entry-table inserts must happen inside the "entry table" lock's
+    critical section and eden allocations inside the "allocation"
+    lock's (when the VM registers those guards), and the parallel
+    scavenger checks its claims and copies.  Both names are registered
+    with it now.  The default is a fresh sanitizer in mode [Off], which
+    checks nothing. *)
 val create :
   ?policy:alloc_policy ->
   ?processors:int ->
   ?tenure_age:int ->
+  ?sanitizer:Sanitizer.t ->
   old_words:int ->
   eden_words:int ->
   survivor_words:int ->
@@ -113,11 +122,6 @@ val create :
 val release : t -> unit
 
 val set_nil : t -> Oop.t -> unit
-
-(** Attach a serialization checker: entry-table inserts must then happen
-    inside the "entry table" lock's critical section and eden allocations
-    inside the allocation lock's (when those guards are registered). *)
-val set_sanitizer : t -> Sanitizer.t -> unit
 
 (** Register a cell the scavenger must treat (and update) as a root. *)
 val add_root : t -> Oop.t ref -> unit

@@ -311,9 +311,7 @@ let seal h b =
 let claim_chunk san cm w ~base ~limit =
   w.st.chunks_claimed <- w.st.chunks_claimed + 1;
   w.st.coord_cycles <- w.st.coord_cycles + chunk_claim_cost cm;
-  match san with
-  | Some s -> Sanitizer.scavenge_chunk s ~worker:w.st.worker ~base ~limit
-  | None -> ()
+  Sanitizer.scavenge_chunk san ~worker:w.st.worker ~base ~limit
 
 (* Allocate [total] words for worker [w] out of [buf], chunk-claiming from
    the shared [region] when the buffer runs dry; [None] when the region
@@ -364,11 +362,8 @@ let parallel_copy h san cm p w from_addr =
       | None -> promote ()
   in
   let new_oop = move h p from_addr ~total ~next_age dest in
-  (match san with
-   | Some s ->
-       Sanitizer.scavenge_claim s ~worker:w.st.worker ~addr:from_addr;
-       Sanitizer.scavenge_copy s ~worker:w.st.worker ~addr:dest ~words:total
-   | None -> ());
+  Sanitizer.scavenge_claim san ~worker:w.st.worker ~addr:from_addr;
+  Sanitizer.scavenge_copy san ~worker:w.st.worker ~addr:dest ~words:total;
   w.st.copied_objects <- w.st.copied_objects + 1;
   w.st.copied_words <- w.st.copied_words + total;
   w.st.copy_cycles <- w.st.copy_cycles + (cm.Cost_model.scavenge_per_word * total);
@@ -391,9 +386,7 @@ let scavenge_parallel h (cm : Cost_model.t) ?injector ~workers () =
   let p = start_pass h in
   let stats = p.stats in
   let san = h.sanitizer in
-  (match san with
-   | Some s -> Sanitizer.scavenge_begin s ~workers
-   | None -> ());
+  Sanitizer.scavenge_begin san ~workers;
   let ws = Array.init workers make_wstate in
   (* Worker-failure bookkeeping.  A worker can only die at a round
      barrier (that is where failure is detected anyway: a dead worker is
@@ -423,14 +416,11 @@ let scavenge_parallel h (cm : Cost_model.t) ?injector ~workers () =
             if n > 1 then begin
               let victim = List.nth live (k mod n) in
               Fault.applied inj f;
-              (match san with
-               | Some s ->
-                   Sanitizer.fault_event s ~vp:victim ~now:(-1)
-                     ~resource:"parallel scavenge"
-                     (Printf.sprintf
-                        "worker %d died at the round-%d barrier; %d survive"
-                        victim round (n - 1))
-               | None -> ());
+              Sanitizer.fault_event san ~vp:victim ~now:(-1)
+                ~resource:"parallel scavenge"
+                (Printf.sprintf
+                   "worker %d died at the round-%d barrier; %d survive"
+                   victim round (n - 1));
               dead.(victim) <- true;
               failed := victim :: !failed;
               let v = ws.(victim) in
@@ -554,7 +544,7 @@ let scavenge_parallel h (cm : Cost_model.t) ?injector ~workers () =
       seal h w.to_buf;
       seal h w.old_buf)
     ws;
-  (match san with Some s -> Sanitizer.scavenge_end s | None -> ());
+  Sanitizer.scavenge_end san;
   flip h p;
   (* the pause is the slowest worker's timeline plus the barriers *)
   Array.iter

@@ -23,8 +23,8 @@ type display = {
   mutable fault_stall_cycles : int; (* injected controller wedge time *)
 }
 
-let make_display ~enabled_locks ~cost =
-  { lock = Spinlock.make ~enabled:enabled_locks ~cost "display output queue";
+let make_display ~lock ~cost =
+  { lock;
     service_cycles = cost.Cost_model.display_cmd;
     capacity = cost.Cost_model.display_capacity;
     free_at = 0;
@@ -46,12 +46,9 @@ let inject_device_fault d ~vp ~now =
         match Fault.at inj Fault.Device_op with
         | Some (Fault.Device_timeout n) ->
             Fault.applied inj (Fault.Device_timeout n);
-            (match Spinlock.sanitizer d.lock with
-             | Some san ->
-                 Sanitizer.fault_event san ~vp ~now
-                   ~resource:"display output queue"
-                   (Printf.sprintf "device timeout %d" n)
-             | None -> ());
+            Sanitizer.fault_event (Spinlock.sanitizer d.lock) ~vp ~now
+              ~resource:"display output queue"
+              (Printf.sprintf "device timeout %d" n);
             d.free_at <- Int.max d.free_at now + n;
             d.fault_stall_cycles <- d.fault_stall_cycles + n
         | Some _ | None -> ())
@@ -77,11 +74,9 @@ let display_enqueue ?(vp = -1) d ~now =
   in
   let after_lock, () =
     Spinlock.critical ~vp d.lock ~now:start ~op_cycles:10 (fun () ->
-        (match Spinlock.sanitizer d.lock with
-         | Some san ->
-             Sanitizer.check_guarded san ~resource:(Spinlock.sanitizer_id d.lock)
-               ~vp ~now:start (Trace.Text "enqueue") 0 0
-         | None -> ());
+        Sanitizer.check_guarded (Spinlock.sanitizer d.lock)
+          ~resource:(Spinlock.sanitizer_id d.lock) ~vp ~now:start
+          (Trace.Text "enqueue") 0 0;
         d.commands <- d.commands + 1)
   in
   d.free_at <- Int.max d.free_at after_lock + d.service_cycles;
@@ -102,15 +97,13 @@ type event = { time : int; payload : int }
 type input_queue = {
   ilock : Spinlock.t;
   mutable pending : event list;   (* sorted by time *)
-  mutable pending_count : int;    (* = List.length pending, kept in step *)
   mutable polls : int;
   mutable delivered : int;
 }
 
-let make_input_queue ~enabled_locks ~cost =
-  { ilock = Spinlock.make ~enabled:enabled_locks ~cost "input event queue";
+let make_input_queue ~lock =
+  { ilock = lock;
     pending = [];
-    pending_count = 0;
     polls = 0;
     delivered = 0 }
 
@@ -120,20 +113,7 @@ let inject q ~time ~payload =
     | e :: rest when e.time <= time -> e :: insert rest
     | rest -> { time; payload } :: rest
   in
-  q.pending <- insert q.pending;
-  q.pending_count <- q.pending_count + 1
-
-(* The count is the hot-path answer ([nothing_runnable] asks on every
-   idle engine step); the sanitizer's debug path cross-checks it against
-   the list it summarizes. *)
-let check_pending_count q ~vp ~now =
-  match Spinlock.sanitizer q.ilock with
-  | Some san when Sanitizer.active san ->
-      if q.pending_count <> List.length q.pending then
-        Sanitizer.report_violation san ~vp ~now ~resource:"input event queue"
-          (Printf.sprintf "pending_count %d != |pending| %d" q.pending_count
-             (List.length q.pending))
-  | Some _ | None -> ()
+  q.pending <- insert q.pending
 
 (* Poll at [now] under the lock: returns (completion_time, event payload if
    one was ready). *)
@@ -142,20 +122,17 @@ let poll ?(vp = -1) q ~now ~op_cycles =
   Spinlock.critical ~vp q.ilock ~now ~op_cycles (fun () ->
       match q.pending with
       | e :: rest when e.time <= now ->
-          (match Spinlock.sanitizer q.ilock with
-           | Some san ->
-               Sanitizer.check_guarded san
-                 ~resource:(Spinlock.sanitizer_id q.ilock) ~vp ~now
-                 (Trace.Text "pop") 0 0
-           | None -> ());
+          Sanitizer.check_guarded (Spinlock.sanitizer q.ilock)
+            ~resource:(Spinlock.sanitizer_id q.ilock) ~vp ~now
+            (Trace.Text "pop") 0 0;
           q.pending <- rest;
-          q.pending_count <- q.pending_count - 1;
           q.delivered <- q.delivered + 1;
-          check_pending_count q ~vp ~now;
           Some e.payload
       | _ -> None)
 
-let input_pending q = q.pending_count
+(* A [match], not a comparison with [[]]: [nothing_runnable] asks on
+   every idle engine step, and polymorphic compare has no place there. *)
+let input_pending q = match q.pending with [] -> false | _ :: _ -> true
 
 (* When the earliest still-queued event becomes visible — the calendar
    engine parks idle processors until this time instead of having them

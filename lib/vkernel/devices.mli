@@ -10,7 +10,11 @@
 
 type display
 
-val make_display : enabled_locks:bool -> cost:Cost_model.t -> display
+(** [make_display ~lock ~cost] builds the controller's queue behind
+    [lock], whose sanitizer and machine it reports to and whose name is
+    the queue's resource name; [cost] supplies the paint time and the
+    queue capacity. *)
+val make_display : lock:Spinlock.t -> cost:Cost_model.t -> display
 
 (** Enqueue one draw command at [now]; returns the producer's completion
     time (it waits for queue space and the lock, not the paint). *)
@@ -31,7 +35,9 @@ val display_lock : display -> Spinlock.t
 
 type input_queue
 
-val make_input_queue : enabled_locks:bool -> cost:Cost_model.t -> input_queue
+(** [make_input_queue ~lock] builds an empty queue behind [lock], as
+    {!make_display} does. *)
+val make_input_queue : lock:Spinlock.t -> input_queue
 
 (** Schedule an event to become visible at [time]. *)
 val inject : input_queue -> time:int -> payload:int -> unit
@@ -40,9 +46,8 @@ val inject : input_queue -> time:int -> payload:int -> unit
     if one is visible. *)
 val poll : ?vp:int -> input_queue -> now:int -> op_cycles:int -> int * int option
 
-(** Events injected but not yet delivered.  O(1): a maintained count,
-    cross-checked against the queue on the sanitizer's debug path. *)
-val input_pending : input_queue -> int
+(** Whether some injected event is not yet delivered. *)
+val input_pending : input_queue -> bool
 
 (** When the earliest still-queued event becomes visible, if any — the
     calendar engine's park deadline for idle processors. *)

@@ -23,16 +23,16 @@ type t = {
   delay_quantum : int;
   acquire_cost : int;
   mutable free_at : int;
-  mutable san : Sanitizer.t option;
-  mutable san_id : Sanitizer.id;  (* this lock's id in [san] *)
-  mutable machine : Machine.t option;
+  san : Sanitizer.t;
+  san_id : Sanitizer.id;  (* this lock's id in [san] *)
+  machine : Machine.t option;
   (* Report the op windows of a *disabled* lock to the sanitizer.  Off by
      default: legitimately lock-free configurations (baseline BS on one
      processor, per-processor eden allocation) issue overlapping windows
      on purpose.  The engine turns it on for configurations that disabled
      locking while keeping several processors — exactly the broken setup
      the sanitizer should expose as unserialized timelines. *)
-  mutable report_unlocked : bool;
+  report_unlocked : bool;
   (* holder bookkeeping, for the watchdog's deadlock report *)
   mutable holder : int;           (* vp of the most recent acquirer, -1 early *)
   mutable held_since : int;       (* when that acquire started *)
@@ -41,8 +41,8 @@ type t = {
      of spinning forever; 0 disables (the default, and the paper's
      behaviour).  [backoff_after] retries at [delay_quantum] before the
      retry interval starts doubling; 0 keeps the fixed-interval spin. *)
-  mutable watchdog_bound : int;
-  mutable backoff_after : int;
+  watchdog_bound : int;
+  backoff_after : int;
   (* injected-fault bookkeeping: [fault_base] is the release time the
      current hold would have had without the injected delay, [fault_until]
      the extended release ([-1] when no fault is outstanding), so waiter
@@ -58,20 +58,22 @@ type t = {
   mutable fault_stall_cycles : int; (* injected holder-stall cycles *)
 }
 
-let make ~enabled ~cost name =
+let make ?(sanitizer = Sanitizer.create Sanitizer.Off) ?machine
+    ?(report_unlocked = false) ?(watchdog = 0) ?(backoff_after = 0) ~enabled
+    ~cost name =
   { name;
     enabled;
     delay_quantum = cost.Cost_model.delay_quantum;
     acquire_cost = cost.Cost_model.lock_acquire;
     free_at = 0;
-    san = None;
-    san_id = -1;
-    machine = None;
-    report_unlocked = false;
+    san = sanitizer;
+    san_id = Sanitizer.id sanitizer name;
+    machine;
+    report_unlocked;
     holder = -1;
     held_since = 0;
-    watchdog_bound = 0;
-    backoff_after = 0;
+    watchdog_bound = Int.max 0 watchdog;
+    backoff_after = Int.max 0 backoff_after;
     fault_base = 0;
     fault_until = -1;
     acquisitions = 0;
@@ -90,23 +92,12 @@ let fault_spin_cycles t = t.fault_spin_cycles
 let backoff_cycles t = t.backoff_cycles
 let fault_stall_cycles t = t.fault_stall_cycles
 
-let set_watchdog t ~bound ~backoff_after =
-  t.watchdog_bound <- Int.max 0 bound;
-  t.backoff_after <- Int.max 0 backoff_after
-
 let injector t =
   match t.machine with None -> None | Some m -> Machine.injector m
 
-let attach t san =
-  t.san <- Some san;
-  t.san_id <- Sanitizer.id san t.name
-
 let sanitizer t = t.san
 let sanitizer_id t = t.san_id
-
-let attach_machine t m = t.machine <- Some m
-
-let set_report_unlocked t flag = t.report_unlocked <- flag
+let machine t = t.machine
 
 (* The policy's lock-acquisition preemption point: stall the acquiring
    processor by the requested jitter before it reaches for the lock.
@@ -142,11 +133,9 @@ let maybe_preempt t ~vp ~now =
    different processors surface as unserialized timelines. *)
 let unlocked_op t ~vp ~now ~op_cycles =
   let now = jittered t ~vp ~now in
-  (match t.san with
-   | Some san when t.report_unlocked && vp >= 0 ->
-       Sanitizer.on_lock_op san ~lock:t.san_id ~vp ~now ~start:now
-         ~finish:(now + op_cycles) ~contended:false
-   | _ -> ());
+  if t.report_unlocked && vp >= 0 then
+    Sanitizer.on_lock_op t.san ~lock:t.san_id ~vp ~now ~start:now
+      ~finish:(now + op_cycles) ~contended:false;
   now + op_cycles
 
 (* Acquire at [now]: returns [(start, contended)] and advances [free_at] to
@@ -173,12 +162,9 @@ let acquire t ~vp ~now ~op_cycles =
       t.contended <- t.contended + 1;
       let wait = t.free_at - now in
       if t.watchdog_bound > 0 && wait > t.watchdog_bound then begin
-        (match t.san with
-         | Some san ->
-             Sanitizer.fault_event san ~vp ~now ~resource:t.name
-               (Printf.sprintf "watchdog: waited %d > bound %d, holder vp %d"
-                  wait t.watchdog_bound t.holder)
-         | None -> ());
+        Sanitizer.fault_event t.san ~vp ~now ~resource:t.name
+          (Printf.sprintf "watchdog: waited %d > bound %d, holder vp %d"
+             wait t.watchdog_bound t.holder);
         raise
           (Fault.Deadlock_suspected
              { Fault.lock = t.name; holder = t.holder; waiter = vp;
@@ -238,11 +224,8 @@ let inject_holder_fault t ~vp ~finish =
           | None -> finish
           | Some (Fault.Holder_stall n) ->
               Fault.applied inj (Fault.Holder_stall n);
-              (match t.san with
-               | Some san ->
-                   Sanitizer.fault_event san ~vp ~now:finish ~resource:t.name
-                     (Printf.sprintf "holder stall %d" n)
-               | None -> ());
+              Sanitizer.fault_event t.san ~vp ~now:finish ~resource:t.name
+                (Printf.sprintf "holder stall %d" n);
               t.fault_base <- t.free_at;
               t.free_at <- t.free_at + n;
               t.fault_until <- t.free_at;
@@ -252,11 +235,8 @@ let inject_holder_fault t ~vp ~finish =
               finish + n
           | Some Fault.Holder_crash ->
               Fault.applied inj Fault.Holder_crash;
-              (match t.san with
-               | Some san ->
-                   Sanitizer.fault_event san ~vp ~now:finish ~resource:t.name
-                     "holder crash: lock never released"
-               | None -> ());
+              Sanitizer.fault_event t.san ~vp ~now:finish ~resource:t.name
+                "holder crash: lock never released";
               t.fault_base <- t.free_at;
               t.free_at <- Fault.never;
               t.fault_until <- t.free_at;
@@ -273,11 +253,8 @@ let locked_op ?(vp = -1) t ~now ~op_cycles =
     let now = jittered t ~vp ~now in
     let start, finish, was_contended = acquire t ~vp ~now ~op_cycles in
     let finish = inject_holder_fault t ~vp ~finish in
-    (match t.san with
-     | Some san ->
-         Sanitizer.on_lock_op san ~lock:t.san_id ~vp ~now ~start ~finish
-           ~contended:was_contended
-     | None -> ());
+    Sanitizer.on_lock_op t.san ~lock:t.san_id ~vp ~now ~start ~finish
+      ~contended:was_contended;
     maybe_preempt t ~vp ~now:finish;
     finish
   end
@@ -294,21 +271,15 @@ let critical ?(vp = -1) t ~now ~op_cycles f =
     let now = jittered t ~vp ~now in
     let start, finish, was_contended = acquire t ~vp ~now ~op_cycles in
     let finish = inject_holder_fault t ~vp ~finish in
-    let finish_section result =
-      maybe_preempt t ~vp ~now:finish;
-      (finish, result)
+    Sanitizer.section_enter t.san ~lock:t.san_id ~vp ~now ~start ~finish
+      ~contended:was_contended;
+    let result =
+      try f ()
+      with e ->
+        Sanitizer.section_exit t.san ~lock:t.san_id ~vp ~now:finish;
+        raise e
     in
-    match t.san with
-    | None -> finish_section (f ())
-    | Some san ->
-        Sanitizer.section_enter san ~lock:t.san_id ~vp ~now ~start ~finish
-          ~contended:was_contended;
-        let result =
-          try f ()
-          with e ->
-            Sanitizer.section_exit san ~lock:t.san_id ~vp ~now:finish;
-            raise e
-        in
-        Sanitizer.section_exit san ~lock:t.san_id ~vp ~now:finish;
-        finish_section result
+    Sanitizer.section_exit t.san ~lock:t.san_id ~vp ~now:finish;
+    maybe_preempt t ~vp ~now:finish;
+    (finish, result)
   end

@@ -14,50 +14,60 @@
 type t
 
 (** [make ~enabled ~cost name] creates a lock.  [cost] supplies the
-    test-and-set cost and the Delay retry quantum. *)
-val make : enabled:bool -> cost:Cost_model.t -> string -> t
+    test-and-set cost and the Delay retry quantum.  Everything else is
+    fixed here, when the lock is built:
+
+    - [sanitizer]: lock operations report their timeline to it and
+      [critical] brackets open/close sanitizer sections; the lock's name
+      is registered with it now.  The default is a fresh sanitizer in
+      mode [Off], which records and checks nothing.
+    - [machine]: lock operations consult its scheduling policy at the two
+      lock-side preemption points (jitter before an acquire, an optional
+      preemption request after a charged critical section) and its fault
+      injector at the holder-fault point.  Without one there is no policy
+      and no injector, and the lock behaves as the plain timeline.
+    - [report_unlocked] (default false): a *disabled* lock still reports
+      each processor-side operation's window to the sanitizer.
+      Lock-free configurations that are legitimately serial (one
+      processor) or partitioned (per-processor resources) must not
+      report; the engine sets it when a configuration runs several
+      processors with locking off, so the sanitizer can expose the
+      missing mutual exclusion as overlapping timelines.
+    - [watchdog] (default 0, off, the paper's behaviour): a contended
+      acquire that would wait more than this many cycles raises
+      {!Fault.Deadlock_suspected} naming the holder vp, the lock and the
+      clock, instead of spinning forever.
+    - [backoff_after] (default 0, the fixed-interval spin): the number of
+      fixed-quantum retries before the retry interval starts doubling
+      (exponential backoff).  Backoff never rewinds the timeline: it can
+      only delay the winning probe, and the extra delay is accounted as
+      {!backoff_cycles}.
+
+    Negative [watchdog] and [backoff_after] count as 0. *)
+val make :
+  ?sanitizer:Sanitizer.t ->
+  ?machine:Machine.t ->
+  ?report_unlocked:bool ->
+  ?watchdog:int ->
+  ?backoff_after:int ->
+  enabled:bool ->
+  cost:Cost_model.t ->
+  string ->
+  t
 
 val name : t -> string
 
 val enabled : t -> bool
 
-(** Attach a sanitizer: lock operations report their timeline to it and
-    [critical] brackets open/close sanitizer sections.  Registers the
-    lock's name with the sanitizer. *)
-val attach : t -> Sanitizer.t -> unit
+val sanitizer : t -> Sanitizer.t
 
-val sanitizer : t -> Sanitizer.t option
-
-(** The lock's id in the attached sanitizer ([-1] before {!attach}). *)
+(** The lock's id in its sanitizer. *)
 val sanitizer_id : t -> Sanitizer.id
 
-(** Attach the machine: lock operations consult its scheduling policy (if
-    one is installed) at the two lock-side preemption points — jitter
-    before an acquire, and an optional preemption request after a charged
-    critical section.  Without this, or with no policy installed, the
-    lock behaves exactly as before. *)
-val attach_machine : t -> Machine.t -> unit
+(** The machine given to {!make}, if any. *)
+val machine : t -> Machine.t option
 
-(** When set, a *disabled* lock still reports each operation's window to
-    the attached sanitizer (processor-side operations only).  Off by
-    default: lock-free configurations that are legitimately serial (one
-    processor) or partitioned (per-processor resources) must not report.
-    The engine enables it when a configuration runs several processors
-    with locking off, so the sanitizer can expose the missing mutual
-    exclusion as overlapping timelines. *)
-val set_report_unlocked : t -> bool -> unit
-
-(** Configure the spin watchdog.  A contended acquire that would wait
-    more than [bound] cycles raises {!Fault.Deadlock_suspected} naming
-    the holder vp, the lock and the clock, instead of spinning forever;
-    [bound = 0] (the default) disables it.  [backoff_after] is the
-    number of fixed-quantum retries before the retry interval starts
-    doubling (exponential backoff); 0 keeps the fixed-interval spin.
-    Backoff never rewinds the timeline: it can only delay the winning
-    probe, and the extra delay is accounted as {!backoff_cycles}. *)
-val set_watchdog : t -> bound:int -> backoff_after:int -> unit
-
-(** The attached machine's fault injector, if any. *)
+(** The machine's fault injector, if any. *)
 val injector : t -> Fault.t option
 
 (** [locked_op t ~now ~op_cycles] performs a critical section of

@@ -101,6 +101,15 @@ refused mst serve --sessions 0
 refused mst serve --workers 0
 refused mst serve --requests 0
 
+# negative bounds, delays and caps, and a major-slice budget of no
+# cycles, which would otherwise be clamped or silently run as "off"
+refused mst eval --major --major-budget=-5 "3 + 4"
+refused mst faults --quick --seeds=1 --watchdog=-5
+refused mst faults --quick --seeds=1 --backoff=-3
+refused mst serve --think-ms=-5
+refused mst serve --interval-ms=-5
+refused mst serve --admit=-1
+
 # names the image does not define
 refused mst disasm NoSuchClass yourself
 refused mst disasm Object noSuchSelector

@@ -31,8 +31,7 @@ let mini_run programs sched =
     match Hashtbl.find_opt locks name with
     | Some l -> l
     | None ->
-        let l = Spinlock.make ~enabled:true ~cost:cm name in
-        Spinlock.attach_machine l m;
+        let l = Spinlock.make ~machine:m ~enabled:true ~cost:cm name in
         Hashtbl.replace locks name l;
         l
   in

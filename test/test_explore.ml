@@ -64,8 +64,7 @@ let test_jitter_keeps_timeline () =
     (Some
        { Machine.default_policy with
          Machine.lock_jitter = (fun ~vp:_ ~lock:_ ~now:_ -> 17) });
-  let l = Spinlock.make ~enabled:true ~cost:cm "t" in
-  Spinlock.attach_machine l m;
+  let l = Spinlock.make ~machine:m ~enabled:true ~cost:cm "t" in
   let fin1 = Spinlock.locked_op ~vp:0 l ~now:0 ~op_cycles:50 in
   let fin2 = Spinlock.locked_op ~vp:1 l ~now:10 ~op_cycles:50 in
   check_bool "serialized in spite of the jitter" true

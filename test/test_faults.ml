@@ -21,9 +21,10 @@ let test_watchdog_detects_dead_holder () =
   let m = Machine.make ~processors:2 cm in
   Machine.set_injector m
     (Some (Fault.replay [ { Plan.index = 0; action = Fault.Holder_crash } ]));
-  let l = Spinlock.make ~enabled:true ~cost:cm "t" in
-  Spinlock.attach_machine l m;
-  Spinlock.set_watchdog l ~bound:200 ~backoff_after:2;
+  let l =
+    Spinlock.make ~machine:m ~watchdog:200 ~backoff_after:2 ~enabled:true
+      ~cost:cm "t"
+  in
   ignore (Spinlock.locked_op ~vp:0 l ~now:0 ~op_cycles:50);
   check_bool "the crash was flagged for delivery" true
     (Machine.crash_pending m 0);
@@ -46,9 +47,10 @@ let test_stall_survives_and_stats_separate () =
   Machine.set_injector m
     (Some
        (Fault.replay [ { Plan.index = 0; action = Fault.Holder_stall 100 } ]));
-  let l = Spinlock.make ~enabled:true ~cost:cm "t" in
-  Spinlock.attach_machine l m;
-  Spinlock.set_watchdog l ~bound:8000 ~backoff_after:0;
+  let l =
+    Spinlock.make ~machine:m ~watchdog:8000 ~backoff_after:0 ~enabled:true
+      ~cost:cm "t"
+  in
   let f0 = Spinlock.locked_op ~vp:0 l ~now:0 ~op_cycles:50 in
   check "the holder is delayed by its own stall" (0 + 1 + 50 + 100) f0;
   let f1 = Spinlock.locked_op ~vp:1 l ~now:10 ~op_cycles:10 in
@@ -67,8 +69,10 @@ let test_stall_survives_and_stats_separate () =
    no backoff, finishes match an unwatched lock exactly. *)
 let test_watchdog_alone_is_identical () =
   let run ~watched =
-    let l = Spinlock.make ~enabled:true ~cost:cm "t" in
-    if watched then Spinlock.set_watchdog l ~bound:1_000_000 ~backoff_after:0;
+    let watchdog = if watched then 1_000_000 else 0 in
+    let l =
+      Spinlock.make ~watchdog ~backoff_after:0 ~enabled:true ~cost:cm "t"
+    in
     let a = Spinlock.locked_op ~vp:0 l ~now:0 ~op_cycles:37 in
     let b = Spinlock.locked_op ~vp:1 l ~now:5 ~op_cycles:21 in
     let c = Spinlock.locked_op ~vp:0 l ~now:b ~op_cycles:9 in
@@ -81,8 +85,10 @@ let test_watchdog_alone_is_identical () =
    the acquire, and the extra delay is accounted as backoff cycles. *)
 let test_backoff_accounting () =
   let run ~backoff_after =
-    let l = Spinlock.make ~enabled:true ~cost:cm "t" in
-    Spinlock.set_watchdog l ~bound:1_000_000 ~backoff_after;
+    let l =
+      Spinlock.make ~watchdog:1_000_000 ~backoff_after ~enabled:true ~cost:cm
+        "t"
+    in
     ignore (Spinlock.locked_op ~vp:0 l ~now:0 ~op_cycles:400);
     let f = Spinlock.locked_op ~vp:1 l ~now:1 ~op_cycles:10 in
     (f, Spinlock.backoff_cycles l, Spinlock.spin_cycles l)

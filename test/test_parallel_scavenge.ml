@@ -30,9 +30,8 @@ let parallel_survival_prop =
     (fun (n, seed, workers) ->
       let rng = Random.State.make [| seed |] in
       let processors = 4 in
-      let h, cls, nil = make_heap ~processors () in
       let san = Sanitizer.create Sanitizer.Strict in
-      Heap.set_sanitizer h san;
+      let h, cls, nil = make_heap ~processors ~sanitizer:san () in
       let objs = build_graph h cls rng ~n ~processors in
       let root = ref objs.(n - 1) in
       Heap.add_root h root;
@@ -186,8 +185,10 @@ let test_zero_copy_scavenge () =
 let golden_run workers =
   let rng = Random.State.make [| 1988 |] in
   let processors = 4 in
-  let h, cls, _ = make_heap ~processors ~survivor:512 ~tenure_age:2 () in
-  Heap.set_sanitizer h (Sanitizer.create Sanitizer.Strict);
+  let h, cls, _ =
+    make_heap ~processors ~survivor:512 ~tenure_age:2
+      ~sanitizer:(Sanitizer.create Sanitizer.Strict) ()
+  in
   let summaries =
     List.init 3 (fun _ ->
         let n = 120 in

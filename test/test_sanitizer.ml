@@ -130,8 +130,7 @@ let test_disarmed_is_silent () =
 
 let test_guarded_mutation () =
   let san = Sanitizer.create Sanitizer.Report in
-  let l = Spinlock.make ~enabled:true ~cost:cm "guard lock" in
-  Spinlock.attach l san;
+  let l = Spinlock.make ~sanitizer:san ~enabled:true ~cost:cm "guard lock" in
   Sanitizer.register_guard san ~resource:"table" ~lock:"guard lock";
   let table = Sanitizer.id san "table" in
   Sanitizer.set_armed san true;
@@ -301,9 +300,7 @@ let test_fault_events_traced_not_violations () =
   let m = Machine.make ~processors:2 cm in
   Machine.set_injector m
     (Some (Fault.replay (Testkit.holder_stall_plan 0 120)));
-  let l = Spinlock.make ~enabled:true ~cost:cm "l" in
-  Spinlock.attach l san;
-  Spinlock.attach_machine l m;
+  let l = Spinlock.make ~sanitizer:san ~machine:m ~enabled:true ~cost:cm "l" in
   ignore (Spinlock.locked_op ~vp:0 l ~now:0 ~op_cycles:50);
   check "the stall is an event, not a violation" 0
     (Sanitizer.violation_count san);
@@ -318,7 +315,9 @@ let test_free_contexts_disabled_counts_fresh () =
   let h =
     Heap.create ~old_words:4096 ~eden_words:4096 ~survivor_words:1024 ()
   in
-  let t = Free_contexts.create_disabled () in
+  let t =
+    Free_contexts.create_disabled ~sanitizer:(Sanitizer.create Sanitizer.Off)
+  in
   let now, o = Free_contexts.take t h ~now:42 Free_contexts.Small in
   check "no time charged" 42 now;
   check_bool "nothing recycled" true (Oop.equal o Oop.sentinel);
@@ -421,6 +420,45 @@ let test_instrumentation_covers_all_locks () =
     [ "allocation"; "entry table"; "scheduler"; "method cache";
       "free contexts" ]
 
+(* --- VM assembly ---
+
+   Each component of a VM is handed the VM's one sanitizer when it is
+   built, and each lock and the scheduler the VM's machine.  A component
+   left on its default (a private sanitizer in mode Off, no machine)
+   would check and perturb nothing without any test noticing, so the
+   wiring is checked by physical equality. *)
+
+let test_vm_wiring name () =
+  let vm = Vm.create (Testkit.quick_setup name).Explorer.config in
+  let san = Vm.sanitizer vm in
+  let machine = vm.Vm.machine in
+  let holds what x = check_bool (what ^ " holds the VM's sanitizer") true x in
+  List.iter
+    (fun l ->
+      let lock = "lock '" ^ Spinlock.name l ^ "'" in
+      holds lock (Spinlock.sanitizer l == san);
+      check_bool (lock ^ " holds the VM's machine") true
+        (match Spinlock.machine l with
+         | Some m -> m == machine
+         | None -> false))
+    vm.Vm.locks;
+  let sh = vm.Vm.shared in
+  check_bool "the devices' locks are the VM's" true
+    (List.memq (Devices.display_lock sh.State.display) vm.Vm.locks
+     && List.memq (Devices.input_lock sh.State.input) vm.Vm.locks);
+  holds "the heap" (vm.Vm.heap.Heap.sanitizer == san);
+  holds "the scheduler" (sh.State.sched.Scheduler.sanitizer == san);
+  check_bool "the scheduler holds the VM's machine" true
+    (sh.State.sched.Scheduler.machine == machine);
+  Array.iter
+    (fun st ->
+      let vp = Printf.sprintf "vp %d's " st.State.id in
+      holds (vp ^ "method cache")
+        (st.State.mcache.Method_cache.sanitizer == san);
+      holds (vp ^ "free-context list")
+        (Free_contexts.sanitizer st.State.free_ctxs == san))
+    vm.Vm.states
+
 let () =
   Alcotest.run "sanitizer"
     [ ("trace",
@@ -465,6 +503,11 @@ let () =
       ("fault_trace",
        [ Alcotest.test_case "faults are events, not violations" `Quick
            test_fault_events_traced_not_violations ]);
+      ("wiring",
+       List.map
+         (fun name ->
+           Alcotest.test_case name `Quick (test_vm_wiring name))
+         [ "ms"; "stealing"; "bs-unlocked" ]);
       ("satellites",
        [ Alcotest.test_case "disabled free list counts fresh" `Quick
            test_free_contexts_disabled_counts_fresh;

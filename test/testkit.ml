@@ -11,9 +11,9 @@
 
 (* A small heap with a fake class object so headers have a valid class. *)
 let make_heap ?(policy = Heap.Unlocked) ?(processors = 1) ?(eden = 2048)
-    ?(survivor = 1024) ?(old = 8192) ?(tenure_age = 4) () =
+    ?(survivor = 1024) ?(old = 8192) ?(tenure_age = 4) ?sanitizer () =
   let h =
-    Heap.create ~policy ~processors ~tenure_age ~old_words:old
+    Heap.create ~policy ~processors ~tenure_age ?sanitizer ~old_words:old
       ~eden_words:eden ~survivor_words:survivor ()
   in
   let cls = Heap.alloc_old h ~slots:0 ~raw:false ~cls:Oop.sentinel () in
@@ -24,9 +24,9 @@ let make_heap ?(policy = Heap.Unlocked) ?(processors = 1) ?(eden = 2048)
 (* A replicated-eden heap, as the paper's MS configuration would hand the
    parallel scavenger. *)
 let make_replicated_heap ?(processors = 4) ?(eden = 8192) ?(survivor = 4096)
-    ?(old = 32768) ?(tenure_age = 4) () =
+    ?(old = 32768) ?(tenure_age = 4) ?sanitizer () =
   make_heap ~policy:Heap.Replicated_eden ~processors ~eden ~survivor ~old
-    ~tenure_age ()
+    ~tenure_age ?sanitizer ()
 
 (* --- random object graphs --- *)
 
