@@ -8,9 +8,10 @@
 # are not inlined and the polymorphic operators compile to C calls into
 # compare_val, so one `max a b` on ints on the engine's per-event path
 # costs a C call per event.  Int.max, Int.min and comparisons at a known
-# int type compile to plain compares.  The census (verify.o) and snapshot
-# capture (snapshot.o) are on the list too: a replicated cluster runs
-# both at every wave boundary, once per replica, so they are that
+# int type compile to plain compares.  The census (verify.o), snapshot
+# capture (snapshot.o) and the cluster loop (replica.o, with what it
+# inlines from cmdlog.ml) are on the list too: a replicated cluster runs
+# them at every wave boundary, once per replica, so they are that
 # workload's per-boundary path.
 #
 # Disassembles the native objects of the modules on that path with
@@ -47,6 +48,7 @@ lib/objmem/.objmem.objs/native/scavenger.o
 lib/objmem/.objmem.objs/native/verify.o
 lib/image/.stimage.objs/native/snapshot.o
 lib/core/.core.objs/native/vm.o
+lib/core/.core.objs/native/replica.o
 "
 
 status=0

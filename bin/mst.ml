@@ -240,6 +240,7 @@ let cmd_info ?version name ~doc =
 let eval_cmd =
   let expr = Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPR") in
   let run config state trace_dump expr =
+    require_non_negative "--trace-dump" trace_dump;
     let vm = make_vm config state in
     catching_faults ~vm ~trace_dump (fun () ->
         print_endline (Vm.eval_to_string vm expr));
@@ -256,6 +257,7 @@ let eval_cmd =
 let run_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let run config state trace_dump file =
+    require_non_negative "--trace-dump" trace_dump;
     let vm = make_vm config state in
     let source =
       read_input
@@ -358,6 +360,8 @@ let explore_cmd =
       expect_violation shrink_budget dump_prefix dpor brute max_preemptions
       max_branch budget stats =
     require_positive "-p" processors;
+    require_non_negative "--shrink-budget" shrink_budget;
+    require_non_negative "--max-preemptions" max_preemptions;
     let setup =
       (List.assoc config_name Explorer.setups) ~processors ~quick ()
     in
@@ -634,6 +638,7 @@ let faults_cmd =
       replay expect_deadlock shrink_budget =
     require_non_negative "--watchdog" watchdog;
     require_non_negative "--backoff" backoff;
+    require_non_negative "--shrink-budget" shrink_budget;
     match replay with
     | Some file -> run_replay ~file ~quick ~watchdog ~backoff ~expect_deadlock
     | None ->

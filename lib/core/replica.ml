@@ -31,11 +31,18 @@
    compares every replica against the reference — and replicas against
    each other — at every boundary.  Each replica state is fingerprinted
    once: a checkpoint, and the final convergence check, reuse the
-   fingerprint the boundary check took at the same entry count.  A run
-   hands every heap it is done with back to {!Heap}'s pool (the
-   reference node's after its last fingerprint, a rejected skeleton's,
-   the node a rejoin replaces, and every replica's at the end), so the
-   next node built reuses zeroed memory instead of a fresh array.
+   fingerprint the boundary check took at the same entry count.  Nearly
+   every object a fingerprint counts lies in the kernel image, which no
+   request writes, so each node freezes a census part over its image
+   range at its first fingerprint after a build or a restore
+   ({!Verify.freeze}); later censuses check the image words that walk
+   read and walk only what lies past them, falling back to the full walk
+   if any of those words changed.  The fingerprints are the full walk's
+   either way.  A run hands every heap it is done with back to {!Heap}'s
+   pool (the reference node's after its last fingerprint, a rejected
+   skeleton's, the node a rejoin replaces, and every replica's at the
+   end), so the next node built reuses zeroed memory instead of a fresh
+   array.
 
    A replica killed by the fault injector ({!Fault.Replica_crash},
    sampled at {!Fault.Log_entry} boundary queries) rejoins by restoring
@@ -123,6 +130,8 @@ type node = {
   vm : Vm.t;
   pool : Oop.t ref;  (* rooted cell holding the ClusterPool semaphore *)
   mutable completed : int;  (* requests served over this VM's lifetime *)
+  mutable image_part : Verify.frozen option;
+      (* the kernel image's census part, frozen at the first fingerprint *)
 }
 
 let build_node ~slots ~shards =
@@ -137,7 +146,9 @@ let build_node ~slots ~shards =
   done;
   let sh = vm.Vm.shared in
   sh.State.request_mailbox <- Some (Mailbox.make ());
-  let node = { vm; pool = ref Oop.sentinel; completed = 0 } in
+  let node =
+    { vm; pool = ref Oop.sentinel; completed = 0; image_part = None }
+  in
   sh.State.on_request_done <-
     (fun ~rid:_ ~now:_ -> node.completed <- node.completed + 1);
   (* run the fresh workers onto their pool wait: the quiescent baseline
@@ -206,14 +217,38 @@ let digest vm =
       done;
       !d
 
-let fingerprint_of vm =
+let fingerprint_with ?frozen vm ~stop ~roots =
   let census =
-    Verify.census vm.Vm.heap
-      ~stop:(Explorer.schedule_dependent vm)
+    Verify.census vm.Vm.heap ?frozen ~stop
       ~class_key:(Explorer.stable_class_key vm)
-      ~roots:(Explorer.stable_roots vm)
+      ~roots
   in
   Fnv.mix (Verify.fingerprint census) (digest vm)
+
+let fingerprint_of vm =
+  fingerprint_with vm ~stop:(Explorer.schedule_dependent vm)
+    ~roots:(Explorer.stable_roots vm)
+
+(* A node's fingerprint reuses its own frozen part over the kernel
+   image, taken at its first fingerprint after a build or a restore.
+   Each node keeps its own: the stop predicate reads that node's heap. *)
+let fingerprint node =
+  let vm = node.vm in
+  let stop = Explorer.schedule_dependent vm
+  and roots = Explorer.stable_roots vm in
+  let part =
+    match node.image_part with
+    | Some part -> part
+    | None ->
+        let h = vm.Vm.heap and image = Bootstrap.image_words () in
+        let lo = h.Heap.old.Heap.base in
+        let part =
+          Verify.freeze ~stop ~image h ~lo ~hi:(lo + Array.length image) ~roots
+        in
+        node.image_part <- Some part;
+        part
+  in
+  fingerprint_with ~frozen:part vm ~stop ~roots
 
 (* --- host-side registers for checkpoints ---
 
@@ -391,19 +426,19 @@ let validate (p : params) =
 
 (* The replica's current fingerprint: the one its last boundary check
    took, when that check was at the current entry count. *)
-let current_fingerprint r =
+let current_fingerprint ~fingerprint r =
   match r.fps with
   | (applied, fp) :: _ when applied = r.applied -> fp
-  | _ -> fingerprint_of r.node.vm
+  | _ -> fingerprint r.node
 
-let checkpoint ?(tag = "") dir r =
+let checkpoint ?(tag = "") ~fingerprint dir r =
   let vm = r.node.vm in
   if not (Calendar.is_empty vm.Vm.shared.State.timers) then
     cluster_error
       "replica %d: checkpoint with pending timers (engine hooks are not \
        serializable)"
       r.idx;
-  let fp = current_fingerprint r in
+  let fp = current_fingerprint ~fingerprint r in
   let snap =
     Snapshot.capture vm.Vm.heap ~fingerprint:fp ~entries:r.applied
       ~registers:(capture_registers vm)
@@ -414,7 +449,13 @@ let checkpoint ?(tag = "") dir r =
   Snapshot.save path snap;
   r.ckpts <- (r.applied, path) :: r.ckpts
 
-let run_in ~log (p : params) dir =
+let run_in ~log ~observe (p : params) dir =
+  let fingerprint node =
+    let fp = fingerprint node in
+    observe node fp;
+    fp
+  in
+  let checkpoint = checkpoint ~fingerprint in
   (* the durable log: generate, save, and execute what was *re-read*, so
      every cluster run exercises the full durability round trip *)
   let log_path = Filename.concat dir "cmdlog" in
@@ -466,11 +507,11 @@ let run_in ~log (p : params) dir =
   let ref_fps = Array.make (nwaves + 1) 0 in
   let () =
     let node = build_node ~slots:p.slots ~shards:p.shards in
-    ref_fps.(0) <- fingerprint_of node.vm;
+    ref_fps.(0) <- fingerprint node;
     List.iteri
       (fun i wave ->
         List.iter (fun e -> apply_wave node [ e ]) wave;
-        ref_fps.(i + 1) <- fingerprint_of node.vm)
+        ref_fps.(i + 1) <- fingerprint node)
       waves;
     Heap.release node.vm.Vm.heap
   in
@@ -497,9 +538,9 @@ let run_in ~log (p : params) dir =
       (fun seed ->
         let params = Fault.params_of_campaign Fault.Replica in
         let params =
-          if p.scenario = Some Double_crash then
-            { params with Fault.max_faults = 2 }
-          else params
+          match p.scenario with
+          | Some Double_crash -> { params with Fault.max_faults = 2 }
+          | Some (Torn_checkpoint | Crash_mid_replay) | None -> params
         in
         Fault.seeded ~params ~seed ())
       p.crash_seed
@@ -527,7 +568,7 @@ let run_in ~log (p : params) dir =
   (* fingerprint a replica at a boundary, record it, and run the
      divergence detector against the reference at the same entry count *)
   let boundary_check r =
-    let fp = fingerprint_of r.node.vm in
+    let fp = fingerprint r.node in
     r.fps <- (r.applied, fp) :: r.fps;
     let reference = ref_fp r.applied in
     if fp <> reference then
@@ -560,7 +601,7 @@ let run_in ~log (p : params) dir =
               (match Universe.get_global node.vm.Vm.u "ClusterPool" with
                | Some sem -> node.pool := sem
                | None -> cluster_error "ClusterPool missing after restore");
-              let fp = fingerprint_of node.vm in
+              let fp = fingerprint node in
               if fp <> snap.Snapshot.fingerprint then begin
                 incr fallbacks;
                 Heap.release node.vm.Vm.heap;
@@ -596,10 +637,13 @@ let run_in ~log (p : params) dir =
                             replica dies again halfway through its
                             suffix and must restart the whole rejoin *)
                          if
-                           p.scenario = Some Crash_mid_replay
+                           (match p.scenario with
+                            | Some Crash_mid_replay -> true
+                            | Some (Torn_checkpoint | Double_crash) | None ->
+                                false)
                            && not !interrupted
                            && i - start_wave
-                              >= max 1 ((target_wave - start_wave) / 2)
+                              >= Int.max 1 ((target_wave - start_wave) / 2)
                          then begin
                            interrupted := true;
                            raise Exit
@@ -624,7 +668,8 @@ let run_in ~log (p : params) dir =
                  with Exit -> ());
                 if !replayed then begin
                   r.rejoins <- r.rejoins + 1;
-                  max_rejoin_lag := max !max_rejoin_lag (target - entries_at);
+                  max_rejoin_lag :=
+                    Int.max !max_rejoin_lag (target - entries_at);
                   log
                     (Printf.sprintf
                        "replica %d rejoined: restored entry %d, replayed %d \
@@ -682,20 +727,22 @@ let run_in ~log (p : params) dir =
                             "replica %d crashed at entry %d (%d survivor(s) \
                              keep serving)"
                             victim.idx cums.(w) (n - 1));
-                       if p.scenario = Some Torn_checkpoint then (
-                         (* crash-during-checkpoint: the victim was
-                            writing a checkpoint when it died, leaving a
-                            torn file the rejoin must reject *)
-                         checkpoint ~tag:"-inflight" dir victim;
-                         match victim.ckpts with
-                         | (_, path) :: _ ->
-                             truncate_file path;
-                             log
-                               (Printf.sprintf
-                                  "replica %d: in-flight checkpoint torn by \
-                                   the crash"
-                                  victim.idx)
-                         | [] -> ())
+                       match p.scenario with
+                       | Some Torn_checkpoint -> (
+                           (* crash-during-checkpoint: the victim was
+                              writing a checkpoint when it died, leaving a
+                              torn file the rejoin must reject *)
+                           checkpoint ~tag:"-inflight" dir victim;
+                           match victim.ckpts with
+                           | (_, path) :: _ ->
+                               truncate_file path;
+                               log
+                                 (Printf.sprintf
+                                    "replica %d: in-flight checkpoint torn \
+                                     by the crash"
+                                    victim.idx)
+                           | [] -> ())
+                       | Some (Crash_mid_replay | Double_crash) | None -> ()
                      end
                  | Some _ | None -> ())
              rs);
@@ -745,7 +792,8 @@ let run_in ~log (p : params) dir =
   let final_ref = ref_fps.(nwaves) in
   let converged =
     Array.for_all
-      (fun r -> r.applied = total && current_fingerprint r = final_ref)
+      (fun r ->
+        r.applied = total && current_fingerprint ~fingerprint r = final_ref)
       rs
   in
   Array.iter (fun r -> Heap.release r.node.vm.Vm.heap) rs;
@@ -775,17 +823,19 @@ let remove_dir d =
   Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
   Sys.rmdir d
 
-let run ?(log = fun _ -> ()) (p : params) =
+let run ?(log = fun _ -> ()) ?(observe = fun _ _ -> ()) (p : params) =
   validate p;
   match p.dir with
   | Some d ->
       ensure_dir d;
-      run_in ~log p d
+      run_in ~log ~observe p d
   | None ->
       (* created atomically, so concurrent runs never race for a name, and
          removed however the run ends *)
       let d = Filename.temp_dir "mst-cluster-" "" in
-      Fun.protect ~finally:(fun () -> remove_dir d) (fun () -> run_in ~log p d)
+      Fun.protect
+        ~finally:(fun () -> remove_dir d)
+        (fun () -> run_in ~log ~observe p d)
 
 let pp fmt o =
   Format.fprintf fmt

@@ -24,12 +24,14 @@ exception Cluster_error of string
 
 (** {2 Building blocks} *)
 
-(** A bootstrapped cluster machine: VM, rooted pool-semaphore cell, and
-    its served-request count. *)
+(** A bootstrapped cluster machine: VM, rooted pool-semaphore cell, its
+    served-request count, and the census part over its kernel image that
+    {!fingerprint} freezes at the node's first fingerprint. *)
 type node = {
   vm : Vm.t;
   pool : Oop.t ref;
   mutable completed : int;
+  mutable image_part : Verify.frozen option;
 }
 
 (** Bootstrap a fresh machine: kernel image, cluster classes, shard
@@ -44,8 +46,17 @@ val apply_wave : ?skip:(Cmdlog.entry -> bool) -> node -> Cmdlog.entry list -> un
 (** The replica fingerprint: census shape under {!Explorer.stable_roots}
     / {!Explorer.schedule_dependent} / {!Explorer.stable_class_key},
     mixed with the order-sensitive shard value digest.  Comparable across
-    independently-bootstrapped images. *)
+    independently-bootstrapped images.  Walks the whole reachable
+    graph. *)
 val fingerprint_of : Vm.t -> int
+
+(** [fingerprint_of node.vm], computed with the node's own frozen census
+    part ({!Verify.freeze}) over its kernel image: the
+    {!Bootstrap.image_words} words from the start of old space.  The
+    first call on a node freezes the part.  The census walks only what
+    lies past the image while the image words the part read are
+    unchanged, and the whole graph once one of them changes. *)
+val fingerprint : node -> int
 
 val capture_registers : Vm.t -> Snapshot.registers
 
@@ -105,7 +116,11 @@ type outcome = {
 }
 
 (** Run the cluster over a freshly generated (and durably round-tripped)
-    command log.  [log] receives progress lines. *)
-val run : ?log:(string -> unit) -> params -> outcome
+    command log.  [log] receives progress lines; [observe] receives every
+    fingerprint the run takes (reference, boundary checks, restored
+    skeletons, the initial checkpoints) with the node it was taken on,
+    before the run compares it. *)
+val run :
+  ?log:(string -> unit) -> ?observe:(node -> int -> unit) -> params -> outcome
 
 val pp : Format.formatter -> outcome -> unit

@@ -36,10 +36,17 @@ type bits = {
   top : int;
 }
 
-let bits h =
+(* [reuse], zeroed, when it is the size [h] needs; else fresh bytes *)
+let bits ?(reuse = Bytes.empty) h =
   let old_words = h.old.ptr - h.old.base in
   let top = Array.length h.mem in
-  { bytes = Bytes.make ((old_words + top - h.new_base + 7) / 8) '\000';
+  let len = (old_words + top - h.new_base + 7) / 8 in
+  { bytes =
+      (if Bytes.length reuse = len then begin
+         Bytes.fill reuse 0 len '\000';
+         reuse
+       end
+       else Bytes.make len '\000');
     old_base = h.old.base;
     old_ptr = h.old.ptr;
     new_base = h.new_base;
@@ -185,15 +192,216 @@ let check h =
          h.free_words !free_total);
   List.rev !problems
 
+(* --- frozen census parts ---
+
+   Old space is almost never written: a VM's kernel image holds nearly
+   all the objects a census of its stable roots counts, and nothing a
+   workload does touches them.  A frozen part walks such a range once,
+   from the roots that lie in it, through in-range objects only, and
+   remembers what the walk found (its members, their per-class counts,
+   the pointers that leave them) and every word the walk read to find
+   it: each member's header and class word, and every slot of a
+   non-raw member.  A word read that still equals the caller's [image]
+   of the range (the kernel image every node boots from) is checked
+   against that shared array instead of being copied, so a part costs
+   a node only its spans, its bitmap and the words that differ.
+
+   A later census on the same heap whose in-range roots are the same
+   and whose recorded words are all unchanged would walk exactly the
+   same members again, so it takes their counts as they are, treats
+   the members as visited, and walks on from the exits.  A word that
+   changed, a root that came or went, or a range no longer inside
+   allocated old space sends the census back to the full walk, so the
+   reachable set and the counts are the same either way.  The members
+   were walked under the [stop] the part was frozen with; a census
+   given the part must pass a [stop] that answers alike for them, as
+   one deciding by the object's class word does. *)
+
+type frozen = {
+  member : bits;  (* bit [a - lo] marks member [a] *)
+  limit : int;  (* end of the last recorded word *)
+  in_roots : int array;  (* distinct in-range root addresses, ascending *)
+  f_objects : int;
+  f_words : int;
+  f_classes : (Oop.t * int) array;  (* members per class oop *)
+  exits : Oop.t array;  (* distinct pointers from members to non-members *)
+  mutable seen : Bytes.t;  (* the last census's visited set, for reuse *)
+  spans : int array;  (* start, length, ...: the words read, ascending *)
+  image : int array;  (* expected words of [[lo, lo + length image)] *)
+  own_at : int array;  (* ascending: the words read that [image] lacks *)
+  own : int array;  (* their values *)
+}
+
+(* An address bitmap over [[lo, hi)] alone: {!index} maps [a] there to
+   [a - lo] and every other address to -1. *)
+let range_bits ~lo ~hi =
+  { bytes = Bytes.make ((hi - lo + 7) / 8) '\000';
+    old_base = lo;
+    old_ptr = hi;
+    new_base = max_int;
+    new_off = 0;
+    top = max_int }
+
+let roots_in ~lo ~hi roots =
+  Array.of_list
+    (List.sort_uniq Int.compare
+       (List.filter_map
+          (fun o ->
+            if Oop.is_ptr o && not (Oop.equal o Oop.sentinel) then
+              let a = Oop.addr o in
+              if a >= lo && a < hi then Some a else None
+            else None)
+          roots))
+
+let freeze ?(stop = fun _ -> false) ?(image = [||]) h ~lo ~hi ~roots =
+  if lo > hi || lo < h.old.base || hi > h.old.ptr then
+    invalid_arg
+      (Printf.sprintf "Verify.freeze: [%d, %d) is not allocated old space" lo
+         hi);
+  let member = range_bits ~lo ~hi in
+  let exits = ref [] and stack = ref [] in
+  let push o =
+    if Oop.is_ptr o && not (Oop.equal o Oop.sentinel) then begin
+      let i = index member (Oop.addr o) in
+      if i < 0 then exits := o :: !exits
+      else if not (is_set member i) then
+        if stop o then exits := o :: !exits
+        else begin
+          set member i;
+          stack := Oop.addr o :: !stack
+        end
+    end
+  in
+  let in_roots = roots_in ~lo ~hi roots in
+  Array.iter (fun a -> push (Oop.of_addr a)) in_roots;
+  let by_class = Oop.Tbl.create 64 in
+  let objects = ref 0 and words = ref 0 in
+  let rec walk () =
+    match !stack with
+    | [] -> ()
+    | a :: rest ->
+        stack := rest;
+        incr objects;
+        words := !words + size_words h a;
+        let cls = class_at h a in
+        (match Oop.Tbl.find_opt by_class cls with
+         | Some n -> incr n
+         | None -> Oop.Tbl.add by_class cls (ref 1));
+        push cls;
+        for i = 0 to Scavenger.scan_limit h a - 1 do
+          push h.mem.(a + Layout.header_words + i)
+        done;
+        walk ()
+  in
+  walk ();
+  (* The words read, member by member in address order: a raw member's
+     header and class word, a non-raw member's every word.  A word that
+     equals [image]'s joins a span checked against [image]; the rest are
+     kept with their values. *)
+  let spans = ref [] and own = ref [] and limit = ref hi in
+  for i = hi - lo - 1 downto 0 do
+    if is_set member i then begin
+      let a = lo + i in
+      let n = if is_raw h a then Layout.header_words else size_words h a in
+      limit := Int.max !limit (a + n);
+      for x = a + n - 1 downto a do
+        let v = h.mem.(x) in
+        if x - lo < Array.length image && image.(x - lo) = v then
+          spans :=
+            match !spans with
+            | b :: m :: rest when x + 1 = b -> x :: (m + 1) :: rest
+            | l -> x :: 1 :: l
+        else own := (x, v) :: !own
+      done
+    end
+  done;
+  { member;
+    limit = !limit;
+    in_roots;
+    f_objects = !objects;
+    f_words = !words;
+    f_classes =
+      Array.of_list (Oop.Tbl.fold (fun c n acc -> (c, !n) :: acc) by_class []);
+    exits = Array.of_list (List.sort_uniq Int.compare !exits);
+    seen = Bytes.empty;
+    spans = Array.of_list !spans;
+    image;
+    own_at = Array.of_list (List.map fst !own);
+    own = Array.of_list (List.map snd !own) }
+
+(* Whether a census of [h] from [roots] would walk [f]'s members as
+   they were frozen: the range still lies in allocated old space, the
+   in-range roots are the same and every word the walk read is
+   unchanged. *)
+let holds f h ~roots =
+  let lo = f.member.old_base and hi = f.member.old_ptr in
+  lo >= h.old.base && f.limit <= h.old.ptr
+  &&
+  let rs = roots_in ~lo ~hi roots in
+  Array.length rs = Array.length f.in_roots
+  && (let same = ref true and i = ref 0 in
+      while !same && !i < Array.length rs do
+        same := rs.(!i) = f.in_roots.(!i);
+        incr i
+      done;
+      !same)
+  &&
+  (* every span lies below [f.limit], so in [mem] (checked above), and
+     in [image] (checked when it was frozen): the gets need no bounds *)
+  let mem = h.mem and image = f.image and spans = f.spans in
+  let same = ref true and s = ref 0 in
+  while !same && !s < Array.length spans do
+    let a = spans.(!s) and n = spans.(!s + 1) in
+    let d = a - lo and i = ref 0 in
+    while
+      !i < n
+      && Array.unsafe_get mem (a + !i) = Array.unsafe_get image (d + !i)
+    do
+      incr i
+    done;
+    same := !i = n;
+    s := !s + 2
+  done;
+  let i = ref 0 in
+  while !same && !i < Array.length f.own_at do
+    same := mem.(f.own_at.(!i)) = f.own.(!i);
+    incr i
+  done;
+  !same
+
+(* Mark [f]'s members visited in [seen], a {!bits} of the heap they
+   were frozen on: one blit when the range starts on a byte of
+   [seen]'s, else bit by bit. *)
+let mark_members f seen =
+  let off = f.member.old_base - seen.old_base in
+  if off land 7 = 0 then
+    Bytes.blit f.member.bytes 0 seen.bytes (off lsr 3)
+      (Bytes.length f.member.bytes)
+  else
+    for i = 0 to f.member.old_ptr - f.member.old_base - 1 do
+      if is_set f.member i then set seen (off + i)
+    done
+
 (* The reachability walk {!census} and {!check_marked} share: [visit]
    runs once on the address of every object reachable from [roots]
    through class slots and scanned fields, without entering objects
    satisfying [stop].  The visited set is an address bitmap and the
    pending objects an explicit stack, so the walk neither hashes nor
    recurses.  An oop outside allocated space has no bit: it is refused
-   with [Invalid_argument] rather than counted. *)
-let reachable ?(stop = fun _ -> false) h ~roots visit =
-  let seen = bits h in
+   with [Invalid_argument] rather than counted.  Given a frozen part
+   that {!holds}, the walk starts with its members visited and its
+   exits pending, so [visit] sees only what lies past them; it keeps
+   its visited set in the part for the next census to clear and reuse,
+   as a fresh bitmap of a cluster node is a major-heap block of 10 KB. *)
+let reachable ?(stop = fun _ -> false) ?frozen h ~roots visit =
+  let seen =
+    match frozen with
+    | Some f ->
+        let seen = bits ~reuse:f.seen h in
+        f.seen <- seen.bytes;
+        seen
+    | None -> bits h
+  in
   let stack = ref (Array.make 256 0) and depth = ref 0 in
   let push o =
     if Oop.is_ptr o && not (Oop.equal o Oop.sentinel) then begin
@@ -214,6 +422,11 @@ let reachable ?(stop = fun _ -> false) h ~roots visit =
       end
     end
   in
+  (match frozen with
+   | Some f ->
+       mark_members f seen;
+       Array.iter push f.exits
+   | None -> ());
   List.iter push roots;
   while !depth > 0 do
     decr depth;
@@ -273,11 +486,22 @@ type census = {
    exactly the kind of accident the fingerprint must not see, so callers
    there pass [class_key] mapping each class oop to an identity derived
    from its name. *)
-let census ?stop ?class_key h ~roots =
+let census ?stop ?class_key ?frozen h ~roots =
   (* counted per class oop, so [class_key] runs once per class *)
   let by_class = Oop.Tbl.create 64 in
   let objects = ref 0 and words = ref 0 in
-  reachable ?stop h ~roots (fun a ->
+  let frozen =
+    match frozen with
+    | Some f when holds f h ~roots ->
+        objects := f.f_objects;
+        words := f.f_words;
+        Array.iter
+          (fun (cls, n) -> Oop.Tbl.add by_class cls (ref n))
+          f.f_classes;
+        frozen
+    | Some _ | None -> None
+  in
+  reachable ?stop ?frozen h ~roots (fun a ->
       incr objects;
       words := !words + size_words h a;
       let cls = class_at h a in

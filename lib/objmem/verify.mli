@@ -66,12 +66,59 @@ type census = {
   per_class : (int * int) list;
 }
 
+(** A frozen census part: one walk of an old-space range that later
+    censuses of the same heap reuse while the range is unchanged.  Old
+    space is almost never written, so a VM's kernel image, which holds
+    nearly every object a census of its stable roots counts, need not be
+    walked again at every census. *)
+type frozen
+
+(** [freeze ?stop h ~lo ~hi ~roots] walks from the [roots] that lie in
+    [[lo, hi)] through objects that start in that range only, without
+    entering objects satisfying [stop].  It records the member bitmap,
+    per-class counts with the object and word totals, the sorted
+    in-range roots, the pointers that leave the members (its exits),
+    and the address and value of every word the walk read: the header
+    and class word of each member and every slot of each non-raw
+    member.  [image] holds the words the range was built with, such as
+    the kernel image every node of a cluster boots from, and must not
+    change while the part is in use: a word read that still equals
+    [image]'s at the same offset from [lo] is checked against [image]
+    instead of being copied, so parts frozen on several heaps built from
+    one image share its words.  Raises [Invalid_argument] unless
+    [[lo, hi)] lies in allocated old space. *)
+val freeze :
+  ?stop:(Oop.t -> bool) ->
+  ?image:int array ->
+  Heap.t ->
+  lo:int ->
+  hi:int ->
+  roots:Oop.t list ->
+  frozen
+
+(** [census ?frozen h ~roots] first checks that the part still holds:
+    its range lies in allocated old space, the in-range [roots] are the
+    ones it was frozen with and every word it recorded is unchanged.  If
+    so it takes the members' counts as recorded, treats the members as
+    visited, and walks on from the exits and [roots]; if not it walks
+    the whole graph as without a part.  The result is the same either
+    way, provided [stop] answers for the members as the [stop] the part
+    was frozen under did (one that decides by the object's class word,
+    as the schedule explorer's fence does, qualifies).  A part belongs
+    to the heap it was frozen on, and to one domain: a census keeps its
+    visited bitmap in the part for the next census to reuse. *)
 val census :
   ?stop:(Oop.t -> bool) ->
   ?class_key:(Oop.t -> int) ->
+  ?frozen:frozen ->
   Heap.t ->
   roots:Oop.t list ->
   census
+
+(** Whether {!census} of [h] from [roots] would take the frozen part: its
+    range lies in allocated old space, the in-range [roots] are the ones
+    it was frozen with and every word it recorded is unchanged. *)
+val holds : frozen -> Heap.t -> roots:Oop.t list -> bool
 
 val pp_census : Format.formatter -> census -> unit
 

@@ -55,7 +55,7 @@ let append t ~session ~shard ~kind =
     invalid_arg "Cmdlog.append: negative key";
   let e = { lsn = t.len; session; shard; kind } in
   if t.len >= Array.length t.entries then begin
-    let cap = max 16 (2 * Array.length t.entries) in
+    let cap = Int.max 16 (2 * Array.length t.entries) in
     let a = Array.make cap e in
     Array.blit t.entries 0 a 0 t.len;
     t.entries <- a

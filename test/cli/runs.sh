@@ -109,6 +109,9 @@ refused mst faults --quick --seeds=1 --backoff=-3
 refused mst serve --think-ms=-5
 refused mst serve --interval-ms=-5
 refused mst serve --admit=-1
+refused mst eval --trace-dump=-3 "3 + 4"
+refused mst explore --quick --seeds=2 --max-preemptions=-1
+refused mst explore --quick --seeds=1 --shrink-budget=-4
 
 # names the image does not define
 refused mst disasm NoSuchClass yourself

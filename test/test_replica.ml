@@ -716,6 +716,73 @@ let test_class_key_unnamed () =
   check "an unnamed class keys by address" (Oop.addr unnamed) (key unnamed);
   check "as the sorted walk gave" (sorted_walk_key vm unnamed) (key unnamed)
 
+(* --- fingerprints through the frozen image part ---
+
+   A node fingerprints through a census part frozen over its kernel
+   image, which skips the image while the words its walk read are
+   unchanged.  Every fingerprint a run takes must still be the full
+   census's: on the reference, on every replica at every boundary, on a
+   restored skeleton and through a rejoin's replay. *)
+
+let observed_run p =
+  let seen = ref 0 and holding = ref 0 in
+  let o =
+    Replica.run p ~observe:(fun node fp ->
+        incr seen;
+        let vm = node.Replica.vm in
+        check
+          (Printf.sprintf "fingerprint %d against the full census" !seen)
+          (Replica.fingerprint_of vm) fp;
+        match node.Replica.image_part with
+        | Some part ->
+            if
+              Verify.holds part vm.Vm.heap ~roots:(Explorer.stable_roots vm)
+            then incr holding
+        | None -> Alcotest.fail "a fingerprint froze no image part")
+  in
+  (o, !seen, !holding)
+
+let test_frozen_fingerprints_match () =
+  let o, seen, holding = observed_run Replica.default_params in
+  check_bool "converged" true o.Replica.converged;
+  check_bool "every boundary observed" true (seen > 3 * o.Replica.waves);
+  check "the image part held at every fingerprint" seen holding;
+  let o, seen, holding =
+    observed_run { Replica.default_params with Replica.crash_seed = Some 5 }
+  in
+  check_bool "a replica rejoined" true (o.Replica.rejoins > 0);
+  check_bool "and converged" true
+    (o.Replica.converged && o.Replica.divergences = []);
+  check "the image part held at every fingerprint" seen holding
+
+(* A kernel global rebound after the freeze changes a word the image
+   walk read (the association's value): the part no longer holds, and
+   the fingerprint falls back to the full walk, which no longer meets
+   the old TranscriptStream. *)
+let test_frozen_fingerprint_falls_back () =
+  let node = Replica.build_node ~slots:2 ~shards:2 in
+  let vm = node.Replica.vm in
+  let before = Replica.fingerprint node in
+  check "frozen at the first fingerprint" before (Replica.fingerprint_of vm);
+  let part =
+    match node.Replica.image_part with
+    | Some part -> part
+    | None -> Alcotest.fail "no image part after a fingerprint"
+  in
+  let h = vm.Vm.heap in
+  let assoc = Universe.global_assoc vm.Vm.u "Transcript" in
+  let image_end =
+    h.Heap.old.Heap.base + Array.length (Bootstrap.image_words ())
+  in
+  check_bool "the association lies in the image" true
+    (Oop.addr assoc < image_end);
+  Universe.set_global vm.Vm.u "Transcript" (Oop.of_small 7);
+  check_bool "the part no longer holds" false
+    (Verify.holds part h ~roots:(Explorer.stable_roots vm));
+  let after = Replica.fingerprint node in
+  check "the fallback gives the full census" (Replica.fingerprint_of vm) after;
+  check_bool "which saw the change" true (after <> before)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "replica"
@@ -761,4 +828,9 @@ let () =
          Alcotest.test_case "bad params rejected" `Quick
            test_rejects_bad_params;
          Alcotest.test_case "runs without a dir get distinct ones" `Quick
-           test_runs_get_distinct_dirs ]) ]
+           test_runs_get_distinct_dirs ]);
+      ("frozen image part",
+       [ Alcotest.test_case "every fingerprint equals the full census"
+           `Quick test_frozen_fingerprints_match;
+         Alcotest.test_case "a changed image word falls back" `Quick
+           test_frozen_fingerprint_falls_back ]) ]

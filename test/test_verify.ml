@@ -177,6 +177,127 @@ let census_matches_reference =
           got Verify.pp_census want;
       true)
 
+(* --- frozen parts ---
+
+   A census given a frozen part must equal the census without it,
+   whatever changed after the freeze: a header or class word, a scanned
+   slot, a raw payload word, a root added or removed, or an object at
+   the range's edge.  The graph lives mostly in old space, some of it in
+   eden; raw payloads hold pointer-looking words the walk must not
+   follow.  The range is any stretch of allocated old space, cutting
+   objects at either end.  [image], when given, is the range's words
+   with a few of them wrong, so the part keeps some words of its own. *)
+
+let frozen_census_matches =
+  QCheck.Test.make ~count:300
+    ~name:"census with a frozen part equals the census without"
+    QCheck.(triple Testkit.seed_arb (int_range 0 4) bool)
+    (fun (seed, changes, with_image) ->
+      let h, cls, _ =
+        Testkit.make_heap ~eden:8192 ~survivor:4096 ~old:32768 ()
+      in
+      let rng = Random.State.make [| seed |] in
+      let int n = Random.State.int rng n in
+      let pick a = a.(int (Array.length a)) in
+      let classes =
+        Array.init 4 (fun _ -> Heap.alloc_old h ~slots:0 ~raw:false ~cls ())
+      in
+      let objs =
+        Array.init
+          (5 + int 60)
+          (fun _ ->
+            let slots = int 5 and raw = int 5 = 0 and cls = pick classes in
+            if int 4 = 0 then Heap.alloc_new h ~vp:0 ~slots ~raw ~cls ()
+            else Heap.alloc_old h ~slots ~raw ~cls ())
+      in
+      let value () =
+        if int 3 = 0 then Oop.of_small (int 100) else pick objs
+      in
+      let fill o i =
+        if Heap.is_raw h (Oop.addr o) then Heap.set_raw h o i (value ())
+        else ignore (Heap.store_ptr h o i (value ()))
+      in
+      Array.iter
+        (fun o ->
+          for i = 0 to Heap.slots h (Oop.addr o) - 1 do
+            fill o i
+          done)
+        objs;
+      let old = h.Heap.old in
+      let lo = old.Heap.base + int (old.Heap.ptr - old.Heap.base + 1) in
+      let hi = lo + int (old.Heap.ptr - lo + 1) in
+      let in_range o = Oop.addr o >= lo && Oop.addr o < hi in
+      let stopped = Hashtbl.create 16 in
+      Array.iter (fun o -> if int 6 = 0 then Hashtbl.replace stopped o ()) objs;
+      let stop o = Hashtbl.mem stopped o in
+      let roots = ref (List.filter (fun _ -> int 3 = 0) (Array.to_list objs)) in
+      let image =
+        if with_image then begin
+          let image = Array.sub h.Heap.mem lo (int (hi - lo + 1)) in
+          for _ = 1 to int 4 do
+            if Array.length image > 0 then
+              image.(int (Array.length image)) <- Oop.of_small (int 100)
+          done;
+          Some image
+        end
+        else None
+      in
+      let frozen = Verify.freeze ~stop ?image h ~lo ~hi ~roots:!roots in
+      let targets () =
+        match List.filter in_range (Array.to_list objs) with
+        | [] -> objs
+        | l -> Array.of_list l
+      in
+      for _ = 1 to changes do
+        match int 7 with
+        | 0 -> Heap.set_class h (Oop.addr (pick (targets ()))) (pick classes)
+        | 1 ->
+            (* raw payloads hold valid oops, so either reading is sane *)
+            let a = Oop.addr (pick (targets ())) in
+            h.Heap.mem.(a) <- h.Heap.mem.(a) lxor Layout.flag_raw
+        | 2 ->
+            let o = pick (targets ()) in
+            let n = Heap.slots h (Oop.addr o) in
+            if n > 0 then fill o (int n)
+        | 3 ->
+            let o = pick objs in
+            let n = Heap.slots h (Oop.addr o) in
+            if n > 0 && Heap.is_raw h (Oop.addr o) then
+              Heap.set_raw h o (int n) (pick objs)
+        | 4 -> roots := pick objs :: !roots
+        | 5 -> roots := List.filter (fun _ -> int 3 > 0) !roots
+        | _ -> (
+            (* the last object to start in the range, which may run past
+               its end: its class word or its last slot *)
+            match
+              List.rev
+                (List.sort Int.compare
+                   (List.filter in_range (Array.to_list objs)))
+            with
+            | [] -> ()
+            | o :: _ ->
+                let n = Heap.slots h (Oop.addr o) in
+                if n = 0 then Heap.set_class h (Oop.addr o) (pick classes)
+                else fill o (n - 1))
+      done;
+      let result frozen =
+        match Verify.census ~stop ?frozen h ~roots:!roots with
+        | c -> Ok c
+        | exception Invalid_argument m -> Error m
+      in
+      let got = result (Some frozen) and want = result None in
+      if got <> want then
+        QCheck.Test.fail_reportf
+          "[%d, %d) after %d change(s): census %s with the part, %s without"
+          lo hi changes
+          (match got with
+           | Ok c -> Format.asprintf "%a" Verify.pp_census c
+           | Error m -> m)
+          (match want with
+           | Ok c -> Format.asprintf "%a" Verify.pp_census c
+           | Error m -> m);
+      true)
+
 (* --- planted corruptions ---
 
    One corruption per heap.  Each must be reported at its address with
@@ -319,4 +440,5 @@ let () =
        [ Alcotest.test_case "oop outside allocated space" `Quick
            test_census_refuses_unallocated ]);
       ("census reference",
-       [ QCheck_alcotest.to_alcotest census_matches_reference ]) ]
+       [ QCheck_alcotest.to_alcotest census_matches_reference;
+         QCheck_alcotest.to_alcotest frozen_census_matches ]) ]
