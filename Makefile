@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is what CI runs.
 
-.PHONY: all build test check int-compare-audit export-audit sim-identical bench bench-quick clean
+.PHONY: all build test check int-compare-audit export-audit published-check sim-identical bench bench-quick clean
 
 all: build
 
@@ -23,11 +23,17 @@ int-compare-audit:
 export-audit:
 	sh bench/export_audit.sh
 
+# Rerun the sections behind the committed BENCH_*.json files and fail
+# on any byte that differs (see the script's header).
+published-check:
+	sh bench/published_check.sh
+
 # Every judged command-line run (test/cli/runs.sh, with why each proves
 # something) is part of `dune runtest`.
 check:
 	dune build
 	$(MAKE) int-compare-audit
+	$(MAKE) published-check
 	dune runtest
 
 # Prove the working tree simulation-identical to PARENT (any git

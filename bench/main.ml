@@ -55,7 +55,6 @@ let run_table2 ~quick () =
     Format.fprintf fmt
       "(quick mode: repetitions reduced 6x; absolute seconds scale down \
        accordingly)@.@.";
-  let t0 = Unix.gettimeofday () in
   let results = Macro.run_table2 ~config_tweak:tweak ~benchmarks () in
   Report.print_table2 fmt results;
   Format.fprintf fmt "@.";
@@ -70,9 +69,7 @@ let run_table2 ~quick () =
    | Sanitizer.Strict ->
        Format.fprintf fmt
          "@.(sanitizer strict: all four system states completed with zero \
-          serialization violations)@.");
-  Format.fprintf fmt "@.(real time for this section: %.1f s)@."
-    (Unix.gettimeofday () -. t0)
+          serialization violations)@.")
 
 (* --- E6/E7/E9/E11: ablations --- *)
 
@@ -161,44 +158,27 @@ let run_e16_steal ~quick () =
 
 (* --- E17: the image server on the event-calendar engine --- *)
 
-type server_row = {
-  srv_sessions : int;
-  scan : Server.stats * float;      (* stats, host wall seconds *)
-  calendar : Server.stats * float;
-}
-
 let run_server_once config p =
-  let t0 = Unix.gettimeofday () in
   let _vm, stats = Server.run config p in
-  let wall = Unix.gettimeofday () -. t0 in
   if not stats.Server.quiesced then
     failwith "e17-server: run did not quiesce";
-  (stats, wall)
+  stats
 
-let server_json_row row =
-  let engine ((s : Server.stats), wall) extra =
+let server_json_row (sessions, (sc : Server.stats), (ca : Server.stats)) =
+  let engine (s : Server.stats) extra =
     let per_sec n t = if t > 0. then float_of_int n /. t else 0. in
     Obj
-      ([ ("wall_seconds", Float (4, wall));
-         ("engine_events", Int s.engine_events);
-         ("host_events_per_sec", Float (0, per_sec s.engine_events wall));
+      ([ ("engine_events", Int s.engine_events);
          ("sim_requests_per_sec",
           Float (3, per_sec s.completed s.sim_seconds));
          ("latency_p50_cycles", Int s.latency.p50);
          ("latency_p99_cycles", Int s.latency.p99) ]
        @ extra)
   in
-  let (sc, sc_wall) = row.scan and (ca, ca_wall) = row.calendar in
-  let cycles_per_sec (s : Server.stats) wall =
-    float_of_int s.run_cycles /. wall
-  in
   Obj
-    [ ("sessions", Int row.srv_sessions); ("completed", Int sc.completed);
-      ("scan", engine row.scan []);
-      ("calendar", engine row.calendar [ ("parks", Int ca.parks) ]);
-      ("wall_speedup", Float (2, sc_wall /. ca_wall));
-      ("host_cycles_per_sec_speedup",
-       Float (2, cycles_per_sec ca ca_wall /. cycles_per_sec sc sc_wall)) ]
+    [ ("sessions", Int sessions); ("completed", Int sc.completed);
+      ("scan", engine sc []);
+      ("calendar", engine ca [ ("parks", Int ca.parks) ]) ]
 
 let run_e17_server ~quick () =
   section
@@ -213,10 +193,9 @@ let run_e17_server ~quick () =
     "%d processors, %d workers, %d requests/session, closed loop, think %d \
      ms (mostly idle)@.@."
     vps workers requests think_ms;
-  Format.fprintf fmt
-    "  %8s %10s | %12s %14s | %12s %14s | %8s@."
-    "sessions" "completed" "scan wall(s)" "scan events/s" "cal wall(s)"
-    "cal events/s" "speedup";
+  Format.fprintf fmt "  %8s %10s | %11s %12s | %11s %12s %7s@."
+    "sessions" "completed" "scan events" "scan p50(c)" "cal events"
+    "cal p50(c)" "parks";
   let rows =
     List.map
       (fun sessions ->
@@ -232,14 +211,11 @@ let run_e17_server ~quick () =
           run_server_once
             { base with Config.engine = Config.Engine_calendar } p
         in
-        let (sc, sc_wall) = scan and (ca, ca_wall) = calendar in
-        Format.fprintf fmt "  %8d %10d | %12.3f %14.0f | %12.3f %14.0f | %7.2fx@."
-          sessions sc.Server.completed sc_wall
-          (float_of_int sc.Server.engine_events /. sc_wall)
-          ca_wall
-          (float_of_int ca.Server.engine_events /. ca_wall)
-          (sc_wall /. ca_wall);
-        { srv_sessions = sessions; scan; calendar })
+        Format.fprintf fmt "  %8d %10d | %11d %12d | %11d %12d %7d@."
+          sessions scan.Server.completed scan.Server.engine_events
+          scan.Server.latency.p50 calendar.Server.engine_events
+          calendar.Server.latency.p50 calendar.Server.parks;
+        (sessions, scan, calendar))
       session_counts
   in
   write_json ~quick "BENCH_e17_server.json"
@@ -437,60 +413,7 @@ let run_micro () =
     "| i | i := 0. [i < 20000] whileTrue: [i := i + 1]";
   measure "send-heavy (printString loop)" "1 to: 800 do: [:i | i printString]";
   measure "allocation-heavy (Array new: 8 loop)"
-    "1 to: 4000 do: [:i | Array new: 8]";
-  (* real time of the simulator itself, via bechamel *)
-  let open Bechamel in
-  let open Toolkit in
-  Format.fprintf fmt "@.Real (host) time of simulator internals:@.";
-  let heap_for_alloc =
-    Heap.create ~old_words:4096 ~eden_words:262144 ~survivor_words:4096 ()
-  in
-  let cls =
-    Heap.alloc_old heap_for_alloc ~slots:0 ~raw:false ~cls:Oop.sentinel ()
-  in
-  let counter = ref 0 in
-  let lock = Spinlock.make ~enabled:true ~cost:Cost_model.firefly "bench" in
-  let eval_vm = Vm.create (Config.testing ()) in
-  let tests =
-    [ Test.make ~name:"oop tag/untag"
-        (Staged.stage (fun () -> Oop.small_val (Oop.of_small 42)));
-      Test.make ~name:"opcode decode"
-        (Staged.stage (fun () ->
-             Opcode.tag (Opcode.encode (Opcode.Push_temp 3))));
-      Test.make ~name:"heap alloc (8 slots)"
-        (Staged.stage (fun () ->
-             if Heap.eden_avail heap_for_alloc ~vp:0 < 64 then
-               ignore (Scavenger.scavenge heap_for_alloc);
-             ignore
-               (Heap.alloc_new heap_for_alloc ~vp:0 ~slots:8 ~raw:false ~cls ())));
-      Test.make ~name:"spinlock locked_op"
-        (Staged.stage (fun () ->
-             counter := !counter + 100;
-             ignore (Spinlock.locked_op lock ~now:!counter ~op_cycles:10)));
-      Test.make ~name:"eval '3 + 4'"
-        (Staged.stage (fun () -> ignore (Vm.eval eval_vm "3 + 4")));
-    ]
-  in
-  let grouped = Test.make_grouped ~name:"simulator" ~fmt:"%s %s" tests in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~stabilize:true ~quota:(Time.second 0.5) ()
-  in
-  let raw = Benchmark.all cfg instances grouped in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold (fun name r acc -> (name, r) :: acc) results []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  List.iter
-    (fun (name, r) ->
-      match Analyze.OLS.estimates r with
-      | Some [ est ] -> Format.fprintf fmt "  %-44s %12.1f ns/run@." name est
-      | Some _ | None -> Format.fprintf fmt "  %-44s (no estimate)@." name)
-    rows
+    "1 to: 4000 do: [:i | Array new: 8]"
 
 (* --- driver --- *)
 

@@ -712,9 +712,7 @@ let serve_cmd =
     Arg.(value & flag & info [ "differential" ] ~doc)
   in
   let run_one ~label config p =
-    let t0 = Unix.gettimeofday () in
     let vm, stats = catching_faults (fun () -> Server.run config p) in
-    let wall = Unix.gettimeofday () -. t0 in
     Printf.printf "--- %s: %d sessions (%s loop), %d workers, %d \
                    processors ---\n"
       label p.Server.sessions
@@ -722,10 +720,6 @@ let serve_cmd =
       p.Server.workers config.Config.processors;
     Format.printf "%a" (fun fmt -> Server.pp_stats fmt ~cm:config.Config.cost)
       stats;
-    Printf.printf "host: %.3f s wall, %.0f engine events/s, %.0f bytecodes/s\n"
-      wall
-      (float_of_int stats.Server.engine_events /. wall)
-      (float_of_int stats.Server.steps /. wall);
     report_sanitizer vm ~trace_dump:0;
     stats
   in

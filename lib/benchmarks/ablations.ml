@@ -53,12 +53,13 @@ let context_bench reps =
     reps;
     paper = [| 0.; 0.; 0.; 0. |] }
 
-let seconds ~state ~config_tweak (b : Macro.benchmark) =
+let seconds ~classes ~state ~config_tweak (b : Macro.benchmark) =
   let vm = Macro.prepare_vm ~config_tweak state in
-  Vm.load_classes vm ablation_classes;
+  Vm.load_classes vm classes;
   (Macro.run_on vm b).Macro.seconds
 
 let run_ablation ~label ~bench ~name_a ~tweak_a ~name_b ~tweak_b =
+  let seconds = seconds ~classes:ablation_classes in
   let baseline = seconds ~state:Macro.Baseline ~config_tweak:(fun c -> c) bench in
   let sa = seconds ~state:Macro.Ms_busy ~config_tweak:tweak_a bench in
   let sb = seconds ~state:Macro.Ms_busy ~config_tweak:tweak_b bench in
@@ -119,11 +120,8 @@ churn: n
 |st}
 
 let replicated_eden ?(reps = 12) () =
-  let bench = alloc_bench reps in
   let seconds ~state ~config_tweak =
-    let vm = Macro.prepare_vm ~config_tweak state in
-    Vm.load_classes vm alloc_classes;
-    (Macro.run_on vm bench).Macro.seconds
+    seconds ~classes:alloc_classes ~state ~config_tweak (alloc_bench reps)
   in
   let baseline = seconds ~state:Macro.Baseline ~config_tweak:(fun c -> c) in
   let serialized =

@@ -48,10 +48,7 @@ spawnChurn: n done: sem
 let run_one ?sanitize ~eden_kb ~allocators ~scavenge_workers ~iterations () =
   let processors = max 1 allocators in
   let config =
-    let base =
-      if processors = 1 then Config.ms ~processors:1 ()
-      else Config.ms ~processors ()
-    in
+    let base = Config.ms ~processors () in
     { base with
       Config.eden_words = eden_kb * 1024 / 8;
       Config.scavenge_workers;

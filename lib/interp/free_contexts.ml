@@ -11,9 +11,11 @@
    flushed at every scavenge: their entries are dead objects that the
    scavenger reclaims by simply not copying them. *)
 
+(* The recycling modes carry the entry-table lock for [give]'s
+   tenured-context insert; a disabled list never links a context. *)
 type mode =
-  | Replicated               (* one pair of lists per processor *)
-  | Shared_locked of Spinlock.t
+  | Replicated of { entry_lock : Spinlock.t }  (* one pair per processor *)
+  | Shared_locked of { lock : Spinlock.t; entry_lock : Spinlock.t }
   | Disabled                 (* always allocate fresh (ablation) *)
 
 type lists = {
@@ -25,7 +27,6 @@ type t = {
   mode : mode;
   lists : lists;             (* own (replicated) or the shared pair *)
   owner : int;               (* owning vp when replicated; -1 = shared *)
-  entry_lock : Spinlock.t option;  (* for tenured-context link stores *)
   remember_cost : int;
   skip_bracket : bool;       (* fault injection: mutate without the lock *)
   sanitizer : Sanitizer.t;
@@ -41,8 +42,8 @@ type t = {
 let empty_lists () = { small = Oop.sentinel; large = Oop.sentinel }
 
 let create_replicated ~owner ~entry_lock ~remember_cost ~sanitizer =
-  { mode = Replicated; lists = empty_lists (); owner;
-    entry_lock = Some entry_lock; remember_cost; skip_bracket = false;
+  { mode = Replicated { entry_lock }; lists = empty_lists (); owner;
+    remember_cost; skip_bracket = false;
     sanitizer; san_id = Sanitizer.id sanitizer "free contexts";
     reuses = 0; fresh = 0; returns = 0; abandons = 0 }
 
@@ -52,14 +53,14 @@ let create_replicated ~owner ~entry_lock ~remember_cost ~sanitizer =
    explorer's broken-configuration self-check sets it. *)
 let create_shared ~entry_lock ~remember_cost ~sanitizer ~skip_bracket ~lock
     ~lists =
-  { mode = Shared_locked lock; lists; owner = -1;
-    entry_lock = Some entry_lock; remember_cost; skip_bracket; sanitizer;
+  { mode = Shared_locked { lock; entry_lock }; lists; owner = -1;
+    remember_cost; skip_bracket; sanitizer;
     san_id = Sanitizer.id sanitizer "free context list";
     reuses = 0; fresh = 0; returns = 0; abandons = 0 }
 
 let create_disabled ~sanitizer =
-  { mode = Disabled; lists = empty_lists (); owner = -1; entry_lock = None;
-    remember_cost = 0; skip_bracket = false; sanitizer; san_id = -1;
+  { mode = Disabled; lists = empty_lists (); owner = -1; remember_cost = 0;
+    skip_bracket = false; sanitizer; san_id = -1;
     reuses = 0; fresh = 0; returns = 0; abandons = 0 }
 
 let flush t =
@@ -70,7 +71,7 @@ type size_class = Small | Large
 
 let check_owner t ~vp ~now =
   match t.mode with
-  | Replicated ->
+  | Replicated _ ->
       Sanitizer.check_owner t.sanitizer ~resource:t.san_id ~owner:t.owner ~vp
         ~now
   | Shared_locked _ | Disabled -> ()
@@ -87,11 +88,11 @@ let bracket t ~vp ~now f =
   | Shared_locked _ when t.skip_bracket ->
       check_shared_mutation t ~vp ~now;
       (now, f ())
-  | Shared_locked lock ->
+  | Shared_locked { lock; _ } ->
       Spinlock.critical ~vp lock ~now ~op_cycles:6 (fun () ->
           check_shared_mutation t ~vp ~now;
           f ())
-  | Replicated | Disabled -> (now, f ())
+  | Replicated _ | Disabled -> (now, f ())
 
 (* Pop a recycled context, charging lock time for the shared variant.
    Returns (now, ctx) where ctx is [Oop.sentinel] when the list is empty. *)
@@ -102,7 +103,7 @@ let take ?(vp = -1) t heap ~now size =
          every context the ablation fails to recycle *)
       t.fresh <- t.fresh + 1;
       (now, Oop.sentinel)
-  | Replicated | Shared_locked _ ->
+  | Replicated _ | Shared_locked _ ->
       check_owner t ~vp ~now;
       bracket t ~vp ~now (fun () ->
           let head =
@@ -125,7 +126,7 @@ let take ?(vp = -1) t heap ~now size =
 let give ?(vp = -1) t heap ~now size ctx =
   match t.mode with
   | Disabled -> now
-  | Replicated | Shared_locked _ ->
+  | Replicated { entry_lock } | Shared_locked { entry_lock; _ } ->
       check_owner t ~vp ~now;
       t.returns <- t.returns + 1;
       (* Link the context into the chain.  A tenured context on the free
@@ -150,16 +151,11 @@ let give ?(vp = -1) t heap ~now size ctx =
             | Large -> t.lists.large <- ctx)
       in
       if !pending >= 0 && not (Heap.is_remembered heap !pending) then
-        match t.entry_lock with
-        | Some el ->
-            let finish, () =
-              Spinlock.critical ~vp el ~now ~op_cycles:t.remember_cost
-                (fun () -> Heap.remember heap !pending)
-            in
-            finish
-        | None ->
-            Heap.remember heap !pending;
-            now
+        let finish, () =
+          Spinlock.critical ~vp entry_lock ~now ~op_cycles:t.remember_cost
+            (fun () -> Heap.remember heap !pending)
+        in
+        finish
       else now
 
 (* Abandon the list wholesale: the owning processor crashed, so its

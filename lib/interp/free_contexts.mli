@@ -7,11 +7,6 @@
     section 3.2).  Contexts come in two standard sizes and are chained
     through their sender slots; the lists are flushed at every scavenge. *)
 
-type mode =
-  | Replicated
-  | Shared_locked of Spinlock.t
-  | Disabled  (** no recycling at all (ablation) *)
-
 type lists
 
 type t

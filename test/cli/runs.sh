@@ -8,9 +8,9 @@
 # copies of the *.st fixtures beside this script, so dumps land there
 # under the same relative names whichever binaries run; removes it at
 # the end.  Writes to TRANSCRIPT a "$ PROGRAM ARGS" line per entry, the
-# run's stdout less its "host: " wall-time lines, and "exit N"; exits 1
-# if any status (or a refusal's error: line, or an unparsable value's
-# usage message) differs from the one expected.  `dune runtest` runs it
+# run's stdout and "exit N"; exits 1 if any status (or a refusal's
+# error: line, or an unparsable value's usage message) differs from the
+# one expected.  `dune runtest` runs it
 # against the built binaries; bench/sim_identical.sh runs a parent
 # revision's table against its binaries and this one against this
 # tree's, and requires every entry the two share to print the same.
@@ -40,8 +40,7 @@ fail() {
 }
 
 # expect STATUS PROGRAM ARGS...: PROGRAM (mst or bench) with ARGS must
-# exit with STATUS.  Its stdout goes to the transcript without the
-# `host: ` lines, which report wall time and differ from run to run.
+# exit with STATUS.  Its stdout goes to the transcript.
 expect() {
   want=$1 prog=$2
   shift 2
@@ -52,7 +51,7 @@ expect() {
   printf '$ %s %s\n' "$prog" "$*" >>"$transcript"
   "$bin" "$@" >"$out" 2>"$err"
   got=$?
-  sed '/^host: /d' "$out" >>"$transcript"
+  cat "$out" >>"$transcript"
   echo "exit $got" >>"$transcript"
   [ "$got" -eq "$want" ] || fail "$prog $* exited $got, expected $want"
 }
@@ -133,6 +132,12 @@ expect 2 bench no-such-section
 
 expect 0 bench parallel-scavenge --quick --sanitize=strict
 
+# --- E12: the simulated cycles per bytecode of a jump, a send-heavy and
+# an allocation-heavy loop on one MS processor, the interpreter's cost
+# model in three numbers. ---
+
+expect 0 bench micro
+
 # --- E14: schedule exploration with a small seed budget: the published
 # MS configuration must explore clean under the strict sanitizer, and
 # each deliberately broken configuration must yield a shrunk
@@ -184,12 +189,14 @@ expect 0 mst explore --config=steal-unlocked --seeds=4 --quick \
 
 # --- E17 image server: a strict-sanitized closed-loop serve on the
 # calendar engine, run differentially so the scan engine must agree on
-# every request-level observable, plus a calendar-engine schedule
-# exploration checked against the scan engine's observables on every
-# seed. ---
+# every request-level observable, E17's quick table (both engines'
+# events, p50 latencies and the calendar's parks), plus a
+# calendar-engine schedule exploration checked against the scan
+# engine's observables on every seed. ---
 
 expect 0 mst serve -p 8 --sessions 4 --workers 2 --requests 2 \
   --think-ms 100 --sanitize=strict --differential
+expect 0 bench e17-server --quick
 expect 0 mst explore --config=calendar --seeds=8 --quick
 
 # --- E20 systematic exploration (strict sanitizer, bounded workload):
