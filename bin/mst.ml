@@ -156,7 +156,7 @@ let replay ~doc =
    error: exit 2 with a message, never an uncaught exception. *)
 let read_input load path =
   try load path with
-  | Failure msg -> refuse "%s" msg
+  | Plan.Corrupt { path; what } -> refuse "corrupt %s: %s" path what
   | Sys_error msg when String.starts_with ~prefix:path msg -> refuse "%s" msg
   | Sys_error msg -> refuse "%s: %s" path msg
 
@@ -218,8 +218,7 @@ let catching_faults ?vm ?(trace_dump = 0) f =
   | Class_file.Error msg | Class_builder.Error msg
   | Replica.Cluster_error msg ->
       refuse "%s" msg
-  | Cmdlog.Corrupt { path; what } ->
-      refuse "corrupt command log %s: %s" path what
+  | Plan.Corrupt { path; what } -> refuse "corrupt %s: %s" path what
   | Snapshot.Corrupt { path; what } ->
       refuse "corrupt checkpoint %s: %s" path what
 

@@ -112,30 +112,13 @@ let baseline_bs ?(cost = Cost_model.firefly) () = {
 (* Multiprocessor Smalltalk as published: serialization for allocation,
    GC, entry tables, scheduling and I/O; replication for the interpreters,
    method caches and free-context lists; the scheduler reorganization. *)
-let ms ?(processors = 5) ?(cost = Cost_model.firefly) () = {
-  processors;
-  locks_enabled = true;
-  method_cache = Cache_replicated;
-  free_contexts = Ctx_replicated;
-  allocation = Alloc_serialized;
-  scheduler = Sched_locked;
-  engine = Engine_scan;
-  keep_running_in_queue = true;
-  old_words = 2 * 1024 * 1024;
-  eden_words = default_eden_words;
-  survivor_words = 4 * 1024;
-  tenure_age = 4;
-  scavenge_workers = 1;
-  cost;
-  sanitize = Sanitizer.Off;
-  debug_skip_ctx_lock = false;
-  debug_unlocked_steal = false;
-  watchdog_quanta = 0;
-  backoff_quanta = 0;
-  major_enabled = false;
-  major_budget = 25_000;
-  debug_skip_major_barrier = false;
-}
+let ms ?(processors = 5) ?(cost = Cost_model.firefly) () =
+  { (baseline_bs ~cost ()) with
+    processors;
+    locks_enabled = true;
+    method_cache = Cache_replicated;
+    free_contexts = Ctx_replicated;
+    keep_running_in_queue = true }
 
 (* A fast uniform-cost configuration for unit tests. *)
 let testing ?(processors = 1) () =

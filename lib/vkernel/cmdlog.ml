@@ -32,44 +32,9 @@ type entry = {
   kind : int;     (* which request handler runs *)
 }
 
-type t = { mutable entries : entry array; mutable len : int }
+type t = entry list
 
-(* A log file (or in-flight buffer) that cannot be used: empty,
-   truncated, wrong version, or unparseable.  Structured so the CLI can
-   report it and exit 2 — never a vacuous success. *)
-exception Corrupt of { path : string; what : string }
-
-let corrupt path fmt =
-  Printf.ksprintf (fun what -> raise (Corrupt { path; what })) fmt
-
-let () =
-  Printexc.register_printer (function
-    | Corrupt { path; what } ->
-        Some (Printf.sprintf "corrupt command log %s: %s" path what)
-    | _ -> None)
-
-let create () = { entries = [||]; len = 0 }
-
-let append t ~session ~shard ~kind =
-  if session < 0 || shard < 0 || kind < 0 then
-    invalid_arg "Cmdlog.append: negative key";
-  let e = { lsn = t.len; session; shard; kind } in
-  if t.len >= Array.length t.entries then begin
-    let cap = Int.max 16 (2 * Array.length t.entries) in
-    let a = Array.make cap e in
-    Array.blit t.entries 0 a 0 t.len;
-    t.entries <- a
-  end;
-  t.entries.(t.len) <- e;
-  t.len <- t.len + 1;
-  e
-
-let to_list t = Array.to_list (Array.sub t.entries 0 t.len)
-
-let iter t f =
-  for i = 0 to t.len - 1 do
-    f t.entries.(i)
-  done
+let to_list t = t
 
 (* --- the conflict relation and the wave dispatcher --- *)
 
@@ -79,147 +44,89 @@ let conflicts a b = a.session = b.session || a.shard = b.shard
    entries, at most [slots] per wave.  An entry is placed in the first
    wave after every earlier conflicting entry's wave that still has room;
    since all of an entry's conflicts sit in strictly earlier waves, any
-   wave at or past that point is conflict-free for it by construction. *)
+   wave at or past that point is conflict-free for it by construction.
+   For the same reason the latest wave of each session and of each shard
+   is all an entry's floor depends on. *)
 let schedule ?(slots = max_int) entries =
   if slots < 1 then invalid_arg "Cmdlog.schedule: slots must be >= 1";
-  let waves = ref [||] in       (* wave index -> entries, reversed *)
-  let sizes = ref [||] in
+  (* There are never more waves than entries; an unused wave is empty,
+     so the search for room ends at the first of them. *)
+  let n = List.length entries in
+  let waves = Array.make n [] in       (* wave index -> entries, reversed *)
+  let sizes = Array.make n 0 in
   let nwaves = ref 0 in
-  let wave_of = Hashtbl.create 64 in   (* lsn -> wave index *)
-  let push_wave () =
-    if !nwaves >= Array.length !waves then begin
-      let cap = max 8 (2 * Array.length !waves) in
-      let w = Array.make cap [] and s = Array.make cap 0 in
-      Array.blit !waves 0 w 0 !nwaves;
-      Array.blit !sizes 0 s 0 !nwaves;
-      waves := w;
-      sizes := s
-    end;
-    incr nwaves
+  let by_session = Hashtbl.create 16 and by_shard = Hashtbl.create 16 in
+  let after latest key =
+    match Hashtbl.find_opt latest key with Some w -> w + 1 | None -> 0
   in
-  let earlier = ref [] in       (* already-placed entries, newest first *)
   List.iter
     (fun e ->
-      let floor =
-        List.fold_left
-          (fun acc f ->
-            if conflicts e f then max acc (1 + Hashtbl.find wave_of f.lsn)
-            else acc)
-          0 !earlier
+      let w =
+        ref (Int.max (after by_session e.session) (after by_shard e.shard))
       in
-      let w = ref floor in
-      while !w < !nwaves && !sizes.(!w) >= slots do incr w done;
-      while !w >= !nwaves do push_wave () done;
-      !waves.(!w) <- e :: !waves.(!w);
-      !sizes.(!w) <- !sizes.(!w) + 1;
-      Hashtbl.replace wave_of e.lsn !w;
-      earlier := e :: !earlier)
+      while sizes.(!w) >= slots do incr w done;
+      waves.(!w) <- e :: waves.(!w);
+      sizes.(!w) <- sizes.(!w) + 1;
+      nwaves := Int.max !nwaves (!w + 1);
+      Hashtbl.replace by_session e.session !w;
+      Hashtbl.replace by_shard e.shard !w)
     entries;
-  List.init !nwaves (fun i -> List.rev !waves.(i))
+  List.init !nwaves (fun i -> List.rev waves.(i))
 
 (* --- generation --- *)
 
 (* A deterministic synthetic workload: [requests] entries whose keys walk
    the session/shard spaces through the shared splitmix generator, so a
-   seed names the whole log. *)
+   seed names the whole log.  The draws run kind, shard, session: the
+   order every published log was generated in. *)
 let generate ~seed ~requests ~sessions ~shards =
   if requests < 1 then invalid_arg "Cmdlog.generate: requests must be >= 1";
   if sessions < 1 || shards < 1 then
     invalid_arg "Cmdlog.generate: sessions and shards must be >= 1";
   let rng = Plan.Rng.make seed in
-  let t = create () in
-  for _ = 1 to requests do
-    ignore
-      (append t
-         ~session:(Plan.Rng.below rng sessions)
-         ~shard:(Plan.Rng.below rng shards)
-         ~kind:(Plan.Rng.below rng 4))
-  done;
-  t
+  List.init requests (fun lsn ->
+      let kind = Plan.Rng.below rng 4 in
+      let shard = Plan.Rng.below rng shards in
+      let session = Plan.Rng.below rng sessions in
+      { lsn; session; shard; kind })
 
 (* --- the durable representation ---
 
-   Line-oriented:
+   A {!Plan} file whose steps are [cmd <lsn> <session> <shard> <kind>]
+   lines: the index is the lsn, so the header, the ascending indices and
+   the [end <count>] trailer detect a wrong version, a dropped or
+   duplicated line and a truncated tail. *)
 
-     # mst command log v1
-     cmd <lsn> <session> <shard> <kind>
-     ...
-     end <count>
-
-   The header line is literal (a missing or different first line is a
-   version/corruption error, which covers the empty file), every entry
-   names its own lsn so a dropped line is detected, and the trailer
-   carries the count so a truncated tail is detected.  All rejections
-   raise the structured {!Corrupt}. *)
-
-let header = "# mst command log v1"
+let format =
+  { Plan.header = "mst command log v1";
+    noun = "command";
+    encode = (fun e -> ("cmd", [ e.session; e.shard; e.kind ]));
+    decode =
+      (fun token args ->
+        (* the lsn is the step's index, which {!of_plan} fills in *)
+        match (token, args) with
+        | "cmd", [ session; shard; kind ] ->
+            Some { lsn = 0; session; shard; kind }
+        | _ -> None) }
 
 let save path t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (header ^ "\n");
-      iter t (fun e ->
-          output_string oc
-            (Printf.sprintf "cmd %d %d %d %d\n" e.lsn e.session e.shard e.kind));
-      output_string oc (Printf.sprintf "end %d\n" t.len))
+  Plan.save format path
+    (List.map (fun e -> { Plan.index = e.lsn; action = e }) t)
 
-let load path =
-  let ic =
-    try open_in path
-    with Sys_error msg -> corrupt path "cannot open: %s" msg
-  in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let first =
-        try input_line ic
-        with End_of_file -> corrupt path "empty file (missing header)"
-      in
-      if String.trim first <> header then
-        corrupt path "missing or unsupported header %S (want %S)"
-          (String.trim first) header;
-      let t = create () in
-      let ended = ref false in
-      let lineno = ref 1 in
-      (try
-         while not !ended do
-           let line = String.trim (input_line ic) in
-           incr lineno;
-           if line <> "" && line.[0] <> '#' then begin
-             let bad () = corrupt path "line %d: malformed entry %S" !lineno line in
-             let nat s =
-               match int_of_string_opt s with
-               | Some n when n >= 0 -> n
-               | _ -> bad ()
-             in
-             match String.split_on_char ' ' line with
-             | [ "cmd"; lsn; session; shard; kind ] ->
-                 let lsn = nat lsn in
-                 if lsn <> t.len then
-                   corrupt path "line %d: lsn %d out of order (expected %d)"
-                     !lineno lsn t.len;
-                 ignore
-                   (append t ~session:(nat session) ~shard:(nat shard)
-                      ~kind:(nat kind))
-             | [ "end"; count ] ->
-                 if nat count <> t.len then
-                   corrupt path "trailer count %d does not match %d entries"
-                     (nat count) t.len;
-                 ended := true
-             | _ -> bad ()
-           end
-         done
-       with End_of_file -> ());
-      if not !ended then
-        corrupt path "truncated log: missing 'end %d' trailer" t.len;
-      t)
+(* {!Plan.load} checks that the lsns ascend; replicas name requests by
+   lsn, so they must also be dense from 0. *)
+let of_plan path plan =
+  List.mapi
+    (fun i { Plan.index; action } ->
+      if index <> i then
+        raise
+          (Plan.Corrupt
+             { path; what = Printf.sprintf "lsn %d where %d belongs" index i });
+      { action with lsn = index })
+    plan
+
+let load path = of_plan path (Plan.load format path)
 
 (* [load] for a replay/serve invocation: a log with no entries would
-   "serve" nothing and report success — the PR 6 vacuous-success rule
-   rejects it instead. *)
-let load_nonempty path =
-  let t = load path in
-  if t.len = 0 then corrupt path "no entries (empty log)";
-  t
+   "serve" nothing and report success, so it is refused. *)
+let load_nonempty path = of_plan path (Plan.load_replay format path)

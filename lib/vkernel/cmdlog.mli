@@ -18,12 +18,6 @@ type entry = {
 
 type t
 
-(** A log file that cannot be used: empty, truncated, wrong version, or
-    unparseable.  The CLI reports it and exits 2. *)
-exception Corrupt of { path : string; what : string }
-
-val create : unit -> t
-
 val to_list : t -> entry list
 
 (** Same session or same shard. *)
@@ -31,17 +25,19 @@ val conflicts : entry -> entry -> bool
 
 (** Partition entries (in log order) into waves of pairwise-independent
     entries, at most [slots] per wave; every entry lands strictly after
-    the wave of each earlier conflicting entry. *)
+    the wave of each earlier conflicting entry, in the earliest such
+    wave with room. *)
 val schedule : ?slots:int -> entry list -> entry list list
 
 (** A deterministic synthetic request workload from a seed. *)
 val generate : seed:int -> requests:int -> sessions:int -> shards:int -> t
 
-(** Write/read the durable representation ("# mst command log v1" plus
-    an entry-count trailer).  [load] raises {!Corrupt} on empty,
-    truncated, wrong-version or unparseable files; {!load_nonempty}
-    additionally rejects a log with zero entries (the PR 6
-    vacuous-success rule). *)
+(** Write/read the durable representation: a {!Plan} file headed
+    ["# mst command log v1"] whose steps are
+    [cmd LSN SESSION SHARD KIND] lines.  [load] raises {!Plan.Corrupt}
+    on any file {!Plan.load} refuses and on lsns that are not dense
+    from 0; {!load_nonempty} additionally refuses a log with zero
+    entries (a cluster run over it would succeed vacuously). *)
 val save : string -> t -> unit
 
 val load : string -> t

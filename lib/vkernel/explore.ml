@@ -147,9 +147,8 @@ let shrink ~run ?budget sched =
     | _ -> None)
 
 let format =
-  { Plan.header = "mst decision trace v1";
+  { Plan.header = "mst decision trace v2";
     noun = "decision";
-    index_is = "preemption-point number";
     encode =
       (function
       | Tie_pick k -> ("tie", [ k ])

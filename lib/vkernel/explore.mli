@@ -86,18 +86,18 @@ val shrink :
 
 (** {2 Decision-trace files}
 
-    One decision per line — [tie INDEX PICK], [jitter INDEX CYCLES],
-    [preempt INDEX] — with [#] comments; the format documented in
-    DESIGN.md and produced/consumed by [mst explore]. *)
+    {!Plan} files headed ["# mst decision trace v2"], one decision per
+    line — [tie INDEX PICK], [jitter INDEX CYCLES], [preempt INDEX] —
+    produced and consumed by [mst explore]. *)
 
 val save : string -> schedule -> unit
 
-(** Raises [Failure] on a malformed line or a repeated index. *)
+(** Raises {!Plan.Corrupt} on any file {!Plan.load} refuses. *)
 val load : string -> schedule
 
-(** {!load} for replay: additionally raises [Failure] when the file holds
-    no decisions at all — an empty trace would silently replay the
-    unperturbed schedule. *)
+(** {!load} for replay: additionally raises {!Plan.Corrupt} when the
+    file holds no decisions at all — an empty trace would silently
+    replay the unperturbed schedule. *)
 val load_replay : string -> schedule
 
 val pp : Format.formatter -> schedule -> unit

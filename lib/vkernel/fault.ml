@@ -217,9 +217,8 @@ let shrink ~run ?budget plan =
     | _ -> None)
 
 let format =
-  { Plan.header = "mst fault plan v1";
+  { Plan.header = "mst fault plan v2";
     noun = "fault";
-    index_is = "injection-point number";
     encode =
       (function
       | Vp_crash -> ("crash", [])

@@ -118,13 +118,14 @@ val shrink : run:(plan -> bool) -> ?budget:int -> plan -> plan * int
 
 val pp : Format.formatter -> plan -> unit
 
-(** Write/read a fault plan file ("# mst fault plan v1").  [load] raises
-    [Failure] on a malformed line or a repeated index. *)
+(** Write/read a fault plan file, a {!Plan} file headed
+    ["# mst fault plan v2"].  [load] raises {!Plan.Corrupt} on any file
+    {!Plan.load} refuses. *)
 val save : string -> plan -> unit
 
 val load : string -> plan
 
-(** {!load} for replay: additionally raises [Failure] when the file holds
-    no faults at all — an empty plan would silently run an unperturbed
-    schedule. *)
+(** {!load} for replay: additionally raises {!Plan.Corrupt} when the
+    file holds no faults at all — an empty plan would silently run an
+    unperturbed schedule. *)
 val load_replay : string -> plan

@@ -170,82 +170,106 @@ let shrink ~smaller ~run ?(budget = 200) plan =
   let result = shrink_values (drop_chunks plan) in
   (result, !spent)
 
-(* --- plan files --- *)
+(* --- plan files ---
+
+   One line format for every file of steps:
+
+     # <header>
+     <token> <index> <arg> ...
+     ...
+     end <count>
+
+   The header line is literal, so a missing, empty or different first
+   line is a version or corruption error.  Indices strictly ascend, as
+   both the stream and the command log produce them, so a duplicated or
+   reordered line is detected; the trailer carries the count, so a lost
+   line or a truncated tail is detected; and every line ends in a
+   newline, so a file cut inside its trailer is detected too.  Blank and
+   [#] lines after the header are skipped. *)
 
 type 'a format = {
   header : string;
   noun : string;
-  index_is : string;
   encode : 'a -> string * int list;
   decode : string -> int list -> 'a option;
 }
 
+exception Corrupt of { path : string; what : string }
+
+let () =
+  Printexc.register_printer (function
+    | Corrupt { path; what } -> Some (Printf.sprintf "corrupt %s: %s" path what)
+    | _ -> None)
+
+let corrupt path fmt =
+  Printf.ksprintf (fun what -> raise (Corrupt { path; what })) fmt
+
+let line format { index; action } =
+  let token, args = format.encode action in
+  String.concat " " (token :: List.map string_of_int (index :: args))
+
 let pp format fmt plan =
-  List.iter
-    (fun { index; action } ->
-      let token, args = format.encode action in
-      Format.fprintf fmt "%s %d" token index;
-      List.iter (Format.fprintf fmt " %d") args;
-      Format.fprintf fmt "@.")
-    plan
+  List.iter (fun s -> Format.fprintf fmt "%s@." (line format s)) plan
 
 let save format path plan =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc "# %s\n# %d %s(s); index = %s\n" format.header
-        (List.length plan) format.noun format.index_is;
-      let fmt = Format.formatter_of_out_channel oc in
-      pp format fmt plan;
-      Format.pp_print_flush fmt ())
+  Out_channel.with_open_text path (fun oc ->
+      Printf.fprintf oc "# %s\n" format.header;
+      List.iter (fun s -> output_string oc (line format s ^ "\n")) plan;
+      Printf.fprintf oc "end %d\n" (List.length plan))
 
 let load format path =
-  In_channel.with_open_text path (fun ic ->
-      let seen = Hashtbl.create 16 in
-      let rec lines lineno steps =
-        match In_channel.input_line ic with
-        | None -> sorted steps
-        | Some line ->
-            let line = String.trim line in
-            if line = "" || line.[0] = '#' then lines (lineno + 1) steps
-            else begin
-              let fail fmt =
-                Printf.ksprintf
-                  (fun what ->
-                    failwith (Printf.sprintf "%s:%d: %s" path lineno what))
-                  fmt
-              in
-              let bad () = fail "malformed %s %S" format.noun line in
-              let nat s =
-                match int_of_string_opt s with
-                | Some n when n >= 0 -> n
-                | _ -> bad ()
-              in
-              match String.split_on_char ' ' line with
-              | token :: i :: args ->
-                  let index = nat i in
-                  let action =
-                    match format.decode token (List.map nat args) with
-                    | Some a -> a
-                    | None -> bad ()
-                  in
-                  if Hashtbl.mem seen index then
-                    fail "duplicate index %d" index;
-                  Hashtbl.add seen index ();
-                  lines (lineno + 1) ({ index; action } :: steps)
-              | _ -> bad ()
-            end
-      in
-      lines 1 [])
+  let text =
+    try In_channel.with_open_text path In_channel.input_all
+    with Sys_error msg -> corrupt path "unreadable: %s" msg
+  in
+  let header = "# " ^ format.header in
+  (* Splitting a whole file at its newlines leaves an empty last
+     piece. *)
+  let rec lines lineno ended steps = function
+    | [] | [ "" ] ->
+        if ended then List.rev steps
+        else corrupt path "line %d: truncated: no 'end' trailer" lineno
+    | [ partial ] ->
+        corrupt path "line %d: unterminated (truncated?) %S" lineno partial
+    | line :: rest -> (
+        let line = String.trim line in
+        let next = lines (lineno + 1) in
+        let fail fmt = corrupt path ("line %d: " ^^ fmt) lineno in
+        let bad () = fail "malformed %s %S" format.noun line in
+        let nat s =
+          match int_of_string_opt s with
+          | Some n when String.for_all (fun c -> '0' <= c && c <= '9') s -> n
+          | _ -> bad ()
+        in
+        match String.split_on_char ' ' line with
+        | _ when line = "" || line.[0] = '#' -> next ended steps rest
+        | _ when ended -> fail "%S after the trailer" line
+        | [ "end"; n ] ->
+            let held = List.length steps in
+            if nat n <> held then
+              fail "trailer counts %s, the file holds %d" n held;
+            next true steps rest
+        | token :: i :: args ->
+            let index = nat i in
+            (match steps with
+             | { index = p; _ } :: _ when p = index ->
+                 fail "duplicate index %d" index
+             | { index = p; _ } :: _ when p > index ->
+                 fail "index %d after %d: indices must ascend" index p
+             | _ -> ());
+            (match format.decode token (List.map nat args) with
+             | Some action -> next ended ({ index; action } :: steps) rest
+             | None -> bad ())
+        | _ -> bad ())
+  in
+  match String.split_on_char '\n' text with
+  | first :: rest when String.trim first = header -> lines 2 false [] rest
+  | _ -> corrupt path "line 1: not %S" header
 
-(* [load] for a --replay invocation: an empty (or comment-only) file
-   would silently run unperturbed and report success for a plan that
-   reproduces nothing; reject it instead. *)
+(* [load] for a --replay invocation: an empty plan would silently run
+   unperturbed and report success for a plan that reproduces nothing;
+   reject it instead. *)
 let load_replay format path =
   match load format path with
-  | [] ->
-      failwith
-        (Printf.sprintf "%s: no %ss to replay (empty or comment-only file)"
-           path format.noun)
+  | [] -> corrupt path "no %ss to replay" format.noun
   | plan -> plan

@@ -92,27 +92,39 @@ val shrink :
 
 (** {1 Plan files}
 
-    A two-line [#] header, then one step per line: a token naming the
-    action, the index, and the action's non-negative integer arguments,
-    separated by single spaces.  Blank lines and [#] comments are
-    ignored. *)
+    The one line format of every file of steps: decision traces, fault
+    plans and the command log.  The first line is [# ] and the
+    format's header, exactly.  Then one step per line: a token naming
+    the action, the index, and the action's arguments, the numbers in
+    decimal digits, separated by single spaces, with indices strictly
+    ascending.  The last line is [end COUNT], the number of steps, and
+    every line ends in a newline.  Blank lines and [#] comments after
+    the header are skipped. *)
 
 type 'a format = {
-  header : string;  (** the first line, after ["# "] *)
+  header : string;  (** the first line, after ["# "]; names a version *)
   noun : string;  (** what one step is, singular: ["decision"] *)
-  index_is : string;  (** what the index counts *)
   encode : 'a -> string * int list;  (** token and arguments *)
   decode : string -> int list -> 'a option;  (** [None]: malformed *)
 }
 
+(** A file that cannot be used: unreadable, empty, headed by another
+    format or version, truncated, holding a malformed or out-of-order
+    line, or a trailer whose count is wrong.  [what] names the line.
+    The CLI reports it and exits 2. *)
+exception Corrupt of { path : string; what : string }
+
+(** The step lines alone, as {!save} writes them. *)
 val pp : 'a format -> Format.formatter -> 'a t -> unit
+
+(** The header, the step lines and the trailer. *)
 val save : 'a format -> string -> 'a t -> unit
 
-(** Raises [Failure "PATH:LINE: ..."] on a malformed line or on an index
-    that appears twice (a replay would silently skip the second step). *)
+(** Raises {!Corrupt} on an unusable file, including every strict
+    prefix of a file {!save} wrote. *)
 val load : 'a format -> string -> 'a t
 
-(** {!load} for replay: additionally raises [Failure] when the file holds
-    no steps at all, since an empty plan would silently run
+(** {!load} for replay: additionally raises {!Corrupt} when the file
+    holds no steps, since an empty plan would silently run
     unperturbed. *)
 val load_replay : 'a format -> string -> 'a t

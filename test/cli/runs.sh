@@ -158,8 +158,10 @@ expect 0 mst explore --config=ctx-unbracketed --seeds=4 --quick \
 # campaigns' verdicts show failover, the spin watchdog's deadlock
 # reports and the recovery overheads.  The deadlock hunt must detect a
 # crashed lock holder via the watchdog and shrink its fault plan to a
-# file that replays to the identical report; a zero-seed campaign and
-# an unreadable plan path are refused. ---
+# file that replays to the identical report; a zero-seed campaign, an
+# unreadable plan path, the plan without its trailer or without its
+# first fault, and the plan given to explore as a decision trace are
+# refused. ---
 
 expect 0 mst faults --campaign=crash --seeds=4 --quick
 expect 0 mst faults --campaign=gc --seeds=4 --quick
@@ -168,6 +170,11 @@ expect 0 mst faults --campaign=lock --seeds=8 --quick
 expect 0 mst faults --campaign=mixed --seeds=8 --quick
 expect 0 mst faults --deadlock --quick --seeds=12 --dump mst-deadlock.plan
 expect 0 mst faults --replay=mst-deadlock.plan --expect-deadlock --quick
+sed '$d' mst-deadlock.plan >mst-cut.plan
+refused mst faults --quick --replay=mst-cut.plan
+sed '2d' mst-deadlock.plan >mst-dropped.plan
+refused mst faults --quick --replay=mst-dropped.plan
+refused mst explore --quick --replay=mst-deadlock.plan
 refused mst faults --quick --seeds=0
 refused mst faults --quick --replay=bin
 

@@ -134,17 +134,26 @@ let save_load_roundtrip_prop =
           Explore.save file sched;
           Explore.load file = sched))
 
+(* An unknown token, and a number spelled other than in decimal digits
+   (which [int_of_string] would take), are malformed. *)
 let test_load_rejects_garbage () =
   let file = Filename.temp_file "mst-trace" ".trace" in
   Fun.protect
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
-      let oc = open_out file in
-      output_string oc "# comment\ntie 3 1\nwibble 4\n";
-      close_out oc;
-      match Explore.load file with
-      | _ -> Alcotest.fail "expected Failure on a malformed line"
-      | exception Failure _ -> ())
+      List.iter
+        (fun text ->
+          Out_channel.with_open_text file (fun oc ->
+              output_string oc
+                ("# mst decision trace v2\n# comment\ntie 3 1\n" ^ text
+               ^ "\nend 2\n"));
+          match Explore.load file with
+          | _ -> Alcotest.fail "expected Plan.Corrupt on a malformed line"
+          | exception Plan.Corrupt { what; _ } ->
+              Alcotest.(check string) "names the line"
+                (Printf.sprintf "line 4: malformed decision %S" text)
+                what)
+        [ "wibble 4"; "tie 0x5 1"; "jitter 5 +7" ])
 
 (* Two decisions at one index would load, and the replay cursor would
    silently skip the second: the loader must refuse the file. *)
@@ -154,13 +163,14 @@ let test_load_rejects_duplicate_index () =
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
       let oc = open_out file in
-      output_string oc "# mst decision trace v1\ntie 3 1\ntie 3 2\n";
+      output_string oc "# mst decision trace v2\ntie 3 1\ntie 3 2\nend 2\n";
       close_out oc;
       match Explore.load file with
-      | _ -> Alcotest.fail "expected Failure on a duplicate index"
-      | exception Failure msg ->
-          Alcotest.(check string) "names the file, line and index"
-            (file ^ ":3: duplicate index 3") msg)
+      | _ -> Alcotest.fail "expected Plan.Corrupt on a duplicate index"
+      | exception Plan.Corrupt { path; what } ->
+          Alcotest.(check (pair string string))
+            "names the file, line and index"
+            (file, "line 3: duplicate index 3") (path, what))
 
 (* An empty (or comment-only) trace is a legal file, but replaying it
    would silently run the unperturbed schedule — load_replay must refuse
@@ -171,13 +181,13 @@ let test_load_replay_rejects_empty () =
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
       let oc = open_out file in
-      output_string oc "# mst decision trace v1\n# nothing recorded\n";
+      output_string oc "# mst decision trace v2\n# nothing recorded\nend 0\n";
       close_out oc;
       check "load itself accepts the empty trace" 0
         (List.length (Explore.load file));
       (match Explore.load_replay file with
-       | _ -> Alcotest.fail "expected Failure on an empty replay trace"
-       | exception Failure _ -> ());
+       | _ -> Alcotest.fail "expected Plan.Corrupt on an empty replay trace"
+       | exception Plan.Corrupt _ -> ());
       let sched = [ { Plan.index = 4; action = Explore.Tie_pick 1 } ] in
       Explore.save file sched;
       check_bool "a real trace passes through load_replay" true

@@ -343,11 +343,14 @@ let test_load_rejects_garbage () =
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
       let oc = open_out file in
-      output_string oc "# comment\ncrash 3\nwobble 4 5\n";
+      output_string oc
+        "# mst fault plan v2\n# comment\ncrash 3\nwobble 4 5\nend 2\n";
       close_out oc;
       match Fault.load file with
-      | _ -> Alcotest.fail "expected Failure on a malformed line"
-      | exception Failure _ -> ())
+      | _ -> Alcotest.fail "expected Plan.Corrupt on a malformed line"
+      | exception Plan.Corrupt { what; _ } ->
+          Alcotest.(check string) "names the line"
+            "line 4: malformed fault \"wobble 4 5\"" what)
 
 (* Two faults at one index would load, and the replay cursor would
    silently skip the second: the loader must refuse the file. *)
@@ -357,13 +360,14 @@ let test_load_rejects_duplicate_index () =
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
       let oc = open_out file in
-      output_string oc "# mst fault plan v1\ncrash 5\ncrash 5\n";
+      output_string oc "# mst fault plan v2\ncrash 5\ncrash 5\nend 2\n";
       close_out oc;
       match Fault.load file with
-      | _ -> Alcotest.fail "expected Failure on a duplicate index"
-      | exception Failure msg ->
-          Alcotest.(check string) "names the file, line and index"
-            (file ^ ":3: duplicate index 5") msg)
+      | _ -> Alcotest.fail "expected Plan.Corrupt on a duplicate index"
+      | exception Plan.Corrupt { path; what } ->
+          Alcotest.(check (pair string string))
+            "names the file, line and index"
+            (file, "line 3: duplicate index 5") (path, what))
 
 (* An empty (or comment-only) plan is a legal file, but replaying it
    would silently run unperturbed — load_replay must refuse it and pass
@@ -374,13 +378,13 @@ let test_load_replay_rejects_empty () =
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
       let oc = open_out file in
-      output_string oc "# mst fault plan v1\n# nothing recorded\n";
+      output_string oc "# mst fault plan v2\n# nothing recorded\nend 0\n";
       close_out oc;
       check "load itself accepts the empty plan" 0
         (List.length (Fault.load file));
       (match Fault.load_replay file with
-       | _ -> Alcotest.fail "expected Failure on an empty replay plan"
-       | exception Failure _ -> ());
+       | _ -> Alcotest.fail "expected Plan.Corrupt on an empty replay plan"
+       | exception Plan.Corrupt _ -> ());
       let plan = Testkit.crash_plan 7 in
       Fault.save file plan;
       check_bool "a real plan passes through load_replay" true

@@ -183,8 +183,8 @@ let test_snapshot_loader_rejects () =
 
 let reject_log what path =
   match Cmdlog.load path with
-  | exception Cmdlog.Corrupt _ -> ()
-  | _ -> Alcotest.fail (what ^ ": expected Cmdlog.Corrupt")
+  | exception Plan.Corrupt _ -> ()
+  | _ -> Alcotest.fail (what ^ ": expected Plan.Corrupt")
 
 let test_cmdlog_loader_rejects () =
   let dir = tmp_dir () in
@@ -201,12 +201,16 @@ let test_cmdlog_loader_rejects () =
   let content = read_file whole in
   write_file torn (String.sub content 0 (String.length content * 2 / 3));
   reject_log "truncated" torn;
+  (* ascending and counted, but the lsns must start at 0 *)
+  let gap = Filename.concat dir "gap.log" in
+  write_file gap "# mst command log v1\ncmd 1 0 0 0\nend 1\n";
+  reject_log "lsn 1 first" gap;
   (* an empty-but-well-formed log is vacuous for the cluster *)
   let zero = Filename.concat dir "zero.log" in
-  Cmdlog.save zero (Cmdlog.create ());
+  write_file zero "# mst command log v1\nend 0\n";
   ignore (Cmdlog.load zero);
   (match Cmdlog.load_nonempty zero with
-   | exception Cmdlog.Corrupt _ -> ()
+   | exception Plan.Corrupt _ -> ()
    | _ -> Alcotest.fail "load_nonempty accepted an empty log")
 
 (* --- the cluster equivalence property (satellite 3) ---

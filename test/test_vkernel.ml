@@ -761,6 +761,203 @@ let prop_stream_replay =
       && Plan.queries r = Array.length kinds
       && wrong_variant_dropped)
 
+(* --- plan files ---
+
+   Each format as its header, a writer that saves a random plan of about
+   [n] steps and returns whether the file loads back to it, and its
+   loader. *)
+
+type plan_file = {
+  header : string;
+  write : seed:int -> n:int -> string -> unit -> bool;
+  load : string -> unit;
+}
+
+let random_steps ~seed ~n action =
+  let rng = Plan.Rng.make seed in
+  let index = ref 0 in
+  List.init n (fun _ ->
+      index := !index + 1 + Plan.Rng.below rng 4;
+      { Plan.index = !index; action = action rng })
+
+let plan_files =
+  let below = Plan.Rng.below in
+  [ { header = "# mst decision trace v2";
+      write =
+        (fun ~seed ~n path ->
+          let plan =
+            random_steps ~seed ~n (fun rng ->
+                match below rng 3 with
+                | 0 -> Explore.Tie_pick (below rng 8)
+                | 1 -> Explore.Lock_jitter (below rng 500)
+                | _ -> Explore.Force_preempt)
+          in
+          Explore.save path plan;
+          fun () -> Explore.load path = plan);
+      load = (fun path -> ignore (Explore.load path)) };
+    { header = "# mst fault plan v2";
+      write =
+        (fun ~seed ~n path ->
+          let plan =
+            random_steps ~seed ~n (fun rng ->
+                match below rng 4 with
+                | 0 -> Fault.Vp_crash
+                | 1 -> Fault.Vp_stall (below rng 900)
+                | 2 -> Fault.Worker_crash (below rng 4)
+                | _ -> Fault.Holder_crash)
+          in
+          Fault.save path plan;
+          fun () -> Fault.load path = plan);
+      load = (fun path -> ignore (Fault.load path)) };
+    { header = "# mst command log v1";
+      write =
+        (fun ~seed ~n path ->
+          let log =
+            Cmdlog.generate ~seed ~requests:(n + 1) ~sessions:3 ~shards:3
+          in
+          Cmdlog.save path log;
+          fun () -> Cmdlog.to_list (Cmdlog.load path) = Cmdlog.to_list log);
+      load = (fun path -> ignore (Cmdlog.load path)) } ]
+
+(* A saved plan round-trips; every strict prefix of a saved file (cut
+   at a line boundary or inside a line, of an empty plan too), the file
+   without any one of its steps, and the file under another format's
+   header, are refused with [Plan.Corrupt]; a random byte mutation
+   either loads or is refused the same way. *)
+let prop_plan_files =
+  QCheck.Test.make ~count:50
+    ~name:"plan files round-trip and refuse damage"
+    QCheck.(
+      quad (int_bound 2) (int_bound 1_000_000) (int_bound 12)
+        (pair (int_bound 4096) (int_bound 255)))
+    (fun (k, seed, n, (pos, byte)) ->
+      let f = List.nth plan_files k in
+      let path = Filename.temp_file "mst-plan" ".plan" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          let loads_back = f.write ~seed ~n path in
+          let saved = In_channel.with_open_bin path In_channel.input_all in
+          let outcome text =
+            Out_channel.with_open_bin path (fun oc -> output_string oc text);
+            match f.load path with
+            | () -> `Loads
+            | exception Plan.Corrupt _ -> `Refused
+          in
+          let round_trip = loads_back () in
+          let prefixes_refused =
+            List.for_all
+              (fun cut -> outcome (String.sub saved 0 cut) = `Refused)
+              (List.init (String.length saved) Fun.id)
+          in
+          let lines = String.split_on_char '\n' saved in
+          let drops_refused =
+            (* the header, the steps, the trailer and the empty piece
+               after the last newline: drop each step line in turn *)
+            List.for_all
+              (fun i ->
+                outcome
+                  (String.concat "\n" (List.filteri (fun j _ -> j <> i) lines))
+                = `Refused)
+              (List.init (List.length lines - 3) (( + ) 1))
+          in
+          let body =
+            String.sub saved (String.length f.header)
+              (String.length saved - String.length f.header)
+          in
+          let foreign_refused =
+            List.for_all
+              (fun g ->
+                g.header = f.header || outcome (g.header ^ body) = `Refused)
+              plan_files
+          in
+          let mutated = Bytes.of_string saved in
+          Bytes.set mutated (pos mod Bytes.length mutated) (Char.chr byte);
+          ignore (outcome (Bytes.to_string mutated));
+          round_trip && prefixes_refused && drops_refused
+          && foreign_refused))
+
+(* --- the command log's wave dispatcher --- *)
+
+let arb_log =
+  QCheck.(
+    make
+      ~print:(fun (es, slots) ->
+        Printf.sprintf "slots %d: %s" slots
+          (String.concat " "
+             (List.map
+                (fun e ->
+                  Printf.sprintf "%d/%d" e.Cmdlog.session e.Cmdlog.shard)
+                es)))
+      Gen.(
+        int_range 1 6 >>= fun sessions ->
+        int_range 1 6 >>= fun shards ->
+        let entry = pair (int_bound (sessions - 1)) (int_bound (shards - 1)) in
+        pair
+          (list_size (int_range 1 60) entry)
+          (oneof [ int_range 1 5; return max_int ])
+        >|= fun (keys, slots) ->
+        ( List.mapi
+            (fun lsn (session, shard) ->
+              { Cmdlog.lsn; session; shard; kind = 0 })
+            keys,
+          slots )))
+
+(* The waves against their definition, checked the quadratic way: they
+   partition the log in order; each holds at most [slots]
+   pairwise-independent entries; and each entry sits in the earliest
+   wave past every earlier conflicting entry's wave that had room when
+   it was placed (after every lower lsn). *)
+let prop_schedule_waves =
+  QCheck.Test.make ~count:500
+    ~name:"schedule places each entry in its earliest legal wave" arb_log
+    (fun (log, slots) ->
+      let waves = Cmdlog.schedule ~slots log in
+      let wave_of = Array.make (List.length log) (-1) in
+      List.iteri
+        (fun w wave -> List.iter (fun e -> wave_of.(e.Cmdlog.lsn) <- w) wave)
+        waves;
+      let in_order wave =
+        List.sort (fun a b -> Int.compare a.Cmdlog.lsn b.Cmdlog.lsn) wave = wave
+      in
+      let independent wave =
+        List.for_all
+          (fun a ->
+            List.for_all
+              (fun b ->
+                a.Cmdlog.lsn = b.Cmdlog.lsn || not (Cmdlog.conflicts a b))
+              wave)
+          wave
+      in
+      let earlier e = List.filter (fun f -> f.Cmdlog.lsn < e.Cmdlog.lsn) log in
+      let earliest e =
+        let floor =
+          List.fold_left
+            (fun acc f ->
+              if Cmdlog.conflicts e f then
+                Int.max acc (wave_of.(f.Cmdlog.lsn) + 1)
+              else acc)
+            0 (earlier e)
+        in
+        let room w =
+          List.length
+            (List.filter (fun f -> wave_of.(f.Cmdlog.lsn) = w) (earlier e))
+          < slots
+        in
+        let w = wave_of.(e.Cmdlog.lsn) in
+        w >= floor && room w
+        && List.for_all
+             (fun w' -> not (room w'))
+             (List.init (w - floor) (( + ) floor))
+      in
+      List.length (List.concat waves) = List.length log
+      && Array.for_all (fun w -> w >= 0) wave_of
+      && List.for_all
+           (fun w ->
+             w <> [] && in_order w && List.length w <= slots && independent w)
+           waves
+      && List.for_all earliest log)
+
 (* --- FNV-1a --- *)
 
 (* The helper keeps 63 bits, but xor and multiply commute with
@@ -803,7 +1000,10 @@ let () =
          QCheck_alcotest.to_alcotest prop_locked_op_disabled;
          QCheck_alcotest.to_alcotest prop_min_runnable_deterministic ]);
       ("trace", [ QCheck_alcotest.to_alcotest prop_trace_ring ]);
-      ("plan", [ QCheck_alcotest.to_alcotest prop_stream_replay ]);
+      ("plan",
+       [ QCheck_alcotest.to_alcotest prop_stream_replay;
+         QCheck_alcotest.to_alcotest prop_plan_files ]);
+      ("cmdlog", [ QCheck_alcotest.to_alcotest prop_schedule_waves ]);
       ("fnv",
        [ Alcotest.test_case "vectors" `Quick test_fnv_vectors;
          QCheck_alcotest.to_alcotest prop_fnv_low32 ]);
