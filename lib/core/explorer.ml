@@ -340,7 +340,9 @@ let run_on vm ?faults setup driver =
    exactly what a fresh allocation holds.  The simulation has no other
    state, so identical inputs give identical runs; the outcome holds no
    reference to the VM (the census is plain ints), so nothing reads the
-   memory after its release. *)
+   memory after its release.  The release is explicit because no major
+   collection runs between a pass's executions: left to the heap's
+   finaliser, each execution would allocate a fresh array. *)
 let run_driver ?faults setup driver =
   let vm = Vm.create setup.config in
   Fun.protect

@@ -154,7 +154,7 @@ let boot img heap =
   let old = heap.Heap.old and n = Array.length img.words in
   if Heap.region_avail old < n then
     raise (Heap.Image_full "old space exhausted");
-  Array.blit img.words 0 heap.Heap.mem old.Heap.base n;
+  Heap.blit_words img.words 0 heap.Heap.mem old.Heap.base n;
   old.Heap.ptr <- old.Heap.base + n;
   heap.Heap.allocations <- img.allocations;
   heap.Heap.words_allocated <- img.words_allocated;

@@ -202,13 +202,15 @@ let write_region (h : Heap.t) ~image (r : Heap.region) img =
   let base = image_base h in
   let lo = Int.max img.r_base base
   and hi = Int.min img.r_ptr (base + Array.length image) in
-  if lo < hi then Array.blit image (lo - base) h.Heap.mem lo (hi - lo);
+  if lo < hi then Heap.blit_words image (lo - base) h.Heap.mem lo (hi - lo);
   List.iter
-    (fun (a, words) -> Array.blit words 0 h.Heap.mem a (Array.length words))
+    (fun (a, words) ->
+      Heap.blit_words words 0 h.Heap.mem a (Array.length words))
     img.r_runs;
-  (* Walkers stop at the bump pointer, but [Heap.release] relies on every
+  (* Walkers stop at the bump pointer, but recycling the heap's array
+     (on [Heap.release] or once the heap is collected) relies on every
      old-space word at or above [old.ptr] being zero: clear what a lower
-     pointer abandons (new space is zeroed whole on release) *)
+     pointer abandons (new space is zeroed whole when recycled) *)
   if r == h.Heap.old && img.r_ptr < r.Heap.ptr then
     Array.fill h.Heap.mem img.r_ptr (r.Heap.ptr - img.r_ptr) 0;
   r.Heap.ptr <- img.r_ptr

@@ -81,43 +81,81 @@ type t = {
   mutable scavenge_count : int;
   mutable words_copied_total : int;
   mutable tenured_words_total : int;
-  mutable released : bool;        (* [mem] went back to the pool *)
+  released : bool ref;            (* [mem] went back to the pool *)
 }
 
 let region base words = { ptr = base; base; limit = base + words }
 let region_used r = r.ptr - r.base
 let region_avail r = r.limit - r.ptr
 
-(* Released word arrays, already zeroed, kept for later [create]s of the
+(* Zeroed word arrays of dead heaps, kept for later [create]s of the
    same length: one pool per domain, so domains never share one.  A
-   fresh [Array.make] of a 2 M-word heap lands in the OCaml major heap
-   and paces a major collection; executions that build and drop VMs (the
-   explorer, a cluster run) would pay that every time.  Four arrays
-   cover a default cluster: three replica heaps and a rejoin skeleton. *)
+   fresh [Array.make] of a 2 M-word heap is zero-filled and page-faulted
+   in the OCaml major heap, where it paces major collections; every VM
+   build would pay that, although the kernel image it boots is about 60 K
+   words.  Four arrays cover a default cluster (three replica heaps and a
+   rejoin skeleton) and table2's four VMs per set-up.
+
+   An array joins the pool from [release] or from the finaliser [create]
+   registers, whichever comes first, and the [released] cell makes the
+   other do nothing.  Finalisers run at allocations and polls, so one can
+   run between reading the pool and writing it back in [take_mem] or
+   [pool_add]: each update is a compare-and-set of the list it read,
+   retried when a finaliser changed the pool in between.  The pool thus
+   never loses an entry (beyond the oldest it drops past [pool_limit])
+   and never hands one array out twice. *)
 let pool_limit = 4
 
-let pool : int array list Domain.DLS.key = Domain.DLS.new_key (fun () -> [])
+let pool : int array list Atomic.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Atomic.make [])
 
-let take_mem total =
-  let arrays = Domain.DLS.get pool in
+let rec take_mem total =
+  let cell = Domain.DLS.get pool in
+  let arrays = Atomic.get cell in
   match List.find_opt (fun mem -> Array.length mem = total) arrays with
-  | Some mem ->
-      Domain.DLS.set pool (List.filter (fun m -> m != mem) arrays);
-      mem
   | None -> Array.make total 0
+  | Some mem ->
+      if Atomic.compare_and_set cell arrays
+           (List.filter (fun m -> m != mem) arrays)
+      then mem
+      else take_mem total
+
+let rec pool_add mem =
+  let cell = Domain.DLS.get pool in
+  let arrays = Atomic.get cell in
+  if not
+       (Atomic.compare_and_set cell arrays
+          (List.filteri (fun i _ -> i < pool_limit) (mem :: arrays)))
+  then pool_add mem
 
 (* Only [0, old.ptr) and new space can hold written words: old space
    grows by bump pointer alone, and a restore that lowers [old.ptr]
    zeroes what it abandons.  Clearing those ranges leaves the array
-   word-for-word equal to a fresh one.  A second release of one heap
-   would pool an array a live VM may have been given since. *)
+   word-for-word equal to a fresh one.  [released] is set before the
+   first allocation, so the finaliser of a heap that dies mid-release
+   finds it set. *)
+let recycle mem (old : region) new_base released =
+  if not !released then begin
+    released := true;
+    Array.fill mem 0 old.ptr 0;
+    Array.fill mem new_base (Array.length mem - new_base) 0;
+    pool_add mem
+  end
+
+(* Recycle [h]'s array once the GC collects [h] unreleased.  The
+   finaliser takes the heap's parts, never the heap: a closure holding
+   the heap would keep it, and its VM, reachable. *)
+let recycle_when_collected h =
+  let mem = h.mem and old = h.old and new_base = h.new_base
+  and released = h.released in
+  Gc.finalise_last (fun () -> recycle mem old new_base released) h;
+  h
+
+(* A second release of one heap would pool an array a live VM may have
+   been given since. *)
 let release h =
-  if h.released then invalid_arg "Heap.release: heap already released";
-  h.released <- true;
-  Array.fill h.mem 0 h.old.ptr 0;
-  Array.fill h.mem h.new_base (Array.length h.mem - h.new_base) 0;
-  Domain.DLS.set pool
-    (List.filteri (fun i _ -> i < pool_limit) (h.mem :: Domain.DLS.get pool))
+  if !(h.released) then invalid_arg "Heap.release: heap already released";
+  recycle h.mem h.old h.new_base h.released
 
 let create ?(policy = Unlocked) ?(processors = 1) ?(tenure_age = 4)
     ?(sanitizer = Sanitizer.create Sanitizer.Off) ~old_words ~eden_words
@@ -148,40 +186,41 @@ let create ?(policy = Unlocked) ?(processors = 1) ?(tenure_age = 4)
             region base words)
     | Unlocked | Shared_locked -> [| eden |]
   in
-  { mem = take_mem total;
-    old = region old_base old_words;
-    eden;
-    eden_regions;
-    policy;
-    new_base = eden_base;
-    surv_a = region surv_a_base survivor_words;
-    surv_b = region surv_b_base survivor_words;
-    past_is_a = true;
-    tenure_age;
-    nil = Oop.sentinel;
-    rset = Array.make 1024 0;
-    rset_len = 0;
-    roots = [];
-    array_roots = [];
-    on_scavenge = [];
-    method_ctx_class = Oop.sentinel;
-    block_ctx_class = Oop.sentinel;
-    sanitizer;
-    san_entry_table;
-    san_allocation;
-    free_lists = Array.make 17 [];
-    free_words = 0;
-    free_list_hits = 0;
-    free_reused_words = 0;
-    major_dirty = None;
-    on_old_alloc = None;
-    on_old_exhausted = None;
-    allocations = 0;
-    words_allocated = 0;
-    scavenge_count = 0;
-    words_copied_total = 0;
-    tenured_words_total = 0;
-    released = false }
+  recycle_when_collected
+    { mem = take_mem total;
+      old = region old_base old_words;
+      eden;
+      eden_regions;
+      policy;
+      new_base = eden_base;
+      surv_a = region surv_a_base survivor_words;
+      surv_b = region surv_b_base survivor_words;
+      past_is_a = true;
+      tenure_age;
+      nil = Oop.sentinel;
+      rset = Array.make 1024 0;
+      rset_len = 0;
+      roots = [];
+      array_roots = [];
+      on_scavenge = [];
+      method_ctx_class = Oop.sentinel;
+      block_ctx_class = Oop.sentinel;
+      sanitizer;
+      san_entry_table;
+      san_allocation;
+      free_lists = Array.make 17 [];
+      free_words = 0;
+      free_list_hits = 0;
+      free_reused_words = 0;
+      major_dirty = None;
+      on_old_alloc = None;
+      on_old_exhausted = None;
+      allocations = 0;
+      words_allocated = 0;
+      scavenge_count = 0;
+      words_copied_total = 0;
+      tenured_words_total = 0;
+      released = ref false }
 
 let set_nil h nil = h.nil <- nil
 let add_root h cell = h.roots <- cell :: h.roots
@@ -213,6 +252,17 @@ let get h (o : Oop.t) i = h.mem.(Oop.addr o + Layout.header_words + i)
 (* Raw store, for non-pointer values and for new-space receivers. *)
 let set_raw h (o : Oop.t) i v =
   h.mem.(Oop.addr o + Layout.header_words + i) <- v
+
+(* Copy [len] words, ranges checked first.  On OCaml 5 [Array.blit] into
+   a major-heap array stores through [caml_modify], once per word,
+   though int words need no write barrier; a loop typed [int array]
+   stores them plainly.  It copies forwards: every caller copies between
+   disjoint ranges. *)
+let blit_words (src : int array) src_pos (dst : int array) dst_pos len =
+  if len < 0 || src_pos < 0 || src_pos > Array.length src - len
+     || dst_pos < 0 || dst_pos > Array.length dst - len
+  then invalid_arg "Heap.blit_words";
+  for i = 0 to len - 1 do dst.(dst_pos + i) <- src.(src_pos + i) done
 
 (* --- the entry table --- *)
 

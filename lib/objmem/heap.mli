@@ -39,7 +39,11 @@ type scavenge_stats = {
 val empty_stats : unit -> scavenge_stats
 
 type t = {
-  mem : int array;  (** the whole object memory, addressed by word *)
+  mem : int array;
+      (** the whole object memory, addressed by word.  Read it only
+          while the heap itself is reachable: once the GC collects the
+          heap, its finaliser zeroes [mem] and hands it to a later
+          {!create}. *)
   old : region;
   eden : region;
   eden_regions : region array;  (** per-processor slices when replicated *)
@@ -80,7 +84,9 @@ type t = {
   mutable scavenge_count : int;
   mutable words_copied_total : int;
   mutable tenured_words_total : int;
-  mutable released : bool;  (** [mem] was handed back by {!release} *)
+  released : bool ref;
+      (** [mem] went back to the pool, by {!release} or once the heap
+          was collected *)
 }
 
 val region_used : region -> int
@@ -94,7 +100,14 @@ val region_avail : region -> int
     lock's (when the VM registers those guards), and the parallel
     scavenger checks its claims and copies.  Both names are registered
     with it now.  The default is a fresh sanitizer in mode [Off], which
-    checks nothing. *)
+    checks nothing.
+
+    The word array comes from the calling domain's pool when it holds
+    one of the right length (see {!release}), else from [Array.make].
+    Either way every word starts zero.  A heap dropped without
+    {!release} gives its array back by itself: a finaliser zeroes it as
+    [release] would and pools it once the OCaml GC has collected the
+    heap, so a later [create] after a major collection reuses it. *)
 val create :
   ?policy:alloc_policy ->
   ?processors:int ->
@@ -106,20 +119,31 @@ val create :
   unit ->
   t
 
-(** Give [h]'s word array back for reuse by a later {!create}.  Only the
-    words a heap can have written are zeroed: [[0, old.ptr)] and the whole
-    new space.  That is enough because old space grows by bump pointer
-    alone, so every old-space word at or above [old.ptr] is still zero
-    (a {!Snapshot} restore that lowers [old.ptr] zeroes what it abandons).
+(** Give [h]'s word array back for reuse by a later {!create} now,
+    without waiting for the GC to collect [h].  Only the words a heap
+    can have written are zeroed: [[0, old.ptr)] and the whole new space.
+    That is enough because old space grows by bump pointer alone, so
+    every old-space word at or above [old.ptr] is still zero (a
+    {!Snapshot} restore that lowers [old.ptr] zeroes what it abandons).
     The zeroed array joins the calling domain's pool, newest first; the
     pool keeps at most four arrays and drops the oldest beyond that.  A
     later [create] on the same domain takes the first pooled array whose
     length matches instead of allocating, so it starts word-for-word like
     a fresh heap.  No use after release: [h], and anything still reading
-    its memory (its VM, its universe), must be dropped.  Releasing [h] a
-    second time raises [Invalid_argument] and pools nothing, since its
-    array may already belong to another heap. *)
+    its memory (its VM, its universe), must be dropped.  After a release
+    the heap's finaliser pools nothing.  Releasing [h] a second time
+    raises [Invalid_argument] and pools nothing, since its array may
+    already belong to another heap.  Callers that build and drop VMs
+    with no major collection in between (an explorer pass, a cluster
+    run) release explicitly; the finaliser alone would reach the pool
+    too late for them. *)
 val release : t -> unit
+
+(** [blit_words src src_pos dst dst_pos len] copies like [Array.blit],
+    and raises [Invalid_argument] on the same out-of-range arguments, but
+    stores each word without [Array.blit]'s per-word write barrier.  The
+    two ranges must not overlap: it copies forwards only. *)
+val blit_words : int array -> int -> int array -> int -> int -> unit
 
 val set_nil : t -> Oop.t -> unit
 

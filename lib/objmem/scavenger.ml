@@ -67,7 +67,7 @@ let next_age h a = Int.min (age h a + 1) Layout.age_mask
    objects), count it, allocate it black if it was promoted and leave a
    forwarding pointer behind.  Returns the new oop. *)
 let move h p from_addr ~total ~next_age dest =
-  Array.blit h.mem from_addr h.mem dest total;
+  blit_words h.mem from_addr h.mem dest total;
   let flags = h.mem.(dest) land (Layout.flag_raw lor Layout.flag_bytes) in
   h.mem.(dest) <-
     (total lsl Layout.size_shift) lor (next_age lsl Layout.age_shift) lor flags;

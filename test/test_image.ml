@@ -1,8 +1,8 @@
 (* Tests for the bootstrap image: the kernel class hierarchy, reflection,
    the programming-environment tools (browse, search, compile, decompile,
-   inspect), the I/O service objects, the recycling of a released heap's
-   memory (and the refusal of a second release), and booting from the
-   cached kernel image. *)
+   inspect), the I/O service objects, the recycling of a released or
+   dropped heap's memory (and the refusal of a second release), and
+   booting from the cached kernel image. *)
 
 let vm = lazy (Vm.create (Config.testing ()))
 let ev src = Vm.eval_to_string (Lazy.force vm) src
@@ -171,11 +171,15 @@ let test_character_table () =
    scavenges, tenuring, a major cycle whose holes are reused, and a
    restore that lowers [old.ptr] over tenured churn.  After all of that
    the next create of the same geometry gets the very same array, every
-   word zero. *)
+   word zero.  A dead heap of the same length could join the pool at any
+   allocation, so the test drains earlier tests' dead heaps into the pool
+   first and uses geometries no other test uses. *)
 let test_release_recycles_zeroed_memory () =
+  Gc.full_major ();
   let config =
     { (Config.testing ()) with
-      Config.eden_words = 2048;
+      Config.old_words = 300_000;
+      eden_words = 2048;
       survivor_words = 1024;
       tenure_age = 1;
       major_enabled = true }
@@ -217,10 +221,13 @@ let test_release_recycles_zeroed_memory () =
 (* A heap released twice would pool its array twice, and two later
    heaps would share one memory with no error.  Every second release
    must raise and pool nothing: six releases of one geometry leave the
-   pool's four newest arrays, each handed out once. *)
+   pool's four newest arrays, each handed out once.  The six new heaps
+   stay live until the end, so their finalisers cannot pool an array
+   the test still compares; the pool is drained first, as above. *)
 let test_release_twice_refused () =
+  Gc.full_major ();
   let create () =
-    Heap.create ~old_words:4096 ~eden_words:1024 ~survivor_words:512 ()
+    Heap.create ~old_words:4000 ~eden_words:1000 ~survivor_words:500 ()
   in
   let released = List.init 6 (fun _ -> create ()) in
   List.iter Heap.release released;
@@ -230,7 +237,8 @@ let test_release_twice_refused () =
         (Invalid_argument "Heap.release: heap already released") (fun () ->
           Heap.release h))
     released;
-  let again = List.init 6 (fun _ -> (create ()).Heap.mem) in
+  let heaps = List.init 6 (fun _ -> create ()) in
+  let again = List.map (fun h -> h.Heap.mem) heaps in
   let pooled =
     List.filter
       (fun m -> List.exists (fun h -> h.Heap.mem == m) released)
@@ -246,7 +254,179 @@ let test_release_twice_refused () =
           if i < j && m == m' then
             Alcotest.failf "creates %d and %d got one array" i j)
         again)
-    again
+    again;
+  List.iter Heap.release heaps
+
+(* --- recycling dropped heaps --- *)
+
+(* Geometries (old, eden, survivor words) that no other test uses, so
+   only this property's heaps reach the pool in their lengths. *)
+let recycle_geometries = [| (3000, 512, 128); (5000, 256, 256) |]
+
+(* The pool's capacity, as heap.mli documents it. *)
+let pool_limit = 4
+
+let length_of g =
+  let old, eden, surv = recycle_geometries.(g) in
+  2 + old + eden + (2 * surv)
+
+type recycle_op =
+  | Create of int  (** a heap of this geometry *)
+  | Drop of int  (** forget the n-th live heap (mod count), no release *)
+  | Release of int
+  | Scribble of int  (** write old and new space of the n-th live heap *)
+  | Full_major
+
+let recycle_op_print = function
+  | Create g -> Printf.sprintf "Create %d" g
+  | Drop i -> Printf.sprintf "Drop %d" i
+  | Release i -> Printf.sprintf "Release %d" i
+  | Scribble i -> Printf.sprintf "Scribble %d" i
+  | Full_major -> "Full_major"
+
+let recycle_ops =
+  let open QCheck.Gen in
+  let live = int_bound 7 in
+  list_size (int_range 1 24)
+    (frequency
+       [ (4, map (fun g -> Create g) (int_bound 1));
+         (2, map (fun i -> Drop i) live);
+         (2, map (fun i -> Release i) live);
+         (3, map (fun i -> Scribble i) live);
+         (1, return Full_major) ])
+
+(* Nonzero words in both ranges a heap can write: an old-space object
+   past the bump pointer's start and an eden object. *)
+let scribble h =
+  let cls = Oop.of_addr 2 in
+  if Heap.region_avail h.Heap.old >= 6 then begin
+    let o = Heap.alloc_old h ~slots:4 ~raw:true ~cls () in
+    for i = 0 to 3 do Heap.set_raw h o i (i + 1) done
+  end;
+  if Heap.eden_avail h ~vp:0 >= 6 then begin
+    let o = Heap.alloc_new h ~vp:0 ~slots:4 ~raw:true ~cls () in
+    for i = 0 to 3 do Heap.set_raw h o i (i + 7) done
+  end
+
+let create_geometry g =
+  let old_words, eden_words, survivor_words = recycle_geometries.(g) in
+  Heap.create ~old_words ~eden_words ~survivor_words ()
+
+(* The model: [seen] is every array this case was handed (arrays only,
+   never their heaps, so holding them keeps no heap alive); [pooled] the
+   ones that must be in the pool (released, or dropped before the last
+   [Gc.full_major]); [pending] the ones dropped since, pooled or not.
+   While this case has seen at most four arrays the pool cannot have
+   dropped one of them, so a create must take a pooled array of its
+   length whenever [pooled] holds one. *)
+let recycle_case ops =
+  Gc.full_major ();
+  let live = ref [] and seen = ref [] and pooled = ref [] and pending = ref [] in
+  let without m = List.filter (fun m' -> m' != m) in
+  let mine l = List.exists (fun m -> m == l) in
+  let pick i f =
+    match !live with
+    | [] -> ()
+    | hs ->
+        let h = List.nth hs (i mod List.length hs) in
+        f h
+  in
+  let forget h = live := List.filter (fun h' -> h' != h) !live in
+  let create g =
+    let exact = List.length !seen <= pool_limit in
+    let h = create_geometry g in
+    let m = h.Heap.mem in
+    if List.exists (fun h' -> h'.Heap.mem == m) !live then
+      QCheck.Test.fail_report "two live heaps share one array";
+    if not (Array.for_all (fun w -> w = 0) m) then
+      QCheck.Test.fail_report "a created heap's array is not all zero";
+    let len = length_of g in
+    let of_len = List.filter (fun a -> Array.length a = len) in
+    if exact && of_len !pooled <> [] && not (mine m (!pooled @ !pending))
+    then
+      QCheck.Test.fail_reportf
+        "geometry %d allocated afresh while the pool held %d of its arrays"
+        g (List.length (of_len !pooled));
+    if not (mine m !seen) then seen := m :: !seen;
+    pooled := without m !pooled;
+    pending := without m !pending;
+    live := h :: !live
+  in
+  List.iter
+    (function
+      | Create g -> create g
+      | Drop i ->
+          pick i (fun h ->
+              forget h;
+              pending := h.Heap.mem :: !pending)
+      | Release i ->
+          pick i (fun h ->
+              forget h;
+              Heap.release h;
+              pooled := h.Heap.mem :: !pooled)
+      | Scribble i -> pick i scribble
+      | Full_major ->
+          Gc.full_major ();
+          pooled := !pending @ !pooled;
+          pending := [])
+    ops;
+  (* Drop everything: after a full major every array this case saw is
+     back in the pool, zeroed, and each comes out once. *)
+  List.iter (fun h -> pending := h.Heap.mem :: !pending) !live;
+  live := [];
+  Gc.full_major ();
+  if List.length !seen <= pool_limit then begin
+    let back =
+      List.map
+        (fun m ->
+          let g = if Array.length m = length_of 0 then 0 else 1 in
+          create_geometry g)
+        !seen
+    in
+    List.iter
+      (fun m ->
+        if not (List.exists (fun h -> h.Heap.mem == m) back) then
+          QCheck.Test.fail_report "a dropped heap's array was not handed back")
+      !seen;
+    List.iter Heap.release back
+  end;
+  true
+
+let prop_recycling =
+  QCheck.Test.make ~name:"dropped heaps come back zeroed, once each"
+    ~count:100
+    (QCheck.make ~print:(QCheck.Print.list recycle_op_print) recycle_ops)
+    recycle_case
+
+(* A VM whose doIt failed is dropped like any other: after a full major
+   its array is pooled and zeroed, though old space was filled to its
+   limit.  [@inline never] keeps the VM out of the caller's frame. *)
+let[@inline never] fill_and_drop config =
+  let vm = Vm.create config in
+  check_bool "filling old space raises Image_full" true
+    (try
+       ignore
+         (Vm.eval vm
+            "| keep | keep := OrderedCollection new. 1 to: 100000 do: [:i | keep add: (Array new: 64)]. 0");
+       false
+     with Heap.Image_full _ -> true);
+  let h = vm.Vm.heap in
+  check_bool "old space is nearly full" true (Heap.region_avail h.Heap.old < 100);
+  h.Heap.mem
+
+let test_failed_vm_recycled () =
+  Gc.full_major ();
+  let config = { (Config.testing ()) with Config.old_words = 70_003 } in
+  let mem = fill_and_drop config in
+  Gc.full_major ();
+  let h =
+    Heap.create ~old_words:config.Config.old_words
+      ~eden_words:config.Config.eden_words
+      ~survivor_words:config.Config.survivor_words ()
+  in
+  check_bool "the dropped VM's array comes back" true (h.Heap.mem == mem);
+  check_bool "every word zero" true (Array.for_all (fun w -> w = 0) mem);
+  Heap.release h
 
 (* --- booting from the cached kernel image --- *)
 
@@ -471,7 +651,10 @@ let () =
        [ Alcotest.test_case "release recycles zeroed memory" `Quick
            test_release_recycles_zeroed_memory;
          Alcotest.test_case "a second release is refused" `Quick
-           test_release_twice_refused ]);
+           test_release_twice_refused;
+         QCheck_alcotest.to_alcotest prop_recycling;
+         Alcotest.test_case "a VM dropped after Image_full comes back zeroed"
+           `Quick test_failed_vm_recycled ]);
       ("boot",
        [ Alcotest.test_case "matches a compile in every geometry" `Quick
            test_boot_matches_compile;
