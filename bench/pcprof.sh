@@ -4,6 +4,7 @@
 # only a small fraction of its ticks.
 #
 #   sh bench/pcprof.sh _build/default/bench/perf/main.exe --workload table2 --seconds 6
+#   sh bench/pcprof.sh -f step_vp _build/default/bench/perf/main.exe --workload table2
 #
 # It builds a small sampler with cc into a temporary directory and loads
 # it into CMD with LD_PRELOAD.  Every 200 us of real time (ITIMER_REAL,
@@ -14,9 +15,21 @@
 # too, each into its own file; the report covers the process with the
 # most samples, so run the program itself, not a script that builds it
 # first.  It only reports: nothing checks its output.
+#
+# Given -f FUNC, it also breaks down the samples of every function
+# whose symbol contains that text (camlVm.run_engine_..._step_vp_... for
+# "step_vp") by source line, so a hot function's share can be pinned to
+# the lines it inlined: within Vm's step_vp, for example, the
+# Machine.charge_mem line of machine.ml.  The shares there are of that
+# function's samples, not of the whole run.
 set -eu
+func=
+if [ "${1:-}" = "-f" ] && [ $# -ge 2 ]; then
+  func=$2
+  shift 2
+fi
 if [ $# -eq 0 ]; then
-  echo "usage: sh bench/pcprof.sh CMD [ARGS...]" >&2
+  echo "usage: sh bench/pcprof.sh [-f FUNC] CMD [ARGS...]" >&2
   exit 2
 fi
 top=25
@@ -131,4 +144,28 @@ awk -v total="$inside" '
   { sub(/ \(discriminator [0-9]+\)/, ""); n = split($0, p, "/"); line[p[n]] += c[FNR] }
   END { for (l in line) printf "%6.2f%%  %7d  %s\n", 100 * line[l] / total, line[l], l }
 ' "$dir/counts" "$dir/lines" | sort -rn | head -n "$top"
+
+# one function's samples by source line: the same walk over the symbols,
+# keeping the samples whose enclosing symbol matches
+if [ -n "$func" ]; then
+  awk -v want="$func" '
+    NR == FNR { addr[NR] = $1 + 0; name[NR] = $2; nsym = NR; next }
+    { pc = $1 + 0
+      while (i < nsym && addr[i + 1] <= pc) i++
+      if (i && index(name[i], want)) print pc }
+  ' "$dir/syms" "$dir/pcs" | uniq -c > "$dir/fcounts"
+  fn=$(awk '{n += $1} END {print n + 0}' "$dir/fcounts")
+  echo
+  echo "pcprof: $fn samples in functions matching '$func'"
+  if [ "$fn" -gt 0 ]; then
+    awk '{printf "%x\n", $2}' "$dir/fcounts" | addr2line -e "$exe" > "$dir/flines"
+    echo
+    echo "  share  samples  source line (of those samples)"
+    awk -v total="$fn" '
+      NR == FNR { c[NR] = $1; next }
+      { sub(/ \(discriminator [0-9]+\)/, ""); n = split($0, p, "/"); line[p[n]] += c[FNR] }
+      END { for (l in line) printf "%6.2f%%  %7d  %s\n", 100 * line[l] / total, line[l], l }
+    ' "$dir/fcounts" "$dir/flines" | sort -rn | head -n "$top"
+  fi
+fi
 exit "$status"

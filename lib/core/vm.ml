@@ -536,11 +536,15 @@ let fire_timer vm ~now = function
 
 (* True when no Process can make progress anywhere: every interpreter is
    empty-handed, nothing is ready, no input event is still in flight, and
-   no timer is pending. *)
+   no timer is pending.  Every idle poll asks, so it allocates nothing:
+   [no_process] is a top-level loop, not an [Array.for_all] closure. *)
+let rec no_process states i =
+  i >= Array.length states
+  || Oop.equal !(states.(i).State.active_process) Oop.sentinel
+     && no_process states (i + 1)
+
 let nothing_runnable vm =
-  Array.for_all
-    (fun st -> Oop.equal !(st.State.active_process) Oop.sentinel)
-    vm.states
+  no_process vm.states 0
   && not (Scheduler.better_ready vm.shared.State.sched ~than:0)
   && not (Devices.input_pending vm.shared.State.input)
   && Calendar.is_empty vm.shared.State.timers
@@ -625,7 +629,11 @@ type run_outcome =
      {!Pending.push_pop} and steps the minimum that comes back, the same
      processor (a batch) or another one (a switch: Table 2's 5-VP
      states interleave one bytecode per processor), instead of going
-     back through the main loop for every bytecode.
+     back through the main loop for every bytecode.  A polling
+     processor's idle step leaves the same way once it is charged its
+     idle cadence, so a busy processor stepping between the polls of
+     idle ones stays on the fast path too.  The idle poll (a failed
+     pick and an empty input poll) allocates nothing.
 
    - A major slice is due at the rendezvous clock, the largest clock.
      With a major collector configured, the main loop takes it
@@ -796,7 +804,8 @@ let run_engine vm ~max_cycles ~finished ~result outcome =
     end
   in
   (* Step the selected processor, then make the main loop's next
-     selection here when it is sure to step a processor (the fast path):
+     selection here when it is sure to step a processor (the fast path,
+     after a bytecode step or a polling processor's idle step):
      no outcome, collection or slice pending, and the popped minimum is
      current, live, unparked, within the cycle limit, not past a due
      timer and, under a policy, strictly minimal, so every tie still
@@ -827,18 +836,7 @@ let run_engine vm ~max_cycles ~finished ~result outcome =
         if vp.Machine.state <> Machine.Running then
           Machine.set_state m vp Machine.Running;
         Machine.charge_mem m vp st.State.cost;
-        (match vm.major with
-         | Some _ -> rdv := Int.max !rdv vp.Machine.clock
-         | None -> ());
-        if
-          fast && (not !finished)
-          && (not vm.gc_requested)
-          && (not vm.shared.State.gc_wanted)
-          && (match vm.major with
-              | None -> true
-              | Some mj -> not (Major.due mj ~now:!rdv))
-        then step_next (Pending.push_pop pending (pkey vp))
-        else carry := pkey vp
+        continue_from vp
     | Interp.Idle ->
         (* an idle interpreter keeps watching the input queue *)
         st.State.cost <- 0;
@@ -855,7 +853,7 @@ let run_engine vm ~max_cycles ~finished ~result outcome =
           if polling || Scheduler.better_ready sched ~than:0 then begin
             Machine.charge m vp
               (10 * vm.shared.State.cm.Cost_model.delay_quantum);
-            push_vp vp
+            continue_from vp
           end
           else begin
             parked.(vp.Machine.id) <- true;
@@ -866,6 +864,22 @@ let run_engine vm ~max_cycles ~finished ~result outcome =
     | Interp.Need_gc ->
         vm.gc_requested <- true;
         push_vp vp
+  (* [vp] stepped and goes back on the heap: take the fast path when no
+     outcome, collection or slice is pending, or leave its key in the
+     carry for the main loop *)
+  and continue_from vp =
+    (match vm.major with
+     | Some _ -> rdv := Int.max !rdv vp.Machine.clock
+     | None -> ());
+    if
+      fast && (not !finished)
+      && (not vm.gc_requested)
+      && (not vm.shared.State.gc_wanted)
+      && (match vm.major with
+          | None -> true
+          | Some mj -> not (Major.due mj ~now:!rdv))
+    then step_next (Pending.push_pop pending (pkey vp))
+    else carry := pkey vp
   and step_next k =
     let id = Pending.id_of pending k in
     let vp = Machine.vp m id in

@@ -276,11 +276,9 @@ let handle_return st ~from_ctx ~target ~value =
 let do_event_poll st =
   let cm = st.sh.cm in
   add_cost st cm.Cost_model.event_poll_cost;
-  let finish, ev =
-    Devices.poll ~vp:st.id st.sh.input ~now:(now st) ~op_cycles:10
-  in
-  sync_to st finish;
-  match ev with
+  sync_to st
+    (Devices.poll ~vp:st.id st.sh.input ~now:(now st) ~op_cycles:10);
+  match Devices.polled st.sh.input with
   | Some _payload ->
       let sem = !(st.sh.input_semaphore) in
       if not (Oop.equal sem Oop.sentinel) && not (Oop.equal sem (nil st)) then

@@ -10,8 +10,11 @@
    direct-mapped table (with a small extra indirection cost charged by the
    interpreter); [Shared_locked] is one table whose every probe passes
    through a read lock on the shared timeline, reproducing the contention
-   the paper observed.  Caches are flushed at every scavenge (entries hold
-   oops into new space) and when a method is (re)installed. *)
+   the paper observed.  Every scavenge (entries hold oops into new space)
+   and every method (re)installation flushes every cache, but lazily: a
+   flush only marks the table stale, and the next probe or fill on it
+   clears it first.  After a scavenge only the few processors that run
+   ever read their table, so most flushes cost one store. *)
 
 type mode =
   | Replicated
@@ -23,6 +26,7 @@ type table = {
   sels : Oop.t array;
   clss : Oop.t array;
   meths : Oop.t array;
+  mutable stale : bool;  (* flushed since last cleared *)
 }
 
 type t = {
@@ -39,6 +43,7 @@ let make_table () = {
   sels = Array.make cache_size Oop.sentinel;
   clss = Array.make cache_size Oop.sentinel;
   meths = Array.make cache_size Oop.sentinel;
+  stale = false;
 }
 
 let create_replicated ~owner ~sanitizer =
@@ -63,12 +68,18 @@ let check_owner t ~vp ~now =
 
 let slot sel cls = (sel lxor (cls * 0x9e3779b1)) land (cache_size - 1)
 
-let flush_table tbl =
-  Array.fill tbl.sels 0 cache_size Oop.sentinel;
-  Array.fill tbl.clss 0 cache_size Oop.sentinel;
-  Array.fill tbl.meths 0 cache_size Oop.sentinel
+let flush t = t.table.stale <- true
 
-let flush t = flush_table t.table
+(* Clear a flushed table before its first use: every probe then misses
+   and every fill lands in an empty table, exactly as after an eager
+   flush.  The shared table carries one flag for all its views. *)
+let clear_if_stale tbl =
+  if tbl.stale then begin
+    Array.fill tbl.sels 0 cache_size Oop.sentinel;
+    Array.fill tbl.clss 0 cache_size Oop.sentinel;
+    Array.fill tbl.meths 0 cache_size Oop.sentinel;
+    tbl.stale <- false
+  end
 
 (* Probe; returns the cached method and accumulates the lock time for the
    shared variant into the caller's clock via [now]. *)
@@ -76,6 +87,7 @@ let probe ?(vp = -1) t ~now ~sel ~cls =
   check_owner t ~vp ~now;
   let i = slot sel cls in
   let tbl = t.table in
+  clear_if_stale tbl;
   let read () =
     if Oop.equal tbl.sels.(i) sel && Oop.equal tbl.clss.(i) cls then begin
       t.hits <- t.hits + 1;
@@ -94,6 +106,7 @@ let fill ?(vp = -1) t ~now ~sel ~cls ~meth =
   check_owner t ~vp ~now;
   let i = slot sel cls in
   let tbl = t.table in
+  clear_if_stale tbl;
   let write () =
     tbl.sels.(i) <- sel;
     tbl.clss.(i) <- cls;

@@ -5,7 +5,8 @@
     one shared cache behind a two-level lock, found the contention made
     the system "much too slow", and replicated the cache per processor
     instead (paper, section 3.2).  Both variants are provided; caches are
-    flushed at every scavenge and whenever a method is (re)installed. *)
+    flushed at every scavenge and whenever a method is (re)installed, and
+    a flushed table is cleared at its next probe or fill. *)
 
 type mode =
   | Replicated
@@ -35,8 +36,11 @@ val create_replicated : owner:int -> sanitizer:Sanitizer.t -> t
     for {!create_replicated}; the lock checks the sections. *)
 val create_shared : sanitizer:Sanitizer.t -> lock:Spinlock.t -> table:table -> t
 
-(** Flushes are never owner-checked: the scavenger and the method-install
-    broadcast flush every cache cross-processor by design. *)
+(** Mark the table stale: its next probe or fill clears it first, so
+    every lookup result and counter is what an immediate clear would
+    give.  Flushes are never owner-checked: the scavenger and the
+    method-install broadcast flush every cache cross-processor by
+    design. *)
 val flush : t -> unit
 
 (** [probe t ~now ~sel ~cls] looks up the (selector, behaviour) pair,

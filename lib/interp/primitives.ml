@@ -60,13 +60,14 @@ let load_process st proc =
 
 (* Pick the next Process; leaves the interpreter idle when there is none. *)
 let pick_next st =
-  let n, picked = Scheduler.pick st.sh.sched ~now:(now st) ~vp:st.id in
-  sync_to st n;
-  match picked with
-  | Some proc -> load_process st proc
-  | None ->
-      st.active_process := Oop.sentinel;
-      set_active_ctx st Oop.sentinel
+  let sched = st.sh.sched in
+  sync_to st (Scheduler.pick sched ~now:(now st) ~vp:st.id);
+  let proc = sched.Scheduler.picked in
+  if Oop.equal proc Oop.sentinel then begin
+    st.active_process := Oop.sentinel;
+    set_active_ctx st Oop.sentinel
+  end
+  else load_process st proc
 
 (* The active Process stops running; [requeue] keeps it eligible. *)
 let switch_away st ~requeue =
@@ -635,11 +636,13 @@ let prim_clock st ~nargs =
 let prim_next_event st ~nargs =
   if nargs <> 0 then Failed
   else begin
-    let finish, ev =
-      Devices.poll ~vp:st.id st.sh.input ~now:(now st) ~op_cycles:20
+    sync_to st
+      (Devices.poll ~vp:st.id st.sh.input ~now:(now st) ~op_cycles:20);
+    let v =
+      match Devices.polled st.sh.input with
+      | Some p -> Oop.of_small p
+      | None -> nil st
     in
-    sync_to st finish;
-    let v = match ev with Some p -> Oop.of_small p | None -> nil st in
     pop_all_push st ~nargs v
   end
 

@@ -71,6 +71,7 @@ type t = {
   mutable on_ready : (now:int -> unit) option;
   mutable next_home : int;     (* round-robin home for engine-side wakes *)
   mutable pending_remembers : int list;  (* deferred entry-table inserts *)
+  mutable picked : Oop.t;      (* the last pick's Process, or sentinel *)
   mutable wakes : int;
   mutable picks : int;
   mutable preemptions : int;
@@ -117,6 +118,7 @@ let create ~deque_locks ~unlocked_steal ~sanitizer ~machine ~u ~lock
     on_ready = None;
     next_home = 0;
     pending_remembers = [];
+    picked = Oop.sentinel;
     wakes = 0; picks = 0; preemptions = 0; failovers = 0;
     local_picks = 0; steals = 0; failed_steals = 0; migrations = 0;
     stolen_from = Array.make processors 0 }
@@ -390,46 +392,47 @@ let eligible t proc =
   (not (Oop.is_small (Heap.get (heap t) proc Layout.Process.running_on)))
   && process_state t proc = Layout.Process_state.runnable
 
-(* First eligible Process from the front (the LIFO end). *)
+(* The first eligible Process at or after [cur], or nil.  The scans
+   below are top-level functions of all their arguments: a local
+   recursive function would allocate its closure on every call, and a
+   failed pick scans every priority band. *)
+let rec eligible_from t h cur =
+  if Oop.equal cur (nil t) || eligible t cur then cur
+  else eligible_from t h (Heap.get h cur Layout.Process.next_link)
+
+(* First eligible Process from the front (the LIFO end), or nil. *)
 let first_eligible t list =
   let h = heap t in
-  let n = nil t in
-  let rec scan cur =
-    if Oop.equal cur n then None
-    else if eligible t cur then Some cur
-    else scan (Heap.get h cur Layout.Process.next_link)
-  in
-  scan (Heap.get h list Layout.Linked_list.first)
+  eligible_from t h (Heap.get h list Layout.Linked_list.first)
+
+(* The last eligible Process at or after [cur], [best] if none. *)
+let rec last_eligible_from t h best cur =
+  if Oop.equal cur (nil t) then best
+  else
+    last_eligible_from t h
+      (if eligible t cur then cur else best)
+      (Heap.get h cur Layout.Process.next_link)
 
 (* Last eligible Process — the FIFO end a thief takes from: the oldest,
-   least cache-warm work in the victim's deque. *)
+   least cache-warm work in the victim's deque — or nil. *)
 let last_eligible t list =
   let h = heap t in
-  let n = nil t in
-  let rec scan best cur =
-    if Oop.equal cur n then best
-    else
-      scan
-        (if eligible t cur then Some cur else best)
-        (Heap.get h cur Layout.Process.next_link)
-  in
-  scan None (Heap.get h list Layout.Linked_list.first)
+  last_eligible_from t h (nil t) (Heap.get h list Layout.Linked_list.first)
 
-(* The first home list holding an eligible Process of priority above
-   [above], walking priorities top-down and, at each, the homes from
-   [from]'s own onwards: its index and that Process. *)
+let rec find_from t ~homes ~from ~above priority d =
+  if priority <= above then -1
+  else if d >= homes then find_from t ~homes ~from ~above (priority - 1) 0
+  else
+    let i = index ~owner:((from + d) mod homes) ~priority in
+    if Oop.equal (first_eligible t (home_list t i)) (nil t) then
+      find_from t ~homes ~from ~above priority (d + 1)
+    else i
+
+(* The index of the first home list holding an eligible Process of
+   priority above [above], walking priorities top-down and, at each, the
+   homes from [from]'s own onwards; -1 when there is none. *)
 let find_ready t ~from ~above =
-  let n = homes t in
-  let rec go priority d =
-    if priority <= above then None
-    else if d >= n then go (priority - 1) 0
-    else
-      let i = index ~owner:((from + d) mod n) ~priority in
-      match first_eligible t (home_list t i) with
-      | Some proc -> Some (i, proc)
-      | None -> go priority (d + 1)
-  in
-  go Layout.Scheduler.priorities 0
+  find_from t ~homes:(homes t) ~from ~above Layout.Scheduler.priorities 0
 
 let is_in_ready_queue t proc =
   let i = chained t proc in
@@ -593,6 +596,10 @@ let claim t ~vp ~resource list proc =
 (* Choose the next Process for processor [vp]: the highest-priority ready
    Process that no processor is currently executing.  The two strategies
    keep separate bodies here because they are different protocols.
+   Answers the completion time and leaves the Process in [picked], or
+   [Oop.sentinel] when there is none.  An idle processor picks on every
+   poll, so a pick that finds nothing allocates nothing: no closure, no
+   option, no pair.
 
    Locked: one scan of the serialized queue under the scheduler lock.
 
@@ -603,81 +610,87 @@ let claim t ~vp ~resource list proc =
    re-scan commits).  The owner takes the first eligible Process (LIFO);
    a thief takes the last (FIFO) and re-homes it under its own lock. *)
 let pick t ~now ~vp =
-  let now, picked =
+  t.picked <- Oop.sentinel;
+  let now =
     match t.strategy with
     | Locked ->
-        section t ~vp ~owner:0 ~now (fun resource ->
-            t.picks <- t.picks + 1;
-            match find_ready t ~from:0 ~above:0 with
-            | None -> None
-            | Some (i, proc) ->
-                claim t ~vp ~resource (home_list t i) proc;
-                Some proc)
-    | Stealing -> (
+        Spinlock.enter t.lock ~vp ~now ~op_cycles:t.op_cycles;
         t.picks <- t.picks + 1;
-        match find_ready t ~from:vp ~above:0 with
-        | None ->
-            (* nothing anywhere: one look at the own (empty) deque is
-               still charged, so idle polling has a cost — but on the
-               processor's own lock, not a shared one *)
-            let now =
-              if t.unlocked_steal then now
-              else
-                Spinlock.locked_op ~vp t.deque_locks.(vp) ~now
-                  ~op_cycles:t.op_cycles
-            in
-            (now, None)
-        | Some (i, _) when owner_of_index i = vp ->
-            let list = home_list t i in
-            let now, taken =
+        let i = find_ready t ~from:0 ~above:0 in
+        if i >= 0 then begin
+          let list = home_list t i in
+          let proc = first_eligible t list in
+          claim t ~vp ~resource:t.san_queue list proc;
+          t.picked <- proc
+        end;
+        Spinlock.leave t.lock ~vp
+    | Stealing ->
+        t.picks <- t.picks + 1;
+        let i = find_ready t ~from:vp ~above:0 in
+        if i < 0 then
+          (* nothing anywhere: one look at the own (empty) deque is still
+             charged, so idle polling has a cost — but on the processor's
+             own lock, not a shared one *)
+          if t.unlocked_steal then now
+          else
+            Spinlock.locked_op ~vp t.deque_locks.(vp) ~now
+              ~op_cycles:t.op_cycles
+        else if owner_of_index i = vp then begin
+          let list = home_list t i in
+          let now, taken =
+            section t ~vp ~owner:vp ~now (fun resource ->
+                let proc = first_eligible t list in
+                if not (Oop.equal proc (nil t)) then
+                  claim t ~vp ~resource list proc;
+                proc)
+          in
+          if not (Oop.equal taken (nil t)) then begin
+            t.local_picks <- t.local_picks + 1;
+            t.picked <- taken
+          end;
+          now
+        end
+        else begin
+          (* steal: validate under the victim's lock, take the oldest *)
+          let owner = owner_of_index i and priority = priority_of_index i in
+          let list = home_list t i in
+          let now, stolen =
+            section t ~vp ~owner ~now (fun resource ->
+                let proc = last_eligible t list in
+                if not (Oop.equal proc (nil t)) then
+                  remove_unlocked t ~vp ~resource list proc;
+                proc)
+          in
+          if Oop.equal stolen (nil t) then begin
+            t.failed_steals <- t.failed_steals + 1;
+            now
+          end
+          else begin
+            t.steals <- t.steals + 1;
+            t.stolen_from.(owner) <- t.stolen_from.(owner) + 1;
+            Sanitizer.steal_event t.sanitizer ~vp ~now
+              ~resource:t.san_deques.(owner)
+              (Printf.sprintf
+                 "vp %d stole process %d from vp %d (priority %d)" vp
+                 (Oop.addr stolen) owner priority);
+            (* re-home under the thief's own lock *)
+            let now, () =
               section t ~vp ~owner:vp ~now (fun resource ->
-                  match first_eligible t list with
-                  | None -> None
-                  | Some proc ->
-                      claim t ~vp ~resource list proc;
-                      Some proc)
+                  if t.keep_running_in_queue then begin
+                    t.migrations <- t.migrations + 1;
+                    insert t ~vp ~resource ~detach:false
+                      (home_list t (index ~owner:vp ~priority))
+                      stolen
+                  end;
+                  set_running_on_u t ~vp ~resource stolen (Some vp);
+                  t.running.(vp) <- stolen)
             in
-            if Option.is_some taken then t.local_picks <- t.local_picks + 1;
-            (now, taken)
-        | Some (i, _) -> (
-            (* steal: validate under the victim's lock, take the oldest *)
-            let owner = owner_of_index i and priority = priority_of_index i in
-            let list = home_list t i in
-            let now, stolen =
-              section t ~vp ~owner ~now (fun resource ->
-                  match last_eligible t list with
-                  | None -> None
-                  | Some proc ->
-                      remove_unlocked t ~vp ~resource list proc;
-                      Some proc)
-            in
-            match stolen with
-            | None ->
-                t.failed_steals <- t.failed_steals + 1;
-                (now, None)
-            | Some proc ->
-                t.steals <- t.steals + 1;
-                t.stolen_from.(owner) <- t.stolen_from.(owner) + 1;
-                Sanitizer.steal_event t.sanitizer ~vp ~now
-                  ~resource:t.san_deques.(owner)
-                  (Printf.sprintf
-                     "vp %d stole process %d from vp %d (priority %d)" vp
-                     (Oop.addr proc) owner priority);
-                (* re-home under the thief's own lock *)
-                let now, () =
-                  section t ~vp ~owner:vp ~now (fun resource ->
-                      if t.keep_running_in_queue then begin
-                        t.migrations <- t.migrations + 1;
-                        insert t ~vp ~resource ~detach:false
-                          (home_list t (index ~owner:vp ~priority))
-                          proc
-                      end;
-                      set_running_on_u t ~vp ~resource proc (Some vp);
-                      t.running.(vp) <- proc)
-                in
-                (now, Some proc)))
+            t.picked <- stolen;
+            now
+          end
+        end
   in
-  (finish t ~now ~vp, picked)
+  finish t ~now ~vp
 
 (* The current Process of [vp] stops running.  [requeue] keeps it ready
    (yield/preemption); otherwise it leaves the ready queue (wait, suspend,
@@ -796,7 +809,7 @@ let take_preempt_flag t vp =
 
 (* Is there a ready, not-running Process with priority strictly above
    [p]?  A tie is not better: preemption is strictly-lower only. *)
-let better_ready t ~than:p = Option.is_some (find_ready t ~from:0 ~above:p)
+let better_ready t ~than:p = find_ready t ~from:0 ~above:p >= 0
 
 (* The stealing deques live in old space but are referenced only from the
    host-side array, and the running table can hold the sole reference to

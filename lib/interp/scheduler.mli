@@ -65,6 +65,8 @@ type t = {
   mutable next_home : int;
       (** round-robin home for engine-side wakes *)
   mutable pending_remembers : int list;
+  mutable picked : Oop.t;
+      (** the Process the last {!pick} claimed, or [Oop.sentinel] *)
   mutable wakes : int;
   mutable picks : int;
   mutable preemptions : int;
@@ -148,8 +150,10 @@ val wake : ?vp:int -> t -> now:int -> Oop.t -> int
     Process no processor is currently executing.  Stealing: the own
     deque is preferred at each priority; otherwise the candidate is
     re-validated under the victim's lock and the oldest eligible Process
-    is taken. *)
-val pick : t -> now:int -> vp:int -> int * Oop.t option
+    is taken.  Returns the completion time and leaves the Process in
+    [picked] ([Oop.sentinel] when there is none); a pick that finds
+    nothing allocates nothing. *)
+val pick : t -> now:int -> vp:int -> int
 
 (** The processor's current Process stops running; [requeue] keeps it
     ready (yield, preemption) rather than removing it (wait, suspend,

@@ -90,11 +90,13 @@ let region_avail r = r.limit - r.ptr
 
 (* Zeroed word arrays of dead heaps, kept for later [create]s of the
    same length: one pool per domain, so domains never share one.  A
-   fresh [Array.make] of a 2 M-word heap is zero-filled and page-faulted
-   in the OCaml major heap, where it paces major collections; every VM
-   build would pay that, although the kernel image it boots is about 60 K
-   words.  Four arrays cover a default cluster (three replica heaps and a
-   rejoin skeleton) and table2's four VMs per set-up.
+   fresh 2 M-word array is zero-filled and page-faulted in the OCaml
+   major heap, where it paces major collections; every VM build would
+   pay that, although the kernel image it boots is about 60 K words.
+   Four arrays cover a default cluster (three replica heaps and a rejoin
+   skeleton) and table2's four VMs per set-up.  Pooled arrays, like live
+   ones, are abstract blocks ([fresh_mem]), so keeping them costs the
+   major GC no marking.
 
    An array joins the pool from [release] or from the finaliser [create]
    registers, whichever comes first, and the [released] cell makes the
@@ -109,11 +111,30 @@ let pool_limit = 4
 let pool : int array list Atomic.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Atomic.make [])
 
+(* A fresh zeroed word array that OCaml's major GC never scans.  The
+   words are ints, which the marker skips anyway, but a 2 M-word array
+   with an ordinary tag is still walked word by word on every major
+   cycle, live or pooled.  An [Abstract_tag] block is not walked at all.
+   Its type stays [int array], so every access compiles as before; only
+   polymorphic operations see it differently: [compare] and [Marshal]
+   raise, and [Hashtbl.hash] answers 0 whatever the words.  The block
+   starts uninitialised, so it is zeroed by a loop typed [int array]:
+   [Array.make] would build an ordinary block, and [Array.fill]
+   ([caml_array_fill]) reads each old word and could darken the garbage.
+   Once zeroed the array holds only ints, so [recycle]'s fills are
+   safe. *)
+let fresh_mem total : int array =
+  let mem : int array = Obj.obj (Obj.new_block Obj.abstract_tag total) in
+  for i = 0 to total - 1 do
+    Array.unsafe_set mem i 0
+  done;
+  mem
+
 let rec take_mem total =
   let cell = Domain.DLS.get pool in
   let arrays = Atomic.get cell in
   match List.find_opt (fun mem -> Array.length mem = total) arrays with
-  | None -> Array.make total 0
+  | None -> fresh_mem total
   | Some mem ->
       if Atomic.compare_and_set cell arrays
            (List.filter (fun m -> m != mem) arrays)

@@ -43,7 +43,12 @@ type t = {
       (** the whole object memory, addressed by word.  Read it only
           while the heap itself is reachable: once the GC collects the
           heap, its finaliser zeroes [mem] and hands it to a later
-          {!create}. *)
+          {!create}.  It is an [int array] whose block carries OCaml's
+          abstract tag, so the OCaml major GC never scans its millions
+          of words; typed access works as on any [int array], but
+          polymorphic [compare], [=] and [Marshal] raise on it and
+          [Hashtbl.hash] answers 0 whatever its words: compare and
+          digest it word by word. *)
   old : region;
   eden : region;
   eden_regions : region array;  (** per-processor slices when replicated *)
@@ -103,8 +108,9 @@ val region_avail : region -> int
     checks nothing.
 
     The word array comes from the calling domain's pool when it holds
-    one of the right length (see {!release}), else from [Array.make].
-    Either way every word starts zero.  A heap dropped without
+    one of the right length (see {!release}), else it is a fresh
+    abstract block (see [mem]), zeroed.  Either way every word starts
+    zero.  A heap dropped without
     {!release} gives its array back by itself: a finaliser zeroes it as
     [release] would and pools it once the OCaml GC has collected the
     heap, so a later [create] after a major collection reuses it. *)

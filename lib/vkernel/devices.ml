@@ -99,13 +99,17 @@ type input_queue = {
   mutable pending : event list;   (* sorted by time *)
   mutable polls : int;
   mutable delivered : int;
+  mutable got : bool;             (* the last poll delivered ... *)
+  mutable got_payload : int;      (* ... this payload *)
 }
 
 let make_input_queue ~lock =
   { ilock = lock;
     pending = [];
     polls = 0;
-    delivered = 0 }
+    delivered = 0;
+    got = false;
+    got_payload = 0 }
 
 let inject q ~time ~payload =
   let rec insert = function
@@ -115,20 +119,26 @@ let inject q ~time ~payload =
   in
   q.pending <- insert q.pending
 
-(* Poll at [now] under the lock: returns (completion_time, event payload if
-   one was ready). *)
+(* Poll at [now] under the lock: returns the completion time and leaves
+   whether an event was visible, and its payload, for [polled].  Every
+   idle processor polls, so a poll that finds nothing allocates
+   nothing. *)
 let poll ?(vp = -1) q ~now ~op_cycles =
   q.polls <- q.polls + 1;
-  Spinlock.critical ~vp q.ilock ~now ~op_cycles (fun () ->
-      match q.pending with
-      | e :: rest when e.time <= now ->
-          Sanitizer.check_guarded (Spinlock.sanitizer q.ilock)
-            ~resource:(Spinlock.sanitizer_id q.ilock) ~vp ~now
-            (Trace.Text "pop") 0 0;
-          q.pending <- rest;
-          q.delivered <- q.delivered + 1;
-          Some e.payload
-      | _ -> None)
+  Spinlock.enter q.ilock ~vp ~now ~op_cycles;
+  (match q.pending with
+   | e :: rest when e.time <= now ->
+       Sanitizer.check_guarded (Spinlock.sanitizer q.ilock)
+         ~resource:(Spinlock.sanitizer_id q.ilock) ~vp ~now
+         (Trace.Text "pop") 0 0;
+       q.pending <- rest;
+       q.delivered <- q.delivered + 1;
+       q.got <- true;
+       q.got_payload <- e.payload
+   | _ -> q.got <- false);
+  Spinlock.leave q.ilock ~vp
+
+let polled q = if q.got then Some q.got_payload else None
 
 (* A [match], not a comparison with [[]]: [nothing_runnable] asks on
    every idle engine step, and polymorphic compare has no place there. *)

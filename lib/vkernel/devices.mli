@@ -42,9 +42,13 @@ val make_input_queue : lock:Spinlock.t -> input_queue
 (** Schedule an event to become visible at [time]. *)
 val inject : input_queue -> time:int -> payload:int -> unit
 
-(** Poll under the queue's lock at [now]: completion time and the event,
-    if one is visible. *)
-val poll : ?vp:int -> input_queue -> now:int -> op_cycles:int -> int * int option
+(** Poll under the queue's lock at [now] and return the completion time.
+    A poll that finds no visible event allocates nothing. *)
+val poll : ?vp:int -> input_queue -> now:int -> op_cycles:int -> int
+
+(** The payload of the event the last {!poll} delivered, if it
+    delivered one. *)
+val polled : input_queue -> int option
 
 (** Whether some injected event is not yet delivered. *)
 val input_pending : input_queue -> bool

@@ -36,6 +36,15 @@ type t = {
   (* holder bookkeeping, for the watchdog's deadlock report *)
   mutable holder : int;           (* vp of the most recent acquirer, -1 early *)
   mutable held_since : int;       (* when that acquire started *)
+  (* the rest of the most recent acquire, read by the sanitizer reports
+     after it: the (jittered) request time and whether it spun *)
+  mutable asked_at : int;
+  mutable was_contended : bool;
+  (* the section [enter] opened, for [leave]: its finish time, or, on a
+     disabled lock, the request and its cycles *)
+  mutable open_finish : int;
+  mutable open_now : int;
+  mutable open_cycles : int;
   (* the spin watchdog: a contended acquire that would wait more than
      [watchdog_bound] cycles raises {!Fault.Deadlock_suspected} instead
      of spinning forever; 0 disables (the default, and the paper's
@@ -72,6 +81,11 @@ let make ?(sanitizer = Sanitizer.create Sanitizer.Off) ?machine
     report_unlocked;
     holder = -1;
     held_since = 0;
+    asked_at = 0;
+    was_contended = false;
+    open_finish = 0;
+    open_now = 0;
+    open_cycles = 0;
     watchdog_bound = Int.max 0 watchdog;
     backoff_after = Int.max 0 backoff_after;
     fault_base = 0;
@@ -138,9 +152,10 @@ let unlocked_op t ~vp ~now ~op_cycles =
       ~finish:(now + op_cycles) ~contended:false;
   now + op_cycles
 
-(* Acquire at [now]: returns [(start, contended)] and advances [free_at] to
-   [start + acquire_cost + op_cycles].  Shared by [locked_op] and
-   [critical].
+(* Acquire at [now]: returns the finish time [start + acquire_cost +
+   op_cycles], advances [free_at] to it and leaves the start in
+   [held_since] and the contention in [was_contended]: no tuple, so an
+   acquire allocates nothing.
 
    A contended acquire first consults the watchdog: a wait beyond
    [watchdog_bound] means the holder is plausibly dead (an injected
@@ -156,10 +171,14 @@ let unlocked_op t ~vp ~now ~op_cycles =
    to the original fixed-interval spin. *)
 let acquire t ~vp ~now ~op_cycles =
   t.acquisitions <- t.acquisitions + 1;
-  let start, was_contended =
-    if now >= t.free_at then (now, false)
+  let start =
+    if now >= t.free_at then begin
+      t.was_contended <- false;
+      now
+    end
     else begin
       t.contended <- t.contended + 1;
+      t.was_contended <- true;
       let wait = t.free_at - now in
       if t.watchdog_bound > 0 && wait > t.watchdog_bound then begin
         Sanitizer.fault_event t.san ~vp ~now ~resource:t.name
@@ -196,14 +215,14 @@ let acquire t ~vp ~now ~op_cycles =
       t.spin_cycles <- t.spin_cycles + (natural_spun - fault_part);
       t.fault_spin_cycles <- t.fault_spin_cycles + fault_part;
       t.backoff_cycles <- t.backoff_cycles + (spun - natural_spun);
-      (now + spun, true)
+      now + spun
     end
   in
   let finish = start + t.acquire_cost + op_cycles in
   t.free_at <- finish;
   t.holder <- vp;
   t.held_since <- start;
-  (start, finish, was_contended)
+  finish
 
 (* The holder-fault injection point: having just acquired the lock, the
    holder may be struck by an injected stall (it keeps the lock
@@ -245,41 +264,77 @@ let inject_holder_fault t ~vp ~finish =
           | Some _ -> finish))
   | _ -> finish
 
+(* The one acquire path of an enabled lock: the policy's jitter, the
+   acquire and the holder-fault point.  Answers the (possibly extended)
+   finish time and leaves the jittered request time in [asked_at]. *)
+let take t ~vp ~now ~op_cycles =
+  let now = jittered t ~vp ~now in
+  t.asked_at <- now;
+  inject_holder_fault t ~vp ~finish:(acquire t ~vp ~now ~op_cycles)
+
 (* Perform a critical section of [op_cycles] starting no earlier than [now].
    Returns the completion time. *)
 let locked_op ?(vp = -1) t ~now ~op_cycles =
   if not t.enabled then unlocked_op t ~vp ~now ~op_cycles
   else begin
-    let now = jittered t ~vp ~now in
-    let start, finish, was_contended = acquire t ~vp ~now ~op_cycles in
-    let finish = inject_holder_fault t ~vp ~finish in
-    Sanitizer.on_lock_op t.san ~lock:t.san_id ~vp ~now ~start ~finish
-      ~contended:was_contended;
+    let finish = take t ~vp ~now ~op_cycles in
+    Sanitizer.on_lock_op t.san ~lock:t.san_id ~vp ~now:t.asked_at
+      ~start:t.held_since ~finish ~contended:t.was_contended;
     maybe_preempt t ~vp ~now:finish;
     finish
   end
 
+(* Acquire and open the sanitizer section: the start of [critical] and
+   [enter].  Answers the finish time. *)
+let open_section t ~vp ~now ~op_cycles =
+  let finish = take t ~vp ~now ~op_cycles in
+  Sanitizer.section_enter t.san ~lock:t.san_id ~vp ~now:t.asked_at
+    ~start:t.held_since ~finish ~contended:t.was_contended;
+  finish
+
+let close_section t ~vp ~finish =
+  Sanitizer.section_exit t.san ~lock:t.san_id ~vp ~now:finish;
+  maybe_preempt t ~vp ~now:finish
+
 (* A bracketed critical section: acquire, run [f] inside the section (so
-   guarded-resource mutations performed by [f] are seen by the sanitizer as
-   covered), release.  Returns the section's completion time and [f]'s
-   result.  The bracket is closed even if [f] raises — the timeline has
-   already advanced, matching [locked_op] (lock work was charged before the
-   failure propagates). *)
+   guarded-resource mutations performed by [f] are seen by the sanitizer
+   as covered), release.  Returns the section's completion time and
+   [f]'s result.  The bracket is closed even if [f] raises — the timeline
+   has already advanced, matching [locked_op] (lock work was charged
+   before the failure propagates).  A disabled lock runs [f] first and
+   takes its unlocked window after it, jitter included. *)
 let critical ?(vp = -1) t ~now ~op_cycles f =
-  if not t.enabled then (unlocked_op t ~vp ~now ~op_cycles, f ())
+  if not t.enabled then begin
+    let result = f () in
+    (unlocked_op t ~vp ~now ~op_cycles, result)
+  end
   else begin
-    let now = jittered t ~vp ~now in
-    let start, finish, was_contended = acquire t ~vp ~now ~op_cycles in
-    let finish = inject_holder_fault t ~vp ~finish in
-    Sanitizer.section_enter t.san ~lock:t.san_id ~vp ~now ~start ~finish
-      ~contended:was_contended;
+    let finish = open_section t ~vp ~now ~op_cycles in
     let result =
       try f ()
       with e ->
         Sanitizer.section_exit t.san ~lock:t.san_id ~vp ~now:finish;
         raise e
     in
-    Sanitizer.section_exit t.san ~lock:t.san_id ~vp ~now:finish;
-    maybe_preempt t ~vp ~now:finish;
+    close_section t ~vp ~finish;
     (finish, result)
   end
+
+(* [critical] split in two, with no closure and no result pair: [enter]
+   opens the section and [leave] closes it and answers its finish time.
+   A disabled lock does nothing at [enter] and takes its unlocked window
+   at [leave], after the body, as [critical] does.  One bracket is open
+   per lock at a time. *)
+let enter t ~vp ~now ~op_cycles =
+  if t.enabled then t.open_finish <- open_section t ~vp ~now ~op_cycles
+  else begin
+    t.open_now <- now;
+    t.open_cycles <- op_cycles
+  end
+
+let leave t ~vp =
+  if t.enabled then begin
+    close_section t ~vp ~finish:t.open_finish;
+    t.open_finish
+  end
+  else unlocked_op t ~vp ~now:t.open_now ~op_cycles:t.open_cycles

@@ -85,6 +85,18 @@ val locked_op : ?vp:int -> t -> now:int -> op_cycles:int -> int
 val critical :
   ?vp:int -> t -> now:int -> op_cycles:int -> (unit -> 'a) -> int * 'a
 
+(** {!critical} as an allocation-free bracket, for the idle path:
+    [enter t ~vp ~now ~op_cycles] opens the section, through the one
+    acquire path {!locked_op} and {!critical} share, and [leave t ~vp]
+    closes it and answers its completion time.  A disabled lock takes
+    its unlocked window at [leave], after the body, as {!critical} does.
+    On an enabled lock the body between the two must not raise (the
+    section would stay open); {!critical} is the bracket for bodies that
+    may.  One bracket is open per lock at a time. *)
+val enter : t -> vp:int -> now:int -> op_cycles:int -> unit
+
+val leave : t -> vp:int -> int
+
 (** {2 Statistics} *)
 
 val acquisitions : t -> int

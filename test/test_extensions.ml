@@ -495,6 +495,46 @@ let golden_tests =
           Alcotest.(check string) name expected (run ())))
     golden_fixtures
 
+(* The engine's allocation, gated exactly: OCaml minor words per
+   bytecode over one [Vm.eval] of a fixed doIt, compile included, with a
+   ceiling per configuration at the measured value rounded up to the next
+   0.1.  On 5 VPs with the scan engine four processors poll while one
+   runs, so an allocation added to the idle poll, the failed pick or the
+   engine's fast path shows here (the poll once allocated about 95 words,
+   7.25 words per bytecode).  The figures are those of the default
+   (release) build profile. *)
+let alloc_source = "| s | s := 0. 1 to: 300000 do: [:i | s := s + (i \\\\ 7)]. s"
+
+let minor_words_per_bytecode config =
+  let vm = Vm.create config in
+  let bytecodes () =
+    Array.fold_left (fun n st -> n + st.State.steps) 0 vm.Vm.states
+  in
+  let b0 = bytecodes () in
+  let w0 = Gc.minor_words () in
+  let v = Vm.eval vm alloc_source in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check string) "the doIt's value" "899998" (Vm.describe vm v);
+  words /. float_of_int (bytecodes () - b0)
+
+let alloc_gates =
+  let ms5 = Config.ms ~processors:5 () in
+  [ ("BS", Config.baseline_bs (), 1.5);
+    ("MS, 1 VP", Config.ms ~processors:1 (), 1.5);
+    ("MS, 5 VPs, scan", ms5, 1.5);
+    ("MS, 5 VPs, calendar",
+     { ms5 with Config.engine = Config.Engine_calendar }, 1.5) ]
+
+let alloc_tests =
+  List.map
+    (fun (name, config, ceiling) ->
+      Alcotest.test_case name `Quick (fun () ->
+          let per = minor_words_per_bytecode config in
+          if per > ceiling then
+            Alcotest.failf "%s: %.3f minor words per bytecode, ceiling %.1f"
+              name per ceiling))
+    alloc_gates
+
 (* The interpreters keep the active context's pc and stackp in
    registers and write them back only at the flush points: a scavenge
    (whose scan stops at each context's stackp) must start from current
@@ -671,6 +711,7 @@ let () =
          Alcotest.test_case "real deadlock still detected" `Quick
            test_calendar_deadlock_detected ]);
       ("engine golden", golden_tests);
+      ("engine allocation", alloc_tests);
       ("registers",
        [ Alcotest.test_case "flushed at scavenges and at run end" `Quick
            test_register_flushes ]);

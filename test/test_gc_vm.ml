@@ -73,6 +73,80 @@ let test_method_cache_flushed () =
   check_bool "misses recorded after flush" true
     (Method_cache.misses vm.Vm.states.(0).State.mcache > 0)
 
+(* A flush only marks a table stale; the next probe must still miss, as
+   after an immediate clear.  In [Shared_locked] mode the one shared
+   table carries the flag: a flush through one view empties it for
+   every view. *)
+let test_probe_after_flush_misses () =
+  let san = Sanitizer.create Sanitizer.Off in
+  let sel = Oop.of_small 11 and cls = Oop.of_small 12 and meth = Oop.of_small 13 in
+  let hit_then_flushed name fill_view probe_view flush_view =
+    ignore (Method_cache.fill fill_view ~now:0 ~sel ~cls ~meth);
+    let _, hit = Method_cache.probe probe_view ~now:0 ~sel ~cls in
+    check_bool (name ^ ": filled entry hits") true (hit = Some meth);
+    Method_cache.flush flush_view;
+    let misses = Method_cache.misses probe_view in
+    let _, miss = Method_cache.probe probe_view ~now:0 ~sel ~cls in
+    check_bool (name ^ ": probe after flush misses") true (miss = None);
+    check (name ^ ": the miss is counted") (misses + 1)
+      (Method_cache.misses probe_view)
+  in
+  let c = Method_cache.create_replicated ~owner:0 ~sanitizer:san in
+  hit_then_flushed "replicated" c c c;
+  let lock = Spinlock.make ~enabled:true ~cost:Cost_model.firefly "method cache" in
+  let table = Method_cache.make_table () in
+  let a = Method_cache.create_shared ~sanitizer:san ~lock ~table in
+  let b = Method_cache.create_shared ~sanitizer:san ~lock ~table in
+  hit_then_flushed "shared, one view" a a a;
+  hit_then_flushed "shared, flushed through another view" a b a
+
+(* Installing a method flushes every processor's cache: after a
+   redefinition between two evaluations, a Process on each of five
+   processors must run the new method, though every processor's cache
+   held the old one. *)
+let test_redefinition_seen_by_every_vp () =
+  let vm = Vm.create (Config.testing ~processors:5 ()) in
+  Vm.load_classes vm
+    {st|
+CLASS FlushProbe SUPER Object
+METHODS FlushProbe
+answer
+    ^1
+!
+spawn: k into: results done: sem
+    [ | r |
+      1 to: 300 do: [:i | r := self answer].
+      results at: k put: r.
+      sem signal ] fork
+!
+|st};
+  let answers () =
+    Vm.eval_to_string vm
+      {st|
+| results sem digits |
+results := Array new: 5.
+sem := Semaphore new.
+1 to: 5 do: [:k | FlushProbe new spawn: k into: results done: sem].
+1 to: 5 do: [:k | sem wait].
+digits := 0.
+results do: [:r | digits := digits * 10 + r].
+digits
+|st}
+  in
+  check_str "every Process runs the first method" "11111" (answers ());
+  let hits () =
+    Array.map (fun st -> Method_cache.hits st.State.mcache) vm.Vm.states
+  in
+  check_bool "every processor's cache was used" true
+    (Array.for_all (fun h -> h > 0) (hits ()));
+  Vm.load_classes vm "METHODS FlushProbe\nanswer\n    ^2\n!\n";
+  let steps () = Array.map (fun st -> st.State.steps) vm.Vm.states in
+  let before = steps () in
+  check_str "every Process runs the redefined method" "22222"
+    (answers ());
+  check_bool "every processor ran" true
+    (Array.for_all2 (fun a b -> b > a) before (steps ()))
+
 let test_big_object_goes_old () =
   let vm = Vm.create (small_heap ()) in
   let old_before = Heap.old_used vm.Vm.heap in
@@ -202,7 +276,11 @@ let () =
          Alcotest.test_case "tenuring" `Quick test_tenuring_under_load;
          Alcotest.test_case "forced scavenge" `Quick test_forced_scavenge;
          Alcotest.test_case "gc stats" `Quick test_gc_stats_prim;
-         Alcotest.test_case "cache flush" `Quick test_method_cache_flushed ]);
+         Alcotest.test_case "cache flush" `Quick test_method_cache_flushed;
+         Alcotest.test_case "probe after flush misses" `Quick
+           test_probe_after_flush_misses;
+         Alcotest.test_case "redefinition seen by every vp" `Quick
+           test_redefinition_seen_by_every_vp ]);
       ("allocation",
        [ Alcotest.test_case "big objects go old" `Quick test_big_object_goes_old;
          Alcotest.test_case "old exhaustion is loud" `Quick

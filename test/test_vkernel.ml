@@ -108,6 +108,42 @@ let prop_locked_op_disabled =
       && Spinlock.contended l = 0
       && Spinlock.spin_cycles l = 0)
 
+(* [enter]/[leave] is [critical] without the closure: on the same
+   schedule, enabled or disabled, both give the same completion times
+   and statistics, and a guarded mutation inside either is covered. *)
+let prop_bracket_is_critical =
+  QCheck.Test.make ~count:200 ~name:"enter/leave matches critical"
+    QCheck.(pair bool arb_schedule) (fun (enabled, sched) ->
+      let lock () =
+        let san = Sanitizer.create Sanitizer.Report in
+        Sanitizer.register_guard san ~resource:"r" ~lock:"p";
+        Sanitizer.set_armed san true;
+        (san, Spinlock.make ~sanitizer:san ~enabled ~cost:cm "p")
+      in
+      let sa, a = lock () and sb, b = lock () in
+      let guarded san vp now =
+        Sanitizer.check_guarded san ~resource:(Sanitizer.id san "r") ~vp ~now
+          (Trace.Text "w") 0 0
+      in
+      let now = ref 0 in
+      List.for_all
+        (fun (advance, op_cycles) ->
+          now := !now + advance;
+          let vp = !now mod 3 in
+          let fa, () =
+            Spinlock.critical ~vp a ~now:!now ~op_cycles (fun () ->
+                guarded sa vp !now)
+          in
+          Spinlock.enter b ~vp ~now:!now ~op_cycles;
+          guarded sb vp !now;
+          fa = Spinlock.leave b ~vp)
+        sched
+      && Spinlock.acquisitions a = Spinlock.acquisitions b
+      && Spinlock.contended a = Spinlock.contended b
+      && Spinlock.spin_cycles a = Spinlock.spin_cycles b
+      && Sanitizer.violation_count sa = Sanitizer.violation_count sb
+      && (not enabled || Sanitizer.violation_count sb = 0))
+
 (* --- mailboxes --- *)
 
 let test_mailbox () =
@@ -165,10 +201,11 @@ let test_display_backpressure () =
 let test_input_queue () =
   let q = input_queue ~enabled:true in
   Devices.inject q ~time:100 ~payload:7;
-  let _, ev = Devices.poll q ~now:50 ~op_cycles:5 in
-  check_bool "event not visible before its time" true (ev = None);
-  let _, ev = Devices.poll q ~now:150 ~op_cycles:5 in
-  (match ev with
+  ignore (Devices.poll q ~now:50 ~op_cycles:5);
+  check_bool "event not visible before its time" true
+    (Devices.polled q = None);
+  ignore (Devices.poll q ~now:150 ~op_cycles:5);
+  (match Devices.polled q with
    | Some p -> check "payload" 7 p
    | None -> Alcotest.fail "expected the event");
   check "polls counted" 2 (Devices.input_polls q);
@@ -178,8 +215,10 @@ let test_input_order () =
   let q = input_queue ~enabled:false in
   Devices.inject q ~time:20 ~payload:2;
   Devices.inject q ~time:10 ~payload:1;
-  let _, ev1 = Devices.poll q ~now:100 ~op_cycles:1 in
-  let _, ev2 = Devices.poll q ~now:100 ~op_cycles:1 in
+  ignore (Devices.poll q ~now:100 ~op_cycles:1);
+  let ev1 = Devices.polled q in
+  ignore (Devices.poll q ~now:100 ~op_cycles:1);
+  let ev2 = Devices.polled q in
   Alcotest.(check (option int)) "earlier event first" (Some 1) ev1;
   Alcotest.(check (option int)) "later event second" (Some 2) ev2
 
@@ -329,9 +368,10 @@ let test_input_multi_vp_contention () =
     List.iter
       (fun vp ->
         ignore round;
-        match Devices.poll ~vp q ~now:100 ~op_cycles:5 with
-        | _, Some p -> delivered := p :: !delivered
-        | _, None -> ())
+        ignore (Devices.poll ~vp q ~now:100 ~op_cycles:5);
+        match Devices.polled q with
+        | Some p -> delivered := p :: !delivered
+        | None -> ())
       [ 0; 1; 2 ]
   done;
   Alcotest.(check (list int)) "each event once, in time order" [ 1; 2; 3 ]
@@ -998,6 +1038,7 @@ let () =
       ("spinlock_properties",
        [ QCheck_alcotest.to_alcotest prop_locked_op_model;
          QCheck_alcotest.to_alcotest prop_locked_op_disabled;
+         QCheck_alcotest.to_alcotest prop_bracket_is_critical;
          QCheck_alcotest.to_alcotest prop_min_runnable_deterministic ]);
       ("trace", [ QCheck_alcotest.to_alcotest prop_trace_ring ]);
       ("plan",
