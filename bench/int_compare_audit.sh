@@ -24,6 +24,12 @@
 # object that is missing fails too, so a rename cannot pass the audit
 # silently.
 #
+# Another check keeps the closure-form lock bracket off the send,
+# return, allocation and store paths: ctx.o, free_contexts.o,
+# method_cache.o and state.o must bracket their critical sections with
+# Spinlock.enter/leave, which allocate nothing, so any relocation there
+# to Spinlock.critical (a closure and a result pair per call) fails.
+#
 # One more check guards the scavenger's typed copy: every copy that
 # scavenger.ml writes targets simulated memory, an `int array` in the
 # OCaml major heap, where `Array.blit` stores each word through
@@ -47,6 +53,7 @@ lib/vkernel/.vkernel.objs/native/plan.o
 lib/interp/.interp.objs/native/scheduler.o
 lib/interp/.interp.objs/native/free_contexts.o
 lib/interp/.interp.objs/native/method_cache.o
+lib/interp/.interp.objs/native/ctx.o
 lib/interp/.interp.objs/native/state.o
 lib/interp/.interp.objs/native/interp.o
 lib/interp/.interp.objs/native/primitives.o
@@ -71,7 +78,11 @@ for o in $objects; do
   # one "function line symbol count" line per offending call target
   scav=0
   [ "$o" = lib/objmem/.objmem.objs/native/scavenger.o ] && scav=1
-  hits=$(objdump -drl "$build/$o" | awk -v scav="$scav" '
+  crit=0
+  case $o in
+    */ctx.o | */free_contexts.o | */method_cache.o | */state.o) crit=1 ;;
+  esac
+  hits=$(objdump -drl "$build/$o" | awk -v scav="$scav" -v crit="$crit" '
     /^[0-9a-f]+ <.*>:$/ {
       fn = $2; gsub(/[<>:]/, "", fn); loc = "?"; next
     }
@@ -82,6 +93,7 @@ for o in $objects; do
       sym = $NF; sub(/[-+]0x[0-9a-f]+$/, "", sym)
       if (sym ~ /^caml_(greaterequal|lessequal|greaterthan|lessthan|compare|equal|notequal)$/ ||
           sym ~ /^camlStdlib\.(max|min|compare)_[0-9]+$/ ||
+          (crit && sym ~ /^camlSpinlock\.critical(_inner)?_[0-9]+$/) ||
           (scav && loc ~ /^lib\/objmem\/scavenger\.ml:/ &&
            (sym == "caml_array_blit" ||
             sym ~ /^camlStdlib__Array\.blit_[0-9]+$/)))
@@ -97,5 +109,5 @@ for o in $objects; do
 done
 
 [ "$status" -eq 0 ] &&
-  echo "int-compare-audit: $n objects, no polymorphic comparison, no Array.blit in scavenger.ml"
+  echo "int-compare-audit: $n objects, no polymorphic comparison, no Array.blit in scavenger.ml, no Spinlock.critical on the send and store paths"
 exit "$status"

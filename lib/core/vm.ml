@@ -171,7 +171,10 @@ let create (config : Config.t) =
     on_request_done = (fun ~rid:_ ~now:_ -> ());
     compile_hook =
       (fun ~cls ~class_side source ->
-        Class_builder.add_method u ~cls ~class_side source);
+        (* a call, not an inlined compiler: the parser's polymorphic
+           comparisons stay out of this module's code *)
+        (Class_builder.add_method [@inlined never]) u ~cls ~class_side
+          source);
     decompile_hook = (fun ~meth -> Method_mirror.decompile u meth);
     sanitizer = san;
   } in
@@ -625,15 +628,22 @@ type run_outcome =
 
    - After a step, the engine makes the main loop's next selection
      itself whenever that selection is sure to step a processor (the
-     fast path, [step_next]): it pushes the stepped processor's key with
+     fast path, [continue_from]): it pushes the stepped processor's key with
      {!Pending.push_pop} and steps the minimum that comes back, the same
      processor (a batch) or another one (a switch: Table 2's 5-VP
      states interleave one bytecode per processor), instead of going
-     back through the main loop for every bytecode.  A polling
-     processor's idle step leaves the same way once it is charged its
-     idle cadence, so a busy processor stepping between the polls of
-     idle ones stays on the fast path too.  The idle poll (a failed
-     pick and an empty input poll) allocates nothing.
+     back through the main loop for every bytecode.  A batch skips the
+     heap altogether: a key strictly below {!Pending.top} is the one
+     [push_pop] would hand straight back, so that processor is stepped
+     again directly ([step_next]), after the same checks, with no
+     push, no id lookup and no second key.  A polling processor's idle
+     step leaves the same way once it is charged its idle cadence, so a
+     busy processor stepping between the polls of idle ones stays on
+     the fast path too.  The idle poll (a failed pick and an empty input
+     poll) allocates nothing, and neither does a bytecode's send,
+     return, allocation or store: their lock brackets are
+     [Spinlock.enter]/[leave], which under the lock's fast test touch
+     only the timeline.
 
    - A major slice is due at the rendezvous clock, the largest clock.
      With a major collector configured, the main loop takes it
@@ -866,11 +876,14 @@ let run_engine vm ~max_cycles ~finished ~result outcome =
         push_vp vp
   (* [vp] stepped and goes back on the heap: take the fast path when no
      outcome, collection or slice is pending, or leave its key in the
-     carry for the main loop *)
+     carry for the main loop.  A key strictly below the heap's top is
+     the one [push_pop] would hand straight back (a batch), so that
+     processor is stepped again directly, through the same checks *)
   and continue_from vp =
     (match vm.major with
      | Some _ -> rdv := Int.max !rdv vp.Machine.clock
      | None -> ());
+    let k = pkey vp in
     if
       fast && (not !finished)
       && (not vm.gc_requested)
@@ -878,14 +891,20 @@ let run_engine vm ~max_cycles ~finished ~result outcome =
       && (match vm.major with
           | None -> true
           | Some mj -> not (Major.due mj ~now:!rdv))
-    then step_next (Pending.push_pop pending (pkey vp))
-    else carry := pkey vp
-  and step_next k =
-    let id = Pending.id_of pending k in
-    let vp = Machine.vp m id in
+    then
+      if k < Pending.top pending then step_next vp k
+      else begin
+        let k = Pending.push_pop pending k in
+        let vp = Machine.vp m (Pending.id_of pending k) in
+        if pkey vp = k then step_next vp k else carry := k
+      end
+    else carry := k
+  (* step [vp], whose key [k] is current, unless something else must
+     run first *)
+  and step_next vp k =
+    let id = vp.Machine.id in
     if
-      pkey vp = k
-      && vp.Machine.state <> Machine.Halted
+      vp.Machine.state <> Machine.Halted
       && (not parked.(id))
       && vp.Machine.clock < Calendar.top_key timers
       && vp.Machine.clock <= max_cycles

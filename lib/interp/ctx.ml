@@ -19,32 +19,45 @@ let frame_slots = function
   | Free_contexts.Small -> Layout.Ctx.small_frame
   | Free_contexts.Large -> Layout.Ctx.large_frame
 
+(* Serialized allocation: the eden bump runs under the allocation lock.
+   [Heap.alloc_new] raises [Heap.Scavenge_needed] inside the section
+   when eden is short; the section is then closed as [Spinlock.critical]
+   would close it, and the timeline keeps the acquire. *)
+let alloc_locked st ~slots ~raw ~bytes ~cls =
+  let sh = st.sh in
+  let cm = sh.cm in
+  let lock = sh.alloc_lock in
+  Spinlock.enter lock ~vp:st.id ~now:(now st)
+    ~op_cycles:(cm.Cost_model.alloc_base + (cm.Cost_model.alloc_per_word * slots));
+  let o =
+    match Heap.alloc_new sh.heap ~vp:st.id ~slots ~raw ~bytes ~cls () with
+    | o -> o
+    | exception e ->
+        Spinlock.leave_raised lock ~vp:st.id;
+        raise e
+  in
+  sync_to st (Spinlock.leave lock ~vp:st.id);
+  o
+
 (* Allocate a context of [size], recycling from the free list when
    possible.  Charges the appropriate cost-model entries.  May raise
    [Heap.Scavenge_needed]; callers must not have mutated any state yet. *)
 let alloc_context st ~size ~cls =
-  let sh = st.sh in
-  let cm = sh.cm in
-  let h = sh.heap in
-  let n, recycled =
-    Free_contexts.take ~vp:st.id st.free_ctxs h ~now:(now st) size
+  let cm = st.sh.cm in
+  let recycled =
+    Free_contexts.take ~vp:st.id st.free_ctxs st.sh.heap ~now:(now st) size
   in
-  sync_to st n;
+  sync_to st (Free_contexts.finish st.free_ctxs);
   if not (Oop.equal recycled Oop.sentinel) then begin
     add_cost st cm.Cost_model.ctx_recycled;
-    Heap.set_class h (Oop.addr recycled) cls;
+    Heap.set_class st.sh.heap (Oop.addr recycled) cls;
     recycled
   end
   else begin
-    let slots = Layout.Ctx.fixed_slots + frame_slots size in
-    (* serialized allocation: the eden bump is under the allocation lock *)
-    let finish, ctx =
-      Spinlock.critical ~vp:st.id sh.alloc_lock ~now:(now st)
-        ~op_cycles:
-          (cm.Cost_model.alloc_base + (cm.Cost_model.alloc_per_word * slots))
-        (fun () -> Heap.alloc_new h ~vp:st.id ~slots ~raw:false ~cls ())
+    let ctx =
+      alloc_locked st ~slots:(Layout.Ctx.fixed_slots + frame_slots size)
+        ~raw:false ~bytes:false ~cls
     in
-    sync_to st finish;
     add_cost st cm.Cost_model.ctx_fresh;
     ctx
   end
@@ -52,15 +65,7 @@ let alloc_context st ~size ~cls =
 (* General-purpose new-space allocation for primitives (basicNew etc.),
    under the allocation lock. *)
 let alloc_object st ~slots ~raw ?(bytes = false) ~cls () =
-  let sh = st.sh in
-  let cm = sh.cm in
-  let finish, o =
-    Spinlock.critical ~vp:st.id sh.alloc_lock ~now:(now st)
-      ~op_cycles:(cm.Cost_model.alloc_base + (cm.Cost_model.alloc_per_word * slots))
-      (fun () -> Heap.alloc_new sh.heap ~vp:st.id ~slots ~raw ~bytes ~cls ())
-  in
-  sync_to st finish;
-  o
+  alloc_locked st ~slots ~raw ~bytes ~cls
 
 let minfo st meth =
   Oop.small_val (Heap.get st.sh.heap meth Layout.Method.info)
@@ -79,23 +84,24 @@ let activate_method st ~meth ~nargs =
     alloc_context st ~size ~cls:st.sh.u.Universe.classes.Universe.method_context
   in
   let recv = peek st ~depth:nargs in
-  let set i v = Heap.set_raw h ctx i v in
-  let setp i v = store_with_check st ctx i v in
-  setp Layout.Ctx.sender !(st.active_ctx);
-  set Layout.Ctx.pc (Oop.of_small 0);
-  set Layout.Ctx.stackp (Oop.of_small ntemps);
-  setp Layout.Ctx.meth meth;
-  setp Layout.Ctx.receiver recv;
-  setp Layout.Ctx.home n;
-  set Layout.Ctx.startpc (Oop.of_small 0);
-  set Layout.Ctx.argstart (Oop.of_small 0);
-  set Layout.Ctx.nargs (Oop.of_small nargs);
+  (* raw stores for the small ints, checked stores for the pointers; no
+     local closures, which would be allocated on every send *)
+  store_with_check st ctx Layout.Ctx.sender !(st.active_ctx);
+  Heap.set_raw h ctx Layout.Ctx.pc (Oop.of_small 0);
+  Heap.set_raw h ctx Layout.Ctx.stackp (Oop.of_small ntemps);
+  store_with_check st ctx Layout.Ctx.meth meth;
+  store_with_check st ctx Layout.Ctx.receiver recv;
+  store_with_check st ctx Layout.Ctx.home n;
+  Heap.set_raw h ctx Layout.Ctx.startpc (Oop.of_small 0);
+  Heap.set_raw h ctx Layout.Ctx.argstart (Oop.of_small 0);
+  Heap.set_raw h ctx Layout.Ctx.nargs (Oop.of_small nargs);
   (* arguments into the first temporaries; remaining temps nil *)
   for i = 0 to nargs - 1 do
-    setp (Layout.Ctx.fixed_slots + i) (peek st ~depth:(nargs - 1 - i))
+    store_with_check st ctx (Layout.Ctx.fixed_slots + i)
+      (peek st ~depth:(nargs - 1 - i))
   done;
   for i = nargs to ntemps - 1 do
-    setp (Layout.Ctx.fixed_slots + i) n
+    store_with_check st ctx (Layout.Ctx.fixed_slots + i) n
   done;
   add_cost st (st.sh.cm.Cost_model.ctx_init_per_word * ntemps);
   popn st (nargs + 1);
@@ -115,17 +121,16 @@ let create_block_ctx st ~startpc ~nargs ~argstart =
   let ctx =
     alloc_context st ~size ~cls:st.sh.u.Universe.classes.Universe.block_context
   in
-  let set i v = Heap.set_raw h ctx i v in
-  let setp i v = store_with_check st ctx i v in
-  setp Layout.Ctx.sender n;
-  set Layout.Ctx.pc (Oop.of_small startpc);
-  set Layout.Ctx.stackp (Oop.of_small 0);
-  setp Layout.Ctx.meth meth;
-  setp Layout.Ctx.receiver (Heap.get h active Layout.Ctx.receiver);
-  setp Layout.Ctx.home home;
-  set Layout.Ctx.startpc (Oop.of_small startpc);
-  set Layout.Ctx.argstart (Oop.of_small argstart);
-  set Layout.Ctx.nargs (Oop.of_small nargs);
+  store_with_check st ctx Layout.Ctx.sender n;
+  Heap.set_raw h ctx Layout.Ctx.pc (Oop.of_small startpc);
+  Heap.set_raw h ctx Layout.Ctx.stackp (Oop.of_small 0);
+  store_with_check st ctx Layout.Ctx.meth meth;
+  store_with_check st ctx Layout.Ctx.receiver
+    (Heap.get h active Layout.Ctx.receiver);
+  store_with_check st ctx Layout.Ctx.home home;
+  Heap.set_raw h ctx Layout.Ctx.startpc (Oop.of_small startpc);
+  Heap.set_raw h ctx Layout.Ctx.argstart (Oop.of_small argstart);
+  Heap.set_raw h ctx Layout.Ctx.nargs (Oop.of_small nargs);
   ctx
 
 (* Activate a block for the value/value:... primitive.  The caller's stack

@@ -41,13 +41,19 @@ val sanitizer : t -> Sanitizer.t
 
 val flush : t -> unit
 
-(** [take t heap ~now size] pops a recycled context of [size], charging
-    lock time for the shared variant; returns the completion time and the
-    context ([Oop.sentinel] when the list is empty). *)
-val take : ?vp:int -> t -> Heap.t -> now:int -> size_class -> int * Oop.t
+(** [take ~vp t heap ~now size] pops a recycled context of [size],
+    charging lock time for the shared variant.  Answers the context
+    ([Oop.sentinel] when the list is empty) and leaves the completion
+    time for {!finish}.  [vp] is the acting processor, checked against a
+    replicated list's owner; engine-side callers pass -1. *)
+val take : vp:int -> t -> Heap.t -> now:int -> size_class -> Oop.t
 
-(** [give t heap ~now size ctx] hands a dead context back for reuse. *)
-val give : ?vp:int -> t -> Heap.t -> now:int -> size_class -> Oop.t -> int
+(** The completion time of the last {!take}. *)
+val finish : t -> int
+
+(** [give ~vp t heap ~now size ctx] hands a dead context back for reuse
+    and answers the completion time. *)
+val give : vp:int -> t -> Heap.t -> now:int -> size_class -> Oop.t -> int
 
 (** Abandon the list wholesale after a processor failure: the dead vp's
     recycled contexts are unreachable garbage the next scavenge reclaims

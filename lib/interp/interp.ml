@@ -88,6 +88,8 @@ let rec full_send st ~sel ~nargs ~super =
     (not super)
     && Oop.equal recv_class u.Universe.classes.Universe.class_c
   in
+  (* the method, or [Oop.sentinel] when the lookup fails: no option on
+     the send path *)
   let meth =
     if super then begin
       (* lookup starts above the defining class of the running method *)
@@ -99,58 +101,57 @@ let rec full_send st ~sel ~nargs ~super =
         lookup_method st ~start:parent ~class_receiver:class_side ~sel ~probes
       in
       add_cost st (cm.Cost_model.cache_probe + (!probes * 2));
-      m
+      match m with Some m -> m | None -> Oop.sentinel
     end
     else begin
       let key = behavior_key ~class_receiver ~recv ~recv_class in
-      let now0 = now st in
-      let now1, cached =
-        Method_cache.probe ~vp:st.id st.mcache ~now:now0 ~sel ~cls:key
+      let cached =
+        Method_cache.probe ~vp:st.id st.mcache ~now:(now st) ~sel ~cls:key
       in
-      sync_to st now1;
-      match cached with
-      | Some m ->
-          add_cost st
-            (cm.Cost_model.cache_hit
-             + (match st.mcache.Method_cache.mode with
-                | Method_cache.Replicated -> cm.Cost_model.replicated_cache_penalty
-                | Method_cache.Shared_locked _ -> 0));
-          Some m
-      | None ->
-          let probes = ref 0 in
-          let start = if class_receiver then recv else recv_class in
-          let m = lookup_method st ~start ~class_receiver ~sel ~probes in
-          add_cost st (cm.Cost_model.cache_probe + (!probes * 4));
-          (match m with
-           | Some m ->
-               let now2 =
-                 Method_cache.fill ~vp:st.id st.mcache ~now:(now st) ~sel
-                   ~cls:key ~meth:m
-               in
-               sync_to st now2
-           | None -> ());
-          m
+      sync_to st (Method_cache.finish st.mcache);
+      if not (Oop.equal cached Oop.sentinel) then begin
+        add_cost st
+          (cm.Cost_model.cache_hit
+           + (match st.mcache.Method_cache.mode with
+              | Method_cache.Replicated -> cm.Cost_model.replicated_cache_penalty
+              | Method_cache.Shared_locked _ -> 0));
+        cached
+      end
+      else begin
+        let probes = ref 0 in
+        let start = if class_receiver then recv else recv_class in
+        let m = lookup_method st ~start ~class_receiver ~sel ~probes in
+        add_cost st (cm.Cost_model.cache_probe + (!probes * 4));
+        match m with
+        | Some m ->
+            sync_to st
+              (Method_cache.fill ~vp:st.id st.mcache ~now:(now st) ~sel
+                 ~cls:key ~meth:m);
+            m
+        | None -> Oop.sentinel
+      end
     end
   in
-  match meth with
-  | None -> send_does_not_understand st ~sel ~nargs ~recv ~recv_class ~class_receiver
-  | Some meth ->
-      let info = Ctx.minfo st meth in
-      let prim = Layout.Minfo.prim info in
-      if prim >= 135 && prim <= 137 then
-        (* perform: and friends re-dispatch with the argument selector *)
-        send_perform st ~nargs ~meth ~info
-      else begin
-        let outcome =
-          if prim > 0 then Primitives.run st ~prim ~nargs else Primitives.Failed
-        in
-        match outcome with
-        | Primitives.Ok_done | Primitives.Switched -> ()
-        | Primitives.Failed ->
-            if Layout.Minfo.nargs info <> nargs then
-              raise (Does_not_understand "argument count mismatch");
-            Ctx.activate_method st ~meth ~nargs
-      end
+  if Oop.equal meth Oop.sentinel then
+    send_does_not_understand st ~sel ~nargs ~recv ~recv_class ~class_receiver
+  else begin
+    let info = Ctx.minfo st meth in
+    let prim = Layout.Minfo.prim info in
+    if prim >= 135 && prim <= 137 then
+      (* perform: and friends re-dispatch with the argument selector *)
+      send_perform st ~nargs ~meth ~info
+    else begin
+      let outcome =
+        if prim > 0 then Primitives.run st ~prim ~nargs else Primitives.Failed
+      in
+      match outcome with
+      | Primitives.Ok_done | Primitives.Switched -> ()
+      | Primitives.Failed ->
+          if Layout.Minfo.nargs info <> nargs then
+            raise (Does_not_understand "argument count mismatch");
+          Ctx.activate_method st ~meth ~nargs
+    end
+  end
 
 (* Lookup failed: assemble a Message object and send doesNotUnderstand:
    (Object's implementation reports an error; user classes may override). *)

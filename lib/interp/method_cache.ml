@@ -37,6 +37,7 @@ type t = {
   san_id : Sanitizer.id;     (* "method cache" in [sanitizer] *)
   mutable hits : int;
   mutable misses : int;
+  mutable finish : int;      (* completion time of the last [probe] *)
 }
 
 let make_table () = {
@@ -48,13 +49,15 @@ let make_table () = {
 
 let create_replicated ~owner ~sanitizer =
   { mode = Replicated; table = make_table (); owner; sanitizer;
-    san_id = Sanitizer.id sanitizer "method cache"; hits = 0; misses = 0 }
+    san_id = Sanitizer.id sanitizer "method cache"; hits = 0; misses = 0;
+    finish = 0 }
 
 (* All interpreters share [table] and [lock]; per-interpreter [t] values
    keep their own statistics. *)
 let create_shared ~sanitizer ~lock ~table =
   { mode = Shared_locked lock; table; owner = -1; sanitizer;
-    san_id = Sanitizer.id sanitizer "method cache"; hits = 0; misses = 0 }
+    san_id = Sanitizer.id sanitizer "method cache"; hits = 0; misses = 0;
+    finish = 0 }
 
 (* A replicated cache belongs to one interpreter.  [flush] is exempt: the
    scavenger and method installation flush every cache cross-processor by
@@ -81,44 +84,58 @@ let clear_if_stale tbl =
     tbl.stale <- false
   end
 
-(* Probe; returns the cached method and accumulates the lock time for the
-   shared variant into the caller's clock via [now]. *)
-let probe ?(vp = -1) t ~now ~sel ~cls =
-  check_owner t ~vp ~now;
-  let i = slot sel cls in
-  let tbl = t.table in
-  clear_if_stale tbl;
-  let read () =
-    if Oop.equal tbl.sels.(i) sel && Oop.equal tbl.clss.(i) cls then begin
-      t.hits <- t.hits + 1;
-      Some tbl.meths.(i)
-    end
-    else begin
-      t.misses <- t.misses + 1;
-      None
-    end
-  in
-  match t.mode with
-  | Replicated -> (now, read ())
-  | Shared_locked lock -> Spinlock.critical ~vp lock ~now ~op_cycles:4 read
+let read t tbl i ~sel ~cls =
+  if Oop.equal tbl.sels.(i) sel && Oop.equal tbl.clss.(i) cls then begin
+    t.hits <- t.hits + 1;
+    tbl.meths.(i)
+  end
+  else begin
+    t.misses <- t.misses + 1;
+    Oop.sentinel
+  end
 
-let fill ?(vp = -1) t ~now ~sel ~cls ~meth =
+let write tbl i ~sel ~cls ~meth =
+  tbl.sels.(i) <- sel;
+  tbl.clss.(i) <- cls;
+  tbl.meths.(i) <- meth
+
+(* Probe: answers the cached method, or [Oop.sentinel] on a miss, and
+   leaves the completion time (lock time included for the shared
+   variant) in [t.finish].  Every send that reaches the cache probes, so
+   a probe allocates nothing, and only the replicated probe is inlined
+   into the send path. *)
+let[@inline never] probe_shared t lock ~vp ~now tbl i ~sel ~cls =
+  Spinlock.enter lock ~vp ~now ~op_cycles:4;
+  let meth = read t tbl i ~sel ~cls in
+  t.finish <- Spinlock.leave lock ~vp;
+  meth
+
+let probe ~vp t ~now ~sel ~cls =
   check_owner t ~vp ~now;
   let i = slot sel cls in
   let tbl = t.table in
   clear_if_stale tbl;
-  let write () =
-    tbl.sels.(i) <- sel;
-    tbl.clss.(i) <- cls;
-    tbl.meths.(i) <- meth
-  in
   match t.mode with
   | Replicated ->
-      write ();
+      t.finish <- now;
+      read t tbl i ~sel ~cls
+  | Shared_locked lock -> probe_shared t lock ~vp ~now tbl i ~sel ~cls
+
+(* Only a miss fills, so the fill stays out of line. *)
+let[@inline never] fill ~vp t ~now ~sel ~cls ~meth =
+  check_owner t ~vp ~now;
+  let i = slot sel cls in
+  let tbl = t.table in
+  clear_if_stale tbl;
+  match t.mode with
+  | Replicated ->
+      write tbl i ~sel ~cls ~meth;
       now
   | Shared_locked lock ->
-      let now, () = Spinlock.critical ~vp lock ~now ~op_cycles:6 write in
-      now
+      Spinlock.enter lock ~vp ~now ~op_cycles:6;
+      write tbl i ~sel ~cls ~meth;
+      Spinlock.leave lock ~vp
 
+let finish t = t.finish
 let hits t = t.hits
 let misses t = t.misses

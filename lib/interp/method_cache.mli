@@ -22,6 +22,7 @@ type t = {
   san_id : Sanitizer.id;  (** the cache's resource id in [sanitizer] *)
   mutable hits : int;
   mutable misses : int;
+  mutable finish : int;  (** completion time of the last {!probe} *)
 }
 
 val make_table : unit -> table
@@ -43,14 +44,20 @@ val create_shared : sanitizer:Sanitizer.t -> lock:Spinlock.t -> table:table -> t
     design. *)
 val flush : t -> unit
 
-(** [probe t ~now ~sel ~cls] looks up the (selector, behaviour) pair,
-    returning the completion time (lock time included for the shared
-    variant) and the cached method if it hits. *)
-val probe :
-  ?vp:int -> t -> now:int -> sel:Oop.t -> cls:Oop.t -> int * Oop.t option
+(** [probe ~vp t ~now ~sel ~cls] looks up the (selector, behaviour)
+    pair.  It answers the cached method, or [Oop.sentinel] on a miss, and
+    leaves the completion time (lock time included for the shared
+    variant) for {!finish}; it allocates nothing.  [vp] is the probing
+    processor, checked against a replicated cache's owner; engine-side
+    callers pass -1. *)
+val probe : vp:int -> t -> now:int -> sel:Oop.t -> cls:Oop.t -> Oop.t
 
-val fill :
-  ?vp:int -> t -> now:int -> sel:Oop.t -> cls:Oop.t -> meth:Oop.t -> int
+(** The completion time of the last {!probe}. *)
+val finish : t -> int
+
+(** [fill ~vp t ~now ~sel ~cls ~meth] caches [meth] and answers the
+    completion time. *)
+val fill : vp:int -> t -> now:int -> sel:Oop.t -> cls:Oop.t -> meth:Oop.t -> int
 
 val hits : t -> int
 

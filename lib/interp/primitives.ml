@@ -105,27 +105,39 @@ let signal_semaphore st sem =
 
 (* --- SmallInteger arithmetic --- *)
 
-let int2 st ~nargs f =
-  if nargs <> 1 then Failed
+(* The arithmetic primitives run on every arithmetic send that misses
+   the special-selector path, so they take their operands and answer
+   their result without a closure or an option: [f] answers [no_int],
+   which is no SmallInteger, when the primitive fails. *)
+let no_int = min_int
+
+let small_operands st ~nargs =
+  nargs = 1
+  && Oop.is_small (peek st ~depth:0)
+  && Oop.is_small (peek st ~depth:1)
+
+let int_arith st ~nargs f =
+  if not (small_operands st ~nargs) then Failed
   else begin
-    let arg = peek st ~depth:0 and recv = peek st ~depth:1 in
-    if Oop.is_small recv && Oop.is_small arg then
-      f (Oop.small_val recv) (Oop.small_val arg)
+    let r =
+      f (Oop.small_val (peek st ~depth:1)) (Oop.small_val (peek st ~depth:0))
+    in
+    if r >= Oop.min_small && r <= Oop.max_small then begin
+      charge_arith st;
+      pop_all_push st ~nargs (Oop.of_small r)
+    end
     else Failed
   end
 
-let int_arith st ~nargs f =
-  int2 st ~nargs (fun a b ->
-      match f a b with
-      | Some r when r >= Oop.min_small && r <= Oop.max_small ->
-          charge_arith st;
-          pop_all_push st ~nargs (Oop.of_small r)
-      | Some _ | None -> Failed)
-
 let int_cmp st ~nargs f =
-  int2 st ~nargs (fun a b ->
-      charge_arith st;
-      pop_all_push st ~nargs (bool_oop st (f a b)))
+  if not (small_operands st ~nargs) then Failed
+  else begin
+    charge_arith st;
+    pop_all_push st ~nargs
+      (bool_oop st
+         (f (Oop.small_val (peek st ~depth:1))
+            (Oop.small_val (peek st ~depth:0))))
+  end
 
 (* Floor division and modulo, Smalltalk style. *)
 let floor_div a b =
@@ -178,39 +190,44 @@ let float_cmp st ~nargs f =
 
 (* The indexable part of [o] starts after its class's named instance
    variables. *)
+(* The named fields of the object [o]; its indexed fields follow them. *)
+let inst_size st o =
+  let h = h_ st in
+  Oop.small_val (Heap.get h (Heap.class_at h (Oop.addr o)) Layout.Class.inst_size)
+
 let indexable_info st o =
   if Oop.is_small o then None
   else begin
-    let h = h_ st in
-    let cls = Heap.class_at h (Oop.addr o) in
-    let inst = Oop.small_val (Heap.get h cls Layout.Class.inst_size) in
-    let total = Heap.slots h (Oop.addr o) in
-    Some (cls, inst, total - inst)
+    let inst = inst_size st o in
+    Some
+      (Heap.class_at (h_ st) (Oop.addr o), inst,
+       Heap.slots (h_ st) (Oop.addr o) - inst)
   end
 
+(* [at:] and [at:put:] run on every indexed access, so they read the
+   receiver's shape in place, with no tuple or option. *)
 let prim_at st ~nargs =
   if nargs <> 1 then Failed
   else begin
     let idx = peek st ~depth:0 and recv = peek st ~depth:1 in
-    if not (Oop.is_small idx) then Failed
+    if not (Oop.is_small idx) || Oop.is_small recv then Failed
     else
-      match indexable_info st recv with
-      | None -> Failed
-      | Some (_, inst, len) ->
-          let i = Oop.small_val idx in
-          if i < 1 || i > len then Failed
-          else begin
-            charge_at st;
-            let h = h_ st in
-            let v = Heap.get h recv (inst + i - 1) in
-            let v =
-              if Heap.is_bytes h (Oop.addr recv) then
-                Universe.char_oop (u_ st) (Char.chr (v land 0xff))
-              else if Heap.is_raw h (Oop.addr recv) then Oop.of_small v
-              else v
-            in
-            pop_all_push st ~nargs v
-          end
+      let inst = inst_size st recv in
+      let len = Heap.slots (h_ st) (Oop.addr recv) - inst in
+      let i = Oop.small_val idx in
+      if i < 1 || i > len then Failed
+      else begin
+        charge_at st;
+        let h = h_ st in
+        let v = Heap.get h recv (inst + i - 1) in
+        let v =
+          if Heap.is_bytes h (Oop.addr recv) then
+            Universe.char_oop (u_ st) (Char.chr (v land 0xff))
+          else if Heap.is_raw h (Oop.addr recv) then Oop.of_small v
+          else v
+        in
+        pop_all_push st ~nargs v
+      end
   end
 
 let prim_at_put st ~nargs =
@@ -219,46 +236,45 @@ let prim_at_put st ~nargs =
     let v = peek st ~depth:0
     and idx = peek st ~depth:1
     and recv = peek st ~depth:2 in
-    if not (Oop.is_small idx) then Failed
+    if not (Oop.is_small idx) || Oop.is_small recv then Failed
     else
-      match indexable_info st recv with
-      | None -> Failed
-      | Some (_, inst, len) ->
-          let i = Oop.small_val idx in
-          if i < 1 || i > len then Failed
-          else begin
-            let h = h_ st in
-            let a = Oop.addr recv in
-            charge_at st;
-            if Heap.is_bytes h a then begin
-              (* accept a Character or a small integer 0..255 *)
-              let code =
-                if Oop.is_small v then Some (Oop.small_val v)
-                else if
-                  Oop.equal (Universe.class_of (u_ st) v)
-                    (u_ st).Universe.classes.Universe.character
-                then Some (Char.code (Universe.char_value (u_ st) v))
-                else None
-              in
-              match code with
-              | Some c when c >= 0 && c <= 255 ->
-                  Heap.set_raw h recv (inst + i - 1) c;
-                  pop_all_push st ~nargs v
-              | Some _ | None -> Failed
-            end
-            else if Heap.is_raw h a then begin
-              if Oop.is_small v then begin
-                Heap.set_raw h recv (inst + i - 1) (Oop.small_val v);
-                pop_all_push st ~nargs v
-              end
-              else Failed
-            end
-            else begin
-              store_with_check st recv (inst + i - 1) v;
-              add_cost st st.sh.cm.Cost_model.store_check;
+      let inst = inst_size st recv in
+      let len = Heap.slots (h_ st) (Oop.addr recv) - inst in
+      let i = Oop.small_val idx in
+      if i < 1 || i > len then Failed
+      else begin
+        let h = h_ st in
+        let a = Oop.addr recv in
+        charge_at st;
+        if Heap.is_bytes h a then begin
+          (* accept a Character or a small integer 0..255 *)
+          let code =
+            if Oop.is_small v then Some (Oop.small_val v)
+            else if
+              Oop.equal (Universe.class_of (u_ st) v)
+                (u_ st).Universe.classes.Universe.character
+            then Some (Char.code (Universe.char_value (u_ st) v))
+            else None
+          in
+          match code with
+          | Some c when c >= 0 && c <= 255 ->
+              Heap.set_raw h recv (inst + i - 1) c;
               pop_all_push st ~nargs v
-            end
+          | Some _ | None -> Failed
+        end
+        else if Heap.is_raw h a then begin
+          if Oop.is_small v then begin
+            Heap.set_raw h recv (inst + i - 1) (Oop.small_val v);
+            pop_all_push st ~nargs v
           end
+          else Failed
+        end
+        else begin
+          store_with_check st recv (inst + i - 1) v;
+          add_cost st st.sh.cm.Cost_model.store_check;
+          pop_all_push st ~nargs v
+        end
+      end
   end
 
 (* Class format of instances to allocate. *)
@@ -1007,25 +1023,25 @@ let prim_char_as_integer st ~nargs =
 
 let run st ~prim ~nargs =
   match prim with
-  | 1 -> int_arith st ~nargs (fun a b -> Some (a + b))
-  | 2 -> int_arith st ~nargs (fun a b -> Some (a - b))
+  | 1 -> int_arith st ~nargs (fun a b -> a + b)
+  | 2 -> int_arith st ~nargs (fun a b -> a - b)
   | 3 -> int_cmp st ~nargs (fun a b -> a < b)
   | 4 -> int_cmp st ~nargs (fun a b -> a > b)
   | 5 -> int_cmp st ~nargs (fun a b -> a <= b)
   | 6 -> int_cmp st ~nargs (fun a b -> a >= b)
   | 7 -> int_cmp st ~nargs (fun a b -> a = b)
   | 8 -> int_cmp st ~nargs (fun a b -> a <> b)
-  | 9 -> int_arith st ~nargs (fun a b -> Some (a * b))
-  | 10 -> int_arith st ~nargs (fun a b -> if b = 0 then None else Some (floor_div a b))
-  | 11 -> int_arith st ~nargs (fun a b -> if b = 0 then None else Some (floor_mod a b))
-  | 12 -> int_arith st ~nargs (fun a b -> Some (a land b))
-  | 13 -> int_arith st ~nargs (fun a b -> Some (a lor b))
-  | 14 -> int_arith st ~nargs (fun a b -> Some (a lxor b))
+  | 9 -> int_arith st ~nargs (fun a b -> a * b)
+  | 10 -> int_arith st ~nargs (fun a b -> if b = 0 then no_int else floor_div a b)
+  | 11 -> int_arith st ~nargs (fun a b -> if b = 0 then no_int else floor_mod a b)
+  | 12 -> int_arith st ~nargs (fun a b -> a land b)
+  | 13 -> int_arith st ~nargs (fun a b -> a lor b)
+  | 14 -> int_arith st ~nargs (fun a b -> a lxor b)
   | 15 ->
       int_arith st ~nargs (fun a b ->
-          if b >= 0 && b < 62 then Some (a lsl b)
-          else if b < 0 && b > -62 then Some (a asr (-b))
-          else None)
+          if b >= 0 && b < 62 then a lsl b
+          else if b < 0 && b > -62 then a asr (-b)
+          else no_int)
   | 16 ->
       (* identity *)
       if nargs <> 1 then Failed
@@ -1034,7 +1050,7 @@ let run st ~prim ~nargs =
         let b = Oop.equal (peek st ~depth:0) (peek st ~depth:1) in
         pop_all_push st ~nargs (bool_oop st b)
       end
-  | 17 -> int_arith st ~nargs (fun a b -> if b = 0 then None else Some (a / b))
+  | 17 -> int_arith st ~nargs (fun a b -> if b = 0 then no_int else a / b)
   | 41 -> float_arith st ~nargs ( +. )
   | 42 -> float_arith st ~nargs ( -. )
   | 43 -> float_cmp st ~nargs ( < )

@@ -261,10 +261,11 @@ let ll_remove ?(vp = -1) t ~now list proc =
 
 (* --- the ready queue --- *)
 
-let ready_list t priority =
-  let h = heap t in
-  let lists = Heap.get h t.u.Universe.scheduler Layout.Scheduler.ready_lists in
-  Heap.get h lists (priority - 1)
+(* The ProcessorScheduler's Array of ready lists (Locked). *)
+let ready_lists t =
+  Heap.get (heap t) t.u.Universe.scheduler Layout.Scheduler.ready_lists
+
+let ready_list t priority = Heap.get (heap t) (ready_lists t) (priority - 1)
 
 let priority_of t proc =
   Oop.small_val (Heap.get (heap t) proc Layout.Process.priority)
@@ -419,20 +420,38 @@ let last_eligible t list =
   let h = heap t in
   last_eligible_from t h (nil t) (Heap.get h list Layout.Linked_list.first)
 
-let rec find_from t ~homes ~from ~above priority d =
+(* [home_list] with the ready-lists Array already read: [lists] is
+   {!ready_lists} for Locked and unused for Stealing. *)
+let home_list_in t lists i =
+  match t.strategy with
+  | Locked -> Heap.get (heap t) lists i
+  | Stealing -> t.deques.(i)
+
+(* [from] is below [homes], so the home [from + d] wraps with one
+   subtraction. *)
+let rec find_from t ~homes ~lists ~from ~above priority d =
   if priority <= above then -1
-  else if d >= homes then find_from t ~homes ~from ~above (priority - 1) 0
+  else if d >= homes then
+    find_from t ~homes ~lists ~from ~above (priority - 1) 0
   else
-    let i = index ~owner:((from + d) mod homes) ~priority in
-    if Oop.equal (first_eligible t (home_list t i)) (nil t) then
-      find_from t ~homes ~from ~above priority (d + 1)
+    let owner = if from + d >= homes then from + d - homes else from + d in
+    let i = index ~owner ~priority in
+    if Oop.equal (first_eligible t (home_list_in t lists i)) (nil t) then
+      find_from t ~homes ~lists ~from ~above priority (d + 1)
     else i
 
 (* The index of the first home list holding an eligible Process of
    priority above [above], walking priorities top-down and, at each, the
-   homes from [from]'s own onwards; -1 when there is none. *)
+   homes from [from]'s own onwards; -1 when there is none.  An idle
+   processor's every pick fails through here, so the scan reads the
+   ready-lists Array once and divides once. *)
 let find_ready t ~from ~above =
-  find_from t ~homes:(homes t) ~from ~above Layout.Scheduler.priorities 0
+  let homes = homes t in
+  let lists =
+    match t.strategy with Locked -> ready_lists t | Stealing -> nil t
+  in
+  find_from t ~homes ~lists ~from:(from mod homes) ~above
+    Layout.Scheduler.priorities 0
 
 let is_in_ready_queue t proc =
   let i = chained t proc in

@@ -215,17 +215,23 @@ let set_sp st sp = st.r_sp <- sp
 (* Pointer store with the generation-scavenging store check; an insertion
    into the entry table passes through the entry-table lock (serialization,
    paper section 3.1) — acquired before the store, so the insert happens
-   inside the critical section. *)
+   inside the critical section.  The insert is rare and stays out of
+   line; the plain store is inlined at every caller. *)
+let[@inline never] store_remembering st obj i v =
+  let h = st.sh.heap in
+  let lock = st.sh.entry_lock in
+  Spinlock.enter lock ~vp:st.id ~now:(now st)
+    ~op_cycles:st.sh.cm.Cost_model.remember_insert;
+  (match Heap.store_ptr h obj i v with
+   | (_ : bool) -> ()
+   | exception e ->
+       Spinlock.leave_raised lock ~vp:st.id;
+       raise e);
+  sync_to st (Spinlock.leave lock ~vp:st.id)
+
 let store_with_check st obj i v =
   let h = st.sh.heap in
-  if Heap.store_would_remember h obj v then begin
-    let finish, () =
-      Spinlock.critical ~vp:st.id st.sh.entry_lock ~now:(now st)
-        ~op_cycles:st.sh.cm.Cost_model.remember_insert (fun () ->
-          ignore (Heap.store_ptr h obj i v))
-    in
-    sync_to st finish
-  end
+  if Heap.store_would_remember h obj v then store_remembering st obj i v
   else begin
     (* [Heap.store_ptr] without its entry-table test, just answered *)
     Heap.set_raw h obj i v;

@@ -73,6 +73,8 @@ type t = {
   mutable free_list_hits : int;
   mutable free_reused_words : int;
   mutable major_dirty : (Oop.t -> unit) option;   (* the write barrier *)
+  mutable major_marking : bool;  (* the collector is marking: the barrier
+                                    is live (set by [Major]) *)
   mutable on_old_alloc : (int -> unit) option;    (* allocate-black *)
   mutable on_old_exhausted : (int -> bool) option; (* forced completion *)
   (* statistics *)
@@ -234,6 +236,7 @@ let create ?(policy = Unlocked) ?(processors = 1) ?(tenure_age = 4)
       free_list_hits = 0;
       free_reused_words = 0;
       major_dirty = None;
+      major_marking = false;
       on_old_alloc = None;
       on_old_exhausted = None;
       allocations = 0;
@@ -312,10 +315,13 @@ let store_would_remember h (o : Oop.t) (v : Oop.t) =
 (* The incremental collector's write barrier, when installed (E18):
    Dijkstra-style incremental update — the stored target is shaded, so no
    pointer to a white old object can be hidden inside an already-scanned
-   one.  Pointer stores that bypass [store_ptr] (scheduler queue surgery,
-   free-context threading) call this directly before their raw store. *)
+   one.  The barrier acts only while the collector marks, so it is called
+   only then: [major_marking] mirrors the collector's phase.  Pointer
+   stores that bypass [store_ptr] (scheduler queue surgery, free-context
+   threading) call this directly before their raw store. *)
 let major_note h (v : Oop.t) =
-  match h.major_dirty with Some f -> f v | None -> ()
+  if h.major_marking then
+    match h.major_dirty with Some f -> f v | None -> ()
 
 (* Pointer store with the generation-scavenging store check.  Returns true
    when the store inserted the receiver into the entry table, so the caller
@@ -323,7 +329,7 @@ let major_note h (v : Oop.t) =
 let store_ptr h (o : Oop.t) i (v : Oop.t) =
   let a = Oop.addr o in
   h.mem.(a + Layout.header_words + i) <- v;
-  (match h.major_dirty with Some f -> f v | None -> ());
+  major_note h v;
   if a < h.new_base && a >= 2 && is_new h v && not (is_remembered h a) then begin
     remember h a;
     true
@@ -424,57 +430,51 @@ let free_carve h a sz total =
   else if rem = 1 then write_filler h (a + total) 1;
   a
 
+(* A hole of [sz] words at [a], just unthreaded, supplies [total]. *)
+let took h a sz total =
+  h.free_list_hits <- h.free_list_hits + 1;
+  h.free_reused_words <- h.free_reused_words + total;
+  free_carve h a sz total
+
+let rec first_fit h total acc = function
+  | [] -> -1
+  | a :: rest ->
+      let sz = size_words h a in
+      if sz >= total then begin
+        h.free_lists.(16) <- List.rev_append acc rest;
+        h.free_words <- h.free_words - sz;
+        took h a sz total
+      end
+      else first_fit h total (a :: acc) rest
+
+let rec exact_fit h total b =
+  if b >= 16 then first_fit h total [] h.free_lists.(16)
+  else
+    match h.free_lists.(b) with
+    | a :: rest ->
+        h.free_lists.(b) <- rest;
+        h.free_words <- h.free_words - (b + 2);
+        took h a (b + 2) total
+    | [] -> exact_fit h total (b + 1)
+
 (* Take [total] words from the free lists: exact buckets smallest-first,
-   then first fit in the overflow bucket. *)
+   then first fit in the overflow bucket.  Answers the address, or -1
+   when no hole fits: every promotion into old space asks, so the search
+   builds no option or pair. *)
 let free_take h total =
-  if total < 2 then None
-  else begin
-    let found = ref None in
-    let b = ref (free_bucket total) in
-    while !found = None && !b < 16 do
-      (match h.free_lists.(!b) with
-       | a :: rest ->
-           h.free_lists.(!b) <- rest;
-           h.free_words <- h.free_words - (!b + 2);
-           found := Some (a, !b + 2)
-       | [] -> ());
-      if !found = None then incr b
-    done;
-    (match !found with
-     | Some _ -> ()
-     | None ->
-         let rec fit acc = function
-           | [] -> ()
-           | a :: rest ->
-               let sz = size_words h a in
-               if sz >= total then begin
-                 h.free_lists.(16) <- List.rev_append acc rest;
-                 h.free_words <- h.free_words - sz;
-                 found := Some (a, sz)
-               end
-               else fit (a :: acc) rest
-         in
-         fit [] h.free_lists.(16));
-    match !found with
-    | Some (a, sz) ->
-        h.free_list_hits <- h.free_list_hits + 1;
-        h.free_reused_words <- h.free_reused_words + total;
-        Some (free_carve h a sz total)
-    | None -> None
-  end
+  if total < 2 then -1 else exact_fit h total (free_bucket total)
 
 (* Raw old-space allocation: the free lists first, then the bump pointer;
-   [None] when neither can supply [total] words. *)
+   -1 when neither can supply [total] words. *)
 let alloc_old_addr h total =
-  match free_take h total with
-  | Some a -> Some a
-  | None ->
-      if region_avail h.old >= total then begin
-        let a = h.old.ptr in
-        h.old.ptr <- h.old.ptr + total;
-        Some a
-      end
-      else None
+  let a = free_take h total in
+  if a >= 0 then a
+  else if region_avail h.old >= total then begin
+    let a = h.old.ptr in
+    h.old.ptr <- h.old.ptr + total;
+    a
+  end
+  else -1
 
 (* Allocate-black: objects entering old space mid-cycle are marked (and
    greyed) by the collector's hook, so an in-flight mark-sweep can never
@@ -491,15 +491,14 @@ let mark_old_alloc h a =
 let alloc_old h ~slots ~raw ?(bytes = false) ~cls () =
   let total = slots + Layout.header_words in
   let a =
-    match alloc_old_addr h total with
-    | Some a -> a
-    | None -> (
-        match h.on_old_exhausted with
-        | Some force when force total -> (
-            match alloc_old_addr h total with
-            | Some a -> a
-            | None -> raise (Image_full "old space exhausted"))
-        | _ -> raise (Image_full "old space exhausted"))
+    let a = alloc_old_addr h total in
+    if a >= 0 then a
+    else
+      match h.on_old_exhausted with
+      | Some force when force total ->
+          let a = alloc_old_addr h total in
+          if a >= 0 then a else raise (Image_full "old space exhausted")
+      | _ -> raise (Image_full "old space exhausted")
   in
   write_header h a ~total ~flags:(flags_of_format ~raw ~bytes) ~age:0 ~cls;
   fill h a ~from:Layout.header_words ~until:total (if raw then 0 else h.nil);

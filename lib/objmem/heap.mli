@@ -78,7 +78,11 @@ type t = {
   mutable free_list_hits : int;
   mutable free_reused_words : int;
   mutable major_dirty : (Oop.t -> unit) option;
-      (** the incremental collector's write barrier, when a cycle runs *)
+      (** the incremental collector's write barrier, installed with the
+          collector *)
+  mutable major_marking : bool;
+      (** the collector is marking, so pointer stores call
+          [major_dirty]; {!Major} sets it at each phase change *)
   mutable on_old_alloc : (int -> unit) option;
       (** allocate-black hook for objects entering old space mid-cycle *)
   mutable on_old_exhausted : (int -> bool) option;
@@ -208,7 +212,8 @@ val store_would_remember : t -> Oop.t -> Oop.t -> bool
 val store_ptr : t -> Oop.t -> int -> Oop.t -> bool
 
 (** Run the incremental collector's write barrier on a stored value, if
-    one is installed.  Pointer stores that bypass {!store_ptr} (scheduler
+    one is installed and the collector is marking ([major_marking]);
+    {!store_ptr} runs it the same way.  Pointer stores that bypass {!store_ptr} (scheduler
     queue surgery, free-context threading) must call this before their
     raw store (E18). *)
 val major_note : t -> Oop.t -> unit
@@ -258,12 +263,13 @@ val free_add : t -> int -> int -> unit
 val free_reset : t -> unit
 
 (** Take [total] words from the free lists (exact bucket first, then
-    first-fit overflow), carving and re-threading any remainder. *)
-val free_take : t -> int -> int option
+    first-fit overflow), carving and re-threading any remainder; the
+    address, or -1 when no hole fits. *)
+val free_take : t -> int -> int
 
 (** Raw old-space allocation of [total] words: free lists, then bump
-    pointer; [None] when neither can satisfy it. *)
-val alloc_old_addr : t -> int -> int option
+    pointer; -1 when neither can satisfy it. *)
+val alloc_old_addr : t -> int -> int
 
 (** Run the allocate-black hook on a freshly allocated old address. *)
 val mark_old_alloc : t -> int -> unit

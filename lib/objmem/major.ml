@@ -39,7 +39,10 @@ type t = {
   iter_roots : (Oop.t -> unit) -> unit;
   marks : Bytes.t;  (* one bit per old-space word address *)
   mutable phase : phase;
-  mutable grey : int list;  (* marked, fields not yet scanned *)
+  (* marked, fields not yet scanned: a stack of addresses in an int
+     array, so shading allocates nothing *)
+  mutable grey : int array;
+  mutable grey_len : int;
   mutable roots_done : bool;
   (* incremental new-space scan: region index, cursor, and the scavenge
      epoch it is valid for *)
@@ -50,7 +53,11 @@ type t = {
   mutable sweep_cursor : int;
   mutable root_cost : int;  (* the last root scan's cost, for the rescan gate *)
   mutable next_slice_at : int;  (* pacing: no slice before this time *)
-  mutable last_cycle_tenured : int;  (* tenured_words_total at last start *)
+  (* the two start triggers as thresholds, so [due] is two compares:
+     the old-space occupancy, and the [tenured_words_total] that the
+     growth since the last cycle's start or end must reach *)
+  start_used : int;
+  mutable start_tenured : int;
   (* statistics *)
   mutable cycles_completed : int;
   mutable slices : int;
@@ -67,14 +74,20 @@ type t = {
   mutable alloc_marks : int;  (* objects allocated black mid-cycle *)
 }
 
+(* Tenured growth that starts a cycle: 1/64 of old space, at least 2048
+   words. *)
+let growth_trigger heap = Int.max 2048 ((heap.old.limit - heap.old.base) / 64)
+
 let create ~heap ~budget ~iter_roots =
+  let old_words = heap.old.limit - heap.old.base in
   {
     heap;
     budget = Int.max 1 budget;
     iter_roots;
     marks = Bytes.make ((heap.new_base + 7) / 8) '\000';
     phase = Idle;
-    grey = [];
+    grey = Array.make 256 0;
+    grey_len = 0;
     roots_done = false;
     ns_ri = 0;
     ns_addr = min_int;
@@ -83,7 +96,9 @@ let create ~heap ~budget ~iter_roots =
     sweep_cursor = 0;
     root_cost = 0;
     next_slice_at = 0;
-    last_cycle_tenured = 0;
+    (* the least occupancy [u] with [u * 1000 >= 600 * old_words] *)
+    start_used = ((600 * old_words) + 999) / 1000;
+    start_tenured = growth_trigger heap;
     cycles_completed = 0;
     slices = 0;
     slice_cycles_total = 0;
@@ -113,23 +128,33 @@ let set_mark t a =
 
 (* --- shading --- *)
 
+let push_grey t a =
+  if t.grey_len = Array.length t.grey then begin
+    let bigger = Array.make (2 * t.grey_len) 0 in
+    Array.blit t.grey 0 bigger 0 t.grey_len;
+    t.grey <- bigger
+  end;
+  t.grey.(t.grey_len) <- a;
+  t.grey_len <- t.grey_len + 1
+
 let shade t a =
   if not (marked t a) then begin
     set_mark t a;
-    t.grey <- a :: t.grey
+    push_grey t a
   end
 
 let shade_oop t (v : Oop.t) = if is_old t.heap v then shade t (Oop.addr v)
 
 (* The write barrier: while marking, the stored value is shaded so no
    pointer to a white object can be hidden inside an already-scanned
-   one.  Installed as [heap.major_dirty] for the cycle's duration. *)
+   one.  Installed as [heap.major_dirty]; the heap calls it only while
+   [set_phase] has [major_marking] on. *)
 let dirty t (v : Oop.t) =
   if t.phase = Marking && is_old t.heap v then begin
     let a = Oop.addr v in
     if not (marked t a) then begin
       set_mark t a;
-      t.grey <- a :: t.grey;
+      push_grey t a;
       t.barrier_greys <- t.barrier_greys + 1
     end
   end
@@ -140,7 +165,7 @@ let dirty t (v : Oop.t) =
 let alloc_black t a =
   if t.phase <> Idle && not (marked t a) then begin
     set_mark t a;
-    if t.phase = Marking then t.grey <- a :: t.grey;
+    if t.phase = Marking then push_grey t a;
     t.alloc_marks <- t.alloc_marks + 1
   end
 
@@ -152,9 +177,16 @@ let old_words t = t.heap.old.limit - t.heap.old.base
    growth since the last cycle passes a fraction of it. *)
 let want_start t =
   t.phase = Idle
-  && (old_used t.heap * 1000 >= 600 * old_words t
-      || t.heap.tenured_words_total - t.last_cycle_tenured
-         >= Int.max 2048 (old_words t / 64))
+  && (old_used t.heap >= t.start_used
+      || t.heap.tenured_words_total >= t.start_tenured)
+
+(* Re-arm the growth trigger from the current tenured total. *)
+let rearm t = t.start_tenured <- t.heap.tenured_words_total + growth_trigger t.heap
+
+(* Phase changes also tell the heap whether the write barrier is live. *)
+let set_phase t phase =
+  t.phase <- phase;
+  t.heap.major_marking <- phase = Marking
 
 let near_exhaustion t = old_used t.heap * 1000 >= 900 * old_words t
 
@@ -166,14 +198,14 @@ let run_flush_hooks t = List.iter (fun hook -> hook ()) t.heap.on_scavenge
 
 let start_cycle t =
   Bytes.fill t.marks 0 (Bytes.length t.marks) '\000';
-  t.grey <- [];
+  t.grey_len <- 0;
   t.roots_done <- false;
   t.ns_ri <- 0;
   t.ns_addr <- min_int;
   t.ns_epoch <- -1;
   t.ns_done <- false;
-  t.last_cycle_tenured <- t.heap.tenured_words_total;
-  t.phase <- Marking;
+  rearm t;
+  set_phase t Marking;
   (* cached method lookups and decodes must not carry oops across the
      cycle unscanned; the scavenge flush hooks drop them all *)
   run_flush_hooks t
@@ -223,79 +255,79 @@ type mark_progress =
    restarts when a scavenge has moved new space under it). *)
 let mark_one t (cm : Cost_model.t) cost ~budget ~did =
   let h = t.heap in
-  match t.grey with
-  | a :: rest ->
-      let limit = Scavenger.scan_limit h a in
-      let unit = cm.major_mark_per_object + (cm.major_mark_per_word * limit) in
-      if not (admit cost ~budget ~did unit) then Blocked
-      else begin
-        t.grey <- rest;
-        (* the class pointer is not a scanned field, but it must survive
-           as long as any instance does *)
-        shade_oop t (class_at h a);
-        let base = a + Layout.header_words in
-        for i = 0 to limit - 1 do
-          shade_oop t h.mem.(base + i)
-        done;
-        Stepped
+  if t.grey_len > 0 then begin
+    let a = t.grey.(t.grey_len - 1) in
+    let limit = Scavenger.scan_limit h a in
+    let unit = cm.major_mark_per_object + (cm.major_mark_per_word * limit) in
+    if not (admit cost ~budget ~did unit) then Blocked
+    else begin
+      t.grey_len <- t.grey_len - 1;
+      (* the class pointer is not a scanned field, but it must survive
+         as long as any instance does *)
+      shade_oop t (class_at h a);
+      let base = a + Layout.header_words in
+      for i = 0 to limit - 1 do
+        shade_oop t h.mem.(base + i)
+      done;
+      Stepped
+    end
+  end
+  else if t.ns_done then Drained
+  else begin
+    (* a completed scan is not invalidated by a scavenge (see the
+       header comment); only an in-progress one restarts *)
+    if t.ns_epoch <> h.scavenge_count then begin
+      t.ns_ri <- 0;
+      t.ns_addr <- min_int;
+      t.ns_epoch <- h.scavenge_count
+    end;
+    let regions = ns_regions t in
+    (* advancing past exhausted regions costs nothing *)
+    let rec step () =
+      if t.ns_ri >= Array.length regions then begin
+        t.ns_done <- true;
+        Drained
       end
-  | [] ->
-      if t.ns_done then Drained
       else begin
-        (* a completed scan is not invalidated by a scavenge (see the
-           header comment); only an in-progress one restarts *)
-        if t.ns_epoch <> h.scavenge_count then begin
-          t.ns_ri <- 0;
+        let r = regions.(t.ns_ri) in
+        if t.ns_addr < r.base then t.ns_addr <- r.base;
+        if t.ns_addr >= r.ptr then begin
+          t.ns_ri <- t.ns_ri + 1;
           t.ns_addr <- min_int;
-          t.ns_epoch <- h.scavenge_count
-        end;
-        let regions = ns_regions t in
-        (* advancing past exhausted regions costs nothing *)
-        let rec step () =
-          if t.ns_ri >= Array.length regions then begin
-            t.ns_done <- true;
-            Drained
+          step ()
+        end
+        else begin
+          let a = t.ns_addr in
+          let sz = size_words h a in
+          if is_filler h a then begin
+            if not (admit cost ~budget ~did cm.major_mark_per_object) then
+              Blocked
+            else begin
+              t.ns_addr <- a + sz;
+              Stepped
+            end
           end
           else begin
-            let r = regions.(t.ns_ri) in
-            if t.ns_addr < r.base then t.ns_addr <- r.base;
-            if t.ns_addr >= r.ptr then begin
-              t.ns_ri <- t.ns_ri + 1;
-              t.ns_addr <- min_int;
-              step ()
-            end
+            let limit = Scavenger.scan_limit h a in
+            let unit =
+              cm.major_mark_per_object + (cm.major_mark_per_word * limit)
+            in
+            if not (admit cost ~budget ~did unit) then Blocked
             else begin
-              let a = t.ns_addr in
-              let sz = size_words h a in
-              if is_filler h a then begin
-                if not (admit cost ~budget ~did cm.major_mark_per_object) then
-                  Blocked
-                else begin
-                  t.ns_addr <- a + sz;
-                  Stepped
-                end
-              end
-              else begin
-                let limit = Scavenger.scan_limit h a in
-                let unit =
-                  cm.major_mark_per_object + (cm.major_mark_per_word * limit)
-                in
-                if not (admit cost ~budget ~did unit) then Blocked
-                else begin
-                  shade_oop t (class_at h a);
-                  let base = a + Layout.header_words in
-                  for i = 0 to limit - 1 do
-                    shade_oop t h.mem.(base + i)
-                  done;
-                  t.ns_addr <- a + sz;
-                  Stepped
-                end
-              end
+              shade_oop t (class_at h a);
+              let base = a + Layout.header_words in
+              for i = 0 to limit - 1 do
+                shade_oop t h.mem.(base + i)
+              done;
+              t.ns_addr <- a + sz;
+              Stepped
             end
           end
-        in
-        step ()
+        end
       end
+    in
+    step ()
+  end
 
 (* --- the sweep phase --- *)
 
@@ -373,20 +405,20 @@ let slice_internal t (cm : Cost_model.t) ~budget =
            the next slice — arriving with a clean budget — runs the
            rescan as its first unit *)
         if
-          t.grey = [] && t.ns_done
+          t.grey_len = 0 && t.ns_done
           && ((not !did) || !cost + t.root_cost <= budget)
         then begin
           let n = scan_roots t in
           cost := !cost + (n * cm.major_mark_per_word);
           did := true;
-          if t.grey = [] then begin
+          if t.grey_len = 0 then begin
             (* marking is complete; flush the caches again so nothing
                holds an about-to-be-freed oop, rebuild the free lists
                from scratch, and let the sweep start next slice *)
             run_flush_hooks t;
             free_reset t.heap;
             t.sweep_cursor <- t.heap.old.base;
-            t.phase <- Sweeping;
+            set_phase t Sweeping;
             true
           end
           else false
@@ -398,9 +430,9 @@ let slice_internal t (cm : Cost_model.t) ~budget =
       sweep_step t cm cost ~budget ~did;
       let cycle_completed = t.sweep_cursor >= t.heap.old.ptr in
       if cycle_completed then begin
-        t.phase <- Idle;
+        set_phase t Idle;
         t.cycles_completed <- t.cycles_completed + 1;
-        t.last_cycle_tenured <- t.heap.tenured_words_total
+        rearm t
       end;
       { cost = !cost; mark_completed = false; cycle_completed }
 

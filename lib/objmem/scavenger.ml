@@ -150,11 +150,10 @@ let serial_copy h p ~promote_start holes from_addr =
       a
     end
     else
-      match alloc_old_addr h total with
-      | None -> raise (Image_full "old space exhausted during scavenge")
-      | Some a ->
-          if a < promote_start then holes := a :: !holes;
-          a
+      let a = alloc_old_addr h total in
+      if a < 0 then raise (Image_full "old space exhausted during scavenge");
+      if a < promote_start then holes := a :: !holes;
+      a
   in
   move h p from_addr ~total ~next_age dest
 
@@ -348,11 +347,10 @@ let parallel_copy h san cm p w from_addr =
     | None -> (
         (* A hole is a one-object chunk — register it so the copy check
            passes. *)
-        match free_take h total with
-        | Some a ->
-            claim_chunk san cm w ~base:a ~limit:(a + total);
-            a
-        | None -> raise (Image_full "old space exhausted during scavenge"))
+        let a = free_take h total in
+        if a < 0 then raise (Image_full "old space exhausted during scavenge");
+        claim_chunk san cm w ~base:a ~limit:(a + total);
+        a)
   in
   let dest =
     if next_age >= h.tenure_age then promote ()

@@ -123,7 +123,7 @@ let inject q ~time ~payload =
    whether an event was visible, and its payload, for [polled].  Every
    idle processor polls, so a poll that finds nothing allocates
    nothing. *)
-let poll ?(vp = -1) q ~now ~op_cycles =
+let poll ~vp q ~now ~op_cycles =
   q.polls <- q.polls + 1;
   Spinlock.enter q.ilock ~vp ~now ~op_cycles;
   (match q.pending with

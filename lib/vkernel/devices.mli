@@ -43,8 +43,9 @@ val make_input_queue : lock:Spinlock.t -> input_queue
 val inject : input_queue -> time:int -> payload:int -> unit
 
 (** Poll under the queue's lock at [now] and return the completion time.
-    A poll that finds no visible event allocates nothing. *)
-val poll : ?vp:int -> input_queue -> now:int -> op_cycles:int -> int
+    A poll that finds no visible event allocates nothing.  [vp] is the
+    polling processor; engine-side callers pass -1. *)
+val poll : vp:int -> input_queue -> now:int -> op_cycles:int -> int
 
 (** The payload of the event the last {!poll} delivered, if it
     delivered one. *)

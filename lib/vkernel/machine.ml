@@ -113,6 +113,10 @@ let take_forced_preempt m id =
 let set_injector m inj = m.injector <- inj
 let injector m = m.injector
 
+(* Neither a policy nor an injector: the plain timeline. *)
+let unhooked m =
+  match m.policy, m.injector with None, None -> true | _ -> false
+
 (* An injected crash is flagged here and delivered by the engine at the
    end of the victim's current step, mirroring [flag_preempt]: the
    injection sites (scheduler checks, lock sections) cannot unwind the

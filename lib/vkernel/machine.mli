@@ -64,6 +64,10 @@ val set_injector : t -> Fault.t option -> unit
 
 val injector : t -> Fault.t option
 
+(** [true] when neither a scheduling policy nor a fault injector is
+    installed. *)
+val unhooked : t -> bool
+
 (** Flag an injected crash for a processor; the engine delivers it at
     the end of the victim's current step with {!take_crash}. *)
 val flag_crash : t -> int -> unit

@@ -129,36 +129,41 @@ let section_exit t ~lock ~vp ~now =
       ~resource:lock Trace.Empty 0 0
   end
 
-let check_guarded t ~resource ~vp ~now detail a b =
-  if checking t then begin
-    let lock = t.guards.(resource) in
-    if lock >= 0 then begin
-      let st = t.locks.(lock) in
-      if st.depth <= 0 then
-        report_on t ~vp ~now resource
-          (Printf.sprintf "mutated outside '%s' critical section (%s)"
-             (Trace.name t.trace lock) (Trace.render detail a b))
-      else if vp >= 0 && st.section_vp >= 0 && vp <> st.section_vp then
-        report_on t ~vp ~now resource
-          (Printf.sprintf
-             "mutated by vp %d inside '%s' section held by vp %d (%s)" vp
-             (Trace.name t.trace lock) st.section_vp
-             (Trace.render detail a b))
-      else
-        Trace.record t.trace ~vp ~time:now ~kind:Trace.Mutation ~resource
-          detail a b
-    end
+(* The checks proper, kept out of line: callers on the per-event path
+   inline only the [checking] test. *)
+let[@inline never] guarded t ~resource ~vp ~now detail a b =
+  let lock = t.guards.(resource) in
+  if lock >= 0 then begin
+    let st = t.locks.(lock) in
+    if st.depth <= 0 then
+      report_on t ~vp ~now resource
+        (Printf.sprintf "mutated outside '%s' critical section (%s)"
+           (Trace.name t.trace lock) (Trace.render detail a b))
+    else if vp >= 0 && st.section_vp >= 0 && vp <> st.section_vp then
+      report_on t ~vp ~now resource
+        (Printf.sprintf
+           "mutated by vp %d inside '%s' section held by vp %d (%s)" vp
+           (Trace.name t.trace lock) st.section_vp
+           (Trace.render detail a b))
+    else
+      Trace.record t.trace ~vp ~time:now ~kind:Trace.Mutation ~resource
+        detail a b
   end
 
+let check_guarded t ~resource ~vp ~now detail a b =
+  if checking t then guarded t ~resource ~vp ~now detail a b
+
+let[@inline never] owned t ~resource ~owner ~vp ~now =
+  if vp >= 0 && vp <> owner then
+    report_on t ~vp ~now resource
+      (Printf.sprintf "replicated resource owned by vp %d touched by vp %d"
+         owner vp)
+  else
+    Trace.record t.trace ~vp ~time:now ~kind:Trace.Owner_touch ~resource
+      Trace.Owner owner 0
+
 let check_owner t ~resource ~owner ~vp ~now =
-  if checking t && owner >= 0 then
-    if vp >= 0 && vp <> owner then
-      report_on t ~vp ~now resource
-        (Printf.sprintf "replicated resource owned by vp %d touched by vp %d"
-           owner vp)
-    else
-      Trace.record t.trace ~vp ~time:now ~kind:Trace.Owner_touch ~resource
-        Trace.Owner owner 0
+  if checking t && owner >= 0 then owned t ~resource ~owner ~vp ~now
 
 (* Record an injected fault or a recovery action in the trace ring.
    Faults are simulation events, not invariant violations — they are

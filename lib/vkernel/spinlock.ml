@@ -25,6 +25,7 @@ type t = {
   mutable free_at : int;
   san : Sanitizer.t;
   san_id : Sanitizer.id;  (* this lock's id in [san] *)
+  san_off : bool;  (* [san] is in mode [Off]: every report is a no-op *)
   machine : Machine.t option;
   (* Report the op windows of a *disabled* lock to the sanitizer.  Off by
      default: legitimately lock-free configurations (baseline BS on one
@@ -77,6 +78,7 @@ let make ?(sanitizer = Sanitizer.create Sanitizer.Off) ?machine
     free_at = 0;
     san = sanitizer;
     san_id = Sanitizer.id sanitizer name;
+    san_off = not (Sanitizer.active sanitizer);
     machine;
     report_unlocked;
     holder = -1;
@@ -144,13 +146,32 @@ let maybe_preempt t ~vp ~now =
 
 (* A disabled lock charges nothing, but when [report_unlocked] is on the
    op's window still reaches the sanitizer, so concurrent windows from
-   different processors surface as unserialized timelines. *)
-let unlocked_op t ~vp ~now ~op_cycles =
+   different processors surface as unserialized timelines.  This and the
+   two section ends below stay out of line, so that the fast test and
+   the uncontended acquire are all that [enter], [leave] and
+   [locked_op] inline into their callers. *)
+let[@inline never] unlocked_op t ~vp ~now ~op_cycles =
   let now = jittered t ~vp ~now in
   if t.report_unlocked && vp >= 0 then
     Sanitizer.on_lock_op t.san ~lock:t.san_id ~vp ~now ~start:now
       ~finish:(now + op_cycles) ~contended:false;
   now + op_cycles
+
+(* Take the lock from [start]: advance [free_at] to the finish time
+   [start + acquire_cost + op_cycles], record the holder, and answer the
+   finish. *)
+let hold t ~vp ~start ~op_cycles =
+  let finish = start + t.acquire_cost + op_cycles in
+  t.free_at <- finish;
+  t.holder <- vp;
+  t.held_since <- start;
+  finish
+
+(* An acquire that finds the lock free starts at once. *)
+let acquire_free t ~vp ~now ~op_cycles =
+  t.acquisitions <- t.acquisitions + 1;
+  t.was_contended <- false;
+  hold t ~vp ~start:now ~op_cycles
 
 (* Acquire at [now]: returns the finish time [start + acquire_cost +
    op_cycles], advances [free_at] to it and leaves the start in
@@ -170,59 +191,49 @@ let unlocked_op t ~vp ~now ~op_cycles =
    outstanding and no backoff configured the arithmetic reduces exactly
    to the original fixed-interval spin. *)
 let acquire t ~vp ~now ~op_cycles =
-  t.acquisitions <- t.acquisitions + 1;
-  let start =
-    if now >= t.free_at then begin
-      t.was_contended <- false;
-      now
-    end
-    else begin
-      t.contended <- t.contended + 1;
-      t.was_contended <- true;
-      let wait = t.free_at - now in
-      if t.watchdog_bound > 0 && wait > t.watchdog_bound then begin
-        Sanitizer.fault_event t.san ~vp ~now ~resource:t.name
-          (Printf.sprintf "watchdog: waited %d > bound %d, holder vp %d"
-             wait t.watchdog_bound t.holder);
-        raise
-          (Fault.Deadlock_suspected
-             { Fault.lock = t.name; holder = t.holder; waiter = vp;
-               clock = now; held_since = t.held_since; waited = wait })
-      end;
-      let q = t.delay_quantum in
-      let retries = (wait + q - 1) / q in
-      let natural_spun = retries * q in
-      let spun =
-        if t.backoff_after > 0 && retries > t.backoff_after then begin
-          (* fixed-interval probes up to the threshold, then doubling;
-             every probe instant stays a multiple of [q] past [now], so
-             the start never precedes the fixed-interval start *)
-          let elapsed = ref (t.backoff_after * q) in
-          let interval = ref (2 * q) in
-          while now + !elapsed < t.free_at do
-            elapsed := !elapsed + !interval;
-            interval := !interval * 2
-          done;
-          !elapsed
-        end
-        else natural_spun
-      in
-      let fault_part =
-        if t.fault_until >= t.free_at then
-          Int.max 0 (Int.min wait (t.free_at - Int.max now t.fault_base))
-        else 0
-      in
-      t.spin_cycles <- t.spin_cycles + (natural_spun - fault_part);
-      t.fault_spin_cycles <- t.fault_spin_cycles + fault_part;
-      t.backoff_cycles <- t.backoff_cycles + (spun - natural_spun);
-      now + spun
-    end
-  in
-  let finish = start + t.acquire_cost + op_cycles in
-  t.free_at <- finish;
-  t.holder <- vp;
-  t.held_since <- start;
-  finish
+  if now >= t.free_at then acquire_free t ~vp ~now ~op_cycles
+  else begin
+    t.acquisitions <- t.acquisitions + 1;
+    t.contended <- t.contended + 1;
+    t.was_contended <- true;
+    let wait = t.free_at - now in
+    if t.watchdog_bound > 0 && wait > t.watchdog_bound then begin
+      Sanitizer.fault_event t.san ~vp ~now ~resource:t.name
+        (Printf.sprintf "watchdog: waited %d > bound %d, holder vp %d"
+           wait t.watchdog_bound t.holder);
+      raise
+        (Fault.Deadlock_suspected
+           { Fault.lock = t.name; holder = t.holder; waiter = vp;
+             clock = now; held_since = t.held_since; waited = wait })
+    end;
+    let q = t.delay_quantum in
+    let retries = (wait + q - 1) / q in
+    let natural_spun = retries * q in
+    let spun =
+      if t.backoff_after > 0 && retries > t.backoff_after then begin
+        (* fixed-interval probes up to the threshold, then doubling;
+           every probe instant stays a multiple of [q] past [now], so
+           the start never precedes the fixed-interval start *)
+        let elapsed = ref (t.backoff_after * q) in
+        let interval = ref (2 * q) in
+        while now + !elapsed < t.free_at do
+          elapsed := !elapsed + !interval;
+          interval := !interval * 2
+        done;
+        !elapsed
+      end
+      else natural_spun
+    in
+    let fault_part =
+      if t.fault_until >= t.free_at then
+        Int.max 0 (Int.min wait (t.free_at - Int.max now t.fault_base))
+      else 0
+    in
+    t.spin_cycles <- t.spin_cycles + (natural_spun - fault_part);
+    t.fault_spin_cycles <- t.fault_spin_cycles + fault_part;
+    t.backoff_cycles <- t.backoff_cycles + (spun - natural_spun);
+    hold t ~vp ~start:(now + spun) ~op_cycles
+  end
 
 (* The holder-fault injection point: having just acquired the lock, the
    holder may be struck by an injected stall (it keeps the lock
@@ -272,10 +283,26 @@ let take t ~vp ~now ~op_cycles =
   t.asked_at <- now;
   inject_holder_fault t ~vp ~finish:(acquire t ~vp ~now ~op_cycles)
 
+(* Nothing but the timeline sees this lock's operations: no policy, no
+   injector and a sanitizer in mode [Off].  The policy and the injector
+   are read per call, because either may be installed mid-run. *)
+let unhooked t =
+  t.san_off
+  && (match t.machine with None -> true | Some m -> Machine.unhooked m)
+
+(* The fast test: an unhooked lock that is free at [now].  Then the
+   jitter, the holder-fault point, every sanitizer report and the
+   preemption point are no-ops, and [take] reduces to [acquire_free]. *)
+let quiet t ~now = now >= t.free_at && unhooked t
+
 (* Perform a critical section of [op_cycles] starting no earlier than [now].
    Returns the completion time. *)
 let locked_op ?(vp = -1) t ~now ~op_cycles =
   if not t.enabled then unlocked_op t ~vp ~now ~op_cycles
+  else if quiet t ~now then begin
+    t.asked_at <- now;
+    acquire_free t ~vp ~now ~op_cycles
+  end
   else begin
     let finish = take t ~vp ~now ~op_cycles in
     Sanitizer.on_lock_op t.san ~lock:t.san_id ~vp ~now:t.asked_at
@@ -286,13 +313,18 @@ let locked_op ?(vp = -1) t ~now ~op_cycles =
 
 (* Acquire and open the sanitizer section: the start of [critical] and
    [enter].  Answers the finish time. *)
-let open_section t ~vp ~now ~op_cycles =
+let[@inline never] open_section t ~vp ~now ~op_cycles =
   let finish = take t ~vp ~now ~op_cycles in
   Sanitizer.section_enter t.san ~lock:t.san_id ~vp ~now:t.asked_at
     ~start:t.held_since ~finish ~contended:t.was_contended;
   finish
 
-let close_section t ~vp ~finish =
+(* What [critical] does when its body raises: the sanitizer section
+   closes at the section's finish, with no preemption point. *)
+let exit_raised t ~vp ~finish =
+  Sanitizer.section_exit t.san ~lock:t.san_id ~vp ~now:finish
+
+let[@inline never] close_section t ~vp ~finish =
   Sanitizer.section_exit t.san ~lock:t.san_id ~vp ~now:finish;
   maybe_preempt t ~vp ~now:finish
 
@@ -302,7 +334,8 @@ let close_section t ~vp ~finish =
    [f]'s result.  The bracket is closed even if [f] raises — the timeline
    has already advanced, matching [locked_op] (lock work was charged
    before the failure propagates).  A disabled lock runs [f] first and
-   takes its unlocked window after it, jitter included. *)
+   takes its unlocked window after it, jitter included.  It keeps no fast
+   path: it is the reference [enter]/[leave] are tested against. *)
 let critical ?(vp = -1) t ~now ~op_cycles f =
   if not t.enabled then begin
     let result = f () in
@@ -313,7 +346,7 @@ let critical ?(vp = -1) t ~now ~op_cycles f =
     let result =
       try f ()
       with e ->
-        Sanitizer.section_exit t.san ~lock:t.san_id ~vp ~now:finish;
+        exit_raised t ~vp ~finish;
         raise e
     in
     close_section t ~vp ~finish;
@@ -321,20 +354,31 @@ let critical ?(vp = -1) t ~now ~op_cycles f =
   end
 
 (* [critical] split in two, with no closure and no result pair: [enter]
-   opens the section and [leave] closes it and answers its finish time.
-   A disabled lock does nothing at [enter] and takes its unlocked window
-   at [leave], after the body, as [critical] does.  One bracket is open
-   per lock at a time. *)
+   opens the section and [leave] closes it and answers its finish time;
+   [leave_raised] is the close for a body that raised.  A disabled lock
+   does nothing at [enter] and takes its unlocked window at [leave],
+   after the body, as [critical] does.  Under the fast test [enter] only
+   takes the free lock and [leave] only answers the finish.  One bracket
+   is open per lock at a time. *)
 let enter t ~vp ~now ~op_cycles =
-  if t.enabled then t.open_finish <- open_section t ~vp ~now ~op_cycles
-  else begin
+  if not t.enabled then begin
     t.open_now <- now;
     t.open_cycles <- op_cycles
   end
+  else if quiet t ~now then begin
+    t.asked_at <- now;
+    t.open_finish <- acquire_free t ~vp ~now ~op_cycles
+  end
+  else t.open_finish <- open_section t ~vp ~now ~op_cycles
 
 let leave t ~vp =
-  if t.enabled then begin
-    close_section t ~vp ~finish:t.open_finish;
+  if not t.enabled then
+    if unhooked t then t.open_now + t.open_cycles
+    else unlocked_op t ~vp ~now:t.open_now ~op_cycles:t.open_cycles
+  else begin
+    if not (unhooked t) then close_section t ~vp ~finish:t.open_finish;
     t.open_finish
   end
-  else unlocked_op t ~vp ~now:t.open_now ~op_cycles:t.open_cycles
+
+let leave_raised t ~vp =
+  if t.enabled then exit_raised t ~vp ~finish:t.open_finish

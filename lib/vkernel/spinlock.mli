@@ -81,21 +81,37 @@ val locked_op : ?vp:int -> t -> now:int -> op_cycles:int -> int
     performs are seen by the sanitizer as covered.  Returns the section's
     completion time and [f]'s result.  If [f] raises, the bracket is
     closed and the exception propagates (the timeline has already
-    advanced). *)
+    advanced).  It allocates a closure and a pair per call and takes no
+    fast path: it is the reference that {!enter}/{!leave} are tested
+    against, and the bracket for code off the per-event path. *)
 val critical :
   ?vp:int -> t -> now:int -> op_cycles:int -> (unit -> 'a) -> int * 'a
 
-(** {!critical} as an allocation-free bracket, for the idle path:
+(** {!critical} as an allocation-free bracket, for the per-event path:
     [enter t ~vp ~now ~op_cycles] opens the section, through the one
     acquire path {!locked_op} and {!critical} share, and [leave t ~vp]
     closes it and answers its completion time.  A disabled lock takes
     its unlocked window at [leave], after the body, as {!critical} does.
-    On an enabled lock the body between the two must not raise (the
-    section would stay open); {!critical} is the bracket for bodies that
-    may.  One bracket is open per lock at a time. *)
+    A body that raises is closed with [leave_raised t ~vp] before the
+    exception propagates; it does exactly what {!critical}'s handler
+    does (the sanitizer section closes at the section's finish, with no
+    preemption point; a disabled lock takes no window).  One bracket is
+    open per lock at a time.
+
+    The fast test: when the lock is free at [now], no scheduling policy
+    and no fault injector is installed on its machine and its sanitizer
+    is in mode [Off], [enter] and {!locked_op} take the lock directly
+    (the uncontended acquire) and [leave] only answers the finish.  What
+    they skip (the policy's jitter and preemption point, the holder-fault
+    point and every sanitizer report) does nothing in that case, so every
+    completion time and statistic is what the full path gives.  The
+    policy and the injector are read per call: installing either
+    mid-run takes effect at the next operation. *)
 val enter : t -> vp:int -> now:int -> op_cycles:int -> unit
 
 val leave : t -> vp:int -> int
+
+val leave_raised : t -> vp:int -> unit
 
 (** {2 Statistics} *)
 

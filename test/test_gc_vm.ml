@@ -81,13 +81,14 @@ let test_probe_after_flush_misses () =
   let san = Sanitizer.create Sanitizer.Off in
   let sel = Oop.of_small 11 and cls = Oop.of_small 12 and meth = Oop.of_small 13 in
   let hit_then_flushed name fill_view probe_view flush_view =
-    ignore (Method_cache.fill fill_view ~now:0 ~sel ~cls ~meth);
-    let _, hit = Method_cache.probe probe_view ~now:0 ~sel ~cls in
-    check_bool (name ^ ": filled entry hits") true (hit = Some meth);
+    ignore (Method_cache.fill ~vp:(-1) fill_view ~now:0 ~sel ~cls ~meth);
+    let hit = Method_cache.probe ~vp:(-1) probe_view ~now:0 ~sel ~cls in
+    check_bool (name ^ ": filled entry hits") true (Oop.equal hit meth);
     Method_cache.flush flush_view;
     let misses = Method_cache.misses probe_view in
-    let _, miss = Method_cache.probe probe_view ~now:0 ~sel ~cls in
-    check_bool (name ^ ": probe after flush misses") true (miss = None);
+    let miss = Method_cache.probe ~vp:(-1) probe_view ~now:0 ~sel ~cls in
+    check_bool (name ^ ": probe after flush misses") true
+      (Oop.equal miss Oop.sentinel);
     check (name ^ ": the miss is counted") (misses + 1)
       (Method_cache.misses probe_view)
   in

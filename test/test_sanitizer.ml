@@ -288,6 +288,48 @@ let test_strict_clean_multiprocessor () =
   check "no violations under MS with busy competition" 0
     (Sanitizer.violation_count (Vm.sanitizer vm))
 
+(* An allocation that finds eden short raises [Heap.Scavenge_needed]
+   inside the allocation lock's section (the interpreter's low-water
+   mark only covers a context plus a small object): 3000-word Arrays in
+   an 8 K-word eden, on four processors with three busy Processes and
+   one shared free-context list.  The section must close on the raise,
+   as [Spinlock.critical] closes it: the strict run ends clean, and
+   afterwards an allocation or an entry-table insert outside any
+   section is still reported, which an open section would hide. *)
+let test_strict_scavenge_inside_alloc_lock () =
+  let vm =
+    Vm.create
+      { (Testkit.strict_config ~processors:4 ()) with
+        Config.free_contexts = Config.Ctx_shared_locked }
+  in
+  ignore (Workloads.spawn_busy vm 3);
+  let h = vm.Vm.heap in
+  let lock = vm.Vm.shared.State.alloc_lock in
+  let proc =
+    Vm.spawn vm "| a | 1 to: 40 do: [:i | a := Array new: 3000]. a size"
+  in
+  let acquired = Spinlock.acquisitions lock and made = h.Heap.allocations in
+  (match Vm.run ~watch:proc vm with
+   | Vm.Finished v ->
+       Alcotest.(check string) "the doIt's value" "3000" (Vm.describe vm v)
+   | _ -> Alcotest.fail "the doIt did not finish");
+  (* every eden allocation of the run takes the lock; one that raised
+     took it and allocated nothing *)
+  check_bool "allocations raised inside the allocation lock" true
+    (Spinlock.acquisitions lock - acquired > h.Heap.allocations - made);
+  let san = Vm.sanitizer vm in
+  check "no violations" 0 (Sanitizer.violation_count san);
+  let cls = vm.Vm.u.Universe.classes.Universe.array in
+  Sanitizer.set_armed san true;
+  (match Heap.alloc_new h ~vp:0 ~slots:4 ~raw:false ~cls () with
+   | _ -> Alcotest.fail "the allocation section was left open"
+   | exception Sanitizer.Violation _ -> ());
+  let old_obj = Heap.alloc_old h ~slots:1 ~raw:false ~cls () in
+  (match Heap.remember h (Oop.addr old_obj) with
+   | () -> Alcotest.fail "the entry-table section was left open"
+   | exception Sanitizer.Violation _ -> ());
+  Sanitizer.set_armed san false
+
 (* --- fault events in the trace --- *)
 
 (* Injected faults and recovery actions are trace events, not
@@ -318,12 +360,12 @@ let test_free_contexts_disabled_counts_fresh () =
   let t =
     Free_contexts.create_disabled ~sanitizer:(Sanitizer.create Sanitizer.Off)
   in
-  let now, o = Free_contexts.take t h ~now:42 Free_contexts.Small in
-  check "no time charged" 42 now;
+  let o = Free_contexts.take ~vp:(-1) t h ~now:42 Free_contexts.Small in
+  check "no time charged" 42 (Free_contexts.finish t);
   check_bool "nothing recycled" true (Oop.equal o Oop.sentinel);
   check "the miss counts as a fresh allocation" 1
     (Free_contexts.fresh_allocations t);
-  ignore (Free_contexts.take t h ~now:43 Free_contexts.Large);
+  ignore (Free_contexts.take ~vp:(-1) t h ~now:43 Free_contexts.Large);
   check "every take counts" 2 (Free_contexts.fresh_allocations t)
 
 (* --- golden trace ---
@@ -499,7 +541,9 @@ let () =
        [ Alcotest.test_case "uniprocessor" `Quick
            test_strict_clean_uniprocessor;
          Alcotest.test_case "multiprocessor busy" `Quick
-           test_strict_clean_multiprocessor ]);
+           test_strict_clean_multiprocessor;
+         Alcotest.test_case "scavenge raised inside the allocation lock"
+           `Quick test_strict_scavenge_inside_alloc_lock ]);
       ("fault_trace",
        [ Alcotest.test_case "faults are events, not violations" `Quick
            test_fault_events_traced_not_violations ]);

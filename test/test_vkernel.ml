@@ -108,26 +108,61 @@ let prop_locked_op_disabled =
       && Spinlock.contended l = 0
       && Spinlock.spin_cycles l = 0)
 
-(* [enter]/[leave] is [critical] without the closure: on the same
-   schedule, enabled or disabled, both give the same completion times
-   and statistics, and a guarded mutation inside either is covered. *)
+(* [enter]/[leave] is [critical] without the closure, and [locked_op]
+   is it without a body: on the same schedule, enabled or disabled, all
+   three give the same completion times, statistics and preemption
+   requests, and a guarded mutation inside either bracket is covered.
+   The sanitizer is off or reporting, and a scheduling policy, a fault
+   injector or both may be installed partway through, so the schedule
+   crosses the fast test's boundary (a free, unhooked lock under a
+   sanitizer in mode [Off]) in both directions; [critical], which takes
+   no fast path, is the reference. *)
+let hook_policy =
+  { Machine.default_policy with
+    Machine.lock_jitter = (fun ~vp ~lock:_ ~now -> (vp + now) mod 7);
+    preempt_after = (fun ~vp ~lock:_ ~now -> (vp + now) mod 5 = 0) }
+
+let hook_plan =
+  [ { Plan.index = 1; action = Fault.Holder_stall 40 };
+    { Plan.index = 3; action = Fault.Holder_stall 7 } ]
+
 let prop_bracket_is_critical =
-  QCheck.Test.make ~count:200 ~name:"enter/leave matches critical"
-    QCheck.(pair bool arb_schedule) (fun (enabled, sched) ->
+  QCheck.Test.make ~count:300 ~name:"enter/leave matches critical"
+    QCheck.(
+      quad bool bool (pair (int_range 0 3) (int_range 0 40)) arb_schedule)
+    (fun (enabled, reporting, (hooks, at), sched) ->
       let lock () =
-        let san = Sanitizer.create Sanitizer.Report in
+        let san =
+          Sanitizer.create
+            (if reporting then Sanitizer.Report else Sanitizer.Off)
+        in
         Sanitizer.register_guard san ~resource:"r" ~lock:"p";
         Sanitizer.set_armed san true;
-        (san, Spinlock.make ~sanitizer:san ~enabled ~cost:cm "p")
+        let m = Machine.make ~processors:3 cm in
+        (san, m, Spinlock.make ~sanitizer:san ~machine:m ~enabled ~cost:cm "p")
       in
-      let sa, a = lock () and sb, b = lock () in
+      let install m =
+        if hooks land 1 <> 0 then Machine.set_policy m (Some hook_policy);
+        if hooks land 2 <> 0 then
+          Machine.set_injector m (Some (Fault.replay hook_plan))
+      in
+      let sa, ma, a = lock () and sb, mb, b = lock () and _, mc, c = lock () in
       let guarded san vp now =
         Sanitizer.check_guarded san ~resource:(Sanitizer.id san "r") ~vp ~now
           (Trace.Text "w") 0 0
       in
+      let same_preempts () =
+        List.for_all
+          (fun vp ->
+            let pa = Machine.take_forced_preempt ma vp in
+            pa = Machine.take_forced_preempt mb vp
+            && pa = Machine.take_forced_preempt mc vp)
+          [ 0; 1; 2 ]
+      in
       let now = ref 0 in
       List.for_all
-        (fun (advance, op_cycles) ->
+        (fun (i, (advance, op_cycles)) ->
+          if i = at then List.iter install [ ma; mb; mc ];
           now := !now + advance;
           let vp = !now mod 3 in
           let fa, () =
@@ -136,13 +171,45 @@ let prop_bracket_is_critical =
           in
           Spinlock.enter b ~vp ~now:!now ~op_cycles;
           guarded sb vp !now;
-          fa = Spinlock.leave b ~vp)
-        sched
-      && Spinlock.acquisitions a = Spinlock.acquisitions b
-      && Spinlock.contended a = Spinlock.contended b
-      && Spinlock.spin_cycles a = Spinlock.spin_cycles b
+          let fb = Spinlock.leave b ~vp in
+          let fc = Spinlock.locked_op ~vp c ~now:!now ~op_cycles in
+          fa = fb && fa = fc && same_preempts ())
+        (List.mapi (fun i op -> (i, op)) sched)
+      && List.for_all
+           (fun stat -> stat a = stat b && stat a = stat c)
+           Spinlock.
+             [ acquisitions; contended; spin_cycles; fault_spin_cycles;
+               backoff_cycles; fault_stall_cycles ]
       && Sanitizer.violation_count sa = Sanitizer.violation_count sb
       && (not enabled || Sanitizer.violation_count sb = 0))
+
+(* The exception close: a body that raises inside [enter]/[leave] is
+   closed by [leave_raised] exactly as [critical] closes it, so the
+   lock's sanitizer section does not stay open and a later mutation
+   outside it is still reported. *)
+let test_leave_raised_closes () =
+  let run bracket =
+    let san = Sanitizer.create Sanitizer.Report in
+    Sanitizer.register_guard san ~resource:"r" ~lock:"p";
+    Sanitizer.set_armed san true;
+    let l = Spinlock.make ~sanitizer:san ~enabled:true ~cost:cm "p" in
+    (try bracket l with Exit -> ());
+    Sanitizer.check_guarded san ~resource:(Sanitizer.id san "r") ~vp:0
+      ~now:500 (Trace.Text "w") 0 0;
+    (Sanitizer.violation_count san, Spinlock.acquisitions l)
+  in
+  let critical l =
+    ignore (Spinlock.critical ~vp:0 l ~now:10 ~op_cycles:5 (fun () -> raise Exit))
+  and bracket l =
+    Spinlock.enter l ~vp:0 ~now:10 ~op_cycles:5;
+    Spinlock.leave_raised l ~vp:0;
+    raise Exit
+  in
+  Alcotest.(check (pair int int))
+    "the mutation after the raise is reported, as after critical's"
+    (run critical) (run bracket);
+  Alcotest.(check (pair int int)) "one violation, one acquisition" (1, 1)
+    (run bracket)
 
 (* --- mailboxes --- *)
 
@@ -201,10 +268,10 @@ let test_display_backpressure () =
 let test_input_queue () =
   let q = input_queue ~enabled:true in
   Devices.inject q ~time:100 ~payload:7;
-  ignore (Devices.poll q ~now:50 ~op_cycles:5);
+  ignore (Devices.poll ~vp:(-1) q ~now:50 ~op_cycles:5);
   check_bool "event not visible before its time" true
     (Devices.polled q = None);
-  ignore (Devices.poll q ~now:150 ~op_cycles:5);
+  ignore (Devices.poll ~vp:(-1) q ~now:150 ~op_cycles:5);
   (match Devices.polled q with
    | Some p -> check "payload" 7 p
    | None -> Alcotest.fail "expected the event");
@@ -215,9 +282,9 @@ let test_input_order () =
   let q = input_queue ~enabled:false in
   Devices.inject q ~time:20 ~payload:2;
   Devices.inject q ~time:10 ~payload:1;
-  ignore (Devices.poll q ~now:100 ~op_cycles:1);
+  ignore (Devices.poll ~vp:(-1) q ~now:100 ~op_cycles:1);
   let ev1 = Devices.polled q in
-  ignore (Devices.poll q ~now:100 ~op_cycles:1);
+  ignore (Devices.poll ~vp:(-1) q ~now:100 ~op_cycles:1);
   let ev2 = Devices.polled q in
   Alcotest.(check (option int)) "earlier event first" (Some 1) ev1;
   Alcotest.(check (option int)) "later event second" (Some 2) ev2
@@ -1039,6 +1106,8 @@ let () =
        [ QCheck_alcotest.to_alcotest prop_locked_op_model;
          QCheck_alcotest.to_alcotest prop_locked_op_disabled;
          QCheck_alcotest.to_alcotest prop_bracket_is_critical;
+         Alcotest.test_case "leave_raised closes as critical does" `Quick
+           test_leave_raised_closes;
          QCheck_alcotest.to_alcotest prop_min_runnable_deterministic ]);
       ("trace", [ QCheck_alcotest.to_alcotest prop_trace_ring ]);
       ("plan",
