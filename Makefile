@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is what CI runs.
 
-.PHONY: all build test check int-compare-audit export-audit published-check sim-identical bench bench-quick clean
+.PHONY: all build test check int-compare-audit export-audit bench bench-quick clean
 
 all: build
 
@@ -23,26 +23,14 @@ int-compare-audit:
 export-audit:
 	sh bench/export_audit.sh
 
-# Rerun the sections behind the committed BENCH_*.json files and fail
-# on any byte that differs (see the script's header).
-published-check:
-	sh bench/published_check.sh
-
-# Every judged command-line run (test/cli/runs.sh, with why each proves
-# something) is part of `dune runtest`.
+# `dune runtest` diffs the run table's transcript and the BENCH_*.json
+# files against their committed copies, and @perf-digests the perf
+# workloads' simulated results (test/cli/dune).
 check:
 	dune build
 	$(MAKE) int-compare-audit
-	$(MAKE) published-check
 	dune runtest
-
-# Prove the working tree simulation-identical to PARENT (any git
-# revision): all five perf workloads at seeds 0-4 on both trees must give
-# the same sim_digest and no CHANGED sim row, and every entry both trees'
-# run tables hold must print the same on both.  A few minutes.
-PARENT ?= HEAD
-sim-identical:
-	sh bench/sim_identical.sh $(PARENT)
+	dune build @perf-digests
 
 # The full reproduction harness (slow); `make bench-quick` for a pass
 # with reduced repetitions.

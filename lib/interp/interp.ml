@@ -28,43 +28,58 @@ exception Must_be_boolean
 
 (* --- method lookup --- *)
 
-let lookup_in_dict st dict sel ~probes =
+(* The method for [sel] in the method dictionary [dict], or
+   [Oop.sentinel]; each selector compared charges [probe_cost] cycles.
+   A cache miss runs this on every send of its selector, so it builds no
+   closure, option or counter cell. *)
+let lookup_in_dict st dict sel ~probe_cost =
   let h = st.sh.heap in
   let sels = Heap.get h dict Layout.Mdict.selectors in
-  let meths = Heap.get h dict Layout.Mdict.methods in
   let size = Oop.small_val (Heap.get h dict Layout.Mdict.size) in
-  let rec scan i =
-    if i >= size then None
-    else begin
-      incr probes;
-      if Oop.equal (Heap.get h sels i) sel then Some (Heap.get h meths i)
-      else scan (i + 1)
-    end
-  in
-  scan 0
+  let i = ref 0 in
+  while !i < size && not (Oop.equal (Heap.get h sels !i) sel) do
+    incr i
+  done;
+  if !i < size then begin
+    add_cost st ((!i + 1) * probe_cost);
+    Heap.get h (Heap.get h dict Layout.Mdict.methods) !i
+  end
+  else begin
+    add_cost st (size * probe_cost);
+    Oop.sentinel
+  end
 
-(* Full lookup along the superclass chain starting at [start].  For a
-   class receiver, [start] is the receiver itself: its class-side
-   dictionaries are searched first, then the instance protocol of Class
-   (the simplified metaclass model). *)
-let lookup_method st ~start ~class_receiver ~sel ~probes =
-  let h = st.sh.heap in
-  let u = st.sh.u in
-  let n = nil st in
-  let rec walk cls ~field =
-    if Oop.equal cls n || Oop.equal cls Oop.sentinel then None
-    else
-      match lookup_in_dict st (Heap.get h cls field) sel ~probes with
-      | Some m -> Some m
-      | None -> walk (Heap.get h cls Layout.Class.superclass) ~field
-  in
-  if class_receiver then
-    match walk start ~field:Layout.Class.class_method_dict with
-    | Some m -> Some m
-    | None ->
-        (* fall back to Class/Object instance protocol *)
-        walk u.Universe.classes.Universe.class_c ~field:Layout.Class.method_dict
-  else walk start ~field:Layout.Class.method_dict
+(* [lookup_in_dict] along the superclass chain from [cls], reading each
+   class's [field]. *)
+let rec lookup_chain st cls ~field ~sel ~probe_cost =
+  if Oop.equal cls (nil st) || Oop.equal cls Oop.sentinel then Oop.sentinel
+  else
+    let h = st.sh.heap in
+    let m = lookup_in_dict st (Heap.get h cls field) sel ~probe_cost in
+    if Oop.equal m Oop.sentinel then
+      lookup_chain st (Heap.get h cls Layout.Class.superclass) ~field ~sel
+        ~probe_cost
+    else m
+
+(* Full lookup along the superclass chain starting at [start]: the
+   method, or [Oop.sentinel].  For a class receiver, [start] is the
+   receiver itself: its class-side dictionaries are searched first, then
+   the instance protocol of Class (the simplified metaclass model).  Kept
+   out of line: inlined, it would make [full_send] too large to inline
+   into [execute_bytecode]. *)
+let[@inline never] lookup_method st ~start ~class_receiver ~sel ~probe_cost =
+  if class_receiver then begin
+    let m =
+      lookup_chain st start ~field:Layout.Class.class_method_dict ~sel
+        ~probe_cost
+    in
+    if Oop.equal m Oop.sentinel then
+      (* fall back to Class/Object instance protocol *)
+      lookup_chain st st.sh.u.Universe.classes.Universe.class_c
+        ~field:Layout.Class.method_dict ~sel ~probe_cost
+    else m
+  end
+  else lookup_chain st start ~field:Layout.Class.method_dict ~sel ~probe_cost
 
 (* Behaviour key for the method cache: a class receiver's class-side
    lookup must not collide with the instance-side lookup of its
@@ -96,12 +111,12 @@ let rec full_send st ~sel ~nargs ~super =
       let defining = Heap.get st.sh.heap st.c_meth Layout.Method.defining_class in
       let parent = Heap.get st.sh.heap defining Layout.Class.superclass in
       let class_side = Layout.Minfo.class_side (Ctx.minfo st st.c_meth) in
-      let probes = ref 0 in
       let m =
-        lookup_method st ~start:parent ~class_receiver:class_side ~sel ~probes
+        lookup_method st ~start:parent ~class_receiver:class_side ~sel
+          ~probe_cost:2
       in
-      add_cost st (cm.Cost_model.cache_probe + (!probes * 2));
-      match m with Some m -> m | None -> Oop.sentinel
+      add_cost st cm.Cost_model.cache_probe;
+      m
     end
     else begin
       let key = behavior_key ~class_receiver ~recv ~recv_class in
@@ -118,17 +133,14 @@ let rec full_send st ~sel ~nargs ~super =
         cached
       end
       else begin
-        let probes = ref 0 in
         let start = if class_receiver then recv else recv_class in
-        let m = lookup_method st ~start ~class_receiver ~sel ~probes in
-        add_cost st (cm.Cost_model.cache_probe + (!probes * 4));
-        match m with
-        | Some m ->
-            sync_to st
-              (Method_cache.fill ~vp:st.id st.mcache ~now:(now st) ~sel
-                 ~cls:key ~meth:m);
-            m
-        | None -> Oop.sentinel
+        let m = lookup_method st ~start ~class_receiver ~sel ~probe_cost:4 in
+        add_cost st cm.Cost_model.cache_probe;
+        if not (Oop.equal m Oop.sentinel) then
+          sync_to st
+            (Method_cache.fill ~vp:st.id st.mcache ~now:(now st) ~sel
+               ~cls:key ~meth:m);
+        m
       end
     end
   in
@@ -159,35 +171,36 @@ and send_does_not_understand st ~sel ~nargs ~recv ~recv_class ~class_receiver =
   let u = st.sh.u in
   add_cost st st.sh.cm.Cost_model.prim_misc;
   let dnu = st.sh.sym_does_not_understand in
-  let probes = ref 0 in
   let start = if class_receiver then recv else recv_class in
-  match lookup_method st ~start ~class_receiver ~sel:dnu ~probes with
-  | None ->
-      let sel_name = Universe.symbol_name u sel in
-      let cls_name =
-        if class_receiver then Universe.class_name u recv ^ " class"
-        else Universe.class_name u recv_class
-      in
-      raise (Does_not_understand (cls_name ^ ">>" ^ sel_name))
-  | Some dnu_meth ->
-      (* allocations happen before any stack mutation so the send can be
-         re-executed if a scavenge is needed *)
-      let args_arr =
-        Ctx.alloc_object st ~slots:nargs ~raw:false
-          ~cls:u.Universe.classes.Universe.array ()
-      in
-      for i = 0 to nargs - 1 do
-        store_with_check st args_arr i (peek st ~depth:(nargs - 1 - i))
-      done;
-      let message =
-        Ctx.alloc_object st ~slots:2 ~raw:false
-          ~cls:u.Universe.classes.Universe.message ()
-      in
-      store_with_check st message 0 sel;
-      store_with_check st message 1 args_arr;
-      popn st nargs;
-      push st message;
-      Ctx.activate_method st ~meth:dnu_meth ~nargs:1
+  let dnu_meth =
+    lookup_method st ~start ~class_receiver ~sel:dnu ~probe_cost:0
+  in
+  if Oop.equal dnu_meth Oop.sentinel then begin
+    let sel_name = Universe.symbol_name u sel in
+    let cls_name =
+      if class_receiver then Universe.class_name u recv ^ " class"
+      else Universe.class_name u recv_class
+    in
+    raise (Does_not_understand (cls_name ^ ">>" ^ sel_name))
+  end;
+  (* allocations happen before any stack mutation so the send can be
+     re-executed if a scavenge is needed *)
+  let args_arr =
+    Ctx.alloc_object st ~slots:nargs ~raw:false
+      ~cls:u.Universe.classes.Universe.array ()
+  in
+  for i = 0 to nargs - 1 do
+    store_with_check st args_arr i (peek st ~depth:(nargs - 1 - i))
+  done;
+  let message =
+    Ctx.alloc_object st ~slots:2 ~raw:false
+      ~cls:u.Universe.classes.Universe.message ()
+  in
+  store_with_check st message 0 sel;
+  store_with_check st message 1 args_arr;
+  popn st nargs;
+  push st message;
+  Ctx.activate_method st ~meth:dnu_meth ~nargs:1
 
 (* receiver perform: selector [with: a [with: b]] — drop the selector
    argument from the stack and re-dispatch. *)

@@ -195,14 +195,8 @@ let inst_size st o =
   let h = h_ st in
   Oop.small_val (Heap.get h (Heap.class_at h (Oop.addr o)) Layout.Class.inst_size)
 
-let indexable_info st o =
-  if Oop.is_small o then None
-  else begin
-    let inst = inst_size st o in
-    Some
-      (Heap.class_at (h_ st) (Oop.addr o), inst,
-       Heap.slots (h_ st) (Oop.addr o) - inst)
-  end
+(* The number of indexed fields of the non-SmallInteger [o]. *)
+let indexed_size st o = Heap.slots (h_ st) (Oop.addr o) - inst_size st o
 
 (* [at:] and [at:put:] run on every indexed access, so they read the
    receiver's shape in place, with no tuple or option. *)
@@ -248,19 +242,19 @@ let prim_at_put st ~nargs =
         charge_at st;
         if Heap.is_bytes h a then begin
           (* accept a Character or a small integer 0..255 *)
-          let code =
-            if Oop.is_small v then Some (Oop.small_val v)
+          let c =
+            if Oop.is_small v then Oop.small_val v
             else if
               Oop.equal (Universe.class_of (u_ st) v)
                 (u_ st).Universe.classes.Universe.character
-            then Some (Char.code (Universe.char_value (u_ st) v))
-            else None
+            then Char.code (Universe.char_value (u_ st) v)
+            else -1
           in
-          match code with
-          | Some c when c >= 0 && c <= 255 ->
-              Heap.set_raw h recv (inst + i - 1) c;
-              pop_all_push st ~nargs v
-          | Some _ | None -> Failed
+          if c >= 0 && c <= 255 then begin
+            Heap.set_raw h recv (inst + i - 1) c;
+            pop_all_push st ~nargs v
+          end
+          else Failed
         end
         else if Heap.is_raw h a then begin
           if Oop.is_small v then begin
@@ -324,32 +318,36 @@ let prim_replace st ~nargs =
     and stop = peek st ~depth:2
     and start = peek st ~depth:3
     and recv = peek st ~depth:4 in
-    match (indexable_info st recv, indexable_info st src) with
-    | Some (_, rinst, rlen), Some (_, sinst, slen)
-      when Oop.is_small start && Oop.is_small stop && Oop.is_small start2 ->
-        let s1 = Oop.small_val start
-        and s2 = Oop.small_val stop
-        and t = Oop.small_val start2 in
-        let count = s2 - s1 + 1 in
-        let h = h_ st in
-        let same_kind =
-          Heap.is_raw h (Oop.addr recv) = Heap.is_raw h (Oop.addr src)
-        in
-        if
-          count < 0 || s1 < 1 || s2 > rlen || t < 1
-          || t + count - 1 > slen || not same_kind
-        then Failed
-        else begin
-          add_cost st (st.sh.cm.Cost_model.prim_at + (2 * count));
-          let raw = Heap.is_raw h (Oop.addr recv) in
-          for i = 0 to count - 1 do
-            let v = Heap.get h src (sinst + t - 1 + i) in
-            if raw then Heap.set_raw h recv (rinst + s1 - 1 + i) v
-            else store_with_check st recv (rinst + s1 - 1 + i) v
-          done;
-          pop_all_push st ~nargs recv
-        end
-    | _ -> Failed
+    if
+      Oop.is_small recv || Oop.is_small src || not (Oop.is_small start)
+      || not (Oop.is_small stop) || not (Oop.is_small start2)
+    then Failed
+    else begin
+      let rinst = inst_size st recv and sinst = inst_size st src in
+      let rlen = indexed_size st recv and slen = indexed_size st src in
+      let s1 = Oop.small_val start
+      and s2 = Oop.small_val stop
+      and t = Oop.small_val start2 in
+      let count = s2 - s1 + 1 in
+      let h = h_ st in
+      let same_kind =
+        Heap.is_raw h (Oop.addr recv) = Heap.is_raw h (Oop.addr src)
+      in
+      if
+        count < 0 || s1 < 1 || s2 > rlen || t < 1
+        || t + count - 1 > slen || not same_kind
+      then Failed
+      else begin
+        add_cost st (st.sh.cm.Cost_model.prim_at + (2 * count));
+        let raw = Heap.is_raw h (Oop.addr recv) in
+        for i = 0 to count - 1 do
+          let v = Heap.get h src (sinst + t - 1 + i) in
+          if raw then Heap.set_raw h recv (rinst + s1 - 1 + i) v
+          else store_with_check st recv (rinst + s1 - 1 + i) v
+        done;
+        pop_all_push st ~nargs recv
+      end
+    end
   end
 
 (* --- Process and Semaphore primitives --- *)
@@ -1101,11 +1099,12 @@ let run st ~prim ~nargs =
   | 62 ->
       if nargs <> 0 then Failed
       else
-        (match indexable_info st (peek st ~depth:0) with
-         | Some (_, _, len) ->
-             charge_at st;
-             pop_all_push st ~nargs (Oop.of_small len)
-         | None -> Failed)
+        let recv = peek st ~depth:0 in
+        if Oop.is_small recv then Failed
+        else begin
+          charge_at st;
+          pop_all_push st ~nargs (Oop.of_small (indexed_size st recv))
+        end
   | 65 -> prim_replace st ~nargs
   | 68 -> prim_basic_new st ~nargs
   | 69 -> prim_basic_new_sized st ~nargs

@@ -8,12 +8,13 @@
 # copies of the *.st fixtures beside this script, so dumps land there
 # under the same relative names whichever binaries run; removes it at
 # the end.  Writes to TRANSCRIPT a "$ PROGRAM ARGS" line per entry, the
-# run's stdout and "exit N"; exits 1 if any status (or a refusal's
-# error: line, or an unparsable value's usage message) differs from the
-# one expected.  `dune runtest` runs it
-# against the built binaries; bench/sim_identical.sh runs a parent
-# revision's table against its binaries and this one against this
-# tree's, and requires every entry the two share to print the same.
+# run's stdout and "exit N"; a --trace-dump ring enters it as one line
+# with its line count and cksum, not line by line.  Prints "FAIL:" and
+# the entry's stderr, and exits 1, if any status (or a refusal's error:
+# line, or an unparsable value's usage message) differs from the one
+# expected.  `dune runtest` runs it against the built binaries, prints
+# what it printed, then diffs TRANSCRIPT against the committed
+# runs.expected (see dune).
 
 abs() { case $1 in /*) echo "$1" ;; *) echo "$PWD/$1" ;; esac; }
 mst=$(abs "${1:?usage: sh runs.sh MST BENCH TRANSCRIPT}")
@@ -51,7 +52,11 @@ expect() {
   printf '$ %s %s\n' "$prog" "$*" >>"$transcript"
   "$bin" "$@" >"$out" 2>"$err"
   got=$?
-  cat "$out" >>"$transcript"
+  grep -v '^  \[vp ' "$out" >>"$transcript"
+  if grep -q '^  \[vp ' "$out"; then
+    echo "  (ring: $(grep -c '^  \[vp ' "$out") lines, cksum" \
+      "$(grep '^  \[vp ' "$out" | cksum))" >>"$transcript"
+  fi
   echo "exit $got" >>"$transcript"
   [ "$got" -eq "$want" ] || fail "$prog $* exited $got, expected $want"
 }

@@ -517,7 +517,11 @@ let alloc_doits =
      "| p | 1 to: 100000 do: [:i | p := Point x: i y: i]. p x",
      "100000", 0.1);
     ("printString loop",
-     "| s | 1 to: 20000 do: [:i | s := i printString]. s size", "5", 0.5) ]
+     "| s | 1 to: 20000 do: [:i | s := i printString]. s size", "5", 0.1);
+    ("String size/at:put: loop",
+     "| t n | t := String new: 3. n := 0.\n\
+      1 to: 20000 do: [:i | t at: i \\\\ 3 + 1 put: $a. n := n + t size]. n",
+     "60000", 0.1) ]
 
 let minor_words_per_bytecode config ~source ~value =
   let vm = Vm.create config in
